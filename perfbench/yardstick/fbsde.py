@@ -1,0 +1,989 @@
+"""Dual-system forward-backward solvers and the cost functional.
+
+Everything here runs on the operational clock.  Conditional on one
+subordinator trajectory the dual system is a classical FBSDE with
+deterministic time dependence, so each path is solved on its own grid
+[0, E_T] and mapped to calendar time afterwards by composition with the
+inverse staircase.  Ensembles are ragged (every path has its own random
+horizon); batched internals pad to the longest grid and mask the rest.
+
+Backward solves pick one of three strategies:
+
+* "ode"     the driver and terminal data are deterministic given the
+            subordinator path, so Y is a backward ODE and A = r = 0;
+* "affine"  coefficients affine in the state, driver affine in
+            (x, y, a, r), linear terminal map: the implicit scheme has
+            an exact conditional solution Y_i = c_i + P_i X_i with the
+            integrands read off the recursion (this is the workhorse
+            for the built-in models);
+* "lsmc"    least-squares Monte Carlo regression over an inner ensemble
+            that shares the subordinator path, monomial basis in X up
+            to degree 3 with a small ridge term.
+
+Stochastic integrals keep the left-endpoint convention of the noise
+module; jump events inside a step act on the step's left state.  All
+randomness is derived from a master seed through named substreams, and
+reductions run in path order, so results are reproducible bit for bit.
+"""
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import noise as noise_mod
+from .noise import BrownianPath, JumpStream, LevyJumpSpec, sample_brownian, sample_jumps
+from .seeding import stream
+from .time_change import (
+    InversePath,
+    OperationalGrid,
+    SubordinatorPath,
+    SubordinatorSpec,
+    invert_subordinator,
+    matched_calendar_grid,
+    sample_subordinator,
+)
+
+
+# ------------------------------------------------------------------ controls
+
+@dataclass(frozen=True)
+class Box:
+    """Interval control set; infinities give an unconstrained side."""
+
+    lo: float = -np.inf
+    hi: float = np.inf
+
+    def __post_init__(self):
+        if not self.lo < self.hi:
+            raise ValueError(f"empty control box [{self.lo}, {self.hi}]")
+
+    def contains(self, v, tol: float = 0.0):
+        v = np.asarray(v, dtype=float)
+        return np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol)
+
+    def admit(self, v, tol: float = 1e-9):
+        """Project values violating the box by at most tol; error beyond."""
+        v = np.asarray(v, dtype=float)
+        if not self.contains(v, tol):
+            raise ValueError("control infeasible: value outside the control set "
+                             f"[{self.lo}, {self.hi}]")
+        return np.clip(v, self.lo, self.hi)
+
+    def interior_point(self) -> float:
+        lo = self.lo if np.isfinite(self.lo) else -1.0
+        hi = self.hi if np.isfinite(self.hi) else 1.0
+        return 0.5 * (lo + hi)
+
+
+class ConstantControl:
+    """v(t) = value everywhere."""
+
+    state_free = True
+
+    def __init__(self, value: float):
+        self.value = float(value)
+
+    def values_at(self, i, t1, t2, x, paths):
+        return np.full(np.shape(t1), self.value)
+
+
+class FeedbackControl:
+    """v = fn(t1, t2, x); fn must broadcast over numpy arrays."""
+
+    state_free = False
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def values_at(self, i, t1, t2, x, paths):
+        return np.asarray(self.fn(t1, t2, x), dtype=float)
+
+
+class TableControl:
+    """Open-loop table on calendar time, left-constant interpolation."""
+
+    state_free = True
+
+    def __init__(self, times, values):
+        self.times = np.asarray(times, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+        if self.times.ndim != 1 or self.times.shape != self.values.shape:
+            raise ValueError("times and values must be matching 1-d arrays")
+        if np.any(np.diff(self.times) <= 0.0):
+            raise ValueError("table times must be strictly increasing")
+
+    def values_at(self, i, t1, t2, x, paths):
+        idx = np.searchsorted(self.times, np.asarray(t1, dtype=float), side="right") - 1
+        return self.values[np.clip(idx, 0, self.times.size - 1)]
+
+
+class StepwiseControl:
+    """Per-path open-loop values on the operational solver grid.
+
+    Row p holds path p's control at steps 0..K_p-1 (padding beyond is
+    ignored).  This is how path-dependent optimal controls are stored:
+    the calendar-time value at t is the row entry at step E(t)/du.
+    """
+
+    state_free = True
+
+    def __init__(self, values):
+        self.values = np.atleast_2d(np.asarray(values, dtype=float))
+
+    def values_at(self, i, t1, t2, x, paths):
+        col = min(i, self.values.shape[1] - 1)
+        return self.values[np.asarray(paths), col]
+
+
+class PerturbedControl:
+    """base + rho * direction, for variational and gap experiments."""
+
+    def __init__(self, base, direction, rho: float):
+        self.base = base
+        self.direction = direction
+        self.rho = float(rho)
+
+    @property
+    def state_free(self):
+        return self.base.state_free and self.direction.state_free
+
+    def values_at(self, i, t1, t2, x, paths):
+        return (self.base.values_at(i, t1, t2, x, paths)
+                + self.rho * self.direction.values_at(i, t1, t2, x, paths))
+
+
+def as_control(value) -> "ConstantControl":
+    if np.isscalar(value):
+        return ConstantControl(float(value))
+    return value
+
+
+# ------------------------------------------------------------------- model
+
+class ModelSpec:
+    """Coefficient maps, costs, and structure flags of one control system.
+
+    All maps must broadcast over numpy arrays.  Signatures:
+
+    * f, sigma:  (t1, t2, x, v)           forward drift and volatility
+    * b:         (t1, t2, x, v, z)        jump coefficient
+    * g:         (t1, t2, x, y, a, r, v)  pointwise backward driver; the
+      equation consumes its integral against the jump measure, so the
+      solver evaluates lam * sum(w_q * g(..., r_q, ...))
+    * l:         (t1, t2, x, y, a, r, v)  pointwise running cost, wrapped
+      in the same jump-measure integral as g
+    * phi, h:    (x) terminal maps; gamma: (y) initial cost
+
+    ``linear`` names the coefficients that are affine in their state
+    arguments ("f", "sigma", "b" in x; "g" in (x, y, a, r)); the solver
+    probes affine coefficients by evaluation at 0 and 1, which is exact.
+    Only scalar systems are implemented (n = m = d = k = 1).
+    """
+
+    def __init__(self, *, f, sigma, b, g, phi, l, h, gamma, control_set: Box,
+                 x0: float, n=1, m=1, d=1, k=1, M_T=None, linear=(),
+                 conditionally_deterministic=False, adjoint_deterministic=False,
+                 derivatives=None, hamiltonian_v=None, name=""):
+        if (n, m, d, k) != (1, 1, 1, 1):
+            raise NotImplementedError("only scalar models are supported")
+        self.n, self.m, self.d, self.k = n, m, d, k
+        self.f, self.sigma, self.b, self.g = f, sigma, b, g
+        self.phi, self.l, self.h, self.gamma = phi, l, h, gamma
+        self.control_set = control_set
+        self.x0 = float(x0)
+        self.M_T = None if M_T is None else float(M_T)
+        self.linear = frozenset(linear)
+        self.conditionally_deterministic = bool(conditionally_deterministic)
+        # the adjoint pair can be deterministic given the subordinator even
+        # when the state is not (coefficients free of x and the noise terms
+        # of the first adjoint vanishing); flag it to unlock the ODE regime
+        self.adjoint_deterministic = bool(adjoint_deterministic)
+        self.derivatives = dict(derivatives or {})
+        self.hamiltonian_v = hamiltonian_v
+        self.name = name
+        self._validate()
+
+    @property
+    def linear_terminal(self) -> bool:
+        return self.M_T is not None
+
+    @property
+    def affine_solvable(self) -> bool:
+        return {"f", "sigma", "b", "g"} <= self.linear and self.linear_terminal
+
+    def _validate(self):
+        v0 = self.control_set.interior_point()
+        probes = [
+            self.f(0.0, 0.0, 0.0, v0), self.sigma(0.0, 0.0, 0.0, v0),
+            self.b(0.0, 0.0, 0.0, v0, 0.1),
+            self.g(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, v0),
+            self.l(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, v0),
+            self.phi(0.0), self.h(0.0), self.gamma(0.0),
+        ]
+        for val in probes:
+            val = np.asarray(val, dtype=float)
+            if val.size != 1 or not np.all(np.isfinite(val)):
+                raise ValueError("model map probe returned a non-finite or "
+                                 "non-scalar value at the origin")
+        if self.linear_terminal:
+            p0 = float(self.phi(0.0))
+            for x in (-1.0, 0.3, 1.0):
+                if abs(float(self.phi(x)) - p0 - self.M_T * x) > 1e-10 * (1 + abs(x)):
+                    raise ValueError("linear_terminal is set but phi is not M_T * x")
+
+
+# ------------------------------------------------------------------- bundles
+
+@dataclass
+class PathBundle:
+    """One joint draw of the driving noises plus its seed bookkeeping.
+
+    The Brownian and jump components are sampled from RNG streams
+    separate from the subordinator's, mirroring the product structure
+    of the underlying probability space.
+    """
+
+    subordinator: SubordinatorPath
+    inverse: InversePath
+    brownian: BrownianPath
+    jumps: JumpStream
+    jump_spec: LevyJumpSpec
+    calendar_horizon: float
+    seeds: dict = field(default_factory=dict)
+
+    @property
+    def solver_steps(self) -> int:
+        # last grid index with D <= T, i.e. E(T) in step units
+        return self.subordinator.values.size - 2
+
+    @property
+    def solver_grid(self) -> OperationalGrid | None:
+        # a path whose first increment already overshoots the calendar
+        # horizon has no solver steps; OperationalGrid requires at least
+        # one, so such degenerate paths carry no grid at all
+        if self.solver_steps == 0:
+            return None
+        du = self.subordinator.grid.step
+        return OperationalGrid(step=du, horizon=du * self.solver_steps)
+
+    def calendar_times(self) -> np.ndarray:
+        return self.subordinator.values[: self.solver_steps + 1]
+
+    def d_brownian(self) -> np.ndarray:
+        return np.diff(self.brownian.values[: self.solver_steps + 1])
+
+    def solver_events(self):
+        """Jump events inside the solver horizon, bucketed to their step."""
+        du = self.subordinator.grid.step
+        t = self.jumps.times
+        keep = t <= self.solver_steps * du + 1e-12 * du
+        steps = np.ceil(t[keep] / du - 1e-12).astype(int) - 1
+        return np.maximum(steps, 0), self.jumps.marks[keep]
+
+
+def make_ensemble(sub_spec: SubordinatorSpec, jump_spec: LevyJumpSpec,
+                  calendar_horizon: float, step: float, n_paths: int,
+                  master_seed: int, pairing=None) -> list:
+    """Sample n_paths independent bundles from named per-path substreams.
+
+    ``pairing`` optionally re-pairs subordinator draws with the Brownian
+    and jump streams of other indices (a permutation), which must leave
+    every ensemble statistic's law unchanged; the cost-independence test
+    relies on that.
+    """
+    if n_paths < 1:
+        raise ValueError("ensemble must contain at least one path")
+    if pairing is None:
+        pairing = np.arange(n_paths)
+    pairing = np.asarray(pairing, dtype=int)
+    guess = max(step, 1.2 * calendar_horizon**sub_spec.alpha)
+    grid = OperationalGrid(step, step * max(4, math.ceil(guess / step)))
+    bundles = []
+    for i in range(n_paths):
+        j = int(pairing[i])
+        sub = sample_subordinator(sub_spec, calendar_horizon, grid,
+                                  stream(master_seed, "subordinator", i))
+        inv = invert_subordinator(sub, matched_calendar_grid(sub, calendar_horizon))
+        brw = sample_brownian(sub.grid, stream(master_seed, "brownian", j))
+        jmp = sample_jumps(jump_spec, sub.grid.horizon, stream(master_seed, "jumps", j))
+        bundles.append(PathBundle(
+            subordinator=sub, inverse=inv, brownian=brw, jumps=jmp,
+            jump_spec=jump_spec, calendar_horizon=calendar_horizon,
+            seeds={"master": int(master_seed), "path": i, "noise_index": j},
+        ))
+    return bundles
+
+
+# ----------------------------------------------------------------- solutions
+
+@dataclass
+class FBSDESolution:
+    """One path's solution; backward fields stay None until solved.
+
+    r is tabulated on the jump-measure quadrature nodes only, which is
+    all the cost and adjoint formulas ever consume.
+    """
+
+    clock: str
+    grid: OperationalGrid | None
+    calendar_grid: np.ndarray | None
+    X: np.ndarray
+    Y: np.ndarray | None = None
+    A: np.ndarray | None = None
+    r: np.ndarray | None = None
+    calendar_times: np.ndarray | None = None
+    # realized forward ingredients (operational clock only)
+    control_values: np.ndarray | None = None
+    drift: np.ndarray | None = None
+    vol: np.ndarray | None = None
+    dB: np.ndarray | None = None
+    jump_nodes: np.ndarray | None = None
+    jump_weights: np.ndarray | None = None
+    jump_intensity: float | None = None
+    event_steps: np.ndarray | None = None
+    event_b: np.ndarray | None = None
+
+
+@dataclass
+class CostEstimate:
+    mean: float
+    std_error: float
+    per_path: np.ndarray = field(repr=False)
+
+
+# ------------------------------------------------------------ forward solver
+
+class _Batch:
+    """Padded arrays for a chunk of bundles solved together.
+
+    ``labels`` are the ensemble positions handed to per-path controls,
+    so chunking never changes which control row a path reads.
+    """
+
+    def __init__(self, bundles, labels=None):
+        self.bundles = list(bundles)
+        self.N = len(self.bundles)
+        if labels is None:
+            labels = [b.seeds.get("path", i) for i, b in enumerate(self.bundles)]
+        self.labels = np.asarray(labels, dtype=int)
+        du = self.bundles[0].subordinator.grid.step
+        for b in self.bundles:
+            if abs(b.subordinator.grid.step - du) > 1e-12 * du:
+                raise ValueError("bundles in one ensemble must share the step")
+        self.du = du
+        self.K = np.array([b.solver_steps for b in self.bundles], dtype=int)
+        self.Kmax = int(self.K.max())
+        self.t = np.empty((self.N, self.Kmax + 1))
+        self.dB = np.zeros((self.N, self.Kmax))
+        ev_p, ev_s, ev_z = [], [], []
+        for p, b in enumerate(self.bundles):
+            k = self.K[p]
+            ct = b.calendar_times()
+            self.t[p, : k + 1] = ct
+            self.t[p, k + 1:] = ct[-1]
+            self.dB[p, :k] = b.d_brownian()
+            steps, marks = b.solver_events()
+            ev_p.extend([p] * steps.size)
+            ev_s.extend(steps.tolist())
+            ev_z.extend(marks.tolist())
+        ev_p = np.asarray(ev_p, dtype=int)
+        ev_s = np.asarray(ev_s, dtype=int)
+        ev_z = np.asarray(ev_z, dtype=float)
+        order = np.argsort(ev_s, kind="stable")
+        self.ev_p, self.ev_s, self.ev_z = ev_p[order], ev_s[order], ev_z[order]
+        self.ev_start = np.searchsorted(self.ev_s, np.arange(self.Kmax + 1))
+        self.spec = self.bundles[0].jump_spec
+        self.znodes, self.w = self.spec.quadrature()
+
+
+def _forward_batch(model: ModelSpec, control, batch: _Batch, keep_nodes=False):
+    """Euler scheme over the padded batch; fills X, v, drift, vol, event_b."""
+    N, Kmax, du = batch.N, batch.Kmax, batch.du
+    lam = batch.spec.intensity
+    X = np.empty((N, Kmax + 1))
+    X[:, 0] = model.x0
+    v = np.empty((N, Kmax))
+    drift = np.zeros((N, Kmax))
+    vol = np.zeros((N, Kmax))
+    ev_b = np.empty(batch.ev_p.size)
+    nodes = np.zeros((N, Kmax, batch.znodes.size)) if keep_nodes else None
+    paths = batch.labels
+    for i in range(Kmax):
+        act = i < batch.K
+        t1, u_i, x = batch.t[:, i], i * du, X[:, i]
+        vi = model.control_set.admit(control.values_at(i, t1, u_i, x, paths))
+        vi = np.broadcast_to(vi, (N,))
+        v[:, i] = vi
+        fi = np.broadcast_to(np.asarray(model.f(t1, u_i, x, vi), dtype=float), (N,))
+        si = np.broadcast_to(np.asarray(model.sigma(t1, u_i, x, vi), dtype=float), (N,))
+        drift[:, i], vol[:, i] = fi, si
+        bi = np.broadcast_to(np.asarray(
+            model.b(t1[:, None], u_i, x[:, None], vi[:, None], batch.znodes),
+            dtype=float), (N, batch.znodes.size))
+        if keep_nodes:
+            nodes[:, i, :] = bi
+        comp = lam * du * (bi @ batch.w)
+        jump = np.zeros(N)
+        sl = slice(batch.ev_start[i], batch.ev_start[i + 1])
+        if sl.stop > sl.start:
+            p = batch.ev_p[sl]
+            bz = np.asarray(model.b(t1[p], u_i, X[p, i], v[p, i], batch.ev_z[sl]),
+                            dtype=float)
+            ev_b[sl] = bz
+            np.add.at(jump, p, bz)
+        xn = x + fi * du + si * batch.dB[:, i] + jump - comp
+        bad = act & ~np.isfinite(xn)
+        if np.any(bad):
+            raise FloatingPointError(
+                f"blow-up at step {i} (path {int(np.argmax(bad))})")
+        X[:, i + 1] = np.where(act, xn, x)
+    return X, v, drift, vol, ev_b, nodes
+
+
+def solve_forward_dual(model: ModelSpec, control, bundle: PathBundle,
+                       keep_ingredients: bool = True) -> FBSDESolution:
+    """Forward Euler on [0, E_T] for a single bundle, operational clock."""
+    control = as_control(control)
+    batch = _Batch([bundle])
+    X, v, drift, vol, ev_b, nodes = _forward_batch(model, control, batch,
+                                                   keep_nodes=keep_ingredients)
+    sol = FBSDESolution(
+        clock="operational", grid=bundle.solver_grid, calendar_grid=None,
+        X=X[0], calendar_times=batch.t[0], control_values=v[0],
+    )
+    if keep_ingredients:
+        sol.drift, sol.vol, sol.dB = drift[0], vol[0], batch.dB[0]
+        sol.jump_nodes = nodes[0]
+        sol.jump_weights = batch.w
+        sol.jump_intensity = batch.spec.intensity
+        sol.event_steps, sol.event_b = batch.ev_s.copy(), ev_b
+    return sol
+
+
+# ------------------------------------------------------- affine backward core
+
+def _probe_affine(model: ModelSpec, batch: _Batch, v: np.ndarray):
+    """Exact affine coefficients by evaluation at states 0 and 1.
+
+    Valid when the corresponding linearity flags hold; the returned
+    driver pieces are already integrated against the jump measure
+    (G = lam * int g, with the r term kept nodewise as gr * w * lam).
+    """
+    t, u = batch.t[:, :-1], np.arange(batch.Kmax) * batch.du
+    z = batch.znodes
+    lam = batch.spec.intensity
+    f0 = np.asarray(model.f(t, u, 0.0, v), dtype=float) + np.zeros_like(v)
+    fx = np.asarray(model.f(t, u, 1.0, v), dtype=float) - f0
+    s0 = np.asarray(model.sigma(t, u, 0.0, v), dtype=float) + np.zeros_like(v)
+    sx = np.asarray(model.sigma(t, u, 1.0, v), dtype=float) - s0
+    b0 = np.asarray(model.b(t[..., None], u[:, None], 0.0, v[..., None], z),
+                    dtype=float) + np.zeros(v.shape + (z.size,))
+    bx = np.asarray(model.b(t[..., None], u[:, None], 1.0, v[..., None], z),
+                    dtype=float) - b0
+    g00 = np.asarray(model.g(t, u, 0.0, 0.0, 0.0, 0.0, v), dtype=float) + np.zeros_like(v)
+    gx = np.asarray(model.g(t, u, 1.0, 0.0, 0.0, 0.0, v), dtype=float) - g00
+    gy = np.asarray(model.g(t, u, 0.0, 1.0, 0.0, 0.0, v), dtype=float) - g00
+    ga = np.asarray(model.g(t, u, 0.0, 0.0, 1.0, 0.0, v), dtype=float) - g00
+    gr = np.asarray(model.g(t, u, 0.0, 0.0, 0.0, 1.0, v), dtype=float) - g00
+    return dict(fx=fx, f0=f0, sx=sx, s0=s0, bx=bx, b0=b0,
+                Gy=lam * gy, Gx=lam * gx, Ga=lam * ga, G0=lam * g00, gr=lam * gr)
+
+
+def _affine_backward(batch: _Batch, X: np.ndarray, co: dict,
+                     P_term: np.ndarray, c_term: np.ndarray,
+                     collect_r: bool = True):
+    """Exact conditional solution of the implicit backward scheme.
+
+    The scheme Y_i = Y_{i+1} + G_i du - A_i dB_i - (jump martingale)
+    admits Y_i = c_i + P_i X_i when the forward coefficients are affine
+    in x, the integrated driver is affine in (x, y, a, r-integral), the
+    terminal map is linear, and the coefficient paths are deterministic
+    given the subordinator trajectory.  A and the nodewise r follow from
+    matching the Brownian and jump terms of Y_{i+1}.
+    """
+    N, Kmax, du = batch.N, batch.Kmax, batch.du
+    w = batch.w
+    P = np.empty((N, Kmax + 1))
+    c = np.empty((N, Kmax + 1))
+    P[:, Kmax] = P_term
+    c[:, Kmax] = c_term
+    A = np.zeros((N, Kmax))
+    r = np.zeros((N, Kmax, w.size)) if collect_r else None
+    wr_b = np.einsum("nkq,q->nk", co["bx"], w)
+    wr_b0 = np.einsum("nkq,q->nk", co["b0"], w)
+    for i in range(Kmax - 1, -1, -1):
+        act = i < batch.K
+        h = du
+        Pn, cn = P[:, i + 1], c[:, i + 1]
+        # paths already past their horizon carry the terminal pair down
+        Pn = np.where(i + 1 <= batch.K, Pn, P_term)
+        cn = np.where(i + 1 <= batch.K, cn, c_term)
+        den = 1.0 - h * co["Gy"][:, i]
+        Pi = (Pn * (1.0 + h * co["fx"][:, i])
+              + h * (co["Gx"][:, i] + co["Ga"][:, i] * Pn * co["sx"][:, i]
+                     + co["gr"][:, i] * Pn * wr_b[:, i])) / den
+        ci = (cn + h * (Pn * co["f0"][:, i] + co["G0"][:, i]
+                        + co["Ga"][:, i] * Pn * co["s0"][:, i]
+                        + co["gr"][:, i] * Pn * wr_b0[:, i])) / den
+        P[:, i] = np.where(act, Pi, P_term)
+        c[:, i] = np.where(act, ci, c_term)
+        A[:, i] = np.where(act, Pn * (co["sx"][:, i] * X[:, i] + co["s0"][:, i]), 0.0)
+        if collect_r:
+            r[:, i, :] = np.where(
+                act[:, None],
+                Pn[:, None] * (co["bx"][:, i] * X[:, i, None] + co["b0"][:, i]),
+                0.0)
+    Y = c + P * X
+    # freeze padded tails at each path's own terminal value
+    for p in range(N):
+        Y[p, batch.K[p]:] = c_term[p] + P_term[p] * X[p, batch.K[p]]
+    return Y, A, r, P, c
+
+
+# -------------------------------------------------------------- lsmc backward
+
+def _basis(x: np.ndarray, degree: int = 3):
+    if not np.all(np.isfinite(x)):
+        raise FloatingPointError("basis overflow: non-finite state values")
+    if x.std() < 1e-12:
+        return x[:, None] ** 0, np.array([x.mean()]), np.array([1.0])
+    mu, sd = x.mean(), x.std()
+    s = (x - mu) / sd
+    return np.vander(s, degree + 1, increasing=True), np.array([mu]), np.array([sd])
+
+
+def _ridge_fit(Phi, target, ridge, step):
+    G = Phi.T @ Phi + ridge * np.eye(Phi.shape[1])
+    if np.linalg.cond(G) > 1e12:
+        raise np.linalg.LinAlgError(f"regression rank deficiency at step {step}")
+    return np.linalg.solve(G, Phi.T @ target)
+
+
+def _poly_eval(beta, mu, sd, x):
+    s = (np.asarray(x, dtype=float) - mu[0]) / sd[0]
+    out = np.zeros_like(s)
+    for j in range(beta.size - 1, -1, -1):
+        out = out * s + beta[j]
+    return out
+
+
+def _lam_quad_driver(model, spec, t1, u, x, y, a, r_nodes, v, w):
+    """lam * integral of the pointwise driver against the jump measure."""
+    vals = np.asarray(model.g(t1[:, None], u, x[:, None], y[:, None],
+                              a[:, None], r_nodes, v[:, None]), dtype=float)
+    vals = np.broadcast_to(vals, (x.size, w.size))
+    return spec.intensity * (vals @ w)
+
+
+def _lsmc_backward(model: ModelSpec, control, bundle: PathBundle,
+                   forward: FBSDESolution, n_inner=256, degree=3,
+                   ridge=1e-8, n_picard=3, label=None):
+    """Regression solve on an inner ensemble sharing the subordinator path.
+
+    ``label`` overrides the ensemble position shown to per-path controls
+    (defaults to the bundle's recorded one).
+    """
+    master = bundle.seeds.get("master", 0)
+    pidx = bundle.seeds.get("path", 0)
+    if label is None:
+        label = pidx
+    K = bundle.solver_steps
+    du = bundle.subordinator.grid.step
+    inner = []
+    for j in range(n_inner):
+        brw = sample_brownian(bundle.subordinator.grid,
+                              stream(master, f"lsmc-brownian-{pidx}", j))
+        jmp = sample_jumps(bundle.jump_spec, bundle.subordinator.grid.horizon,
+                           stream(master, f"lsmc-jumps-{pidx}", j))
+        inner.append(PathBundle(
+            subordinator=bundle.subordinator, inverse=bundle.inverse,
+            brownian=brw, jumps=jmp, jump_spec=bundle.jump_spec,
+            calendar_horizon=bundle.calendar_horizon))
+    # inner paths impersonate the outer path for per-path control lookup
+    batch = _Batch(inner, labels=np.full(n_inner, label))
+    Xi, vi, _, _, _, _ = _forward_batch(model, control, batch)
+    spec, w, z = bundle.jump_spec, batch.w, batch.znodes
+    t = batch.t
+
+    Yn = np.asarray([model.phi(x) for x in Xi[:, K]])
+    fits = [None] * K
+    for i in range(K - 1, -1, -1):
+        Phi, mu, sd = _basis(Xi[:, i], degree)
+        beta_m = _ridge_fit(Phi, Yn, ridge, i)
+        beta_a = _ridge_fit(Phi, Yn * batch.dB[:, i] / du, ridge, i)
+        Phi1, mu1, sd1 = _basis(Xi[:, i + 1], degree)
+        beta_v = _ridge_fit(Phi1, Yn, ridge, i)
+        bi = np.asarray(model.b(t[:, i, None], i * du, Xi[:, i, None],
+                                vi[:, i, None], z), dtype=float)
+        bi = np.broadcast_to(bi, (batch.N, z.size))
+        base_val = _poly_eval(beta_v, mu1, sd1, Xi[:, i])
+        r_i = _poly_eval(beta_v, mu1, sd1, Xi[:, i, None] + bi) - base_val[:, None]
+        A_i = Phi @ beta_a
+        Ey = Phi @ beta_m
+        y = Ey.copy()
+        for _ in range(n_picard):
+            y = Ey + du * _lam_quad_driver(model, spec, t[:, i], i * du, Xi[:, i],
+                                           y, A_i, r_i, vi[:, i], w)
+        Yn = y
+        fits[i] = (beta_m, mu, sd, beta_a, beta_v, mu1, sd1)
+
+    # evaluate the fitted conditional-expectation functions on the outer path
+    X = forward.X
+    vout = forward.control_values
+    t_out = forward.calendar_times
+    Y = np.empty(K + 1)
+    A = np.zeros(K)
+    r = np.zeros((K, z.size))
+    Y[K] = float(model.phi(X[K]))
+    for i in range(K - 1, -1, -1):
+        beta_m, mu, sd, beta_a, beta_v, mu1, sd1 = fits[i]
+        xo = np.array([X[i]])
+        A[i] = _poly_eval_basis(beta_a, mu, sd, xo)[0]
+        bi = np.asarray(model.b(t_out[i], i * du, X[i], vout[i], z), dtype=float)
+        bi = np.broadcast_to(bi, (z.size,))
+        r[i] = _poly_eval(beta_v, mu1, sd1, X[i] + bi) - _poly_eval(beta_v, mu1, sd1, xo)[0]
+        ey = _poly_eval_basis(beta_m, mu, sd, xo)[0]
+        y = ey
+        for _ in range(n_picard):
+            y = ey + du * _lam_quad_driver(
+                model, spec, np.array([t_out[i]]), i * du, xo,
+                np.array([y]), np.array([A[i]]), r[i][None, :],
+                np.array([vout[i]]), w)[0]
+        Y[i] = y
+    return Y, A, r
+
+
+def _poly_eval_basis(beta, mu, sd, x):
+    if beta.size == 1:
+        return np.full_like(np.asarray(x, dtype=float), beta[0])
+    return _poly_eval(beta, mu, sd, x)
+
+
+# ----------------------------------------------------------- backward driver
+
+def _ode_backward(model: ModelSpec, bundle: PathBundle, forward: FBSDESolution,
+                  n_picard=3):
+    """Regime (a): conditionally deterministic driver, A = r = 0."""
+    K = bundle.solver_steps
+    du = bundle.subordinator.grid.step
+    spec = bundle.jump_spec
+    _, w = spec.quadrature()
+    X, t = forward.X, forward.calendar_times
+    v = forward.control_values
+    Y = np.empty(K + 1)
+    Y[K] = float(model.phi(X[K]))
+    zero = np.zeros(1)
+    for i in range(K - 1, -1, -1):
+        y = Y[i + 1]
+        for _ in range(n_picard + 1):
+            y = Y[i + 1] + du * _lam_quad_driver(
+                model, spec, np.array([t[i]]), i * du, np.array([X[i]]),
+                np.array([y]), zero, np.zeros((1, w.size)), np.array([v[i]]), w)[0]
+        Y[i] = y
+    return Y, np.zeros(K), np.zeros((K, w.size))
+
+
+def backward_method(model: ModelSpec, method=None) -> str:
+    if method is not None:
+        return method
+    if model.conditionally_deterministic:
+        return "ode"
+    if model.affine_solvable:
+        return "affine"
+    return "lsmc"
+
+
+def solve_backward_dual(model: ModelSpec, control, bundle: PathBundle,
+                        forward: FBSDESolution, method=None,
+                        n_inner=256) -> FBSDESolution:
+    """Fill the backward components of a forward solution, terminal first.
+
+    ``method`` overrides the automatic regime choice ("ode", "affine",
+    "lsmc"); by default conditionally deterministic models get the ODE
+    route, fully affine models the exact conditional solution, and
+    everything else regression.
+    """
+    control = as_control(control)
+    method = backward_method(model, method)
+    K = bundle.solver_steps
+    if method == "ode":
+        Y, A, r = _ode_backward(model, bundle, forward)
+    elif method == "affine":
+        if not model.affine_solvable:
+            raise ValueError("affine backward requested for a model without "
+                             "the full set of linearity flags")
+        if not getattr(control, "state_free", False):
+            raise ValueError("affine backward needs an open-loop control")
+        batch = _Batch([bundle])
+        v = forward.control_values[None, :]
+        co = _probe_affine(model, batch, v)
+        Yb, Ab, rb, _, _ = _affine_backward(
+            batch, forward.X[None, :], co,
+            np.array([model.M_T]), np.array([float(model.phi(0.0))]))
+        Y, A, r = Yb[0], Ab[0], rb[0]
+    elif method == "lsmc":
+        Y, A, r = _lsmc_backward(model, control, bundle, forward, n_inner=n_inner)
+    else:
+        raise ValueError(f"unknown backward method {method!r}")
+    gap = abs(Y[K] - float(model.phi(forward.X[K])))
+    tol = 1e-10 if method in ("ode", "affine") else 1e-6
+    if gap > tol:
+        raise AssertionError(f"terminal consistency violated: |Y_T - phi(X_T)| = {gap}")
+    forward.Y, forward.A, forward.r = Y, A, r
+    return forward
+
+
+# ------------------------------------------------------------- composition
+
+def compose_duality(dual: FBSDESolution, inverse: InversePath) -> FBSDESolution:
+    """Calendar-clock solution: every component read at E(t)."""
+    if dual.clock != "operational":
+        raise ValueError("compose_duality expects an operational-clock solution")
+    if dual.grid is None:
+        # degenerate path: the clock never advances, so every calendar
+        # instant reads the initial state
+        if np.max(inverse.values) > 0.0:
+            raise ValueError("horizon mismatch: inverse exceeds the dual grid")
+        idx = np.zeros(inverse.values.size, dtype=int)
+    else:
+        du = dual.grid.step
+        if np.max(inverse.values) > dual.grid.horizon + 1e-9 * du:
+            raise ValueError("horizon mismatch: inverse exceeds the dual grid")
+        idx = np.rint(inverse.values / du).astype(int)
+    out = FBSDESolution(
+        clock="calendar", grid=None, calendar_grid=inverse.calendar_grid,
+        X=dual.X[idx],
+        Y=None if dual.Y is None else dual.Y[idx],
+        A=None if dual.A is None else dual.A[np.minimum(idx, dual.A.shape[0] - 1)],
+        r=None if dual.r is None else dual.r[np.minimum(idx, dual.r.shape[0] - 1)],
+    )
+    return out
+
+
+def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
+    """Simulate the calendar-form system directly on the matched grid.
+
+    Deliberately a separate, slower code path from the dual solver: it
+    reads composed drivers (dE, dB_E, calendar-bucketed events) step by
+    step, so agreement with compose_duality is an actual check of the
+    duality construction rather than a reindexing tautology.  Backward
+    part requires an affine-solvable model.
+    """
+    control = as_control(control)
+    inv = bundle.inverse
+    tgrid = inv.calendar_grid
+    E = inv.values
+    du = bundle.subordinator.grid.step
+    spec = bundle.jump_spec
+    z, w = spec.quadrature()
+    lam = spec.intensity
+    J = tgrid.size - 1
+    dE = np.diff(E)
+    bcal = noise_mod.compose_time_change(bundle.brownian, inv).values
+    dBE = np.diff(bcal)
+
+    X = np.empty(J + 1)
+    X[0] = model.x0
+    v = np.empty(J)
+    label = np.array([bundle.seeds.get("path", 0)], dtype=int)
+    for j in range(J):
+        vj = np.asarray(model.control_set.admit(
+            control.values_at(int(round(E[j] / du)), tgrid[j], E[j], X[j], label)))
+        vj = float(vj.reshape(-1)[0])
+        v[j] = vj
+        here = (bundle.jumps.times > E[j]) & (bundle.jumps.times <= E[j + 1])
+        jump = 0.0
+        for zk in bundle.jumps.marks[here]:
+            jump += float(model.b(tgrid[j], E[j], X[j], vj, zk))
+        comp = lam * dE[j] * float(
+            np.broadcast_to(np.asarray(model.b(tgrid[j], E[j], X[j], vj, z)), z.shape) @ w)
+        X[j + 1] = (X[j] + float(model.f(tgrid[j], E[j], X[j], vj)) * dE[j]
+                    + float(model.sigma(tgrid[j], E[j], X[j], vj)) * dBE[j]
+                    + jump - comp)
+
+    if not model.affine_solvable:
+        return X, None, tgrid
+    # backward affine recursion in calendar steps, dE-weighted
+    P = model.M_T
+    c = float(model.phi(0.0))
+    Y = np.empty(J + 1)
+    Y[J] = c + P * X[J]
+    for j in range(J - 1, -1, -1):
+        h = dE[j]
+        f0 = float(model.f(tgrid[j], E[j], 0.0, v[j]))
+        fx = float(model.f(tgrid[j], E[j], 1.0, v[j])) - f0
+        s0 = float(model.sigma(tgrid[j], E[j], 0.0, v[j]))
+        sx = float(model.sigma(tgrid[j], E[j], 1.0, v[j])) - s0
+        b0 = np.broadcast_to(np.asarray(model.b(tgrid[j], E[j], 0.0, v[j], z),
+                                        dtype=float), z.shape)
+        bx = np.broadcast_to(np.asarray(model.b(tgrid[j], E[j], 1.0, v[j], z),
+                                        dtype=float), z.shape) - b0
+        g00 = float(model.g(tgrid[j], E[j], 0.0, 0.0, 0.0, 0.0, v[j]))
+        gx = float(model.g(tgrid[j], E[j], 1.0, 0.0, 0.0, 0.0, v[j])) - g00
+        gy = float(model.g(tgrid[j], E[j], 0.0, 1.0, 0.0, 0.0, v[j])) - g00
+        ga = float(model.g(tgrid[j], E[j], 0.0, 0.0, 1.0, 0.0, v[j])) - g00
+        gr = float(model.g(tgrid[j], E[j], 0.0, 0.0, 0.0, 1.0, v[j])) - g00
+        den = 1.0 - h * lam * gy
+        Pn, cn = P, c
+        P = (Pn * (1.0 + h * fx) + h * lam * (gx + ga * Pn * sx
+             + gr * Pn * float(bx @ w))) / den
+        c = (cn + h * (Pn * f0 + lam * (g00 + ga * Pn * s0
+             + gr * Pn * float(b0 @ w)))) / den
+        Y[j] = c + P * X[j]
+    return X, Y, tgrid
+
+
+# ------------------------------------------------------------------- cost
+
+def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
+    X, v, _, _, _, _ = _forward_batch(model, control, batch)
+    method = backward_method(model, method)
+    if method == "affine" and not getattr(control, "state_free", False):
+        # the exact conditional solution needs open-loop coefficients
+        method = "lsmc"
+    N, Kmax, du = batch.N, batch.Kmax, batch.du
+    spec, w = batch.spec, batch.w
+    if method == "affine":
+        co = _probe_affine(model, batch, v)
+        Y, A, r, _, _ = _affine_backward(
+            batch, X, co, np.full(N, model.M_T),
+            np.full(N, float(model.phi(0.0))))
+    elif method == "ode":
+        Y = np.empty((N, Kmax + 1))
+        A = np.zeros((N, Kmax))
+        r = np.zeros((N, Kmax, w.size))
+        for p in range(N):
+            sol = FBSDESolution(clock="operational", grid=batch.bundles[p].solver_grid,
+                                calendar_grid=None, X=X[p, : batch.K[p] + 1],
+                                calendar_times=batch.t[p, : batch.K[p] + 1],
+                                control_values=v[p])
+            Yp, _, _ = _ode_backward(model, batch.bundles[p], sol)
+            Y[p, : batch.K[p] + 1] = Yp
+            Y[p, batch.K[p]:] = Yp[-1]
+    else:
+        Y = np.empty((N, Kmax + 1))
+        A = np.zeros((N, Kmax))
+        r = np.zeros((N, Kmax, w.size))
+        for p, bnd in enumerate(batch.bundles):
+            single = _Batch([bnd], labels=batch.labels[p: p + 1])
+            Xp, vp, _, _, _, _ = _forward_batch(model, control, single)
+            sol = FBSDESolution(
+                clock="operational", grid=bnd.solver_grid, calendar_grid=None,
+                X=Xp[0], calendar_times=single.t[0], control_values=vp[0])
+            Yp, Ap, rp = _lsmc_backward(model, control, bnd, sol,
+                                        label=int(batch.labels[p]))
+            k = batch.K[p]
+            Y[p, : k + 1] = Yp
+            Y[p, k:] = Yp[k]
+            A[p, :k] = Ap
+            r[p, :k, :] = rp
+    run = np.zeros(N)
+    lam = spec.intensity
+    for i in range(Kmax):
+        act = i < batch.K
+        li = np.asarray(model.l(batch.t[:, i, None], i * du, X[:, i, None],
+                                Y[:, i, None], A[:, i, None], r[:, i, :],
+                                v[:, i, None]), dtype=float)
+        li = np.broadcast_to(li, (N, w.size))
+        run += np.where(act, lam * du * (li @ w), 0.0)
+    XT = X[np.arange(N), batch.K]
+    hterm = np.asarray([float(model.h(x)) for x in XT])
+    gterm = np.asarray([float(model.gamma(y)) for y in Y[:, 0]])
+    return run + hterm + gterm, X, Y, v, A, r
+
+
+def evaluate_cost(model: ModelSpec, control, bundles, method=None,
+                  chunk: int = 512) -> CostEstimate:
+    """Monte Carlo cost over an ensemble: running + terminal + initial parts.
+
+    Paths are processed in fixed order and in bounded-size chunks, so
+    the estimate is bit-reproducible and memory stays flat in the
+    ensemble size.  Per-path values are returned for paired (common
+    random number) comparisons.
+    """
+    control = as_control(control)
+    bundles = list(bundles)
+    if not bundles:
+        raise ValueError("ensemble is empty")
+    per_path = np.empty(len(bundles))
+    for lo in range(0, len(bundles), chunk):
+        part = bundles[lo: lo + chunk]
+        try:
+            vals, _, _, _, _, _ = _batch_cost(
+                model, control, _Batch(part, labels=np.arange(lo, lo + len(part))),
+                method=method)
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
+            raise type(exc)(f"{exc} [paths {lo}..{lo + len(part) - 1}]") from exc
+        per_path[lo: lo + len(part)] = vals
+    mean = float(per_path.mean())
+    se = float(per_path.std(ddof=1) / np.sqrt(per_path.size)) if per_path.size > 1 else 0.0
+    return CostEstimate(mean=mean, std_error=se, per_path=per_path)
+
+
+# ------------------------------------------------------------ builtin models
+
+def _linear_test_model(params=None):
+    p = dict(x0=1.0, lam=2.0, c=1.0, alpha=0.7, horizon=1.0, step=0.01)
+    p.update(params or {})
+    lam = p["lam"]
+    model = ModelSpec(
+        f=lambda t1, t2, x, v: -x + 0.0 * v,
+        sigma=lambda t1, t2, x, v: 0.1 * x + 0.2 + 0.0 * v,
+        b=lambda t1, t2, x, v, z: 0.05 * z * x + 0.0 * v,
+        g=lambda t1, t2, x, y, a, r, v: (-0.5 * y + 0.5 * x + 0.5 * v + 0.0 * a
+                                         + 0.0 * r) / lam,
+        phi=lambda x: 1.0 * x,
+        l=lambda t1, t2, x, y, a, r, v: 0.5 * x**2 / lam + 0.0 * v,
+        h=lambda x: 0.0 * x,
+        gamma=lambda y: -y,
+        control_set=Box(-2.0, 2.0),
+        x0=p["x0"], M_T=1.0,
+        linear={"f", "sigma", "b", "g"},
+        name="linear_test",
+    )
+    jump = LevyJumpSpec(c=p["c"], intensity=lam)
+    sub = SubordinatorSpec(alpha=p["alpha"])
+    return model, jump, sub, p
+
+
+def _quadratic_drift_model(params=None):
+    p = dict(x0=1.0, lam=1.0, c=1.0, alpha=0.7, horizon=1.0, step=0.01)
+    p.update(params or {})
+    lam = p["lam"]
+    model = ModelSpec(
+        f=lambda t1, t2, x, v: -x + v + 0.5 * v**2,
+        sigma=lambda t1, t2, x, v: 0.2 + 0.1 * v + 0.1 * v**2 + 0.0 * x,
+        b=lambda t1, t2, x, v, z: z * (0.1 * v + 0.05 * v**2) + 0.0 * x,
+        g=lambda t1, t2, x, y, a, r, v: (-0.5 * y + 0.5 * x + 0.3 * v**2
+                                         + 0.0 * a + 0.0 * r) / lam,
+        phi=lambda x: 1.0 * x,
+        l=lambda t1, t2, x, y, a, r, v: 0.0 * (x + v),
+        h=lambda x: 0.0 * x,
+        gamma=lambda y: -y,
+        control_set=Box(-2.0, 2.0),
+        x0=p["x0"], M_T=1.0,
+        linear={"f", "sigma", "b", "g"},   # affine in the state, not in v
+        name="quadratic_drift",
+    )
+    jump = LevyJumpSpec(c=p["c"], intensity=lam)
+    sub = SubordinatorSpec(alpha=p["alpha"])
+    return model, jump, sub, p
+
+
+def build_model(name: str, params=None):
+    """Built-in model library: (ModelSpec, LevyJumpSpec, SubordinatorSpec, params)."""
+    if name == "linear_test":
+        return _linear_test_model(params)
+    if name == "quadratic_drift":
+        return _quadratic_drift_model(params)
+    if name == "cash":
+        from .cash import CashSpec, build_cash_model
+
+        spec = CashSpec(**(params or {}))
+        model = build_cash_model(spec)
+        defaults = dict(x0=spec.x0, horizon=spec.horizon, step=0.01,
+                        alpha=spec.subordinator.alpha, lam=spec.jump.intensity,
+                        c=spec.jump.c)
+        return model, spec.jump, spec.subordinator, defaults
+    raise KeyError(f"unknown model {name!r}")
