@@ -37,8 +37,8 @@ from .fbsde import (
     PerturbedControl,
     StepwiseControl,
     TableControl,
-    _Batch,
     _batch_cost,
+    _sorted_batches,
     as_control,
     evaluate_cost,
     make_ensemble,
@@ -287,21 +287,24 @@ def _describe(control) -> str:
 
 
 def _solved_ensemble(model: ModelSpec, control, bundles, chunk: int = 512):
-    """Forward and backward components for every bundle, in bounded chunks."""
+    """Forward and backward components for every bundle, in ensemble order.
+
+    The solves run in K-sorted batches of at most ``chunk`` paths; each
+    path's solution is copied out of its batch row to its ensemble
+    position, so the result does not depend on ``chunk``.
+    """
     control = as_control(control)
-    sols = []
-    for lo in range(0, len(bundles), chunk):
-        part = bundles[lo: lo + chunk]
-        batch = _Batch(part, labels=np.arange(lo, lo + len(part)))
+    sols = [None] * len(bundles)
+    for idx, batch in _sorted_batches(bundles, chunk):
         _, X, Y, v, A, r = _batch_cost(model, control, batch)
         for pth, bnd in enumerate(batch.bundles):
             kk = int(batch.K[pth])
-            sols.append(FBSDESolution(
+            sols[idx[pth]] = FBSDESolution(
                 clock="operational", grid=bnd.solver_grid, calendar_grid=None,
                 X=X[pth, : kk + 1].copy(), Y=Y[pth, : kk + 1].copy(),
                 A=A[pth, :kk].copy(), r=r[pth, :kk, :].copy(),
                 calendar_times=batch.t[pth, : kk + 1].copy(),
-                control_values=v[pth, :kk].copy()))
+                control_values=v[pth, :kk].copy())
     return sols
 
 

@@ -5,7 +5,11 @@ subordinator trajectory the dual system is a classical FBSDE with
 deterministic time dependence, so each path is solved on its own grid
 [0, E_T] and mapped to calendar time afterwards by composition with the
 inverse staircase.  Ensembles are ragged (every path has its own random
-horizon); batched internals pad to the longest grid and mask the rest.
+horizon, heavy-tailed in its step count); batched internals pad to the
+longest grid and mask the rest.  Ensemble-wide solves sort the paths by
+step count and cut that order into batches, so a batch pads only to
+paths of similar horizon, and scatter per-path results back to ensemble
+order.
 
 Backward solves pick one of three strategies:
 
@@ -397,6 +401,22 @@ class _Batch:
         self.znodes, self.w = self.spec.quadrature()
 
 
+def _sorted_batches(bundles, chunk: int):
+    """Yield (idx, batch) over an ensemble cut into K-sorted batches.
+
+    The bundles are stable-sorted by solver steps and the order is cut
+    into batches of at most ``chunk`` paths, so each batch pads only to
+    paths of similar horizon.  ``idx`` holds the ensemble positions of
+    the batch rows, which are also the batch labels; callers scatter
+    per-row results back with it, so everything downstream sees
+    ensemble order.
+    """
+    order = np.argsort([b.solver_steps for b in bundles], kind="stable")
+    for lo in range(0, order.size, chunk):
+        idx = order[lo: lo + chunk]
+        yield idx, _Batch([bundles[i] for i in idx], labels=idx)
+
+
 def _forward_batch(model: ModelSpec, control, batch: _Batch, keep_nodes=False):
     """Euler scheme over the padded batch; fills X, v, drift, vol, event_b."""
     N, Kmax, du = batch.N, batch.Kmax, batch.du
@@ -436,7 +456,7 @@ def _forward_batch(model: ModelSpec, control, batch: _Batch, keep_nodes=False):
         bad = act & ~np.isfinite(xn)
         if np.any(bad):
             raise FloatingPointError(
-                f"blow-up at step {i} (path {int(np.argmax(bad))})")
+                f"blow-up at step {i} (path {int(paths[np.argmax(bad)])})")
         X[:, i + 1] = np.where(act, xn, x)
     return X, v, drift, vol, ev_b, nodes
 
@@ -553,10 +573,11 @@ def _basis(x: np.ndarray, degree: int = 3):
     return np.vander(s, degree + 1, increasing=True), np.array([mu]), np.array([sd])
 
 
-def _ridge_fit(Phi, target, ridge, step):
+def _ridge_fit(Phi, target, ridge, step, label):
     G = Phi.T @ Phi + ridge * np.eye(Phi.shape[1])
     if np.linalg.cond(G) > 1e12:
-        raise np.linalg.LinAlgError(f"regression rank deficiency at step {step}")
+        raise np.linalg.LinAlgError(
+            f"regression rank deficiency at step {step} (path {label})")
     return np.linalg.solve(G, Phi.T @ target)
 
 
@@ -610,10 +631,10 @@ def _lsmc_backward(model: ModelSpec, control, bundle: PathBundle,
     fits = [None] * K
     for i in range(K - 1, -1, -1):
         Phi, mu, sd = _basis(Xi[:, i], degree)
-        beta_m = _ridge_fit(Phi, Yn, ridge, i)
-        beta_a = _ridge_fit(Phi, Yn * batch.dB[:, i] / du, ridge, i)
+        beta_m = _ridge_fit(Phi, Yn, ridge, i, label)
+        beta_a = _ridge_fit(Phi, Yn * batch.dB[:, i] / du, ridge, i, label)
         Phi1, mu1, sd1 = _basis(Xi[:, i + 1], degree)
-        beta_v = _ridge_fit(Phi1, Yn, ridge, i)
+        beta_v = _ridge_fit(Phi1, Yn, ridge, i, label)
         bi = np.asarray(model.b(t[:, i, None], i * du, Xi[:, i, None],
                                 vi[:, i, None], z), dtype=float)
         bi = np.broadcast_to(bi, (batch.N, z.size))
@@ -866,14 +887,13 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
         A = np.zeros((N, Kmax))
         r = np.zeros((N, Kmax, w.size))
         for p, bnd in enumerate(batch.bundles):
-            single = _Batch([bnd], labels=batch.labels[p: p + 1])
-            Xp, vp, _, _, _, _ = _forward_batch(model, control, single)
+            k = batch.K[p]
             sol = FBSDESolution(
                 clock="operational", grid=bnd.solver_grid, calendar_grid=None,
-                X=Xp[0], calendar_times=single.t[0], control_values=vp[0])
+                X=X[p, : k + 1], calendar_times=batch.t[p, : k + 1],
+                control_values=v[p, :k])
             Yp, Ap, rp = _lsmc_backward(model, control, bnd, sol,
                                         label=int(batch.labels[p]))
-            k = batch.K[p]
             Y[p, : k + 1] = Yp
             Y[p, k:] = Yp[k]
             A[p, :k] = Ap
@@ -897,25 +917,21 @@ def evaluate_cost(model: ModelSpec, control, bundles, method=None,
                   chunk: int = 512) -> CostEstimate:
     """Monte Carlo cost over an ensemble: running + terminal + initial parts.
 
-    Paths are processed in fixed order and in bounded-size chunks, so
-    the estimate is bit-reproducible and memory stays flat in the
-    ensemble size.  Per-path values are returned for paired (common
-    random number) comparisons.
+    Paths are solved in batches of at most ``chunk`` paths with similar
+    solver-step counts, so padding stays small and memory stays flat in
+    the ensemble size.  Every path's value depends on its own row only
+    and lands at its ensemble position, so ``per_path`` (returned for
+    paired, common-random-number comparisons), the mean and the standard
+    error are bit-identical for every ``chunk``.
     """
     control = as_control(control)
     bundles = list(bundles)
     if not bundles:
         raise ValueError("ensemble is empty")
     per_path = np.empty(len(bundles))
-    for lo in range(0, len(bundles), chunk):
-        part = bundles[lo: lo + chunk]
-        try:
-            vals, _, _, _, _, _ = _batch_cost(
-                model, control, _Batch(part, labels=np.arange(lo, lo + len(part))),
-                method=method)
-        except (FloatingPointError, np.linalg.LinAlgError) as exc:
-            raise type(exc)(f"{exc} [paths {lo}..{lo + len(part) - 1}]") from exc
-        per_path[lo: lo + len(part)] = vals
+    for idx, batch in _sorted_batches(bundles, chunk):
+        vals, _, _, _, _, _ = _batch_cost(model, control, batch, method=method)
+        per_path[idx] = vals
     mean = float(per_path.mean())
     se = float(per_path.std(ddof=1) / np.sqrt(per_path.size)) if per_path.size > 1 else 0.0
     return CostEstimate(mean=mean, std_error=se, per_path=per_path)

@@ -17,6 +17,7 @@ accuracy rather than assuming it.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,8 @@ class LevyJumpSpec:
     ``mark_law`` is the normalized jump-size density, either "uniform"
     or "triangular" (symmetric, peaked at 0).  ``n_quad`` sets the
     Gauss-Legendre rule used for compensator integrals; the triangular
-    density has a kink at 0 so its rule is split per half.
+    density has a kink at 0 so its rule is split per half, which needs
+    an even ``n_quad``.
     """
 
     c: float
@@ -53,6 +55,9 @@ class LevyJumpSpec:
             raise ValueError(f"unknown mark_law {self.mark_law!r}")
         if self.n_quad < 2:
             raise ValueError("need at least 2 quadrature nodes")
+        if self.mark_law == "triangular" and self.n_quad % 2:
+            raise ValueError("the triangular rule splits its nodes over two "
+                             f"halves, so n_quad must be even, got {self.n_quad}")
 
     def mark_cdf(self, z):
         z = np.clip(np.asarray(z, dtype=float), -self.c, self.c)
@@ -69,15 +74,26 @@ class LevyJumpSpec:
         return float(self.intensity * (self.mark_cdf(hi) - self.mark_cdf(lo)))
 
     def quadrature(self):
-        """Nodes and probability weights so sum(w * h(z)) = int h d(mark_law)."""
+        """Nodes and probability weights so sum(w * h(z)) = int h d(mark_law).
+
+        The rule is built once per spec; both arrays are read-only
+        because every caller shares them.
+        """
+        return self._rule
+
+    @cached_property
+    def _rule(self):
         if self.mark_law == "uniform":
             z, w = _gauss_legendre(self.n_quad, -self.c, self.c)
-            return z, w / (2.0 * self.c)
-        half = max(self.n_quad // 2, 1)
-        zl, wl = _gauss_legendre(half, -self.c, 0.0)
-        zr, wr = _gauss_legendre(half, 0.0, self.c)
-        z = np.concatenate([zl, zr])
-        w = np.concatenate([wl, wr]) * (1.0 - np.abs(z) / self.c) / self.c
+            w = w / (2.0 * self.c)
+        else:
+            half = self.n_quad // 2
+            zl, wl = _gauss_legendre(half, -self.c, 0.0)
+            zr, wr = _gauss_legendre(half, 0.0, self.c)
+            z = np.concatenate([zl, zr])
+            w = np.concatenate([wl, wr]) * (1.0 - np.abs(z) / self.c) / self.c
+        z.setflags(write=False)
+        w.setflags(write=False)
         return z, w
 
     def sample_marks(self, size, rng: np.random.Generator):

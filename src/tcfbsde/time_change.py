@@ -134,7 +134,10 @@ def stable_increments(alpha: float, size, rng: np.random.Generator) -> np.ndarra
         S = (A(theta) / W) ** ((1 - alpha) / alpha)
         A(theta) = [sin(alpha theta)**alpha sin((1-alpha) theta)**(1-alpha)
                     / sin(theta)] ** (1 / (1-alpha))
-    with theta uniform on (0, pi) and W standard exponential.
+    with theta uniform on (0, pi) and W standard exponential.  The power
+    1 / (1 - alpha) overflows in double precision for alpha near 1 (and
+    the outer power for alpha near 0); a non-finite draw raises
+    FloatingPointError instead of silently truncating a clock.
     """
     theta = rng.uniform(0.0, np.pi, size=size)
     w = rng.standard_exponential(size=size)
@@ -143,7 +146,12 @@ def stable_increments(alpha: float, size, rng: np.random.Generator) -> np.ndarra
         * np.sin((1.0 - alpha) * theta) ** (1.0 - alpha)
         / np.sin(theta)
     ) ** (1.0 / (1.0 - alpha))
-    return (a / w) ** ((1.0 - alpha) / alpha)
+    s = (a / w) ** ((1.0 - alpha) / alpha)
+    if not np.isfinite(s).all():
+        raise FloatingPointError(
+            f"stable draw overflow at alpha={alpha}: "
+            f"{int(np.count_nonzero(~np.isfinite(s)))} non-finite draws")
+    return s
 
 
 def sample_subordinator(

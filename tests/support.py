@@ -52,6 +52,28 @@ def manual_bundle(values, du, horizon, jump_spec=None, seed=0, flat_noise=False)
                       seeds={"master": seed, "path": 0})
 
 
+# solver-step counts not monotone in the index, with three zero-step
+# paths: chunk 3 then solves those three alone in a Kmax = 0 batch
+RAGGED_STEPS = (7, 0, 12, 3, 0, 9, 0, 5, 12, 1)
+
+
+def ragged_bundles(steps, du=0.01, horizon=1.0, jump_spec=None, seed=0):
+    """Bundles with prescribed solver-step counts, in the given order.
+
+    Path i's staircase rises evenly to 0.9 * horizon over steps[i] steps
+    and then jumps past the horizon; a count of 0 gives a path whose first
+    increment already overshoots.  Each path carries its own noise and its
+    ensemble position as its seed index.
+    """
+    out = []
+    for i, k in enumerate(steps):
+        values = np.append(np.linspace(0.0, 0.9 * horizon, k + 1), 1.5 * horizon)
+        bnd = manual_bundle(values, du, horizon, jump_spec=jump_spec, seed=seed + 3 * i)
+        bnd.seeds["path"] = i
+        out.append(bnd)
+    return out
+
+
 def coupled_bundles(sub_spec, jump_spec, horizon, fine_step, seed, factors=(1, 2)):
     """Bundles on nested grids driven by the same underlying noise.
 

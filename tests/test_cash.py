@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import cash_q_candidate
-from support import manual_bundle
+from support import RAGGED_STEPS, manual_bundle, ragged_bundles
 from tcfbsde.cash import (
     CashSpec,
     build_cash_model,
@@ -19,7 +19,13 @@ from tcfbsde.cash import (
     certify_optimality,
     _solved_ensemble,
 )
-from tcfbsde.fbsde import ConstantControl, PerturbedControl, build_model, make_ensemble
+from tcfbsde.fbsde import (
+    ConstantControl,
+    PerturbedControl,
+    StepwiseControl,
+    build_model,
+    make_ensemble,
+)
 from tcfbsde.smp import (
     AdjointSolution,
     check_necessary_condition,
@@ -243,6 +249,23 @@ def test_adjoints_agree_with_general_solver():
         assert np.max(np.abs(a.p - g.p)) < 1e-6 + 0.5 * DU
         assert np.max(np.abs(a.q - g.q)) < 1e-6 + 0.5 * DU
         assert np.all(g.k == 0.0) and np.all(g.R == 0.0)
+
+
+def test_solved_ensemble_returns_ensemble_order():
+    spec = CashSpec()
+    model = build_cash_model(spec)
+    bundles = ragged_bundles(RAGGED_STEPS, jump_spec=spec.jump)
+    n, kmax = len(bundles), max(RAGGED_STEPS)
+    ctl = StepwiseControl(0.1 + 0.05 * np.arange(n)[:, None] + 0.01 * np.arange(kmax))
+    ref = _solved_ensemble(model, ctl, bundles, chunk=1)
+    for chunk in (3, 512):
+        sols = _solved_ensemble(model, ctl, bundles, chunk=chunk)
+        for i, (k, bnd, sol, one) in enumerate(zip(RAGGED_STEPS, bundles, sols, ref)):
+            assert sol.X.size == k + 1
+            assert np.array_equal(sol.calendar_times, bnd.calendar_times())
+            assert np.array_equal(sol.control_values, ctl.values[i, :k])
+            for name in ("X", "Y", "A", "r"):
+                assert np.array_equal(getattr(sol, name), getattr(one, name))
 
 
 def test_general_adjoints_ignore_the_control():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.stats import ks_2samp
 
 from oracles import linear_fbsde_ode_oracle
-from support import coupled_bundles, manual_bundle, mk_model
+from support import RAGGED_STEPS, coupled_bundles, manual_bundle, mk_model, ragged_bundles
 from tcfbsde.fbsde import (
     Box,
     ConstantControl,
@@ -376,6 +376,55 @@ def test_cost_chunking_and_row_labels():
     # and the rows genuinely differ, so a label mix-up would show
     alt = evaluate_cost(model, ConstantControl(0.1), bundles, chunk=512)
     assert not np.array_equal(whole.per_path, alt.per_path)
+
+
+def test_cost_is_bitwise_chunk_invariant_on_ragged_ensemble():
+    """K-sorted batches must scatter every path's cost back to its own
+    ensemble position, whatever the chunk size."""
+    model, jump, _, _ = build_model("linear_test")
+    bundles = ragged_bundles(RAGGED_STEPS, jump_spec=jump)
+    n, kmax = len(bundles), max(RAGGED_STEPS)
+    rows = 0.1 + 0.05 * np.arange(n)[:, None] + 0.01 * np.arange(kmax)
+    ctl = StepwiseControl(rows)
+    one, three, whole = (evaluate_cost(model, ctl, bundles, chunk=c).per_path
+                         for c in (1, 3, 512))
+    assert np.array_equal(one, three)
+    assert np.array_equal(one, whole)
+    # each path alone reads row 0 of its own one-row table
+    alone = [evaluate_cost(model, StepwiseControl(rows[i: i + 1]), [b]).per_path[0]
+             for i, b in enumerate(bundles)]
+    assert np.array_equal(whole, alone)
+    # a zero-step path costs gamma(Y_0) = -(phi(0) + M_T x0) and nothing else
+    zero = np.array(RAGGED_STEPS) == 0
+    assert np.all(whole[zero] == -model.x0)
+    assert np.unique(whole[~zero]).size == n - zero.sum()
+
+
+def test_cost_blow_up_names_the_ensemble_path():
+    # path 2 has the most steps, so it sits at row 8 of the sorted batch
+    model = mk_model(f=lambda t1, t2, x, v: v * v + 0.0 * x, control_set=Box())
+    bundles = ragged_bundles(RAGGED_STEPS)
+    rows = np.zeros((len(bundles), max(RAGGED_STEPS)))
+    rows[2] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=r"blow-up at step 0 \(path 2\)"):
+            evaluate_cost(model, StepwiseControl(rows), bundles)
+
+
+def test_lsmc_cost_matches_single_path_solvers_bitwise():
+    """The LSMC branch reads each outer path off the batch forward solve;
+    it must agree bit for bit with the single-path forward and backward
+    solvers."""
+    model, jump, sub, p = build_model("quadratic_drift")
+    ens = make_ensemble(sub, jump, p["horizon"], p["step"], 48, master_seed=3)
+    picks = [ens[i] for i in (5, 1, 40)]
+    ctl = ConstantControl(0.5)
+    est = evaluate_cost(model, ctl, picks, method="lsmc")
+    for bnd, got in zip(picks, est.per_path):
+        sol = solve_backward_dual(model, ctl, bnd, solve_forward_dual(model, ctl, bnd),
+                                  method="lsmc")
+        # quadratic_drift has no running or terminal cost: J = gamma(Y_0) = -Y_0
+        assert got == -sol.Y[0]
 
 
 def test_cost_law_invariant_under_noise_pairing():

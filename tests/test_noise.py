@@ -35,6 +35,9 @@ def test_jump_spec_validation():
         LevyJumpSpec(c=1.0, intensity=-2.0)
     with pytest.raises(ValueError):
         LevyJumpSpec(c=1.0, intensity=1.0, mark_law="cauchy")
+    # the triangular rule splits its nodes over two halves
+    with pytest.raises(ValueError, match="even"):
+        LevyJumpSpec(c=1.0, intensity=1.0, mark_law="triangular", n_quad=3)
 
 
 @pytest.mark.parametrize("law", ["uniform", "triangular"])
@@ -47,6 +50,29 @@ def test_quadrature_is_a_probability_rule(law):
     expect = spec.c**2 / 3.0 if law == "uniform" else spec.c**2 / 6.0
     assert abs(second - expect) < 1e-12
     assert abs(spec.mass_of(-spec.c, spec.c) - spec.intensity) < 1e-12
+
+
+@pytest.mark.parametrize("law", ["uniform", "triangular"])
+def test_quadrature_is_built_once_and_read_only(law):
+    spec = LevyJumpSpec(c=0.7, intensity=2.0, mark_law=law, n_quad=6)
+    z, w = spec.quadrature()
+    again = spec.quadrature()
+    assert again[0] is z and again[1] is w
+    with pytest.raises(ValueError):
+        z[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
+    # bitwise the Gauss-Legendre rule assembled from scratch
+    if law == "uniform":
+        x, wx = np.polynomial.legendre.leggauss(6)
+        ref_z, ref_w = 0.7 * x, 0.7 * wx / 1.4
+    else:
+        x, wx = np.polynomial.legendre.leggauss(3)
+        ref_z = np.concatenate([-0.35 + 0.35 * x, 0.35 + 0.35 * x])
+        ref_w = (np.concatenate([0.35 * wx, 0.35 * wx])
+                 * (1.0 - np.abs(ref_z) / 0.7) / 0.7)
+    assert z.tobytes() == ref_z.tobytes()
+    assert w.tobytes() == ref_w.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -73,6 +73,14 @@ def test_increment_laplace_transform():
         assert abs(vals.mean() - np.exp(-laplace_exponent(spec, xi))) < 3 * se
 
 
+def test_stable_overflow_raises():
+    # the Kanter power 1 / (1 - alpha) overflows on 191 of these draws
+    rng = np.random.default_rng(0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match="alpha=0.999"):
+            stable_increments(0.999, 200_000, rng)
+
+
 def test_sample_subordinator_passes_horizon():
     spec = SubordinatorSpec(0.6)
     grid = OperationalGrid(step=0.01, horizon=0.5)
