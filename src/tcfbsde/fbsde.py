@@ -22,7 +22,12 @@ Backward solves pick one of three strategies:
             for the built-in models);
 * "lsmc"    least-squares Monte Carlo regression over an inner ensemble
             that shares the subordinator path, monomial basis in X up
-            to degree 3 with a small ridge term.
+            to degree 3 with a small ridge term.  The outer paths of a
+            batch are swept backward together: their inner ensembles
+            are packed into one forward solve, and at each step the
+            Gram matrices of all active paths are checked for
+            conditioning (one batched eigvalsh) and solved in one
+            batched call.  At most _LSMC_ROWS inner rows share a sweep.
 
 Stochastic integrals keep the left-endpoint convention of the noise
 module; jump events inside a step act on the step's left state.  All
@@ -563,29 +568,44 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict,
 
 # -------------------------------------------------------------- lsmc backward
 
-def _basis(x: np.ndarray, degree: int = 3):
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError("basis overflow: non-finite state values")
-    if x.std() < 1e-12:
-        return x[:, None] ** 0, np.array([x.mean()]), np.array([1.0])
-    mu, sd = x.mean(), x.std()
-    s = (x - mu) / sd
-    return np.vander(s, degree + 1, increasing=True), np.array([mu]), np.array([sd])
+# inner rows of one regression sweep: 16 outer paths of 256 inner paths.
+# Larger batches are swept in consecutive groups of their K-sorted order,
+# which bounds the memory of the inner forward arrays.
+_LSMC_ROWS = 4096
 
 
-def _ridge_fit(Phi, target, ridge, step, label):
-    G = Phi.T @ Phi + ridge * np.eye(Phi.shape[1])
-    if np.linalg.cond(G) > 1e12:
-        raise np.linalg.LinAlgError(
-            f"regression rank deficiency at step {step} (path {label})")
-    return np.linalg.solve(G, Phi.T @ target)
+def _basis(x: np.ndarray, degree: int):
+    """Standardised monomial basis of each outer path's inner states.
+
+    ``x`` holds one row of inner states per outer path.  Returns the
+    basis (paths, inner, degree + 1), the centre and scale of each row,
+    and a mask of rows with no spread.  Such a row keeps only the
+    constant column (its powers are zeroed and its scale set to 1), so
+    its fit is the ridge mean and every evaluation returns it exactly.
+    """
+    mu, sd = x.mean(axis=1), x.std(axis=1)
+    flat = sd < 1e-12
+    sd = np.where(flat, 1.0, sd)
+    s = (x - mu[:, None]) / sd[:, None]
+    s[flat] = 0.0
+    Phi = np.empty(x.shape + (degree + 1,))
+    Phi[..., 0] = 1.0
+    for j in range(1, degree + 1):
+        Phi[..., j] = Phi[..., j - 1] * s
+    return Phi, mu, sd, flat
 
 
 def _poly_eval(beta, mu, sd, x):
-    s = (np.asarray(x, dtype=float) - mu[0]) / sd[0]
+    """Horner sum of beta_j ((x - mu) / sd)^j with one fit per outer path.
+
+    The fits run along the leading axis of ``beta`` (paths, degree + 1),
+    ``mu`` and ``sd``; ``x`` leads with the same axis.
+    """
+    row = (slice(None),) + (None,) * (x.ndim - 1)
+    s = (x - mu[row]) / sd[row]
     out = np.zeros_like(s)
-    for j in range(beta.size - 1, -1, -1):
-        out = out * s + beta[j]
+    for j in range(beta.shape[1] - 1, -1, -1):
+        out = out * s + beta[:, j][row]
     return out
 
 
@@ -597,88 +617,121 @@ def _lam_quad_driver(model, spec, t1, u, x, y, a, r_nodes, v, w):
     return spec.intensity * (vals @ w)
 
 
-def _lsmc_backward(model: ModelSpec, control, bundle: PathBundle,
-                   forward: FBSDESolution, n_inner=256, degree=3,
-                   ridge=1e-8, n_picard=3, label=None):
-    """Regression solve on an inner ensemble sharing the subordinator path.
-
-    ``label`` overrides the ensemble position shown to per-path controls
-    (defaults to the bundle's recorded one).
-    """
+def _inner_bundles(bundle: PathBundle, n_inner: int) -> list:
+    """The inner ensemble of an outer path: its subordinator path with
+    fresh noise from the path's own named substreams."""
     master = bundle.seeds.get("master", 0)
     pidx = bundle.seeds.get("path", 0)
-    if label is None:
-        label = pidx
-    K = bundle.solver_steps
-    du = bundle.subordinator.grid.step
-    inner = []
-    for j in range(n_inner):
-        brw = sample_brownian(bundle.subordinator.grid,
-                              stream(master, f"lsmc-brownian-{pidx}", j))
-        jmp = sample_jumps(bundle.jump_spec, bundle.subordinator.grid.horizon,
-                           stream(master, f"lsmc-jumps-{pidx}", j))
-        inner.append(PathBundle(
-            subordinator=bundle.subordinator, inverse=bundle.inverse,
-            brownian=brw, jumps=jmp, jump_spec=bundle.jump_spec,
-            calendar_horizon=bundle.calendar_horizon))
-    # inner paths impersonate the outer path for per-path control lookup
-    batch = _Batch(inner, labels=np.full(n_inner, label))
-    Xi, vi, _, _, _, _ = _forward_batch(model, control, batch)
-    spec, w, z = bundle.jump_spec, batch.w, batch.znodes
-    t = batch.t
+    grid = bundle.subordinator.grid
+    return [PathBundle(
+        subordinator=bundle.subordinator, inverse=bundle.inverse,
+        brownian=sample_brownian(grid, stream(master, f"lsmc-brownian-{pidx}", j)),
+        jumps=sample_jumps(bundle.jump_spec, grid.horizon,
+                           stream(master, f"lsmc-jumps-{pidx}", j)),
+        jump_spec=bundle.jump_spec, calendar_horizon=bundle.calendar_horizon)
+        for j in range(n_inner)]
 
-    Yn = np.asarray([model.phi(x) for x in Xi[:, K]])
-    fits = [None] * K
-    for i in range(K - 1, -1, -1):
-        Phi, mu, sd = _basis(Xi[:, i], degree)
-        beta_m = _ridge_fit(Phi, Yn, ridge, i, label)
-        beta_a = _ridge_fit(Phi, Yn * batch.dB[:, i] / du, ridge, i, label)
-        Phi1, mu1, sd1 = _basis(Xi[:, i + 1], degree)
-        beta_v = _ridge_fit(Phi1, Yn, ridge, i, label)
-        bi = np.asarray(model.b(t[:, i, None], i * du, Xi[:, i, None],
-                                vi[:, i, None], z), dtype=float)
-        bi = np.broadcast_to(bi, (batch.N, z.size))
-        base_val = _poly_eval(beta_v, mu1, sd1, Xi[:, i])
-        r_i = _poly_eval(beta_v, mu1, sd1, Xi[:, i, None] + bi) - base_val[:, None]
-        A_i = Phi @ beta_a
-        Ey = Phi @ beta_m
-        y = Ey.copy()
-        for _ in range(n_picard):
-            y = Ey + du * _lam_quad_driver(model, spec, t[:, i], i * du, Xi[:, i],
-                                           y, A_i, r_i, vi[:, i], w)
-        Yn = y
-        fits[i] = (beta_m, mu, sd, beta_a, beta_v, mu1, sd1)
 
-    # evaluate the fitted conditional-expectation functions on the outer path
-    X = forward.X
-    vout = forward.control_values
-    t_out = forward.calendar_times
-    Y = np.empty(K + 1)
-    A = np.zeros(K)
-    r = np.zeros((K, z.size))
-    Y[K] = float(model.phi(X[K]))
-    for i in range(K - 1, -1, -1):
-        beta_m, mu, sd, beta_a, beta_v, mu1, sd1 = fits[i]
-        xo = np.array([X[i]])
-        A[i] = _poly_eval_basis(beta_a, mu, sd, xo)[0]
-        bi = np.asarray(model.b(t_out[i], i * du, X[i], vout[i], z), dtype=float)
-        bi = np.broadcast_to(bi, (z.size,))
-        r[i] = _poly_eval(beta_v, mu1, sd1, X[i] + bi) - _poly_eval(beta_v, mu1, sd1, xo)[0]
-        ey = _poly_eval_basis(beta_m, mu, sd, xo)[0]
-        y = ey
-        for _ in range(n_picard):
-            y = ey + du * _lam_quad_driver(
-                model, spec, np.array([t_out[i]]), i * du, xo,
-                np.array([y]), np.array([A[i]]), r[i][None, :],
-                np.array([vout[i]]), w)[0]
-        Y[i] = y
+def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
+                   degree=3, ridge=1e-8, n_picard=3):
+    """Regression solve of a batch of outer paths, each on an inner
+    ensemble that shares its subordinator path.
+
+    ``X`` and ``v`` are the batch's forward rows.  Paths with solver
+    steps are taken in K-sorted order, in groups of at most
+    ``_LSMC_ROWS // n_inner``.  A group's inner ensembles run through one
+    forward solve (each inner row reads its outer path's label, so
+    per-path controls see the outer path) and one backward sweep from
+    the group's longest path.  At step i the paths with K > i are active:
+    the mean and Brownian fits share a Gram matrix in X_i and are solved
+    as two right-hand sides, the jump fit regresses on X_{i+1}, all
+    active paths in one batched solve each, after one batched eigvalsh
+    has checked every Gram matrix against the 1e12 condition bound.  The
+    fits are then read off the inner states (with a Picard loop for the
+    driver, which gives the next step's targets) and off the outer paths
+    (the same Picard loop over the active rows).  Every path's result
+    depends on its own rows only, so it does not depend on the batch.
+
+    Returns Y (N, Kmax + 1), each row frozen at phi(X_K) from its
+    horizon on, and A (N, Kmax) and r (N, Kmax, nodes), zero there.
+    """
+    N, Kmax, du = batch.N, batch.Kmax, batch.du
+    spec, w, z = batch.spec, batch.w, batch.znodes
+    XT = X[np.arange(N), batch.K]
+    Y = np.empty((N, Kmax + 1))
+    Y[:] = np.broadcast_to(np.asarray(model.phi(XT), dtype=float), (N,))[:, None]
+    A = np.zeros((N, Kmax))
+    r = np.zeros((N, Kmax, w.size))
+    order = np.argsort(batch.K, kind="stable")
+    order = order[batch.K[order] > 0]
+    size = max(1, _LSMC_ROWS // n_inner)
+    ridge_eye = ridge * np.eye(degree + 1)
+    for lo in range(0, order.size, size):
+        rows = order[lo: lo + size]
+        K = batch.K[rows]
+        labels = batch.labels[rows]
+        inner = _Batch([b for p in rows for b in _inner_bundles(batch.bundles[p], n_inner)],
+                       labels=np.repeat(labels, n_inner))
+        Xi, vi, _, _, _, _ = _forward_batch(model, control, inner)
+        if not np.all(np.isfinite(Xi)):
+            raise FloatingPointError("basis overflow: non-finite state values")
+        Yn = np.broadcast_to(np.asarray(
+            model.phi(Xi[np.arange(inner.N), inner.K]), dtype=float), (inner.N,)).copy()
+        for i in range(inner.Kmax - 1, -1, -1):
+            a = int(np.searchsorted(K, i, side="right"))
+            P, sl, u = K.size - a, slice(a * n_inner, None), i * du
+            x = np.ascontiguousarray(Xi[sl, i]).reshape(P, n_inner)
+            x1 = np.ascontiguousarray(Xi[sl, i + 1]).reshape(P, n_inner)
+            Phi, mu, sd, flat = _basis(x, degree)
+            Phi1, mu1, sd1, flat1 = _basis(x1, degree)
+            PhiT, Phi1T = Phi.transpose(0, 2, 1), Phi1.transpose(0, 2, 1)
+            G = PhiT @ Phi + ridge_eye
+            G1 = Phi1T @ Phi1 + ridge_eye
+            # condition number above 1e12, or a smallest eigenvalue <= 0;
+            # a row without spread has the constant fit and is exempt
+            lam = np.linalg.eigvalsh(np.concatenate([G, G1]))
+            bad = (lam[:, 0] <= 0.0) | (lam[:, -1] > 1e12 * lam[:, 0])
+            bad = bad.reshape(2, P) & ~np.stack([flat, flat1])
+            if np.any(bad):
+                p = int(np.argmax(bad.any(axis=0)))
+                raise np.linalg.LinAlgError(
+                    f"regression rank deficiency at step {i} (path {labels[a + p]})")
+            yn = Yn[sl].reshape(P, n_inner)
+            dB = inner.dB[sl, i].reshape(P, n_inner)
+            beta = np.linalg.solve(G, PhiT @ np.stack([yn, yn * dB / du], axis=-1))
+            beta_v = np.linalg.solve(G1, Phi1T @ yn[..., None])[..., 0]
+            beta_m, beta_a = beta[..., 0], beta[..., 1]
+
+            # inner states: fitted expectation, integrands and driver
+            fit = Phi @ beta
+            Ey, Ai = fit[..., 0].ravel(), fit[..., 1].ravel()
+            ti, xi, vin = inner.t[sl, i], x.ravel(), vi[sl, i]
+            bi = np.broadcast_to(np.asarray(
+                model.b(ti[:, None], u, xi[:, None], vin[:, None], z), dtype=float),
+                (xi.size, z.size))
+            ri = (_poly_eval(beta_v, mu1, sd1, x[..., None] + bi.reshape(P, n_inner, -1))
+                  - _poly_eval(beta_v, mu1, sd1, x)[..., None]).reshape(xi.size, -1)
+            y = Ey
+            for _ in range(n_picard):
+                y = Ey + du * _lam_quad_driver(model, spec, ti, u, xi, y, Ai, ri, vin, w)
+            Yn[sl] = y
+
+            # outer paths: the same fits read at their own states
+            out = rows[a:]
+            to, xo, vo = batch.t[out, i], X[out, i], v[out, i]
+            A[out, i] = _poly_eval(beta_a, mu, sd, xo)
+            bo = np.broadcast_to(np.asarray(
+                model.b(to[:, None], u, xo[:, None], vo[:, None], z), dtype=float),
+                (P, z.size))
+            r[out, i] = (_poly_eval(beta_v, mu1, sd1, xo[:, None] + bo)
+                         - _poly_eval(beta_v, mu1, sd1, xo)[:, None])
+            ey = _poly_eval(beta_m, mu, sd, xo)
+            y = ey
+            for _ in range(n_picard):
+                y = ey + du * _lam_quad_driver(model, spec, to, u, xo, y, A[out, i],
+                                               r[out, i], vo, w)
+            Y[out, i] = y
     return Y, A, r
-
-
-def _poly_eval_basis(beta, mu, sd, x):
-    if beta.size == 1:
-        return np.full_like(np.asarray(x, dtype=float), beta[0])
-    return _poly_eval(beta, mu, sd, x)
 
 
 # ----------------------------------------------------------- backward driver
@@ -715,6 +768,14 @@ def backward_method(model: ModelSpec, method=None) -> str:
     return "lsmc"
 
 
+def _require_affine(model: ModelSpec, control):
+    if not model.affine_solvable:
+        raise ValueError("affine backward requested for a model without "
+                         "the full set of linearity flags")
+    if not getattr(control, "state_free", False):
+        raise ValueError("affine backward needs an open-loop control")
+
+
 def solve_backward_dual(model: ModelSpec, control, bundle: PathBundle,
                         forward: FBSDESolution, method=None,
                         n_inner=256) -> FBSDESolution:
@@ -731,11 +792,7 @@ def solve_backward_dual(model: ModelSpec, control, bundle: PathBundle,
     if method == "ode":
         Y, A, r = _ode_backward(model, bundle, forward)
     elif method == "affine":
-        if not model.affine_solvable:
-            raise ValueError("affine backward requested for a model without "
-                             "the full set of linearity flags")
-        if not getattr(control, "state_free", False):
-            raise ValueError("affine backward needs an open-loop control")
+        _require_affine(model, control)
         batch = _Batch([bundle])
         v = forward.control_values[None, :]
         co = _probe_affine(model, batch, v)
@@ -744,7 +801,9 @@ def solve_backward_dual(model: ModelSpec, control, bundle: PathBundle,
             np.array([model.M_T]), np.array([float(model.phi(0.0))]))
         Y, A, r = Yb[0], Ab[0], rb[0]
     elif method == "lsmc":
-        Y, A, r = _lsmc_backward(model, control, bundle, forward, n_inner=n_inner)
+        Yb, Ab, rb = _lsmc_backward(model, control, _Batch([bundle]), forward.X[None, :],
+                                    forward.control_values[None, :], n_inner=n_inner)
+        Y, A, r = Yb[0], Ab[0], rb[0]
     else:
         raise ValueError(f"unknown backward method {method!r}")
     gap = abs(Y[K] - float(model.phi(forward.X[K])))
@@ -859,10 +918,13 @@ def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
 
 def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
     X, v, _, _, _, _ = _forward_batch(model, control, batch)
-    method = backward_method(model, method)
-    if method == "affine" and not getattr(control, "state_free", False):
-        # the exact conditional solution needs open-loop coefficients
-        method = "lsmc"
+    if method is None:
+        method = backward_method(model)
+        if method == "affine" and not getattr(control, "state_free", False):
+            # the exact conditional solution needs open-loop coefficients
+            method = "lsmc"
+    elif method == "affine":
+        _require_affine(model, control)
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     spec, w = batch.spec, batch.w
     if method == "affine":
@@ -882,22 +944,10 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
             Yp, _, _ = _ode_backward(model, batch.bundles[p], sol)
             Y[p, : batch.K[p] + 1] = Yp
             Y[p, batch.K[p]:] = Yp[-1]
+    elif method == "lsmc":
+        Y, A, r = _lsmc_backward(model, control, batch, X, v)
     else:
-        Y = np.empty((N, Kmax + 1))
-        A = np.zeros((N, Kmax))
-        r = np.zeros((N, Kmax, w.size))
-        for p, bnd in enumerate(batch.bundles):
-            k = batch.K[p]
-            sol = FBSDESolution(
-                clock="operational", grid=bnd.solver_grid, calendar_grid=None,
-                X=X[p, : k + 1], calendar_times=batch.t[p, : k + 1],
-                control_values=v[p, :k])
-            Yp, Ap, rp = _lsmc_backward(model, control, bnd, sol,
-                                        label=int(batch.labels[p]))
-            Y[p, : k + 1] = Yp
-            Y[p, k:] = Yp[k]
-            A[p, :k] = Ap
-            r[p, :k, :] = rp
+        raise ValueError(f"unknown backward method {method!r}")
     run = np.zeros(N)
     lam = spec.intensity
     for i in range(Kmax):

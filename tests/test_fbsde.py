@@ -1,6 +1,8 @@
 """Solver-level tests: forward scheme, the three backward regimes, duality
 composition, and the cost functional."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from scipy.stats import ks_2samp
 
 from oracles import linear_fbsde_ode_oracle
 from support import RAGGED_STEPS, coupled_bundles, manual_bundle, mk_model, ragged_bundles
+from tcfbsde import fbsde
 from tcfbsde.fbsde import (
     Box,
     ConstantControl,
@@ -284,6 +287,9 @@ def test_affine_needs_flags_and_open_loop():
     f2 = solve_forward_dual(lin, fb, b2)
     with pytest.raises(ValueError, match="open-loop"):
         solve_backward_dual(lin, fb, b2, f2, method="affine")
+    # an explicit request is honoured, not switched to regression
+    with pytest.raises(ValueError, match="open-loop"):
+        evaluate_cost(lin, fb, [b2], method="affine")
 
 
 def test_unknown_backward_method():
@@ -292,6 +298,8 @@ def test_unknown_backward_method():
     fwd = solve_forward_dual(model, 0.0, bundle)
     with pytest.raises(ValueError, match="backward method"):
         solve_backward_dual(model, 0.0, bundle, fwd, method="magic")
+    with pytest.raises(ValueError, match="backward method"):
+        evaluate_cost(model, 0.0, [bundle], method="magic")
 
 
 # ------------------------------------------------------------- composition
@@ -378,22 +386,38 @@ def test_cost_chunking_and_row_labels():
     assert not np.array_equal(whole.per_path, alt.per_path)
 
 
-def test_cost_is_bitwise_chunk_invariant_on_ragged_ensemble():
+@pytest.mark.parametrize("name, method, make_control", [
+    ("linear_test", None, StepwiseControl),
+    ("quadratic_drift", "lsmc", StepwiseControl),
+    ("quadratic_drift", "lsmc", lambda rows: ConstantControl(0.5)),
+    ("quadratic_drift", "lsmc",
+     lambda rows: FeedbackControl(lambda t1, t2, x: 0.5 + 0.1 * np.tanh(x))),
+], ids=["affine-table", "lsmc-table", "lsmc-constant", "lsmc-feedback"])
+def test_cost_is_bitwise_chunk_invariant_on_ragged_ensemble(name, method, make_control,
+                                                            monkeypatch):
     """K-sorted batches must scatter every path's cost back to its own
-    ensemble position, whatever the chunk size."""
-    model, jump, _, _ = build_model("linear_test")
+    ensemble position, whatever the chunk size.  Under LSMC the outer
+    paths of a batch share one regression sweep, whose inner rows must
+    read their own outer path's control."""
+    model, jump, _, _ = build_model(name)
     bundles = ragged_bundles(RAGGED_STEPS, jump_spec=jump)
     n, kmax = len(bundles), max(RAGGED_STEPS)
     rows = 0.1 + 0.05 * np.arange(n)[:, None] + 0.01 * np.arange(kmax)
-    ctl = StepwiseControl(rows)
-    one, three, whole = (evaluate_cost(model, ctl, bundles, chunk=c).per_path
+    ctl = make_control(rows)
+    one, three, whole = (evaluate_cost(model, ctl, bundles, method=method, chunk=c).per_path
                          for c in (1, 3, 512))
     assert np.array_equal(one, three)
     assert np.array_equal(one, whole)
     # each path alone reads row 0 of its own one-row table
-    alone = [evaluate_cost(model, StepwiseControl(rows[i: i + 1]), [b]).per_path[0]
+    alone = [evaluate_cost(model, make_control(rows[i: i + 1]), [b],
+                           method=method).per_path[0]
              for i, b in enumerate(bundles)]
     assert np.array_equal(whole, alone)
+    if method == "lsmc":
+        # a row cap of two inner ensembles sweeps the batch in groups
+        monkeypatch.setattr(fbsde, "_LSMC_ROWS", 2 * 256)
+        grouped = evaluate_cost(model, ctl, bundles, method=method).per_path
+        assert np.array_equal(whole, grouped)
     # a zero-step path costs gamma(Y_0) = -(phi(0) + M_T x0) and nothing else
     zero = np.array(RAGGED_STEPS) == 0
     assert np.all(whole[zero] == -model.x0)
@@ -425,6 +449,25 @@ def test_lsmc_cost_matches_single_path_solvers_bitwise():
                                   method="lsmc")
         # quadratic_drift has no running or terminal cost: J = gamma(Y_0) = -Y_0
         assert got == -sol.Y[0]
+
+
+def test_lsmc_rank_deficiency_names_step_and_path():
+    """Without diffusion and with sparse jumps the inner states take only
+    a few distinct values.  The joint sweep stops at the first Gram matrix
+    past the conditioning bound and names its step and path; that path
+    solved alone fails at the same step."""
+    model = mk_model(b=lambda t1, t2, x, v, z: z + 0.0 * x,
+                     phi=lambda x: 1.0 * x, M_T=1.0)
+    bundles = ragged_bundles((7, 0, 12, 3, 9),
+                             jump_spec=LevyJumpSpec(c=1.0, intensity=0.2))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"at step (\d+) \(path (\d+)\)") as err:
+        evaluate_cost(model, 0.0, bundles, method="lsmc")
+    step, path = re.search(r"at step (\d+) \(path (\d+)\)", str(err.value)).groups()
+    bnd = bundles[int(path)]
+    with pytest.raises(np.linalg.LinAlgError, match=rf"at step {step} \(path {path}\)"):
+        solve_backward_dual(model, 0.0, bnd, solve_forward_dual(model, 0.0, bnd),
+                            method="lsmc")
 
 
 def test_cost_law_invariant_under_noise_pairing():
