@@ -11,10 +11,14 @@ step count and cut that order into batches, so a batch pads only to
 paths of similar horizon, and scatter per-path results back to ensemble
 order.
 
-Backward solves pick one of three strategies:
+Every backward solve goes through one dispatcher, _backward_batch, which
+resolves the regime (backward_method) and runs that regime's batched
+kernel on the padded batch; the single-path solvers are batch-of-one
+calls of the batch code.  The regimes are:
 
 * "ode"     the driver and terminal data are deterministic given the
-            subordinator path, so Y is a backward ODE and A = r = 0;
+            subordinator path, so Y is a backward ODE and A = r = 0,
+            solved by Picard sweeps over all rows at once;
 * "affine"  coefficients affine in the state, driver affine in
             (x, y, a, r), linear terminal map: the implicit scheme has
             an exact conditional solution Y_i = c_i + P_i X_i with the
@@ -609,12 +613,19 @@ def _poly_eval(beta, mu, sd, x):
     return out
 
 
-def _lam_quad_driver(model, spec, t1, u, x, y, a, r_nodes, v, w):
-    """lam * integral of the pointwise driver against the jump measure."""
-    vals = np.asarray(model.g(t1[:, None], u, x[:, None], y[:, None],
-                              a[:, None], r_nodes, v[:, None]), dtype=float)
-    vals = np.broadcast_to(vals, (x.size, w.size))
-    return spec.intensity * (vals @ w)
+def _picard(model, spec, t1, u, x, ey, a, r_nodes, v, w, du, sweeps):
+    """``sweeps`` Picard sweeps of y = ey + du * lam int g(..., y, ...) from ey:
+    the implicit step of the ODE kernel and of both LSMC read-offs.  Each
+    row's quadrature sum must not depend on the rows around it, which a
+    BLAS product (it blocks rows) and einsum on a broadcast view do not
+    ensure; einsum on a contiguous array does."""
+    y = ey
+    for _ in range(sweeps):
+        vals = np.asarray(model.g(t1[:, None], u, x[:, None], y[:, None],
+                                  a[:, None], r_nodes, v[:, None]), dtype=float)
+        vals = np.ascontiguousarray(np.broadcast_to(vals, (x.size, w.size)))
+        y = ey + du * (spec.intensity * np.einsum("nq,q->n", vals, w))
+    return y
 
 
 def _inner_bundles(bundle: PathBundle, n_inner: int) -> list:
@@ -711,10 +722,7 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
                 (xi.size, z.size))
             ri = (_poly_eval(beta_v, mu1, sd1, x[..., None] + bi.reshape(P, n_inner, -1))
                   - _poly_eval(beta_v, mu1, sd1, x)[..., None]).reshape(xi.size, -1)
-            y = Ey
-            for _ in range(n_picard):
-                y = Ey + du * _lam_quad_driver(model, spec, ti, u, xi, y, Ai, ri, vin, w)
-            Yn[sl] = y
+            Yn[sl] = _picard(model, spec, ti, u, xi, Ey, Ai, ri, vin, w, du, n_picard)
 
             # outer paths: the same fits read at their own states
             out = rows[a:]
@@ -725,55 +733,62 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
                 (P, z.size))
             r[out, i] = (_poly_eval(beta_v, mu1, sd1, xo[:, None] + bo)
                          - _poly_eval(beta_v, mu1, sd1, xo)[:, None])
-            ey = _poly_eval(beta_m, mu, sd, xo)
-            y = ey
-            for _ in range(n_picard):
-                y = ey + du * _lam_quad_driver(model, spec, to, u, xo, y, A[out, i],
-                                               r[out, i], vo, w)
-            Y[out, i] = y
+            Y[out, i] = _picard(model, spec, to, u, xo, _poly_eval(beta_m, mu, sd, xo),
+                                A[out, i], r[out, i], vo, w, du, n_picard)
     return Y, A, r
 
 
 # ----------------------------------------------------------- backward driver
 
-def _ode_backward(model: ModelSpec, bundle: PathBundle, forward: FBSDESolution,
-                  n_picard=3):
-    """Regime (a): conditionally deterministic driver, A = r = 0."""
-    K = bundle.solver_steps
-    du = bundle.subordinator.grid.step
-    spec = bundle.jump_spec
-    _, w = spec.quadrature()
-    X, t = forward.X, forward.calendar_times
-    v = forward.control_values
-    Y = np.empty(K + 1)
-    Y[K] = float(model.phi(X[K]))
-    zero = np.zeros(1)
-    for i in range(K - 1, -1, -1):
-        y = Y[i + 1]
-        for _ in range(n_picard + 1):
-            y = Y[i + 1] + du * _lam_quad_driver(
-                model, spec, np.array([t[i]]), i * du, np.array([X[i]]),
-                np.array([y]), zero, np.zeros((1, w.size)), np.array([v[i]]), w)[0]
-        Y[i] = y
-    return Y, np.zeros(K), np.zeros((K, w.size))
+def _ode_backward(model: ModelSpec, batch: _Batch, X, v, n_picard=4):
+    """Regime "ode" (A = r = 0): ``n_picard`` Picard sweeps per step over the
+    rows inside their horizon; rows past it stay frozen at phi(X_K)."""
+    N, Kmax, du = batch.N, batch.Kmax, batch.du
+    spec, w = batch.spec, batch.w
+    XT = X[np.arange(N), batch.K]
+    Y = np.empty((N, Kmax + 1))
+    Y[:] = np.broadcast_to(np.asarray(model.phi(XT), dtype=float), (N,))[:, None]
+    for i in range(Kmax - 1, -1, -1):
+        act = i < batch.K
+        n = int(act.sum())
+        Y[act, i] = _picard(model, spec, batch.t[act, i], i * du, X[act, i], Y[act, i + 1],
+                            np.zeros(n), np.zeros((n, w.size)), v[act, i], w, du, n_picard)
+    return Y, np.zeros((N, Kmax)), np.zeros((N, Kmax, w.size))
 
 
-def backward_method(model: ModelSpec, method=None) -> str:
-    if method is not None:
-        return method
-    if model.conditionally_deterministic:
-        return "ode"
-    if model.affine_solvable:
-        return "affine"
-    return "lsmc"
-
-
-def _require_affine(model: ModelSpec, control):
-    if not model.affine_solvable:
+def backward_method(model: ModelSpec, control, method=None) -> str:
+    """Resolve the backward regime or fail loudly: by default "ode" for
+    conditionally deterministic models, "affine" for fully affine models
+    under open-loop controls, else "lsmc"; an explicit "affine" needs both."""
+    if method is None:
+        if model.conditionally_deterministic:
+            return "ode"
+        if model.affine_solvable and getattr(control, "state_free", False):
+            return "affine"
+        return "lsmc"
+    if method not in ("ode", "affine", "lsmc"):
+        raise ValueError(f"unknown backward method {method!r}")
+    if method == "affine" and not model.affine_solvable:
         raise ValueError("affine backward requested for a model without "
                          "the full set of linearity flags")
-    if not getattr(control, "state_free", False):
+    if method == "affine" and not getattr(control, "state_free", False):
         raise ValueError("affine backward needs an open-loop control")
+    return method
+
+
+def _backward_batch(model: ModelSpec, control, batch: _Batch, X, v, method=None,
+                    n_inner=256):
+    """(Y, A, r) of a batch from its forward rows by the resolved regime;
+    past its horizon a row keeps its terminal value, with A and r zero."""
+    method = backward_method(model, control, method)
+    if method == "ode":
+        return _ode_backward(model, batch, X, v)
+    if method == "affine":
+        Y, A, r, _, _ = _affine_backward(
+            batch, X, _probe_affine(model, batch, v), np.full(batch.N, model.M_T),
+            np.full(batch.N, float(model.phi(0.0))))
+        return Y, A, r
+    return _lsmc_backward(model, control, batch, X, v, n_inner=n_inner)
 
 
 def solve_backward_dual(model: ModelSpec, control, bundle: PathBundle,
@@ -781,31 +796,15 @@ def solve_backward_dual(model: ModelSpec, control, bundle: PathBundle,
                         n_inner=256) -> FBSDESolution:
     """Fill the backward components of a forward solution, terminal first.
 
-    ``method`` overrides the automatic regime choice ("ode", "affine",
-    "lsmc"); by default conditionally deterministic models get the ODE
-    route, fully affine models the exact conditional solution, and
-    everything else regression.
+    A batch-of-one call of the batch dispatcher; ``method`` overrides the
+    automatic regime choice ("ode", "affine", "lsmc") of backward_method.
     """
     control = as_control(control)
-    method = backward_method(model, method)
+    method = backward_method(model, control, method)
+    Y, A, r = (out[0] for out in _backward_batch(
+        model, control, _Batch([bundle]), forward.X[None, :],
+        forward.control_values[None, :], method, n_inner))
     K = bundle.solver_steps
-    if method == "ode":
-        Y, A, r = _ode_backward(model, bundle, forward)
-    elif method == "affine":
-        _require_affine(model, control)
-        batch = _Batch([bundle])
-        v = forward.control_values[None, :]
-        co = _probe_affine(model, batch, v)
-        Yb, Ab, rb, _, _ = _affine_backward(
-            batch, forward.X[None, :], co,
-            np.array([model.M_T]), np.array([float(model.phi(0.0))]))
-        Y, A, r = Yb[0], Ab[0], rb[0]
-    elif method == "lsmc":
-        Yb, Ab, rb = _lsmc_backward(model, control, _Batch([bundle]), forward.X[None, :],
-                                    forward.control_values[None, :], n_inner=n_inner)
-        Y, A, r = Yb[0], Ab[0], rb[0]
-    else:
-        raise ValueError(f"unknown backward method {method!r}")
     gap = abs(Y[K] - float(model.phi(forward.X[K])))
     tol = 1e-10 if method in ("ode", "affine") else 1e-6
     if gap > tol:
@@ -918,38 +917,10 @@ def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
 
 def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
     X, v, _, _, _, _ = _forward_batch(model, control, batch)
-    if method is None:
-        method = backward_method(model)
-        if method == "affine" and not getattr(control, "state_free", False):
-            # the exact conditional solution needs open-loop coefficients
-            method = "lsmc"
-    elif method == "affine":
-        _require_affine(model, control)
+    Y, A, r = _backward_batch(model, control, batch, X, v, method)
     N, Kmax, du = batch.N, batch.Kmax, batch.du
-    spec, w = batch.spec, batch.w
-    if method == "affine":
-        co = _probe_affine(model, batch, v)
-        Y, A, r, _, _ = _affine_backward(
-            batch, X, co, np.full(N, model.M_T),
-            np.full(N, float(model.phi(0.0))))
-    elif method == "ode":
-        Y = np.empty((N, Kmax + 1))
-        A = np.zeros((N, Kmax))
-        r = np.zeros((N, Kmax, w.size))
-        for p in range(N):
-            sol = FBSDESolution(clock="operational", grid=batch.bundles[p].solver_grid,
-                                calendar_grid=None, X=X[p, : batch.K[p] + 1],
-                                calendar_times=batch.t[p, : batch.K[p] + 1],
-                                control_values=v[p])
-            Yp, _, _ = _ode_backward(model, batch.bundles[p], sol)
-            Y[p, : batch.K[p] + 1] = Yp
-            Y[p, batch.K[p]:] = Yp[-1]
-    elif method == "lsmc":
-        Y, A, r = _lsmc_backward(model, control, batch, X, v)
-    else:
-        raise ValueError(f"unknown backward method {method!r}")
+    lam, w = batch.spec.intensity, batch.w
     run = np.zeros(N)
-    lam = spec.intensity
     for i in range(Kmax):
         act = i < batch.K
         li = np.asarray(model.l(batch.t[:, i, None], i * du, X[:, i, None],
@@ -958,8 +929,8 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
         li = np.broadcast_to(li, (N, w.size))
         run += np.where(act, lam * du * (li @ w), 0.0)
     XT = X[np.arange(N), batch.K]
-    hterm = np.asarray([float(model.h(x)) for x in XT])
-    gterm = np.asarray([float(model.gamma(y)) for y in Y[:, 0]])
+    hterm = np.broadcast_to(np.asarray(model.h(XT), dtype=float), (N,))
+    gterm = np.broadcast_to(np.asarray(model.gamma(Y[:, 0]), dtype=float), (N,))
     return run + hterm + gterm, X, Y, v, A, r
 
 

@@ -189,29 +189,23 @@ def sample_jumps(spec: LevyJumpSpec, horizon: float, seed) -> JumpStream:
     return JumpStream(times=times, marks=marks, horizon=horizon)
 
 
-def _eval_on_events(integrand, stream: JumpStream):
-    vals = np.array([float(integrand(u, z)) for u, z in zip(stream.times, stream.marks)])
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"non-finite integrand at event (u={stream.times[k]}, z={stream.marks[k]})"
-        )
-    return vals
+def _eval_integrand(integrand, u, z, where):
+    """integrand(u, z) over the broadcast shape of u and z.
 
-
-def _eval_on_nodes(integrand, u, z):
-    # try one broadcast call; fall back to a loop for scalar-only integrands
+    One broadcast call first, its return (a scalar too) broadcast to the
+    full shape; integrands that only take scalars fall back to a loop.  A
+    non-finite value raises, naming the first ``where`` (u, z) it hit.
+    """
+    u, z = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(z, dtype=float))
     try:
-        out = np.asarray(integrand(u[:, None], z[None, :]), dtype=float)
-        if out.shape == (u.size, z.size):
-            return out
-    except Exception:
-        pass
-    out = np.empty((u.size, z.size))
-    for i, ui in enumerate(u):
-        for q, zq in enumerate(z):
-            out[i, q] = integrand(ui, zq)
+        out = np.broadcast_to(np.asarray(integrand(u, z), dtype=float), u.shape)
+    except (TypeError, ValueError):
+        out = np.array([float(integrand(a, b)) for a, b in zip(u.flat, z.flat)])
+        out = out.reshape(u.shape)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"non-finite integrand at {where} (u={u[k]}, z={z[k]})")
     return out
 
 
@@ -225,15 +219,13 @@ def compensated_integral(integrand, stream: JumpStream, spec: LevyJumpSpec,
     pts = grid.points()
     out = np.zeros(pts.size)
     if stream.size:
-        vals = _eval_on_events(integrand, stream)
+        vals = _eval_integrand(integrand, stream.times, stream.marks, "event")
         keep = stream.times <= pts[-1] + 1e-12 * grid.step
         idx = np.searchsorted(pts, stream.times[keep], side="left")
         np.add.at(out, idx, vals[keep])
         np.cumsum(out, out=out)
     z, w = spec.quadrature()
-    node_vals = _eval_on_nodes(integrand, pts[:-1], z)
-    if not np.all(np.isfinite(node_vals)):
-        raise ValueError("non-finite integrand at a quadrature node")
+    node_vals = _eval_integrand(integrand, pts[:-1, None], z, "quadrature node")
     rate = spec.intensity * node_vals @ w
     out[1:] -= np.cumsum(rate * grid.step)
     return out
@@ -286,18 +278,21 @@ def change_of_variable_check(integrand_path, driver, inverse: InversePath,
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _fd(F, which, t1, t2, x):
-    h = 1e-5
-    if which == "t1":
-        d = h * (1.0 + np.abs(t1))
-        return (F(t1 + d, t2, x) - F(t1 - d, t2, x)) / (2.0 * d)
-    if which == "t2":
-        d = h * (1.0 + np.abs(t2))
-        return (F(t1, t2 + d, x) - F(t1, t2 - d, x)) / (2.0 * d)
-    d = h * (1.0 + np.abs(x))
-    if which == "x":
-        return (F(t1, t2, x + d) - F(t1, t2, x - d)) / (2.0 * d)
-    return (F(t1, t2, x + d) - 2.0 * F(t1, t2, x) + F(t1, t2, x - d)) / d**2
+_FD_COEFF = 1e-5
+
+
+def central_difference(fn, args, pos):
+    """Central difference of ``fn`` in argument slot ``pos``.
+
+    The step is 1e-5 * (1 + |argument|); for the polynomial maps used
+    throughout the difference is exact up to rounding.
+    """
+    args = [np.asarray(a, dtype=float) for a in args]
+    w = args[pos]
+    h = _FD_COEFF * (1.0 + np.abs(w))
+    up, dn = list(args), list(args)
+    up[pos], dn[pos] = w + h, w - h
+    return (np.asarray(fn(*up), dtype=float) - np.asarray(fn(*dn), dtype=float)) / (2.0 * h)
 
 
 def ito_decomposition_check(F, solution, derivatives=None) -> np.ndarray:
@@ -325,8 +320,13 @@ def ito_decomposition_check(F, solution, derivatives=None) -> np.ndarray:
 
     def deriv(which, t1, t2, x):
         fn = derivatives.get(which)
-        out = np.asarray(fn(t1, t2, x) if fn is not None else _fd(F, which, t1, t2, x),
-                         dtype=float)
+        if fn is not None:
+            out = np.asarray(fn(t1, t2, x), dtype=float)
+        elif which == "xx":
+            d = _FD_COEFF * (1.0 + np.abs(x))
+            out = (F(t1, t2, x + d) - 2.0 * F(t1, t2, x) + F(t1, t2, x - d)) / d**2
+        else:
+            out = central_difference(F, (t1, t2, x), ("t1", "t2", "x").index(which))
         if not np.all(np.isfinite(out)):
             raise ValueError(f"non-finite {which} derivative of F")
         return out

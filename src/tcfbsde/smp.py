@@ -13,16 +13,19 @@ interfaces.  Conventions, once and for all:
 * The second adjoint (q, k, R) solves a linear backward equation.  Two
   regimes are implemented: an exact conditional closure q = cq + Pq * X for
   state-affine systems whose first adjoint is deterministic given the time
-  change, and a scalar backward ODE when the model flags its adjoints as
-  conditionally deterministic.  Models outside both regimes are rejected
-  loudly instead of being approximated silently.
+  change, which runs through the backward state's affine kernel
+  (fbsde._affine_backward) with remapped coefficients, and a scalar
+  backward ODE when the model flags its adjoints as conditionally
+  deterministic.  Models outside both regimes are rejected loudly instead
+  of being approximated silently.
 * Candidate controls in the necessary-condition search are step functions
   of operational time (constants on a lattice plus randomized two-level
   switches), which keeps them adapted and feasible by construction.
 
 Derivative coefficients come from ``model.derivatives`` closed forms when
-present and central differences with step 1e-5 * (1 + |argument|) otherwise;
-the difference is exact for the polynomial coefficient maps used throughout.
+present and otherwise from noise.central_difference, with step
+1e-5 * (1 + |argument|), which is exact for the polynomial coefficient maps
+used throughout.
 """
 
 import json
@@ -41,9 +44,8 @@ from .fbsde import (
     _probe_affine,
     as_control,
 )
+from .noise import central_difference
 from .time_change import OperationalGrid
-
-_FD_COEFF = 1e-5
 
 # argument slot of each differentiable state variable, by coefficient map
 _ARG_POS = {
@@ -73,15 +75,7 @@ def model_derivative(model: ModelSpec, name: str):
     pos = _ARG_POS[target][arg]
 
     def fd(*args):
-        args = [np.asarray(a, dtype=float) for a in args]
-        w = args[pos]
-        h = _FD_COEFF * (1.0 + np.abs(w))
-        up = list(args)
-        dn = list(args)
-        up[pos] = w + h
-        dn[pos] = w - h
-        out = (np.asarray(base(*up), dtype=float)
-               - np.asarray(base(*dn), dtype=float)) / (2.0 * h)
+        out = central_difference(base, args, pos)
         if not np.all(np.isfinite(out)):
             raise FloatingPointError(f"non-finite derivative probe for {name}")
         return out
@@ -251,9 +245,13 @@ def _affine_in_x(dfun, args, pos=2, tol=1e-8):
 def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
     """Exact conditional closure q = cq + Pq X for affine systems.
 
-    Matching the Brownian and jump parts of q_{i+1} gives k and R; the
-    implicit recursion mirrors the backward state solver but carries the
-    extra quadratic coefficient terms sigma_x^2 and int b_x^2.
+    The second adjoint is a linear BSDE of the same implicit form as the
+    backward state, so after probing the coefficients and the terminal
+    pair this runs _affine_backward with remapped coefficients: the
+    quadratic terms sigma_x^2 and int b_x^2 join the x-slope, the drift
+    slope f_x takes the place of the driver's y-slope, the cost gradient
+    and the -G_x p source form the driver, and there is no a- or r-term.
+    Matching the Brownian and jump parts of q_{i+1} gives k and R.
     """
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     w, lam = batch.w, batch.spec.intensity
@@ -279,36 +277,14 @@ def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
     Lxx = lam * (np.broadcast_to(ls, shape) @ w)
     hc, hs = _affine_in_x(d_hx, (np.asarray(0.0),), pos=0)
     pT = p[np.arange(N), batch.K]
-    Pq_term = np.full(N, float(hs))
-    cq_term = -model.M_T * pT + float(hc)
-    wbx2 = np.einsum("nkq,q->nk", co["bx"] ** 2, w)
-    wbxb0 = np.einsum("nkq,q->nk", co["bx"] * co["b0"], w)
-    Pq = np.empty((N, Kmax + 1))
-    cq = np.empty((N, Kmax + 1))
-    Pq[:, Kmax], cq[:, Kmax] = Pq_term, cq_term
-    k = np.zeros((N, Kmax))
-    R = np.zeros((N, Kmax, w.size))
-    for i in range(Kmax - 1, -1, -1):
-        act = i < batch.K
-        Pn = np.where(i + 1 <= batch.K, Pq[:, i + 1], Pq_term)
-        cn = np.where(i + 1 <= batch.K, cq[:, i + 1], cq_term)
-        fx, sx = co["fx"][:, i], co["sx"][:, i]
-        den = 1.0 - du * fx
-        Pi = (Pn * (1.0 + du * (fx + sx ** 2 + lam * wbx2[:, i]))
-              + du * Lxx[:, i]) / den
-        ci = (cn + du * (Pn * (co["f0"][:, i] + sx * co["s0"][:, i]
-                               + lam * wbxb0[:, i])
-                         - co["Gx"][:, i] * p[:, i] + Lx0[:, i])) / den
-        Pq[:, i] = np.where(act, Pi, Pq_term)
-        cq[:, i] = np.where(act, ci, cq_term)
-        k[:, i] = np.where(act, Pn * (sx * X[:, i] + co["s0"][:, i]), 0.0)
-        R[:, i, :] = np.where(
-            act[:, None],
-            Pn[:, None] * (co["bx"][:, i] * X[:, i, None] + co["b0"][:, i]),
-            0.0)
-    q = cq + Pq * X
-    for pth in range(N):
-        q[pth, batch.K[pth]:] = cq_term[pth] + Pq_term[pth] * X[pth, batch.K[pth]]
+    fx, sx, bx = co["fx"], co["sx"], co["bx"]
+    zero = np.zeros_like(fx)
+    qco = dict(co,
+               fx=fx + sx ** 2 + lam * np.einsum("nkq,q->nk", bx ** 2, w),
+               f0=co["f0"] + sx * co["s0"] + lam * np.einsum("nkq,q->nk", bx * co["b0"], w),
+               Gy=fx, Gx=Lxx, G0=Lx0 - co["Gx"] * p[:, :-1], Ga=zero, gr=zero)
+    q, k, R, _, _ = _affine_backward(batch, X, qco, np.full(N, float(hs)),
+                                     -model.M_T * pT + float(hc))
     return q, k, R
 
 

@@ -290,6 +290,11 @@ def test_affine_needs_flags_and_open_loop():
     # an explicit request is honoured, not switched to regression
     with pytest.raises(ValueError, match="open-loop"):
         evaluate_cost(lin, fb, [b2], method="affine")
+    # the automatic choice falls back to regression, as evaluate_cost's does
+    auto = solve_backward_dual(lin, fb, b2, solve_forward_dual(lin, fb, b2))
+    lsmc = solve_backward_dual(lin, fb, b2, solve_forward_dual(lin, fb, b2), method="lsmc")
+    for name in ("Y", "A", "r"):
+        assert np.array_equal(getattr(auto, name), getattr(lsmc, name))
 
 
 def test_unknown_backward_method():
@@ -388,17 +393,19 @@ def test_cost_chunking_and_row_labels():
 
 @pytest.mark.parametrize("name, method, make_control", [
     ("linear_test", None, StepwiseControl),
+    ("linear_test", "ode", StepwiseControl),
     ("quadratic_drift", "lsmc", StepwiseControl),
     ("quadratic_drift", "lsmc", lambda rows: ConstantControl(0.5)),
     ("quadratic_drift", "lsmc",
      lambda rows: FeedbackControl(lambda t1, t2, x: 0.5 + 0.1 * np.tanh(x))),
-], ids=["affine-table", "lsmc-table", "lsmc-constant", "lsmc-feedback"])
+], ids=["affine-table", "ode-table", "lsmc-table", "lsmc-constant", "lsmc-feedback"])
 def test_cost_is_bitwise_chunk_invariant_on_ragged_ensemble(name, method, make_control,
                                                             monkeypatch):
     """K-sorted batches must scatter every path's cost back to its own
-    ensemble position, whatever the chunk size.  Under LSMC the outer
-    paths of a batch share one regression sweep, whose inner rows must
-    read their own outer path's control."""
+    ensemble position, whatever the chunk size.  The ODE regime solves
+    the rows of a batch together and freezes each at its horizon.  Under
+    LSMC the outer paths of a batch share one regression sweep, whose
+    inner rows must read their own outer path's control."""
     model, jump, _, _ = build_model(name)
     bundles = ragged_bundles(RAGGED_STEPS, jump_spec=jump)
     n, kmax = len(bundles), max(RAGGED_STEPS)
@@ -424,6 +431,23 @@ def test_cost_is_bitwise_chunk_invariant_on_ragged_ensemble(name, method, make_c
     assert np.unique(whole[~zero]).size == n - zero.sum()
 
 
+def test_picard_step_is_row_local():
+    """A row's implicit backward step must not depend on the rows beside
+    it, or batched backward solves lose chunk invariance."""
+    model = mk_model(g=lambda t1, t2, x, y, a, r, v: x * r**2 + y + 0.0 * (a + v))
+    spec = LevyJumpSpec(c=1.0, intensity=2.0)
+    z, w = spec.quadrature()
+    rng = np.random.default_rng(0)
+    n = 300
+    t, x, ey, a, v = rng.normal(size=(5, n)) * 10.0 ** rng.uniform(-3, 3, size=(5, n))
+    r = rng.normal(size=(n, z.size))
+    whole = fbsde._picard(model, spec, t, 0.1, x, ey, a, r, v, w, 0.01, 3)
+    for lo, hi in [(i, i + 1) for i in range(n)] + [(3, 10), (7, 290)]:
+        part = fbsde._picard(model, spec, t[lo:hi], 0.1, x[lo:hi], ey[lo:hi], a[lo:hi],
+                             r[lo:hi], v[lo:hi], w, 0.01, 3)
+        assert np.array_equal(part, whole[lo:hi])
+
+
 def test_cost_blow_up_names_the_ensemble_path():
     # path 2 has the most steps, so it sits at row 8 of the sorted batch
     model = mk_model(f=lambda t1, t2, x, v: v * v + 0.0 * x, control_set=Box())
@@ -435,19 +459,26 @@ def test_cost_blow_up_names_the_ensemble_path():
             evaluate_cost(model, StepwiseControl(rows), bundles)
 
 
-def test_lsmc_cost_matches_single_path_solvers_bitwise():
-    """The LSMC branch reads each outer path off the batch forward solve;
-    it must agree bit for bit with the single-path forward and backward
-    solvers."""
+@pytest.mark.parametrize("method", ["ode", "affine", "lsmc"])
+def test_lsmc_cost_matches_single_path_solvers_bitwise(method):
+    """The cost reads each path off the batch forward and backward solves;
+    it must agree bit for bit with the single-path solvers."""
     model, jump, sub, p = build_model("quadratic_drift")
+    if method == "ode":
+        # the same drift and driver without noise loadings (plus a y^2 term)
+        model = mk_model(f=lambda t1, t2, x, v: -x + v + 0.5 * v**2,
+                         g=lambda t1, t2, x, y, a, r, v: (-0.5 * y + 0.5 * x + 0.3 * v**2
+                                                          + 0.1 * y**2 + 0.0 * (a + r)),
+                         phi=lambda x: 1.0 * x, gamma=lambda y: -y,
+                         control_set=Box(-2.0, 2.0), conditionally_deterministic=True)
     ens = make_ensemble(sub, jump, p["horizon"], p["step"], 48, master_seed=3)
     picks = [ens[i] for i in (5, 1, 40)]
     ctl = ConstantControl(0.5)
-    est = evaluate_cost(model, ctl, picks, method="lsmc")
+    est = evaluate_cost(model, ctl, picks, method=method)
     for bnd, got in zip(picks, est.per_path):
         sol = solve_backward_dual(model, ctl, bnd, solve_forward_dual(model, ctl, bnd),
-                                  method="lsmc")
-        # quadratic_drift has no running or terminal cost: J = gamma(Y_0) = -Y_0
+                                  method=method)
+        # neither model has a running or terminal cost: J = gamma(Y_0) = -Y_0
         assert got == -sol.Y[0]
 
 

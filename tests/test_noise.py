@@ -217,6 +217,19 @@ def test_compensated_integral_rejects_bad_integrand():
         compensated_integral(lambda u, z: np.inf, stream, spec, grid)
 
 
+def test_compensated_integral_names_the_non_finite_event():
+    spec = LevyJumpSpec(c=1.0, intensity=2.0)
+    stream = JumpStream(times=np.array([0.2, 0.3, 0.7]), marks=np.array([0.5, -0.25, 0.1]),
+                        horizon=1.0)
+    grid = OperationalGrid(0.5, 1.0)
+    with pytest.raises(ValueError, match=r"event \(u=0\.3, z=-0\.25\)"):
+        compensated_integral(lambda u, z: np.where(z < 0.0, np.nan, z), stream, spec, grid)
+    # a scalar-only integrand takes the loop and is checked the same way
+    with pytest.raises(ValueError, match=r"event \(u=0\.3, z=-0\.25\)"):
+        compensated_integral(lambda u, z: float("nan") if z < 0.0 else float(z),
+                             stream, spec, grid)
+
+
 # ---------------------------------------------------------------- composition
 
 def _staircase():
