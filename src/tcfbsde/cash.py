@@ -61,7 +61,7 @@ def _time_map(value):
     const = float(value)
 
     def const_map(t):
-        return const + 0.0 * np.asarray(t, dtype=float)
+        return const
 
     return const_map
 
@@ -73,7 +73,7 @@ def _eta_map(value):
     slope = float(value)
 
     def linear_map(t, z):
-        return slope * np.asarray(z, dtype=float) + 0.0 * np.asarray(t, dtype=float)
+        return slope * np.asarray(z, dtype=float)
 
     return linear_map
 
@@ -147,8 +147,9 @@ def build_cash_model(spec: CashSpec) -> ModelSpec:
     def hamiltonian_v(t1, t2, x, y, a, r, v, p, q, k, R, jspec):
         t1 = np.asarray(t1, dtype=float)
         R = np.asarray(R, dtype=float)
-        z, wq = jspec.quadrature()
-        jump_part = jspec.intensity * ((R * eta(t1[..., None], z)) @ wq)
+        z, _ = jspec.quadrature()
+        jump_part = jspec.intensity * jspec.integrate(
+            R * eta(t1[..., None], z), np.broadcast_shapes(t1.shape, R.shape[:-1]))
         return (b1 * np.asarray(q, dtype=float)
                 + sig(t1) * np.asarray(k, dtype=float)
                 - b2 * np.asarray(p, dtype=float)
@@ -156,37 +157,34 @@ def build_cash_model(spec: CashSpec) -> ModelSpec:
                 + (np.asarray(v, dtype=float) - kap(t1)))
 
     derivs = {
-        "f_x": lambda t1, t2, x, v: -mu1 + 0.0 * (x + v),
-        "f_v": lambda t1, t2, x, v: b1 + 0.0 * (x + v),
-        "sigma_x": lambda t1, t2, x, v: 0.0 * (x + v),
-        "sigma_v": lambda t1, t2, x, v: sig(t1) + 0.0 * (x + v),
-        "b_x": lambda t1, t2, x, v, z: 0.0 * (x + v + z),
-        "b_v": lambda t1, t2, x, v, z: eta(t1, z) + 0.0 * (x + v),
-        "g_x": lambda t1, t2, x, y, a, r, v: mu2 / lam + 0.0 * (x + y + a + r + v),
-        "g_y": lambda t1, t2, x, y, a, r, v: -mu1 / lam + 0.0 * (x + y + a + r + v),
-        "g_a": lambda t1, t2, x, y, a, r, v: 0.0 * (x + y + a + r + v),
-        "g_r": lambda t1, t2, x, y, a, r, v: 0.0 * (x + y + a + r + v),
-        "g_v": lambda t1, t2, x, y, a, r, v: b2 / lam + 0.0 * (x + y + a + r + v),
-        "l_x": lambda t1, t2, x, y, a, r, v: 0.0 * (x + y + a + r + v),
-        "l_y": lambda t1, t2, x, y, a, r, v: 0.0 * (x + y + a + r + v),
-        "l_a": lambda t1, t2, x, y, a, r, v: 0.0 * (x + y + a + r + v),
-        "l_r": lambda t1, t2, x, y, a, r, v: 0.0 * (x + y + a + r + v),
-        "l_v": lambda t1, t2, x, y, a, r, v: (v - kap(t1)) / lam
-        + 0.0 * (x + y + a + r),
-        "phi_x": lambda x: 1.0 + 0.0 * x,
-        "h_x": lambda x: 0.0 * x,
-        "gamma_y": lambda y: -1.0 + 0.0 * y,
+        "f_x": lambda t1, t2, x, v: -mu1,
+        "f_v": lambda t1, t2, x, v: b1,
+        "sigma_x": lambda t1, t2, x, v: 0.0,
+        "sigma_v": lambda t1, t2, x, v: sig(t1),
+        "b_x": lambda t1, t2, x, v, z: 0.0,
+        "b_v": lambda t1, t2, x, v, z: eta(t1, z),
+        "g_x": lambda t1, t2, x, y, a, r, v: mu2 / lam,
+        "g_y": lambda t1, t2, x, y, a, r, v: -mu1 / lam,
+        "g_a": lambda t1, t2, x, y, a, r, v: 0.0,
+        "g_r": lambda t1, t2, x, y, a, r, v: 0.0,
+        "g_v": lambda t1, t2, x, y, a, r, v: b2 / lam,
+        "l_x": lambda t1, t2, x, y, a, r, v: 0.0,
+        "l_y": lambda t1, t2, x, y, a, r, v: 0.0,
+        "l_a": lambda t1, t2, x, y, a, r, v: 0.0,
+        "l_r": lambda t1, t2, x, y, a, r, v: 0.0,
+        "l_v": lambda t1, t2, x, y, a, r, v: (v - kap(t1)) / lam,
+        "phi_x": lambda x: 1.0,
+        "h_x": lambda x: 0.0,
+        "gamma_y": lambda y: -1.0,
     }
     return ModelSpec(
         f=lambda t1, t2, x, v: -mu1 * x + b1 * v,
-        sigma=lambda t1, t2, x, v: sig(t1) * v + 0.0 * x,
-        b=lambda t1, t2, x, v, z: eta(t1, z) * v + 0.0 * x,
-        g=lambda t1, t2, x, y, a, r, v: (-mu1 * y + mu2 * x + b2 * v
-                                         + 0.0 * (a + r)) / lam,
+        sigma=lambda t1, t2, x, v: sig(t1) * v,
+        b=lambda t1, t2, x, v, z: eta(t1, z) * v,
+        g=lambda t1, t2, x, y, a, r, v: (-mu1 * y + mu2 * x + b2 * v) / lam,
         phi=lambda x: 1.0 * x,
-        l=lambda t1, t2, x, y, a, r, v: 0.5 * (v - kap(t1)) ** 2 / lam
-        + 0.0 * (x + y + a + r),
-        h=lambda x: 0.0 * x,
+        l=lambda t1, t2, x, y, a, r, v: 0.5 * (v - kap(t1)) ** 2 / lam,
+        h=lambda x: 0.0,
         gamma=lambda y: -y,
         control_set=Box(),
         x0=spec.x0,
@@ -248,7 +246,7 @@ def cash_optimal_control(spec: CashSpec, adjoints) -> StepwiseControl:
     # applies between paths that actually have one
     steps = [adj.grid.step for adj in adjoints if adj.grid is not None]
     du = steps[0] if steps else None
-    z, wq = spec.jump.quadrature()
+    z, _ = spec.jump.quadrature()
     sig, eta, kap = spec.maps()
     n_steps = max(max(adj.p.size - 1 for adj in adjoints), 1)
     rows = np.empty((len(adjoints), n_steps))
@@ -263,13 +261,13 @@ def cash_optimal_control(spec: CashSpec, adjoints) -> StepwiseControl:
         t = adj.calendar_times[:K]
         slope = (spec.beta1 * adj.q[:K] + sig(t) * adj.k
                  - spec.beta2 * adj.p[:K]
-                 + spec.jump.intensity * ((adj.R * eta(t[:, None], z)) @ wq))
+                 + spec.jump.intensity * spec.jump.integrate(adj.R * eta(t[:, None], z), (K,)))
         if K > 0:
             rows[n, :K] = kap(t) - slope
             rows[n, K:] = rows[n, K - 1]
         else:
             # degenerate path with no solver steps: park the benchmark rate
-            rows[n, :] = float(np.asarray(kap(adj.calendar_times[:1]))[0])
+            rows[n, :] = kap(adj.calendar_times[0])
     return StepwiseControl(rows)
 
 

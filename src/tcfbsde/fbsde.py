@@ -177,7 +177,10 @@ def as_control(value) -> "ConstantControl":
 class ModelSpec:
     """Coefficient maps, costs, and structure flags of one control system.
 
-    All maps must broadcast over numpy arrays.  Signatures:
+    All maps must broadcast over numpy arrays.  A map may return a
+    constant or any shape that broadcasts against its arguments; the
+    solvers broadcast what they read, so results do not depend on which.
+    Signatures:
 
     * f, sigma:  (t1, t2, x, v)           forward drift and volatility
     * b:         (t1, t2, x, v, z)        jump coefficient
@@ -352,8 +355,7 @@ class FBSDESolution:
     vol: np.ndarray | None = None
     dB: np.ndarray | None = None
     jump_nodes: np.ndarray | None = None
-    jump_weights: np.ndarray | None = None
-    jump_intensity: float | None = None
+    jump_spec: LevyJumpSpec | None = None
     event_steps: np.ndarray | None = None
     event_b: np.ndarray | None = None
 
@@ -389,20 +391,17 @@ class _Batch:
         self.Kmax = int(self.K.max())
         self.t = np.empty((self.N, self.Kmax + 1))
         self.dB = np.zeros((self.N, self.Kmax))
-        ev_p, ev_s, ev_z = [], [], []
+        events = []
         for p, b in enumerate(self.bundles):
             k = self.K[p]
             ct = b.calendar_times()
             self.t[p, : k + 1] = ct
             self.t[p, k + 1:] = ct[-1]
             self.dB[p, :k] = b.d_brownian()
-            steps, marks = b.solver_events()
-            ev_p.extend([p] * steps.size)
-            ev_s.extend(steps.tolist())
-            ev_z.extend(marks.tolist())
-        ev_p = np.asarray(ev_p, dtype=int)
-        ev_s = np.asarray(ev_s, dtype=int)
-        ev_z = np.asarray(ev_z, dtype=float)
+            events.append(b.solver_events())
+        ev_p = np.repeat(np.arange(self.N), [steps.size for steps, _ in events])
+        ev_s = np.concatenate([steps for steps, _ in events])
+        ev_z = np.concatenate([marks for _, marks in events])
         order = np.argsort(ev_s, kind="stable")
         self.ev_p, self.ev_s, self.ev_z = ev_p[order], ev_s[order], ev_z[order]
         self.ev_start = np.searchsorted(self.ev_s, np.arange(self.Kmax + 1))
@@ -447,12 +446,10 @@ def _forward_batch(model: ModelSpec, control, batch: _Batch, keep_nodes=False):
         fi = np.broadcast_to(np.asarray(model.f(t1, u_i, x, vi), dtype=float), (N,))
         si = np.broadcast_to(np.asarray(model.sigma(t1, u_i, x, vi), dtype=float), (N,))
         drift[:, i], vol[:, i] = fi, si
-        bi = np.broadcast_to(np.asarray(
-            model.b(t1[:, None], u_i, x[:, None], vi[:, None], batch.znodes),
-            dtype=float), (N, batch.znodes.size))
+        bi = model.b(t1[:, None], u_i, x[:, None], vi[:, None], batch.znodes)
         if keep_nodes:
             nodes[:, i, :] = bi
-        comp = lam * du * (bi @ batch.w)
+        comp = lam * du * batch.spec.integrate(bi, (N,))
         jump = np.zeros(N)
         sl = slice(batch.ev_start[i], batch.ev_start[i + 1])
         if sl.stop > sl.start:
@@ -483,9 +480,7 @@ def solve_forward_dual(model: ModelSpec, control, bundle: PathBundle,
     )
     if keep_ingredients:
         sol.drift, sol.vol, sol.dB = drift[0], vol[0], batch.dB[0]
-        sol.jump_nodes = nodes[0]
-        sol.jump_weights = batch.w
-        sol.jump_intensity = batch.spec.intensity
+        sol.jump_nodes, sol.jump_spec = nodes[0], batch.spec
         sol.event_steps, sol.event_b = batch.ev_s.copy(), ev_b
     return sol
 
@@ -498,19 +493,20 @@ def _probe_affine(model: ModelSpec, batch: _Batch, v: np.ndarray):
     Valid when the corresponding linearity flags hold; the returned
     driver pieces are already integrated against the jump measure
     (G = lam * int g, with the r term kept nodewise as gr * w * lam).
+    The pieces keep the shapes the model returns; _affine_backward
+    broadcasts them to the batch layout.
     """
     t, u = batch.t[:, :-1], np.arange(batch.Kmax) * batch.du
     z = batch.znodes
     lam = batch.spec.intensity
-    f0 = np.asarray(model.f(t, u, 0.0, v), dtype=float) + np.zeros_like(v)
+    f0 = np.asarray(model.f(t, u, 0.0, v), dtype=float)
     fx = np.asarray(model.f(t, u, 1.0, v), dtype=float) - f0
-    s0 = np.asarray(model.sigma(t, u, 0.0, v), dtype=float) + np.zeros_like(v)
+    s0 = np.asarray(model.sigma(t, u, 0.0, v), dtype=float)
     sx = np.asarray(model.sigma(t, u, 1.0, v), dtype=float) - s0
-    b0 = np.asarray(model.b(t[..., None], u[:, None], 0.0, v[..., None], z),
-                    dtype=float) + np.zeros(v.shape + (z.size,))
+    b0 = np.asarray(model.b(t[..., None], u[:, None], 0.0, v[..., None], z), dtype=float)
     bx = np.asarray(model.b(t[..., None], u[:, None], 1.0, v[..., None], z),
                     dtype=float) - b0
-    g00 = np.asarray(model.g(t, u, 0.0, 0.0, 0.0, 0.0, v), dtype=float) + np.zeros_like(v)
+    g00 = np.asarray(model.g(t, u, 0.0, 0.0, 0.0, 0.0, v), dtype=float)
     gx = np.asarray(model.g(t, u, 1.0, 0.0, 0.0, 0.0, v), dtype=float) - g00
     gy = np.asarray(model.g(t, u, 0.0, 1.0, 0.0, 0.0, v), dtype=float) - g00
     ga = np.asarray(model.g(t, u, 0.0, 0.0, 1.0, 0.0, v), dtype=float) - g00
@@ -530,17 +526,22 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict,
     terminal map is linear, and the coefficient paths are deterministic
     given the subordinator trajectory.  A and the nodewise r follow from
     matching the Brownian and jump terms of Y_{i+1}.
+
+    The coefficients ``co`` may take any shape that broadcasts against
+    the (N, Kmax) layout, (N, Kmax, nodes) for ``bx`` and ``b0``.
     """
     N, Kmax, du = batch.N, batch.Kmax, batch.du
-    w = batch.w
+    Q = batch.w.size
+    co = {key: np.broadcast_to(val, (N, Kmax, Q) if key in ("bx", "b0") else (N, Kmax))
+          for key, val in co.items()}
     P = np.empty((N, Kmax + 1))
     c = np.empty((N, Kmax + 1))
     P[:, Kmax] = P_term
     c[:, Kmax] = c_term
     A = np.zeros((N, Kmax))
-    r = np.zeros((N, Kmax, w.size)) if collect_r else None
-    wr_b = np.einsum("nkq,q->nk", co["bx"], w)
-    wr_b0 = np.einsum("nkq,q->nk", co["b0"], w)
+    r = np.zeros((N, Kmax, Q)) if collect_r else None
+    wr_b = batch.spec.integrate(co["bx"], (N, Kmax))
+    wr_b0 = batch.spec.integrate(co["b0"], (N, Kmax))
     for i in range(Kmax - 1, -1, -1):
         act = i < batch.K
         h = du
@@ -565,8 +566,8 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict,
                 0.0)
     Y = c + P * X
     # freeze padded tails at each path's own terminal value
-    for p in range(N):
-        Y[p, batch.K[p]:] = c_term[p] + P_term[p] * X[p, batch.K[p]]
+    np.copyto(Y, (c_term + P_term * X[np.arange(N), batch.K])[:, None],
+              where=np.arange(Kmax + 1) >= batch.K[:, None])
     return Y, A, r, P, c
 
 
@@ -613,18 +614,14 @@ def _poly_eval(beta, mu, sd, x):
     return out
 
 
-def _picard(model, spec, t1, u, x, ey, a, r_nodes, v, w, du, sweeps):
+def _picard(model, spec, t1, u, x, ey, a, r_nodes, v, du, sweeps):
     """``sweeps`` Picard sweeps of y = ey + du * lam int g(..., y, ...) from ey:
-    the implicit step of the ODE kernel and of both LSMC read-offs.  Each
-    row's quadrature sum must not depend on the rows around it, which a
-    BLAS product (it blocks rows) and einsum on a broadcast view do not
-    ensure; einsum on a contiguous array does."""
+    the implicit step of the ODE kernel and of both LSMC read-offs."""
     y = ey
     for _ in range(sweeps):
-        vals = np.asarray(model.g(t1[:, None], u, x[:, None], y[:, None],
-                                  a[:, None], r_nodes, v[:, None]), dtype=float)
-        vals = np.ascontiguousarray(np.broadcast_to(vals, (x.size, w.size)))
-        y = ey + du * (spec.intensity * np.einsum("nq,q->n", vals, w))
+        vals = model.g(t1[:, None], u, x[:, None], y[:, None], a[:, None], r_nodes,
+                       v[:, None])
+        y = ey + du * (spec.intensity * spec.integrate(vals, (x.size,)))
     return y
 
 
@@ -722,7 +719,7 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
                 (xi.size, z.size))
             ri = (_poly_eval(beta_v, mu1, sd1, x[..., None] + bi.reshape(P, n_inner, -1))
                   - _poly_eval(beta_v, mu1, sd1, x)[..., None]).reshape(xi.size, -1)
-            Yn[sl] = _picard(model, spec, ti, u, xi, Ey, Ai, ri, vin, w, du, n_picard)
+            Yn[sl] = _picard(model, spec, ti, u, xi, Ey, Ai, ri, vin, du, n_picard)
 
             # outer paths: the same fits read at their own states
             out = rows[a:]
@@ -734,7 +731,7 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
             r[out, i] = (_poly_eval(beta_v, mu1, sd1, xo[:, None] + bo)
                          - _poly_eval(beta_v, mu1, sd1, xo)[:, None])
             Y[out, i] = _picard(model, spec, to, u, xo, _poly_eval(beta_m, mu, sd, xo),
-                                A[out, i], r[out, i], vo, w, du, n_picard)
+                                A[out, i], r[out, i], vo, du, n_picard)
     return Y, A, r
 
 
@@ -752,7 +749,7 @@ def _ode_backward(model: ModelSpec, batch: _Batch, X, v, n_picard=4):
         act = i < batch.K
         n = int(act.sum())
         Y[act, i] = _picard(model, spec, batch.t[act, i], i * du, X[act, i], Y[act, i + 1],
-                            np.zeros(n), np.zeros((n, w.size)), v[act, i], w, du, n_picard)
+                            np.zeros(n), np.zeros((n, w.size)), v[act, i], du, n_picard)
     return Y, np.zeros((N, Kmax)), np.zeros((N, Kmax, w.size))
 
 
@@ -855,7 +852,7 @@ def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
     E = inv.values
     du = bundle.subordinator.grid.step
     spec = bundle.jump_spec
-    z, w = spec.quadrature()
+    z, _ = spec.quadrature()
     lam = spec.intensity
     J = tgrid.size - 1
     dE = np.diff(E)
@@ -875,8 +872,7 @@ def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
         jump = 0.0
         for zk in bundle.jumps.marks[here]:
             jump += float(model.b(tgrid[j], E[j], X[j], vj, zk))
-        comp = lam * dE[j] * float(
-            np.broadcast_to(np.asarray(model.b(tgrid[j], E[j], X[j], vj, z)), z.shape) @ w)
+        comp = lam * dE[j] * float(spec.integrate(model.b(tgrid[j], E[j], X[j], vj, z)))
         X[j + 1] = (X[j] + float(model.f(tgrid[j], E[j], X[j], vj)) * dE[j]
                     + float(model.sigma(tgrid[j], E[j], X[j], vj)) * dBE[j]
                     + jump - comp)
@@ -894,10 +890,8 @@ def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
         fx = float(model.f(tgrid[j], E[j], 1.0, v[j])) - f0
         s0 = float(model.sigma(tgrid[j], E[j], 0.0, v[j]))
         sx = float(model.sigma(tgrid[j], E[j], 1.0, v[j])) - s0
-        b0 = np.broadcast_to(np.asarray(model.b(tgrid[j], E[j], 0.0, v[j], z),
-                                        dtype=float), z.shape)
-        bx = np.broadcast_to(np.asarray(model.b(tgrid[j], E[j], 1.0, v[j], z),
-                                        dtype=float), z.shape) - b0
+        b0 = np.asarray(model.b(tgrid[j], E[j], 0.0, v[j], z), dtype=float)
+        bx = np.asarray(model.b(tgrid[j], E[j], 1.0, v[j], z), dtype=float) - b0
         g00 = float(model.g(tgrid[j], E[j], 0.0, 0.0, 0.0, 0.0, v[j]))
         gx = float(model.g(tgrid[j], E[j], 1.0, 0.0, 0.0, 0.0, v[j])) - g00
         gy = float(model.g(tgrid[j], E[j], 0.0, 1.0, 0.0, 0.0, v[j])) - g00
@@ -906,9 +900,9 @@ def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
         den = 1.0 - h * lam * gy
         Pn, cn = P, c
         P = (Pn * (1.0 + h * fx) + h * lam * (gx + ga * Pn * sx
-             + gr * Pn * float(bx @ w))) / den
+             + gr * Pn * float(spec.integrate(bx)))) / den
         c = (cn + h * (Pn * f0 + lam * (g00 + ga * Pn * s0
-             + gr * Pn * float(b0 @ w)))) / den
+             + gr * Pn * float(spec.integrate(b0))))) / den
         Y[j] = c + P * X[j]
     return X, Y, tgrid
 
@@ -919,15 +913,13 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
     X, v, _, _, _, _ = _forward_batch(model, control, batch)
     Y, A, r = _backward_batch(model, control, batch, X, v, method)
     N, Kmax, du = batch.N, batch.Kmax, batch.du
-    lam, w = batch.spec.intensity, batch.w
+    spec, lam = batch.spec, batch.spec.intensity
     run = np.zeros(N)
     for i in range(Kmax):
         act = i < batch.K
-        li = np.asarray(model.l(batch.t[:, i, None], i * du, X[:, i, None],
-                                Y[:, i, None], A[:, i, None], r[:, i, :],
-                                v[:, i, None]), dtype=float)
-        li = np.broadcast_to(li, (N, w.size))
-        run += np.where(act, lam * du * (li @ w), 0.0)
+        li = model.l(batch.t[:, i, None], i * du, X[:, i, None], Y[:, i, None],
+                     A[:, i, None], r[:, i, :], v[:, i, None])
+        run += np.where(act, lam * du * spec.integrate(li, (N,)), 0.0)
     XT = X[np.arange(N), batch.K]
     hterm = np.broadcast_to(np.asarray(model.h(XT), dtype=float), (N,))
     gterm = np.broadcast_to(np.asarray(model.gamma(Y[:, 0]), dtype=float), (N,))
@@ -965,14 +957,13 @@ def _linear_test_model(params=None):
     p.update(params or {})
     lam = p["lam"]
     model = ModelSpec(
-        f=lambda t1, t2, x, v: -x + 0.0 * v,
-        sigma=lambda t1, t2, x, v: 0.1 * x + 0.2 + 0.0 * v,
-        b=lambda t1, t2, x, v, z: 0.05 * z * x + 0.0 * v,
-        g=lambda t1, t2, x, y, a, r, v: (-0.5 * y + 0.5 * x + 0.5 * v + 0.0 * a
-                                         + 0.0 * r) / lam,
+        f=lambda t1, t2, x, v: -x,
+        sigma=lambda t1, t2, x, v: 0.1 * x + 0.2,
+        b=lambda t1, t2, x, v, z: 0.05 * z * x,
+        g=lambda t1, t2, x, y, a, r, v: (-0.5 * y + 0.5 * x + 0.5 * v) / lam,
         phi=lambda x: 1.0 * x,
-        l=lambda t1, t2, x, y, a, r, v: 0.5 * x**2 / lam + 0.0 * v,
-        h=lambda x: 0.0 * x,
+        l=lambda t1, t2, x, y, a, r, v: 0.5 * x**2 / lam,
+        h=lambda x: 0.0,
         gamma=lambda y: -y,
         control_set=Box(-2.0, 2.0),
         x0=p["x0"], M_T=1.0,
@@ -990,13 +981,12 @@ def _quadratic_drift_model(params=None):
     lam = p["lam"]
     model = ModelSpec(
         f=lambda t1, t2, x, v: -x + v + 0.5 * v**2,
-        sigma=lambda t1, t2, x, v: 0.2 + 0.1 * v + 0.1 * v**2 + 0.0 * x,
-        b=lambda t1, t2, x, v, z: z * (0.1 * v + 0.05 * v**2) + 0.0 * x,
-        g=lambda t1, t2, x, y, a, r, v: (-0.5 * y + 0.5 * x + 0.3 * v**2
-                                         + 0.0 * a + 0.0 * r) / lam,
+        sigma=lambda t1, t2, x, v: 0.2 + 0.1 * v + 0.1 * v**2,
+        b=lambda t1, t2, x, v, z: z * (0.1 * v + 0.05 * v**2),
+        g=lambda t1, t2, x, y, a, r, v: (-0.5 * y + 0.5 * x + 0.3 * v**2) / lam,
         phi=lambda x: 1.0 * x,
-        l=lambda t1, t2, x, y, a, r, v: 0.0 * (x + v),
-        h=lambda x: 0.0 * x,
+        l=lambda t1, t2, x, y, a, r, v: 0.0,
+        h=lambda x: 0.0,
         gamma=lambda y: -y,
         control_set=Box(-2.0, 2.0),
         x0=p["x0"], M_T=1.0,

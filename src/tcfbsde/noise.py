@@ -96,6 +96,19 @@ class LevyJumpSpec:
         w.setflags(write=False)
         return z, w
 
+    def integrate(self, values, lead=()):
+        """sum_q w_q values[..., q], the mark-law integral of nodewise values.
+
+        ``values`` is broadcast to ``lead + (n_quad,)`` and materialised
+        before the sum, so a constant, a column and a full table of the
+        same numbers give the same bits, and each row's sum does not depend
+        on the rows around it.  A BLAS product (it blocks rows) and einsum
+        on a broadcast view (it varies with the memory offset) ensure
+        neither; einsum on a contiguous array does.
+        """
+        vals = np.broadcast_to(np.asarray(values, dtype=float), tuple(lead) + (self.n_quad,))
+        return np.einsum("...q,q->...", np.ascontiguousarray(vals), self._rule[1])
+
     def sample_marks(self, size, rng: np.random.Generator):
         if self.mark_law == "uniform":
             return rng.uniform(-self.c, self.c, size)
@@ -224,9 +237,9 @@ def compensated_integral(integrand, stream: JumpStream, spec: LevyJumpSpec,
         idx = np.searchsorted(pts, stream.times[keep], side="left")
         np.add.at(out, idx, vals[keep])
         np.cumsum(out, out=out)
-    z, w = spec.quadrature()
+    z, _ = spec.quadrature()
     node_vals = _eval_integrand(integrand, pts[:-1, None], z, "quadrature node")
-    rate = spec.intensity * node_vals @ w
+    rate = spec.integrate(spec.intensity * node_vals, pts[:-1].shape)
     out[1:] -= np.cumsum(rate * grid.step)
     return out
 
@@ -306,8 +319,7 @@ def ito_decomposition_check(F, solution, derivatives=None) -> np.ndarray:
     * ``dB``            Brownian increments used by the solver, shape (K,)
     * ``drift``, ``vol``  realized f and sigma at left endpoints, shape (K,)
     * ``jump_nodes``    b at quadrature nodes, shape (K, Q)
-    * ``jump_weights``  probability weights, shape (Q,)
-    * ``jump_intensity``  total rate of the truncated measure
+    * ``jump_spec``     the LevyJumpSpec of those nodes
     * ``event_steps``, ``event_b``  per-event step index and jump size
 
     The residual compares F along the path against drift, time-change,
@@ -347,9 +359,10 @@ def ito_decomposition_check(F, solution, derivatives=None) -> np.ndarray:
 
     b = np.asarray(solution.jump_nodes, dtype=float)          # (K, Q)
     Fjump = F(t1[:, None], t2[:, None], x[:, None] + b) - F(t1, t2, x)[:, None]
-    lam, w = solution.jump_intensity, np.asarray(solution.jump_weights)
-    levy_corr = lam * du * (Fjump - Fx[:, None] * b) @ w
-    compensator = lam * du * Fjump @ w
+    spec = solution.jump_spec
+    lam = spec.intensity
+    levy_corr = spec.integrate(lam * du * (Fjump - Fx[:, None] * b), (K,))
+    compensator = spec.integrate(lam * du * Fjump, (K,))
 
     inc = (Ft1 * np.diff(t)
            + (Ft2 + Fx * solution.drift + 0.5 * Fxx * solution.vol**2) * du

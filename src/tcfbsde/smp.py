@@ -92,7 +92,7 @@ def hamiltonian(model: ModelSpec, spec, t1, t2, x, y, a, r_nodes, v,
     ``r_nodes`` and ``R_nodes`` carry one trailing axis over the quadrature
     nodes of ``spec``; every other argument is scalar per evaluation point.
     """
-    z, w = spec.quadrature()
+    z, _ = spec.quadrature()
     r_nodes = np.asarray(r_nodes, dtype=float)
     R_nodes = np.asarray(R_nodes, dtype=float)
     if r_nodes.shape[-1] != z.size or R_nodes.shape[-1] != z.size:
@@ -102,9 +102,6 @@ def hamiltonian(model: ModelSpec, spec, t1, t2, x, y, a, r_nodes, v,
     t1, t2, x, y, a, v, p, q, k = np.broadcast_arrays(
         *(np.asarray(u, dtype=float)
           for u in (t1, t2, x, y, a, v, p, q, k)))
-    shape = t1.shape + (z.size,)
-    r_nodes = np.broadcast_to(r_nodes, shape)
-    R_nodes = np.broadcast_to(R_nodes, shape)
     e = (Ellipsis, None)
     fv = np.asarray(model.f(t1, t2, x, v), dtype=float)
     sv = np.asarray(model.sigma(t1, t2, x, v), dtype=float)
@@ -113,8 +110,8 @@ def hamiltonian(model: ModelSpec, spec, t1, t2, x, y, a, r_nodes, v,
                     dtype=float)
     lv = np.asarray(model.l(t1[e], t2[e], x[e], y[e], a[e], r_nodes, v[e]),
                     dtype=float)
-    inner = np.broadcast_to(p[e] * gv - lv - R_nodes * bv, shape)
-    return q * fv + k * sv - spec.intensity * (inner @ w)
+    return q * fv + k * sv - spec.intensity * spec.integrate(p[e] * gv - lv - R_nodes * bv,
+                                                             t1.shape)
 
 
 def hamiltonian_grad_v(model: ModelSpec, spec, t1, t2, x, y, a, r_nodes, v,
@@ -184,7 +181,7 @@ def _nodes_interp(z_nodes: np.ndarray, rows: np.ndarray, zq: np.ndarray):
 def _p_forward_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v):
     """Forward Euler for the first adjoint over the padded batch."""
     N, Kmax, du = batch.N, batch.Kmax, batch.du
-    z, w, lam = batch.znodes, batch.w, batch.spec.intensity
+    z, spec, lam = batch.znodes, batch.spec, batch.spec.intensity
     d_gy = model_derivative(model, "g_y")
     d_ly = model_derivative(model, "l_y")
     d_ga = model_derivative(model, "g_a")
@@ -200,16 +197,9 @@ def _p_forward_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v):
         args = (batch.t[:, i, None], u_i, X[:, i, None], Y[:, i, None],
                 A[:, i, None], r[:, i, :], v[:, i, None])
         pi = p[:, i]
-        shape = (N, z.size)
-        gy = np.broadcast_to(np.asarray(d_gy(*args), dtype=float), shape)
-        ly = np.broadcast_to(np.asarray(d_ly(*args), dtype=float), shape)
-        ga = np.broadcast_to(np.asarray(d_ga(*args), dtype=float), shape)
-        la = np.broadcast_to(np.asarray(d_la(*args), dtype=float), shape)
-        gr = np.broadcast_to(np.asarray(d_gr(*args), dtype=float), shape)
-        lr = np.broadcast_to(np.asarray(d_lr(*args), dtype=float), shape)
-        drift = lam * ((gy * pi[:, None] - ly) @ w)
-        diff = lam * ((ga * pi[:, None] - la) @ w)
-        comp = du * lam * ((gr * pi[:, None] - lr) @ w)
+        drift = lam * spec.integrate(d_gy(*args) * pi[:, None] - d_ly(*args), (N,))
+        diff = lam * spec.integrate(d_ga(*args) * pi[:, None] - d_la(*args), (N,))
+        comp = du * lam * spec.integrate(d_gr(*args) * pi[:, None] - d_lr(*args), (N,))
         jump = np.zeros(N)
         sl = slice(batch.ev_start[i], batch.ev_start[i + 1])
         if sl.stop > sl.start:
@@ -254,7 +244,7 @@ def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
     Matching the Brownian and jump parts of q_{i+1} gives k and R.
     """
     N, Kmax, du = batch.N, batch.Kmax, batch.du
-    w, lam = batch.w, batch.spec.intensity
+    spec, lam = batch.spec, batch.spec.intensity
     co = _probe_affine(model, batch, v)
     t, u = batch.t[:, :-1], np.arange(Kmax) * du
     z = batch.znodes
@@ -272,17 +262,15 @@ def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
         raise NotImplementedError(
             "adjoint closure needs cost gradients free of (y, a, r)")
     lc, ls = _affine_in_x(d_lx, lx_args)
-    shape = v.shape + (z.size,)
-    Lx0 = lam * (np.broadcast_to(lc, shape) @ w)
-    Lxx = lam * (np.broadcast_to(ls, shape) @ w)
+    Lx0 = lam * spec.integrate(lc, v.shape)
+    Lxx = lam * spec.integrate(ls, v.shape)
     hc, hs = _affine_in_x(d_hx, (np.asarray(0.0),), pos=0)
     pT = p[np.arange(N), batch.K]
     fx, sx, bx = co["fx"], co["sx"], co["bx"]
-    zero = np.zeros_like(fx)
     qco = dict(co,
-               fx=fx + sx ** 2 + lam * np.einsum("nkq,q->nk", bx ** 2, w),
-               f0=co["f0"] + sx * co["s0"] + lam * np.einsum("nkq,q->nk", bx * co["b0"], w),
-               Gy=fx, Gx=Lxx, G0=Lx0 - co["Gx"] * p[:, :-1], Ga=zero, gr=zero)
+               fx=fx + sx ** 2 + lam * spec.integrate(bx ** 2, v.shape),
+               f0=co["f0"] + sx * co["s0"] + lam * spec.integrate(bx * co["b0"], v.shape),
+               Gy=fx, Gx=Lxx, G0=Lx0 - co["Gx"] * p[:, :-1], Ga=0.0, gr=0.0)
     q, k, R, _, _ = _affine_backward(batch, X, qco, np.full(N, float(hs)),
                                      -model.M_T * pT + float(hc))
     return q, k, R
@@ -291,7 +279,7 @@ def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
 def _q_ode_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
     """Backward implicit Euler for q when the adjoints carry no noise."""
     N, Kmax, du = batch.N, batch.Kmax, batch.du
-    z, w, lam = batch.znodes, batch.w, batch.spec.intensity
+    spec, lam = batch.spec, batch.spec.intensity
     d_fx = model_derivative(model, "f_x")
     d_gx = model_derivative(model, "g_x")
     d_lx = model_derivative(model, "l_x")
@@ -308,16 +296,13 @@ def _q_ode_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
         act = i < batch.K
         u_i = i * du
         qn = np.where(i + 1 <= batch.K, q[:, i + 1], qT)
-        shape = (N, z.size)
         args = (batch.t[:, i, None], u_i, X[:, i, None], Y[:, i, None],
                 A[:, i, None], r[:, i, :], v[:, i, None])
-        gx = np.broadcast_to(np.asarray(d_gx(*args), dtype=float), shape)
-        lx = np.broadcast_to(np.asarray(d_lx(*args), dtype=float), shape)
-        fx = np.asarray(d_fx(batch.t[:, i], u_i, X[:, i], v[:, i]), dtype=float)
-        src = lam * ((lx - gx * p[:, i, None]) @ w)
-        qi = (qn + du * src) / (1.0 - du * np.broadcast_to(fx, (N,)))
+        fx = d_fx(batch.t[:, i], u_i, X[:, i], v[:, i])
+        src = lam * spec.integrate(d_lx(*args) - d_gx(*args) * p[:, i, None], (N,))
+        qi = (qn + du * src) / (1.0 - du * fx)
         q[:, i] = np.where(act, qi, qT)
-    return q, np.zeros((N, Kmax)), np.zeros((N, Kmax, w.size))
+    return q, np.zeros((N, Kmax)), np.zeros((N, Kmax, batch.w.size))
 
 
 def _padded_state(batch: _Batch, solutions):
@@ -452,10 +437,9 @@ class VariationalSolution:
 def _quad_bar(dfun, batch, X, Y, A, r, v, i):
     """Jump-measure average of a driver derivative at one step."""
     u_i = i * batch.du
-    vals = np.asarray(
-        dfun(batch.t[:, i, None], u_i, X[:, i, None], Y[:, i, None],
-             A[:, i, None], r[:, i, :], v[:, i, None]), dtype=float)
-    return np.broadcast_to(vals, (batch.N, batch.w.size)) @ batch.w
+    vals = dfun(batch.t[:, i, None], u_i, X[:, i, None], Y[:, i, None],
+                A[:, i, None], r[:, i, :], v[:, i, None])
+    return batch.spec.integrate(vals, (batch.N,))
 
 
 def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
@@ -469,7 +453,7 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
         raise NotImplementedError(
             "variational solver covers state-affine models only")
     N, Kmax, du = batch.N, batch.Kmax, batch.du
-    z, w, lam = batch.znodes, batch.w, batch.spec.intensity
+    z, lam = batch.znodes, batch.spec.intensity
     t, u = batch.t[:, :-1], np.arange(Kmax) * du
     Xl = X[:, :-1]
     d_fx = model_derivative(model, "f_x")
@@ -503,8 +487,8 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
         for name in gbar:
             gbar[name][:, i] = _quad_bar(dmaps[name], batch, X, Y, A, r, v, i)
         x1 = X1[:, i]
-        comp = du * lam * (((bx[:, i] * x1[:, None] + bv[:, i] * vd[:, i, None])
-                            @ w))
+        comp = du * lam * batch.spec.integrate(
+            bx[:, i] * x1[:, None] + bv[:, i] * vd[:, i, None], (N,))
         jump = np.zeros(N)
         sl = slice(batch.ev_start[i], batch.ev_start[i + 1])
         if sl.stop > sl.start:
@@ -572,7 +556,7 @@ def remainder_convergence_check(model: ModelSpec, control, direction,
     _, X, Y, v, A, r = _batch_cost(model, control, batch, method=method)
     X1, Y1, A1, r1, _ = _variational_batch(model, control, direction, batch,
                                            X, Y, A, r, v)
-    du, lam, w = batch.du, batch.spec.intensity, batch.w
+    du, lam = batch.du, batch.spec.intensity
     rows = []
     for rho in rhos:
         pert = PerturbedControl(control, direction, float(rho))
@@ -586,7 +570,8 @@ def remainder_convergence_check(model: ModelSpec, control, direction,
             x2=float(np.max(np.mean(Xt ** 2, axis=0))),
             y2=float(np.max(np.mean(Yt ** 2, axis=0))),
             a2=float(np.mean(np.sum(At ** 2, axis=1)) * du),
-            r2=float(np.mean(np.sum((rt ** 2) @ w, axis=1)) * du * lam),
+            r2=float(np.mean(np.sum(batch.spec.integrate(rt ** 2, rt.shape[:-1]), axis=1))
+                     * du * lam),
         ))
     return rows
 
@@ -607,7 +592,7 @@ def gateaux_consistency_check(model: ModelSpec, control, direction,
     X1, Y1, A1, r1, vd = _variational_batch(model, control, direction, batch,
                                             X, Y, A, r, v)
     N, Kmax, du = batch.N, batch.Kmax, batch.du
-    lam, w = batch.spec.intensity, batch.w
+    lam = batch.spec.intensity
     names = ("l_x", "l_y", "l_a", "l_r", "l_v")
     dmaps = {name: model_derivative(model, name) for name in names}
     rhs_p = np.zeros(N)
@@ -616,16 +601,11 @@ def gateaux_consistency_check(model: ModelSpec, control, direction,
         u_i = i * du
         args = (batch.t[:, i, None], u_i, X[:, i, None], Y[:, i, None],
                 A[:, i, None], r[:, i, :], v[:, i, None])
-        shape = (N, w.size)
-        lx = np.broadcast_to(np.asarray(dmaps["l_x"](*args), dtype=float), shape)
-        ly = np.broadcast_to(np.asarray(dmaps["l_y"](*args), dtype=float), shape)
-        la = np.broadcast_to(np.asarray(dmaps["l_a"](*args), dtype=float), shape)
-        lr = np.broadcast_to(np.asarray(dmaps["l_r"](*args), dtype=float), shape)
-        lv = np.broadcast_to(np.asarray(dmaps["l_v"](*args), dtype=float), shape)
+        lx, ly, la, lr, lv = (dmaps[name](*args) for name in names)
         integrand = (lx * X1[:, i, None] + ly * Y1[:, i, None]
                      + la * A1[:, i, None] + lr * r1[:, i, :]
                      + lv * vd[:, i, None])
-        rhs_p += np.where(act, lam * du * (integrand @ w), 0.0)
+        rhs_p += np.where(act, lam * du * batch.spec.integrate(integrand, (N,)), 0.0)
     d_hx = model_derivative(model, "h_x")
     d_gam = model_derivative(model, "gamma_y")
     XT = X[np.arange(N), batch.K]

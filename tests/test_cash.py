@@ -21,18 +21,22 @@ from tcfbsde.cash import (
 )
 from tcfbsde.fbsde import (
     ConstantControl,
+    ModelSpec,
     PerturbedControl,
     StepwiseControl,
     build_model,
+    evaluate_cost,
     make_ensemble,
 )
 from tcfbsde.smp import (
     AdjointSolution,
     check_necessary_condition,
     check_sufficient_condition_hypotheses,
+    gateaux_consistency_check,
     hamiltonian,
     hamiltonian_grad_v,
     model_derivative,
+    remainder_convergence_check,
     solve_adjoint_ensemble,
 )
 
@@ -423,6 +427,67 @@ def test_certificate_is_byte_deterministic():
     c = certify_optimality(CashSpec(), [ConstantControl(1.0)],
                            ensemble_size=48, seed=14)
     assert a.to_json() != c.to_json()
+
+
+def _reshaped_twin(model, reshape):
+    """``model`` with the value of every map and derivative passed through
+    ``reshape(value, args)``; the closed-form dH/dv is kept as it is."""
+    def wrap(fn):
+        return lambda *args: reshape(np.asarray(fn(*args), dtype=float), args)
+
+    maps = {name: wrap(getattr(model, name))
+            for name in ("f", "sigma", "b", "g", "phi", "l", "h", "gamma")}
+    return ModelSpec(**maps, control_set=model.control_set, x0=model.x0, M_T=model.M_T,
+                     linear=model.linear, adjoint_deterministic=model.adjoint_deterministic,
+                     derivatives={name: wrap(d) for name, d in model.derivatives.items()},
+                     hamiltonian_v=model.hamiltonian_v, name=model.name)
+
+
+def _materialised(value, args):
+    """A fresh array of the arguments' full broadcast shape."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    return np.broadcast_to(value, shape).copy()
+
+
+def _squeezed(value, args):
+    """The value cut to length 1 along every axis it does not vary on."""
+    for ax in range(value.ndim):
+        first = value.take([0], axis=ax)
+        if np.all(value == first) and np.all(np.signbit(value) == np.signbit(first)):
+            value = first
+    return value
+
+
+def test_results_do_not_depend_on_map_shapes():
+    """The solvers broadcast whatever a model map returns, so the pad-free
+    cash model, a twin whose maps return materialised arrays of their
+    arguments' full shape and a twin whose maps return the smallest shape
+    that broadcasts give the same bits everywhere."""
+    spec = CashSpec()
+    ustar, bundles, adjs = rebuilt_optimum(spec, DU, 48, 5)
+    base = build_cash_model(spec)
+    direction, rhos = ConstantControl(1.0), [0.1, 0.05]
+    outputs = []
+    for model in (base, _reshaped_twin(base, _materialised), _reshaped_twin(base, _squeezed)):
+        sols = _solved_ensemble(model, ustar, bundles)
+        gen = solve_adjoint_ensemble(model, ustar, bundles, sols)
+        outputs.append(dict(
+            cost=evaluate_cost(model, ustar, bundles).per_path,
+            adjoints=[np.concatenate([a.p, a.q, a.k, a.R.ravel()]) for a in gen],
+            margins=json.dumps(check_necessary_condition(
+                model, ustar, bundles, sols, adjs, count=16).margins),
+            gateaux=json.dumps(gateaux_consistency_check(
+                model, ustar, direction, rhos, bundles)),
+            remainder=json.dumps(remainder_convergence_check(
+                model, ustar, direction, rhos, bundles)),
+        ))
+    ref = outputs[0]
+    for out in outputs[1:]:
+        assert np.array_equal(out["cost"], ref["cost"])
+        for mine, theirs in zip(out["adjoints"], ref["adjoints"]):
+            assert np.array_equal(mine, theirs)
+        for name in ("margins", "gateaux", "remainder"):
+            assert out[name] == ref[name], name
 
 
 def test_sufficiency_hypotheses_hold():

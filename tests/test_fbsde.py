@@ -391,25 +391,38 @@ def test_cost_chunking_and_row_labels():
     assert not np.array_equal(whole.per_path, alt.per_path)
 
 
-@pytest.mark.parametrize("name, method, make_control", [
-    ("linear_test", None, StepwiseControl),
-    ("linear_test", "ode", StepwiseControl),
-    ("quadratic_drift", "lsmc", StepwiseControl),
-    ("quadratic_drift", "lsmc", lambda rows: ConstantControl(0.5)),
+@pytest.mark.parametrize("name, method, make_control, node_cost", [
+    ("linear_test", None, StepwiseControl, False),
+    ("linear_test", "ode", StepwiseControl, False),
+    ("quadratic_drift", "lsmc", StepwiseControl, False),
+    ("quadratic_drift", "lsmc", lambda rows: ConstantControl(0.5), False),
     ("quadratic_drift", "lsmc",
-     lambda rows: FeedbackControl(lambda t1, t2, x: 0.5 + 0.1 * np.tanh(x))),
-], ids=["affine-table", "ode-table", "lsmc-table", "lsmc-constant", "lsmc-feedback"])
+     lambda rows: FeedbackControl(lambda t1, t2, x: 0.5 + 0.1 * np.tanh(x)), False),
+    ("linear_test", None, StepwiseControl, True),
+], ids=["affine-table", "ode-table", "lsmc-table", "lsmc-constant", "lsmc-feedback",
+        "affine-node-cost"])
 def test_cost_is_bitwise_chunk_invariant_on_ragged_ensemble(name, method, make_control,
-                                                            monkeypatch):
+                                                            node_cost, monkeypatch):
     """K-sorted batches must scatter every path's cost back to its own
     ensemble position, whatever the chunk size.  The ODE regime solves
     the rows of a batch together and freezes each at its horizon.  Under
     LSMC the outer paths of a batch share one regression sweep, whose
-    inner rows must read their own outer path's control."""
-    model, jump, _, _ = build_model(name)
-    bundles = ragged_bundles(RAGGED_STEPS, jump_spec=jump)
-    n, kmax = len(bundles), max(RAGGED_STEPS)
-    rows = 0.1 + 0.05 * np.arange(n)[:, None] + 0.01 * np.arange(kmax)
+    inner rows must read their own outer path's control.  With
+    ``node_cost`` the running cost varies over the quadrature nodes, so
+    its jump-measure sum must be row-local too.  The ten ragged paths sum
+    alike even under a BLAS product, so that case runs on the 64-path
+    seed-0 ensemble, where such a product made 4 paths depend on the chunk."""
+    model, jump, sub, p = build_model(name)
+    if node_cost:
+        base_l = model.l
+        model.l = lambda t1, t2, x, y, a, r, v: base_l(t1, t2, x, y, a, r, v) + r**2
+        bundles = make_ensemble(sub, jump, p["horizon"], p["step"], 64, master_seed=0)
+    else:
+        bundles = ragged_bundles(RAGGED_STEPS, jump_spec=jump)
+    steps = np.array([b.solver_steps for b in bundles])
+    n, kmax = len(bundles), steps.max()
+    # wrapped to stay inside the control box on long ensembles
+    rows = (0.1 + 0.05 * np.arange(n)[:, None] + 0.01 * np.arange(kmax)) % 1.5
     ctl = make_control(rows)
     one, three, whole = (evaluate_cost(model, ctl, bundles, method=method, chunk=c).per_path
                          for c in (1, 3, 512))
@@ -426,7 +439,7 @@ def test_cost_is_bitwise_chunk_invariant_on_ragged_ensemble(name, method, make_c
         grouped = evaluate_cost(model, ctl, bundles, method=method).per_path
         assert np.array_equal(whole, grouped)
     # a zero-step path costs gamma(Y_0) = -(phi(0) + M_T x0) and nothing else
-    zero = np.array(RAGGED_STEPS) == 0
+    zero = steps == 0
     assert np.all(whole[zero] == -model.x0)
     assert np.unique(whole[~zero]).size == n - zero.sum()
 
@@ -436,15 +449,15 @@ def test_picard_step_is_row_local():
     it, or batched backward solves lose chunk invariance."""
     model = mk_model(g=lambda t1, t2, x, y, a, r, v: x * r**2 + y + 0.0 * (a + v))
     spec = LevyJumpSpec(c=1.0, intensity=2.0)
-    z, w = spec.quadrature()
+    z, _ = spec.quadrature()
     rng = np.random.default_rng(0)
     n = 300
     t, x, ey, a, v = rng.normal(size=(5, n)) * 10.0 ** rng.uniform(-3, 3, size=(5, n))
     r = rng.normal(size=(n, z.size))
-    whole = fbsde._picard(model, spec, t, 0.1, x, ey, a, r, v, w, 0.01, 3)
+    whole = fbsde._picard(model, spec, t, 0.1, x, ey, a, r, v, 0.01, 3)
     for lo, hi in [(i, i + 1) for i in range(n)] + [(3, 10), (7, 290)]:
         part = fbsde._picard(model, spec, t[lo:hi], 0.1, x[lo:hi], ey[lo:hi], a[lo:hi],
-                             r[lo:hi], v[lo:hi], w, 0.01, 3)
+                             r[lo:hi], v[lo:hi], 0.01, 3)
         assert np.array_equal(part, whole[lo:hi])
 
 

@@ -345,8 +345,8 @@ def _euler_ingredients(seed, K=120, du=0.01, sigma=0.25, lam=2.0):
                     + event_b[here].sum() - lam * du * float(nodes[i] @ w))
     return SimpleNamespace(
         grid=grid, X=X, calendar_times=grid.points(), dB=dB, drift=drift,
-        vol=np.full(K, sigma), jump_nodes=nodes, jump_weights=w,
-        jump_intensity=lam, event_steps=steps, event_b=event_b,
+        vol=np.full(K, sigma), jump_nodes=nodes, jump_spec=spec,
+        event_steps=steps, event_b=event_b,
     ), sigma, du
 
 
