@@ -31,21 +31,22 @@ import numpy as np
 from .fbsde import (
     Box,
     ConstantControl,
-    FBSDESolution,
     ModelSpec,
     PathBundle,
     PerturbedControl,
     StepwiseControl,
     TableControl,
-    _batch_cost,
-    _sorted_batches,
+    _hold,
+    _solved_ensemble,
     as_control,
+    as_ensemble,
     evaluate_cost,
     make_ensemble,
 )
 from .noise import LevyJumpSpec
 from .smp import (
     AdjointSolution,
+    EnsembleAdjoint,
     OptimalityReport,
     check_necessary_condition,
     gateaux_consistency_check,
@@ -59,11 +60,7 @@ def _time_map(value):
     if callable(value):
         return value
     const = float(value)
-
-    def const_map(t):
-        return const
-
-    return const_map
+    return lambda t: const
 
 
 def _eta_map(value):
@@ -71,11 +68,7 @@ def _eta_map(value):
     if callable(value):
         return value
     slope = float(value)
-
-    def linear_map(t, z):
-        return slope * np.asarray(z, dtype=float)
-
-    return linear_map
+    return lambda t, z: slope * np.asarray(z, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -197,78 +190,61 @@ def build_cash_model(spec: CashSpec) -> ModelSpec:
     )
 
 
-def cash_adjoints(spec: CashSpec, bundle: PathBundle) -> AdjointSolution:
-    """Both adjoints along one subordinator path, from the explicit forms.
+def cash_adjoints(spec: CashSpec, bundles):
+    """Both adjoints along each subordinator path, from the explicit forms.
 
     p steps exactly, multiplying by exp(-mu1 du) per solver step; q comes
     from implicit Euler on dq = (mu1 q + mu2 p) dE ending at q(T) = -p(T).
     The adjoint pair is deterministic given the clock, so the Brownian
-    and jump integrands are identically zero.
+    and jump integrands are identically zero.  One bundle gives its
+    AdjointSolution; an ensemble gives an EnsembleAdjoint in ensemble
+    order.
     """
-    if bundle.subordinator.passage_time is None:
-        raise ValueError("bundle lacks a passage time; the adjoint horizon "
-                         "is undefined")
-    K = bundle.solver_steps
-    du = bundle.subordinator.grid.step
-    p = np.exp(-spec.mu1 * du * np.arange(K + 1))
-    q = np.empty(K + 1)
-    q[K] = -p[K]
+    single = isinstance(bundles, PathBundle)
+    ens = as_ensemble([bundles] if single else bundles)
+    K, du = ens.K, ens.du
+    N, Kmax = K.size, int(K.max())
+    p = np.exp(-spec.mu1 * du * np.minimum(np.arange(Kmax + 1), K[:, None]))
+    q = np.empty((N, Kmax + 1))
+    q[:, Kmax] = -p[:, Kmax]
     shrink = 1.0 / (1.0 + du * spec.mu1)
-    for i in range(K - 1, -1, -1):
-        q[i] = (q[i + 1] - du * spec.mu2 * p[i]) * shrink
-    n_quad = spec.jump.quadrature()[0].size
-    return AdjointSolution(
-        grid=bundle.solver_grid,
-        calendar_times=bundle.calendar_times().copy(),
-        p=p,
-        q=q,
-        k=np.zeros(K),
-        R=np.zeros((K, n_quad)),
-    )
+    for i in range(Kmax - 1, -1, -1):
+        q[:, i] = np.where(i < K, (q[:, i + 1] - du * spec.mu2 * p[:, i]) * shrink,
+                           q[:, i + 1])
+    adj = EnsembleAdjoint(K=K, du=du, t=ens.padded(ens.times, np.arange(N)), p=p, q=q,
+                          k=np.zeros((N, Kmax)), R=np.zeros((N, Kmax, spec.jump.n_quad)))
+    return adj[0] if single else adj
 
 
 def cash_optimal_control(spec: CashSpec, adjoints) -> StepwiseControl:
     """The rate that zeroes dH/dv along each supplied adjoint path.
 
-    Accepts one AdjointSolution or a sequence; the result's rows follow
-    the input order, which must be the ensemble order the bundles were
-    sampled in, because stepwise controls look their rows up by ensemble
-    position.  Adjoint values enter at the left endpoint of each solver
-    step, the same point the margin integrals read, so the first-order
-    condition holds to rounding rather than to O(du).
+    Accepts one AdjointSolution or an EnsembleAdjoint; the result's rows
+    follow the ensemble order, which stepwise controls look their rows up
+    by.  Adjoint values enter at the left endpoint of each solver step,
+    the same point the margin integrals read, so the first-order
+    condition holds to rounding rather than to O(du).  Past a path's
+    horizon its row holds its last rate; a path with no solver steps
+    parks at the benchmark rate.
     """
     if isinstance(adjoints, AdjointSolution):
-        adjoints = [adjoints]
-    adjoints = list(adjoints)
-    if not adjoints:
-        raise ValueError("no adjoint paths supplied")
-    # degenerate zero-step paths carry no grid; the step check only
-    # applies between paths that actually have one
-    steps = [adj.grid.step for adj in adjoints if adj.grid is not None]
-    du = steps[0] if steps else None
-    z, _ = spec.jump.quadrature()
-    sig, eta, kap = spec.maps()
-    n_steps = max(max(adj.p.size - 1 for adj in adjoints), 1)
-    rows = np.empty((len(adjoints), n_steps))
-    for n, adj in enumerate(adjoints):
-        if adj.grid is not None and abs(adj.grid.step - du) > 1e-12 * du:
-            raise ValueError("grid mismatch: adjoint paths use different steps")
+        adj = adjoints
         K = adj.p.size - 1
         if (adj.q.size != K + 1 or adj.k.size != K
-                or adj.R.shape != (K, z.size) or adj.calendar_times.size != K + 1):
+                or adj.R.shape != (K, spec.jump.n_quad) or adj.calendar_times.size != K + 1):
             raise ValueError("grid mismatch: adjoint components disagree "
                              "on the step count")
-        t = adj.calendar_times[:K]
-        slope = (spec.beta1 * adj.q[:K] + sig(t) * adj.k
-                 - spec.beta2 * adj.p[:K]
-                 + spec.jump.intensity * spec.jump.integrate(adj.R * eta(t[:, None], z), (K,)))
-        if K > 0:
-            rows[n, :K] = kap(t) - slope
-            rows[n, K:] = rows[n, K - 1]
-        else:
-            # degenerate path with no solver steps: park the benchmark rate
-            rows[n, :] = kap(adj.calendar_times[0])
-    return StepwiseControl(rows)
+        adjoints = EnsembleAdjoint(K=np.array([K]), du=None, t=adj.calendar_times[None],
+                                   p=adj.p[None], q=adj.q[None], k=adj.k[None], R=adj.R[None])
+    z, _ = spec.jump.quadrature()
+    sig, eta, kap = spec.maps()
+    t = adjoints.t[:, :-1]
+    slope = (spec.beta1 * adjoints.q[:, :-1] + sig(t) * adjoints.k
+             - spec.beta2 * adjoints.p[:, :-1]
+             + spec.jump.intensity * spec.jump.integrate(
+                 adjoints.R * eta(t[..., None], z), t.shape))
+    return StepwiseControl(_hold(kap(t) - slope, adjoints.K, kap(adjoints.t[:, 0]),
+                                 max(t.shape[1], 1)))
 
 
 def _describe(control) -> str:
@@ -282,28 +258,6 @@ def _describe(control) -> str:
     if isinstance(control, TableControl):
         return "calendar table"
     return type(control).__name__
-
-
-def _solved_ensemble(model: ModelSpec, control, bundles, chunk: int = 512):
-    """Forward and backward components for every bundle, in ensemble order.
-
-    The solves run in K-sorted batches of at most ``chunk`` paths; each
-    path's solution is copied out of its batch row to its ensemble
-    position, so the result does not depend on ``chunk``.
-    """
-    control = as_control(control)
-    sols = [None] * len(bundles)
-    for idx, batch in _sorted_batches(bundles, chunk):
-        _, X, Y, v, A, r = _batch_cost(model, control, batch)
-        for pth, bnd in enumerate(batch.bundles):
-            kk = int(batch.K[pth])
-            sols[idx[pth]] = FBSDESolution(
-                clock="operational", grid=bnd.solver_grid, calendar_grid=None,
-                X=X[pth, : kk + 1].copy(), Y=Y[pth, : kk + 1].copy(),
-                A=A[pth, :kk].copy(), r=r[pth, :kk, :].copy(),
-                calendar_times=batch.t[pth, : kk + 1].copy(),
-                control_values=v[pth, :kk].copy())
-    return sols
 
 
 def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
@@ -328,7 +282,7 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
     model = build_cash_model(spec)
     bundles = make_ensemble(spec.subordinator, spec.jump, spec.horizon,
                             step, ensemble_size, seed)
-    adjs = [cash_adjoints(spec, b) for b in bundles]
+    adjs = cash_adjoints(spec, bundles)
     ustar = cash_optimal_control(spec, adjs)
     base = evaluate_cost(model, ustar, bundles)
     gap_rows = []
@@ -342,10 +296,11 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
                              gap=float(diff.mean()), se=se,
                              cost=est.mean, cost_se=est.std_error))
     head = min(len(bundles), max(int(margin_paths), 2))
-    sols = _solved_ensemble(model, ustar, bundles[:head])
-    margins = check_necessary_condition(model, ustar, bundles[:head],
-                                        sols, adjs[:head],
-                                        count=margin_count, seed=seed)
+    lead = bundles[:head]
+    margins = check_necessary_condition(model, ustar, lead,
+                                        _solved_ensemble(model, ustar, lead),
+                                        cash_adjoints(spec, lead), count=margin_count,
+                                        seed=seed)
     conv_rows, rem_rows = [], []
     if expansion_rhos:
         sub = bundles[: min(len(bundles), max(int(expansion_paths), 2))]

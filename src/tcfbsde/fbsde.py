@@ -4,12 +4,19 @@ Everything here runs on the operational clock.  Conditional on one
 subordinator trajectory the dual system is a classical FBSDE with
 deterministic time dependence, so each path is solved on its own grid
 [0, E_T] and mapped to calendar time afterwards by composition with the
-inverse staircase.  Ensembles are ragged (every path has its own random
-horizon, heavy-tailed in its step count); batched internals pad to the
-longest grid and mask the rest.  Ensemble-wide solves sort the paths by
-step count and cut that order into batches, so a batch pads only to
-paths of similar horizon, and scatter per-path results back to ensemble
-order.
+inverse staircase.
+
+Ensembles are ragged: every path has its own random horizon, heavy-tailed
+in its step count K.  An Ensemble packs the paths' calendar times,
+Brownian values and solver events once, into flat arrays with per-path
+offsets, and gathers the padded layout of any rows from them (a _Batch,
+width Kmax, cells past a row's horizon held or zero).  Ensemble-wide
+solves sort the rows by K and cut that order into batches, so a batch
+pads only to paths of similar horizon, and scatter per-row results back
+to ensemble order; solved ensembles stay padded (EnsembleSolution) up to
+the certificate.  A path reads the control row of its label: its
+position in the ensemble an entry point is given, or the seeds["path"]
+of a bundle solved alone.
 
 Every backward solve goes through one dispatcher, _backward_batch, which
 resolves the regime (backward_method) and runs that regime's batched
@@ -39,6 +46,7 @@ randomness is derived from a master seed through named substreams, and
 reductions run in path order, so results are reproducible bit for bit.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -134,9 +142,11 @@ class TableControl:
 class StepwiseControl:
     """Per-path open-loop values on the operational solver grid.
 
-    Row p holds path p's control at steps 0..K_p-1 (padding beyond is
-    ignored).  This is how path-dependent optimal controls are stored:
-    the calendar-time value at t is the row entry at step E(t)/du.
+    Row p holds the control at steps 0..K_p-1 of the path labelled p
+    (padding beyond is ignored): the path at position p of the ensemble
+    an entry point is given, or a bundle with seeds["path"] = p solved
+    alone.  This is how path-dependent optimal controls are stored: the
+    calendar-time value at t is the row entry at step E(t)/du.
     """
 
     state_free = True
@@ -251,6 +261,12 @@ class ModelSpec:
 
 # ------------------------------------------------------------------- bundles
 
+def _solver_grid(du: float, k: int) -> OperationalGrid | None:
+    # a path without solver steps (its first increment already overshoots
+    # the horizon) has no grid: OperationalGrid requires at least one step
+    return OperationalGrid(step=du, horizon=du * k) if k else None
+
+
 @dataclass
 class PathBundle:
     """One joint draw of the driving noises plus its seed bookkeeping.
@@ -275,32 +291,84 @@ class PathBundle:
 
     @property
     def solver_grid(self) -> OperationalGrid | None:
-        # a path whose first increment already overshoots the calendar
-        # horizon has no solver steps; OperationalGrid requires at least
-        # one, so such degenerate paths carry no grid at all
-        if self.solver_steps == 0:
-            return None
-        du = self.subordinator.grid.step
-        return OperationalGrid(step=du, horizon=du * self.solver_steps)
+        return _solver_grid(self.subordinator.grid.step, self.solver_steps)
 
     def calendar_times(self) -> np.ndarray:
         return self.subordinator.values[: self.solver_steps + 1]
 
-    def d_brownian(self) -> np.ndarray:
-        return np.diff(self.brownian.values[: self.solver_steps + 1])
 
-    def solver_events(self):
-        """Jump events inside the solver horizon, bucketed to their step."""
-        du = self.subordinator.grid.step
-        t = self.jumps.times
-        keep = t <= self.solver_steps * du + 1e-12 * du
-        steps = np.ceil(t[keep] / du - 1e-12).astype(int) - 1
-        return np.maximum(steps, 0), self.jumps.marks[keep]
+class Ensemble:
+    """Bundles packed once: path p's calendar times D(i du) and Brownian
+    values B(i du), i = 0..K_p, sit in the flat arrays ``times`` and
+    ``brownian`` from ``start[p]`` on, and its ``ev_n[p]`` jump events
+    inside the solver horizon, bucketed to their step, in ``ev_step`` and
+    ``ev_mark`` from ``ev_lo[p]`` on.  The solvers read no PathBundle
+    after the pack; ``rows`` gathers the padded layout of any rows.
+
+    An integer index returns one bundle (so an Ensemble iterates over its
+    bundles); a slice or an index array returns the ensemble of those
+    rows, which shares the flat arrays.
+    """
+
+    def __init__(self, bundles):
+        self.bundles = list(bundles)
+        if not self.bundles:
+            raise ValueError("ensemble is empty")
+        du = self.bundles[0].subordinator.grid.step
+        for b in self.bundles:
+            if abs(b.subordinator.grid.step - du) > 1e-12 * du:
+                raise ValueError("grid mismatch: bundles in one ensemble must share the step")
+            if b.subordinator.passage_time is None:
+                raise ValueError("bundle lacks a passage time; its solver horizon "
+                                 "is undefined")
+        self.du, self.spec = du, self.bundles[0].jump_spec
+        K = self.K = np.array([b.solver_steps for b in self.bundles])
+        self.start = np.cumsum(K + 1) - (K + 1)
+        self.times = np.concatenate([b.calendar_times() for b in self.bundles])
+        self.brownian = np.concatenate([b.brownian.values[: k + 1]
+                                        for b, k in zip(self.bundles, K)])
+        owner = np.repeat(np.arange(K.size), [b.jumps.times.size for b in self.bundles])
+        t = np.concatenate([b.jumps.times for b in self.bundles])
+        keep = t <= K[owner] * du + 1e-12 * du
+        self.ev_step = np.maximum(np.ceil(t[keep] / du - 1e-12).astype(int) - 1, 0)
+        self.ev_mark = np.concatenate([b.jumps.marks for b in self.bundles])[keep]
+        self.ev_n = np.bincount(owner[keep], minlength=K.size)
+        self.ev_lo = np.cumsum(self.ev_n) - self.ev_n
+
+    def __len__(self):
+        return self.K.size
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self.bundles[key]
+        idx = np.arange(len(self))[key]
+        if idx.size == 0:
+            raise ValueError("ensemble is empty")
+        sub = copy.copy(self)
+        sub.bundles = [self.bundles[i] for i in idx]
+        sub.K, sub.start, sub.ev_n, sub.ev_lo = (
+            a[idx] for a in (self.K, self.start, self.ev_n, self.ev_lo))
+        return sub
+
+    def padded(self, flat, idx):
+        """``flat`` (times or brownian) of rows ``idx`` over steps 0..max K,
+        each row held at its own step K past its horizon."""
+        K = self.K[idx]
+        return flat[self.start[idx, None] + np.minimum(np.arange(K.max() + 1), K[:, None])]
+
+    def rows(self, idx=None, labels=None) -> "_Batch":
+        """The padded layout of rows ``idx`` (all, in order, by default)."""
+        return _Batch(self, np.arange(len(self)) if idx is None else idx, labels)
+
+
+def as_ensemble(bundles) -> Ensemble:
+    """An Ensemble as it is; any other sequence of bundles packed once."""
+    return bundles if isinstance(bundles, Ensemble) else Ensemble(bundles)
 
 
 def make_ensemble(sub_spec: SubordinatorSpec, jump_spec: LevyJumpSpec,
                   calendar_horizon: float, step: float, n_paths: int,
-                  master_seed: int, pairing=None) -> list:
+                  master_seed: int, pairing=None) -> Ensemble:
     """Sample n_paths independent bundles from named per-path substreams.
 
     ``pairing`` optionally re-pairs subordinator draws with the Brownian
@@ -328,7 +396,7 @@ def make_ensemble(sub_spec: SubordinatorSpec, jump_spec: LevyJumpSpec,
             jump_spec=jump_spec, calendar_horizon=calendar_horizon,
             seeds={"master": int(master_seed), "path": i, "noise_index": j},
         ))
-    return bundles
+    return Ensemble(bundles)
 
 
 # ----------------------------------------------------------------- solutions
@@ -361,6 +429,32 @@ class FBSDESolution:
 
 
 @dataclass
+class EnsembleSolution:
+    """Solved paths in the padded layout, row n holding path n of the
+    ensemble.  Past its horizon a row holds t, X and Y at their terminal
+    values and v at its last value (0 on a zero-step path); A and r are
+    zero there.  Index n gives path n's FBSDESolution as views (and
+    iteration gives every path's).
+    """
+
+    K: np.ndarray
+    du: float
+    t: np.ndarray
+    X: np.ndarray
+    Y: np.ndarray
+    A: np.ndarray
+    r: np.ndarray
+    v: np.ndarray
+
+    def __getitem__(self, n):
+        k = int(self.K[n])
+        return FBSDESolution(
+            clock="operational", grid=_solver_grid(self.du, k), calendar_grid=None,
+            X=self.X[n, : k + 1], Y=self.Y[n, : k + 1], A=self.A[n, :k], r=self.r[n, :k],
+            calendar_times=self.t[n, : k + 1], control_values=self.v[n, :k])
+
+
+@dataclass
 class CostEstimate:
     mean: float
     std_error: float
@@ -370,59 +464,62 @@ class CostEstimate:
 # ------------------------------------------------------------ forward solver
 
 class _Batch:
-    """Padded arrays for a chunk of bundles solved together.
-
-    ``labels`` are the ensemble positions handed to per-path controls,
-    so chunking never changes which control row a path reads.
+    """Padded rows ``idx`` of a packed ensemble: row n holds path idx[n]'s
+    calendar times t (held at t_K past its horizon) and Brownian
+    increments dB (zero past it); event e falls in step ev_s[e] of row
+    ev_p[e] with mark ev_z[e], sorted by step from ev_start[step] on.
+    ``labels`` are the control rows the paths read, their ensemble
+    positions unless given, so sorting and chunking never change them.
     """
 
-    def __init__(self, bundles, labels=None):
-        self.bundles = list(bundles)
-        self.N = len(self.bundles)
-        if labels is None:
-            labels = [b.seeds.get("path", i) for i, b in enumerate(self.bundles)]
-        self.labels = np.asarray(labels, dtype=int)
-        du = self.bundles[0].subordinator.grid.step
-        for b in self.bundles:
-            if abs(b.subordinator.grid.step - du) > 1e-12 * du:
-                raise ValueError("bundles in one ensemble must share the step")
-        self.du = du
-        self.K = np.array([b.solver_steps for b in self.bundles], dtype=int)
-        self.Kmax = int(self.K.max())
-        self.t = np.empty((self.N, self.Kmax + 1))
-        self.dB = np.zeros((self.N, self.Kmax))
-        events = []
-        for p, b in enumerate(self.bundles):
-            k = self.K[p]
-            ct = b.calendar_times()
-            self.t[p, : k + 1] = ct
-            self.t[p, k + 1:] = ct[-1]
-            self.dB[p, :k] = b.d_brownian()
-            events.append(b.solver_events())
-        ev_p = np.repeat(np.arange(self.N), [steps.size for steps, _ in events])
-        ev_s = np.concatenate([steps for steps, _ in events])
-        ev_z = np.concatenate([marks for _, marks in events])
-        order = np.argsort(ev_s, kind="stable")
-        self.ev_p, self.ev_s, self.ev_z = ev_p[order], ev_s[order], ev_z[order]
-        self.ev_start = np.searchsorted(self.ev_s, np.arange(self.Kmax + 1))
-        self.spec = self.bundles[0].jump_spec
+    def __init__(self, ens: Ensemble, idx, labels=None):
+        idx = np.asarray(idx, dtype=int)
+        self.ens, self.idx, self.N = ens, idx, idx.size
+        self.labels = idx if labels is None else np.asarray(labels, dtype=int)
+        self.du, self.spec = ens.du, ens.spec
         self.znodes, self.w = self.spec.quadrature()
+        self.K = ens.K[idx]
+        self.Kmax = int(self.K.max())
+        self.t = ens.padded(ens.times, idx)
+        B = ens.padded(ens.brownian, idx)
+        self.dB = B[:, 1:] - B[:, :-1]
+        n_ev = ens.ev_n[idx]
+        ev_p = np.repeat(np.arange(self.N), n_ev)
+        at = np.arange(ev_p.size) + np.repeat(ens.ev_lo[idx] - (np.cumsum(n_ev) - n_ev), n_ev)
+        ev_s = ens.ev_step[at]
+        order = np.argsort(ev_s, kind="stable")
+        self.ev_p, self.ev_s, self.ev_z = ev_p[order], ev_s[order], ens.ev_mark[at][order]
+        self.ev_start = np.searchsorted(self.ev_s, np.arange(self.Kmax + 1))
 
 
-def _sorted_batches(bundles, chunk: int):
+def _single(bundle: PathBundle) -> _Batch:
+    """The one-row batch of a bundle, labelled by its own seed index."""
+    return Ensemble([bundle]).rows([0], labels=[bundle.seeds.get("path", 0)])
+
+
+def _sorted_batches(ens: Ensemble, chunk: int):
     """Yield (idx, batch) over an ensemble cut into K-sorted batches.
 
-    The bundles are stable-sorted by solver steps and the order is cut
-    into batches of at most ``chunk`` paths, so each batch pads only to
-    paths of similar horizon.  ``idx`` holds the ensemble positions of
-    the batch rows, which are also the batch labels; callers scatter
-    per-row results back with it, so everything downstream sees
-    ensemble order.
+    The rows are stable-sorted by solver steps and the order is cut into
+    batches of at most ``chunk`` rows, so each batch pads only to paths
+    of similar horizon.  ``idx`` holds the ensemble positions of the
+    batch rows, which are also the batch labels; callers scatter per-row
+    results back with it, so everything downstream sees ensemble order.
     """
-    order = np.argsort([b.solver_steps for b in bundles], kind="stable")
+    order = np.argsort(ens.K, kind="stable")
     for lo in range(0, order.size, chunk):
         idx = order[lo: lo + chunk]
-        yield idx, _Batch([bundles[i] for i in idx], labels=idx)
+        yield idx, ens.rows(idx)
+
+
+def _hold(a, K, park, width: int):
+    """Row p of ``a`` read at columns min(j, K_p - 1), j < width: each row
+    holds its last in-horizon value past its horizon, and a row with
+    K_p = 0 reads ``park`` (a scalar or one value per row) throughout."""
+    a = np.concatenate([a, np.broadcast_to(park, K.shape)[:, None]], axis=1)
+    col = np.where(K[:, None] > 0, np.minimum(np.arange(width), K[:, None] - 1),
+                   a.shape[1] - 1)
+    return np.take_along_axis(a, col, axis=1)
 
 
 def _forward_batch(model: ModelSpec, control, batch: _Batch, keep_nodes=False):
@@ -471,7 +568,7 @@ def solve_forward_dual(model: ModelSpec, control, bundle: PathBundle,
                        keep_ingredients: bool = True) -> FBSDESolution:
     """Forward Euler on [0, E_T] for a single bundle, operational clock."""
     control = as_control(control)
-    batch = _Batch([bundle])
+    batch = _single(bundle)
     X, v, drift, vol, ev_b, nodes = _forward_batch(model, control, batch,
                                                    keep_nodes=keep_ingredients)
     sol = FBSDESolution(
@@ -507,10 +604,9 @@ def _probe_affine(model: ModelSpec, batch: _Batch, v: np.ndarray):
     bx = np.asarray(model.b(t[..., None], u[:, None], 1.0, v[..., None], z),
                     dtype=float) - b0
     g00 = np.asarray(model.g(t, u, 0.0, 0.0, 0.0, 0.0, v), dtype=float)
-    gx = np.asarray(model.g(t, u, 1.0, 0.0, 0.0, 0.0, v), dtype=float) - g00
-    gy = np.asarray(model.g(t, u, 0.0, 1.0, 0.0, 0.0, v), dtype=float) - g00
-    ga = np.asarray(model.g(t, u, 0.0, 0.0, 1.0, 0.0, v), dtype=float) - g00
-    gr = np.asarray(model.g(t, u, 0.0, 0.0, 0.0, 1.0, v), dtype=float) - g00
+    # unit probes in x, y, a and r in turn
+    gx, gy, ga, gr = (np.asarray(model.g(t, u, *e, v), dtype=float) - g00
+                      for e in np.eye(4).tolist())
     return dict(fx=fx, f0=f0, sx=sx, s0=s0, bx=bx, b0=b0,
                 Gy=lam * gy, Gx=lam * gx, Ga=lam * ga, G0=lam * g00, gr=lam * gr)
 
@@ -678,8 +774,9 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
         rows = order[lo: lo + size]
         K = batch.K[rows]
         labels = batch.labels[rows]
-        inner = _Batch([b for p in rows for b in _inner_bundles(batch.bundles[p], n_inner)],
-                       labels=np.repeat(labels, n_inner))
+        inner = Ensemble([b for p in rows for b in _inner_bundles(batch.ens[batch.idx[p]],
+                                                                  n_inner)])
+        inner = inner.rows(labels=np.repeat(labels, n_inner))
         Xi, vi, _, _, _, _ = _forward_batch(model, control, inner)
         if not np.all(np.isfinite(Xi)):
             raise FloatingPointError("basis overflow: non-finite state values")
@@ -799,7 +896,7 @@ def solve_backward_dual(model: ModelSpec, control, bundle: PathBundle,
     control = as_control(control)
     method = backward_method(model, control, method)
     Y, A, r = (out[0] for out in _backward_batch(
-        model, control, _Batch([bundle]), forward.X[None, :],
+        model, control, _single(bundle), forward.X[None, :],
         forward.control_values[None, :], method, n_inner))
     K = bundle.solver_steps
     gap = abs(Y[K] - float(model.phi(forward.X[K])))
@@ -938,11 +1035,9 @@ def evaluate_cost(model: ModelSpec, control, bundles, method=None,
     error are bit-identical for every ``chunk``.
     """
     control = as_control(control)
-    bundles = list(bundles)
-    if not bundles:
-        raise ValueError("ensemble is empty")
-    per_path = np.empty(len(bundles))
-    for idx, batch in _sorted_batches(bundles, chunk):
+    ens = as_ensemble(bundles)
+    per_path = np.empty(len(ens))
+    for idx, batch in _sorted_batches(ens, chunk):
         vals, _, _, _, _, _ = _batch_cost(model, control, batch, method=method)
         per_path[idx] = vals
     mean = float(per_path.mean())
@@ -950,60 +1045,35 @@ def evaluate_cost(model: ModelSpec, control, bundles, method=None,
     return CostEstimate(mean=mean, std_error=se, per_path=per_path)
 
 
+def _solved_ensemble(model: ModelSpec, control, bundles, chunk: int = 512) -> EnsembleSolution:
+    """Forward and backward components of every path, in ensemble order.
+
+    The solves run in K-sorted batches of at most ``chunk`` paths; each
+    batch's rows land at their ensemble positions, held past the batch's
+    width as past their horizon, so the result does not depend on
+    ``chunk``.
+    """
+    control = as_control(control)
+    ens = as_ensemble(bundles)
+    N, Kmax = len(ens), int(ens.K.max())
+    t, X, Y = (np.empty((N, Kmax + 1)) for _ in range(3))
+    A, v = np.zeros((N, Kmax)), np.zeros((N, Kmax))
+    r = np.zeros((N, Kmax, ens.spec.n_quad))
+    for idx, batch in _sorted_batches(ens, chunk):
+        _, Xb, Yb, vb, Ab, rb = _batch_cost(model, control, batch)
+        k = batch.Kmax
+        for full, part in ((t, batch.t), (X, Xb), (Y, Yb)):
+            full[idx, : k + 1] = part
+            full[idx, k + 1:] = part[:, -1:]
+        A[idx, :k], r[idx, :k], v[idx, :k] = Ab, rb, vb
+    return EnsembleSolution(K=ens.K, du=ens.du, t=t, X=X, Y=Y, A=A, r=r,
+                            v=_hold(v, ens.K, 0.0, Kmax))
+
+
 # ------------------------------------------------------------ builtin models
-
-def _linear_test_model(params=None):
-    p = dict(x0=1.0, lam=2.0, c=1.0, alpha=0.7, horizon=1.0, step=0.01)
-    p.update(params or {})
-    lam = p["lam"]
-    model = ModelSpec(
-        f=lambda t1, t2, x, v: -x,
-        sigma=lambda t1, t2, x, v: 0.1 * x + 0.2,
-        b=lambda t1, t2, x, v, z: 0.05 * z * x,
-        g=lambda t1, t2, x, y, a, r, v: (-0.5 * y + 0.5 * x + 0.5 * v) / lam,
-        phi=lambda x: 1.0 * x,
-        l=lambda t1, t2, x, y, a, r, v: 0.5 * x**2 / lam,
-        h=lambda x: 0.0,
-        gamma=lambda y: -y,
-        control_set=Box(-2.0, 2.0),
-        x0=p["x0"], M_T=1.0,
-        linear={"f", "sigma", "b", "g"},
-        name="linear_test",
-    )
-    jump = LevyJumpSpec(c=p["c"], intensity=lam)
-    sub = SubordinatorSpec(alpha=p["alpha"])
-    return model, jump, sub, p
-
-
-def _quadratic_drift_model(params=None):
-    p = dict(x0=1.0, lam=1.0, c=1.0, alpha=0.7, horizon=1.0, step=0.01)
-    p.update(params or {})
-    lam = p["lam"]
-    model = ModelSpec(
-        f=lambda t1, t2, x, v: -x + v + 0.5 * v**2,
-        sigma=lambda t1, t2, x, v: 0.2 + 0.1 * v + 0.1 * v**2,
-        b=lambda t1, t2, x, v, z: z * (0.1 * v + 0.05 * v**2),
-        g=lambda t1, t2, x, y, a, r, v: (-0.5 * y + 0.5 * x + 0.3 * v**2) / lam,
-        phi=lambda x: 1.0 * x,
-        l=lambda t1, t2, x, y, a, r, v: 0.0,
-        h=lambda x: 0.0,
-        gamma=lambda y: -y,
-        control_set=Box(-2.0, 2.0),
-        x0=p["x0"], M_T=1.0,
-        linear={"f", "sigma", "b", "g"},   # affine in the state, not in v
-        name="quadratic_drift",
-    )
-    jump = LevyJumpSpec(c=p["c"], intensity=lam)
-    sub = SubordinatorSpec(alpha=p["alpha"])
-    return model, jump, sub, p
-
 
 def build_model(name: str, params=None):
     """Built-in model library: (ModelSpec, LevyJumpSpec, SubordinatorSpec, params)."""
-    if name == "linear_test":
-        return _linear_test_model(params)
-    if name == "quadratic_drift":
-        return _quadratic_drift_model(params)
     if name == "cash":
         from .cash import CashSpec, build_cash_model
 
@@ -1013,4 +1083,28 @@ def build_model(name: str, params=None):
                         alpha=spec.subordinator.alpha, lam=spec.jump.intensity,
                         c=spec.jump.c)
         return model, spec.jump, spec.subordinator, defaults
-    raise KeyError(f"unknown model {name!r}")
+    if name not in ("linear_test", "quadratic_drift"):
+        raise KeyError(f"unknown model {name!r}")
+    p = dict(x0=1.0, lam=2.0 if name == "linear_test" else 1.0, c=1.0, alpha=0.7,
+             horizon=1.0, step=0.01)
+    p.update(params or {})
+    lam = p["lam"]
+    if name == "linear_test":
+        maps = dict(
+            f=lambda t1, t2, x, v: -x,
+            sigma=lambda t1, t2, x, v: 0.1 * x + 0.2,
+            b=lambda t1, t2, x, v, z: 0.05 * z * x,
+            g=lambda t1, t2, x, y, a, r, v: (-0.5 * y + 0.5 * x + 0.5 * v) / lam,
+            l=lambda t1, t2, x, y, a, r, v: 0.5 * x**2 / lam)
+    else:
+        # affine in the state, not in v
+        maps = dict(
+            f=lambda t1, t2, x, v: -x + v + 0.5 * v**2,
+            sigma=lambda t1, t2, x, v: 0.2 + 0.1 * v + 0.1 * v**2,
+            b=lambda t1, t2, x, v, z: z * (0.1 * v + 0.05 * v**2),
+            g=lambda t1, t2, x, y, a, r, v: (-0.5 * y + 0.5 * x + 0.3 * v**2) / lam,
+            l=lambda t1, t2, x, y, a, r, v: 0.0)
+    model = ModelSpec(**maps, phi=lambda x: 1.0 * x, h=lambda x: 0.0, gamma=lambda y: -y,
+                      control_set=Box(-2.0, 2.0), x0=p["x0"], M_T=1.0,
+                      linear={"f", "sigma", "b", "g"}, name=name)
+    return model, LevyJumpSpec(c=p["c"], intensity=lam), SubordinatorSpec(alpha=p["alpha"]), p

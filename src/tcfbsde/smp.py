@@ -29,11 +29,12 @@ used throughout.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .fbsde import (
+    EnsembleSolution,
     FBSDESolution,
     ModelSpec,
     PathBundle,
@@ -42,7 +43,10 @@ from .fbsde import (
     _Batch,
     _batch_cost,
     _probe_affine,
+    _single,
+    _solver_grid,
     as_control,
+    as_ensemble,
 )
 from .noise import central_difference
 from .time_change import OperationalGrid
@@ -169,6 +173,46 @@ class AdjointSolution:
     R: np.ndarray
 
 
+@dataclass
+class EnsembleAdjoint:
+    """Adjoint pairs in the padded layout, row n holding path n of the
+    ensemble.  Past its horizon a row holds t, p and q at their terminal
+    values; k and R are zero there.  Index n gives path n's
+    AdjointSolution as views (and iteration gives every path's).
+    """
+
+    K: np.ndarray
+    du: float
+    t: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    k: np.ndarray
+    R: np.ndarray
+
+    def __getitem__(self, n):
+        k = int(self.K[n])
+        return AdjointSolution(grid=_solver_grid(self.du, k),
+                               calendar_times=self.t[n, : k + 1], p=self.p[n, : k + 1],
+                               q=self.q[n, : k + 1], k=self.k[n, :k], R=self.R[n, :k])
+
+
+def _one_row(bundle: PathBundle, sol: FBSDESolution) -> EnsembleSolution:
+    """One path's solution as a one-row solved ensemble."""
+    if sol.Y is None:
+        raise ValueError("adjoint and variational systems need a solved "
+                         "backward component on the base trajectory")
+    return EnsembleSolution(K=np.array([bundle.solver_steps]),
+                            du=bundle.subordinator.grid.step, t=sol.calendar_times[None],
+                            X=sol.X[None], Y=sol.Y[None], A=sol.A[None], r=sol.r[None],
+                            v=sol.control_values[None])
+
+
+def _matching(K: np.ndarray, *padded):
+    """Fail unless the padded results hold rows with step counts K."""
+    if not all(np.array_equal(res.K, K) for res in padded):
+        raise ValueError("grid mismatch: results and bundles disagree on the step counts")
+
+
 def _nodes_interp(z_nodes: np.ndarray, rows: np.ndarray, zq: np.ndarray):
     """Row-wise linear interpolation of nodewise tables at query marks."""
     idx = np.clip(np.searchsorted(z_nodes, zq) - 1, 0, z_nodes.size - 2)
@@ -182,13 +226,8 @@ def _p_forward_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v):
     """Forward Euler for the first adjoint over the padded batch."""
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     z, spec, lam = batch.znodes, batch.spec, batch.spec.intensity
-    d_gy = model_derivative(model, "g_y")
-    d_ly = model_derivative(model, "l_y")
-    d_ga = model_derivative(model, "g_a")
-    d_la = model_derivative(model, "l_a")
-    d_gr = model_derivative(model, "g_r")
-    d_lr = model_derivative(model, "l_r")
-    d_gam = model_derivative(model, "gamma_y")
+    d_gy, d_ly, d_ga, d_la, d_gr, d_lr, d_gam = (model_derivative(model, name) for name in (
+        "g_y", "l_y", "g_a", "l_a", "g_r", "l_r", "gamma_y"))
     p = np.empty((N, Kmax + 1))
     p[:, 0] = -np.asarray(d_gam(Y[:, 0]), dtype=float)
     for i in range(Kmax):
@@ -204,12 +243,10 @@ def _p_forward_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v):
         sl = slice(batch.ev_start[i], batch.ev_start[i + 1])
         if sl.stop > sl.start:
             pe, ze = batch.ev_p[sl], batch.ev_z[sl]
-            re = _nodes_interp(z, r[pe, i, :], ze)
-            gre = np.asarray(d_gr(batch.t[pe, i], u_i, X[pe, i], Y[pe, i],
-                                  A[pe, i], re, v[pe, i]), dtype=float)
-            lre = np.asarray(d_lr(batch.t[pe, i], u_i, X[pe, i], Y[pe, i],
-                                  A[pe, i], re, v[pe, i]), dtype=float)
-            np.add.at(jump, pe, gre * p[pe, i] - lre)
+            ev = (batch.t[pe, i], u_i, X[pe, i], Y[pe, i], A[pe, i],
+                  _nodes_interp(z, r[pe, i, :], ze), v[pe, i])
+            np.add.at(jump, pe, np.asarray(d_gr(*ev), dtype=float) * p[pe, i]
+                      - np.asarray(d_lr(*ev), dtype=float))
         pn = pi + du * drift + batch.dB[:, i] * diff + jump - comp
         if np.any(act & ~np.isfinite(pn)):
             raise FloatingPointError(f"adjoint blow-up at step {i}")
@@ -280,11 +317,8 @@ def _q_ode_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
     """Backward implicit Euler for q when the adjoints carry no noise."""
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     spec, lam = batch.spec, batch.spec.intensity
-    d_fx = model_derivative(model, "f_x")
-    d_gx = model_derivative(model, "g_x")
-    d_lx = model_derivative(model, "l_x")
-    d_hx = model_derivative(model, "h_x")
-    d_px = model_derivative(model, "phi_x")
+    d_fx, d_gx, d_lx, d_hx, d_px = (model_derivative(model, name) for name in (
+        "f_x", "g_x", "l_x", "h_x", "phi_x"))
     XT = X[np.arange(N), batch.K]
     pT = p[np.arange(N), batch.K]
     qT = (-np.asarray(d_px(XT), dtype=float) * pT
@@ -303,31 +337,6 @@ def _q_ode_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
         qi = (qn + du * src) / (1.0 - du * fx)
         q[:, i] = np.where(act, qi, qT)
     return q, np.zeros((N, Kmax)), np.zeros((N, Kmax, batch.w.size))
-
-
-def _padded_state(batch: _Batch, solutions):
-    """Stack per-path solutions into the padded batch layout."""
-    N, Kmax, Q = batch.N, batch.Kmax, batch.w.size
-    X = np.empty((N, Kmax + 1))
-    Y = np.empty((N, Kmax + 1))
-    v = np.zeros((N, Kmax))
-    A = np.zeros((N, Kmax))
-    r = np.zeros((N, Kmax, Q))
-    for pth, sol in enumerate(solutions):
-        k = batch.K[pth]
-        if sol.Y is None:
-            raise ValueError("adjoint and variational systems need a solved "
-                             "backward component on the base trajectory")
-        X[pth, : k + 1] = sol.X
-        X[pth, k:] = sol.X[k]
-        Y[pth, : k + 1] = sol.Y
-        Y[pth, k:] = sol.Y[k]
-        if k > 0:
-            v[pth, :k] = sol.control_values[:k]
-            v[pth, k:] = sol.control_values[k - 1]
-            A[pth, :k] = sol.A[:k]
-            r[pth, :k, :] = sol.r[:k, :]
-    return X, Y, v, A, r
 
 
 def _p_state_free(model: ModelSpec, batch: _Batch, X, Y, A, r, v) -> bool:
@@ -356,13 +365,12 @@ def _p_state_free(model: ModelSpec, batch: _Batch, X, Y, A, r, v) -> bool:
 def solve_adjoint(model: ModelSpec, control, bundle: PathBundle,
                   solution: FBSDESolution, method=None) -> AdjointSolution:
     """Adjoint pair along one solved optimal trajectory."""
-    out = solve_adjoint_ensemble(model, control, [bundle], [solution],
-                                 method=method)
-    return out[0]
+    return solve_adjoint_ensemble(model, control, [bundle], _one_row(bundle, solution),
+                                  method=method)[0]
 
 
-def solve_adjoint_ensemble(model: ModelSpec, control, bundles, solutions,
-                           method=None) -> list:
+def solve_adjoint_ensemble(model: ModelSpec, control, bundles,
+                           solutions: EnsembleSolution, method=None) -> EnsembleAdjoint:
     """Vectorized adjoint solve over an ensemble of solved trajectories.
 
     Regime selection: the affine closure when the model is state-affine
@@ -371,11 +379,14 @@ def solve_adjoint_ensemble(model: ModelSpec, control, bundles, solutions,
     loud refusal otherwise.
     """
     control = as_control(control)
-    batch = _Batch(list(bundles))
-    X, Y, v, A, r = _padded_state(batch, list(solutions))
+    batch = as_ensemble(bundles).rows()
+    _matching(batch.K, solutions)
+    X, Y, v, A, r = solutions.X, solutions.Y, solutions.v, solutions.A, solutions.r
     p = _p_forward_batch(model, batch, X, Y, A, r, v)
+    free = (method in (None, "affine") and model.affine_solvable
+            and _p_state_free(model, batch, X, Y, A, r, v))
     if method is None:
-        if model.affine_solvable and _p_state_free(model, batch, X, Y, A, r, v):
+        if free:
             method = "affine"
         elif model.adjoint_deterministic:
             method = "ode"
@@ -386,7 +397,7 @@ def solve_adjoint_ensemble(model: ModelSpec, control, bundles, solutions,
     if method == "affine":
         if not model.affine_solvable:
             raise ValueError("affine adjoint closure needs the linearity flags")
-        if not _p_state_free(model, batch, X, Y, A, r, v):
+        if not free:
             raise NotImplementedError(
                 "affine adjoint closure needs a state-free first adjoint")
         q, k, R = _q_affine_batch(model, batch, X, Y, A, r, v, p)
@@ -394,30 +405,16 @@ def solve_adjoint_ensemble(model: ModelSpec, control, bundles, solutions,
         q, k, R = _q_ode_batch(model, batch, X, Y, A, r, v, p)
     else:
         raise KeyError(f"unknown adjoint method {method!r}")
-    d_gam = model_derivative(model, "gamma_y")
-    d_hx = model_derivative(model, "h_x")
-    d_px = model_derivative(model, "phi_x")
-    out = []
-    for pth, bnd in enumerate(batch.bundles):
-        kk = batch.K[pth]
-        sol = AdjointSolution(
-            grid=bnd.solver_grid,
-            calendar_times=batch.t[pth, : kk + 1].copy(),
-            p=p[pth, : kk + 1].copy(),
-            q=q[pth, : kk + 1].copy(),
-            k=k[pth, :kk].copy(),
-            R=R[pth, :kk, :].copy(),
-        )
-        g0 = float(np.asarray(d_gam(Y[pth, 0]), dtype=float))
-        if abs(sol.p[0] + g0) > 1e-9 * (1.0 + abs(g0)):
-            raise AssertionError("adjoint initial condition violated")
-        xT = X[pth, kk]
-        tgt = (-float(np.asarray(d_px(xT), dtype=float)) * sol.p[-1]
-               + float(np.asarray(d_hx(xT), dtype=float)))
-        if abs(sol.q[-1] - tgt) > 1e-8 * (1.0 + abs(tgt)):
-            raise AssertionError("adjoint terminal condition violated")
-        out.append(sol)
-    return out
+    g0 = np.asarray(model_derivative(model, "gamma_y")(Y[:, 0]), dtype=float)
+    if np.any(np.abs(p[:, 0] + g0) > 1e-9 * (1.0 + np.abs(g0))):
+        raise AssertionError("adjoint initial condition violated")
+    rows = np.arange(batch.N)
+    xT = X[rows, batch.K]
+    tgt = (-np.asarray(model_derivative(model, "phi_x")(xT), dtype=float) * p[rows, batch.K]
+           + np.asarray(model_derivative(model, "h_x")(xT), dtype=float))
+    if np.any(np.abs(q[rows, batch.K] - tgt) > 1e-8 * (1.0 + np.abs(tgt))):
+        raise AssertionError("adjoint terminal condition violated")
+    return EnsembleAdjoint(K=batch.K, du=batch.du, t=batch.t, p=p, q=q, k=k, R=R)
 
 
 # ------------------------------------------------------------- variational
@@ -456,22 +453,14 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
     z, lam = batch.znodes, batch.spec.intensity
     t, u = batch.t[:, :-1], np.arange(Kmax) * du
     Xl = X[:, :-1]
-    d_fx = model_derivative(model, "f_x")
-    d_fv = model_derivative(model, "f_v")
-    d_sx = model_derivative(model, "sigma_x")
-    d_sv = model_derivative(model, "sigma_v")
-    d_bx = model_derivative(model, "b_x")
-    d_bv = model_derivative(model, "b_v")
     full = (N, Kmax)
-    fx = np.broadcast_to(np.asarray(d_fx(t, u, Xl, v), dtype=float), full)
-    fv = np.broadcast_to(np.asarray(d_fv(t, u, Xl, v), dtype=float), full)
-    sx = np.broadcast_to(np.asarray(d_sx(t, u, Xl, v), dtype=float), full)
-    sv = np.broadcast_to(np.asarray(d_sv(t, u, Xl, v), dtype=float), full)
+    fx, fv, sx, sv = (np.broadcast_to(np.asarray(
+        model_derivative(model, name)(t, u, Xl, v), dtype=float), full)
+        for name in ("f_x", "f_v", "sigma_x", "sigma_v"))
+    d_bx, d_bv = model_derivative(model, "b_x"), model_derivative(model, "b_v")
     node_args = (t[..., None], u[:, None], Xl[..., None], v[..., None], z)
-    bx = np.broadcast_to(np.asarray(d_bx(*node_args), dtype=float),
-                         full + (z.size,))
-    bv = np.broadcast_to(np.asarray(d_bv(*node_args), dtype=float),
-                         full + (z.size,))
+    bx, bv = (np.broadcast_to(np.asarray(d(*node_args), dtype=float), full + (z.size,))
+              for d in (d_bx, d_bv))
     gbar = {name: np.empty(full)
             for name in ("g_x", "g_y", "g_a", "g_r", "g_v")}
     dmaps = {name: model_derivative(model, name) for name in gbar}
@@ -492,12 +481,10 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
         jump = np.zeros(N)
         sl = slice(batch.ev_start[i], batch.ev_start[i + 1])
         if sl.stop > sl.start:
-            pe, ze = batch.ev_p[sl], batch.ev_z[sl]
-            bxe = np.asarray(d_bx(batch.t[pe, i], u_i, X[pe, i], v[pe, i], ze),
-                             dtype=float)
-            bve = np.asarray(d_bv(batch.t[pe, i], u_i, X[pe, i], v[pe, i], ze),
-                             dtype=float)
-            np.add.at(jump, pe, bxe * x1[pe] + bve * vd[pe, i])
+            pe = batch.ev_p[sl]
+            ev = (batch.t[pe, i], u_i, X[pe, i], v[pe, i], batch.ev_z[sl])
+            np.add.at(jump, pe, np.asarray(d_bx(*ev), dtype=float) * x1[pe]
+                      + np.asarray(d_bv(*ev), dtype=float) * vd[pe, i])
         xn = (x1 + (fx[:, i] * x1 + fv[:, i] * vd[:, i]) * du
               + (sx[:, i] * x1 + sv[:, i] * vd[:, i]) * batch.dB[:, i]
               + jump - comp)
@@ -520,23 +507,17 @@ def solve_variational(model: ModelSpec, control, direction,
     """First-order system in the given control direction on one path."""
     control = as_control(control)
     direction = as_control(direction)
-    batch = _Batch([bundle])
-    X, Y, v, A, r = _padded_state(batch, [base])
+    batch = _single(bundle)
+    sol = _one_row(bundle, base)
     X1, Y1, A1, r1, _ = _variational_batch(model, control, direction, batch,
-                                           X, Y, A, r, v)
+                                           sol.X, sol.Y, sol.A, sol.r, sol.v)
     k = batch.K[0]
     d_px = model_derivative(model, "phi_x")
-    gap = abs(Y1[0, k] - float(np.asarray(d_px(X[0, k]), dtype=float)) * X1[0, k])
+    gap = abs(Y1[0, k] - float(np.asarray(d_px(sol.X[0, k]), dtype=float)) * X1[0, k])
     if gap > 1e-9 * (1.0 + abs(Y1[0, k])):
         raise AssertionError("variational terminal condition violated")
-    return VariationalSolution(
-        grid=bundle.solver_grid,
-        calendar_times=batch.t[0, : k + 1].copy(),
-        X1=X1[0, : k + 1].copy(),
-        Y1=Y1[0, : k + 1].copy(),
-        A1=A1[0, :k].copy(),
-        r1=r1[0, :k, :].copy(),
-    )
+    return VariationalSolution(grid=bundle.solver_grid, calendar_times=batch.t[0, : k + 1],
+                               X1=X1[0, : k + 1], Y1=Y1[0, : k + 1], A1=A1[0, :k], r1=r1[0, :k])
 
 
 # ------------------------------------------------- expansion and gap checks
@@ -552,7 +533,7 @@ def remainder_convergence_check(model: ModelSpec, control, direction,
     """
     control = as_control(control)
     direction = as_control(direction)
-    batch = _Batch(list(bundles))
+    batch = as_ensemble(bundles).rows()
     _, X, Y, v, A, r = _batch_cost(model, control, batch, method=method)
     X1, Y1, A1, r1, _ = _variational_batch(model, control, direction, batch,
                                            X, Y, A, r, v)
@@ -587,7 +568,7 @@ def gateaux_consistency_check(model: ModelSpec, control, direction,
     """
     control = as_control(control)
     direction = as_control(direction)
-    batch = _Batch(list(bundles))
+    batch = as_ensemble(bundles).rows()
     vals_u, X, Y, v, A, r = _batch_cost(model, control, batch, method=method)
     X1, Y1, A1, r1, vd = _variational_batch(model, control, direction, batch,
                                             X, Y, A, r, v)
@@ -656,27 +637,15 @@ def check_necessary_condition(model: ModelSpec, control, bundles, solutions,
     if count < 1:
         raise ValueError("candidate set is empty")
     control = as_control(control)
-    batch = _Batch(list(bundles))
-    X, Y, v, A, r = _padded_state(batch, list(solutions))
-    N, Kmax, du = batch.N, batch.Kmax, batch.du
-    p = np.zeros((N, Kmax + 1))
-    q = np.zeros((N, Kmax + 1))
-    k = np.zeros((N, Kmax))
-    R = np.zeros((N, Kmax, batch.w.size))
-    for pth, adj in enumerate(adjoints):
-        kk = batch.K[pth]
-        p[pth, : kk + 1] = adj.p
-        q[pth, : kk + 1] = adj.q
-        if kk > 0:
-            p[pth, kk:] = adj.p[-1]
-            q[pth, kk:] = adj.q[-1]
-            k[pth, :kk] = adj.k
-            R[pth, :kk, :] = adj.R
-    u_grid = np.arange(Kmax) * du
-    Hv = hamiltonian_grad_v(model, batch.spec, batch.t[:, :-1], u_grid,
-                            X[:, :-1], Y[:, :-1], A, r, v,
-                            p[:, :-1], q[:, :-1], k, R)
-    act = np.arange(Kmax)[None, :] < batch.K[:, None]
+    ens = as_ensemble(bundles)
+    K, du = ens.K, ens.du
+    N, Kmax = K.size, int(K.max())
+    _matching(K, solutions, adjoints)
+    X, Y, v = solutions.X, solutions.Y, solutions.v
+    Hv = hamiltonian_grad_v(model, ens.spec, solutions.t[:, :-1], np.arange(Kmax) * du,
+                            X[:, :-1], Y[:, :-1], solutions.A, solutions.r, v,
+                            adjoints.p[:, :-1], adjoints.q[:, :-1], adjoints.k, adjoints.R)
+    act = np.arange(Kmax)[None, :] < K[:, None]
     weight = np.where(act, du, 0.0)
     lo, hi = model.control_set.lo, model.control_set.hi
     if not np.isfinite(lo):
@@ -727,17 +696,7 @@ class SufficiencyReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "hamiltonian_convex": self.hamiltonian_convex,
-            "h_convex": self.h_convex,
-            "gamma_convex": self.gamma_convex,
-            "worst_hamiltonian_gap": self.worst_hamiltonian_gap,
-            "worst_h_gap": self.worst_h_gap,
-            "worst_gamma_gap": self.worst_gamma_gap,
-            "terminal_gap": self.terminal_gap,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def check_sufficient_condition_hypotheses(model: ModelSpec, spec, *,
@@ -783,14 +742,12 @@ def check_sufficient_condition_hypotheses(model: ModelSpec, spec, *,
            0.5 * (r1 + r2), 0.5 * (v1 + v2))
     scale = 1.0 + np.max(np.abs(np.concatenate([H1, H2])))
     worst_H = float(np.max(Hm - 0.5 * (H1 + H2)))
-    hx1 = np.asarray(model.h(x1), dtype=float)
-    hx2 = np.asarray(model.h(x2), dtype=float)
-    hxm = np.asarray(model.h(0.5 * (x1 + x2)), dtype=float)
-    worst_h = float(np.max(hxm - 0.5 * (hx1 + hx2)))
-    gy1 = np.asarray(model.gamma(y1), dtype=float)
-    gy2 = np.asarray(model.gamma(y2), dtype=float)
-    gym = np.asarray(model.gamma(0.5 * (y1 + y2)), dtype=float)
-    worst_g = float(np.max(gym - 0.5 * (gy1 + gy2)))
+
+    def midpoint_gap(fn, a, b):
+        fa, fb, fm = (np.asarray(fn(w), dtype=float) for w in (a, b, 0.5 * (a + b)))
+        return float(np.max(fm - 0.5 * (fa + fb)))
+
+    worst_h, worst_g = midpoint_gap(model.h, x1, x2), midpoint_gap(model.gamma, y1, y2)
     tol = 1e-9 * scale
     terminal_gap = None
     if solution is not None and model.linear_terminal and solution.Y is not None:
@@ -841,15 +798,7 @@ class OptimalityReport:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "min_margin": self.min_margin,
-            "margin_se": self.margin_se,
-            "witness": self.witness,
-            "gap_table": self.gap_table,
-            "convergence_table": self.convergence_table,
-            "remainder_table": self.remainder_table,
-            "meta": self.meta,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)

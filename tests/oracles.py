@@ -87,3 +87,33 @@ def cash_q_candidate(tau, mu1: float, mu2: float, horizon: float):
 
 def central_difference(fn, x, h):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+def cash_cost_given_steps(spec, k: int, du: float) -> float:
+    """Cost of the explicit cash rate on a path with k solver steps.
+
+    With sigma, kappa and eta constant in time the adjoints, the rate and
+    the affine pair (P, c) of Y = c + P X depend on the clock only through
+    k, and so does the cost.  Built from the paper's explicit solution:
+    p = exp(-mu1 u), q by implicit Euler from q_k = -p_k, the rate
+    v = kappa - beta1 q + beta2 p, then backward from P_k = 1, c_k = 0
+
+        P_i = (P_{i+1} (1 - du mu1) + du mu2) / (1 + du mu1)
+        c_i = (c_{i+1} + du (beta1 P_{i+1} + beta2) v_i) / (1 + du mu1)
+
+    and J = sum du (v - kappa)^2 / 2 - (c_0 + P_0 x0).  ``spec`` is read
+    for its numbers only (mu1, mu2, beta1, beta2, kappa, x0).
+    """
+    mu1, mu2, b1, b2 = spec.mu1, spec.mu2, spec.beta1, spec.beta2
+    kappa = float(spec.kappa)
+    p = [math.exp(-mu1 * du * i) for i in range(k + 1)]
+    q = [0.0] * (k + 1)
+    q[k] = -p[k]
+    for i in range(k - 1, -1, -1):
+        q[i] = (q[i + 1] - du * mu2 * p[i]) / (1.0 + du * mu1)
+    v = [kappa - b1 * q[i] + b2 * p[i] for i in range(k)]
+    P, c = 1.0, 0.0
+    for i in range(k - 1, -1, -1):
+        P, c = ((P * (1.0 - du * mu1) + du * mu2) / (1.0 + du * mu1),
+                (c + du * (b1 * P + b2) * v[i]) / (1.0 + du * mu1))
+    return sum(du * 0.5 * (vi - kappa) ** 2 for vi in v) - (c + P * spec.x0)

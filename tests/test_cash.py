@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cash_q_candidate
+from oracles import cash_cost_given_steps, cash_q_candidate
 from support import RAGGED_STEPS, manual_bundle, ragged_bundles
 from tcfbsde.cash import (
     CashSpec,
@@ -47,7 +47,7 @@ def rebuilt_optimum(spec, step, n_paths, seed):
     """u* exactly as certify_optimality derives it internally."""
     bundles = make_ensemble(spec.subordinator, spec.jump, spec.horizon,
                             step, n_paths, seed)
-    adjs = [cash_adjoints(spec, b) for b in bundles]
+    adjs = cash_adjoints(spec, bundles)
     return cash_optimal_control(spec, adjs), bundles, adjs
 
 
@@ -320,16 +320,35 @@ def test_rate_at_unstarted_clock():
 
 def test_rate_rejects_mismatched_grids():
     spec = CashSpec()
-    a1 = cash_adjoints(spec, manual_bundle([0.0, 0.3, 1.2], 0.1, 1.0))
-    a2 = cash_adjoints(spec, manual_bundle([0.0, 0.3, 1.2], 0.05, 1.0))
+    b1 = manual_bundle([0.0, 0.3, 1.2], 0.1, 1.0)
+    b2 = manual_bundle([0.0, 0.3, 1.2], 0.05, 1.0)
+    # a mixed-step ensemble is rejected when it is packed
     with pytest.raises(ValueError, match="grid mismatch"):
-        cash_optimal_control(spec, [a1, a2])
+        cash_adjoints(spec, [b1, b2])
+    a1 = cash_adjoints(spec, b1)
     bad = AdjointSolution(grid=a1.grid, calendar_times=a1.calendar_times,
                           p=a1.p, q=a1.q, k=np.zeros(5), R=a1.R)
     with pytest.raises(ValueError, match="grid mismatch"):
         cash_optimal_control(spec, bad)
-    with pytest.raises(ValueError, match="no adjoint"):
-        cash_optimal_control(spec, [])
+    with pytest.raises(ValueError, match="empty"):
+        cash_adjoints(spec, [])
+
+
+def test_cost_of_rate_matches_exact_oracle():
+    """With sigma, kappa and eta constant the cost of u* on a path is a
+    function of its step count alone, which the oracle computes from the
+    explicit solution; every path, zero-step ones included, must match it
+    to rounding."""
+    spec = CashSpec()
+    bundles = (list(make_ensemble(spec.subordinator, spec.jump, spec.horizon, DU, 512, 0))
+               + ragged_bundles((0, 3, 0), jump_spec=spec.jump))
+    ustar = cash_optimal_control(spec, cash_adjoints(spec, bundles))
+    cost = evaluate_cost(build_cash_model(spec), ustar, bundles).per_path
+    steps = np.array([b.solver_steps for b in bundles])
+    assert np.unique(steps).size > 200 and np.sum(steps == 0) == 2
+    exact = {k: cash_cost_given_steps(spec, int(k), DU) for k in np.unique(steps)}
+    want = np.array([exact[k] for k in steps])
+    assert np.max(np.abs(cost - want) / np.abs(want)) <= 1e-14
 
 
 def test_first_order_condition_holds_to_rounding():

@@ -28,6 +28,7 @@ from tcfbsde.fbsde import (
     solve_forward_dual,
 )
 from tcfbsde.noise import LevyJumpSpec, ito_decomposition_check
+from tcfbsde.smp import gateaux_consistency_check
 from tcfbsde.time_change import SubordinatorSpec
 
 
@@ -117,12 +118,15 @@ def test_make_ensemble_is_deterministic_and_consistent():
         assert np.array_equal(a.subordinator.values, b.subordinator.values)
         assert np.array_equal(a.brownian.values, b.brownian.values)
         assert np.array_equal(a.jumps.times, b.jumps.times)
-    for b in one:
+    dB = one.rows().dB
+    for n, b in enumerate(one):
         vals = b.subordinator.values
         assert vals[-1] > 0.7 >= vals[-2]
         assert b.solver_steps == vals.size - 2
         assert abs(b.inverse.values[-1] - b.solver_steps * 0.01) < 1e-12
-        assert b.d_brownian().size == b.solver_steps
+        K = b.solver_steps
+        assert np.array_equal(dB[n, :K], np.diff(b.brownian.values[: K + 1]))
+        assert np.all(dB[n, K:] == 0.0)
 
 
 def test_pairing_reassigns_noise_streams():
@@ -389,6 +393,51 @@ def test_cost_chunking_and_row_labels():
     # and the rows genuinely differ, so a label mix-up would show
     alt = evaluate_cost(model, ConstantControl(0.1), bundles, chunk=512)
     assert not np.array_equal(whole.per_path, alt.per_path)
+    # a slice of an ensemble is labelled by position in the slice in every
+    # entry point, so the Gateaux quotient reads the same rows as the cost
+    cash, cjump, csub, cp = build_model("cash")
+    ens = make_ensemble(csub, cjump, cp["horizon"], cp["step"], 12, master_seed=0)
+    part = ens[4:8]
+    kmax = max(b.solver_steps for b in ens)
+    ctl = StepwiseControl(0.2 + 0.15 * np.arange(12)[:, None] + 0.0 * np.arange(kmax))
+    direction, rho = ConstantControl(1.0), 0.1
+    quotient = (evaluate_cost(cash, PerturbedControl(ctl, direction, rho), part).per_path
+                - evaluate_cost(cash, ctl, part).per_path) / rho
+    (row,) = gateaux_consistency_check(cash, ctl, direction, [rho], part)
+    assert row["lhs"] == float(quotient.mean())
+
+
+def test_ensemble_rows_match_a_fresh_pack():
+    """A gather of any rows of a packed ensemble rebuilds, byte for byte,
+    the layout of those bundles packed on their own: an unsorted
+    selection, a Kmax = 0 selection, an event-free selection and slices,
+    with sparse and with dense jumps."""
+    steps = np.array(RAGGED_STEPS)
+    for intensity in (2.0, 300.0):
+        ens = fbsde.Ensemble(ragged_bundles(RAGGED_STEPS,
+                                            jump_spec=LevyJumpSpec(c=1.0, intensity=intensity)))
+        unsorted = np.array([8, 0, 5, 3, 2])
+        zero = np.flatnonzero(steps == 0)
+        no_events = np.flatnonzero((ens.ev_n == 0) & (steps > 0))
+        cases = [unsorted, zero, np.argsort(steps, kind="stable"), np.arange(2, 7)]
+        if intensity == 2.0:
+            assert no_events.size
+            cases.append(no_events)
+            assert ens.rows(no_events).ev_p.size == 0
+        else:
+            assert ens.rows(unsorted).ev_p.size > 20
+        for idx in cases:
+            got = ens.rows(idx)
+            want = fbsde.Ensemble([ens[int(i)] for i in idx]).rows(None, labels=idx)
+            for name in ("K", "labels", "t", "dB", "ev_p", "ev_s", "ev_z", "ev_start"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+        assert ens.rows(zero).Kmax == 0
+        # a slice shares the flat arrays and gathers the same rows
+        part = ens[2:7]
+        assert part.times is ens.times
+        assert part.rows(None).t.tobytes() == ens.rows(np.arange(2, 7)).t.tobytes()
 
 
 @pytest.mark.parametrize("name, method, make_control, node_cost", [

@@ -1,10 +1,13 @@
 """The oracles get checked before anything trusts them."""
 
 import math
+import types
 
 import numpy as np
+from scipy.integrate import quad
 
 from oracles import (
+    cash_cost_given_steps,
     cash_q_candidate,
     central_difference,
     levy_half_stable_cdf,
@@ -66,3 +69,42 @@ def test_cash_q_candidate_satisfies_its_equation():
     # collapse case mu2 = 2 mu1: q = -exp(-mu1 tau)
     q2 = cash_q_candidate(np.array([0.0, 0.4, 1.3]), 1.0, 2.0, horizon)
     assert np.allclose(q2, -np.exp(-np.array([0.0, 0.4, 1.3])))
+
+
+def _continuous_cash_cost(s, horizon):
+    """The cash cost on a clock with E_T = horizon, in continuous time.
+
+    p = exp(-mu1 u) and q is the candidate checked above; the pair of
+    Y = c + P X solves P' = 2 mu1 P - mu2, P(U) = 1, in closed form and
+    c' = mu1 c - (beta1 P + beta2) v, c(U) = 0, by quadrature.
+    """
+    half = s.mu2 / (2.0 * s.mu1)
+
+    def v(u):
+        q = cash_q_candidate(u, s.mu1, s.mu2, horizon)
+        return s.kappa - s.beta1 * q + s.beta2 * math.exp(-s.mu1 * u)
+
+    def P(u):
+        return half + (1.0 - half) * math.exp(2.0 * s.mu1 * (u - horizon))
+
+    tol = dict(epsabs=1e-13, epsrel=1e-13)
+    c0 = quad(lambda u: math.exp(-s.mu1 * u) * (s.beta1 * P(u) + s.beta2) * v(u),
+              0.0, horizon, **tol)[0]
+    run = quad(lambda u: 0.5 * (v(u) - s.kappa) ** 2, 0.0, horizon, **tol)[0]
+    return run - (c0 + P(0.0) * s.x0)
+
+
+def test_cash_cost_given_steps_converges_to_continuous_cost():
+    # the discrete cost of k steps of du = U / k approaches the
+    # continuous-time cost at first order in du, for two parameter sets
+    horizon = 1.3
+    for s in (types.SimpleNamespace(mu1=1.0, mu2=0.5, beta1=1.0, beta2=0.5, kappa=1.0, x0=1.0),
+              types.SimpleNamespace(mu1=2.0, mu2=0.3, beta1=0.7, beta2=1.5, kappa=0.4,
+                                    x0=-0.5)):
+        exact = _continuous_cash_cost(s, horizon)
+        errs = [abs(cash_cost_given_steps(s, k, horizon / k) - exact) for k in (130, 260, 520)]
+        assert errs[0] < 5e-3
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 1.9 < coarse / fine < 2.1
+        # no solver steps: no running cost and Y_0 = X_0
+        assert cash_cost_given_steps(s, 0, 0.01) == -s.x0

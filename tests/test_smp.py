@@ -12,6 +12,7 @@ from oracles import cash_q_candidate
 from support import lq_model, mk_model
 from tcfbsde.fbsde import (
     Box,
+    _solved_ensemble,
     ConstantControl,
     FeedbackControl,
     ModelSpec,
@@ -41,11 +42,9 @@ DU = 0.01
 
 
 def solved_ensemble(model, control, bundles):
-    out = []
-    for bnd in bundles:
-        sol = solve_forward_dual(model, control, bnd)
-        out.append(solve_backward_dual(model, control, bnd, sol))
-    return out
+    # batched solve in the padded layout the ensemble checks read; every
+    # path of a whole make_ensemble draw sits at its seeds["path"] position
+    return _solved_ensemble(model, control, bundles)
 
 
 # --------------------------------------------------------------- derivatives
