@@ -240,9 +240,11 @@ def cash_optimal_control(spec: CashSpec, adjoints) -> StepwiseControl:
     sig, eta, kap = spec.maps()
     t = adjoints.t[:, :-1]
     slope = (spec.beta1 * adjoints.q[:, :-1] + sig(t) * adjoints.k
-             - spec.beta2 * adjoints.p[:, :-1]
-             + spec.jump.intensity * spec.jump.integrate(
-                 adjoints.R * eta(t[..., None], z), t.shape))
+             - spec.beta2 * adjoints.p[:, :-1])
+    if adjoints.R.any():
+        # cash_adjoints gives R = 0: skip the (N, Kmax, nodes) product then
+        slope = slope + spec.jump.intensity * spec.jump.integrate(
+            adjoints.R * eta(t[..., None], z), t.shape)
     return StepwiseControl(_hold(kap(t) - slope, adjoints.K, kap(adjoints.t[:, 0]),
                                  max(t.shape[1], 1)))
 

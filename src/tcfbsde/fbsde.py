@@ -18,6 +18,12 @@ the certificate.  A path reads the control row of its label: its
 position in the ensemble an entry point is given, or the seeds["path"]
 of a bundle solved alone.
 
+Every forward system (the state here, the first adjoint and the
+variational state in smp) runs through one explicit Euler kernel, _euler:
+z_{i+1} = z_i + a du + s dB_i + (the step's event jumps) - lam du int c,
+each row held past its horizon, and a non-finite value raises naming the
+system, the step and the path.
+
 Every backward solve goes through one dispatcher, _backward_batch, which
 resolves the regime (backward_method) and runs that regime's batched
 kernel on the padded batch; the single-path solvers are batch-of-one
@@ -522,46 +528,60 @@ def _hold(a, K, park, width: int):
     return np.take_along_axis(a, col, axis=1)
 
 
-def _forward_batch(model: ModelSpec, control, batch: _Batch, keep_nodes=False):
-    """Euler scheme over the padded batch; fills X, v, drift, vol, event_b."""
-    N, Kmax, du = batch.N, batch.Kmax, batch.du
-    lam = batch.spec.intensity
-    X = np.empty((N, Kmax + 1))
-    X[:, 0] = model.x0
-    v = np.empty((N, Kmax))
-    drift = np.zeros((N, Kmax))
-    vol = np.zeros((N, Kmax))
-    ev_b = np.empty(batch.ev_p.size)
-    nodes = np.zeros((N, Kmax, batch.znodes.size)) if keep_nodes else None
-    paths = batch.labels
-    for i in range(Kmax):
-        act = i < batch.K
-        t1, u_i, x = batch.t[:, i], i * du, X[:, i]
-        vi = model.control_set.admit(control.values_at(i, t1, u_i, x, paths))
-        vi = np.broadcast_to(vi, (N,))
-        v[:, i] = vi
-        fi = np.broadcast_to(np.asarray(model.f(t1, u_i, x, vi), dtype=float), (N,))
-        si = np.broadcast_to(np.asarray(model.sigma(t1, u_i, x, vi), dtype=float), (N,))
-        drift[:, i], vol[:, i] = fi, si
-        bi = model.b(t1[:, None], u_i, x[:, None], vi[:, None], batch.znodes)
-        if keep_nodes:
-            nodes[:, i, :] = bi
-        comp = lam * du * batch.spec.integrate(bi, (N,))
+def _euler(batch: _Batch, z0, coeffs, jumps, system: str) -> np.ndarray:
+    """The explicit Euler recursion of a scalar forward system, padded.
+
+    z_{i+1} = z_i + a du + s dB_i + (the step's event jumps) - lam du int c,
+    where ``coeffs(i, z)`` gives the drift a, the Brownian loading s and
+    the nodewise compensator integrand c of step i, and ``jumps(i, z, sl,
+    p)`` the jump of each event in ``sl``, which acts on row p[e].  A row
+    holds its value past its horizon; a non-finite value inside it raises,
+    naming the system, the step and the path's label.
+    """
+    N, du = batch.N, batch.du
+    lam_du = batch.spec.intensity * du
+    Z = np.empty((N, batch.Kmax + 1))
+    Z[:, 0] = z0
+    for i in range(batch.Kmax):
+        z = Z[:, i]
+        a, s, c = coeffs(i, z)
         jump = np.zeros(N)
         sl = slice(batch.ev_start[i], batch.ev_start[i + 1])
         if sl.stop > sl.start:
-            p = batch.ev_p[sl]
-            bz = np.asarray(model.b(t1[p], u_i, X[p, i], v[p, i], batch.ev_z[sl]),
-                            dtype=float)
-            ev_b[sl] = bz
-            np.add.at(jump, p, bz)
-        xn = x + fi * du + si * batch.dB[:, i] + jump - comp
-        bad = act & ~np.isfinite(xn)
+            np.add.at(jump, batch.ev_p[sl], jumps(i, z, sl, batch.ev_p[sl]))
+        zn = z + a * du + s * batch.dB[:, i] + jump - lam_du * batch.spec.integrate(c, (N,))
+        act = i < batch.K
+        bad = act & ~np.isfinite(zn)
         if np.any(bad):
-            raise FloatingPointError(
-                f"blow-up at step {i} (path {int(paths[np.argmax(bad)])})")
-        X[:, i + 1] = np.where(act, xn, x)
-    return X, v, drift, vol, ev_b, nodes
+            raise FloatingPointError(f"{system} blow-up at step {i} "
+                                     f"(path {int(batch.labels[np.argmax(bad)])})")
+        Z[:, i + 1] = np.where(act, zn, z)
+    return Z
+
+
+def _forward_batch(model: ModelSpec, control, batch: _Batch, keep_nodes=False):
+    """The state by the Euler kernel; also returns the realized v, drift,
+    vol, event jumps and (``keep_nodes``) nodewise jump coefficients."""
+    N, Kmax, du = batch.N, batch.Kmax, batch.du
+    v, drift, vol = np.empty((N, Kmax)), np.zeros((N, Kmax)), np.zeros((N, Kmax))
+    ev_b = np.empty(batch.ev_p.size)
+    nodes = np.zeros((N, Kmax, batch.znodes.size)) if keep_nodes else None
+
+    def coeffs(i, x):
+        t1, u_i = batch.t[:, i], i * du
+        v[:, i] = model.control_set.admit(control.values_at(i, t1, u_i, x, batch.labels))
+        drift[:, i] = model.f(t1, u_i, x, v[:, i])
+        vol[:, i] = model.sigma(t1, u_i, x, v[:, i])
+        bi = model.b(t1[:, None], u_i, x[:, None], v[:, i, None], batch.znodes)
+        if keep_nodes:
+            nodes[:, i] = bi
+        return drift[:, i], vol[:, i], bi
+
+    def jumps(i, x, sl, p):
+        ev_b[sl] = model.b(batch.t[p, i], i * du, x[p], v[p, i], batch.ev_z[sl])
+        return ev_b[sl]
+
+    return _euler(batch, model.x0, coeffs, jumps, "state"), v, drift, vol, ev_b, nodes
 
 
 def solve_forward_dual(model: ModelSpec, control, bundle: PathBundle,
@@ -611,9 +631,7 @@ def _probe_affine(model: ModelSpec, batch: _Batch, v: np.ndarray):
                 Gy=lam * gy, Gx=lam * gx, Ga=lam * ga, G0=lam * g00, gr=lam * gr)
 
 
-def _affine_backward(batch: _Batch, X: np.ndarray, co: dict,
-                     P_term: np.ndarray, c_term: np.ndarray,
-                     collect_r: bool = True):
+def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
     """Exact conditional solution of the implicit backward scheme.
 
     The scheme Y_i = Y_{i+1} + G_i du - A_i dB_i - (jump martingale)
@@ -635,7 +653,7 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict,
     P[:, Kmax] = P_term
     c[:, Kmax] = c_term
     A = np.zeros((N, Kmax))
-    r = np.zeros((N, Kmax, Q)) if collect_r else None
+    r = np.zeros((N, Kmax, Q))
     wr_b = batch.spec.integrate(co["bx"], (N, Kmax))
     wr_b0 = batch.spec.integrate(co["b0"], (N, Kmax))
     for i in range(Kmax - 1, -1, -1):
@@ -655,11 +673,9 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict,
         P[:, i] = np.where(act, Pi, P_term)
         c[:, i] = np.where(act, ci, c_term)
         A[:, i] = np.where(act, Pn * (co["sx"][:, i] * X[:, i] + co["s0"][:, i]), 0.0)
-        if collect_r:
-            r[:, i, :] = np.where(
-                act[:, None],
-                Pn[:, None] * (co["bx"][:, i] * X[:, i, None] + co["b0"][:, i]),
-                0.0)
+        r[:, i, :] = np.where(act[:, None],
+                              Pn[:, None] * (co["bx"][:, i] * X[:, i, None] + co["b0"][:, i]),
+                              0.0)
     Y = c + P * X
     # freeze padded tails at each path's own terminal value
     np.copyto(Y, (c_term + P_term * X[np.arange(N), batch.K])[:, None],
@@ -1006,17 +1022,33 @@ def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
 
 # ------------------------------------------------------------------- cost
 
+def _step_args(batch: _Batch, i, X, Y, A, r, v):
+    """The (t1, t2, x, y, a, r, v) arguments of a driver or cost map at step
+    i, shaped to broadcast against the quadrature nodes; i = None gives
+    every step at once, with (N, Kmax) leading."""
+    if i is None:
+        i, u = slice(0, batch.Kmax), (np.arange(batch.Kmax) * batch.du)[:, None]
+    else:
+        u = i * batch.du
+    return (batch.t[:, i, None], u, X[:, i, None], Y[:, i, None], A[:, i, None], r[:, i],
+            v[:, i, None])
+
+
+def _step_sum(batch: _Batch, cell) -> np.ndarray:
+    """Each row's sum over its steps i < K of lam du int cell(i), taken in
+    step order: the running cost and the Gateaux integral."""
+    lam_du = batch.spec.intensity * batch.du
+    run = np.zeros(batch.N)
+    for i in range(batch.Kmax):
+        run += np.where(i < batch.K, lam_du * batch.spec.integrate(cell(i), (batch.N,)), 0.0)
+    return run
+
+
 def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
     X, v, _, _, _, _ = _forward_batch(model, control, batch)
     Y, A, r = _backward_batch(model, control, batch, X, v, method)
-    N, Kmax, du = batch.N, batch.Kmax, batch.du
-    spec, lam = batch.spec, batch.spec.intensity
-    run = np.zeros(N)
-    for i in range(Kmax):
-        act = i < batch.K
-        li = model.l(batch.t[:, i, None], i * du, X[:, i, None], Y[:, i, None],
-                     A[:, i, None], r[:, i, :], v[:, i, None])
-        run += np.where(act, lam * du * spec.integrate(li, (N,)), 0.0)
+    N = batch.N
+    run = _step_sum(batch, lambda i: model.l(*_step_args(batch, i, X, Y, A, r, v)))
     XT = X[np.arange(N), batch.K]
     hterm = np.broadcast_to(np.asarray(model.h(XT), dtype=float), (N,))
     gterm = np.broadcast_to(np.asarray(model.gamma(Y[:, 0]), dtype=float), (N,))

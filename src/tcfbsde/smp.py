@@ -10,14 +10,16 @@ interfaces.  Conventions, once and for all:
   margin <H_v, w - u> must be nonnegative for every feasible w.
 * Adjoint boundary conditions: p(0) = -gamma_y(Y_0) and
   q(T) = -phi_x(X_T) p(T) + h_x(X_T).
-* The second adjoint (q, k, R) solves a linear backward equation.  Two
-  regimes are implemented: an exact conditional closure q = cq + Pq * X for
-  state-affine systems whose first adjoint is deterministic given the time
-  change, which runs through the backward state's affine kernel
-  (fbsde._affine_backward) with remapped coefficients, and a scalar
-  backward ODE when the model flags its adjoints as conditionally
-  deterministic.  Models outside both regimes are rejected loudly instead
-  of being approximated silently.
+* The first adjoint p and the variational state X1 are forward systems
+  and run through the state's Euler kernel (fbsde._euler).
+* The second adjoint (q, k, R) solves a linear backward equation, and both
+  of its regimes run through the backward state's affine kernel
+  (fbsde._affine_backward): an exact conditional closure q = cq + Pq * X
+  with remapped coefficients for state-affine systems whose first adjoint
+  is deterministic given the time change, and the same kernel with zero
+  slope (q alone, k = R = 0) when the model flags its adjoints as
+  conditionally deterministic.  Models outside both regimes are rejected
+  loudly instead of being approximated silently.
 * Candidate controls in the necessary-condition search are step functions
   of operational time (constants on a lattice plus randomized two-level
   switches), which keeps them adapted and feasible by construction.
@@ -42,9 +44,12 @@ from .fbsde import (
     _affine_backward,
     _Batch,
     _batch_cost,
+    _euler,
     _probe_affine,
     _single,
     _solver_grid,
+    _step_args,
+    _step_sum,
     as_control,
     as_ensemble,
 )
@@ -223,35 +228,29 @@ def _nodes_interp(z_nodes: np.ndarray, rows: np.ndarray, zq: np.ndarray):
 
 
 def _p_forward_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v):
-    """Forward Euler for the first adjoint over the padded batch."""
-    N, Kmax, du = batch.N, batch.Kmax, batch.du
-    z, spec, lam = batch.znodes, batch.spec, batch.spec.intensity
+    """The first adjoint by the forward Euler kernel over the padded batch."""
+    N, z, spec, lam = batch.N, batch.znodes, batch.spec, batch.spec.intensity
     d_gy, d_ly, d_ga, d_la, d_gr, d_lr, d_gam = (model_derivative(model, name) for name in (
         "g_y", "l_y", "g_a", "l_a", "g_r", "l_r", "gamma_y"))
-    p = np.empty((N, Kmax + 1))
-    p[:, 0] = -np.asarray(d_gam(Y[:, 0]), dtype=float)
-    for i in range(Kmax):
-        act = i < batch.K
-        u_i = i * du
-        args = (batch.t[:, i, None], u_i, X[:, i, None], Y[:, i, None],
-                A[:, i, None], r[:, i, :], v[:, i, None])
-        pi = p[:, i]
-        drift = lam * spec.integrate(d_gy(*args) * pi[:, None] - d_ly(*args), (N,))
-        diff = lam * spec.integrate(d_ga(*args) * pi[:, None] - d_la(*args), (N,))
-        comp = du * lam * spec.integrate(d_gr(*args) * pi[:, None] - d_lr(*args), (N,))
-        jump = np.zeros(N)
-        sl = slice(batch.ev_start[i], batch.ev_start[i + 1])
-        if sl.stop > sl.start:
-            pe, ze = batch.ev_p[sl], batch.ev_z[sl]
-            ev = (batch.t[pe, i], u_i, X[pe, i], Y[pe, i], A[pe, i],
-                  _nodes_interp(z, r[pe, i, :], ze), v[pe, i])
-            np.add.at(jump, pe, np.asarray(d_gr(*ev), dtype=float) * p[pe, i]
-                      - np.asarray(d_lr(*ev), dtype=float))
-        pn = pi + du * drift + batch.dB[:, i] * diff + jump - comp
-        if np.any(act & ~np.isfinite(pn)):
-            raise FloatingPointError(f"adjoint blow-up at step {i}")
-        p[:, i + 1] = np.where(act, pn, pi)
-    return p
+
+    def coeffs(i, p):
+        args = _step_args(batch, i, X, Y, A, r, v)
+        return (lam * spec.integrate(d_gy(*args) * p[:, None] - d_ly(*args), (N,)),
+                lam * spec.integrate(d_ga(*args) * p[:, None] - d_la(*args), (N,)),
+                d_gr(*args) * p[:, None] - d_lr(*args))
+
+    def jumps(i, p, sl, pe):
+        ev = (batch.t[pe, i], i * batch.du, X[pe, i], Y[pe, i], A[pe, i],
+              _nodes_interp(z, r[pe, i], batch.ev_z[sl]), v[pe, i])
+        return (np.asarray(d_gr(*ev), dtype=float) * p[pe]
+                - np.asarray(d_lr(*ev), dtype=float))
+
+    return _euler(batch, -np.asarray(d_gam(Y[:, 0]), dtype=float), coeffs, jumps, "adjoint")
+
+
+def _absmax(a) -> float:
+    """max |a|, 0 on an empty array (a batch of zero-step paths)."""
+    return float(np.max(np.abs(a), initial=0.0))
 
 
 def _affine_in_x(dfun, args, pos=2, tol=1e-8):
@@ -263,7 +262,7 @@ def _affine_in_x(dfun, args, pos=2, tol=1e-8):
         probe[pos] = np.asarray(xval)
         vals.append(np.asarray(dfun(*probe), dtype=float))
     c, s = vals[0], vals[1] - vals[0]
-    if np.max(np.abs(vals[2] - (c - s))) > tol * (1.0 + np.max(np.abs(c))):
+    if _absmax(vals[2] - (c - s)) > tol * (1.0 + _absmax(c)):
         raise NotImplementedError(
             "adjoint closure needs cost gradients affine in the state")
     return c, s
@@ -280,22 +279,17 @@ def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
     and the -G_x p source form the driver, and there is no a- or r-term.
     Matching the Brownian and jump parts of q_{i+1} gives k and R.
     """
-    N, Kmax, du = batch.N, batch.Kmax, batch.du
-    spec, lam = batch.spec, batch.spec.intensity
+    N, z, spec, lam = batch.N, batch.znodes, batch.spec, batch.spec.intensity
     co = _probe_affine(model, batch, v)
-    t, u = batch.t[:, :-1], np.arange(Kmax) * du
-    z = batch.znodes
     d_lx = model_derivative(model, "l_x")
     d_hx = model_derivative(model, "h_x")
     # lam-integrated cost gradient, split into constant and x-slope parts;
     # the closure also needs that gradient free of (y, a, r)
-    lx_args = (t[..., None], u[:, None], np.asarray(0.0), 0.0, 0.0,
-               z * 0.0, v[..., None])
-    probe_one = (t[..., None], u[:, None], np.asarray(0.0), 1.0, 1.0,
-                 z * 0.0 + 1.0, v[..., None])
-    gap = np.max(np.abs(np.asarray(d_lx(*probe_one), dtype=float)
-                        - np.asarray(d_lx(*lx_args), dtype=float)))
-    if gap > 1e-8:
+    base = _step_args(batch, None, X, Y, A, r, v)
+    lx_args = base[:2] + (np.asarray(0.0), 0.0, 0.0, z * 0.0, base[6])
+    probe_one = base[:2] + (np.asarray(0.0), 1.0, 1.0, z * 0.0 + 1.0, base[6])
+    if _absmax(np.asarray(d_lx(*probe_one), dtype=float)
+               - np.asarray(d_lx(*lx_args), dtype=float)) > 1e-8:
         raise NotImplementedError(
             "adjoint closure needs cost gradients free of (y, a, r)")
     lc, ls = _affine_in_x(d_lx, lx_args)
@@ -314,50 +308,39 @@ def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
 
 
 def _q_ode_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
-    """Backward implicit Euler for q when the adjoints carry no noise."""
-    N, Kmax, du = batch.N, batch.Kmax, batch.du
-    spec, lam = batch.spec, batch.spec.intensity
+    """q for adjoints that carry no noise: _affine_backward with zero
+    slope, the drift slope f_x in the driver's y-slot, the lam-integrated
+    source int (l_x - g_x p) as its constant and no other coefficient.
+    A zero slope adds exact zeros only, and k and R come out zero."""
+    N, Kmax = batch.N, batch.Kmax
     d_fx, d_gx, d_lx, d_hx, d_px = (model_derivative(model, name) for name in (
         "f_x", "g_x", "l_x", "h_x", "phi_x"))
-    XT = X[np.arange(N), batch.K]
-    pT = p[np.arange(N), batch.K]
-    qT = (-np.asarray(d_px(XT), dtype=float) * pT
-          + np.asarray(d_hx(XT), dtype=float))
-    qT = np.broadcast_to(qT, (N,)).astype(float)
-    q = np.empty((N, Kmax + 1))
-    q[:, Kmax] = qT
-    for i in range(Kmax - 1, -1, -1):
-        act = i < batch.K
-        u_i = i * du
-        qn = np.where(i + 1 <= batch.K, q[:, i + 1], qT)
-        args = (batch.t[:, i, None], u_i, X[:, i, None], Y[:, i, None],
-                A[:, i, None], r[:, i, :], v[:, i, None])
-        fx = d_fx(batch.t[:, i], u_i, X[:, i], v[:, i])
-        src = lam * spec.integrate(d_lx(*args) - d_gx(*args) * p[:, i, None], (N,))
-        qi = (qn + du * src) / (1.0 - du * fx)
-        q[:, i] = np.where(act, qi, qT)
-    return q, np.zeros((N, Kmax)), np.zeros((N, Kmax, batch.w.size))
+    args = _step_args(batch, None, X, Y, A, r, v)
+    XT, pT = X[np.arange(N), batch.K], p[np.arange(N), batch.K]
+    qT = -np.asarray(d_px(XT), dtype=float) * pT + np.asarray(d_hx(XT), dtype=float)
+    co = dict.fromkeys(("fx", "f0", "sx", "s0", "bx", "b0", "Gx", "Ga", "gr"), 0.0)
+    co["Gy"] = d_fx(batch.t[:, :-1], np.arange(Kmax) * batch.du, X[:, :-1], v)
+    co["G0"] = batch.spec.intensity * batch.spec.integrate(
+        d_lx(*args) - d_gx(*args) * p[:, :-1, None], (N, Kmax))
+    q, k, R, _, _ = _affine_backward(batch, X, co, 0.0, qT)
+    return q, k, R
 
 
 def _p_state_free(model: ModelSpec, batch: _Batch, X, Y, A, r, v) -> bool:
     """True when the first adjoint's coefficients ignore the state and
     carry no Brownian or jump loading, so p is a functional of the
     subordinator path alone."""
-    z, w, lam = batch.znodes, batch.w, batch.spec.intensity
-    t, u = batch.t[:, :-1], np.arange(batch.Kmax) * batch.du
-    names = ("g_y", "l_y", "g_a", "l_a", "g_r", "l_r")
+    z = batch.znodes
     shape = v.shape + (z.size,)
-    base = (t[..., None], u[:, None], X[:, :-1, None], Y[:, :-1, None],
-            A[..., None], r, v[..., None])
-    zero = (t[..., None], u[:, None], np.asarray(0.0), 0.0, 0.0, z * 0.0,
-            v[..., None])
-    for name in names:
+    base = _step_args(batch, None, X, Y, A, r, v)
+    zero = base[:2] + (np.asarray(0.0), 0.0, 0.0, z * 0.0, base[6])
+    for name in ("g_y", "l_y", "g_a", "l_a", "g_r", "l_r"):
         d = model_derivative(model, name)
         vb = np.broadcast_to(np.asarray(d(*base), dtype=float), shape)
         vz = np.broadcast_to(np.asarray(d(*zero), dtype=float), shape)
-        if np.max(np.abs(vb - vz)) > 1e-10 * (1.0 + np.max(np.abs(vb))):
+        if _absmax(vb - vz) > 1e-10 * (1.0 + _absmax(vb)):
             return False
-        if name in ("g_a", "l_a", "g_r", "l_r") and np.max(np.abs(vb)) > 1e-12:
+        if name in ("g_a", "l_a", "g_r", "l_r") and _absmax(vb) > 1e-12:
             return False
     return True
 
@@ -431,17 +414,10 @@ class VariationalSolution:
     r1: np.ndarray
 
 
-def _quad_bar(dfun, batch, X, Y, A, r, v, i):
-    """Jump-measure average of a driver derivative at one step."""
-    u_i = i * batch.du
-    vals = dfun(batch.t[:, i, None], u_i, X[:, i, None], Y[:, i, None],
-                A[:, i, None], r[:, i, :], v[:, i, None])
-    return batch.spec.integrate(vals, (batch.N,))
-
-
 def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
                        X, Y, A, r, v):
-    """Linearized forward/backward pair along the base trajectory."""
+    """Linearized forward/backward pair along the base trajectory: X1 by
+    the forward Euler kernel, (Y1, A1, r1) by the affine backward kernel."""
     if not (getattr(control, "state_free", False)
             and getattr(direction, "state_free", False)):
         raise NotImplementedError(
@@ -461,42 +437,27 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
     node_args = (t[..., None], u[:, None], Xl[..., None], v[..., None], z)
     bx, bv = (np.broadcast_to(np.asarray(d(*node_args), dtype=float), full + (z.size,))
               for d in (d_bx, d_bv))
-    gbar = {name: np.empty(full)
-            for name in ("g_x", "g_y", "g_a", "g_r", "g_v")}
-    dmaps = {name: model_derivative(model, name) for name in gbar}
-    X1 = np.empty((N, Kmax + 1))
-    X1[:, 0] = 0.0
+    args = _step_args(batch, None, X, Y, A, r, v)
+    gy, gx, ga, gv, gr = (lam * batch.spec.integrate(model_derivative(model, name)(*args), full)
+                          for name in ("g_y", "g_x", "g_a", "g_v", "g_r"))
     vd = np.empty(full)
-    for i in range(Kmax):
-        act = i < batch.K
-        u_i = i * du
-        vd[:, i] = np.broadcast_to(np.asarray(
-            direction.values_at(i, batch.t[:, i], u_i, X[:, i], batch.labels),
-            dtype=float), (N,))
-        for name in gbar:
-            gbar[name][:, i] = _quad_bar(dmaps[name], batch, X, Y, A, r, v, i)
-        x1 = X1[:, i]
-        comp = du * lam * batch.spec.integrate(
-            bx[:, i] * x1[:, None] + bv[:, i] * vd[:, i, None], (N,))
-        jump = np.zeros(N)
-        sl = slice(batch.ev_start[i], batch.ev_start[i + 1])
-        if sl.stop > sl.start:
-            pe = batch.ev_p[sl]
-            ev = (batch.t[pe, i], u_i, X[pe, i], v[pe, i], batch.ev_z[sl])
-            np.add.at(jump, pe, np.asarray(d_bx(*ev), dtype=float) * x1[pe]
-                      + np.asarray(d_bv(*ev), dtype=float) * vd[pe, i])
-        xn = (x1 + (fx[:, i] * x1 + fv[:, i] * vd[:, i]) * du
-              + (sx[:, i] * x1 + sv[:, i] * vd[:, i]) * batch.dB[:, i]
-              + jump - comp)
-        X1[:, i + 1] = np.where(act, xn, x1)
+
+    def coeffs(i, x1):
+        vd[:, i] = direction.values_at(i, batch.t[:, i], i * du, X[:, i], batch.labels)
+        return (fx[:, i] * x1 + fv[:, i] * vd[:, i], sx[:, i] * x1 + sv[:, i] * vd[:, i],
+                bx[:, i] * x1[:, None] + bv[:, i] * vd[:, i, None])
+
+    def jumps(i, x1, sl, pe):
+        ev = (batch.t[pe, i], i * du, X[pe, i], v[pe, i], batch.ev_z[sl])
+        return (np.asarray(d_bx(*ev), dtype=float) * x1[pe]
+                + np.asarray(d_bv(*ev), dtype=float) * vd[pe, i])
+
+    X1 = _euler(batch, 0.0, coeffs, jumps, "variational")
     d_px = model_derivative(model, "phi_x")
     XT = X[np.arange(N), batch.K]
     P_term = np.broadcast_to(np.asarray(d_px(XT), dtype=float), (N,)).astype(float)
-    co = dict(fx=fx, f0=fv * vd, sx=sx, s0=sv * vd, bx=bx,
-              b0=bv * vd[..., None],
-              Gy=lam * gbar["g_y"], Gx=lam * gbar["g_x"],
-              Ga=lam * gbar["g_a"], G0=lam * gbar["g_v"] * vd,
-              gr=lam * gbar["g_r"])
+    co = dict(fx=fx, f0=fv * vd, sx=sx, s0=sv * vd, bx=bx, b0=bv * vd[..., None],
+              Gy=gy, Gx=gx, Ga=ga, G0=gv * vd, gr=gr)
     Y1, A1, r1, _, _ = _affine_backward(batch, X1, co, P_term, np.zeros(N))
     return X1, Y1, A1, r1, vd
 
@@ -572,21 +533,16 @@ def gateaux_consistency_check(model: ModelSpec, control, direction,
     vals_u, X, Y, v, A, r = _batch_cost(model, control, batch, method=method)
     X1, Y1, A1, r1, vd = _variational_batch(model, control, direction, batch,
                                             X, Y, A, r, v)
-    N, Kmax, du = batch.N, batch.Kmax, batch.du
-    lam = batch.spec.intensity
-    names = ("l_x", "l_y", "l_a", "l_r", "l_v")
-    dmaps = {name: model_derivative(model, name) for name in names}
-    rhs_p = np.zeros(N)
-    for i in range(Kmax):
-        act = i < batch.K
-        u_i = i * du
-        args = (batch.t[:, i, None], u_i, X[:, i, None], Y[:, i, None],
-                A[:, i, None], r[:, i, :], v[:, i, None])
-        lx, ly, la, lr, lv = (dmaps[name](*args) for name in names)
-        integrand = (lx * X1[:, i, None] + ly * Y1[:, i, None]
-                     + la * A1[:, i, None] + lr * r1[:, i, :]
-                     + lv * vd[:, i, None])
-        rhs_p += np.where(act, lam * du * batch.spec.integrate(integrand, (N,)), 0.0)
+    N = batch.N
+    dmaps = [model_derivative(model, name) for name in ("l_x", "l_y", "l_a", "l_r", "l_v")]
+
+    def cell(i):
+        args = _step_args(batch, i, X, Y, A, r, v)
+        lx, ly, la, lr, lv = (d(*args) for d in dmaps)
+        return (lx * X1[:, i, None] + ly * Y1[:, i, None] + la * A1[:, i, None]
+                + lr * r1[:, i] + lv * vd[:, i, None])
+
+    rhs_p = _step_sum(batch, cell)
     d_hx = model_derivative(model, "h_x")
     d_gam = model_derivative(model, "gamma_y")
     XT = X[np.arange(N), batch.K]

@@ -308,6 +308,21 @@ def test_zero_adjoints_park_at_benchmark():
     assert np.array_equal(u.values[0], 1.0 + 0.5 * times[:3])
 
 
+def test_rate_zeroes_dH_dv_under_noisy_adjoints():
+    # nonzero k and R (not the cash adjoints' own) must enter the rate too
+    spec = CashSpec(sigma_t=lambda t: 0.2 + t)
+    z, _ = spec.jump.quadrature()
+    rng = np.random.default_rng(7)
+    times = np.array([0.0, 0.2, 0.5, 0.9])
+    p, q, k = rng.normal(size=4), rng.normal(size=4), rng.normal(size=3)
+    R = rng.normal(size=(3, z.size))
+    u = cash_optimal_control(spec, AdjointSolution(grid=None, calendar_times=times,
+                                                   p=p, q=q, k=k, R=R))
+    hv = build_cash_model(spec).hamiltonian_v(times[:3], 0.0, 0.0, 0.0, 0.0, 0.0, u.values[0],
+                                              p[:3], q[:3], k, R, spec.jump)
+    assert np.max(np.abs(hv)) < 1e-14
+
+
 def test_rate_at_unstarted_clock():
     # before the clock first moves, p = 1, so u(0) = kappa - beta1 q(0) + beta2
     spec = CashSpec()

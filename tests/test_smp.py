@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import cash_q_candidate
-from support import lq_model, mk_model
+from support import RAGGED_STEPS, lq_model, mk_model, ragged_bundles
+from tcfbsde.cash import CashSpec, build_cash_model
 from tcfbsde.fbsde import (
     Box,
+    Ensemble,
     _solved_ensemble,
     ConstantControl,
     FeedbackControl,
@@ -19,6 +21,7 @@ from tcfbsde.fbsde import (
     PerturbedControl,
     StepwiseControl,
     build_model,
+    evaluate_cost,
     make_ensemble,
     solve_backward_dual,
     solve_forward_dual,
@@ -26,6 +29,7 @@ from tcfbsde.fbsde import (
 from tcfbsde.noise import LevyJumpSpec
 from tcfbsde.smp import (
     OptimalityReport,
+    _variational_batch,
     check_necessary_condition,
     check_sufficient_condition_hypotheses,
     gateaux_consistency_check,
@@ -315,6 +319,63 @@ def test_variational_needs_open_loop():
     fb = FeedbackControl(lambda t1, t2, x: 0.1 * x)
     with pytest.raises(NotImplementedError, match="open-loop"):
         solve_variational(model, fb, ConstantControl(1.0), bnd, sol)
+
+
+@pytest.mark.parametrize("system", ["state", "adjoint", "variational"])
+def test_forward_blow_up_names_the_system_and_the_path(system):
+    """The state, the first adjoint and the variational state share one
+    forward kernel: a non-finite value raises in each, naming the system,
+    the step and the ensemble path, not the batch row (the cost's K-sorted
+    batch holds path 2 at row 8)."""
+    bundles = ragged_bundles(RAGGED_STEPS)
+    rows = np.zeros((len(bundles), max(RAGGED_STEPS)))
+    rows[2] = 1e200
+    huge = StepwiseControl(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError,
+                           match=rf"^{system} blow-up at step 0 \(path 2\)$"):
+            if system == "state":
+                model = mk_model(f=lambda t1, t2, x, v: v * v + 0.0 * x, control_set=Box())
+                evaluate_cost(model, huge, bundles)
+            elif system == "adjoint":
+                # l_y = v^2 drives p; the state and Y stay at x0 and 0
+                model = mk_model(l=lambda t1, t2, x, y, a, r, v: y * v * v,
+                                 control_set=Box(), conditionally_deterministic=True,
+                                 derivatives={"l_y": lambda t1, t2, x, y, a, r, v: v * v})
+                sols = _solved_ensemble(model, huge, bundles)
+                solve_adjoint_ensemble(model, huge, bundles, sols, method="ode")
+            else:
+                # f_v = 1e200 loads the direction into X1; the base stays put
+                model = mk_model(f=lambda t1, t2, x, v: 1e200 * v + 0.0 * x, M_T=0.0,
+                                 control_set=Box(), linear=("f", "sigma", "b", "g"))
+                gateaux_consistency_check(model, 0.0, huge, [0.1], bundles)
+
+
+@pytest.mark.parametrize("method", ["affine", "ode"])
+def test_adjoint_and_variational_rows_match_single_paths(method):
+    """Every row of an ensemble's adjoint and variational solve carries the
+    bytes of that path solved alone, whatever its horizon (zero-step paths
+    included), so the padded kernels hold and freeze each row on its own."""
+    spec = CashSpec()
+    model = build_cash_model(spec)
+    bundles = ragged_bundles(RAGGED_STEPS, jump_spec=spec.jump)
+    u, d = ConstantControl(0.7), ConstantControl(1.0)
+
+    def solve(bnds):
+        sols = _solved_ensemble(model, u, bnds)
+        adj = solve_adjoint_ensemble(model, u, bnds, sols, method=method)
+        var = _variational_batch(model, u, d, Ensemble(bnds).rows(), sols.X, sols.Y,
+                                 sols.A, sols.r, sols.v)
+        return adj, var
+
+    adj, var = solve(bundles)
+    for n, (k, bnd) in enumerate(zip(RAGGED_STEPS, bundles)):
+        one_adj, one_var = solve([bnd])
+        for name in ("p", "q", "k", "R"):
+            assert np.array_equal(getattr(adj[n], name), getattr(one_adj[0], name)), name
+        for name, got, want in zip(("X1", "Y1", "A1", "r1"), var, one_var):
+            width = k + 1 if name in ("X1", "Y1") else k
+            assert np.array_equal(got[n, :width], want[0, :width]), name
 
 
 def test_remainders_sit_on_the_floor_for_linear_models():

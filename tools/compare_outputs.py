@@ -1,0 +1,152 @@
+"""Compare the fixed numerical outputs of two source trees byte for byte.
+
+    python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
+
+Each tree's ``src/`` is imported in a subprocess of its own, which dumps a
+fixed set of outputs (certificates, costs, adjoints, variational pairs and
+forward ingredients, all at fixed seeds) to an ``.npz`` file.  The script
+then prints one line per output: ``identical`` when dtype, shape and bytes
+agree, else ``moved`` with the largest absolute and relative difference.
+It exits 1 when any output differs or is missing from one tree.
+
+The outputs reach a few private solver entry points
+(``_solved_ensemble``, ``_variational_batch``); a tree that renames them
+needs this script updated in the same change.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+
+def _json_numbers(node):
+    """The numbers of a parsed JSON document in document order."""
+    if isinstance(node, dict):
+        return [x for key in sorted(node) for x in _json_numbers(node[key])]
+    if isinstance(node, list):
+        return [x for item in node for x in _json_numbers(item)]
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return [float(node)]
+    return []
+
+
+def dump(out_path):
+    """Write every output of the tree on sys.path to ``out_path``."""
+    from tcfbsde import cash, fbsde, smp
+
+    out = {}
+    spec = cash.CashSpec()
+    for seed in (0, 1):
+        rep = cash.certify_optimality(spec, candidates=[0.5, 1.5], ensemble_size=2048,
+                                      seed=seed, expansion_rhos=[0.1, 0.05],
+                                      expansion_paths=128)
+        out[f"certify.seed{seed}.to_json"] = np.array(rep.to_json())
+
+    lin, jump, sub, p = fbsde.build_model("linear_test")
+    ens = fbsde.make_ensemble(sub, jump, p["horizon"], p["step"], 8192, 0)
+    out["cost.linear_test.per_path"] = fbsde.evaluate_cost(
+        lin, fbsde.ConstantControl(0.5), ens).per_path
+
+    # two 16-path lsmc operations, outer paths spread over the K-sorted order
+    quad, qjump, qsub, qp = fbsde.build_model("quadratic_drift")
+    qens = fbsde.make_ensemble(qsub, qjump, qp["horizon"], qp["step"], 4096, 0)
+    K = np.array([b.solver_steps for b in qens])
+    picks = np.argsort(K, kind="stable")[(2 * np.arange(192) + 1) * K.size // 384]
+    rows = picks.reshape(16, 12)
+    rows[1::2] = rows[1::2, ::-1]
+    for j in (0, 1):
+        out[f"lsmc.op{j}.per_path"] = fbsde.evaluate_cost(
+            quad, fbsde.ConstantControl(0.5), [qens[int(k)] for k in rows[:, j]],
+            method="lsmc").per_path
+
+    cmodel = cash.build_cash_model(spec)
+    cens = fbsde.make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 200, 0)
+    ustar = cash.cash_optimal_control(spec, cash.cash_adjoints(spec, cens))
+    out["cash.ustar"] = ustar.values
+    lens = ens[:100]
+    cases = [("cash", cmodel, ustar, cens, ("affine", "ode")),
+             ("linear_test", lin, fbsde.ConstantControl(0.5), lens, (None,))]
+    for name, model, ctl, bundles, methods in cases:
+        sols = fbsde._solved_ensemble(model, ctl, bundles)
+        for method in methods:
+            adj = smp.solve_adjoint_ensemble(model, ctl, bundles, sols, method=method)
+            for field in ("p", "q", "k", "R"):
+                out[f"adjoint.{name}.{method or 'auto'}.{field}"] = getattr(adj, field)
+        var = smp._variational_batch(model, ctl, fbsde.ConstantControl(1.0),
+                                     fbsde.as_ensemble(bundles).rows(),
+                                     sols.X, sols.Y, sols.A, sols.r, sols.v)
+        for field, val in zip(("X1", "Y1", "A1", "r1", "vd"), var):
+            out[f"variational.{name}.{field}"] = val
+
+    for name, model, bundles in (("cash", cmodel, cens), ("linear_test", lin, lens)):
+        bnd = max(bundles.bundles[:50], key=lambda b: b.jumps.times.size)
+        sol = fbsde.solve_forward_dual(model, 0.5, bnd)
+        for field in ("X", "control_values", "drift", "vol", "dB", "jump_nodes",
+                      "event_steps", "event_b"):
+            out[f"forward.{name}.{field}"] = getattr(sol, field)
+    np.savez(out_path, **out)
+
+
+def run_tree(tree, out_path):
+    src = Path(tree).resolve() / "src"
+    if not (src / "tcfbsde" / "__init__.py").is_file():
+        sys.exit(f"error: no package sources at {src / 'tcfbsde'}")
+    env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, __file__, "--dump", str(src), out_path],
+                   env=env, check=True)
+
+
+def compare(a, b):
+    """(status, max abs difference, max rel difference) of two outputs."""
+    if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
+        return "identical", 0.0, 0.0
+    if a.dtype.kind == "U":
+        x, y = (np.array(_json_numbers(json.loads(str(s)))) for s in (a, b))
+    else:
+        x, y = a.astype(float), b.astype(float)
+    if x.shape != y.shape:
+        return "moved (shape)", float("nan"), float("nan")
+    diff = np.abs(x - y)
+    scale = np.maximum(np.abs(x), np.abs(y))
+    rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+    return "moved", float(diff.max(initial=0.0)), float(rel.max(initial=0.0))
+
+
+def main(argv):
+    if len(argv) == 3 and argv[0] == "--dump":
+        src = Path(argv[1]).resolve()
+        sys.path.insert(0, str(src))
+        import tcfbsde
+        if Path(tcfbsde.__file__).resolve().parent != src / "tcfbsde":
+            sys.exit(f"error: imported tcfbsde from {tcfbsde.__file__}, not from {src}")
+        dump(argv[2])
+        return 0
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [os.path.join(tmp, f"tree{i}.npz") for i in (0, 1)]
+        for tree, path in zip(argv, files):
+            run_tree(tree, path)
+        with np.load(files[0]) as f0, np.load(files[1]) as f1:
+            old, new = dict(f0), dict(f1)
+    bad = 0
+    print(f"{'output':<36} {'status':<10} {'max abs':>10} {'max rel':>10}")
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old or key not in new:
+            status, dabs, drel = "missing", float("nan"), float("nan")
+        else:
+            status, dabs, drel = compare(old[key], new[key])
+        bad += status != "identical"
+        print(f"{key:<36} {status:<10} {dabs:>10.3g} {drel:>10.3g}")
+    print(f"{len(old.keys() | new.keys()) - bad} identical, {bad} differ")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
