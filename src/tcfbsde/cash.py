@@ -18,10 +18,10 @@ Brownian and jump integrands; the minimizing rate is
     u = kappa - beta1 q - sigma(t) k + beta2 p - (jump loading term),
 
 which the zero integrands reduce to kappa - beta1 q + beta2 p.  The
-functions here build the model (with closed-form derivatives and dH/dv
-registered, so optimality checks run at rounding precision), produce the
-adjoints and the rate per path, and certify optimality by paired Monte
-Carlo comparison against caller-supplied challenger controls.
+functions here build the model (with closed-form partials registered, so
+optimality checks, dH/dv included, run at rounding precision), produce
+the adjoints and the rate per path, and certify optimality by paired
+Monte Carlo comparison against caller-supplied challenger controls.
 """
 
 from dataclasses import dataclass, field
@@ -49,8 +49,7 @@ from .smp import (
     EnsembleAdjoint,
     OptimalityReport,
     check_necessary_condition,
-    gateaux_consistency_check,
-    remainder_convergence_check,
+    expansion_check,
 )
 from .time_change import SubordinatorSpec
 
@@ -128,26 +127,14 @@ def build_cash_model(spec: CashSpec) -> ModelSpec:
     The driver and the running cost are stored per jump mark (divided by
     the intensity) because the solver integrates both against the jump
     measure; their measure-weighted totals are the displays in the module
-    docstring.  Every coefficient derivative and the explicit dH/dv are
-    registered, which removes the finite-difference noise floor from the
-    downstream optimality certificates.
+    docstring.  Every coefficient partial is registered in closed form,
+    which removes the finite-difference noise floor from the downstream
+    optimality certificates; dH/dv is built from the v-partials.
     """
     mu1, mu2 = spec.mu1, spec.mu2
     b1, b2 = spec.beta1, spec.beta2
     lam = spec.jump.intensity
     sig, eta, kap = spec.maps()
-
-    def hamiltonian_v(t1, t2, x, y, a, r, v, p, q, k, R, jspec):
-        t1 = np.asarray(t1, dtype=float)
-        R = np.asarray(R, dtype=float)
-        z, _ = jspec.quadrature()
-        jump_part = jspec.intensity * jspec.integrate(
-            R * eta(t1[..., None], z), np.broadcast_shapes(t1.shape, R.shape[:-1]))
-        return (b1 * np.asarray(q, dtype=float)
-                + sig(t1) * np.asarray(k, dtype=float)
-                - b2 * np.asarray(p, dtype=float)
-                + jump_part
-                + (np.asarray(v, dtype=float) - kap(t1)))
 
     derivs = {
         "f_x": lambda t1, t2, x, v: -mu1,
@@ -185,7 +172,6 @@ def build_cash_model(spec: CashSpec) -> ModelSpec:
         linear={"f", "sigma", "b", "g"},
         adjoint_deterministic=True,
         derivatives=derivs,
-        hamiltonian_v=hamiltonian_v,
         name="cash",
     )
 
@@ -306,11 +292,8 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
     conv_rows, rem_rows = [], []
     if expansion_rhos:
         sub = bundles[: min(len(bundles), max(int(expansion_paths), 2))]
-        direction = ConstantControl(1.0)
-        conv_rows = gateaux_consistency_check(model, ustar, direction,
+        conv_rows, rem_rows = expansion_check(model, ustar, ConstantControl(1.0),
                                               list(expansion_rhos), sub)
-        rem_rows = remainder_convergence_check(model, ustar, direction,
-                                               list(expansion_rhos), sub)
     certified = (margins.min_margin >= -3.0 * margins.std_error - 1e-12
                  and all(row["gap"] >= -3.0 * row["se"] for row in gap_rows))
     meta = dict(model="cash", ensemble=int(len(bundles)), seed=int(seed),

@@ -210,13 +210,16 @@ class ModelSpec:
     ``linear`` names the coefficients that are affine in their state
     arguments ("f", "sigma", "b" in x; "g" in (x, y, a, r)); the solver
     probes affine coefficients by evaluation at 0 and 1, which is exact.
+    ``derivatives`` is the one place for closed-form partials, keyed
+    ``<map>_<argument>`` (e.g. "f_x", "l_v"); every partial it lacks,
+    dH/dv's included, is a central difference of the map.
     Only scalar systems are implemented (n = m = d = k = 1).
     """
 
     def __init__(self, *, f, sigma, b, g, phi, l, h, gamma, control_set: Box,
                  x0: float, n=1, m=1, d=1, k=1, M_T=None, linear=(),
                  conditionally_deterministic=False, adjoint_deterministic=False,
-                 derivatives=None, hamiltonian_v=None, name=""):
+                 derivatives=None, name=""):
         if (n, m, d, k) != (1, 1, 1, 1):
             raise NotImplementedError("only scalar models are supported")
         self.n, self.m, self.d, self.k = n, m, d, k
@@ -232,7 +235,6 @@ class ModelSpec:
         # of the first adjoint vanishing); flag it to unlock the ODE regime
         self.adjoint_deterministic = bool(adjoint_deterministic)
         self.derivatives = dict(derivatives or {})
-        self.hamiltonian_v = hamiltonian_v
         self.name = name
         self._validate()
 
@@ -642,10 +644,14 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
     matching the Brownian and jump terms of Y_{i+1}.
 
     The coefficients ``co`` may take any shape that broadcasts against
-    the (N, Kmax) layout, (N, Kmax, nodes) for ``bx`` and ``b0``.
+    the (N, Kmax) layout, (N, Kmax, nodes) for ``bx`` and ``b0``, whose
+    mark integrals are taken over the shape they come in.  Returns
+    (Y, A, r).
     """
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     Q = batch.w.size
+    wr_b, wr_b0 = (np.broadcast_to(batch.spec.integrate(co[key], np.shape(co[key])[:-1]),
+                                   (N, Kmax)) for key in ("bx", "b0"))
     co = {key: np.broadcast_to(val, (N, Kmax, Q) if key in ("bx", "b0") else (N, Kmax))
           for key, val in co.items()}
     P = np.empty((N, Kmax + 1))
@@ -654,15 +660,11 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
     c[:, Kmax] = c_term
     A = np.zeros((N, Kmax))
     r = np.zeros((N, Kmax, Q))
-    wr_b = batch.spec.integrate(co["bx"], (N, Kmax))
-    wr_b0 = batch.spec.integrate(co["b0"], (N, Kmax))
     for i in range(Kmax - 1, -1, -1):
         act = i < batch.K
         h = du
+        # a row past its horizon holds the terminal pair from step K on
         Pn, cn = P[:, i + 1], c[:, i + 1]
-        # paths already past their horizon carry the terminal pair down
-        Pn = np.where(i + 1 <= batch.K, Pn, P_term)
-        cn = np.where(i + 1 <= batch.K, cn, c_term)
         den = 1.0 - h * co["Gy"][:, i]
         Pi = (Pn * (1.0 + h * co["fx"][:, i])
               + h * (co["Gx"][:, i] + co["Ga"][:, i] * Pn * co["sx"][:, i]
@@ -680,7 +682,7 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
     # freeze padded tails at each path's own terminal value
     np.copyto(Y, (c_term + P_term * X[np.arange(N), batch.K])[:, None],
               where=np.arange(Kmax + 1) >= batch.K[:, None])
-    return Y, A, r, P, c
+    return Y, A, r
 
 
 # -------------------------------------------------------------- lsmc backward
@@ -894,7 +896,7 @@ def _backward_batch(model: ModelSpec, control, batch: _Batch, X, v, method=None,
     if method == "ode":
         return _ode_backward(model, batch, X, v)
     if method == "affine":
-        Y, A, r, _, _ = _affine_backward(
+        Y, A, r = _affine_backward(
             batch, X, _probe_affine(model, batch, v), np.full(batch.N, model.M_T),
             np.full(batch.N, float(model.phi(0.0))))
         return Y, A, r

@@ -27,7 +27,11 @@ interfaces.  Conventions, once and for all:
 Derivative coefficients come from ``model.derivatives`` closed forms when
 present and otherwise from noise.central_difference, with step
 1e-5 * (1 + |argument|), which is exact for the polynomial coefficient maps
-used throughout.
+used throughout.  dH/dv goes the same way: H is linear in its maps, so
+hamiltonian_grad_v is H's form over their v-partials.  expansion_check
+measures the first-order (Gateaux) expansion of the cost in a control
+direction, its difference quotients and its remainders, from one base,
+one variational and one perturbed solve per step size.
 """
 
 import json
@@ -94,13 +98,10 @@ def model_derivative(model: ModelSpec, name: str):
 
 # ---------------------------------------------------------------- Hamiltonian
 
-def hamiltonian(model: ModelSpec, spec, t1, t2, x, y, a, r_nodes, v,
-                p, q, k, R_nodes):
-    """H at one point of the state/adjoint space; broadcasts over arrays.
-
-    ``r_nodes`` and ``R_nodes`` carry one trailing axis over the quadrature
-    nodes of ``spec``; every other argument is scalar per evaluation point.
-    """
+def _hamiltonian_form(maps, spec, t1, t2, x, y, a, r_nodes, v, p, q, k, R_nodes):
+    """<q, f> + <k, sigma> - lam int [p g - l - R b] over the five maps
+    ``maps`` returns by name ("f", "sigma", "b", "g", "l"); H is linear in
+    them, so the same form over their v-partials is dH/dv."""
     z, _ = spec.quadrature()
     r_nodes = np.asarray(r_nodes, dtype=float)
     R_nodes = np.asarray(R_nodes, dtype=float)
@@ -112,52 +113,33 @@ def hamiltonian(model: ModelSpec, spec, t1, t2, x, y, a, r_nodes, v,
         *(np.asarray(u, dtype=float)
           for u in (t1, t2, x, y, a, v, p, q, k)))
     e = (Ellipsis, None)
-    fv = np.asarray(model.f(t1, t2, x, v), dtype=float)
-    sv = np.asarray(model.sigma(t1, t2, x, v), dtype=float)
-    bv = np.asarray(model.b(t1[e], t2[e], x[e], v[e], z), dtype=float)
-    gv = np.asarray(model.g(t1[e], t2[e], x[e], y[e], a[e], r_nodes, v[e]),
-                    dtype=float)
-    lv = np.asarray(model.l(t1[e], t2[e], x[e], y[e], a[e], r_nodes, v[e]),
-                    dtype=float)
+    f, sigma, b, g, l = (maps(name) for name in ("f", "sigma", "b", "g", "l"))
+    fv = np.asarray(f(t1, t2, x, v), dtype=float)
+    sv = np.asarray(sigma(t1, t2, x, v), dtype=float)
+    bv = np.asarray(b(t1[e], t2[e], x[e], v[e], z), dtype=float)
+    gv = np.asarray(g(t1[e], t2[e], x[e], y[e], a[e], r_nodes, v[e]), dtype=float)
+    lv = np.asarray(l(t1[e], t2[e], x[e], y[e], a[e], r_nodes, v[e]), dtype=float)
     return q * fv + k * sv - spec.intensity * spec.integrate(p[e] * gv - lv - R_nodes * bv,
                                                              t1.shape)
 
 
-def hamiltonian_grad_v(model: ModelSpec, spec, t1, t2, x, y, a, r_nodes, v,
-                       p, q, k, R_nodes, fd_step: float = 1e-4):
-    """dH/dv: closed form when the model carries one, else differences.
+def hamiltonian(model: ModelSpec, spec, t1, t2, x, y, a, r_nodes, v,
+                p, q, k, R_nodes):
+    """H at one point of the state/adjoint space; broadcasts over arrays.
 
-    The finite-difference stencil must stay inside the control set; near a
-    box edge a second-order one-sided formula is used, and evaluation fails
-    if neither direction has room.
+    ``r_nodes`` and ``R_nodes`` carry one trailing axis over the quadrature
+    nodes of ``spec``; every other argument is scalar per evaluation point.
     """
-    if model.hamiltonian_v is not None:
-        return np.asarray(model.hamiltonian_v(
-            t1, t2, x, y, a, r_nodes, v, p, q, k, R_nodes, spec), dtype=float)
-    box = model.control_set
-    v = np.asarray(v, dtype=float)
-    h = fd_step * (1.0 + np.abs(v))
-    tol = 1e-12
-    can_up = v + h <= box.hi + tol
-    can_dn = v - h >= box.lo - tol
-    central = can_up & can_dn
-    fwd = ~central & (v + 2 * h <= box.hi + tol)
-    bwd = ~central & ~fwd & (v - 2 * h >= box.lo - tol)
-    if not np.all(central | fwd | bwd):
-        raise ValueError("gradient stencil leaves the control set in both "
-                         "directions; the box is narrower than the step")
+    return _hamiltonian_form(lambda name: getattr(model, name), spec, t1, t2, x, y, a,
+                             r_nodes, v, p, q, k, R_nodes)
 
-    def H(vv):
-        return hamiltonian(model, spec, t1, t2, x, y, a, r_nodes, vv,
-                           p, q, k, R_nodes)
 
-    h0, hp, hm = H(v), H(v + h), H(v - h)
-    out = np.where(central, (hp - hm) / (2.0 * h), 0.0)
-    if np.any(fwd):
-        out = np.where(fwd, (-3.0 * h0 + 4.0 * hp - H(v + 2 * h)) / (2.0 * h), out)
-    if np.any(bwd):
-        out = np.where(bwd, (3.0 * h0 - 4.0 * hm + H(v - 2 * h)) / (2.0 * h), out)
-    return out
+def hamiltonian_grad_v(model: ModelSpec, spec, t1, t2, x, y, a, r_nodes, v,
+                       p, q, k, R_nodes):
+    """dH/dv: H's form taken over the v-partials of its maps, as
+    model_derivative gives them (closed forms, else central differences)."""
+    return _hamiltonian_form(lambda name: model_derivative(model, name + "_v"), spec,
+                             t1, t2, x, y, a, r_nodes, v, p, q, k, R_nodes)
 
 
 # ------------------------------------------------------------------ adjoints
@@ -302,9 +284,7 @@ def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
                fx=fx + sx ** 2 + lam * spec.integrate(bx ** 2, v.shape),
                f0=co["f0"] + sx * co["s0"] + lam * spec.integrate(bx * co["b0"], v.shape),
                Gy=fx, Gx=Lxx, G0=Lx0 - co["Gx"] * p[:, :-1], Ga=0.0, gr=0.0)
-    q, k, R, _, _ = _affine_backward(batch, X, qco, np.full(N, float(hs)),
-                                     -model.M_T * pT + float(hc))
-    return q, k, R
+    return _affine_backward(batch, X, qco, np.full(N, float(hs)), -model.M_T * pT + float(hc))
 
 
 def _q_ode_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
@@ -322,8 +302,7 @@ def _q_ode_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
     co["Gy"] = d_fx(batch.t[:, :-1], np.arange(Kmax) * batch.du, X[:, :-1], v)
     co["G0"] = batch.spec.intensity * batch.spec.integrate(
         d_lx(*args) - d_gx(*args) * p[:, :-1, None], (N, Kmax))
-    q, k, R, _, _ = _affine_backward(batch, X, co, 0.0, qT)
-    return q, k, R
+    return _affine_backward(batch, X, co, 0.0, qT)
 
 
 def _p_state_free(model: ModelSpec, batch: _Batch, X, Y, A, r, v) -> bool:
@@ -458,7 +437,7 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
     P_term = np.broadcast_to(np.asarray(d_px(XT), dtype=float), (N,)).astype(float)
     co = dict(fx=fx, f0=fv * vd, sx=sx, s0=sv * vd, bx=bx, b0=bv * vd[..., None],
               Gy=gy, Gx=gx, Ga=ga, G0=gv * vd, gr=gr)
-    Y1, A1, r1, _, _ = _affine_backward(batch, X1, co, P_term, np.zeros(N))
+    Y1, A1, r1 = _affine_backward(batch, X1, co, P_term, np.zeros(N))
     return X1, Y1, A1, r1, vd
 
 
@@ -483,49 +462,23 @@ def solve_variational(model: ModelSpec, control, direction,
 
 # ------------------------------------------------- expansion and gap checks
 
-def remainder_convergence_check(model: ModelSpec, control, direction,
-                                rhos, bundles, method=None) -> list:
-    """First-order remainder norms for a shrinking perturbation size.
+def expansion_check(model: ModelSpec, control, direction, rhos, bundles,
+                    method=None) -> tuple:
+    """First-order expansion of the cost and the state pair in a direction.
 
-    Each row reports, at one rho, the four remainder norms of the
-    expansion error (state sup-norm, backward sup-norm, integrated
-    Brownian and jump integrand norms), all mean-square over the
-    ensemble.  Common noise across rows makes the decay deterministic.
-    """
-    control = as_control(control)
-    direction = as_control(direction)
-    batch = as_ensemble(bundles).rows()
-    _, X, Y, v, A, r = _batch_cost(model, control, batch, method=method)
-    X1, Y1, A1, r1, _ = _variational_batch(model, control, direction, batch,
-                                           X, Y, A, r, v)
-    du, lam = batch.du, batch.spec.intensity
-    rows = []
-    for rho in rhos:
-        pert = PerturbedControl(control, direction, float(rho))
-        _, Xr, Yr, vr, Ar, rr = _batch_cost(model, pert, batch, method=method)
-        Xt = (Xr - X) / rho - X1
-        Yt = (Yr - Y) / rho - Y1
-        At = (Ar - A) / rho - A1
-        rt = (rr - r) / rho - r1
-        rows.append(dict(
-            rho=float(rho),
-            x2=float(np.max(np.mean(Xt ** 2, axis=0))),
-            y2=float(np.max(np.mean(Yt ** 2, axis=0))),
-            a2=float(np.mean(np.sum(At ** 2, axis=1)) * du),
-            r2=float(np.mean(np.sum(batch.spec.integrate(rt ** 2, rt.shape[:-1]), axis=1))
-                     * du * lam),
-        ))
-    return rows
+    One base solve, one variational solve and one perturbed solve per rho
+    on common noise feed two tables, each with one row per rho:
 
+    * Gateaux rows: the difference quotient of the cost (lhs) against the
+      variational formula (rhs), which integrates the cost gradients
+      against the variational processes and adds the terminal and initial
+      parts; their gap (diff, with its se) must shrink linearly in rho.
+    * remainder rows: the four norms of the expansion error (state
+      sup-norm, backward sup-norm, integrated Brownian and jump integrand
+      norms), all mean-square over the ensemble; common noise makes their
+      decay deterministic.
 
-def gateaux_consistency_check(model: ModelSpec, control, direction,
-                              rhos, bundles, method=None) -> list:
-    """Difference quotients of the cost against the variational formula.
-
-    The reference value integrates the cost gradients against the
-    variational processes and adds the terminal and initial parts; the
-    difference quotient uses the same noise, so their gap must shrink
-    linearly in rho.
+    Returns (gateaux_rows, remainder_rows).
     """
     control = as_control(control)
     direction = as_control(direction)
@@ -533,7 +486,7 @@ def gateaux_consistency_check(model: ModelSpec, control, direction,
     vals_u, X, Y, v, A, r = _batch_cost(model, control, batch, method=method)
     X1, Y1, A1, r1, vd = _variational_batch(model, control, direction, batch,
                                             X, Y, A, r, v)
-    N = batch.N
+    N, du, lam = batch.N, batch.du, batch.spec.intensity
     dmaps = [model_derivative(model, name) for name in ("l_x", "l_y", "l_a", "l_r", "l_v")]
 
     def cell(i):
@@ -550,20 +503,32 @@ def gateaux_consistency_check(model: ModelSpec, control, direction,
     rhs_p += np.asarray(d_hx(XT), dtype=float) * X1T
     rhs_p += np.asarray(d_gam(Y[:, 0]), dtype=float) * Y1[:, 0]
     rhs = float(rhs_p.mean())
-    rows = []
+    gateaux, remainder = [], []
     for rho in rhos:
         pert = PerturbedControl(control, direction, float(rho))
-        vals_r, _, _, _, _, _ = _batch_cost(model, pert, batch, method=method)
+        vals_r, Xr, Yr, _, Ar, rr = _batch_cost(model, pert, batch, method=method)
         lhs_p = (vals_r - vals_u) / rho
         gap = lhs_p - rhs_p
-        rows.append(dict(
+        gateaux.append(dict(
             rho=float(rho),
             lhs=float(lhs_p.mean()),
             rhs=rhs,
             diff=abs(float(gap.mean())),
             se=float(gap.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0,
         ))
-    return rows
+        Xt = (Xr - X) / rho - X1
+        Yt = (Yr - Y) / rho - Y1
+        At = (Ar - A) / rho - A1
+        rt = (rr - r) / rho - r1
+        remainder.append(dict(
+            rho=float(rho),
+            x2=float(np.max(np.mean(Xt ** 2, axis=0))),
+            y2=float(np.max(np.mean(Yt ** 2, axis=0))),
+            a2=float(np.mean(np.sum(At ** 2, axis=1)) * du),
+            r2=float(np.mean(np.sum(batch.spec.integrate(rt ** 2, rt.shape[:-1]), axis=1))
+                     * du * lam),
+        ))
+    return gateaux, remainder
 
 
 # ------------------------------------------------------ optimality condition
@@ -604,10 +569,12 @@ def check_necessary_condition(model: ModelSpec, control, bundles, solutions,
     act = np.arange(Kmax)[None, :] < K[:, None]
     weight = np.where(act, du, 0.0)
     lo, hi = model.control_set.lo, model.control_set.hi
+    # a zero-step ensemble has no rates: centre the range on the box instead
+    mid = model.control_set.interior_point()
     if not np.isfinite(lo):
-        lo = float(v.min()) - 1.0
+        lo = (float(v.min()) if v.size else mid) - 1.0
     if not np.isfinite(hi):
-        hi = float(v.max()) + 1.0
+        hi = (float(v.max()) if v.size else mid) + 1.0
     rng = np.random.default_rng(seed)
     candidates = [("current", {}, v)]
     n_const = max((count - 1) // 2, 0)
@@ -615,7 +582,7 @@ def check_necessary_condition(model: ModelSpec, control, bundles, solutions,
         candidates.append(("constant", {"value": float(c)},
                            np.full((1, Kmax), float(c))))
     while len(candidates) < count:
-        s = int(rng.integers(0, Kmax))
+        s = int(rng.integers(0, max(Kmax, 1)))
         levels = rng.uniform(lo, hi, size=2)
         vals = np.where(np.arange(Kmax) < s, levels[0], levels[1])
         candidates.append(("switch",

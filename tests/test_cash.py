@@ -32,11 +32,10 @@ from tcfbsde.smp import (
     AdjointSolution,
     check_necessary_condition,
     check_sufficient_condition_hypotheses,
-    gateaux_consistency_check,
+    expansion_check,
     hamiltonian,
     hamiltonian_grad_v,
     model_derivative,
-    remainder_convergence_check,
     solve_adjoint_ensemble,
 )
 
@@ -61,7 +60,6 @@ def test_default_spec_builds_flagged_model():
     assert model.adjoint_deterministic
     assert not model.conditionally_deterministic
     assert model.M_T == 1.0
-    assert model.hamiltonian_v is not None
 
 
 def test_builtin_library_exposes_cash():
@@ -318,8 +316,8 @@ def test_rate_zeroes_dH_dv_under_noisy_adjoints():
     R = rng.normal(size=(3, z.size))
     u = cash_optimal_control(spec, AdjointSolution(grid=None, calendar_times=times,
                                                    p=p, q=q, k=k, R=R))
-    hv = build_cash_model(spec).hamiltonian_v(times[:3], 0.0, 0.0, 0.0, 0.0, 0.0, u.values[0],
-                                              p[:3], q[:3], k, R, spec.jump)
+    hv = hamiltonian_grad_v(build_cash_model(spec), spec.jump, times[:3], 0.0, 0.0, 0.0, 0.0,
+                            np.zeros((3, z.size)), u.values[0], p[:3], q[:3], k, R)
     assert np.max(np.abs(hv)) < 1e-14
 
 
@@ -452,6 +450,26 @@ def test_certificate_expansion_tables():
     assert "cost gaps" in rep.to_text()
 
 
+def test_certificate_on_zero_step_ensemble():
+    """A horizon shorter than the first solver step leaves every path with
+    K = 0: nothing can move, so every margin and every table entry is
+    exactly zero and the certificate holds."""
+    spec = CashSpec(horizon=1e-4)
+    rep = certify_optimality(spec, [0.5], ensemble_size=4, seed=0, expansion_rhos=[0.1])
+    assert rep.min_margin == 0.0 and rep.margin_se == 0.0
+    ustar, bundles, adjs = rebuilt_optimum(spec, DU, 4, 0)
+    assert all(b.solver_steps == 0 for b in bundles)
+    model = build_cash_model(spec)
+    margins = check_necessary_condition(model, ustar, bundles,
+                                        _solved_ensemble(model, ustar, bundles), adjs).margins
+    assert len(margins) == 64 and all(row["margin"] == 0.0 for row in margins)
+    assert rep.gap_table[0]["gap"] == 0.0 and rep.gap_table[0]["se"] == 0.0
+    (conv,), (rem,) = rep.convergence_table, rep.remainder_table
+    assert all(conv[key] == 0.0 for key in ("lhs", "rhs", "diff", "se"))
+    assert all(rem[key] == 0.0 for key in ("x2", "y2", "a2", "r2"))
+    assert rep.meta["certified"] is True
+
+
 def test_certificate_is_byte_deterministic():
     a = certify_optimality(CashSpec(), [ConstantControl(1.0)],
                            ensemble_size=48, seed=13)
@@ -465,7 +483,7 @@ def test_certificate_is_byte_deterministic():
 
 def _reshaped_twin(model, reshape):
     """``model`` with the value of every map and derivative passed through
-    ``reshape(value, args)``; the closed-form dH/dv is kept as it is."""
+    ``reshape(value, args)``."""
     def wrap(fn):
         return lambda *args: reshape(np.asarray(fn(*args), dtype=float), args)
 
@@ -474,7 +492,7 @@ def _reshaped_twin(model, reshape):
     return ModelSpec(**maps, control_set=model.control_set, x0=model.x0, M_T=model.M_T,
                      linear=model.linear, adjoint_deterministic=model.adjoint_deterministic,
                      derivatives={name: wrap(d) for name, d in model.derivatives.items()},
-                     hamiltonian_v=model.hamiltonian_v, name=model.name)
+                     name=model.name)
 
 
 def _materialised(value, args):
@@ -510,17 +528,14 @@ def test_results_do_not_depend_on_map_shapes():
             adjoints=[np.concatenate([a.p, a.q, a.k, a.R.ravel()]) for a in gen],
             margins=json.dumps(check_necessary_condition(
                 model, ustar, bundles, sols, adjs, count=16).margins),
-            gateaux=json.dumps(gateaux_consistency_check(
-                model, ustar, direction, rhos, bundles)),
-            remainder=json.dumps(remainder_convergence_check(
-                model, ustar, direction, rhos, bundles)),
+            expansion=json.dumps(expansion_check(model, ustar, direction, rhos, bundles)),
         ))
     ref = outputs[0]
     for out in outputs[1:]:
         assert np.array_equal(out["cost"], ref["cost"])
         for mine, theirs in zip(out["adjoints"], ref["adjoints"]):
             assert np.array_equal(mine, theirs)
-        for name in ("margins", "gateaux", "remainder"):
+        for name in ("margins", "expansion"):
             assert out[name] == ref[name], name
 
 

@@ -28,7 +28,7 @@ from tcfbsde.fbsde import (
     solve_forward_dual,
 )
 from tcfbsde.noise import LevyJumpSpec, ito_decomposition_check
-from tcfbsde.smp import gateaux_consistency_check
+from tcfbsde.smp import expansion_check
 from tcfbsde.time_change import SubordinatorSpec
 
 
@@ -403,7 +403,7 @@ def test_cost_chunking_and_row_labels():
     direction, rho = ConstantControl(1.0), 0.1
     quotient = (evaluate_cost(cash, PerturbedControl(ctl, direction, rho), part).per_path
                 - evaluate_cost(cash, ctl, part).per_path) / rho
-    (row,) = gateaux_consistency_check(cash, ctl, direction, [rho], part)
+    (row,), _ = expansion_check(cash, ctl, direction, [rho], part)
     assert row["lhs"] == float(quotient.mean())
 
 

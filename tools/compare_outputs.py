@@ -3,15 +3,17 @@
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
 
 Each tree's ``src/`` is imported in a subprocess of its own, which dumps a
-fixed set of outputs (certificates, costs, adjoints, variational pairs and
-forward ingredients, all at fixed seeds) to an ``.npz`` file.  The script
+fixed set of outputs (certificates, costs, adjoints, margins, variational
+pairs and forward ingredients, all at fixed seeds) to an ``.npz`` file.  The script
 then prints one line per output: ``identical`` when dtype, shape and bytes
 agree, else ``moved`` with the largest absolute and relative difference.
 It exits 1 when any output differs or is missing from one tree.
 
 The outputs reach a few private solver entry points
-(``_solved_ensemble``, ``_variational_batch``); a tree that renames them
-needs this script updated in the same change.
+(``_solved_ensemble``, ``_variational_batch``), and the cash margins repeat
+how ``certify_optimality`` sets up its margin search; a tree that renames
+those entry points or changes that set-up needs this script updated in the
+same change.
 """
 
 import json
@@ -82,6 +84,21 @@ def dump(out_path):
                                      sols.X, sols.Y, sols.A, sols.r, sols.v)
         for field, val in zip(("X1", "Y1", "A1", "r1", "vd"), var):
             out[f"variational.{name}.{field}"] = val
+
+    # the margin search's 64 margins: the cash certificate's (u* on the
+    # seed-0 1,024-path lead) and linear_test's under its general adjoints
+    cert = fbsde.make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 2048, 0)
+    lead = cert[:1024]
+    ustar_cert = cash.cash_optimal_control(spec, cash.cash_adjoints(spec, cert))
+    lin_ens, lin_ctl = ens[:256], fbsde.ConstantControl(0.5)
+    lin_sols = fbsde._solved_ensemble(lin, lin_ctl, lin_ens)
+    for name, model, ctl, bundles, sols, adj in (
+            ("cash", cmodel, ustar_cert, lead, fbsde._solved_ensemble(cmodel, ustar_cert, lead),
+             cash.cash_adjoints(spec, lead)),
+            ("linear_test", lin, lin_ctl, lin_ens, lin_sols,
+             smp.solve_adjoint_ensemble(lin, lin_ctl, lin_ens, lin_sols))):
+        rep = smp.check_necessary_condition(model, ctl, bundles, sols, adj, count=64, seed=0)
+        out[f"margins.{name}"] = np.array([row["margin"] for row in rep.margins])
 
     for name, model, bundles in (("cash", cmodel, cens), ("linear_test", lin, lens)):
         bnd = max(bundles.bundles[:50], key=lambda b: b.jumps.times.size)
