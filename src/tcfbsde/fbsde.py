@@ -9,20 +9,23 @@ inverse staircase.
 Ensembles are ragged: every path has its own random horizon, heavy-tailed
 in its step count K.  An Ensemble packs the paths' calendar times,
 Brownian values and solver events once, into flat arrays with per-path
-offsets, and gathers the padded layout of any rows from them (a _Batch,
-width Kmax, cells past a row's horizon held or zero).  Ensemble-wide
-solves sort the rows by K and cut that order into batches, so a batch
-pads only to paths of similar horizon, and scatter per-row results back
-to ensemble order; solved ensembles stay padded (EnsembleSolution) up to
-the certificate.  A path reads the control row of its label: its
-position in the ensemble an entry point is given, or the seeds["path"]
-of a bundle solved alone.
+offsets, and gathers the padded arrays of any rows from them into the one
+layout every solver reads (a _Batch, width Kmax, cells past a row's
+horizon held or zero); the LSMC inner ensembles are drawn straight into
+the same layout.  Ensemble-wide solves sort the rows by K and cut that
+order into batches, so a batch pads only to paths of similar horizon,
+and scatter per-row results back to ensemble order; solved ensembles
+stay padded (EnsembleSolution) up to the certificate.  A path reads the
+control row of its label: its position in the ensemble an entry point is
+given, or the seeds["path"] of a bundle solved alone.
 
 Every forward system (the state here, the first adjoint and the
 variational state in smp) runs through one explicit Euler kernel, _euler:
 z_{i+1} = z_i + a du + s dB_i + (the step's event jumps) - lam du int c,
-each row held past its horizon, and a non-finite value raises naming the
-system, the step and the path.
+stepped on the rows live at step i only (a suffix of a K-sorted batch),
+so no padded cell is computed and no control is read past a horizon;
+each row holds its value past its horizon, and a non-finite value raises
+naming the system, the step and the path.
 
 Every backward solve goes through one dispatcher, _backward_batch, which
 resolves the regime (backward_method) and runs that regime's batched
@@ -40,11 +43,13 @@ calls of the batch code.  The regimes are:
 * "lsmc"    least-squares Monte Carlo regression over an inner ensemble
             that shares the subordinator path, monomial basis in X up
             to degree 3 with a small ridge term.  The outer paths of a
-            batch are swept backward together: their inner ensembles
-            are packed into one forward solve, and at each step the
-            Gram matrices of all active paths are checked for
-            conditioning (one batched eigvalsh) and solved in one
-            batched call.  At most _LSMC_ROWS inner rows share a sweep.
+            batch are swept backward together: their inner noise is
+            drawn as arrays from each outer path's own named
+            substreams into one padded batch and one forward solve,
+            and at each step the Gram matrices of all active paths are
+            checked for conditioning (one batched eigvalsh) and solved
+            in one batched call.  At most _LSMC_ROWS inner rows share
+            a sweep.
 
 Stochastic integrals keep the left-endpoint convention of the noise
 module; jump events inside a step act on the step's left state.  All
@@ -342,6 +347,8 @@ class Ensemble:
         self.ev_mark = np.concatenate([b.jumps.marks for b in self.bundles])[keep]
         self.ev_n = np.bincount(owner[keep], minlength=K.size)
         self.ev_lo = np.cumsum(self.ev_n) - self.ev_n
+        self.seeds = np.array([(b.seeds.get("master", 0), b.seeds.get("path", 0))
+                               for b in self.bundles], dtype=np.int64)
 
     def __len__(self):
         return self.K.size
@@ -354,8 +361,8 @@ class Ensemble:
             raise ValueError("ensemble is empty")
         sub = copy.copy(self)
         sub.bundles = [self.bundles[i] for i in idx]
-        sub.K, sub.start, sub.ev_n, sub.ev_lo = (
-            a[idx] for a in (self.K, self.start, self.ev_n, self.ev_lo))
+        sub.K, sub.start, sub.ev_n, sub.ev_lo, sub.seeds = (
+            a[idx] for a in (self.K, self.start, self.ev_n, self.ev_lo, self.seeds))
         return sub
 
     def padded(self, flat, idx):
@@ -365,8 +372,17 @@ class Ensemble:
         return flat[self.start[idx, None] + np.minimum(np.arange(K.max() + 1), K[:, None])]
 
     def rows(self, idx=None, labels=None) -> "_Batch":
-        """The padded layout of rows ``idx`` (all, in order, by default)."""
-        return _Batch(self, np.arange(len(self)) if idx is None else idx, labels)
+        """The padded layout of rows ``idx`` (all, in order, by default),
+        labelled by ``labels`` (their ensemble positions by default)."""
+        idx = np.arange(len(self)) if idx is None else np.asarray(idx, dtype=int)
+        B = self.padded(self.brownian, idx)
+        n_ev = self.ev_n[idx]
+        ev_p = np.repeat(np.arange(idx.size), n_ev)
+        at = np.arange(ev_p.size) + np.repeat(self.ev_lo[idx] - (np.cumsum(n_ev) - n_ev), n_ev)
+        return _Batch(self.padded(self.times, idx), B[:, 1:] - B[:, :-1], self.K[idx],
+                      ev_p, self.ev_step[at], self.ev_mark[at],
+                      idx if labels is None else np.asarray(labels, dtype=int),
+                      self.spec, self.du, seeds=self.seeds[idx])
 
 
 def as_ensemble(bundles) -> Ensemble:
@@ -472,32 +488,38 @@ class CostEstimate:
 # ------------------------------------------------------------ forward solver
 
 class _Batch:
-    """Padded rows ``idx`` of a packed ensemble: row n holds path idx[n]'s
-    calendar times t (held at t_K past its horizon) and Brownian
-    increments dB (zero past it); event e falls in step ev_s[e] of row
-    ev_p[e] with mark ev_z[e], sorted by step from ev_start[step] on.
-    ``labels`` are the control rows the paths read, their ensemble
-    positions unless given, so sorting and chunking never change them.
+    """Padded rows of a ragged ensemble, the layout every solver reads.
+
+    Row n holds a path's K[n] solver steps: its calendar times t (width
+    Kmax + 1, held at t_K past its horizon) and Brownian increments dB
+    (zero past it); event e falls in step ev_s[e] of row ev_p[e] with mark
+    ev_z[e], and the events are sorted here by step, step i's from
+    ev_start[i] on.  ``labels`` are the control rows the paths read, so
+    sorting and chunking never change them; ``seeds`` holds each row's
+    (master, path) seed pair, which names its LSMC inner substreams (None
+    for inner rows).  ``live(i)`` gives the rows with K > i.
     """
 
-    def __init__(self, ens: Ensemble, idx, labels=None):
-        idx = np.asarray(idx, dtype=int)
-        self.ens, self.idx, self.N = ens, idx, idx.size
-        self.labels = idx if labels is None else np.asarray(labels, dtype=int)
-        self.du, self.spec = ens.du, ens.spec
-        self.znodes, self.w = self.spec.quadrature()
-        self.K = ens.K[idx]
-        self.Kmax = int(self.K.max())
-        self.t = ens.padded(ens.times, idx)
-        B = ens.padded(ens.brownian, idx)
-        self.dB = B[:, 1:] - B[:, :-1]
-        n_ev = ens.ev_n[idx]
-        ev_p = np.repeat(np.arange(self.N), n_ev)
-        at = np.arange(ev_p.size) + np.repeat(ens.ev_lo[idx] - (np.cumsum(n_ev) - n_ev), n_ev)
-        ev_s = ens.ev_step[at]
+    def __init__(self, t, dB, K, ev_p, ev_s, ev_z, labels, spec: LevyJumpSpec, du: float,
+                 seeds=None):
+        self.t, self.dB, self.K, self.labels = t, dB, K, labels
+        self.spec, self.du, self.seeds = spec, du, seeds
+        self.N, self.Kmax = K.size, int(K.max())
+        self.znodes, self.w = spec.quadrature()
         order = np.argsort(ev_s, kind="stable")
-        self.ev_p, self.ev_s, self.ev_z = ev_p[order], ev_s[order], ens.ev_mark[at][order]
+        self.ev_p, self.ev_s, self.ev_z = ev_p[order], ev_s[order], ev_z[order]
         self.ev_start = np.searchsorted(self.ev_s, np.arange(self.Kmax + 1))
+        # in a K-sorted batch the rows live at step i are the suffix from
+        # lo[i]; any other batch finds them by a scan
+        self._lo = (np.searchsorted(K, np.arange(self.Kmax), side="right")
+                    if np.all(K[1:] >= K[:-1]) else None)
+
+    def live(self, i: int):
+        """The rows with K > i: a slice (its rows read as views) of a
+        K-sorted batch, else an index array, in row order either way."""
+        if self._lo is None:
+            return np.flatnonzero(self.K > i)
+        return slice(int(self._lo[i]), None)
 
 
 def _single(bundle: PathBundle) -> _Batch:
@@ -523,67 +545,86 @@ def _sorted_batches(ens: Ensemble, chunk: int):
 def _hold(a, K, park, width: int):
     """Row p of ``a`` read at columns min(j, K_p - 1), j < width: each row
     holds its last in-horizon value past its horizon, and a row with
-    K_p = 0 reads ``park`` (a scalar or one value per row) throughout."""
-    a = np.concatenate([a, np.broadcast_to(park, K.shape)[:, None]], axis=1)
-    col = np.where(K[:, None] > 0, np.minimum(np.arange(width), K[:, None] - 1),
-                   a.shape[1] - 1)
-    return np.take_along_axis(a, col, axis=1)
+    K_p = 0 reads ``park`` (a scalar or one value per row) throughout.
+    Cells of ``a`` past a row's horizon are never read; an ``a`` that is
+    ``width`` wide is held in place and returned."""
+    last = np.broadcast_to(np.asarray(park, dtype=float), K.shape)
+    if a.shape[1]:
+        last = np.where(K > 0, a[np.arange(K.size), np.maximum(K - 1, 0)], last)
+    if a.shape[1] != width:
+        out = np.empty((K.size, width))
+        out[:, : a.shape[1]] = a[:, :width]
+        a = out
+    np.copyto(a, last[:, None], where=np.arange(width) >= K[:, None])
+    return a
 
 
 def _euler(batch: _Batch, z0, coeffs, jumps, system: str) -> np.ndarray:
     """The explicit Euler recursion of a scalar forward system, padded.
 
     z_{i+1} = z_i + a du + s dB_i + (the step's event jumps) - lam du int c,
-    where ``coeffs(i, z)`` gives the drift a, the Brownian loading s and
-    the nodewise compensator integrand c of step i, and ``jumps(i, z, sl,
-    p)`` the jump of each event in ``sl``, which acts on row p[e].  A row
-    holds its value past its horizon; a non-finite value inside it raises,
-    naming the system, the step and the path's label.
+    stepped on the rows live at step i (``batch.live(i)``) only.
+    ``coeffs(i, rows, z)`` gives the drift a, the Brownian loading s and the
+    nodewise compensator integrand c of step i on ``rows``, whose values
+    are ``z``; ``jumps(i, z, sl, p)`` gives the jump of each event in
+    ``sl``, which acts on batch row p[e] of the step's column ``z``.  No
+    padded cell is computed: each row is frozen at its horizon value once,
+    at the end.  A non-finite value inside a horizon raises, naming the
+    system, the step and the path's label.
     """
-    N, du = batch.N, batch.du
+    N, Kmax, du = batch.N, batch.Kmax, batch.du
     lam_du = batch.spec.intensity * du
-    Z = np.empty((N, batch.Kmax + 1))
+    Z = np.zeros((N, Kmax + 1))
     Z[:, 0] = z0
-    for i in range(batch.Kmax):
-        z = Z[:, i]
-        a, s, c = coeffs(i, z)
+    for i in range(Kmax):
+        rows = batch.live(i)
+        z = Z[rows, i]
+        a, s, c = coeffs(i, rows, z)
         jump = np.zeros(N)
         sl = slice(batch.ev_start[i], batch.ev_start[i + 1])
         if sl.stop > sl.start:
-            np.add.at(jump, batch.ev_p[sl], jumps(i, z, sl, batch.ev_p[sl]))
-        zn = z + a * du + s * batch.dB[:, i] + jump - lam_du * batch.spec.integrate(c, (N,))
-        act = i < batch.K
-        bad = act & ~np.isfinite(zn)
+            np.add.at(jump, batch.ev_p[sl], jumps(i, Z[:, i], sl, batch.ev_p[sl]))
+        zn = (z + a * du + s * batch.dB[rows, i] + jump[rows]
+              - lam_du * batch.spec.integrate(c, z.shape))
+        bad = ~np.isfinite(zn)
         if np.any(bad):
             raise FloatingPointError(f"{system} blow-up at step {i} "
-                                     f"(path {int(batch.labels[np.argmax(bad)])})")
-        Z[:, i + 1] = np.where(act, zn, z)
-    return Z
+                                     f"(path {int(batch.labels[rows][np.argmax(bad)])})")
+        Z[rows, i + 1] = zn
+    # every row holds its horizon value, at column K, from there on
+    return _hold(Z, batch.K + 1, 0.0, Kmax + 1)
 
 
 def _forward_batch(model: ModelSpec, control, batch: _Batch, keep_nodes=False):
     """The state by the Euler kernel; also returns the realized v, drift,
-    vol, event jumps and (``keep_nodes``) nodewise jump coefficients."""
+    vol, event jumps and (``keep_nodes``) nodewise jump coefficients.  The
+    control and the maps are read on live cells only: past its horizon a
+    row of v, drift and vol holds its last value (0 on a zero-step row),
+    and its nodes are 0."""
     N, Kmax, du = batch.N, batch.Kmax, batch.du
-    v, drift, vol = np.empty((N, Kmax)), np.zeros((N, Kmax)), np.zeros((N, Kmax))
+    v, drift, vol = (np.zeros((N, Kmax)) for _ in range(3))
     ev_b = np.empty(batch.ev_p.size)
     nodes = np.zeros((N, Kmax, batch.znodes.size)) if keep_nodes else None
 
-    def coeffs(i, x):
-        t1, u_i = batch.t[:, i], i * du
-        v[:, i] = model.control_set.admit(control.values_at(i, t1, u_i, x, batch.labels))
-        drift[:, i] = model.f(t1, u_i, x, v[:, i])
-        vol[:, i] = model.sigma(t1, u_i, x, v[:, i])
-        bi = model.b(t1[:, None], u_i, x[:, None], v[:, i, None], batch.znodes)
+    def coeffs(i, rows, x):
+        t1, u_i = batch.t[rows, i], i * du
+        v[rows, i] = model.control_set.admit(
+            control.values_at(i, t1, u_i, x, batch.labels[rows]))
+        vi = v[rows, i]
+        drift[rows, i] = model.f(t1, u_i, x, vi)
+        vol[rows, i] = model.sigma(t1, u_i, x, vi)
+        bi = model.b(t1[:, None], u_i, x[:, None], vi[:, None], batch.znodes)
         if keep_nodes:
-            nodes[:, i] = bi
-        return drift[:, i], vol[:, i], bi
+            nodes[rows, i] = bi
+        return drift[rows, i], vol[rows, i], bi
 
     def jumps(i, x, sl, p):
         ev_b[sl] = model.b(batch.t[p, i], i * du, x[p], v[p, i], batch.ev_z[sl])
         return ev_b[sl]
 
-    return _euler(batch, model.x0, coeffs, jumps, "state"), v, drift, vol, ev_b, nodes
+    X = _euler(batch, model.x0, coeffs, jumps, "state")
+    v, drift, vol = (_hold(a, batch.K, 0.0, Kmax) for a in (v, drift, vol))
+    return X, v, drift, vol, ev_b, nodes
 
 
 def solve_forward_dual(model: ModelSpec, control, bundle: PathBundle,
@@ -739,19 +780,35 @@ def _picard(model, spec, t1, u, x, ey, a, r_nodes, v, du, sweeps):
     return y
 
 
-def _inner_bundles(bundle: PathBundle, n_inner: int) -> list:
-    """The inner ensemble of an outer path: its subordinator path with
-    fresh noise from the path's own named substreams."""
-    master = bundle.seeds.get("master", 0)
-    pidx = bundle.seeds.get("path", 0)
-    grid = bundle.subordinator.grid
-    return [PathBundle(
-        subordinator=bundle.subordinator, inverse=bundle.inverse,
-        brownian=sample_brownian(grid, stream(master, f"lsmc-brownian-{pidx}", j)),
-        jumps=sample_jumps(bundle.jump_spec, grid.horizon,
-                           stream(master, f"lsmc-jumps-{pidx}", j)),
-        jump_spec=bundle.jump_spec, calendar_horizon=bundle.calendar_horizon)
-        for j in range(n_inner)]
+def _inner_batch(batch: _Batch, rows, n_inner: int) -> _Batch:
+    """The inner ensembles of the outer rows ``rows`` (K-sorted, K > 0)
+    in one padded batch, n_inner rows per outer path in the order of
+    ``rows``.  An inner row repeats its outer row's calendar times and
+    label, so it shares the subordinator path and reads the outer path's
+    control.  Its noise is drawn as arrays from the outer path's two named
+    substreams, which depend on its seeds alone: an (n_inner, K) block of
+    N(0, du) increments, Poisson(lam K du) event counts per row, each
+    event's step uniform on 0..K-1 and its mark from the mark law.  That
+    is the law of the steps and events of fresh Brownian and jump paths
+    on the outer path's solver grid.
+    """
+    spec, du = batch.spec, batch.du
+    K = batch.K[rows]
+    M, width = K.size * n_inner, int(K[-1])
+    dB = np.zeros((M, width))
+    counts, steps, marks = [], [], []
+    for j, (k, (master, path)) in enumerate(zip(K, batch.seeds[rows])):
+        rng = stream(master, f"lsmc-brownian-{path}")
+        np.multiply(rng.standard_normal((n_inner, k)), math.sqrt(du),
+                    out=dB[j * n_inner: (j + 1) * n_inner, :k])
+        rng = stream(master, f"lsmc-jumps-{path}")
+        counts.append(rng.poisson(spec.intensity * k * du, n_inner))
+        steps.append(rng.integers(0, k, counts[-1].sum()))
+        marks.append(spec.sample_marks(counts[-1].sum(), rng))
+    return _Batch(np.repeat(batch.t[rows, : width + 1], n_inner, axis=0), dB,
+                  np.repeat(K, n_inner), np.repeat(np.arange(M), np.concatenate(counts)),
+                  np.concatenate(steps), np.concatenate(marks),
+                  np.repeat(batch.labels[rows], n_inner), spec, du)
 
 
 def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
@@ -761,10 +818,13 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
 
     ``X`` and ``v`` are the batch's forward rows.  Paths with solver
     steps are taken in K-sorted order, in groups of at most
-    ``_LSMC_ROWS // n_inner``.  A group's inner ensembles run through one
-    forward solve (each inner row reads its outer path's label, so
-    per-path controls see the outer path) and one backward sweep from
-    the group's longest path.  At step i the paths with K > i are active:
+    ``_LSMC_ROWS // n_inner``.  A group's inner ensembles are drawn as
+    arrays straight into one K-sorted padded batch (_inner_batch), which
+    runs through one forward solve on its live rows (each inner row reads
+    its outer path's label, so per-path controls see the outer path) and
+    one backward sweep from the group's longest path.  An outer path's
+    inner draws depend on its seeds alone, never on the group it sits
+    in.  At step i the paths with K > i are active:
     the mean and Brownian fits share a Gram matrix in X_i and are solved
     as two right-hand sides, the jump fit regresses on X_{i+1}, all
     active paths in one batched solve each, after one batched eigvalsh
@@ -792,9 +852,7 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
         rows = order[lo: lo + size]
         K = batch.K[rows]
         labels = batch.labels[rows]
-        inner = Ensemble([b for p in rows for b in _inner_bundles(batch.ens[batch.idx[p]],
-                                                                  n_inner)])
-        inner = inner.rows(labels=np.repeat(labels, n_inner))
+        inner = _inner_batch(batch, rows, n_inner)
         Xi, vi, _, _, _, _ = _forward_batch(model, control, inner)
         if not np.all(np.isfinite(Xi)):
             raise FloatingPointError("basis overflow: non-finite state values")
@@ -1024,16 +1082,17 @@ def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
 
 # ------------------------------------------------------------------- cost
 
-def _step_args(batch: _Batch, i, X, Y, A, r, v):
+def _step_args(batch: _Batch, i, X, Y, A, r, v, rows=slice(None)):
     """The (t1, t2, x, y, a, r, v) arguments of a driver or cost map at step
-    i, shaped to broadcast against the quadrature nodes; i = None gives
-    every step at once, with (N, Kmax) leading."""
+    i on ``rows`` (all by default), shaped to broadcast against the
+    quadrature nodes; i = None gives every step at once, with (N, Kmax)
+    leading."""
     if i is None:
         i, u = slice(0, batch.Kmax), (np.arange(batch.Kmax) * batch.du)[:, None]
     else:
         u = i * batch.du
-    return (batch.t[:, i, None], u, X[:, i, None], Y[:, i, None], A[:, i, None], r[:, i],
-            v[:, i, None])
+    return (batch.t[rows, i, None], u, X[rows, i, None], Y[rows, i, None], A[rows, i, None],
+            r[rows, i], v[rows, i, None])
 
 
 def _step_sum(batch: _Batch, cell) -> np.ndarray:

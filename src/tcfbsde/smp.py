@@ -49,6 +49,7 @@ from .fbsde import (
     _Batch,
     _batch_cost,
     _euler,
+    _hold,
     _probe_affine,
     _single,
     _solver_grid,
@@ -210,15 +211,15 @@ def _nodes_interp(z_nodes: np.ndarray, rows: np.ndarray, zq: np.ndarray):
 
 
 def _p_forward_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v):
-    """The first adjoint by the forward Euler kernel over the padded batch."""
-    N, z, spec, lam = batch.N, batch.znodes, batch.spec, batch.spec.intensity
+    """The first adjoint by the forward Euler kernel on the live rows."""
+    z, spec, lam = batch.znodes, batch.spec, batch.spec.intensity
     d_gy, d_ly, d_ga, d_la, d_gr, d_lr, d_gam = (model_derivative(model, name) for name in (
         "g_y", "l_y", "g_a", "l_a", "g_r", "l_r", "gamma_y"))
 
-    def coeffs(i, p):
-        args = _step_args(batch, i, X, Y, A, r, v)
-        return (lam * spec.integrate(d_gy(*args) * p[:, None] - d_ly(*args), (N,)),
-                lam * spec.integrate(d_ga(*args) * p[:, None] - d_la(*args), (N,)),
+    def coeffs(i, rows, p):
+        args = _step_args(batch, i, X, Y, A, r, v, rows)
+        return (lam * spec.integrate(d_gy(*args) * p[:, None] - d_ly(*args), p.shape),
+                lam * spec.integrate(d_ga(*args) * p[:, None] - d_la(*args), p.shape),
                 d_gr(*args) * p[:, None] - d_lr(*args))
 
     def jumps(i, p, sl, pe):
@@ -396,7 +397,9 @@ class VariationalSolution:
 def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
                        X, Y, A, r, v):
     """Linearized forward/backward pair along the base trajectory: X1 by
-    the forward Euler kernel, (Y1, A1, r1) by the affine backward kernel."""
+    the forward Euler kernel, (Y1, A1, r1) by the affine backward kernel.
+    The direction vd is read on live cells only and held past a horizon,
+    as the base control v is."""
     if not (getattr(control, "state_free", False)
             and getattr(direction, "state_free", False)):
         raise NotImplementedError(
@@ -421,10 +424,12 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
                           for name in ("g_y", "g_x", "g_a", "g_v", "g_r"))
     vd = np.empty(full)
 
-    def coeffs(i, x1):
-        vd[:, i] = direction.values_at(i, batch.t[:, i], i * du, X[:, i], batch.labels)
-        return (fx[:, i] * x1 + fv[:, i] * vd[:, i], sx[:, i] * x1 + sv[:, i] * vd[:, i],
-                bx[:, i] * x1[:, None] + bv[:, i] * vd[:, i, None])
+    def coeffs(i, rows, x1):
+        vd[rows, i] = direction.values_at(i, batch.t[rows, i], i * du, X[rows, i],
+                                          batch.labels[rows])
+        d = vd[rows, i]
+        return (fx[rows, i] * x1 + fv[rows, i] * d, sx[rows, i] * x1 + sv[rows, i] * d,
+                bx[rows, i] * x1[:, None] + bv[rows, i] * d[:, None])
 
     def jumps(i, x1, sl, pe):
         ev = (batch.t[pe, i], i * du, X[pe, i], v[pe, i], batch.ev_z[sl])
@@ -432,6 +437,7 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
                 + np.asarray(d_bv(*ev), dtype=float) * vd[pe, i])
 
     X1 = _euler(batch, 0.0, coeffs, jumps, "variational")
+    vd = _hold(vd, batch.K, 0.0, Kmax)
     d_px = model_derivative(model, "phi_x")
     XT = X[np.arange(N), batch.K]
     P_term = np.broadcast_to(np.asarray(d_px(XT), dtype=float), (N,)).astype(float)

@@ -154,6 +154,14 @@ def stable_increments(alpha: float, size, rng: np.random.Generator) -> np.ndarra
     return s
 
 
+# The grid doubles until D passes the level, but never past this many steps
+# (2 MB of values).  A path that long comes from a spec whose clock cannot
+# reach the horizon (a scale near 0, a step far too fine): the solvers pad
+# a batch to its longest path, so they could not take it anyway, and
+# doubling on would exhaust memory before the level is passed.
+MAX_STEPS = 1 << 18
+
+
 def sample_subordinator(
     spec: SubordinatorSpec,
     calendar_horizon: float,
@@ -164,9 +172,11 @@ def sample_subordinator(
 
     Increments over each step du are exact in law (stable scaling:
     (scale*du)**(1/alpha) times a standard draw). The grid is grown by
-    doubling until first passage; the returned path is truncated at the first
-    grid point where D > calendar_horizon. Deterministic in (spec, grid, seed);
-    seed may be an integer or an already-derived numpy Generator.
+    doubling until first passage, up to MAX_STEPS steps (beyond that it
+    raises, naming the spec, the level and the step); the returned path is
+    truncated at the first grid point where D > calendar_horizon.
+    Deterministic in (spec, grid, seed); seed may be an integer or an
+    already-derived numpy Generator.
     """
     if not (np.isfinite(calendar_horizon) and calendar_horizon > 0.0):
         raise ValueError(f"calendar_horizon must be positive, got {calendar_horizon}")
@@ -176,12 +186,16 @@ def sample_subordinator(
 
     incs = step_scale * stable_increments(spec.alpha, grid.n_steps, rng)
     values = np.concatenate([[0.0], np.cumsum(incs)])
-    grown = 0
     while values[-1] <= calendar_horizon:
+        if 2 * (values.size - 1) > MAX_STEPS:
+            raise RuntimeError(
+                f"horizon unreachable: the subordinator (alpha={spec.alpha}, "
+                f"scale={spec.scale}) did not pass the level {calendar_horizon} "
+                f"within {values.size - 1} steps of {du}; the grid may not grow "
+                f"past {MAX_STEPS} steps")
         more = step_scale * stable_increments(spec.alpha, values.size - 1, rng)
         values = np.concatenate([values, values[-1] + np.cumsum(more)])
-        grown += 1
-        if grown > 60 or not np.isfinite(values[-1]):
+        if not np.isfinite(values[-1]):
             raise RuntimeError("horizon unreachable: subordinator failed to pass the level")
 
     k = int(np.searchsorted(values, calendar_horizon, side="right"))

@@ -5,8 +5,8 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from scipy.stats import ks_2samp
+from hypothesis import given, settings, strategies as st
+from scipy.stats import chisquare, ks_2samp, kstest
 
 from oracles import linear_fbsde_ode_oracle
 from support import RAGGED_STEPS, coupled_bundles, manual_bundle, mk_model, ragged_bundles
@@ -595,3 +595,109 @@ def test_forward_self_convergence_is_first_order():
         d_coarse.append(abs(xs[1] - xs[2]))
     ratio = np.mean(d_coarse) / np.mean(d_fine)
     assert 1.4 < ratio < 2.6
+
+
+@pytest.mark.parametrize("method", [None, "lsmc"], ids=["affine", "lsmc"])
+def test_stepwise_padding_is_never_read(method):
+    """A StepwiseControl row ignores its entries past the path's horizon:
+    NaN filler there costs exactly what the full 0.5 table costs, and the
+    expansion check takes a NaN-padded direction."""
+    model, jump, sub, p = build_model("linear_test")
+    ens = make_ensemble(sub, jump, p["horizon"], p["step"], 6, master_seed=0)
+    live = np.arange(ens.K.max()) < ens.K[:, None]
+    full = StepwiseControl(np.full(live.shape, 0.5))
+    padded = StepwiseControl(np.where(live, 0.5, np.nan))
+    want = evaluate_cost(model, full, ens, method=method).per_path
+    got = evaluate_cost(model, padded, ens, method=method).per_path
+    assert got.tobytes() == want.tobytes()
+    if method is None:
+        ones, nan_ones = (StepwiseControl(np.where(live, 1.0, fill)) for fill in (1.0, np.nan))
+        assert (expansion_check(model, full, nan_ones, [0.1], ens)
+                == expansion_check(model, full, ones, [0.1], ens))
+
+
+@pytest.mark.parametrize("mark_law", ["uniform", "triangular"])
+def test_lsmc_inner_draws_follow_the_noise_law(mark_law):
+    """Inner noise drawn as arrays has the law of fresh paths on the outer
+    path's solver grid: N(0, du) Brownian cells (exactly 0 past K),
+    Poisson(lam K du) events per row at steps uniform on 0..K-1, and marks
+    from the mark law."""
+    spec = LevyJumpSpec(c=1.0, intensity=40.0, mark_law=mark_law)
+    ens = fbsde.Ensemble(ragged_bundles((40, 5, 20), jump_spec=spec))
+    order = np.argsort(ens.K, kind="stable")
+    n, du = 2000, ens.du
+    inner = fbsde._inner_batch(ens.rows(order), np.arange(3), n)
+    assert inner.N == 3 * n and inner.Kmax == 40
+    assert np.array_equal(inner.labels, np.repeat(order, n))
+    counts = np.bincount(inner.ev_p, minlength=inner.N)
+    for j, k in enumerate(ens.K[order]):
+        blk = slice(j * n, (j + 1) * n)
+        assert np.all(inner.K[blk] == k)
+        assert np.all(inner.t[blk] == ens.rows(order).t[j, : inner.Kmax + 1])
+        cells = inner.dB[blk, :k].ravel() / np.sqrt(du)
+        assert abs(cells.mean()) < 4.0 / np.sqrt(cells.size)
+        assert abs(cells.var() - 1.0) < 4.0 * np.sqrt(2.0 / cells.size)
+        assert np.all(inner.dB[blk, k:] == 0.0)
+        mean = spec.intensity * k * du
+        assert abs(counts[blk].mean() - mean) < 4.0 * np.sqrt(mean / n)
+        steps = inner.ev_s[(inner.ev_p >= j * n) & (inner.ev_p < (j + 1) * n)]
+        assert chisquare(np.bincount(steps, minlength=k)).pvalue > 1e-3
+        assert steps.max() < k
+    assert kstest(inner.ev_z, spec.mark_cdf).pvalue > 1e-3
+
+
+def test_lsmc_inner_draws_depend_on_the_outer_path_alone(monkeypatch):
+    """An outer path's inner rows carry the same bytes whether the path is
+    drawn alone, in a sweep group of 16 or through solve_backward_dual."""
+    model, jump, sub, p = build_model("quadratic_drift")
+    ens = make_ensemble(sub, jump, p["horizon"], p["step"], 20, master_seed=4)
+    seen = {}
+    draw = fbsde._inner_batch
+
+    def spy(batch, rows, n_inner):
+        inner = draw(batch, rows, n_inner)
+        for j, (k, seeds) in enumerate(zip(batch.K[rows], batch.seeds[rows])):
+            blk = slice(j * n_inner, (j + 1) * n_inner)
+            ev = (inner.ev_p >= blk.start) & (inner.ev_p < blk.stop)
+            seen.setdefault(tuple(seeds), []).append(b"".join(a.tobytes() for a in (
+                inner.t[blk, : k + 1], inner.dB[blk, :k], inner.dB[blk, k:].any(keepdims=True),
+                inner.labels[blk], inner.ev_p[ev] - blk.start, inner.ev_s[ev], inner.ev_z[ev])))
+        return inner
+
+    monkeypatch.setattr(fbsde, "_inner_batch", spy)
+    ctl = ConstantControl(0.5)
+    evaluate_cost(model, ctl, ens, method="lsmc")
+    order = [int(n) for n in np.argsort(ens.K, kind="stable") if ens.K[n] > 0]
+    assert len(seen) == len(order) > 16
+    # the shortest sit in the first sweep group of 16, the longest after it
+    for n in (order[0], order[-1]):
+        bnd = ens[n]
+        solve_backward_dual(model, ctl, bnd, solve_forward_dual(model, ctl, bnd),
+                            method="lsmc")
+    for n in order:
+        spy(fbsde._single(ens[n]), np.array([0]), 256)
+        assert len(set(seen[(4, n)])) == 1
+    assert [len(seen[(4, n)]) for n in order] == [3] + [2] * (len(order) - 2) + [3]
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.lists(st.integers(0, 9), min_size=1, max_size=8), data=st.data())
+def test_live_row_kernel_is_row_local(steps, data):
+    """The forward kernel steps only live rows, by a suffix slice in a
+    K-sorted batch and by an index array in any other; either way every
+    row's X and v carry the same bytes, and costs do not depend on the
+    chunk size.  Ragged steps with zeros, duplicates, in any order."""
+    model, jump, sub, p = build_model("quadratic_drift")
+    ens = fbsde.Ensemble(ragged_bundles(steps, jump_spec=jump))
+    n, width = len(steps), max(max(steps), 1)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    rows = 0.3 + 0.1 * np.arange(n)[:, None] + 0.02 * np.arange(width)
+    ctl = StepwiseControl(np.where(np.arange(width) < ens.K[:, None], rows, np.nan))
+    order = np.argsort(ens.K, kind="stable")
+    X_u, v_u = fbsde._forward_batch(model, ctl, ens.rows(perm))[:2]
+    X_s, v_s = fbsde._forward_batch(model, ctl, ens.rows(order))[:2]
+    at_u, at_s = np.argsort(perm), np.argsort(order)
+    assert X_u[at_u].tobytes() == X_s[at_s].tobytes()
+    assert v_u[at_u].tobytes() == v_s[at_s].tobytes()
+    one, three, whole = (evaluate_cost(model, ctl, ens, chunk=c).per_path for c in (1, 3, 512))
+    assert one.tobytes() == three.tobytes() == whole.tobytes()

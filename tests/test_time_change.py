@@ -1,8 +1,12 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcfbsde.time_change import (
+    MAX_STEPS,
     InversePath,
     OperationalGrid,
     SubordinatorPath,
@@ -99,6 +103,26 @@ def test_sample_subordinator_grows_small_grids():
     path = sample_subordinator(spec, 2.0, OperationalGrid(0.05, 0.2), seed=42)
     assert path.values[-1] > 2.0
     assert path.grid.n_steps > 4
+
+
+def test_unreachable_horizon_raises_fast_and_small():
+    """A clock that cannot pass the level stops at the step cap, quickly and
+    without a large allocation, and the error names the spec, the level
+    and the step."""
+    spec = SubordinatorSpec(0.7, scale=1e-30)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(RuntimeError, match=r"horizon unreachable") as err:
+            sample_subordinator(spec, 1.0, OperationalGrid(0.01, 1.0), seed=0)
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for part in ("alpha=0.7", "scale=1e-30", "level 1.0", "steps of 0.01"):
+        assert part in str(err.value)
+    assert elapsed < 1.0
+    assert peak < 64 * MAX_STEPS  # a few arrays of MAX_STEPS float64s
 
 
 def test_sample_subordinator_deterministic():

@@ -42,8 +42,11 @@ class SmallLsmc(wl.Lsmc):
 @pytest.mark.parametrize("workload", [SmallCertify, SmallCost, SmallLsmc],
                          ids=["certify", "cost", "lsmc"])
 def test_workload_runs_and_checks(workload):
+    """One operation of each workload passes its check; lsmc runs every one
+    of its slices, so a change to its draws that fails any slice fails here."""
     w = workload(0, types.SimpleNamespace(cash=cash, fbsde=fbsde))
     w.setup(0)
-    out = w.run(0)
-    assert w.steps(0) > 0
-    assert w.check(0, out) == []
+    for i in range(getattr(workload, "SLICES", 1)):
+        out = w.run(i)
+        assert w.steps(i) > 0
+        assert w.check(i, out) == [], f"operation {i}"
