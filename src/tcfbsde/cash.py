@@ -191,12 +191,14 @@ def cash_adjoints(spec: CashSpec, bundles):
     K, du = ens.K, ens.du
     N, Kmax = K.size, int(K.max())
     p = np.exp(-spec.mu1 * du * np.minimum(np.arange(Kmax + 1), K[:, None]))
+    # every row starts at its held terminal value -p_K; step i updates
+    # the rows with K > i only
     q = np.empty((N, Kmax + 1))
-    q[:, Kmax] = -p[:, Kmax]
+    q[:] = -p[:, Kmax, None]
     shrink = 1.0 / (1.0 + du * spec.mu1)
     for i in range(Kmax - 1, -1, -1):
-        q[:, i] = np.where(i < K, (q[:, i + 1] - du * spec.mu2 * p[:, i]) * shrink,
-                           q[:, i + 1])
+        live = K > i
+        q[live, i] = (q[live, i + 1] - du * spec.mu2 * p[live, i]) * shrink
     adj = EnsembleAdjoint(K=K, du=du, t=ens.padded(ens.times, np.arange(N)), p=p, q=q,
                           k=np.zeros((N, Kmax)), R=np.zeros((N, Kmax, spec.jump.n_quad)))
     return adj[0] if single else adj

@@ -30,16 +30,21 @@ naming the system, the step and the path.
 Every backward solve goes through one dispatcher, _backward_batch, which
 resolves the regime (backward_method) and runs that regime's batched
 kernel on the padded batch; the single-path solvers are batch-of-one
-calls of the batch code.  The regimes are:
+calls of the batch code.  The ode and affine kernels start every row at
+its terminal value and step only the rows live at step i, so a row holds
+that value past its horizon; the step sums of the running cost and the
+Gateaux integral (_step_sum) likewise evaluate live rows only.  The
+regimes are:
 
 * "ode"     the driver and terminal data are deterministic given the
             subordinator path, so Y is a backward ODE and A = r = 0,
-            solved by Picard sweeps over all rows at once;
+            solved by Picard sweeps over the live rows of each step;
 * "affine"  coefficients affine in the state, driver affine in
             (x, y, a, r), linear terminal map: the implicit scheme has
-            an exact conditional solution Y_i = c_i + P_i X_i with the
-            integrands read off the recursion (this is the workhorse
-            for the built-in models);
+            an exact conditional solution Y_i = c_i + P_i X_i, and the
+            integrands A and r are read off P_{i+1} in one pass after
+            the recursion (this is the workhorse for the built-in
+            models);
 * "lsmc"    least-squares Monte Carlo regression over an inner ensemble
             that shares the subordinator path, monomial basis in X up
             to degree 3 with a small ridge term.  The outer paths of a
@@ -686,8 +691,13 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
 
     The coefficients ``co`` may take any shape that broadcasts against
     the (N, Kmax) layout, (N, Kmax, nodes) for ``bx`` and ``b0``, whose
-    mark integrals are taken over the shape they come in.  Returns
-    (Y, A, r).
+    mark integrals are taken over the shape they come in.  P and c start
+    at the terminal pair in every cell and step i updates the rows live
+    at it (``batch.live(i)``) only, so each row holds the terminal pair
+    from its horizon on and no padded coefficient cell is read by the
+    recursion.  A and r do not feed it: they are built after it in one
+    pass from P_{i+1}, r in place in one table, and zeroed past each
+    horizon.  Returns (Y, A, r).
     """
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     Q = batch.w.size
@@ -697,28 +707,29 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
           for key, val in co.items()}
     P = np.empty((N, Kmax + 1))
     c = np.empty((N, Kmax + 1))
-    P[:, Kmax] = P_term
-    c[:, Kmax] = c_term
-    A = np.zeros((N, Kmax))
-    r = np.zeros((N, Kmax, Q))
+    P[:] = np.asarray(P_term, dtype=float)[..., None]
+    c[:] = np.asarray(c_term, dtype=float)[..., None]
     for i in range(Kmax - 1, -1, -1):
-        act = i < batch.K
-        h = du
-        # a row past its horizon holds the terminal pair from step K on
-        Pn, cn = P[:, i + 1], c[:, i + 1]
-        den = 1.0 - h * co["Gy"][:, i]
-        Pi = (Pn * (1.0 + h * co["fx"][:, i])
-              + h * (co["Gx"][:, i] + co["Ga"][:, i] * Pn * co["sx"][:, i]
-                     + co["gr"][:, i] * Pn * wr_b[:, i])) / den
-        ci = (cn + h * (Pn * co["f0"][:, i] + co["G0"][:, i]
-                        + co["Ga"][:, i] * Pn * co["s0"][:, i]
-                        + co["gr"][:, i] * Pn * wr_b0[:, i])) / den
-        P[:, i] = np.where(act, Pi, P_term)
-        c[:, i] = np.where(act, ci, c_term)
-        A[:, i] = np.where(act, Pn * (co["sx"][:, i] * X[:, i] + co["s0"][:, i]), 0.0)
-        r[:, i, :] = np.where(act[:, None],
-                              Pn[:, None] * (co["bx"][:, i] * X[:, i, None] + co["b0"][:, i]),
-                              0.0)
+        rows = batch.live(i)
+        Pn, cn = P[rows, i + 1], c[rows, i + 1]
+        den = 1.0 - du * co["Gy"][rows, i]
+        P[rows, i] = (Pn * (1.0 + du * co["fx"][rows, i])
+                      + du * (co["Gx"][rows, i] + co["Ga"][rows, i] * Pn * co["sx"][rows, i]
+                              + co["gr"][rows, i] * Pn * wr_b[rows, i])) / den
+        c[rows, i] = (cn + du * (Pn * co["f0"][rows, i] + co["G0"][rows, i]
+                                 + co["Ga"][rows, i] * Pn * co["s0"][rows, i]
+                                 + co["gr"][rows, i] * Pn * wr_b0[rows, i])) / den
+    Pn, Xl = P[:, 1:], X[:, :-1]
+    A = co["sx"] * Xl
+    A += co["s0"]
+    A *= Pn
+    r = np.empty((N, Kmax, Q))
+    np.multiply(co["bx"], Xl[..., None], out=r)
+    r += co["b0"]
+    r *= Pn[..., None]
+    dead = np.arange(Kmax) >= batch.K[:, None]
+    np.copyto(A, 0.0, where=dead)
+    np.copyto(r, 0.0, where=dead[..., None])
     Y = c + P * X
     # freeze padded tails at each path's own terminal value
     np.copyto(Y, (c_term + P_term * X[np.arange(N), batch.K])[:, None],
@@ -912,17 +923,19 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
 
 def _ode_backward(model: ModelSpec, batch: _Batch, X, v, n_picard=4):
     """Regime "ode" (A = r = 0): ``n_picard`` Picard sweeps per step over the
-    rows inside their horizon; rows past it stay frozen at phi(X_K)."""
+    rows live at it (``batch.live(i)``); every row starts at phi(X_K), so
+    a row past its horizon holds it."""
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     spec, w = batch.spec, batch.w
     XT = X[np.arange(N), batch.K]
     Y = np.empty((N, Kmax + 1))
     Y[:] = np.broadcast_to(np.asarray(model.phi(XT), dtype=float), (N,))[:, None]
     for i in range(Kmax - 1, -1, -1):
-        act = i < batch.K
-        n = int(act.sum())
-        Y[act, i] = _picard(model, spec, batch.t[act, i], i * du, X[act, i], Y[act, i + 1],
-                            np.zeros(n), np.zeros((n, w.size)), v[act, i], du, n_picard)
+        rows = batch.live(i)
+        x = X[rows, i]
+        Y[rows, i] = _picard(model, spec, batch.t[rows, i], i * du, x, Y[rows, i + 1],
+                             np.zeros(x.size), np.zeros((x.size, w.size)), v[rows, i], du,
+                             n_picard)
     return Y, np.zeros((N, Kmax)), np.zeros((N, Kmax, w.size))
 
 
@@ -1036,9 +1049,12 @@ def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
     X[0] = model.x0
     v = np.empty(J)
     label = np.array([bundle.seeds.get("path", 0)], dtype=int)
+    # a calendar step trapped at the horizon (E_j = K du, so dE = 0) reads
+    # step K - 1: a control is never read past the path's horizon
+    last = max(bundle.solver_steps - 1, 0)
     for j in range(J):
         vj = np.asarray(model.control_set.admit(
-            control.values_at(int(round(E[j] / du)), tgrid[j], E[j], X[j], label)))
+            control.values_at(min(int(round(E[j] / du)), last), tgrid[j], E[j], X[j], label)))
         vj = float(vj.reshape(-1)[0])
         v[j] = vj
         here = (bundle.jumps.times > E[j]) & (bundle.jumps.times <= E[j + 1])
@@ -1096,12 +1112,16 @@ def _step_args(batch: _Batch, i, X, Y, A, r, v, rows=slice(None)):
 
 
 def _step_sum(batch: _Batch, cell) -> np.ndarray:
-    """Each row's sum over its steps i < K of lam du int cell(i), taken in
-    step order: the running cost and the Gateaux integral."""
+    """Each row's sum over its steps i < K of lam du int cell(i, rows),
+    taken in step order: the running cost and the Gateaux integral.
+    ``cell`` gives the nodewise integrand of step i on ``rows``, the rows
+    live at it (``batch.live(i)``), so no padded cell is evaluated."""
     lam_du = batch.spec.intensity * batch.du
     run = np.zeros(batch.N)
     for i in range(batch.Kmax):
-        run += np.where(i < batch.K, lam_du * batch.spec.integrate(cell(i), (batch.N,)), 0.0)
+        rows = batch.live(i)
+        part = run[rows]
+        run[rows] = part + lam_du * batch.spec.integrate(cell(i, rows), part.shape)
     return run
 
 
@@ -1109,7 +1129,8 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
     X, v, _, _, _, _ = _forward_batch(model, control, batch)
     Y, A, r = _backward_batch(model, control, batch, X, v, method)
     N = batch.N
-    run = _step_sum(batch, lambda i: model.l(*_step_args(batch, i, X, Y, A, r, v)))
+    run = _step_sum(batch,
+                    lambda i, rows: model.l(*_step_args(batch, i, X, Y, A, r, v, rows)))
     XT = X[np.arange(N), batch.K]
     hterm = np.broadcast_to(np.asarray(model.h(XT), dtype=float), (N,))
     gterm = np.broadcast_to(np.asarray(model.gamma(Y[:, 0]), dtype=float), (N,))

@@ -495,11 +495,11 @@ def expansion_check(model: ModelSpec, control, direction, rhos, bundles,
     N, du, lam = batch.N, batch.du, batch.spec.intensity
     dmaps = [model_derivative(model, name) for name in ("l_x", "l_y", "l_a", "l_r", "l_v")]
 
-    def cell(i):
-        args = _step_args(batch, i, X, Y, A, r, v)
+    def cell(i, rows):
+        args = _step_args(batch, i, X, Y, A, r, v, rows)
         lx, ly, la, lr, lv = (d(*args) for d in dmaps)
-        return (lx * X1[:, i, None] + ly * Y1[:, i, None] + la * A1[:, i, None]
-                + lr * r1[:, i] + lv * vd[:, i, None])
+        return (lx * X1[rows, i, None] + ly * Y1[rows, i, None] + la * A1[rows, i, None]
+                + lr * r1[rows, i] + lv * vd[rows, i, None])
 
     rhs_p = _step_sum(batch, cell)
     d_hx = model_derivative(model, "h_x")

@@ -10,7 +10,8 @@ from scipy.stats import chisquare, ks_2samp, kstest
 
 from oracles import linear_fbsde_ode_oracle
 from support import RAGGED_STEPS, coupled_bundles, manual_bundle, mk_model, ragged_bundles
-from tcfbsde import fbsde
+from tcfbsde import fbsde, smp
+from tcfbsde.cash import CashSpec, build_cash_model
 from tcfbsde.fbsde import (
     Box,
     ConstantControl,
@@ -33,6 +34,9 @@ from tcfbsde.time_change import SubordinatorSpec
 
 
 IDENTITY_DU = 0.005
+# ragged solver-step counts for the live-row properties: zeros and
+# duplicates included, in any order
+RAGGED = st.lists(st.integers(0, 9), min_size=1, max_size=8)
 
 
 def identity_bundle(seed=0, du=IDENTITY_DU, horizon=0.5, flat_noise=False, **kw):
@@ -601,7 +605,8 @@ def test_forward_self_convergence_is_first_order():
 def test_stepwise_padding_is_never_read(method):
     """A StepwiseControl row ignores its entries past the path's horizon:
     NaN filler there costs exactly what the full 0.5 table costs, and the
-    expansion check takes a NaN-padded direction."""
+    expansion check takes a NaN-padded direction, as does the calendar-form
+    solve on its trapped steps (E_j = K du)."""
     model, jump, sub, p = build_model("linear_test")
     ens = make_ensemble(sub, jump, p["horizon"], p["step"], 6, master_seed=0)
     live = np.arange(ens.K.max()) < ens.K[:, None]
@@ -614,6 +619,10 @@ def test_stepwise_padding_is_never_read(method):
         ones, nan_ones = (StepwiseControl(np.where(live, 1.0, fill)) for fill in (1.0, np.nan))
         assert (expansion_check(model, full, nan_ones, [0.1], ens)
                 == expansion_check(model, full, ones, [0.1], ens))
+        for bnd in ens:
+            (Xw, Yw, _), (Xg, Yg, _) = (solve_calendar_direct(model, ctl, bnd)
+                                        for ctl in (full, padded))
+            assert Xg.tobytes() == Xw.tobytes() and Yg.tobytes() == Yw.tobytes()
 
 
 @pytest.mark.parametrize("mark_law", ["uniform", "triangular"])
@@ -681,7 +690,7 @@ def test_lsmc_inner_draws_depend_on_the_outer_path_alone(monkeypatch):
 
 
 @settings(max_examples=25, deadline=None)
-@given(steps=st.lists(st.integers(0, 9), min_size=1, max_size=8), data=st.data())
+@given(steps=RAGGED, data=st.data())
 def test_live_row_kernel_is_row_local(steps, data):
     """The forward kernel steps only live rows, by a suffix slice in a
     K-sorted batch and by an index array in any other; either way every
@@ -701,3 +710,106 @@ def test_live_row_kernel_is_row_local(steps, data):
     assert v_u[at_u].tobytes() == v_s[at_s].tobytes()
     one, three, whole = (evaluate_cost(model, ctl, ens, chunk=c).per_path for c in (1, 3, 512))
     assert one.tobytes() == three.tobytes() == whole.tobytes()
+
+
+def _backward_rows(model, ctl, direction, batch):
+    """Every backward kernel's output on one batch: the state's Y/A/r in
+    the affine and the ode regime, the second adjoint's q/k/R in both of
+    its regimes and the variational Y1/A1/r1."""
+    X, v = fbsde._forward_batch(model, ctl, batch)[:2]
+    out = {}
+    for method in ("affine", "ode"):
+        out.update(zip((f"{name}.{method}" for name in "YAr"),
+                       fbsde._backward_batch(model, ctl, batch, X, v, method)))
+    base = (X, out["Y.affine"], out["A.affine"], out["r.affine"], v)
+    p = smp._p_forward_batch(model, batch, *base)
+    for method, solve in (("affine", smp._q_affine_batch), ("ode", smp._q_ode_batch)):
+        out.update(zip((f"{name}.{method}" for name in "qkR"), solve(model, batch, *base, p)))
+    out.update(zip(("Y1", "A1", "r1"),
+                   smp._variational_batch(model, ctl, direction, batch, *base)[1:4]))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=RAGGED, data=st.data())
+def test_backward_kernels_are_row_local(steps, data):
+    """The backward kernels step only live rows, by a suffix slice in a
+    K-sorted batch and by an index array in any other: every row of an
+    unsorted batch, of the K-sorted batch and of the path solved alone
+    carries the same bytes, for the state, both adjoint regimes and the
+    variational pair.  The control and the direction are NaN past each
+    horizon.  Ragged steps with zeros, duplicates, in any order."""
+    spec = CashSpec()
+    model = build_cash_model(spec)
+    ens = fbsde.Ensemble(ragged_bundles(steps, jump_spec=spec.jump))
+    n, width = len(steps), max(max(steps), 1)
+    live = np.arange(width) < ens.K[:, None]
+    rows = 0.3 + 0.1 * np.arange(n)[:, None] + 0.02 * np.arange(width)
+    ctl = StepwiseControl(np.where(live, rows, np.nan))
+    direction = StepwiseControl(np.where(live, 1.0, np.nan))
+    perm = np.array(data.draw(st.permutations(range(n))))
+    order = np.argsort(ens.K, kind="stable")
+    unsorted, ksorted = (_backward_rows(model, ctl, direction, ens.rows(idx))
+                         for idx in (perm, order))
+    at_u, at_s = np.argsort(perm), np.argsort(order)
+    assert len(ksorted) == 15
+    for name, val in ksorted.items():
+        assert unsorted[name][at_u].tobytes() == val[at_s].tobytes(), name
+    for j in range(n):
+        for name, val in _backward_rows(model, ctl, direction, ens.rows([j])).items():
+            assert val[0].tobytes() == ksorted[name][at_s[j], : val.shape[1]].tobytes(), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=RAGGED, data=st.data())
+def test_affine_backward_ignores_padded_coefficients(steps, data):
+    """NaN in every coefficient cell past a row's horizon leaves Y, A and r
+    unchanged, in a K-sorted and in an unsorted batch.  P and c show
+    through Y: at X = 0 it reads c, else c + P X."""
+    for name in ("linear_test", "cash"):
+        model, jump, _, _ = build_model(name)
+        ens = fbsde.Ensemble(ragged_bundles(steps, jump_spec=jump))
+        perm = np.array(data.draw(st.permutations(range(len(steps)))))
+        for idx in (perm, np.argsort(ens.K, kind="stable")):
+            batch = ens.rows(idx)
+            N, Kmax, Q = batch.N, batch.Kmax, batch.w.size
+            X, v = fbsde._forward_batch(model, ConstantControl(0.5), batch)[:2]
+            co = fbsde._probe_affine(model, batch, v)
+            dead = np.arange(Kmax) >= batch.K[:, None]
+            nan_co = {}
+            for key, val in co.items():
+                full = np.array(np.broadcast_to(
+                    val, (N, Kmax, Q) if key in ("bx", "b0") else (N, Kmax)))
+                full[dead] = np.nan
+                nan_co[key] = full
+            terms = np.full(N, model.M_T), np.full(N, float(model.phi(0.0)))
+            for x in (X, np.zeros_like(X)):
+                want = fbsde._affine_backward(batch, x, co, *terms)
+                got = fbsde._affine_backward(batch, x, nan_co, *terms)
+                assert all(np.all(np.isfinite(a)) for a in got)
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes()
+
+
+def _live_cell(batch):
+    """A nodewise integrand of step i that fails unless it is handed
+    exactly the rows with K > i, in row order."""
+    def cell(i, rows):
+        assert np.array_equal(np.arange(batch.N)[rows], np.flatnonzero(batch.K > i))
+        return batch.t[rows, i, None] * batch.znodes + i
+    return cell
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=RAGGED, data=st.data())
+def test_step_sum_reads_live_rows_only(steps, data):
+    """_step_sum hands ``cell`` exactly the rows with K > i at step i, in
+    row order, and each row's sum is the one it has alone."""
+    ens = fbsde.Ensemble(ragged_bundles(steps))
+    perm = np.array(data.draw(st.permutations(range(len(steps)))))
+    for idx in (perm, np.argsort(ens.K, kind="stable")):
+        batch = ens.rows(idx)
+        run = fbsde._step_sum(batch, _live_cell(batch))
+        for n, label in enumerate(idx):
+            alone = ens.rows([label])
+            assert run[n] == fbsde._step_sum(alone, _live_cell(alone))[0]

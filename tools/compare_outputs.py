@@ -3,8 +3,9 @@
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
 
 Each tree's ``src/`` is imported in a subprocess of its own, which dumps a
-fixed set of outputs (certificates, costs, adjoints, margins, variational
-pairs and forward ingredients, all at fixed seeds) to an ``.npz`` file.  The script
+fixed set of outputs (certificates, costs under each backward regime,
+solved ensembles, adjoints, margins, variational pairs and forward
+ingredients, all at fixed seeds) to an ``.npz`` file.  The script
 then prints one line per output: ``identical`` when dtype, shape and bytes
 agree, else ``moved`` with the largest absolute and relative difference.
 It exits 1 when any output differs or is missing from one tree.
@@ -66,6 +67,20 @@ def dump(out_path):
             quad, fbsde.ConstantControl(0.5), [qens[int(k)] for k in rows[:, j]],
             method="lsmc").per_path
 
+    # the ode regime: quadratic_drift's drift and driver (plus a y^2 term)
+    # without noise loadings, on the first 1,024 paths of that ensemble
+    ode = fbsde.ModelSpec(
+        f=lambda t1, t2, x, v: -x + v + 0.5 * v**2,
+        sigma=lambda t1, t2, x, v: 0.0 * x + 0.0 * v,
+        b=lambda t1, t2, x, v, z: 0.0 * x + 0.0 * v + 0.0 * z,
+        g=lambda t1, t2, x, y, a, r, v: (-0.5 * y + 0.5 * x + 0.3 * v**2 + 0.1 * y**2
+                                         + 0.0 * (a + r)),
+        phi=lambda x: 1.0 * x, l=lambda t1, t2, x, y, a, r, v: 0.0 * (x + v),
+        h=lambda x: 0.0 * x, gamma=lambda y: -y, control_set=fbsde.Box(-2.0, 2.0),
+        x0=1.0, conditionally_deterministic=True)
+    out["cost.ode.per_path"] = fbsde.evaluate_cost(
+        ode, fbsde.ConstantControl(0.5), qens[:1024], method="ode").per_path
+
     cmodel = cash.build_cash_model(spec)
     cens = fbsde.make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 200, 0)
     ustar = cash.cash_optimal_control(spec, cash.cash_adjoints(spec, cens))
@@ -75,6 +90,8 @@ def dump(out_path):
              ("linear_test", lin, fbsde.ConstantControl(0.5), lens, (None,))]
     for name, model, ctl, bundles, methods in cases:
         sols = fbsde._solved_ensemble(model, ctl, bundles)
+        for field in ("Y", "A", "r"):
+            out[f"solved.{name}.{field}"] = getattr(sols, field)
         for method in methods:
             adj = smp.solve_adjoint_ensemble(model, ctl, bundles, sols, method=method)
             for field in ("p", "q", "k", "R"):
