@@ -7,17 +7,21 @@ deterministic time dependence, so each path is solved on its own grid
 inverse staircase.
 
 Ensembles are ragged: every path has its own random horizon, heavy-tailed
-in its step count K.  An Ensemble packs the paths' calendar times,
-Brownian values and solver events once, into flat arrays with per-path
-offsets, and gathers the padded arrays of any rows from them into the one
-layout every solver reads (a _Batch, width Kmax, cells past a row's
-horizon held or zero); the LSMC inner ensembles are drawn straight into
-the same layout.  Ensemble-wide solves sort the rows by K and cut that
-order into batches, so a batch pads only to paths of similar horizon,
-and scatter per-row results back to ensemble order; solved ensembles
-stay padded (EnsembleSolution) up to the certificate.  A path reads the
-control row of its label: its position in the ensemble an entry point is
-given, or the seeds["path"] of a bundle solved alone.
+in its step count K.  An Ensemble holds the paths only as flat arrays
+with per-path offsets (subordinator and Brownian values up to first
+passage, jump events): make_ensemble draws each path's named substreams
+straight into them, and Ensemble(bundles) packs a list into the same
+arrays.  An integer index rebuilds one PathBundle as views, whose inverse
+clock is computed only when read; no ensemble solver reads one.  The
+Ensemble gathers the padded arrays of any rows into the one layout every
+solver reads (a _Batch, width Kmax, cells past a row's horizon held or
+zero); the LSMC inner ensembles are drawn straight into the same layout.
+Ensemble-wide solves sort the rows by K and cut that order into batches,
+so a batch pads only to paths of similar horizon, and scatter per-row
+results back to ensemble order; solved ensembles stay padded
+(EnsembleSolution) up to the certificate.  A path reads the control row
+of its label: its position in the ensemble an entry point is given, or
+the seeds["path"] of a bundle solved alone.
 
 Every forward system (the state here, the first adjoint and the
 variational state in smp) runs through one explicit Euler kernel, _euler:
@@ -65,11 +69,12 @@ reductions run in path order, so results are reproducible bit for bit.
 import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import noise as noise_mod
-from .noise import BrownianPath, JumpStream, LevyJumpSpec, sample_brownian, sample_jumps
+from .noise import BrownianPath, JumpStream, LevyJumpSpec
 from .seeding import stream
 from .time_change import (
     InversePath,
@@ -78,7 +83,7 @@ from .time_change import (
     SubordinatorSpec,
     invert_subordinator,
     matched_calendar_grid,
-    sample_subordinator,
+    sample_subordinators,
 )
 
 
@@ -291,16 +296,22 @@ class PathBundle:
 
     The Brownian and jump components are sampled from RNG streams
     separate from the subordinator's, mirroring the product structure
-    of the underlying probability space.
+    of the underlying probability space.  The inverse clock on the
+    matched calendar grid is computed from the subordinator when
+    ``inverse`` is first read.
     """
 
     subordinator: SubordinatorPath
-    inverse: InversePath
     brownian: BrownianPath
     jumps: JumpStream
     jump_spec: LevyJumpSpec
     calendar_horizon: float
     seeds: dict = field(default_factory=dict)
+
+    @cached_property
+    def inverse(self) -> InversePath:
+        sub = self.subordinator
+        return invert_subordinator(sub, matched_calendar_grid(sub, self.calendar_horizon))
 
     @property
     def solver_steps(self) -> int:
@@ -316,59 +327,114 @@ class PathBundle:
 
 
 class Ensemble:
-    """Bundles packed once: path p's calendar times D(i du) and Brownian
-    values B(i du), i = 0..K_p, sit in the flat arrays ``times`` and
-    ``brownian`` from ``start[p]`` on, and its ``ev_n[p]`` jump events
-    inside the solver horizon, bucketed to their step, in ``ev_step`` and
-    ``ev_mark`` from ``ev_lo[p]`` on.  The solvers read no PathBundle
-    after the pack; ``rows`` gathers the padded layout of any rows.
+    """Paths held in flat, read-only arrays; no PathBundle is kept.
 
-    An integer index returns one bundle (so an Ensemble iterates over its
-    bundles); a slice or an index array returns the ensemble of those
-    rows, which shares the flat arrays.
+    Path p's subordinator values D(i du) and Brownian values B(i du),
+    i = 0..K_p + 1 (the last is the first passage past the horizon),
+    sit in ``times`` and ``brownian`` from ``start[p]`` on.  Its
+    ``ev_len[p]`` jump events in (0, (K_p + 1) du], sorted, sit in
+    ``ev_time`` and ``ev_mark`` from ``ev_lo[p]`` on; the first
+    ``ev_n[p]`` of them lie inside the solver horizon K_p du.  ``rows``
+    gathers the padded layout of any rows from these arrays.
+
+    ``Ensemble(bundles)`` packs a list of bundles, which must share the
+    step, the jump spec and the calendar horizon; make_ensemble draws
+    straight into the same arrays.  An integer index builds path p's
+    PathBundle, whose arrays are views into the flat ones (so an
+    Ensemble iterates over its bundles); a slice or an index array
+    returns the ensemble of those rows, which shares the flat arrays.
     """
 
     def __init__(self, bundles):
-        self.bundles = list(bundles)
-        if not self.bundles:
+        bundles = list(bundles)
+        if not bundles:
             raise ValueError("ensemble is empty")
-        du = self.bundles[0].subordinator.grid.step
-        for b in self.bundles:
+        first = bundles[0]
+        du = first.subordinator.grid.step
+        for b in bundles:
             if abs(b.subordinator.grid.step - du) > 1e-12 * du:
                 raise ValueError("grid mismatch: bundles in one ensemble must share the step")
+            if b.jump_spec != first.jump_spec:
+                raise ValueError("jump spec mismatch: bundles in one ensemble must share "
+                                 "the jump spec")
+            if b.calendar_horizon != first.calendar_horizon:
+                raise ValueError("horizon mismatch: bundles in one ensemble must share "
+                                 "the calendar horizon")
             if b.subordinator.passage_time is None:
                 raise ValueError("bundle lacks a passage time; its solver horizon "
                                  "is undefined")
-        self.du, self.spec = du, self.bundles[0].jump_spec
-        K = self.K = np.array([b.solver_steps for b in self.bundles])
-        self.start = np.cumsum(K + 1) - (K + 1)
-        self.times = np.concatenate([b.calendar_times() for b in self.bundles])
-        self.brownian = np.concatenate([b.brownian.values[: k + 1]
-                                        for b, k in zip(self.bundles, K)])
-        owner = np.repeat(np.arange(K.size), [b.jumps.times.size for b in self.bundles])
-        t = np.concatenate([b.jumps.times for b in self.bundles])
-        keep = t <= K[owner] * du + 1e-12 * du
-        self.ev_step = np.maximum(np.ceil(t[keep] / du - 1e-12).astype(int) - 1, 0)
-        self.ev_mark = np.concatenate([b.jumps.marks for b in self.bundles])[keep]
-        self.ev_n = np.bincount(owner[keep], minlength=K.size)
-        self.ev_lo = np.cumsum(self.ev_n) - self.ev_n
-        self.seeds = np.array([(b.seeds.get("master", 0), b.seeds.get("path", 0))
-                               for b in self.bundles], dtype=np.int64)
+            if b.brownian.values.size < b.subordinator.values.size:
+                raise ValueError("grid mismatch: a bundle's Brownian path must cover "
+                                 "its subordinator's grid")
+        K = np.array([b.solver_steps for b in bundles])
+        # the events a bundle's grid covers, a prefix of its sorted times
+        n_ev = [int(np.searchsorted(b.jumps.times, b.subordinator.grid.horizon, "right"))
+                for b in bundles]
+        self._pack(
+            du=du, spec=first.jump_spec, horizon=first.calendar_horizon, K=K,
+            times=np.concatenate([b.subordinator.values for b in bundles]),
+            brownian=np.concatenate([b.brownian.values[: k + 2] for b, k in zip(bundles, K)]),
+            ev_time=np.concatenate([b.jumps.times[:n] for b, n in zip(bundles, n_ev)]),
+            ev_mark=np.concatenate([b.jumps.marks[:n] for b, n in zip(bundles, n_ev)]),
+            ev_len=np.array(n_ev, dtype=int),
+            seeds=np.array([(b.seeds.get("master", 0), b.seeds.get("path", 0))
+                            for b in bundles], dtype=np.int64),
+            noise=np.array([b.seeds.get("noise_index", b.seeds.get("path", 0))
+                            for b in bundles], dtype=int))
+
+    @classmethod
+    def _from_arrays(cls, **arrays) -> "Ensemble":
+        """An Ensemble around flat arrays already in the packed layout."""
+        ens = cls.__new__(cls)
+        ens._pack(**arrays)
+        return ens
+
+    def _pack(self, du, spec, horizon, K, times, brownian, ev_time, ev_mark, ev_len,
+              seeds, noise):
+        self.du, self.spec, self.horizon, self.K = du, spec, horizon, K
+        self.start = np.cumsum(K + 2) - (K + 2)
+        self.times, self.brownian, self.ev_time, self.ev_mark = times, brownian, ev_time, ev_mark
+        for a in (times, brownian, ev_time, ev_mark):
+            a.setflags(write=False)
+        self.ev_len = ev_len
+        self.ev_lo = np.cumsum(ev_len) - ev_len
+        owner = np.repeat(np.arange(K.size), ev_len)
+        inside = ev_time <= K[owner] * du + 1e-12 * du
+        self.ev_n = np.bincount(owner[inside], minlength=K.size)
+        # (master, path) name a row's LSMC inner substreams; noise[p] is the
+        # index of the Brownian and jump substreams path p was paired with
+        self.seeds, self.noise = seeds, noise
 
     def __len__(self):
         return self.K.size
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            return self.bundles[key]
+            if not -len(self) <= key < len(self):
+                raise IndexError(f"path {key} out of range for {len(self)} paths")
+            return self._bundle(int(key) % len(self))
         idx = np.arange(len(self))[key]
         if idx.size == 0:
             raise ValueError("ensemble is empty")
         sub = copy.copy(self)
-        sub.bundles = [self.bundles[i] for i in idx]
-        sub.K, sub.start, sub.ev_n, sub.ev_lo, sub.seeds = (
-            a[idx] for a in (self.K, self.start, self.ev_n, self.ev_lo, self.seeds))
+        for name in ("K", "start", "ev_len", "ev_lo", "ev_n", "seeds", "noise"):
+            setattr(sub, name, getattr(self, name)[idx])
         return sub
+
+    def _bundle(self, p: int) -> PathBundle:
+        """Path p as a PathBundle of views into the flat arrays."""
+        k, s = int(self.K[p]) + 1, self.start[p]
+        lo, hi = self.ev_lo[p], self.ev_lo[p] + self.ev_len[p]
+        grid = OperationalGrid(step=self.du, horizon=self.du * k)
+        master, path = (int(x) for x in self.seeds[p])
+        return PathBundle(
+            subordinator=SubordinatorPath(grid=grid, values=self.times[s: s + k + 1],
+                                          passage_time=grid.horizon),
+            brownian=BrownianPath(grid=grid, values=self.brownian[s: s + k + 1]),
+            jumps=JumpStream(times=self.ev_time[lo:hi], marks=self.ev_mark[lo:hi],
+                             horizon=grid.horizon),
+            jump_spec=self.spec, calendar_horizon=self.horizon,
+            seeds={"master": master, "path": path, "noise_index": int(self.noise[p])})
 
     def padded(self, flat, idx):
         """``flat`` (times or brownian) of rows ``idx`` over steps 0..max K,
@@ -384,8 +450,10 @@ class Ensemble:
         n_ev = self.ev_n[idx]
         ev_p = np.repeat(np.arange(idx.size), n_ev)
         at = np.arange(ev_p.size) + np.repeat(self.ev_lo[idx] - (np.cumsum(n_ev) - n_ev), n_ev)
+        # an event at time t falls in step ceil(t / du) - 1
+        ev_s = np.maximum(np.ceil(self.ev_time[at] / self.du - 1e-12).astype(int) - 1, 0)
         return _Batch(self.padded(self.times, idx), B[:, 1:] - B[:, :-1], self.K[idx],
-                      ev_p, self.ev_step[at], self.ev_mark[at],
+                      ev_p, ev_s, self.ev_mark[at],
                       idx if labels is None else np.asarray(labels, dtype=int),
                       self.spec, self.du, seeds=self.seeds[idx])
 
@@ -398,12 +466,17 @@ def as_ensemble(bundles) -> Ensemble:
 def make_ensemble(sub_spec: SubordinatorSpec, jump_spec: LevyJumpSpec,
                   calendar_horizon: float, step: float, n_paths: int,
                   master_seed: int, pairing=None) -> Ensemble:
-    """Sample n_paths independent bundles from named per-path substreams.
+    """Sample n_paths independent paths from named per-path substreams.
 
-    ``pairing`` optionally re-pairs subordinator draws with the Brownian
-    and jump streams of other indices (a permutation), which must leave
-    every ensemble statistic's law unchanged; the cost-independence test
-    relies on that.
+    Path i's subordinator comes from its "subordinator" substream (all
+    paths drawn together by sample_subordinators), and its Brownian
+    values and jump events, on the subordinator's grid up to first
+    passage, from the "brownian" and "jumps" substreams of index
+    pairing[i] (i by default); all three are drawn straight into the
+    Ensemble's flat arrays.  ``pairing`` (a permutation) re-pairs
+    subordinator draws with other indices' noise, which must leave every
+    ensemble statistic's law unchanged; the cost-independence test relies
+    on that.
     """
     if n_paths < 1:
         raise ValueError("ensemble must contain at least one path")
@@ -412,20 +485,24 @@ def make_ensemble(sub_spec: SubordinatorSpec, jump_spec: LevyJumpSpec,
     pairing = np.asarray(pairing, dtype=int)
     guess = max(step, 1.2 * calendar_horizon**sub_spec.alpha)
     grid = OperationalGrid(step, step * max(4, math.ceil(guess / step)))
-    bundles = []
-    for i in range(n_paths):
+    times, k = sample_subordinators(
+        sub_spec, calendar_horizon, grid,
+        [stream(master_seed, "subordinator", i) for i in range(n_paths)])
+    du = grid.step
+    brownian = np.empty_like(times)
+    ev_time, ev_mark = [], []
+    for i, (s, ki) in enumerate(zip((np.cumsum(k + 1) - (k + 1)).tolist(), k.tolist())):
         j = int(pairing[i])
-        sub = sample_subordinator(sub_spec, calendar_horizon, grid,
-                                  stream(master_seed, "subordinator", i))
-        inv = invert_subordinator(sub, matched_calendar_grid(sub, calendar_horizon))
-        brw = sample_brownian(sub.grid, stream(master_seed, "brownian", j))
-        jmp = sample_jumps(jump_spec, sub.grid.horizon, stream(master_seed, "jumps", j))
-        bundles.append(PathBundle(
-            subordinator=sub, inverse=inv, brownian=brw, jumps=jmp,
-            jump_spec=jump_spec, calendar_horizon=calendar_horizon,
-            seeds={"master": int(master_seed), "path": i, "noise_index": j},
-        ))
-    return Ensemble(bundles)
+        noise_mod.draw_brownian(brownian[s: s + ki + 1], du, stream(master_seed, "brownian", j))
+        t, z = noise_mod.draw_jumps(jump_spec, du * ki, stream(master_seed, "jumps", j))
+        ev_time.append(t)
+        ev_mark.append(z)
+    return Ensemble._from_arrays(
+        du=du, spec=jump_spec, horizon=calendar_horizon, K=k - 1, times=times,
+        brownian=brownian, ev_time=np.concatenate(ev_time), ev_mark=np.concatenate(ev_mark),
+        ev_len=np.array([t.size for t in ev_time], dtype=int),
+        seeds=np.column_stack([np.full(n_paths, int(master_seed)), np.arange(n_paths)]),
+        noise=pairing[:n_paths].copy())
 
 
 # ----------------------------------------------------------------- solutions
@@ -1050,12 +1127,16 @@ def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
     v = np.empty(J)
     label = np.array([bundle.seeds.get("path", 0)], dtype=int)
     # a calendar step trapped at the horizon (E_j = K du, so dE = 0) reads
-    # step K - 1: a control is never read past the path's horizon
-    last = max(bundle.solver_steps - 1, 0)
+    # step K - 1: a control is never read past the path's horizon.  A
+    # zero-step path reads none: v is parked at 0 there, as _hold parks it,
+    # and every dE on it is 0
+    last = bundle.solver_steps - 1
     for j in range(J):
-        vj = np.asarray(model.control_set.admit(
-            control.values_at(min(int(round(E[j] / du)), last), tgrid[j], E[j], X[j], label)))
-        vj = float(vj.reshape(-1)[0])
+        vj = 0.0
+        if last >= 0:
+            vj = np.asarray(model.control_set.admit(control.values_at(
+                min(int(round(E[j] / du)), last), tgrid[j], E[j], X[j], label)))
+            vj = float(vj.reshape(-1)[0])
         v[j] = vj
         here = (bundle.jumps.times > E[j]) & (bundle.jumps.times <= E[j + 1])
         jump = 0.0

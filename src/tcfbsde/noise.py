@@ -127,7 +127,7 @@ class BrownianPath:
             raise ValueError("value count does not match grid")
         if v[0] != 0.0:
             raise ValueError("Brownian path must start at 0")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("non-finite Brownian values")
 
 
@@ -146,7 +146,7 @@ class JumpStream:
         object.__setattr__(self, "marks", z)
         if t.shape != z.shape or t.ndim != 1:
             raise ValueError("times and marks must be matching 1-d arrays")
-        if t.size and (np.any(np.diff(t) <= 0.0) or t[0] <= 0.0 or t[-1] > self.horizon):
+        if t.size and ((t[1:] <= t[:-1]).any() or t[0] <= 0.0 or t[-1] > self.horizon):
             raise ValueError("event times must be strictly increasing in (0, horizon]")
 
     @property
@@ -180,12 +180,24 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def draw_brownian(out: np.ndarray, step: float, rng: np.random.Generator) -> np.ndarray:
+    """B(i step) for i < out.size into ``out``: B(0) = 0 plus N(0, step)
+    increments from ``rng``."""
+    out[0] = 0.0
+    np.cumsum(rng.normal(0.0, np.sqrt(step), out.size - 1), out=out[1:])
+    return out
+
+
+def draw_jumps(spec: LevyJumpSpec, horizon: float, rng: np.random.Generator):
+    """(times, marks) of the events on (0, horizon], horizon > 0: a Poisson
+    count, sorted uniform times, then i.i.d. marks, all from ``rng``."""
+    n = rng.poisson(spec.intensity * horizon)
+    times = np.sort(rng.uniform(0.0, horizon, n))
+    return times, spec.sample_marks(n, rng)
+
+
 def sample_brownian(grid: OperationalGrid, seed) -> BrownianPath:
-    rng = _as_rng(seed)
-    inc = rng.normal(0.0, np.sqrt(grid.step), grid.n_steps)
-    values = np.empty(grid.n_steps + 1)
-    values[0] = 0.0
-    np.cumsum(inc, out=values[1:])
+    values = draw_brownian(np.empty(grid.n_steps + 1), grid.step, _as_rng(seed))
     return BrownianPath(grid=grid, values=values)
 
 
@@ -193,12 +205,9 @@ def sample_jumps(spec: LevyJumpSpec, horizon: float, seed) -> JumpStream:
     """Homogeneous Poisson arrivals at rate ``intensity`` with i.i.d. marks."""
     if horizon < 0.0 or not np.isfinite(horizon):
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
-    rng = _as_rng(seed)
     if horizon == 0.0:
         return JumpStream(times=np.empty(0), marks=np.empty(0), horizon=0.0)
-    n = rng.poisson(spec.intensity * horizon)
-    times = np.sort(rng.uniform(0.0, horizon, n))
-    marks = spec.sample_marks(n, rng)
+    times, marks = draw_jumps(spec, horizon, _as_rng(seed))
     return JumpStream(times=times, marks=marks, horizon=horizon)
 
 

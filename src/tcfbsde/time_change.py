@@ -25,6 +25,7 @@ __all__ = [
     "laplace_exponent",
     "stable_increments",
     "sample_subordinator",
+    "sample_subordinators",
     "invert_subordinator",
     "matched_calendar_grid",
 ]
@@ -87,7 +88,7 @@ class SubordinatorPath:
             raise ValueError("values length does not match the grid")
         if v[0] != 0.0:
             raise ValueError("subordinator paths start at 0")
-        if np.any(np.diff(v) < 0.0):
+        if (v[1:] < v[:-1]).any():
             raise ValueError("subordinator paths are nondecreasing")
         self.values = v
 
@@ -141,6 +142,12 @@ def stable_increments(alpha: float, size, rng: np.random.Generator) -> np.ndarra
     """
     theta = rng.uniform(0.0, np.pi, size=size)
     w = rng.standard_exponential(size=size)
+    return _kanter(alpha, theta, w)
+
+
+def _kanter(alpha: float, theta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Kanter's transform of uniforms theta and exponentials w, elementwise
+    (so a draw's bits do not depend on the array it sits in)."""
     a = (
         np.sin(alpha * theta) ** alpha
         * np.sin((1.0 - alpha) * theta) ** (1.0 - alpha)
@@ -162,48 +169,84 @@ def stable_increments(alpha: float, size, rng: np.random.Generator) -> np.ndarra
 MAX_STEPS = 1 << 18
 
 
+def sample_subordinators(spec: SubordinatorSpec, calendar_horizon: float,
+                         grid: OperationalGrid, rngs):
+    """Simulate one path of D per generator in ``rngs`` until it first
+    exceeds calendar_horizon.
+
+    Increments over each step du are exact in law (stable scaling:
+    (scale*du)**(1/alpha) times a standard draw).  Every path starts on
+    ``grid`` and, while it is below the level, doubles its grid, up to
+    MAX_STEPS steps (beyond that it raises, naming the spec, the level and
+    the step).  Each round draws the new increments of every path still
+    below the level from its own generator, and runs the Kanter transform
+    and the running sums once over all of them, so a path's values depend
+    on its generator alone.
+
+    Returns (values, k): the paths concatenated in order, path p truncated
+    at its first grid point k[p] with D > calendar_horizon, so that it is
+    values[s:s + k[p] + 1] with s = sum over q < p of (k[q] + 1).
+    """
+    if not (np.isfinite(calendar_horizon) and calendar_horizon > 0.0):
+        raise ValueError(f"calendar_horizon must be positive, got {calendar_horizon}")
+    du = grid.step
+    step_scale = (spec.scale * du) ** (1.0 / spec.alpha)
+    n = len(rngs)
+    k = np.zeros(n, dtype=int)
+    base = np.zeros(n)
+    live = np.arange(n)
+    rounds = []                     # (rows, steps before the round, D values)
+    size, total = grid.n_steps, 0
+    while live.size:
+        if total and 2 * total > MAX_STEPS:
+            raise RuntimeError(
+                f"horizon unreachable: the subordinator (alpha={spec.alpha}, "
+                f"scale={spec.scale}) did not pass the level {calendar_horizon} "
+                f"within {total} steps of {du}; the grid may not grow "
+                f"past {MAX_STEPS} steps")
+        theta, w = np.empty((live.size, size)), np.empty((live.size, size))
+        for row, p in enumerate(live):
+            theta[row] = rngs[p].uniform(0.0, np.pi, size=size)
+            w[row] = rngs[p].standard_exponential(size=size)
+        d = base[live, None] + np.cumsum(step_scale * _kanter(spec.alpha, theta, w), axis=1)
+        if not np.isfinite(d[:, -1]).all():
+            raise RuntimeError("horizon unreachable: subordinator failed to pass the level")
+        rounds.append((live, total, d))
+        done = d[:, -1] > calendar_horizon
+        # the values are nondecreasing, so those <= level are a prefix
+        k[live[done]] = 1 + total + np.count_nonzero(d[done] <= calendar_horizon, axis=1)
+        base[live] = d[:, -1]
+        live = live[~done]
+        total += size
+        size = total
+    start = np.cumsum(k + 1) - (k + 1)
+    values = np.empty(int(k.sum()) + n)
+    values[start] = 0.0
+    for rows, before, d in rounds:
+        cols = np.arange(d.shape[1])
+        kept = cols < (k[rows] - before)[:, None]
+        values[((start[rows] + 1 + before)[:, None] + cols)[kept]] = d[kept]
+    return values, k
+
+
 def sample_subordinator(
     spec: SubordinatorSpec,
     calendar_horizon: float,
     grid: OperationalGrid,
     seed,
 ) -> SubordinatorPath:
-    """Simulate D until it first exceeds calendar_horizon.
-
-    Increments over each step du are exact in law (stable scaling:
-    (scale*du)**(1/alpha) times a standard draw). The grid is grown by
-    doubling until first passage, up to MAX_STEPS steps (beyond that it
-    raises, naming the spec, the level and the step); the returned path is
-    truncated at the first grid point where D > calendar_horizon.
-    Deterministic in (spec, grid, seed); seed may be an integer or an
-    already-derived numpy Generator.
+    """Simulate D until it first exceeds calendar_horizon: the one-path call
+    of sample_subordinators, truncated at the first grid point where
+    D > calendar_horizon.  Deterministic in (spec, grid, seed); seed may be
+    an integer or an already-derived numpy Generator.
     """
-    if not (np.isfinite(calendar_horizon) and calendar_horizon > 0.0):
-        raise ValueError(f"calendar_horizon must be positive, got {calendar_horizon}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(int(seed))
+    values, (k,) = sample_subordinators(spec, calendar_horizon, grid, [rng])
     du = grid.step
-    step_scale = (spec.scale * du) ** (1.0 / spec.alpha)
-
-    incs = step_scale * stable_increments(spec.alpha, grid.n_steps, rng)
-    values = np.concatenate([[0.0], np.cumsum(incs)])
-    while values[-1] <= calendar_horizon:
-        if 2 * (values.size - 1) > MAX_STEPS:
-            raise RuntimeError(
-                f"horizon unreachable: the subordinator (alpha={spec.alpha}, "
-                f"scale={spec.scale}) did not pass the level {calendar_horizon} "
-                f"within {values.size - 1} steps of {du}; the grid may not grow "
-                f"past {MAX_STEPS} steps")
-        more = step_scale * stable_increments(spec.alpha, values.size - 1, rng)
-        values = np.concatenate([values, values[-1] + np.cumsum(more)])
-        if not np.isfinite(values[-1]):
-            raise RuntimeError("horizon unreachable: subordinator failed to pass the level")
-
-    k = int(np.searchsorted(values, calendar_horizon, side="right"))
-    values = values[: k + 1]
     return SubordinatorPath(
-        grid=OperationalGrid(step=du, horizon=du * k),
+        grid=OperationalGrid(step=du, horizon=du * int(k)),
         values=values,
-        passage_time=du * k,
+        passage_time=du * int(k),
     )
 
 

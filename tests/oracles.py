@@ -48,6 +48,47 @@ def levy_half_stable_cdf(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def stable_cdf(x, alpha: float) -> np.ndarray:
+    """P(S <= x) for the standard positive alpha-stable law, E[e^{-xi S}] = e^{-xi^alpha}.
+
+    scipy's levy_stable with beta = 1 in its default S1 parametrisation,
+    whose scale for this law is cos(pi alpha / 2)^(1/alpha).  Checked
+    against Laplace inversion and, at alpha = 1/2, the Levy closed form.
+    """
+    from scipy.stats import levy_stable
+
+    scale = math.cos(math.pi * alpha / 2.0) ** (1.0 / alpha)
+    return levy_stable.cdf(np.asarray(x, dtype=float), alpha, 1.0, scale=scale)
+
+
+def stable_cdf_by_laplace_inversion(alpha: float, x: float) -> float:
+    """P(S <= x) by inverting its Laplace transform e^{-s^alpha} / s with
+    mpmath (Talbot contour); independent of scipy's stable code."""
+    import mpmath
+
+    return float(mpmath.invertlaplace(lambda s: mpmath.exp(-s**alpha) / s, x, method="talbot"))
+
+
+def k_law(alpha: float, horizon: float, du: float, scale: float = 1.0,
+          tail: float = 1e-13) -> np.ndarray:
+    """P(K = k), k = 0, 1, ..., of the solver-step count K = max{k : D(k du) <= T}.
+
+    D(u) is (scale u)^(1/alpha) S in law, so for k >= 1
+        P(K >= k) = P(D(k du) <= T) = F_S(T (scale k du)^(-1/alpha)).
+    The support is cut where P(K >= k) falls below ``tail``; the mass
+    dropped there is less than ``tail``.
+    """
+    n = 256
+    while True:
+        k = np.arange(1, n + 1)
+        surv = stable_cdf(horizon * (scale * k * du) ** (-1.0 / alpha), alpha)
+        if surv[-1] < tail:
+            break
+        n *= 2
+    surv = np.concatenate([[1.0], surv[: int(np.argmax(surv < tail)) + 1]])
+    return surv[:-1] - surv[1:]
+
+
 def linear_fbsde_ode_oracle(a, c, gy, gx, g0, m_terminal, f_terminal, x0, horizon):
     """Exact (X(U), Y(0)) for the scalar linear pair, conditional on the clock.
 

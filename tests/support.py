@@ -1,16 +1,19 @@
-"""Shared fixtures for the solver tests: hand-built bundles and
-grid-coupled ensembles for self-convergence experiments."""
+"""Shared fixtures for the solver tests: hand-built bundles,
+grid-coupled ensembles for self-convergence experiments, and the
+samplers' one-path-at-a-time references."""
+
+import math
 
 import numpy as np
 
 from tcfbsde.fbsde import Box, ModelSpec, PathBundle
 from tcfbsde.noise import BrownianPath, JumpStream, LevyJumpSpec, sample_brownian, sample_jumps
+from tcfbsde.seeding import stream
 from tcfbsde.time_change import (
     OperationalGrid,
     SubordinatorPath,
     SubordinatorSpec,
-    invert_subordinator,
-    matched_calendar_grid,
+    sample_subordinator,
     stable_increments,
 )
 
@@ -38,7 +41,6 @@ def manual_bundle(values, du, horizon, jump_spec=None, seed=0, flat_noise=False)
     values = np.asarray(values, dtype=float)
     grid = OperationalGrid(du, du * (values.size - 1))
     sub = SubordinatorPath(grid=grid, values=values, passage_time=grid.horizon)
-    inv = invert_subordinator(sub, matched_calendar_grid(sub, horizon))
     if jump_spec is None:
         jump_spec = LevyJumpSpec(c=1.0, intensity=2.0)
     if flat_noise:
@@ -47,7 +49,7 @@ def manual_bundle(values, du, horizon, jump_spec=None, seed=0, flat_noise=False)
     else:
         brw = sample_brownian(grid, seed + 1)
         jumps = sample_jumps(jump_spec, grid.horizon, seed + 2)
-    return PathBundle(subordinator=sub, inverse=inv, brownian=brw, jumps=jumps,
+    return PathBundle(subordinator=sub, brownian=brw, jumps=jumps,
                       jump_spec=jump_spec, calendar_horizon=horizon,
                       seeds={"master": seed, "path": 0})
 
@@ -112,17 +114,44 @@ def coupled_bundles(sub_spec, jump_spec, horizon, fine_step, seed, factors=(1, 2
         vals = vals[: k + 1]
         grid = OperationalGrid(du, du * k)
         sub = SubordinatorPath(grid=grid, values=vals, passage_time=grid.horizon)
-        inv = invert_subordinator(sub, matched_calendar_grid(sub, horizon))
         db = db_fine[: m * fac].reshape(-1, fac).sum(axis=1)[:k]
         brw = BrownianPath(grid=grid, values=np.concatenate([[0.0], np.cumsum(db)]))
         keep = jumps_all.times <= grid.horizon
         jumps = JumpStream(times=jumps_all.times[keep], marks=jumps_all.marks[keep],
                            horizon=grid.horizon)
-        out.append(PathBundle(subordinator=sub, inverse=inv, brownian=brw,
+        out.append(PathBundle(subordinator=sub, brownian=brw,
                               jumps=jumps, jump_spec=jump_spec,
                               calendar_horizon=horizon,
                               seeds={"master": seed, "path": 0}))
     return out
+
+
+def reference_subordinator_values(spec, level, grid, rng):
+    """One path of D drawn by the one-path doubling loop: a round of
+    stable_increments at a time, each appended to the running sum, until
+    the path passes ``level``; truncated at the first value past it."""
+    step_scale = (spec.scale * grid.step) ** (1.0 / spec.alpha)
+    values = np.concatenate([[0.0], np.cumsum(
+        step_scale * stable_increments(spec.alpha, grid.n_steps, rng))])
+    while values[-1] <= level:
+        more = step_scale * stable_increments(spec.alpha, values.size - 1, rng)
+        values = np.concatenate([values, values[-1] + np.cumsum(more)])
+    return values[: np.searchsorted(values, level, side="right") + 1]
+
+
+def reference_bundle(sub_spec, jump_spec, horizon, step, master_seed, i, j):
+    """Path i of make_ensemble (noise index j) built one sampler call at a
+    time: make_ensemble's starting grid, then sample_subordinator,
+    sample_brownian and sample_jumps on the path's named substreams."""
+    guess = max(step, 1.2 * horizon**sub_spec.alpha)
+    grid = OperationalGrid(step, step * max(4, math.ceil(guess / step)))
+    sub = sample_subordinator(sub_spec, horizon, grid, stream(master_seed, "subordinator", i))
+    return PathBundle(
+        subordinator=sub,
+        brownian=sample_brownian(sub.grid, stream(master_seed, "brownian", j)),
+        jumps=sample_jumps(jump_spec, sub.grid.horizon, stream(master_seed, "jumps", j)),
+        jump_spec=jump_spec, calendar_horizon=horizon,
+        seeds={"master": master_seed, "path": i, "noise_index": j})
 
 
 def lq_model(box=(-10.0, 10.0), lam=2.0, kappa=1.0):

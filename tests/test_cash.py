@@ -3,6 +3,7 @@ explicit adjoints against the frozen candidate formula and the general
 solver, the first-order condition at the computed rate, and the Monte
 Carlo optimality certificate."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -28,6 +29,8 @@ from tcfbsde.fbsde import (
     evaluate_cost,
     make_ensemble,
 )
+from tcfbsde.noise import BrownianPath, LevyJumpSpec
+from tcfbsde.time_change import OperationalGrid
 from tcfbsde.smp import (
     AdjointSolution,
     check_necessary_condition,
@@ -345,6 +348,26 @@ def test_rate_rejects_mismatched_grids():
         cash_optimal_control(spec, bad)
     with pytest.raises(ValueError, match="empty"):
         cash_adjoints(spec, [])
+
+
+def test_ensemble_rejects_mixed_bundles():
+    """An ensemble solves every row under one jump spec and one calendar
+    horizon, so bundles that differ in either are rejected when packed."""
+    spec = CashSpec()
+    base = manual_bundle([0.0, 0.3, 1.2], 0.1, 1.0, jump_spec=LevyJumpSpec(c=1.0, intensity=2.0))
+    marks = manual_bundle([0.0, 0.3, 1.2], 0.1, 1.0,
+                          jump_spec=LevyJumpSpec(c=0.5, intensity=7.0))
+    horizon = manual_bundle([0.0, 0.3, 1.2], 0.1, 0.9,
+                            jump_spec=LevyJumpSpec(c=1.0, intensity=2.0))
+    with pytest.raises(ValueError, match="jump spec mismatch"):
+        evaluate_cost(build_cash_model(spec), 0.5, [base, marks])
+    with pytest.raises(ValueError, match="horizon mismatch"):
+        cash_adjoints(spec, [base, horizon])
+    # the pack keeps each path's Brownian values up to first passage
+    short = dataclasses.replace(base, brownian=BrownianPath(
+        grid=OperationalGrid(0.1, 0.1), values=base.brownian.values[:2]))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        cash_adjoints(spec, [base, short])
 
 
 def test_cost_of_rate_matches_exact_oracle():

@@ -1,6 +1,7 @@
 """Solver-level tests: forward scheme, the three backward regimes, duality
 composition, and the cost functional."""
 
+import math
 import re
 
 import numpy as np
@@ -8,10 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare, ks_2samp, kstest
 
-from oracles import linear_fbsde_ode_oracle
-from support import RAGGED_STEPS, coupled_bundles, manual_bundle, mk_model, ragged_bundles
-from tcfbsde import fbsde, smp
-from tcfbsde.cash import CashSpec, build_cash_model
+from oracles import k_law, linear_fbsde_ode_oracle
+from support import (
+    RAGGED_STEPS,
+    coupled_bundles,
+    manual_bundle,
+    mk_model,
+    ragged_bundles,
+    reference_bundle,
+)
+from tcfbsde import fbsde, smp, time_change
+from tcfbsde.cash import CashSpec, build_cash_model, certify_optimality
 from tcfbsde.fbsde import (
     Box,
     ConstantControl,
@@ -145,6 +153,121 @@ def test_pairing_reassigns_noise_streams():
         k = min(paired[i].brownian.values.size, base[j].brownian.values.size)
         assert np.array_equal(paired[i].brownian.values[:k],
                               base[j].brownian.values[:k])
+
+
+# a slow clock on a horizon of one step: 4 of its 96 paths have no solver
+# step and 55 doubled their starting grid at least twice
+PACK_CASE = (SubordinatorSpec(0.5, scale=0.3), LevyJumpSpec(c=1.0, intensity=30.0),
+             0.05, 0.05, 96, 3)
+
+
+def pack_cases():
+    """The PACK_CASE ensemble drawn plainly and with re-paired noise."""
+    sub, jump, T, du, n, seed = PACK_CASE
+    perm = np.random.default_rng(8).permutation(n)
+    return [(make_ensemble(sub, jump, T, du, n, seed), np.arange(n)),
+            (make_ensemble(sub, jump, T, du, n, seed, pairing=perm), perm)]
+
+
+def test_rebuilt_bundles_pack_to_the_same_ensemble():
+    """Packing the bundles an ensemble rebuilds gives back its flat arrays
+    and its padded layout byte for byte: with re-paired noise, zero-step
+    paths and paths whose grid doubled twice or more."""
+    sub, jump, T, du, n, seed = PACK_CASE
+    start = max(4, math.ceil(max(du, 1.2 * T**sub.alpha) / du))  # make_ensemble's grid
+    for ens, _ in pack_cases():
+        assert (ens.K == 0).any() and (ens.K + 1 > 2 * start).any()
+        again = fbsde.Ensemble([ens[i] for i in range(len(ens))])
+        for name in ("K", "start", "times", "brownian", "ev_time", "ev_mark", "ev_len",
+                     "ev_lo", "ev_n", "seeds", "noise"):
+            a, b = getattr(again, name), getattr(ens, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        got, want = again.rows(), ens.rows()
+        for name in ("K", "labels", "seeds", "t", "dB", "ev_p", "ev_s", "ev_z", "ev_start"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+def test_ensemble_bundles_match_the_one_call_samplers():
+    """Path i of make_ensemble, rebuilt as a bundle of views, equals the
+    bundle drawn by sample_subordinator, sample_brownian and sample_jumps
+    on the same substreams, array for array and inverse included; and the
+    padded layout holds that bundle's times, increments and in-horizon
+    events."""
+    sub, jump, T, du, n, seed = PACK_CASE
+    for ens, pairing in pack_cases():
+        batch = ens.rows()
+        for i in range(n):
+            got = ens[i]
+            want = reference_bundle(sub, jump, T, du, seed, i, int(pairing[i]))
+            K = want.solver_steps
+            assert batch.t[i, : K + 1].tobytes() == want.calendar_times().tobytes()
+            assert batch.dB[i, :K].tobytes() == np.diff(want.brownian.values[: K + 1]).tobytes()
+            inside, mine = want.jumps.times <= K * du, batch.ev_p == i
+            assert np.array_equal(batch.ev_z[mine], want.jumps.marks[inside])
+            assert np.array_equal(batch.ev_s[mine],
+                                  np.ceil(want.jumps.times[inside] / du).astype(int) - 1)
+            assert got.seeds == want.seeds
+            assert got.jump_spec == want.jump_spec
+            assert got.calendar_horizon == want.calendar_horizon
+            assert got.subordinator.grid == want.subordinator.grid
+            assert got.subordinator.passage_time == want.subordinator.passage_time
+            assert got.brownian.grid == want.brownian.grid
+            assert got.jumps.horizon == want.jumps.horizon
+            for a, b in ((got.subordinator.values, want.subordinator.values),
+                         (got.brownian.values, want.brownian.values),
+                         (got.jumps.times, want.jumps.times),
+                         (got.jumps.marks, want.jumps.marks),
+                         (got.inverse.calendar_grid, want.inverse.calendar_grid),
+                         (got.inverse.values, want.inverse.values)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_ensemble_solvers_compute_no_inverse(monkeypatch):
+    """No ensemble entry point reads a path's inverse clock: make_ensemble,
+    evaluate_cost and certify_optimality run with invert_subordinator
+    raising, and only reading a bundle's inverse calls it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("invert_subordinator called")
+
+    monkeypatch.setattr(fbsde, "invert_subordinator", refuse)
+    monkeypatch.setattr(time_change, "invert_subordinator", refuse)
+    model, jump, sub, p = build_model("linear_test")
+    ens = make_ensemble(sub, jump, p["horizon"], p["step"], 64, master_seed=0)
+    evaluate_cost(model, 0.5, ens)
+    certify_optimality(CashSpec(), candidates=[0.5], ensemble_size=64, seed=0,
+                       margin_paths=32, expansion_rhos=[0.1], expansion_paths=16)
+    bnd = ens[0]
+    with pytest.raises(AssertionError, match="invert_subordinator called"):
+        bnd.inverse
+
+
+def test_ensemble_integer_index_bounds():
+    """Integer indices run from -len to len - 1; past them IndexError,
+    which is what ends iteration over the bundles."""
+    model, jump, sub, p = build_model("linear_test")
+    ens = make_ensemble(sub, jump, p["horizon"], p["step"], 5, master_seed=1)
+    assert ens[-1].seeds["path"] == 4 and ens[-5].seeds["path"] == 0
+    for bad in (5, -6, np.int64(5)):
+        with pytest.raises(IndexError):
+            ens[bad]
+    assert [b.seeds["path"] for b in ens] == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("alpha, seed", [(0.3, 101), (0.5, 102), (0.7, 103), (0.9, 104)])
+def test_sampled_steps_follow_the_exact_law(alpha, seed):
+    """The solver-step counts K of 4,000 sampled paths fit the exact law
+    of K (oracles.k_law): chi-square over 10 bins cut at the law's
+    deciles, each expecting its exact mass."""
+    horizon, du, n = 1.0, 0.01, 4000
+    ens = make_ensemble(SubordinatorSpec(alpha), LevyJumpSpec(c=1.0, intensity=1.0),
+                        horizon, du, n, master_seed=seed)
+    cdf = np.cumsum(k_law(alpha, horizon, du))
+    edges = np.searchsorted(cdf, np.arange(1, 10) / 10.0)
+    mass = np.diff(np.concatenate([[0.0], cdf[edges], [1.0]]))
+    observed = np.bincount(np.searchsorted(edges, ens.K, side="left"), minlength=10)
+    assert chisquare(observed, n * mass / mass.sum()).pvalue > 1e-3
 
 
 # ----------------------------------------------------------------- forward
@@ -623,6 +746,17 @@ def test_stepwise_padding_is_never_read(method):
             (Xw, Yw, _), (Xg, Yg, _) = (solve_calendar_direct(model, ctl, bnd)
                                         for ctl in (full, padded))
             assert Xg.tobytes() == Xw.tobytes() and Yg.tobytes() == Yw.tobytes()
+        # a zero-step path has only padding: the calendar-form solve parks
+        # its value, and its cost is gamma(Y_0) = -1.0 alone in both forms
+        short = ragged_bundles((0, 3), jump_spec=jump)
+        live = np.arange(3) < np.array([0, 3])[:, None]
+        full, padded = (StepwiseControl(np.where(live, 0.5, fill)) for fill in (0.5, np.nan))
+        assert evaluate_cost(model, padded, short, method=method).per_path[0] == -1.0
+        for bnd in short:
+            (Xw, Yw, _), (Xg, Yg, _) = (solve_calendar_direct(model, ctl, bnd)
+                                        for ctl in (full, padded))
+            assert Xg.tobytes() == Xw.tobytes() and Yg.tobytes() == Yw.tobytes()
+        assert solve_calendar_direct(model, padded, short[0])[1][0] == 1.0
 
 
 @pytest.mark.parametrize("mark_law", ["uniform", "triangular"])

@@ -10,10 +10,13 @@ from oracles import (
     cash_cost_given_steps,
     cash_q_candidate,
     central_difference,
+    k_law,
     levy_half_stable_cdf,
     linear_fbsde_ode_oracle,
     mean_inverse_by_laplace_inversion,
     mittag_leffler_moment,
+    stable_cdf,
+    stable_cdf_by_laplace_inversion,
 )
 
 
@@ -42,6 +45,35 @@ def test_levy_half_cdf_matches_normal_representation():
     for x in (0.2, 0.5, 1.0, 3.0, 10.0):
         emp = np.mean(s <= x)
         assert abs(emp - levy_half_stable_cdf(np.array([x]))[0]) < 4e-3
+
+
+def test_k_law_matches_the_inverted_stable_cdf():
+    """P(K >= k) read off the law of K equals F_S(T (k du)^(-1/alpha)) with
+    F_S from Laplace inversion at alpha = 0.7 and from the Levy closed form
+    at alpha = 1/2."""
+    horizon, du = 1.0, 0.01
+    for alpha, cdf in ((0.7, lambda x: stable_cdf_by_laplace_inversion(0.7, x)),
+                       (0.5, lambda x: levy_half_stable_cdf(np.array([x]))[0])):
+        surv = 1.0 - np.concatenate([[0.0], np.cumsum(k_law(alpha, horizon, du))])
+        for k in (1, 20, 80, 150, 300):
+            want = cdf(horizon * (k * du) ** (-1.0 / alpha))
+            assert abs(surv[k] - want) < 1e-12, (alpha, k)
+    x = np.array([0.05, 0.3, 1.0, 4.0, 50.0])
+    assert np.max(np.abs(stable_cdf(x, 0.5) - levy_half_stable_cdf(x))) < 1e-12
+
+
+def test_k_law_is_a_law_with_the_inverse_mean():
+    """The law of K sums to 1, and K du <= E_T < (K + 1) du puts its mean
+    within one step below E[E_T] / du (the Mittag-Leffler moment)."""
+    horizon, du = 1.0, 0.01
+    for alpha in (0.3, 0.5, 0.7, 0.9):
+        pmf = k_law(alpha, horizon, du)
+        assert np.all(pmf >= 0.0) and abs(pmf.sum() - 1.0) < 1e-12
+        mean = float(np.arange(pmf.size) @ pmf)
+        m = mittag_leffler_moment(alpha, horizon) / du
+        assert m - 1.0 <= mean < m, alpha
+    # scale enters through scale * du only
+    assert np.array_equal(k_law(0.7, horizon, du, scale=0.5), k_law(0.7, horizon, 0.5 * du))
 
 
 def test_linear_ode_oracle_degenerate_cases():

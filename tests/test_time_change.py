@@ -15,10 +15,12 @@ from tcfbsde.time_change import (
     laplace_exponent,
     matched_calendar_grid,
     sample_subordinator,
+    sample_subordinators,
     stable_increments,
 )
 
 from oracles import levy_half_stable_cdf, mittag_leffler_moment
+from support import reference_subordinator_values
 
 
 def test_laplace_exponent_values():
@@ -123,6 +125,41 @@ def test_unreachable_horizon_raises_fast_and_small():
         assert part in str(err.value)
     assert elapsed < 1.0
     assert peak < 64 * MAX_STEPS  # a few arrays of MAX_STEPS float64s
+
+
+def test_batched_sampler_matches_the_one_path_loop():
+    """Paths drawn together, doubling their grids in shared rounds, carry
+    the bytes of each path drawn alone by the one-path doubling loop."""
+    grid = OperationalGrid(0.01, 0.64)
+    passed = []
+    for alpha in (0.3, 0.6, 0.9):
+        spec = SubordinatorSpec(alpha, scale=0.5)
+        values, k = sample_subordinators(spec, 1.0, grid,
+                                         [np.random.default_rng(s) for s in range(20)])
+        passed.append(k)
+        start = np.cumsum(k + 1) - (k + 1)
+        for s in range(20):
+            want = reference_subordinator_values(spec, 1.0, grid, np.random.default_rng(s))
+            assert values[start[s]: start[s] + k[s] + 1].tobytes() == want.tobytes()
+            assert sample_subordinator(spec, 1.0, grid, s).values.tobytes() == want.tobytes()
+    # some paths passed in the first round, some doubled twice or more
+    passed = np.concatenate(passed)
+    assert (passed <= grid.n_steps).any() and (passed > 2 * grid.n_steps).any()
+
+
+def test_batched_sampler_fails_loudly():
+    """A non-finite draw in any row raises FloatingPointError, and a clock
+    that cannot pass the level raises at the step cap, naming the spec."""
+    rngs = [np.random.default_rng(s) for s in (1, 0)]
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match="alpha=0.999"):
+            sample_subordinators(SubordinatorSpec(0.999), 1.0, OperationalGrid(1e-5, 2.0), rngs)
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    with pytest.raises(RuntimeError, match="horizon unreachable") as err:
+        sample_subordinators(SubordinatorSpec(0.7, scale=1e-30), 1.0,
+                             OperationalGrid(0.01, 1.0), rngs)
+    for part in ("alpha=0.7", "scale=1e-30", "level 1.0", "steps of 0.01"):
+        assert part in str(err.value)
 
 
 def test_sample_subordinator_deterministic():

@@ -5,7 +5,8 @@
 Each tree's ``src/`` is imported in a subprocess of its own, which dumps a
 fixed set of outputs (certificates, costs under each backward regime,
 solved ensembles, adjoints, margins, variational pairs and forward
-ingredients, all at fixed seeds) to an ``.npz`` file.  The script
+ingredients, all at fixed seeds) to an ``.npz`` file, and the sampled
+ensembles themselves (their padded layout and the bundles of a few paths).  The script
 then prints one line per output: ``identical`` when dtype, shape and bytes
 agree, else ``moved`` with the largest absolute and relative difference.
 It exits 1 when any output differs or is missing from one tree.
@@ -118,11 +119,28 @@ def dump(out_path):
         out[f"margins.{name}"] = np.array([row["margin"] for row in rep.margins])
 
     for name, model, bundles in (("cash", cmodel, cens), ("linear_test", lin, lens)):
-        bnd = max(bundles.bundles[:50], key=lambda b: b.jumps.times.size)
+        bnd = max((bundles[i] for i in range(50)), key=lambda b: b.jumps.times.size)
         sol = fbsde.solve_forward_dual(model, 0.5, bnd)
         for field in ("X", "control_values", "drift", "vol", "dB", "jump_nodes",
                       "event_steps", "event_b"):
             out[f"forward.{name}.{field}"] = getattr(sol, field)
+
+    # the sampling itself: the padded layout of three ensembles (one with
+    # re-paired noise), and the bundles of the first 50 and 5 longest paths
+    paired = fbsde.make_ensemble(sub, jump, p["horizon"], p["step"], 512, 0,
+                                 pairing=np.random.default_rng(5).permutation(512))
+    for name, sample in (("linear_test", ens), ("cash", cert), ("paired", paired)):
+        batch = sample.rows()
+        for field in ("t", "dB", "ev_p", "ev_s", "ev_z", "ev_start"):
+            out[f"sample.{name}.rows.{field}"] = getattr(batch, field)
+        K = np.array([b.solver_steps for b in sample])
+        picks = list(range(50)) + np.argsort(K, kind="stable")[-5:].tolist()
+        bnds = [sample[i] for i in picks]
+        for field in ("subordinator.values", "brownian.values", "jumps.times",
+                      "jumps.marks", "inverse.values"):
+            part, attr = field.split(".")
+            out[f"sample.{name}.bundles.{field}"] = np.concatenate(
+                [getattr(getattr(b, part), attr) for b in bnds])
     np.savez(out_path, **out)
 
 
