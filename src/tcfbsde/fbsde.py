@@ -37,18 +37,21 @@ kernel on the padded batch; the single-path solvers are batch-of-one
 calls of the batch code.  The ode and affine kernels start every row at
 its terminal value and step only the rows live at step i, so a row holds
 that value past its horizon; the step sums of the running cost and the
-Gateaux integral (_step_sum) likewise evaluate live rows only.  The
-regimes are:
+Gateaux integral (_step_sum) likewise evaluate live rows only.  Every
+regime hands r over as _NodeCells: the cost reads it one live step at a
+time, and no (N, Kmax, nodes) r table is built on the cost path; the
+solved ensemble, the adjoints, the variational pair and the one-path
+solve build the padded table from the same expression.  The regimes are:
 
 * "ode"     the driver and terminal data are deterministic given the
             subordinator path, so Y is a backward ODE and A = r = 0,
             solved by Picard sweeps over the live rows of each step;
 * "affine"  coefficients affine in the state, driver affine in
             (x, y, a, r), linear terminal map: the implicit scheme has
-            an exact conditional solution Y_i = c_i + P_i X_i, and the
-            integrands A and r are read off P_{i+1} in one pass after
-            the recursion (this is the workhorse for the built-in
-            models);
+            an exact conditional solution Y_i = c_i + P_i X_i; A is read
+            off P_{i+1} in one pass after the recursion, and r's cells
+            (bx X_i + b0) P_{i+1} are built where they are read (this is
+            the workhorse for the built-in models);
 * "lsmc"    least-squares Monte Carlo regression over an inner ensemble
             that shares the subordinator path, monomial basis in X up
             to degree 3 with a small ridge term.  The outer paths of a
@@ -618,6 +621,8 @@ def _sorted_batches(ens: Ensemble, chunk: int):
     batch rows, which are also the batch labels; callers scatter per-row
     results back with it, so everything downstream sees ensemble order.
     """
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1 row, got {chunk}")
     order = np.argsort(ens.K, kind="stable")
     for lo in range(0, order.size, chunk):
         idx = order[lo: lo + chunk]
@@ -677,35 +682,41 @@ def _euler(batch: _Batch, z0, coeffs, jumps, system: str) -> np.ndarray:
     return _hold(Z, batch.K + 1, 0.0, Kmax + 1)
 
 
-def _forward_batch(model: ModelSpec, control, batch: _Batch, keep_nodes=False):
-    """The state by the Euler kernel; also returns the realized v, drift,
-    vol, event jumps and (``keep_nodes``) nodewise jump coefficients.  The
-    control and the maps are read on live cells only: past its horizon a
-    row of v, drift and vol holds its last value (0 on a zero-step row),
-    and its nodes are 0."""
+def _forward_batch(model: ModelSpec, control, batch: _Batch, ingredients=False):
+    """The state by the Euler kernel and the realized v, read on live cells
+    only: past its horizon a row of v holds its last value (0 on a
+    zero-step row).  Returns (X, v), and with ``ingredients`` also the
+    drift and vol (held alike), the event jumps and the nodewise jump
+    coefficients (0 past a horizon), which only solve_forward_dual
+    reports."""
     N, Kmax, du = batch.N, batch.Kmax, batch.du
-    v, drift, vol = (np.zeros((N, Kmax)) for _ in range(3))
+    v = np.zeros((N, Kmax))
     ev_b = np.empty(batch.ev_p.size)
-    nodes = np.zeros((N, Kmax, batch.znodes.size)) if keep_nodes else None
+    if ingredients:
+        drift, vol = np.zeros((N, Kmax)), np.zeros((N, Kmax))
+        nodes = np.zeros((N, Kmax, batch.znodes.size))
 
     def coeffs(i, rows, x):
         t1, u_i = batch.t[rows, i], i * du
         v[rows, i] = model.control_set.admit(
             control.values_at(i, t1, u_i, x, batch.labels[rows]))
         vi = v[rows, i]
-        drift[rows, i] = model.f(t1, u_i, x, vi)
-        vol[rows, i] = model.sigma(t1, u_i, x, vi)
+        a = np.asarray(model.f(t1, u_i, x, vi), dtype=float)
+        s = np.asarray(model.sigma(t1, u_i, x, vi), dtype=float)
         bi = model.b(t1[:, None], u_i, x[:, None], vi[:, None], batch.znodes)
-        if keep_nodes:
-            nodes[rows, i] = bi
-        return drift[rows, i], vol[rows, i], bi
+        if ingredients:
+            drift[rows, i], vol[rows, i], nodes[rows, i] = a, s, bi
+        return a, s, bi
 
     def jumps(i, x, sl, p):
         ev_b[sl] = model.b(batch.t[p, i], i * du, x[p], v[p, i], batch.ev_z[sl])
         return ev_b[sl]
 
     X = _euler(batch, model.x0, coeffs, jumps, "state")
-    v, drift, vol = (_hold(a, batch.K, 0.0, Kmax) for a in (v, drift, vol))
+    v = _hold(v, batch.K, 0.0, Kmax)
+    if not ingredients:
+        return X, v
+    drift, vol = (_hold(a, batch.K, 0.0, Kmax) for a in (drift, vol))
     return X, v, drift, vol, ev_b, nodes
 
 
@@ -714,8 +725,7 @@ def solve_forward_dual(model: ModelSpec, control, bundle: PathBundle,
     """Forward Euler on [0, E_T] for a single bundle, operational clock."""
     control = as_control(control)
     batch = _single(bundle)
-    X, v, drift, vol, ev_b, nodes = _forward_batch(model, control, batch,
-                                                   keep_nodes=keep_ingredients)
+    X, v, drift, vol, ev_b, nodes = _forward_batch(model, control, batch, ingredients=True)
     sol = FBSDESolution(
         clock="operational", grid=bundle.solver_grid, calendar_grid=None,
         X=X[0], calendar_times=batch.t[0], control_values=v[0],
@@ -756,6 +766,52 @@ def _probe_affine(model: ModelSpec, batch: _Batch, v: np.ndarray):
                 Gy=lam * gy, Gx=lam * gx, Ga=lam * ga, G0=lam * g00, gr=lam * gr)
 
 
+def _jump_cells(bx, b0, x, Pn):
+    """(bx x + b0) P_{i+1}: the affine r at left states ``x``, nodes on the
+    last axis.  One step's cells and the padded table take the same
+    operations in the same order, so a cell has the same bits either way."""
+    r = np.multiply(bx, x[..., None])
+    r += b0
+    r *= Pn[..., None]
+    return r
+
+
+class _NodeCells:
+    """A solved batch's r, nodewise on the jump quadrature, built where it
+    is read.
+
+    ``r[rows, i]`` gives step i's cells on ``rows``, which must be live at
+    it (``batch.live(i)``), so step arguments read it as they read a
+    table; ``table()`` builds the padded (N, Kmax, nodes) table, zero past
+    each horizon.  Affine cells come from _jump_cells either way; the ode
+    regime's r is zero, and lsmc hands over the table it fills.
+    """
+
+    def __init__(self, K, nodes: int, table=None, affine=None):
+        self.K, self.nodes = K, nodes
+        self._table, self._affine = table, affine
+
+    def __getitem__(self, key):
+        rows, i = key
+        if self._table is not None:
+            return self._table[rows, i]
+        if self._affine is None:
+            return np.zeros((self.K[rows].size, self.nodes))
+        bx, b0, X, P = self._affine
+        return _jump_cells(bx[rows, i], b0[rows, i], X[rows, i], P[rows, i + 1])
+
+    def table(self) -> np.ndarray:
+        if self._table is not None:
+            return self._table
+        Kmax = int(self.K.max())
+        if self._affine is None:
+            return np.zeros((self.K.size, Kmax, self.nodes))
+        bx, b0, X, P = self._affine
+        r = _jump_cells(bx, b0, X[:, :-1], P[:, 1:])
+        np.copyto(r, 0.0, where=(np.arange(Kmax) >= self.K[:, None])[..., None])
+        return r
+
+
 def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
     """Exact conditional solution of the implicit backward scheme.
 
@@ -772,9 +828,10 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
     at the terminal pair in every cell and step i updates the rows live
     at it (``batch.live(i)``) only, so each row holds the terminal pair
     from its horizon on and no padded coefficient cell is read by the
-    recursion.  A and r do not feed it: they are built after it in one
-    pass from P_{i+1}, r in place in one table, and zeroed past each
-    horizon.  Returns (Y, A, r).
+    recursion.  A and r do not feed it: A is built after it in one pass
+    from P_{i+1} and zeroed past each horizon, and r is kept as P with
+    ``bx`` and ``b0`` (_NodeCells), whose cells are built only where they
+    are read.  Returns (Y, A, r).
     """
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     Q = batch.w.size
@@ -796,22 +853,15 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
         c[rows, i] = (cn + du * (Pn * co["f0"][rows, i] + co["G0"][rows, i]
                                  + co["Ga"][rows, i] * Pn * co["s0"][rows, i]
                                  + co["gr"][rows, i] * Pn * wr_b0[rows, i])) / den
-    Pn, Xl = P[:, 1:], X[:, :-1]
-    A = co["sx"] * Xl
+    A = co["sx"] * X[:, :-1]
     A += co["s0"]
-    A *= Pn
-    r = np.empty((N, Kmax, Q))
-    np.multiply(co["bx"], Xl[..., None], out=r)
-    r += co["b0"]
-    r *= Pn[..., None]
-    dead = np.arange(Kmax) >= batch.K[:, None]
-    np.copyto(A, 0.0, where=dead)
-    np.copyto(r, 0.0, where=dead[..., None])
+    A *= P[:, 1:]
+    np.copyto(A, 0.0, where=np.arange(Kmax) >= batch.K[:, None])
     Y = c + P * X
     # freeze padded tails at each path's own terminal value
     np.copyto(Y, (c_term + P_term * X[np.arange(N), batch.K])[:, None],
               where=np.arange(Kmax + 1) >= batch.K[:, None])
-    return Y, A, r
+    return Y, A, _NodeCells(batch.K, Q, affine=(co["bx"], co["b0"], X, P))
 
 
 # -------------------------------------------------------------- lsmc backward
@@ -923,7 +973,8 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
     depends on its own rows only, so it does not depend on the batch.
 
     Returns Y (N, Kmax + 1), each row frozen at phi(X_K) from its
-    horizon on, and A (N, Kmax) and r (N, Kmax, nodes), zero there.
+    horizon on, and A (N, Kmax) and r (its (N, Kmax, nodes) table as
+    _NodeCells), zero there.
     """
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     spec, w, z = batch.spec, batch.w, batch.znodes
@@ -941,7 +992,7 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
         K = batch.K[rows]
         labels = batch.labels[rows]
         inner = _inner_batch(batch, rows, n_inner)
-        Xi, vi, _, _, _, _ = _forward_batch(model, control, inner)
+        Xi, vi = _forward_batch(model, control, inner)
         if not np.all(np.isfinite(Xi)):
             raise FloatingPointError("basis overflow: non-finite state values")
         Yn = np.broadcast_to(np.asarray(
@@ -993,15 +1044,15 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
                          - _poly_eval(beta_v, mu1, sd1, xo)[:, None])
             Y[out, i] = _picard(model, spec, to, u, xo, _poly_eval(beta_m, mu, sd, xo),
                                 A[out, i], r[out, i], vo, du, n_picard)
-    return Y, A, r
+    return Y, A, _NodeCells(batch.K, w.size, table=r)
 
 
 # ----------------------------------------------------------- backward driver
 
 def _ode_backward(model: ModelSpec, batch: _Batch, X, v, n_picard=4):
-    """Regime "ode" (A = r = 0): ``n_picard`` Picard sweeps per step over the
-    rows live at it (``batch.live(i)``); every row starts at phi(X_K), so
-    a row past its horizon holds it."""
+    """Regime "ode" (A = r = 0, r as _NodeCells): ``n_picard`` Picard sweeps
+    per step over the rows live at it (``batch.live(i)``); every row
+    starts at phi(X_K), so a row past its horizon holds it."""
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     spec, w = batch.spec, batch.w
     XT = X[np.arange(N), batch.K]
@@ -1013,7 +1064,7 @@ def _ode_backward(model: ModelSpec, batch: _Batch, X, v, n_picard=4):
         Y[rows, i] = _picard(model, spec, batch.t[rows, i], i * du, x, Y[rows, i + 1],
                              np.zeros(x.size), np.zeros((x.size, w.size)), v[rows, i], du,
                              n_picard)
-    return Y, np.zeros((N, Kmax)), np.zeros((N, Kmax, w.size))
+    return Y, np.zeros((N, Kmax)), _NodeCells(batch.K, w.size)
 
 
 def backward_method(model: ModelSpec, control, method=None) -> str:
@@ -1039,15 +1090,17 @@ def backward_method(model: ModelSpec, control, method=None) -> str:
 def _backward_batch(model: ModelSpec, control, batch: _Batch, X, v, method=None,
                     n_inner=256):
     """(Y, A, r) of a batch from its forward rows by the resolved regime;
-    past its horizon a row keeps its terminal value, with A and r zero."""
+    past its horizon a row keeps its terminal value, with A and r zero.
+    Every regime gives r as _NodeCells: the cost reads ``r[rows, i]`` on
+    each step's live rows, and only callers that keep the padded table
+    build it (``r.table()``)."""
     method = backward_method(model, control, method)
     if method == "ode":
         return _ode_backward(model, batch, X, v)
     if method == "affine":
-        Y, A, r = _affine_backward(
+        return _affine_backward(
             batch, X, _probe_affine(model, batch, v), np.full(batch.N, model.M_T),
             np.full(batch.N, float(model.phi(0.0))))
-        return Y, A, r
     return _lsmc_backward(model, control, batch, X, v, n_inner=n_inner)
 
 
@@ -1061,9 +1114,9 @@ def solve_backward_dual(model: ModelSpec, control, bundle: PathBundle,
     """
     control = as_control(control)
     method = backward_method(model, control, method)
-    Y, A, r = (out[0] for out in _backward_batch(
-        model, control, _single(bundle), forward.X[None, :],
-        forward.control_values[None, :], method, n_inner))
+    Y, A, r = _backward_batch(model, control, _single(bundle), forward.X[None, :],
+                              forward.control_values[None, :], method, n_inner)
+    Y, A, r = Y[0], A[0], r.table()[0]
     K = bundle.solver_steps
     gap = abs(Y[K] - float(model.phi(forward.X[K])))
     tol = 1e-10 if method in ("ode", "affine") else 1e-6
@@ -1196,7 +1249,9 @@ def _step_sum(batch: _Batch, cell) -> np.ndarray:
     """Each row's sum over its steps i < K of lam du int cell(i, rows),
     taken in step order: the running cost and the Gateaux integral.
     ``cell`` gives the nodewise integrand of step i on ``rows``, the rows
-    live at it (``batch.live(i)``), so no padded cell is evaluated."""
+    live at it (``batch.live(i)``), so no padded cell is evaluated; the
+    running cost reads r there as _NodeCells, which builds that step's
+    cells of those rows only."""
     lam_du = batch.spec.intensity * batch.du
     run = np.zeros(batch.N)
     for i in range(batch.Kmax):
@@ -1207,7 +1262,7 @@ def _step_sum(batch: _Batch, cell) -> np.ndarray:
 
 
 def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
-    X, v, _, _, _, _ = _forward_batch(model, control, batch)
+    X, v = _forward_batch(model, control, batch)
     Y, A, r = _backward_batch(model, control, batch, X, v, method)
     N = batch.N
     run = _step_sum(batch,
@@ -1260,7 +1315,7 @@ def _solved_ensemble(model: ModelSpec, control, bundles, chunk: int = 512) -> En
         for full, part in ((t, batch.t), (X, Xb), (Y, Yb)):
             full[idx, : k + 1] = part
             full[idx, k + 1:] = part[:, -1:]
-        A[idx, :k], r[idx, :k], v[idx, :k] = Ab, rb, vb
+        A[idx, :k], r[idx, :k], v[idx, :k] = Ab, rb.table(), vb
     return EnsembleSolution(K=ens.K, du=ens.du, t=t, X=X, Y=Y, A=A, r=r,
                             v=_hold(v, ens.K, 0.0, Kmax))
 

@@ -285,7 +285,8 @@ def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
                fx=fx + sx ** 2 + lam * spec.integrate(bx ** 2, v.shape),
                f0=co["f0"] + sx * co["s0"] + lam * spec.integrate(bx * co["b0"], v.shape),
                Gy=fx, Gx=Lxx, G0=Lx0 - co["Gx"] * p[:, :-1], Ga=0.0, gr=0.0)
-    return _affine_backward(batch, X, qco, np.full(N, float(hs)), -model.M_T * pT + float(hc))
+    q, k, R = _affine_backward(batch, X, qco, np.full(N, float(hs)), -model.M_T * pT + float(hc))
+    return q, k, R.table()
 
 
 def _q_ode_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
@@ -303,7 +304,8 @@ def _q_ode_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
     co["Gy"] = d_fx(batch.t[:, :-1], np.arange(Kmax) * batch.du, X[:, :-1], v)
     co["G0"] = batch.spec.intensity * batch.spec.integrate(
         d_lx(*args) - d_gx(*args) * p[:, :-1, None], (N, Kmax))
-    return _affine_backward(batch, X, co, 0.0, qT)
+    q, k, R = _affine_backward(batch, X, co, 0.0, qT)
+    return q, k, R.table()
 
 
 def _p_state_free(model: ModelSpec, batch: _Batch, X, Y, A, r, v) -> bool:
@@ -444,7 +446,7 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
     co = dict(fx=fx, f0=fv * vd, sx=sx, s0=sv * vd, bx=bx, b0=bv * vd[..., None],
               Gy=gy, Gx=gx, Ga=ga, G0=gv * vd, gr=gr)
     Y1, A1, r1 = _affine_backward(batch, X1, co, P_term, np.zeros(N))
-    return X1, Y1, A1, r1, vd
+    return X1, Y1, A1, r1.table(), vd
 
 
 def solve_variational(model: ModelSpec, control, direction,
@@ -490,6 +492,7 @@ def expansion_check(model: ModelSpec, control, direction, rhos, bundles,
     direction = as_control(direction)
     batch = as_ensemble(bundles).rows()
     vals_u, X, Y, v, A, r = _batch_cost(model, control, batch, method=method)
+    r = r.table()
     X1, Y1, A1, r1, vd = _variational_batch(model, control, direction, batch,
                                             X, Y, A, r, v)
     N, du, lam = batch.N, batch.du, batch.spec.intensity
@@ -525,7 +528,7 @@ def expansion_check(model: ModelSpec, control, direction, rhos, bundles,
         Xt = (Xr - X) / rho - X1
         Yt = (Yr - Y) / rho - Y1
         At = (Ar - A) / rho - A1
-        rt = (rr - r) / rho - r1
+        rt = (rr.table() - r) / rho - r1
         remainder.append(dict(
             rho=float(rho),
             x2=float(np.max(np.mean(Xt ** 2, axis=0))),
@@ -594,9 +597,10 @@ def check_necessary_condition(model: ModelSpec, control, bundles, solutions,
         candidates.append(("switch",
                            {"switch_step": s, "levels": levels.tolist()},
                            vals[None, :]))
+    wHv = weight * Hv
     rows = []
     for idx, (kind, desc, vals) in enumerate(candidates[:count]):
-        per_path = np.sum(weight * Hv * (vals - v), axis=1)
+        per_path = np.sum(wHv * (vals - v), axis=1)
         se = float(per_path.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
         rows.append(dict(index=idx, kind=kind, margin=float(per_path.mean()),
                          se=se, **desc))

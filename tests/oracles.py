@@ -130,14 +130,16 @@ def central_difference(fn, x, h):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
 
-def cash_cost_given_steps(spec, k: int, du: float) -> float:
-    """Cost of the explicit cash rate on a path with k solver steps.
+def cash_cost_given_steps(spec, k: int, du: float, rate=None) -> float:
+    """Cost on a path with k solver steps of the explicit cash rate, or of
+    the constant ``rate`` when one is given.
 
     With sigma, kappa and eta constant in time the adjoints, the rate and
     the affine pair (P, c) of Y = c + P X depend on the clock only through
     k, and so does the cost.  Built from the paper's explicit solution:
     p = exp(-mu1 u), q by implicit Euler from q_k = -p_k, the rate
-    v = kappa - beta1 q + beta2 p, then backward from P_k = 1, c_k = 0
+    v = kappa - beta1 q + beta2 p (or v = rate), then backward from
+    P_k = 1, c_k = 0
 
         P_i = (P_{i+1} (1 - du mu1) + du mu2) / (1 + du mu1)
         c_i = (c_{i+1} + du (beta1 P_{i+1} + beta2) v_i) / (1 + du mu1)
@@ -147,12 +149,15 @@ def cash_cost_given_steps(spec, k: int, du: float) -> float:
     """
     mu1, mu2, b1, b2 = spec.mu1, spec.mu2, spec.beta1, spec.beta2
     kappa = float(spec.kappa)
-    p = [math.exp(-mu1 * du * i) for i in range(k + 1)]
-    q = [0.0] * (k + 1)
-    q[k] = -p[k]
-    for i in range(k - 1, -1, -1):
-        q[i] = (q[i + 1] - du * mu2 * p[i]) / (1.0 + du * mu1)
-    v = [kappa - b1 * q[i] + b2 * p[i] for i in range(k)]
+    if rate is None:
+        p = [math.exp(-mu1 * du * i) for i in range(k + 1)]
+        q = [0.0] * (k + 1)
+        q[k] = -p[k]
+        for i in range(k - 1, -1, -1):
+            q[i] = (q[i + 1] - du * mu2 * p[i]) / (1.0 + du * mu1)
+        v = [kappa - b1 * q[i] + b2 * p[i] for i in range(k)]
+    else:
+        v = [float(rate)] * k
     P, c = 1.0, 0.0
     for i in range(k - 1, -1, -1):
         P, c = ((P * (1.0 - du * mu1) + du * mu2) / (1.0 + du * mu1),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cash_cost_given_steps, cash_q_candidate
+from oracles import cash_cost_given_steps, cash_q_candidate, k_law
 from support import RAGGED_STEPS, manual_bundle, ragged_bundles
 from tcfbsde.cash import (
     CashSpec,
@@ -385,6 +385,45 @@ def test_cost_of_rate_matches_exact_oracle():
     exact = {k: cash_cost_given_steps(spec, int(k), DU) for k in np.unique(steps)}
     want = np.array([exact[k] for k in steps])
     assert np.max(np.abs(cost - want) / np.abs(want)) <= 1e-14
+
+
+def test_cost_of_constant_rates_matches_exact_oracle():
+    """The certificate's challengers have an oracle too: every per-path
+    cost of ConstantControl(0.5) and ConstantControl(1.5), zero-step paths
+    included, matches the constant-rate cost of its step count to
+    rounding."""
+    spec = CashSpec()
+    model = build_cash_model(spec)
+    bundles = (list(make_ensemble(spec.subordinator, spec.jump, spec.horizon, DU, 512, 0))
+               + ragged_bundles((0, 3, 0), jump_spec=spec.jump))
+    steps = np.array([b.solver_steps for b in bundles])
+    for rate in (0.5, 1.5):
+        cost = evaluate_cost(model, ConstantControl(rate), bundles).per_path
+        exact = {k: cash_cost_given_steps(spec, int(k), DU, rate) for k in np.unique(steps)}
+        want = np.array([exact[k] for k in steps])
+        assert np.max(np.abs(cost - want) / np.abs(want)) <= 1e-14
+
+
+# fixed before the first run: a seed that fails is a finding
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_certificate_lies_within_3se_of_the_exact_expectation(seed):
+    """meta.cost and every gap of a 2,048-path certificate lie within 3
+    standard errors of their exact expectations sum_k P(K = k) J(k), with
+    the law of K from oracles.k_law and J from cash_cost_given_steps."""
+    spec = CashSpec()
+    rep = certify_optimality(spec, candidates=[0.5, 1.5], ensemble_size=2048, seed=seed,
+                             margin_paths=64)
+    pmf = k_law(spec.subordinator.alpha, spec.horizon, DU, spec.subordinator.scale)
+
+    def expected(rate=None):
+        return float(np.dot(pmf, [cash_cost_given_steps(spec, k, DU, rate)
+                                  for k in range(pmf.size)]))
+
+    base = expected()
+    assert abs(rep.meta["cost"] - base) <= 3.0 * rep.meta["cost_se"]
+    assert len(rep.gap_table) == 2
+    for row, rate in zip(rep.gap_table, (0.5, 1.5)):
+        assert abs(row["gap"] - (expected(rate) - base)) <= 3.0 * row["se"], row
 
 
 def test_first_order_condition_holds_to_rounding():

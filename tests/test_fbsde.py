@@ -19,7 +19,13 @@ from support import (
     reference_bundle,
 )
 from tcfbsde import fbsde, smp, time_change
-from tcfbsde.cash import CashSpec, build_cash_model, certify_optimality
+from tcfbsde.cash import (
+    CashSpec,
+    build_cash_model,
+    cash_adjoints,
+    cash_optimal_control,
+    certify_optimality,
+)
 from tcfbsde.fbsde import (
     Box,
     ConstantControl,
@@ -534,6 +540,45 @@ def test_cost_chunking_and_row_labels():
     assert row["lhs"] == float(quotient.mean())
 
 
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_cost_rejects_a_chunk_below_one(chunk):
+    """A chunk below one row raises naming it, in the cost and in the
+    solved ensemble: -1 used to return uninitialised per-path values, and
+    0 an opaque range() error."""
+    model, jump, sub, p = build_model("linear_test")
+    ens = make_ensemble(sub, jump, p["horizon"], p["step"], 8, master_seed=0)
+    with pytest.raises(ValueError, match="chunk"):
+        evaluate_cost(model, 0.5, ens, chunk=chunk)
+    with pytest.raises(ValueError, match="chunk"):
+        fbsde._solved_ensemble(model, 0.5, ens, chunk=chunk)
+
+
+def test_cost_builds_no_full_r_table(monkeypatch):
+    """evaluate_cost reads r on each step's live rows only: it runs with
+    the padded-table builder raising, on linear_test, on the cash model
+    (at u* and at a constant rate) and on a linear_test twin whose running
+    cost reads r.  The solved ensemble keeps the table, so it does call
+    the builder."""
+    def refuse(self):
+        raise AssertionError("full r table built")
+
+    monkeypatch.setattr(fbsde._NodeCells, "table", refuse)
+    model, jump, sub, p = build_model("linear_test")
+    ens = make_ensemble(sub, jump, p["horizon"], p["step"], 64, master_seed=0)
+    evaluate_cost(model, 0.5, ens)
+    twin = build_model("linear_test")[0]
+    twin.l = lambda t1, t2, x, y, a, r, v: model.l(t1, t2, x, y, a, r, v) + r**2
+    assert not np.array_equal(evaluate_cost(twin, 0.5, ens).per_path,
+                              evaluate_cost(model, 0.5, ens).per_path)
+    spec = CashSpec()
+    cens = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 64, master_seed=0)
+    ustar = cash_optimal_control(spec, cash_adjoints(spec, cens))
+    for ctl in (ustar, 0.5):
+        evaluate_cost(build_cash_model(spec), ctl, cens)
+    with pytest.raises(AssertionError, match="full r table built"):
+        fbsde._solved_ensemble(model, 0.5, ens)
+
+
 def test_ensemble_rows_match_a_fresh_pack():
     """A gather of any rows of a packed ensemble rebuilds, byte for byte,
     the layout of those bundles packed on their own: an unsorted
@@ -853,8 +898,8 @@ def _backward_rows(model, ctl, direction, batch):
     X, v = fbsde._forward_batch(model, ctl, batch)[:2]
     out = {}
     for method in ("affine", "ode"):
-        out.update(zip((f"{name}.{method}" for name in "YAr"),
-                       fbsde._backward_batch(model, ctl, batch, X, v, method)))
+        Y, A, r = fbsde._backward_batch(model, ctl, batch, X, v, method)
+        out.update(zip((f"{name}.{method}" for name in "YAr"), (Y, A, r.table())))
     base = (X, out["Y.affine"], out["A.affine"], out["r.affine"], v)
     p = smp._p_forward_batch(model, batch, *base)
     for method, solve in (("affine", smp._q_affine_batch), ("ode", smp._q_ode_batch)):
@@ -918,8 +963,8 @@ def test_affine_backward_ignores_padded_coefficients(steps, data):
                 nan_co[key] = full
             terms = np.full(N, model.M_T), np.full(N, float(model.phi(0.0)))
             for x in (X, np.zeros_like(X)):
-                want = fbsde._affine_backward(batch, x, co, *terms)
-                got = fbsde._affine_backward(batch, x, nan_co, *terms)
+                want, got = ((Y, A, r.table()) for Y, A, r in (
+                    fbsde._affine_backward(batch, x, c, *terms) for c in (co, nan_co)))
                 assert all(np.all(np.isfinite(a)) for a in got)
                 for a, b in zip(got, want):
                     assert a.tobytes() == b.tobytes()
@@ -947,3 +992,33 @@ def test_step_sum_reads_live_rows_only(steps, data):
         for n, label in enumerate(idx):
             alone = ens.rows([label])
             assert run[n] == fbsde._step_sum(alone, _live_cell(alone))[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=RAGGED, data=st.data())
+def test_step_cells_match_the_full_r_table(steps, data):
+    """Every regime's r read at step i on the rows live at it carries the
+    bytes of those rows of its padded table, which is zero past each
+    horizon, in an unsorted and in a K-sorted batch, for linear_test
+    (r = bx X P) and the cash model (r = b0 P).  Controls are NaN past
+    each horizon; ragged steps with duplicates, in any order, and at least
+    one zero-step row."""
+    steps = steps + [0]
+    n, width = len(steps), max(max(steps), 1)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    for name in ("linear_test", "cash"):
+        model, jump, _, _ = build_model(name)
+        ens = fbsde.Ensemble(ragged_bundles(steps, jump_spec=jump))
+        rows = 0.3 + 0.1 * np.arange(n)[:, None] + 0.02 * np.arange(width)
+        ctl = StepwiseControl(np.where(np.arange(width) < ens.K[:, None], rows, np.nan))
+        for idx in (perm, np.argsort(ens.K, kind="stable")):
+            batch = ens.rows(idx)
+            X, v = fbsde._forward_batch(model, ctl, batch)
+            for method in ("ode", "affine", "lsmc"):
+                r = fbsde._backward_batch(model, ctl, batch, X, v, method)[2]
+                table = r.table()
+                assert table.shape == (batch.N, batch.Kmax, batch.w.size)
+                assert not table[np.arange(batch.Kmax) >= batch.K[:, None]].any()
+                for i in range(batch.Kmax):
+                    live = batch.live(i)
+                    assert r[live, i].tobytes() == table[live, i].tobytes(), (name, method, i)

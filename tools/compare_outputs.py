@@ -6,7 +6,9 @@ Each tree's ``src/`` is imported in a subprocess of its own, which dumps a
 fixed set of outputs (certificates, costs under each backward regime,
 solved ensembles, adjoints, margins, variational pairs and forward
 ingredients, all at fixed seeds) to an ``.npz`` file, and the sampled
-ensembles themselves (their padded layout and the bundles of a few paths).  The script
+ensembles themselves (their padded layout and the bundles of a few paths).
+The costs include a linear_test twin whose running cost reads r, so the
+backward solve's jump cells reach a compared output.  The script
 then prints one line per output: ``identical`` when dtype, shape and bytes
 agree, else ``moved`` with the largest absolute and relative difference.
 It exits 1 when any output differs or is missing from one tree.
@@ -55,6 +57,12 @@ def dump(out_path):
     ens = fbsde.make_ensemble(sub, jump, p["horizon"], p["step"], 8192, 0)
     out["cost.linear_test.per_path"] = fbsde.evaluate_cost(
         lin, fbsde.ConstantControl(0.5), ens).per_path
+    # neither built-in running cost reads r: a linear_test twin whose l adds
+    # r**2 sends the backward solve's jump cells into the cost
+    twin = fbsde.build_model("linear_test")[0]
+    twin.l = lambda t1, t2, x, y, a, r, v: lin.l(t1, t2, x, y, a, r, v) + r**2
+    out["cost.linear_test_r2.per_path"] = fbsde.evaluate_cost(
+        twin, fbsde.ConstantControl(0.5), ens).per_path
 
     # two 16-path lsmc operations, outer paths spread over the K-sorted order
     quad, qjump, qsub, qp = fbsde.build_model("quadratic_drift")
@@ -108,6 +116,9 @@ def dump(out_path):
     cert = fbsde.make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 2048, 0)
     lead = cert[:1024]
     ustar_cert = cash.cash_optimal_control(spec, cash.cash_adjoints(spec, cert))
+    for name, ctl in (("ustar", ustar_cert), ("0.5", fbsde.ConstantControl(0.5)),
+                      ("1.5", fbsde.ConstantControl(1.5))):
+        out[f"cost.cash.{name}.per_path"] = fbsde.evaluate_cost(cmodel, ctl, cert).per_path
     lin_ens, lin_ctl = ens[:256], fbsde.ConstantControl(0.5)
     lin_sols = fbsde._solved_ensemble(lin, lin_ctl, lin_ens)
     for name, model, ctl, bundles, sols, adj in (
