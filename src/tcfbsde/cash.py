@@ -251,19 +251,18 @@ def _describe(control) -> str:
 
 
 def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
-                       seed: int = 0, *, step: float = 0.01,
-                       margin_count: int = 64, margin_paths: int = 1024,
-                       expansion_rhos=None,
-                       expansion_paths: int = 128) -> OptimalityReport:
+                       seed: int = 0, *, step: float = 0.01, margin_paths: int = 1024,
+                       expansion_rhos=None, expansion_paths: int = 128) -> OptimalityReport:
     """Monte Carlo certificate that the explicit rate beats the field.
 
     One common ensemble is drawn; the explicit control and every
     challenger in ``candidates`` are costed on it, so the reported gaps
     J(candidate) - J(u*) carry paired standard errors.  The margin search
-    then reruns the directional-derivative check at the computed optimum
-    on a leading slice of at most ``margin_paths`` paths.  Passing
-    ``expansion_rhos`` also fills the difference-quotient and remainder
-    tables (direction: unit rate increase) on ``expansion_paths`` paths.
+    then reruns the directional-derivative check at the computed optimum,
+    against 64 candidates, on a leading slice of at most ``margin_paths``
+    paths.  Passing ``expansion_rhos`` also fills the difference-quotient
+    and remainder tables (direction: unit rate increase) on
+    ``expansion_paths`` paths.
 
     The certificate holds when every gap clears -3 standard errors and so
     does the worst margin; that verdict lands in meta["certified"] rather
@@ -289,7 +288,7 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
     lead = bundles[:head]
     margins = check_necessary_condition(model, ustar, lead,
                                         _solved_ensemble(model, ustar, lead),
-                                        cash_adjoints(spec, lead), count=margin_count,
+                                        cash_adjoints(spec, lead), count=64,
                                         seed=seed)
     conv_rows, rem_rows = [], []
     if expansion_rhos:

@@ -107,10 +107,10 @@ class Box:
         v = np.asarray(v, dtype=float)
         return np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol)
 
-    def admit(self, v, tol: float = 1e-9):
-        """Project values violating the box by at most tol; error beyond."""
+    def admit(self, v):
+        """Project values violating the box by at most 1e-9; error beyond."""
         v = np.asarray(v, dtype=float)
-        if not self.contains(v, tol):
+        if not self.contains(v, 1e-9):
             raise ValueError("control infeasible: value outside the control set "
                              f"[{self.lo}, {self.hi}]")
         return np.clip(v, self.lo, self.hi)
@@ -682,59 +682,52 @@ def _euler(batch: _Batch, z0, coeffs, jumps, system: str) -> np.ndarray:
     return _hold(Z, batch.K + 1, 0.0, Kmax + 1)
 
 
-def _forward_batch(model: ModelSpec, control, batch: _Batch, ingredients=False):
+def _forward_batch(model: ModelSpec, control, batch: _Batch):
     """The state by the Euler kernel and the realized v, read on live cells
     only: past its horizon a row of v holds its last value (0 on a
-    zero-step row).  Returns (X, v), and with ``ingredients`` also the
-    drift and vol (held alike), the event jumps and the nodewise jump
-    coefficients (0 past a horizon), which only solve_forward_dual
-    reports."""
+    zero-step row).  Returns (X, v); solve_forward_dual evaluates the Ito
+    ingredients from them afterwards."""
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     v = np.zeros((N, Kmax))
-    ev_b = np.empty(batch.ev_p.size)
-    if ingredients:
-        drift, vol = np.zeros((N, Kmax)), np.zeros((N, Kmax))
-        nodes = np.zeros((N, Kmax, batch.znodes.size))
 
     def coeffs(i, rows, x):
         t1, u_i = batch.t[rows, i], i * du
         v[rows, i] = model.control_set.admit(
             control.values_at(i, t1, u_i, x, batch.labels[rows]))
         vi = v[rows, i]
-        a = np.asarray(model.f(t1, u_i, x, vi), dtype=float)
-        s = np.asarray(model.sigma(t1, u_i, x, vi), dtype=float)
-        bi = model.b(t1[:, None], u_i, x[:, None], vi[:, None], batch.znodes)
-        if ingredients:
-            drift[rows, i], vol[rows, i], nodes[rows, i] = a, s, bi
-        return a, s, bi
+        return (np.asarray(model.f(t1, u_i, x, vi), dtype=float),
+                np.asarray(model.sigma(t1, u_i, x, vi), dtype=float),
+                model.b(t1[:, None], u_i, x[:, None], vi[:, None], batch.znodes))
 
     def jumps(i, x, sl, p):
-        ev_b[sl] = model.b(batch.t[p, i], i * du, x[p], v[p, i], batch.ev_z[sl])
-        return ev_b[sl]
+        return model.b(batch.t[p, i], i * du, x[p], v[p, i], batch.ev_z[sl])
 
     X = _euler(batch, model.x0, coeffs, jumps, "state")
-    v = _hold(v, batch.K, 0.0, Kmax)
-    if not ingredients:
-        return X, v
-    drift, vol = (_hold(a, batch.K, 0.0, Kmax) for a in (drift, vol))
-    return X, v, drift, vol, ev_b, nodes
+    return X, _hold(v, batch.K, 0.0, Kmax)
 
 
-def solve_forward_dual(model: ModelSpec, control, bundle: PathBundle,
-                       keep_ingredients: bool = True) -> FBSDESolution:
-    """Forward Euler on [0, E_T] for a single bundle, operational clock."""
+def solve_forward_dual(model: ModelSpec, control, bundle: PathBundle) -> FBSDESolution:
+    """Forward Euler on [0, E_T] for a single bundle, operational clock, with
+    the Ito ingredients the kernel stepped with, one map call each over the
+    row: drift, vol and nodewise b at each step's left state, event jumps."""
     control = as_control(control)
     batch = _single(bundle)
-    X, v, drift, vol, ev_b, nodes = _forward_batch(model, control, batch, ingredients=True)
-    sol = FBSDESolution(
+    X, v = _forward_batch(model, control, batch)
+    K, z, s = int(batch.K[0]), batch.znodes, batch.ev_s
+    t, u, x, v = batch.t[0, :K], np.arange(K) * batch.du, X[0, :K], v[0]
+
+    def row(val, shape):
+        return np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
+
+    return FBSDESolution(
         clock="operational", grid=bundle.solver_grid, calendar_grid=None,
-        X=X[0], calendar_times=batch.t[0], control_values=v[0],
-    )
-    if keep_ingredients:
-        sol.drift, sol.vol, sol.dB = drift[0], vol[0], batch.dB[0]
-        sol.jump_nodes, sol.jump_spec = nodes[0], batch.spec
-        sol.event_steps, sol.event_b = batch.ev_s.copy(), ev_b
-    return sol
+        X=X[0], calendar_times=batch.t[0], control_values=v,
+        drift=row(model.f(t, u, x, v), (K,)), vol=row(model.sigma(t, u, x, v), (K,)),
+        dB=batch.dB[0], jump_spec=batch.spec,
+        jump_nodes=row(model.b(t[:, None], u[:, None], x[:, None], v[:, None], z),
+                       (K, z.size)),
+        event_steps=s.copy(),
+        event_b=row(model.b(t[s], s * batch.du, x[s], v[s], batch.ev_z), s.shape))
 
 
 # ------------------------------------------------------- affine backward core
@@ -831,7 +824,9 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
     recursion.  A and r do not feed it: A is built after it in one pass
     from P_{i+1} and zeroed past each horizon, and r is kept as P with
     ``bx`` and ``b0`` (_NodeCells), whose cells are built only where they
-    are read.  Returns (Y, A, r).
+    are read.  Returns (Y, A, r), Y = c + P X on every cell: ``X`` must
+    hold each row's X_K past its horizon, as _euler returns it and every
+    caller passes it, so that Y holds c_T + P_T X_K there.
     """
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     Q = batch.w.size
@@ -857,11 +852,7 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
     A += co["s0"]
     A *= P[:, 1:]
     np.copyto(A, 0.0, where=np.arange(Kmax) >= batch.K[:, None])
-    Y = c + P * X
-    # freeze padded tails at each path's own terminal value
-    np.copyto(Y, (c_term + P_term * X[np.arange(N), batch.K])[:, None],
-              where=np.arange(Kmax + 1) >= batch.K[:, None])
-    return Y, A, _NodeCells(batch.K, Q, affine=(co["bx"], co["b0"], X, P))
+    return c + P * X, A, _NodeCells(batch.K, Q, affine=(co["bx"], co["b0"], X, P))
 
 
 # -------------------------------------------------------------- lsmc backward
@@ -870,14 +861,16 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
 # Larger batches are swept in consecutive groups of their K-sorted order,
 # which bounds the memory of the inner forward arrays.
 _LSMC_ROWS = 4096
+# the regression's degree and ridge, and the Picard sweeps of lsmc and ode
+_LSMC_DEGREE, _LSMC_RIDGE, _LSMC_PICARD, _ODE_PICARD = 3, 1e-8, 3, 4
 
 
-def _basis(x: np.ndarray, degree: int):
+def _basis(x: np.ndarray):
     """Standardised monomial basis of each outer path's inner states.
 
     ``x`` holds one row of inner states per outer path.  Returns the
-    basis (paths, inner, degree + 1), the centre and scale of each row,
-    and a mask of rows with no spread.  Such a row keeps only the
+    basis (paths, inner, _LSMC_DEGREE + 1), the centre and scale of each
+    row, and a mask of rows with no spread.  Such a row keeps only the
     constant column (its powers are zeroed and its scale set to 1), so
     its fit is the ridge mean and every evaluation returns it exactly.
     """
@@ -886,9 +879,9 @@ def _basis(x: np.ndarray, degree: int):
     sd = np.where(flat, 1.0, sd)
     s = (x - mu[:, None]) / sd[:, None]
     s[flat] = 0.0
-    Phi = np.empty(x.shape + (degree + 1,))
+    Phi = np.empty(x.shape + (_LSMC_DEGREE + 1,))
     Phi[..., 0] = 1.0
-    for j in range(1, degree + 1):
+    for j in range(1, _LSMC_DEGREE + 1):
         Phi[..., j] = Phi[..., j - 1] * s
     return Phi, mu, sd, flat
 
@@ -949,8 +942,7 @@ def _inner_batch(batch: _Batch, rows, n_inner: int) -> _Batch:
                   np.repeat(batch.labels[rows], n_inner), spec, du)
 
 
-def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
-                   degree=3, ridge=1e-8, n_picard=3):
+def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256):
     """Regression solve of a batch of outer paths, each on an inner
     ensemble that shares its subordinator path.
 
@@ -967,10 +959,12 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
     as two right-hand sides, the jump fit regresses on X_{i+1}, all
     active paths in one batched solve each, after one batched eigvalsh
     has checked every Gram matrix against the 1e12 condition bound.  The
-    fits are then read off the inner states (with a Picard loop for the
-    driver, which gives the next step's targets) and off the outer paths
-    (the same Picard loop over the active rows).  Every path's result
-    depends on its own rows only, so it does not depend on the batch.
+    basis is monomial up to degree _LSMC_DEGREE (3) and every Gram matrix
+    carries the ridge _LSMC_RIDGE (1e-8).  The fits are then read off the
+    inner states (with _LSMC_PICARD (3) Picard sweeps for the driver,
+    which give the next step's targets) and off the outer paths (the same
+    sweeps over the active rows).  Every path's result depends on its own
+    rows only, so it does not depend on the batch.
 
     Returns Y (N, Kmax + 1), each row frozen at phi(X_K) from its
     horizon on, and A (N, Kmax) and r (its (N, Kmax, nodes) table as
@@ -986,7 +980,7 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
     order = np.argsort(batch.K, kind="stable")
     order = order[batch.K[order] > 0]
     size = max(1, _LSMC_ROWS // n_inner)
-    ridge_eye = ridge * np.eye(degree + 1)
+    ridge_eye = _LSMC_RIDGE * np.eye(_LSMC_DEGREE + 1)
     for lo in range(0, order.size, size):
         rows = order[lo: lo + size]
         K = batch.K[rows]
@@ -1002,8 +996,8 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
             P, sl, u = K.size - a, slice(a * n_inner, None), i * du
             x = np.ascontiguousarray(Xi[sl, i]).reshape(P, n_inner)
             x1 = np.ascontiguousarray(Xi[sl, i + 1]).reshape(P, n_inner)
-            Phi, mu, sd, flat = _basis(x, degree)
-            Phi1, mu1, sd1, flat1 = _basis(x1, degree)
+            Phi, mu, sd, flat = _basis(x)
+            Phi1, mu1, sd1, flat1 = _basis(x1)
             PhiT, Phi1T = Phi.transpose(0, 2, 1), Phi1.transpose(0, 2, 1)
             G = PhiT @ Phi + ridge_eye
             G1 = Phi1T @ Phi1 + ridge_eye
@@ -1031,7 +1025,7 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
                 (xi.size, z.size))
             ri = (_poly_eval(beta_v, mu1, sd1, x[..., None] + bi.reshape(P, n_inner, -1))
                   - _poly_eval(beta_v, mu1, sd1, x)[..., None]).reshape(xi.size, -1)
-            Yn[sl] = _picard(model, spec, ti, u, xi, Ey, Ai, ri, vin, du, n_picard)
+            Yn[sl] = _picard(model, spec, ti, u, xi, Ey, Ai, ri, vin, du, _LSMC_PICARD)
 
             # outer paths: the same fits read at their own states
             out = rows[a:]
@@ -1043,15 +1037,15 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256,
             r[out, i] = (_poly_eval(beta_v, mu1, sd1, xo[:, None] + bo)
                          - _poly_eval(beta_v, mu1, sd1, xo)[:, None])
             Y[out, i] = _picard(model, spec, to, u, xo, _poly_eval(beta_m, mu, sd, xo),
-                                A[out, i], r[out, i], vo, du, n_picard)
+                                A[out, i], r[out, i], vo, du, _LSMC_PICARD)
     return Y, A, _NodeCells(batch.K, w.size, table=r)
 
 
 # ----------------------------------------------------------- backward driver
 
-def _ode_backward(model: ModelSpec, batch: _Batch, X, v, n_picard=4):
-    """Regime "ode" (A = r = 0, r as _NodeCells): ``n_picard`` Picard sweeps
-    per step over the rows live at it (``batch.live(i)``); every row
+def _ode_backward(model: ModelSpec, batch: _Batch, X, v):
+    """Regime "ode" (A = r = 0, r as _NodeCells): _ODE_PICARD (4) Picard
+    sweeps per step over the rows live at it (``batch.live(i)``); every row
     starts at phi(X_K), so a row past its horizon holds it."""
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     spec, w = batch.spec, batch.w
@@ -1063,7 +1057,7 @@ def _ode_backward(model: ModelSpec, batch: _Batch, X, v, n_picard=4):
         x = X[rows, i]
         Y[rows, i] = _picard(model, spec, batch.t[rows, i], i * du, x, Y[rows, i + 1],
                              np.zeros(x.size), np.zeros((x.size, w.size)), v[rows, i], du,
-                             n_picard)
+                             _ODE_PICARD)
     return Y, np.zeros((N, Kmax)), _NodeCells(batch.K, w.size)
 
 
@@ -1129,28 +1123,23 @@ def solve_backward_dual(model: ModelSpec, control, bundle: PathBundle,
 # ------------------------------------------------------------- composition
 
 def compose_duality(dual: FBSDESolution, inverse: InversePath) -> FBSDESolution:
-    """Calendar-clock solution: every component read at E(t)."""
+    """Calendar-clock solution: every component read at E(t).  A and r, one
+    value per step, hold their last step where E(t) is the horizon and
+    read 0 on a path without solver steps, as past a horizon."""
     if dual.clock != "operational":
         raise ValueError("compose_duality expects an operational-clock solution")
-    if dual.grid is None:
-        # degenerate path: the clock never advances, so every calendar
-        # instant reads the initial state
-        if np.max(inverse.values) > 0.0:
-            raise ValueError("horizon mismatch: inverse exceeds the dual grid")
-        idx = np.zeros(inverse.values.size, dtype=int)
-    else:
-        du = dual.grid.step
-        if np.max(inverse.values) > dual.grid.horizon + 1e-9 * du:
-            raise ValueError("horizon mismatch: inverse exceeds the dual grid")
-        idx = np.rint(inverse.values / du).astype(int)
-    out = FBSDESolution(
-        clock="calendar", grid=None, calendar_grid=inverse.calendar_grid,
-        X=dual.X[idx],
-        Y=None if dual.Y is None else dual.Y[idx],
-        A=None if dual.A is None else dual.A[np.minimum(idx, dual.A.shape[0] - 1)],
-        r=None if dual.r is None else dual.r[np.minimum(idx, dual.r.shape[0] - 1)],
-    )
-    return out
+    idx = inverse.grid_indices(dual.grid)
+
+    def steps(a):
+        if a is None:
+            return None
+        if a.shape[0] == 0:
+            return np.zeros(idx.shape + a.shape[1:])
+        return a[np.minimum(idx, a.shape[0] - 1)]
+
+    return FBSDESolution(clock="calendar", grid=None, calendar_grid=inverse.calendar_grid,
+                         X=dual.X[idx], Y=None if dual.Y is None else dual.Y[idx],
+                         A=steps(dual.A), r=steps(dual.r))
 
 
 def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):

@@ -255,12 +255,9 @@ def compensated_integral(integrand, stream: JumpStream, spec: LevyJumpSpec,
 
 def compose_time_change(op_path, inverse: InversePath) -> CalendarPath:
     """Read an operational path through the inverse: output(t) = path(E(t))."""
-    grid: OperationalGrid = op_path.grid
     values = np.asarray(op_path.values, dtype=float)
-    if np.max(inverse.values) > grid.horizon + 1e-9 * grid.step:
-        raise ValueError("operational horizon exceeded")
-    idx = np.rint(inverse.values / grid.step).astype(int)
-    return CalendarPath(calendar_grid=inverse.calendar_grid, values=values[idx])
+    return CalendarPath(calendar_grid=inverse.calendar_grid,
+                        values=values[inverse.grid_indices(op_path.grid)])
 
 
 def change_of_variable_check(integrand_path, driver, inverse: InversePath,
@@ -293,7 +290,7 @@ def change_of_variable_check(integrand_path, driver, inverse: InversePath,
     if U.shape != Z.shape:
         raise ValueError("grid mismatch between integrand and driver")
 
-    n = np.rint(inverse.values / grid.step).astype(int)
+    n = inverse.grid_indices(grid)
     cum = np.concatenate([[0.0], np.cumsum(U[:-1] * np.diff(Z))])
     lhs = cum[n]
     rhs = np.concatenate([[0.0], np.cumsum(U[n[:-1]] * np.diff(Z[n]))])

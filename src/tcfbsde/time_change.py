@@ -118,6 +118,16 @@ class InversePath:
         self.calendar_grid = t
         self.values = e
 
+    def grid_indices(self, grid: OperationalGrid | None) -> np.ndarray:
+        """The point rint(E(t) / step) of ``grid`` read at each calendar time,
+        failing loudly past its horizon; no grid (no solver steps) is u = 0."""
+        top = 0.0 if grid is None else grid.horizon + 1e-9 * grid.step
+        if np.max(self.values, initial=0.0) > top:
+            raise ValueError("horizon mismatch: the inverse exceeds the operational horizon")
+        if grid is None:
+            return np.zeros(self.values.size, dtype=int)
+        return np.rint(self.values / grid.step).astype(int)
+
 
 def laplace_exponent(spec: SubordinatorSpec, xi):
     """psi(xi) = scale * xi**alpha for xi > 0 (scalar or array)."""

@@ -20,6 +20,26 @@ def mittag_leffler_moment(alpha: float, t: float, n: int = 1) -> float:
     return math.factorial(n) * t ** (n * alpha) / math.gamma(1.0 + n * alpha)
 
 
+def mittag_leffler(alpha: float, z: float) -> float:
+    """E_alpha(z) = sum_k z^k / Gamma(alpha k + 1), summed term by term in
+    mpmath at 50 digits until a term falls below 1e-40 in size.
+
+    E[exp(-s E_t)] = E_alpha(-s t^alpha) for the inverse of a standard
+    alpha-stable subordinator (Bingham 1971, Z. Wahrsch. 17).
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        z, a = mpmath.mpf(z), mpmath.mpf(alpha)
+        total, k = mpmath.mpf(0), 0
+        while True:
+            term = z**k / mpmath.gamma(a * k + 1)
+            total += term
+            if k > 0 and abs(term) < mpmath.mpf(10) ** -40:
+                return float(total)
+            k += 1
+
+
 def mean_inverse_by_laplace_inversion(alpha: float, t: float) -> float:
     """E[E_t] via numerical inversion of its Laplace transform.
 

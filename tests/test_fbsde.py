@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare, ks_2samp, kstest
 
-from oracles import k_law, linear_fbsde_ode_oracle
+from oracles import k_law, linear_fbsde_ode_oracle, mittag_leffler
 from support import (
     RAGGED_STEPS,
     coupled_bundles,
@@ -276,6 +276,23 @@ def test_sampled_steps_follow_the_exact_law(alpha, seed):
     assert chisquare(observed, n * mass / mass.sum()).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("alpha, du, seed", [
+    (0.5, 0.02, 401), (0.5, 0.01, 402), (0.5, 0.005, 403),
+    (0.7, 0.02, 404), (0.7, 0.01, 405), (0.7, 0.005, 406)])
+def test_sampled_clock_has_the_mittag_leffler_transform(alpha, du, seed):
+    """E[exp(-s E_T)] of the sampled clock against E_alpha(-s T^alpha)
+    (Bingham 1971) at s = T = 1, over 4,000 paths.  The solver clock K du
+    floors E_T by less than du, so exp(-s K du) exceeds exp(-s E_T) by
+    less than s du: the tolerance is 3 SE + s du.  Seeds fixed before the
+    first run."""
+    s, horizon, n = 1.0, 1.0, 4000
+    ens = make_ensemble(SubordinatorSpec(alpha), LevyJumpSpec(c=1.0, intensity=1.0),
+                        horizon, du, n, master_seed=seed)
+    vals = np.exp(-s * ens.K * du)
+    se = vals.std(ddof=1) / math.sqrt(n)
+    assert abs(vals.mean() - mittag_leffler(alpha, -s * horizon**alpha)) < 3.0 * se + s * du
+
+
 # ----------------------------------------------------------------- forward
 
 def test_forward_constant_when_coefficients_vanish():
@@ -325,6 +342,15 @@ def test_forward_keeps_ito_ingredients():
            - np.sum(sol.vol**2) * sol.grid.step
            - np.sum(sol.event_b**2))
     assert abs(res[-1] - brk) < 1e-12
+    # they are the values the Euler kernel stepped with: one scheme step
+    # from them rebuilds X bit for bit
+    K, du = bundle.solver_steps, sol.grid.step
+    assert sol.event_steps.size > 0
+    jumps = np.zeros(K)
+    np.add.at(jumps, sol.event_steps, sol.event_b)
+    step = (sol.X[:-1] + sol.drift * du + sol.vol * sol.dB + jumps
+            - jump.intensity * du * jump.integrate(sol.jump_nodes, (K,)))
+    assert np.array_equal(sol.X[1:], step)
 
 
 # ---------------------------------------------------------------- backward
@@ -494,6 +520,28 @@ def test_duality_round_trip_on_sampled_paths():
         assert np.array_equal(tgrid, bundle.inverse.calendar_grid)
         assert np.max(np.abs(cal.X - X_dir)) < 1e-8
         assert np.max(np.abs(cal.Y - Y_dir)) < 1e-8
+
+
+def test_compose_duality_on_zero_step_paths():
+    """The seed-0 linear_test ensemble's zero-step paths compose after the
+    backward solve: every calendar time reads u = 0, A and r read 0, and
+    the composition agrees with the calendar-form solve."""
+    model, jump, sub, p = build_model("linear_test")
+    ens = make_ensemble(sub, jump, p["horizon"], p["step"], 4096, master_seed=0)
+    zero = np.flatnonzero(ens.K == 0)
+    assert zero.size == 10
+    for n in zero:
+        bundle = ens[int(n)]
+        sol = solve_backward_dual(model, 0.5, bundle, solve_forward_dual(model, 0.5, bundle))
+        assert sol.A.shape == (0,) and sol.r.shape == (0, jump.n_quad)
+        cal = compose_duality(sol, bundle.inverse)
+        size = bundle.inverse.values.size
+        assert np.array_equal(cal.X, np.full(size, model.x0))
+        assert np.array_equal(cal.Y, np.full(size, sol.Y[0]))
+        assert np.array_equal(cal.A, np.zeros(size))
+        assert np.array_equal(cal.r, np.zeros((size, jump.n_quad)))
+        X_dir, Y_dir, _ = solve_calendar_direct(model, 0.5, bundle)
+        assert np.array_equal(cal.X, X_dir) and np.max(np.abs(cal.Y - Y_dir)) < 1e-12
 
 
 # -------------------------------------------------------------------- cost
@@ -761,8 +809,7 @@ def test_forward_self_convergence_is_first_order():
     for k in range(160):
         lv1, lv2, lv4 = coupled_bundles(sub, jump, 0.6, 0.0025,
                                         seed=2000 + 5 * k, factors=(1, 2, 4))
-        xs = [solve_forward_dual(model, 0.0, b, keep_ingredients=False).X[-1]
-              for b in (lv1, lv2, lv4)]
+        xs = [solve_forward_dual(model, 0.0, b).X[-1] for b in (lv1, lv2, lv4)]
         d_fine.append(abs(xs[0] - xs[1]))
         d_coarse.append(abs(xs[1] - xs[2]))
     ratio = np.mean(d_coarse) / np.mean(d_fine)
@@ -882,8 +929,8 @@ def test_live_row_kernel_is_row_local(steps, data):
     rows = 0.3 + 0.1 * np.arange(n)[:, None] + 0.02 * np.arange(width)
     ctl = StepwiseControl(np.where(np.arange(width) < ens.K[:, None], rows, np.nan))
     order = np.argsort(ens.K, kind="stable")
-    X_u, v_u = fbsde._forward_batch(model, ctl, ens.rows(perm))[:2]
-    X_s, v_s = fbsde._forward_batch(model, ctl, ens.rows(order))[:2]
+    X_u, v_u = fbsde._forward_batch(model, ctl, ens.rows(perm))
+    X_s, v_s = fbsde._forward_batch(model, ctl, ens.rows(order))
     at_u, at_s = np.argsort(perm), np.argsort(order)
     assert X_u[at_u].tobytes() == X_s[at_s].tobytes()
     assert v_u[at_u].tobytes() == v_s[at_s].tobytes()
@@ -895,7 +942,7 @@ def _backward_rows(model, ctl, direction, batch):
     """Every backward kernel's output on one batch: the state's Y/A/r in
     the affine and the ode regime, the second adjoint's q/k/R in both of
     its regimes and the variational Y1/A1/r1."""
-    X, v = fbsde._forward_batch(model, ctl, batch)[:2]
+    X, v = fbsde._forward_batch(model, ctl, batch)
     out = {}
     for method in ("affine", "ode"):
         Y, A, r = fbsde._backward_batch(model, ctl, batch, X, v, method)
@@ -952,7 +999,7 @@ def test_affine_backward_ignores_padded_coefficients(steps, data):
         for idx in (perm, np.argsort(ens.K, kind="stable")):
             batch = ens.rows(idx)
             N, Kmax, Q = batch.N, batch.Kmax, batch.w.size
-            X, v = fbsde._forward_batch(model, ConstantControl(0.5), batch)[:2]
+            X, v = fbsde._forward_batch(model, ConstantControl(0.5), batch)
             co = fbsde._probe_affine(model, batch, v)
             dead = np.arange(Kmax) >= batch.K[:, None]
             nan_co = {}

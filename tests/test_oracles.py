@@ -14,6 +14,7 @@ from oracles import (
     levy_half_stable_cdf,
     linear_fbsde_ode_oracle,
     mean_inverse_by_laplace_inversion,
+    mittag_leffler,
     mittag_leffler_moment,
     stable_cdf,
     stable_cdf_by_laplace_inversion,
@@ -35,6 +36,16 @@ def test_moment_formula_known_values():
     # t-scaling: E[E_t] = t^alpha E[E_1]
     assert np.isclose(mittag_leffler_moment(0.3, 2.0),
                       2.0 ** 0.3 * mittag_leffler_moment(0.3, 1.0))
+
+
+def test_mittag_leffler_series_known_values():
+    # E_1(z) = exp(z) and E_{1/2}(-x) = exp(x^2) erfc(x)
+    from scipy.special import erfc
+
+    for z in (-2.0, -1.0, 0.0, 0.5):
+        assert abs(mittag_leffler(1.0, z) - math.exp(z)) < 1e-15
+    for x in (0.3, 1.0, 2.0):
+        assert abs(mittag_leffler(0.5, -x) - math.exp(x * x) * erfc(x)) < 1e-14
 
 
 def test_levy_half_cdf_matches_normal_representation():

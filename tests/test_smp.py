@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import cash_q_candidate
-from support import RAGGED_STEPS, lq_model, mk_model, ragged_bundles
+from support import RAGGED_STEPS, lq_model, manual_bundle, mk_model, ragged_bundles
 from tcfbsde.cash import CashSpec, build_cash_model
 from tcfbsde.fbsde import (
     Box,
@@ -21,12 +21,14 @@ from tcfbsde.fbsde import (
     PerturbedControl,
     StepwiseControl,
     build_model,
+    compose_duality,
     evaluate_cost,
     make_ensemble,
     solve_backward_dual,
     solve_forward_dual,
 )
 from tcfbsde.noise import LevyJumpSpec
+from tcfbsde.time_change import invert_subordinator
 from tcfbsde.smp import (
     OptimalityReport,
     _variational_batch,
@@ -375,6 +377,64 @@ def test_adjoint_and_variational_rows_match_single_paths(method):
         for name, got, want in zip(("X1", "Y1", "A1", "r1"), var, one_var):
             width = k + 1 if name in ("X1", "Y1") else k
             assert np.array_equal(got[n, :width], want[0, :width]), name
+
+
+@st.composite
+def edge_clocks(draw):
+    """Staircases of one to four paths (one path: a single-path ensemble)
+    on a unit horizon.  A path has 0 to 8 solver steps (0: a zero-step
+    path); when it has steps, one increment takes up to 20 times the
+    share of the others, so the clock stalls across that calendar gap, and
+    the last increment jumps past the horizon, where the clock is
+    trapped at K du."""
+    paths = []
+    for _ in range(draw(st.integers(1, 4))):
+        inc = np.ones(draw(st.integers(0, 8)))
+        if inc.size:
+            inc[draw(st.integers(0, inc.size - 1))] += draw(st.floats(0.0, 20.0))
+        rise = 0.9 * np.cumsum(inc) / max(inc.sum(), 1.0)
+        paths.append(np.concatenate([[0.0], rise, [1.5]]))
+    return paths
+
+
+@settings(max_examples=25, deadline=None)
+@given(paths=edge_clocks(), seed=st.integers(0, 10_000))
+def test_edge_ensembles_through_adjoints_margins_and_composition(paths, seed):
+    """Zero-step, trapped-clock and single-path ensembles: the boundary
+    conditions of the state pair and the adjoints hold on every row, the
+    margin search returns finite margins, and each composed row reads the
+    dual row at E(t)/du, with A and r held at their last step at the
+    horizon and 0 on a zero-step path."""
+    model, jspec, _ = lq_model()
+    bundles = []
+    for n, values in enumerate(paths):
+        bnd = manual_bundle(values, DU, 1.0, jump_spec=jspec, seed=seed + 3 * n)
+        bnd.seeds["path"] = n
+        bundles.append(bnd)
+    ens, u = Ensemble(bundles), ConstantControl(0.5)
+    sols = _solved_ensemble(model, u, ens)
+    adj = solve_adjoint_ensemble(model, u, ens, sols)
+    K, rows = ens.K, np.arange(len(ens))
+    # X_0 = x0, Y_K = phi(X_K) = X_K, p_0 = -gamma_y(Y_0) = 1 and
+    # q_K = -phi_x(X_K) p_K + h_x(X_K) = -p_K
+    assert np.all(sols.X[:, 0] == model.x0)
+    assert np.max(np.abs(sols.Y[rows, K] - sols.X[rows, K])) < 1e-12
+    assert np.max(np.abs(adj.p[:, 0] - 1.0)) < 1e-9
+    assert np.max(np.abs(adj.q[rows, K] + adj.p[rows, K])) < 1e-8
+    rep = check_necessary_condition(model, u, ens, sols, adj, count=8, seed=0)
+    assert np.all(np.isfinite([[row["margin"], row["se"]] for row in rep.margins]))
+    assert rep.margins[0]["margin"] == 0.0
+    calendar = np.linspace(0.0, 1.0, 9)
+    for n, bnd in enumerate(bundles):
+        k = int(K[n])
+        for inv in (bnd.inverse, invert_subordinator(bnd.subordinator, calendar)):
+            cal = compose_duality(sols[n], inv)
+            idx = np.rint(inv.values / DU).astype(int)
+            assert np.array_equal(cal.X, sols.X[n, idx])
+            assert np.array_equal(cal.Y, sols.Y[n, idx])
+            for got, row in ((cal.A, sols.A[n]), (cal.r, sols.r[n])):
+                want = row[np.minimum(idx, k - 1)] if k else np.zeros(got.shape)
+                assert np.array_equal(got, want)
 
 
 def test_remainders_sit_on_the_floor_for_linear_models():

@@ -7,8 +7,10 @@ fixed set of outputs (certificates, costs under each backward regime,
 solved ensembles, adjoints, margins, variational pairs and forward
 ingredients, all at fixed seeds) to an ``.npz`` file, and the sampled
 ensembles themselves (their padded layout and the bundles of a few paths).
-The costs include a linear_test twin whose running cost reads r, so the
-backward solve's jump cells reach a compared output.  The script
+The costs include linear_test twins whose running cost reads r, so the
+backward solve's jump cells reach a compared output; one of them has a
+jump coefficient with both an x-slope and a constant, which pins the
+operation order of those cells.  The script
 then prints one line per output: ``identical`` when dtype, shape and bytes
 agree, else ``moved`` with the largest absolute and relative difference.
 It exits 1 when any output differs or is missing from one tree.
@@ -63,6 +65,15 @@ def dump(out_path):
     twin.l = lambda t1, t2, x, y, a, r, v: lin.l(t1, t2, x, y, a, r, v) + r**2
     out["cost.linear_test_r2.per_path"] = fbsde.evaluate_cost(
         twin, fbsde.ConstantControl(0.5), ens).per_path
+    # every built-in model has bx = 0 or b0 = 0 in b = bx x + b0, so only a
+    # twin with both nonzero pins the operation order of r's cells
+    both = fbsde.build_model("linear_test")[0]
+    both.b = lambda t1, t2, x, v, z: z * (0.05 * x + 0.1)
+    both.l = twin.l
+    out["cost.linear_test_bx_b0.per_path"] = fbsde.evaluate_cost(
+        both, fbsde.ConstantControl(0.5), ens).per_path
+    out["solved.linear_test_bx_b0.r"] = fbsde._solved_ensemble(
+        both, fbsde.ConstantControl(0.5), ens[:256]).r
 
     # two 16-path lsmc operations, outer paths spread over the K-sorted order
     quad, qjump, qsub, qp = fbsde.build_model("quadratic_drift")
