@@ -169,8 +169,7 @@ def build_cash_model(spec: CashSpec) -> ModelSpec:
         control_set=Box(),
         x0=spec.x0,
         M_T=1.0,
-        linear={"f", "sigma", "b", "g"},
-        adjoint_deterministic=True,
+        affine=True,
         derivatives=derivs,
         name="cash",
     )
@@ -286,10 +285,8 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
                              cost=est.mean, cost_se=est.std_error))
     head = min(len(bundles), max(int(margin_paths), 2))
     lead = bundles[:head]
-    margins = check_necessary_condition(model, ustar, lead,
-                                        _solved_ensemble(model, ustar, lead),
-                                        cash_adjoints(spec, lead), count=64,
-                                        seed=seed)
+    margins = check_necessary_condition(model, lead, _solved_ensemble(model, ustar, lead),
+                                        cash_adjoints(spec, lead), count=64, seed=seed)
     conv_rows, rem_rows = [], []
     if expansion_rhos:
         sub = bundles[: min(len(bundles), max(int(expansion_paths), 2))]

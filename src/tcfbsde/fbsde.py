@@ -71,7 +71,7 @@ reductions run in path order, so results are reproducible bit for bit.
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -225,9 +225,10 @@ class ModelSpec:
       in the same jump-measure integral as g
     * phi, h:    (x) terminal maps; gamma: (y) initial cost
 
-    ``linear`` names the coefficients that are affine in their state
-    arguments ("f", "sigma", "b" in x; "g" in (x, y, a, r)); the solver
-    probes affine coefficients by evaluation at 0 and 1, which is exact.
+    ``affine`` declares f, sigma and b affine in x and g affine in
+    (x, y, a, r); with a linear terminal map (``M_T``) it makes the model
+    affine_solvable, and the solvers probe its coefficients by evaluation
+    at 0 and 1, which is exact.
     ``derivatives`` is the one place for closed-form partials, keyed
     ``<map>_<argument>`` (e.g. "f_x", "l_v"); every partial it lacks,
     dH/dv's included, is a central difference of the map.
@@ -235,9 +236,8 @@ class ModelSpec:
     """
 
     def __init__(self, *, f, sigma, b, g, phi, l, h, gamma, control_set: Box,
-                 x0: float, n=1, m=1, d=1, k=1, M_T=None, linear=(),
-                 conditionally_deterministic=False, adjoint_deterministic=False,
-                 derivatives=None, name=""):
+                 x0: float, n=1, m=1, d=1, k=1, M_T=None, affine=False,
+                 conditionally_deterministic=False, derivatives=None, name=""):
         if (n, m, d, k) != (1, 1, 1, 1):
             raise NotImplementedError("only scalar models are supported")
         self.n, self.m, self.d, self.k = n, m, d, k
@@ -246,12 +246,8 @@ class ModelSpec:
         self.control_set = control_set
         self.x0 = float(x0)
         self.M_T = None if M_T is None else float(M_T)
-        self.linear = frozenset(linear)
+        self.affine = bool(affine)
         self.conditionally_deterministic = bool(conditionally_deterministic)
-        # the adjoint pair can be deterministic given the subordinator even
-        # when the state is not (coefficients free of x and the noise terms
-        # of the first adjoint vanishing); flag it to unlock the ODE regime
-        self.adjoint_deterministic = bool(adjoint_deterministic)
         self.derivatives = dict(derivatives or {})
         self.name = name
         self._validate()
@@ -262,7 +258,7 @@ class ModelSpec:
 
     @property
     def affine_solvable(self) -> bool:
-        return {"f", "sigma", "b", "g"} <= self.linear and self.linear_terminal
+        return self.affine and self.linear_terminal
 
     def _validate(self):
         v0 = self.control_set.interior_point()
@@ -363,9 +359,6 @@ class Ensemble:
             if b.calendar_horizon != first.calendar_horizon:
                 raise ValueError("horizon mismatch: bundles in one ensemble must share "
                                  "the calendar horizon")
-            if b.subordinator.passage_time is None:
-                raise ValueError("bundle lacks a passage time; its solver horizon "
-                                 "is undefined")
             if b.brownian.values.size < b.subordinator.values.size:
                 raise ValueError("grid mismatch: a bundle's Brownian path must cover "
                                  "its subordinator's grid")
@@ -431,8 +424,7 @@ class Ensemble:
         grid = OperationalGrid(step=self.du, horizon=self.du * k)
         master, path = (int(x) for x in self.seeds[p])
         return PathBundle(
-            subordinator=SubordinatorPath(grid=grid, values=self.times[s: s + k + 1],
-                                          passage_time=grid.horizon),
+            subordinator=SubordinatorPath(grid=grid, values=self.times[s: s + k + 1]),
             brownian=BrownianPath(grid=grid, values=self.brownian[s: s + k + 1]),
             jumps=JumpStream(times=self.ev_time[lo:hi], marks=self.ev_mark[lo:hi],
                              horizon=grid.horizon),
@@ -735,7 +727,7 @@ def solve_forward_dual(model: ModelSpec, control, bundle: PathBundle) -> FBSDESo
 def _probe_affine(model: ModelSpec, batch: _Batch, v: np.ndarray):
     """Exact affine coefficients by evaluation at states 0 and 1.
 
-    Valid when the corresponding linearity flags hold; the returned
+    Valid when the model is affine (ModelSpec.affine); the returned
     driver pieces are already integrated against the jump measure
     (G = lam * int g, with the r term kept nodewise as gr * w * lam).
     The pieces keep the shapes the model returns; _affine_backward
@@ -1075,7 +1067,7 @@ def backward_method(model: ModelSpec, control, method=None) -> str:
         raise ValueError(f"unknown backward method {method!r}")
     if method == "affine" and not model.affine_solvable:
         raise ValueError("affine backward requested for a model without "
-                         "the full set of linearity flags")
+                         "the linearity flags (affine and M_T)")
     if method == "affine" and not getattr(control, "state_free", False):
         raise ValueError("affine backward needs an open-loop control")
     return method
@@ -1101,7 +1093,8 @@ def _backward_batch(model: ModelSpec, control, batch: _Batch, X, v, method=None,
 def solve_backward_dual(model: ModelSpec, control, bundle: PathBundle,
                         forward: FBSDESolution, method=None,
                         n_inner=256) -> FBSDESolution:
-    """Fill the backward components of a forward solution, terminal first.
+    """A copy of a forward solution with its backward components solved,
+    terminal first; ``forward`` itself is left as it is.
 
     A batch-of-one call of the batch dispatcher; ``method`` overrides the
     automatic regime choice ("ode", "affine", "lsmc") of backward_method.
@@ -1116,26 +1109,22 @@ def solve_backward_dual(model: ModelSpec, control, bundle: PathBundle,
     tol = 1e-10 if method in ("ode", "affine") else 1e-6
     if gap > tol:
         raise AssertionError(f"terminal consistency violated: |Y_T - phi(X_T)| = {gap}")
-    forward.Y, forward.A, forward.r = Y, A, r
-    return forward
+    return replace(forward, Y=Y, A=A, r=r)
 
 
 # ------------------------------------------------------------- composition
 
 def compose_duality(dual: FBSDESolution, inverse: InversePath) -> FBSDESolution:
     """Calendar-clock solution: every component read at E(t).  A and r, one
-    value per step, hold their last step where E(t) is the horizon and
-    read 0 on a path without solver steps, as past a horizon."""
+    value per step, read 0 where E(t) is the horizon K du (on a zero-step
+    path, everywhere), as the padded layout holds them past a horizon."""
     if dual.clock != "operational":
         raise ValueError("compose_duality expects an operational-clock solution")
     idx = inverse.grid_indices(dual.grid)
 
     def steps(a):
-        if a is None:
-            return None
-        if a.shape[0] == 0:
-            return np.zeros(idx.shape + a.shape[1:])
-        return a[np.minimum(idx, a.shape[0] - 1)]
+        # step K, the horizon, reads the appended zero row
+        return None if a is None else np.concatenate([a, np.zeros((1,) + a.shape[1:])])[idx]
 
     return FBSDESolution(clock="calendar", grid=None, calendar_grid=inverse.calendar_grid,
                          X=dual.X[idx], Y=None if dual.Y is None else dual.Y[idx],
@@ -1345,5 +1334,5 @@ def build_model(name: str, params=None):
             l=lambda t1, t2, x, y, a, r, v: 0.0)
     model = ModelSpec(**maps, phi=lambda x: 1.0 * x, h=lambda x: 0.0, gamma=lambda y: -y,
                       control_set=Box(-2.0, 2.0), x0=p["x0"], M_T=1.0,
-                      linear={"f", "sigma", "b", "g"}, name=name)
+                      affine=True, name=name)
     return model, LevyJumpSpec(c=p["c"], intensity=lam), SubordinatorSpec(alpha=p["alpha"]), p

@@ -14,12 +14,15 @@ interfaces.  Conventions, once and for all:
   and run through the state's Euler kernel (fbsde._euler).
 * The second adjoint (q, k, R) solves a linear backward equation, and both
   of its regimes run through the backward state's affine kernel
-  (fbsde._affine_backward): an exact conditional closure q = cq + Pq * X
-  with remapped coefficients for state-affine systems whose first adjoint
-  is deterministic given the time change, and the same kernel with zero
-  slope (q alone, k = R = 0) when the model flags its adjoints as
-  conditionally deterministic.  Models outside both regimes are rejected
-  loudly instead of being approximated silently.
+  (fbsde._affine_backward).  The automatic regime is the exact
+  conditional closure q = cq + Pq * X with remapped coefficients, for
+  affine systems with a linear terminal whose first adjoint is
+  deterministic given the time change; any other model is rejected
+  loudly instead of being approximated silently.  On request
+  (method="ode") the same kernel runs with zero slope (q alone,
+  k = R = 0), for adjoints that carry no noise.
+* The adjoints and the margins are taken along the solved trajectory, so
+  they read the control from the solved rates (solutions.v) alone.
 * Candidate controls in the necessary-condition search are step functions
   of operational time (constants on a lattice plus randomized two-level
   switches), which keeps them adapted and feasible by construction.
@@ -327,44 +330,33 @@ def _p_state_free(model: ModelSpec, batch: _Batch, X, Y, A, r, v) -> bool:
     return True
 
 
-def solve_adjoint(model: ModelSpec, control, bundle: PathBundle,
-                  solution: FBSDESolution, method=None) -> AdjointSolution:
-    """Adjoint pair along one solved optimal trajectory."""
-    return solve_adjoint_ensemble(model, control, [bundle], _one_row(bundle, solution),
+def solve_adjoint(model: ModelSpec, bundle: PathBundle, solution: FBSDESolution,
+                  method=None) -> AdjointSolution:
+    """Adjoint pair along one solved trajectory."""
+    return solve_adjoint_ensemble(model, [bundle], _one_row(bundle, solution),
                                   method=method)[0]
 
 
-def solve_adjoint_ensemble(model: ModelSpec, control, bundles,
-                           solutions: EnsembleSolution, method=None) -> EnsembleAdjoint:
-    """Vectorized adjoint solve over an ensemble of solved trajectories.
+def solve_adjoint_ensemble(model: ModelSpec, bundles, solutions: EnsembleSolution,
+                           method=None) -> EnsembleAdjoint:
+    """Vectorized adjoint solve over an ensemble of solved trajectories,
+    whose rates solutions.v are the control.
 
-    Regime selection: the affine closure when the model is state-affine
-    with a linear terminal and a state-free first adjoint, the backward
-    ODE when the model flags conditionally deterministic adjoints, and a
-    loud refusal otherwise.
+    Regime selection: by default the affine closure, which needs a model
+    that is affine with a linear terminal (affine_solvable) and a
+    state-free first adjoint, and a loud refusal otherwise; an explicit
+    method="ode" solves adjoints that carry no noise.
     """
-    control = as_control(control)
     batch = as_ensemble(bundles).rows()
     _matching(batch.K, solutions)
     X, Y, v, A, r = solutions.X, solutions.Y, solutions.v, solutions.A, solutions.r
     p = _p_forward_batch(model, batch, X, Y, A, r, v)
-    free = (method in (None, "affine") and model.affine_solvable
-            and _p_state_free(model, batch, X, Y, A, r, v))
-    if method is None:
-        if free:
-            method = "affine"
-        elif model.adjoint_deterministic:
-            method = "ode"
-        else:
-            raise NotImplementedError(
-                "adjoint solver covers state-affine systems and models with "
-                "conditionally deterministic adjoints only")
+    method = "affine" if method is None else method
     if method == "affine":
-        if not model.affine_solvable:
-            raise ValueError("affine adjoint closure needs the linearity flags")
-        if not free:
+        if not (model.affine_solvable and _p_state_free(model, batch, X, Y, A, r, v)):
             raise NotImplementedError(
-                "affine adjoint closure needs a state-free first adjoint")
+                "the affine adjoint closure (the automatic regime) needs an affine model "
+                "with a linear terminal and a state-free first adjoint")
         q, k, R = _q_affine_batch(model, batch, X, Y, A, r, v, p)
     elif method == "ode":
         q, k, R = _q_ode_batch(model, batch, X, Y, A, r, v, p)
@@ -554,19 +546,20 @@ class NecessaryReport:
     seed: int
 
 
-def check_necessary_condition(model: ModelSpec, control, bundles, solutions,
-                              adjoints, *, count: int = 64,
-                              seed: int = 0) -> NecessaryReport:
+def check_necessary_condition(model: ModelSpec, bundles, solutions, adjoints, *,
+                              count: int = 64, seed: int = 0) -> NecessaryReport:
     """Directional-derivative margins against sampled feasible candidates.
 
     The margin of candidate w is the ensemble mean of the integral of
-    <H_v, w - u> along the base trajectory; at a minimizer every margin
-    is nonnegative up to Monte Carlo error, and the candidate w = u sits
-    at exactly zero.
+    <H_v, w - u> along the base trajectory, u being its solved rates
+    solutions.v; at a minimizer every margin is nonnegative up to Monte
+    Carlo error, and the candidate w = u sits at exactly zero.  An
+    unbounded side of the control box is cut 1 beyond the extreme live
+    rate (cells with K > i; the box's interior point when no path has a
+    step), so the padding never sets the candidates' range.
     """
     if count < 1:
         raise ValueError("candidate set is empty")
-    control = as_control(control)
     ens = as_ensemble(bundles)
     K, du = ens.K, ens.du
     N, Kmax = K.size, int(K.max())
@@ -578,12 +571,12 @@ def check_necessary_condition(model: ModelSpec, control, bundles, solutions,
     act = np.arange(Kmax)[None, :] < K[:, None]
     weight = np.where(act, du, 0.0)
     lo, hi = model.control_set.lo, model.control_set.hi
-    # a zero-step ensemble has no rates: centre the range on the box instead
-    mid = model.control_set.interior_point()
+    # a zero-step ensemble has no live rates: centre the range on the box instead
+    live, mid = v[act], model.control_set.interior_point()
     if not np.isfinite(lo):
-        lo = (float(v.min()) if v.size else mid) - 1.0
+        lo = (float(live.min()) if live.size else mid) - 1.0
     if not np.isfinite(hi):
-        hi = (float(v.max()) if v.size else mid) + 1.0
+        hi = (float(live.max()) if live.size else mid) + 1.0
     rng = np.random.default_rng(seed)
     candidates = [("current", {}, v)]
     n_const = max((count - 1) // 2, 0)

@@ -74,13 +74,12 @@ class SubordinatorPath:
     """One realized staircase of D on its operational grid.
 
     values[i] = D(i*step), values[0] = 0, nondecreasing; the stored path ends
-    at the first grid point past the calendar horizon, and passage_time is
-    that grid point (the discrete first-passage time).
+    at the first grid point past the calendar horizon, so its grid's horizon
+    is the discrete first-passage time, read as ``passage_time``.
     """
 
     grid: OperationalGrid
     values: np.ndarray
-    passage_time: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -93,8 +92,8 @@ class SubordinatorPath:
         self.values = v
 
     @property
-    def passage_index(self) -> int:
-        return self.values.size - 1
+    def passage_time(self) -> float:
+        return self.grid.horizon
 
 
 @dataclass
@@ -252,12 +251,8 @@ def sample_subordinator(
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(int(seed))
     values, (k,) = sample_subordinators(spec, calendar_horizon, grid, [rng])
-    du = grid.step
-    return SubordinatorPath(
-        grid=OperationalGrid(step=du, horizon=du * int(k)),
-        values=values,
-        passage_time=du * int(k),
-    )
+    return SubordinatorPath(grid=OperationalGrid(step=grid.step, horizon=grid.step * int(k)),
+                            values=values)
 
 
 def invert_subordinator(path: SubordinatorPath, calendar_grid) -> InversePath:

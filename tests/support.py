@@ -40,7 +40,7 @@ def manual_bundle(values, du, horizon, jump_spec=None, seed=0, flat_noise=False)
     """Bundle around a hand-written subordinator staircase."""
     values = np.asarray(values, dtype=float)
     grid = OperationalGrid(du, du * (values.size - 1))
-    sub = SubordinatorPath(grid=grid, values=values, passage_time=grid.horizon)
+    sub = SubordinatorPath(grid=grid, values=values)
     if jump_spec is None:
         jump_spec = LevyJumpSpec(c=1.0, intensity=2.0)
     if flat_noise:
@@ -113,7 +113,7 @@ def coupled_bundles(sub_spec, jump_spec, horizon, fine_step, seed, factors=(1, 2
             raise RuntimeError("coupled draw too short; widen the pre-sample")
         vals = vals[: k + 1]
         grid = OperationalGrid(du, du * k)
-        sub = SubordinatorPath(grid=grid, values=vals, passage_time=grid.horizon)
+        sub = SubordinatorPath(grid=grid, values=vals)
         db = db_fine[: m * fac].reshape(-1, fac).sum(axis=1)[:k]
         brw = BrownianPath(grid=grid, values=np.concatenate([[0.0], np.cumsum(db)]))
         keep = jumps_all.times <= grid.horizon
@@ -173,6 +173,6 @@ def lq_model(box=(-10.0, 10.0), lam=2.0, kappa=1.0):
         control_set=Box(*box),
         x0=1.0,
         M_T=1.0,
-        linear=("f", "sigma", "b", "g"),
+        affine=True,
     )
     return model, LevyJumpSpec(c=1.0, intensity=lam), SubordinatorSpec(alpha=0.7)

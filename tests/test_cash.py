@@ -60,7 +60,6 @@ def test_default_spec_builds_flagged_model():
     model = build_cash_model(CashSpec())
     assert model.name == "cash"
     assert model.affine_solvable
-    assert model.adjoint_deterministic
     assert not model.conditionally_deterministic
     assert model.M_T == 1.0
 
@@ -248,7 +247,7 @@ def test_adjoints_agree_with_general_solver():
     bundles = make_ensemble(spec.subordinator, spec.jump, spec.horizon,
                             DU, 100, 21)
     sols = _solved_ensemble(model, ConstantControl(1.0), bundles)
-    gen = solve_adjoint_ensemble(model, ConstantControl(1.0), bundles, sols)
+    gen = solve_adjoint_ensemble(model, bundles, sols)
     mine = [cash_adjoints(spec, b) for b in bundles]
     for a, g in zip(mine, gen):
         assert np.max(np.abs(a.p - g.p)) < 1e-6 + 0.5 * DU
@@ -282,17 +281,9 @@ def test_general_adjoints_ignore_the_control():
     out = []
     for c in (ConstantControl(1.0), ConstantControl(2.5)):
         sols = _solved_ensemble(model, c, bundles)
-        out.append(solve_adjoint_ensemble(model, c, bundles, sols))
+        out.append(solve_adjoint_ensemble(model, bundles, sols))
     for a, b in zip(*out):
         assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
-
-
-def test_adjoint_needs_passage_time():
-    spec = CashSpec()
-    bundle = manual_bundle([0.0, 0.3, 0.7, 1.2], 0.1, 1.0)
-    bundle.subordinator.passage_time = None
-    with pytest.raises(ValueError, match="passage"):
-        cash_adjoints(spec, bundle)
 
 
 # ------------------------------------------------------------ optimal rate
@@ -448,15 +439,13 @@ def test_margins_nonnegative_at_rate_and_violated_off_it():
     model = build_cash_model(spec)
     ustar, bundles, adjs = rebuilt_optimum(spec, DU, 64, 5)
     sols = _solved_ensemble(model, ustar, bundles)
-    rep = check_necessary_condition(model, ustar, bundles, sols, adjs,
-                                    count=64, seed=1)
+    rep = check_necessary_condition(model, bundles, sols, adjs, count=64, seed=1)
     assert rep.min_margin >= -3.0 * rep.std_error - 1e-12
     # push the rate off its optimum; adjoints stay the same by the
     # control-independence above, and a clear violation must surface
     off = PerturbedControl(ustar, ConstantControl(1.0), 0.5)
     sols_off = _solved_ensemble(model, off, bundles)
-    rep_off = check_necessary_condition(model, off, bundles, sols_off, adjs,
-                                        count=64, seed=1)
+    rep_off = check_necessary_condition(model, bundles, sols_off, adjs, count=64, seed=1)
     assert rep_off.min_margin < -3.0 * rep_off.std_error
     assert rep_off.min_margin < -0.1
 
@@ -522,7 +511,7 @@ def test_certificate_on_zero_step_ensemble():
     ustar, bundles, adjs = rebuilt_optimum(spec, DU, 4, 0)
     assert all(b.solver_steps == 0 for b in bundles)
     model = build_cash_model(spec)
-    margins = check_necessary_condition(model, ustar, bundles,
+    margins = check_necessary_condition(model, bundles,
                                         _solved_ensemble(model, ustar, bundles), adjs).margins
     assert len(margins) == 64 and all(row["margin"] == 0.0 for row in margins)
     assert rep.gap_table[0]["gap"] == 0.0 and rep.gap_table[0]["se"] == 0.0
@@ -552,7 +541,7 @@ def _reshaped_twin(model, reshape):
     maps = {name: wrap(getattr(model, name))
             for name in ("f", "sigma", "b", "g", "phi", "l", "h", "gamma")}
     return ModelSpec(**maps, control_set=model.control_set, x0=model.x0, M_T=model.M_T,
-                     linear=model.linear, adjoint_deterministic=model.adjoint_deterministic,
+                     affine=model.affine,
                      derivatives={name: wrap(d) for name, d in model.derivatives.items()},
                      name=model.name)
 
@@ -584,12 +573,12 @@ def test_results_do_not_depend_on_map_shapes():
     outputs = []
     for model in (base, _reshaped_twin(base, _materialised), _reshaped_twin(base, _squeezed)):
         sols = _solved_ensemble(model, ustar, bundles)
-        gen = solve_adjoint_ensemble(model, ustar, bundles, sols)
+        gen = solve_adjoint_ensemble(model, bundles, sols)
         outputs.append(dict(
             cost=evaluate_cost(model, ustar, bundles).per_path,
             adjoints=[np.concatenate([a.p, a.q, a.k, a.R.ravel()]) for a in gen],
             margins=json.dumps(check_necessary_condition(
-                model, ustar, bundles, sols, adjs, count=16).margins),
+                model, bundles, sols, adjs, count=16).margins),
             expansion=json.dumps(expansion_check(model, ustar, direction, rhos, bundles)),
         ))
     ref = outputs[0]

@@ -357,7 +357,7 @@ def test_forward_keeps_ito_ingredients():
 
 @pytest.mark.parametrize("method", ["ode", "affine", "lsmc"])
 def test_backward_zero_data_gives_zero_solution(method):
-    model = mk_model(M_T=0.0, linear={"f", "sigma", "b", "g"},
+    model = mk_model(M_T=0.0, affine=True,
                      sigma=lambda t1, t2, x, v: 0.3 + 0.0 * x)
     bundle = identity_bundle(seed=5, horizon=0.2)
     sol = solve_forward_dual(model, 0.0, bundle)
@@ -382,8 +382,7 @@ def test_backward_constant_driver_grows_linearly():
     expect = kappa0 * IDENTITY_DU * (K - np.arange(K + 1))
     assert np.max(np.abs(ode.Y - expect)) < 1e-12
 
-    fwd2 = solve_forward_dual(model, 0.0, bundle)
-    lsmc = solve_backward_dual(model, 0.0, bundle, fwd2, method="lsmc", n_inner=128)
+    lsmc = solve_backward_dual(model, 0.0, bundle, fwd, method="lsmc", n_inner=128)
     assert np.max(np.abs(lsmc.Y - expect)) < 1e-6
 
 
@@ -395,7 +394,7 @@ def test_backward_matches_linear_ode_oracle():
         g=lambda t1, t2, x, y, a, r, v: (-y + 0.5 * x) / lam,
         phi=lambda x: 1.0 * x,
         M_T=1.0,
-        linear={"f", "sigma", "b", "g"},
+        affine=True,
         conditionally_deterministic=True,
     )
     jump = LevyJumpSpec(c=1.0, intensity=lam)
@@ -412,8 +411,7 @@ def test_backward_matches_linear_ode_oracle():
     assert abs(fwd.X[-1] - x_u) < 0.01
     assert abs(ode.Y[0] - y0) < 0.01
 
-    fwd2 = solve_forward_dual(model, 0.0, bundle)
-    aff = solve_backward_dual(model, 0.0, bundle, fwd2, method="affine")
+    aff = solve_backward_dual(model, 0.0, bundle, fwd, method="affine")
     assert abs(aff.Y[0] - ode.Y[0]) < 1e-9
 
 
@@ -422,10 +420,21 @@ def test_affine_and_lsmc_agree_on_linear_model():
     bundle = make_ensemble(sub, jump, 0.7, 0.01, 1, master_seed=33)[0]
     fwd = solve_forward_dual(model, 0.3, bundle)
     aff = solve_backward_dual(model, 0.3, bundle, fwd, method="affine")
-    y_aff = aff.Y.copy()
-    fwd2 = solve_forward_dual(model, 0.3, bundle)
-    reg = solve_backward_dual(model, 0.3, bundle, fwd2, method="lsmc", n_inner=512)
-    assert abs(y_aff[0] - reg.Y[0]) < 0.05
+    reg = solve_backward_dual(model, 0.3, bundle, fwd, method="lsmc", n_inner=512)
+    assert abs(aff.Y[0] - reg.Y[0]) < 0.05
+
+
+def test_backward_solve_leaves_the_forward_solution_alone():
+    """The backward solve returns a new solution; the forward one it was
+    given stays unsolved, so one forward solve feeds several regimes."""
+    model, jump, sub, p = build_model("linear_test")
+    bundle = make_ensemble(sub, jump, 0.7, 0.01, 1, master_seed=33)[0]
+    fwd = solve_forward_dual(model, 0.3, bundle)
+    X = fwd.X.copy()
+    sol = solve_backward_dual(model, 0.3, bundle, fwd, method="affine")
+    assert sol is not fwd and sol.Y is not None
+    assert fwd.Y is None and fwd.A is None and fwd.r is None
+    assert np.array_equal(fwd.X, X) and np.array_equal(sol.X, X)
 
 
 def test_lsmc_volatility_integrand_scale():
@@ -454,8 +463,8 @@ def test_affine_needs_flags_and_open_loop():
     with pytest.raises(ValueError, match="open-loop"):
         evaluate_cost(lin, fb, [b2], method="affine")
     # the automatic choice falls back to regression, as evaluate_cost's does
-    auto = solve_backward_dual(lin, fb, b2, solve_forward_dual(lin, fb, b2))
-    lsmc = solve_backward_dual(lin, fb, b2, solve_forward_dual(lin, fb, b2), method="lsmc")
+    auto = solve_backward_dual(lin, fb, b2, f2)
+    lsmc = solve_backward_dual(lin, fb, b2, f2, method="lsmc")
     for name in ("Y", "A", "r"):
         assert np.array_equal(getattr(auto, name), getattr(lsmc, name))
 
@@ -492,6 +501,20 @@ def test_compose_duality_reads_the_staircase():
     assert flat.X[1] == flat.X[2]
     assert flat.X[1] == sol.X[2]
     assert flat.X[-1] == flat.X[-2]
+
+
+def test_composed_integrands_read_zero_at_the_horizon():
+    """A and r read 0 wherever E(t) is the horizon K du, as the padded
+    layout holds them past a horizon, and the step at E(t)/du before it."""
+    model, jump, sub, p = build_model("linear_test")
+    bundle = manual_bundle([0.0, 0.1, 0.2, 0.8, 0.9, 1.3], 0.1, 1.0, seed=2)
+    sol = solve_backward_dual(model, 0.3, bundle, solve_forward_dual(model, 0.3, bundle))
+    assert bundle.solver_steps == 4 and np.all(sol.A != 0.0)
+    cal = compose_duality(sol, bundle.inverse)
+    # matched grid: [0, .1, .2, .8, .9, 1.0] reads steps [0, 1, 2, 3, K, K]
+    assert cal.A[-1] == 0.0 and cal.A[-2] == 0.0
+    assert np.array_equal(cal.A[:4], sol.A)
+    assert np.array_equal(cal.r[:4], sol.r) and np.all(cal.r[4:] == 0.0)
 
 
 def test_compose_duality_rejects_horizon_mismatch():

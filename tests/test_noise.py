@@ -237,7 +237,7 @@ def _staircase():
     from tcfbsde.time_change import SubordinatorPath
 
     values = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 3.0])
-    return SubordinatorPath(grid=grid, values=values, passage_time=0.5)
+    return SubordinatorPath(grid=grid, values=values)
 
 
 def test_compose_identity_and_flatness():

@@ -186,7 +186,7 @@ def test_grad_v_in_a_box_narrower_than_the_step():
 
 def zero_driver_model():
     return mk_model(phi=lambda x: 1.0 * x, gamma=lambda y: -y, M_T=1.0,
-                    linear=("f", "sigma", "b", "g"))
+                    affine=True)
 
 
 def test_adjoint_zero_driver_constants():
@@ -194,7 +194,7 @@ def test_adjoint_zero_driver_constants():
     _, jspec, sspec, _ = build_model("linear_test")
     (bnd,) = make_ensemble(sspec, jspec, 0.8, DU, 1, master_seed=40)
     sol = solve_backward_dual(model, 0.0, bnd, solve_forward_dual(model, 0.0, bnd))
-    adj = solve_adjoint(model, 0.0, bnd, sol)
+    adj = solve_adjoint(model, bnd, sol)
     # the difference probe of gamma leaves ~1e-12 relative noise in p(0)
     assert np.max(np.abs(adj.p - 1.0)) < 1e-11
     assert np.max(np.abs(adj.q + 1.0)) < 1e-11
@@ -208,7 +208,7 @@ def test_adjoint_matches_exponential_closed_forms():
     ctrl = ConstantControl(0.7)
     sol = solve_backward_dual(model, ctrl, bnd,
                               solve_forward_dual(model, ctrl, bnd))
-    adj = solve_adjoint(model, ctrl, bnd, sol)
+    adj = solve_adjoint(model, bnd, sol)
     K = bnd.solver_steps
     tau = 0.005 * np.arange(K + 1)
     # first adjoint decouples: dp = -p dE, p(0) = 1
@@ -229,8 +229,8 @@ def test_adjoint_ode_and_affine_regimes_agree():
     ctrl = ConstantControl(0.4)
     sol = solve_backward_dual(model, ctrl, bnd,
                               solve_forward_dual(model, ctrl, bnd))
-    a1 = solve_adjoint(model, ctrl, bnd, sol, method="affine")
-    a2 = solve_adjoint(model, ctrl, bnd, sol, method="ode")
+    a1 = solve_adjoint(model, bnd, sol, method="affine")
+    a2 = solve_adjoint(model, bnd, sol, method="ode")
     assert np.max(np.abs(a1.q - a2.q)) < 1e-10
     assert np.max(np.abs(a1.p - a2.p)) == 0.0
 
@@ -243,9 +243,9 @@ def test_adjoint_rejects_unflagged_nonlinear_model():
     sol = solve_backward_dual(model, 0.0, bnd,
                               solve_forward_dual(model, 0.0, bnd), method="ode")
     with pytest.raises(NotImplementedError):
-        solve_adjoint(model, 0.0, bnd, sol)
+        solve_adjoint(model, bnd, sol)
     with pytest.raises(KeyError):
-        solve_adjoint(model, 0.0, bnd, sol, method="spectral")
+        solve_adjoint(model, bnd, sol, method="spectral")
 
 
 def test_adjoint_margin_equals_cost_derivative():
@@ -261,7 +261,7 @@ def test_adjoint_margin_equals_cost_derivative():
     u = ConstantControl(0.3)
     wv = 1.1
     sols = solved_ensemble(model, u, bundles)
-    adjs = solve_adjoint_ensemble(model, u, bundles, sols)
+    adjs = solve_adjoint_ensemble(model, bundles, sols)
     assert max(np.max(np.abs(a.k)) for a in adjs) > 0.01
     assert max(np.max(np.abs(a.R)) for a in adjs) > 0.001
     du = 0.005
@@ -344,11 +344,11 @@ def test_forward_blow_up_names_the_system_and_the_path(system):
                                  control_set=Box(), conditionally_deterministic=True,
                                  derivatives={"l_y": lambda t1, t2, x, y, a, r, v: v * v})
                 sols = _solved_ensemble(model, huge, bundles)
-                solve_adjoint_ensemble(model, huge, bundles, sols, method="ode")
+                solve_adjoint_ensemble(model, bundles, sols, method="ode")
             else:
                 # f_v = 1e200 loads the direction into X1; the base stays put
                 model = mk_model(f=lambda t1, t2, x, v: 1e200 * v + 0.0 * x, M_T=0.0,
-                                 control_set=Box(), linear=("f", "sigma", "b", "g"))
+                                 control_set=Box(), affine=True)
                 expansion_check(model, 0.0, huge, [0.1], bundles)
 
 
@@ -364,7 +364,7 @@ def test_adjoint_and_variational_rows_match_single_paths(method):
 
     def solve(bnds):
         sols = _solved_ensemble(model, u, bnds)
-        adj = solve_adjoint_ensemble(model, u, bnds, sols, method=method)
+        adj = solve_adjoint_ensemble(model, bnds, sols, method=method)
         var = _variational_batch(model, u, d, Ensemble(bnds).rows(), sols.X, sols.Y,
                                  sols.A, sols.r, sols.v)
         return adj, var
@@ -403,8 +403,7 @@ def test_edge_ensembles_through_adjoints_margins_and_composition(paths, seed):
     """Zero-step, trapped-clock and single-path ensembles: the boundary
     conditions of the state pair and the adjoints hold on every row, the
     margin search returns finite margins, and each composed row reads the
-    dual row at E(t)/du, with A and r held at their last step at the
-    horizon and 0 on a zero-step path."""
+    padded row at E(t)/du, where A and r read 0 from the horizon on."""
     model, jspec, _ = lq_model()
     bundles = []
     for n, values in enumerate(paths):
@@ -413,7 +412,7 @@ def test_edge_ensembles_through_adjoints_margins_and_composition(paths, seed):
         bundles.append(bnd)
     ens, u = Ensemble(bundles), ConstantControl(0.5)
     sols = _solved_ensemble(model, u, ens)
-    adj = solve_adjoint_ensemble(model, u, ens, sols)
+    adj = solve_adjoint_ensemble(model, ens, sols)
     K, rows = ens.K, np.arange(len(ens))
     # X_0 = x0, Y_K = phi(X_K) = X_K, p_0 = -gamma_y(Y_0) = 1 and
     # q_K = -phi_x(X_K) p_K + h_x(X_K) = -p_K
@@ -421,7 +420,7 @@ def test_edge_ensembles_through_adjoints_margins_and_composition(paths, seed):
     assert np.max(np.abs(sols.Y[rows, K] - sols.X[rows, K])) < 1e-12
     assert np.max(np.abs(adj.p[:, 0] - 1.0)) < 1e-9
     assert np.max(np.abs(adj.q[rows, K] + adj.p[rows, K])) < 1e-8
-    rep = check_necessary_condition(model, u, ens, sols, adj, count=8, seed=0)
+    rep = check_necessary_condition(model, ens, sols, adj, count=8, seed=0)
     assert np.all(np.isfinite([[row["margin"], row["se"]] for row in rep.margins]))
     assert rep.margins[0]["margin"] == 0.0
     calendar = np.linspace(0.0, 1.0, 9)
@@ -432,9 +431,10 @@ def test_edge_ensembles_through_adjoints_margins_and_composition(paths, seed):
             idx = np.rint(inv.values / DU).astype(int)
             assert np.array_equal(cal.X, sols.X[n, idx])
             assert np.array_equal(cal.Y, sols.Y[n, idx])
+            live = idx < k
             for got, row in ((cal.A, sols.A[n]), (cal.r, sols.r[n])):
-                want = row[np.minimum(idx, k - 1)] if k else np.zeros(got.shape)
-                assert np.array_equal(got, want)
+                assert np.array_equal(got[live], row[idx[live]])
+                assert np.all(got[~live] == 0.0)
 
 
 def test_remainders_sit_on_the_floor_for_linear_models():
@@ -489,12 +489,11 @@ def test_necessary_condition_margins_at_the_optimum():
     bundles = make_ensemble(sspec, jspec, 1.0, DU, 48, master_seed=56)
     warm = ConstantControl(1.0)
     sols = solved_ensemble(model, warm, bundles)
-    adjs = solve_adjoint_ensemble(model, warm, bundles, sols)
+    adjs = solve_adjoint_ensemble(model, bundles, sols)
     ustar = optimal_lq_control(model, jspec, bundles, sols, adjs)
     sols2 = solved_ensemble(model, ustar, bundles)
-    adjs2 = solve_adjoint_ensemble(model, ustar, bundles, sols2)
-    rep = check_necessary_condition(model, ustar, bundles, sols2, adjs2,
-                                    count=32, seed=5)
+    adjs2 = solve_adjoint_ensemble(model, bundles, sols2)
+    rep = check_necessary_condition(model, bundles, sols2, adjs2, count=32, seed=5)
     # finite differencing of H leaves a ~1e-12 noise floor in each margin
     assert rep.min_margin > -5e-11
     assert rep.margins[0]["kind"] == "current"
@@ -508,21 +507,38 @@ def test_necessary_condition_flags_a_suboptimal_control():
     bundles = make_ensemble(sspec, jspec, 1.0, DU, 48, master_seed=21)
     bad = ConstantControl(2.0)
     sols = solved_ensemble(model, bad, bundles)
-    adjs = solve_adjoint_ensemble(model, bad, bundles, sols)
-    rep = check_necessary_condition(model, bad, bundles, sols, adjs,
-                                    count=24, seed=3)
+    adjs = solve_adjoint_ensemble(model, bundles, sols)
+    rep = check_necessary_condition(model, bundles, sols, adjs, count=24, seed=3)
     assert rep.min_margin < -5.0 * rep.std_error
     assert rep.min_margin < -0.1
+
+
+def test_margin_range_spans_the_live_rates_only():
+    """Under an unbounded box the candidates span the live rates (K > i)
+    widened by 1; the rate 0 parked in a zero-step path's padded row sets
+    no end of that range."""
+    model, jspec, _ = lq_model(box=(-np.inf, np.inf))
+    bundles = ragged_bundles(RAGGED_STEPS, jump_spec=jspec)
+    K, Kmax = np.array(RAGGED_STEPS), max(RAGGED_STEPS)
+    u = StepwiseControl(1.5 + 0.1 * np.arange(K.size)[:, None] + 0.02 * np.arange(Kmax))
+    sols = _solved_ensemble(model, u, bundles)
+    live = sols.v[np.arange(Kmax) < K[:, None]]
+    assert live.min() > 1.0 and np.any(sols.v[K == 0] == 0.0)
+    rep = check_necessary_condition(model, bundles, sols,
+                                    solve_adjoint_ensemble(model, bundles, sols), count=16)
+    levels = [row["value"] for row in rep.margins if row["kind"] == "constant"]
+    levels += [x for row in rep.margins if row["kind"] == "switch" for x in row["levels"]]
+    assert len(levels) == 7 + 2 * 8
+    assert all(live.min() - 1.0 <= x <= live.max() + 1.0 for x in levels)
 
 
 def test_necessary_condition_rejects_empty_candidates():
     model, jspec, sspec = lq_model()
     bundles = make_ensemble(sspec, jspec, 0.5, DU, 2, master_seed=57)
     sols = solved_ensemble(model, ConstantControl(0.5), bundles)
-    adjs = solve_adjoint_ensemble(model, ConstantControl(0.5), bundles, sols)
+    adjs = solve_adjoint_ensemble(model, bundles, sols)
     with pytest.raises(ValueError, match="empty"):
-        check_necessary_condition(model, ConstantControl(0.5), bundles, sols,
-                                  adjs, count=0)
+        check_necessary_condition(model, bundles, sols, adjs, count=0)
 
 
 def test_sufficiency_report_on_a_convex_model():
@@ -543,7 +559,7 @@ def test_sufficiency_report_catches_concave_terminal_cost():
         f=model.f, sigma=model.sigma, b=model.b, g=model.g, phi=model.phi,
         l=model.l, h=lambda x: -x ** 2, gamma=model.gamma,
         control_set=model.control_set, x0=model.x0, M_T=model.M_T,
-        linear=tuple(model.linear))
+        affine=model.affine)
     rep = check_sufficient_condition_hypotheses(spoiled, jspec,
                                                 n_samples=250, seed=2)
     assert not rep.h_convex

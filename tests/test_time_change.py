@@ -96,7 +96,6 @@ def test_sample_subordinator_passes_horizon():
     assert path.values[-1] > 1.0
     assert path.values[-2] <= 1.0
     assert path.passage_time == path.grid.horizon
-    assert path.passage_index == path.values.size - 1
 
 
 def test_sample_subordinator_grows_small_grids():
@@ -185,7 +184,7 @@ def _staircase_example():
     # D(u) = u on the grid below 0.5, then a jump to 3 at u = 0.5
     grid = OperationalGrid(step=0.1, horizon=0.5)
     values = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 3.0])
-    return SubordinatorPath(grid=grid, values=values, passage_time=0.5)
+    return SubordinatorPath(grid=grid, values=values)
 
 
 def test_inverse_flat_across_jump():
@@ -256,9 +255,9 @@ def test_matched_calendar_grid_alignment():
 def test_path_validation():
     grid = OperationalGrid(0.1, 0.3)
     with pytest.raises(ValueError):
-        SubordinatorPath(grid=grid, values=np.array([0.0, 0.1, 0.05, 0.2]), passage_time=0.3)
+        SubordinatorPath(grid=grid, values=np.array([0.0, 0.1, 0.05, 0.2]))
     with pytest.raises(ValueError):
-        SubordinatorPath(grid=grid, values=np.array([0.1, 0.2, 0.3, 0.4]), passage_time=0.3)
+        SubordinatorPath(grid=grid, values=np.array([0.1, 0.2, 0.3, 0.4]))
     with pytest.raises(ValueError):
         InversePath(calendar_grid=np.array([0.0, 0.5]), values=np.array([0.3, 0.1]))
     with pytest.raises(ValueError):

@@ -20,6 +20,19 @@ The outputs reach a few private solver entry points
 how ``certify_optimality`` sets up its margin search; a tree that renames
 those entry points or changes that set-up needs this script updated in the
 same change.
+
+A change that alters a signature the dump calls leaves this script unable
+to dump the other tree.  Dump each tree with a script that fits it
+instead: the change's own script, and for the parent a copy of it (kept
+outside both trees) with only those calls put back to the parent's
+signatures.  Then compare the two files with ``compare_files``:
+
+    python3 tools/compare_outputs.py --dump CHANGE_DIR/src change.npz
+    python3 COPY_OF_SCRIPT --dump PARENT_DIR/src parent.npz
+    python3 -c 'import sys; sys.path.insert(0, "tools"); import compare_outputs as c; sys.exit(c.compare_files("parent.npz", "change.npz"))'
+
+Run that way, the dump does not pin the BLAS thread count; export
+OMP_NUM_THREADS=1 (as ``run_tree`` does) for byte-stable outputs.
 """
 
 import json
@@ -108,12 +121,13 @@ def dump(out_path):
     lens = ens[:100]
     cases = [("cash", cmodel, ustar, cens, ("affine", "ode")),
              ("linear_test", lin, fbsde.ConstantControl(0.5), lens, (None,))]
+    solved = {}
     for name, model, ctl, bundles, methods in cases:
-        sols = fbsde._solved_ensemble(model, ctl, bundles)
+        sols = solved[name] = fbsde._solved_ensemble(model, ctl, bundles)
         for field in ("Y", "A", "r"):
             out[f"solved.{name}.{field}"] = getattr(sols, field)
         for method in methods:
-            adj = smp.solve_adjoint_ensemble(model, ctl, bundles, sols, method=method)
+            adj = smp.solve_adjoint_ensemble(model, bundles, sols, method=method)
             for field in ("p", "q", "k", "R"):
                 out[f"adjoint.{name}.{method or 'auto'}.{field}"] = getattr(adj, field)
         var = smp._variational_batch(model, ctl, fbsde.ConstantControl(1.0),
@@ -121,6 +135,12 @@ def dump(out_path):
                                      sols.X, sols.Y, sols.A, sols.r, sols.v)
         for field, val in zip(("X1", "Y1", "A1", "r1", "vd"), var):
             out[f"variational.{name}.{field}"] = val
+
+    # the calendar clock: the first 20 linear_test rows composed through
+    # their bundles' inverses, which pins what A and r read at the horizon
+    cal = [fbsde.compose_duality(solved["linear_test"][n], lens[n].inverse) for n in range(20)]
+    for field in ("X", "Y", "A", "r"):
+        out[f"compose.linear_test.{field}"] = np.concatenate([getattr(c, field) for c in cal])
 
     # the margin search's 64 margins: the cash certificate's (u* on the
     # seed-0 1,024-path lead) and linear_test's under its general adjoints
@@ -136,8 +156,8 @@ def dump(out_path):
             ("cash", cmodel, ustar_cert, lead, fbsde._solved_ensemble(cmodel, ustar_cert, lead),
              cash.cash_adjoints(spec, lead)),
             ("linear_test", lin, lin_ctl, lin_ens, lin_sols,
-             smp.solve_adjoint_ensemble(lin, lin_ctl, lin_ens, lin_sols))):
-        rep = smp.check_necessary_condition(model, ctl, bundles, sols, adj, count=64, seed=0)
+             smp.solve_adjoint_ensemble(lin, lin_ens, lin_sols))):
+        rep = smp.check_necessary_condition(model, bundles, sols, adj, count=64, seed=0)
         out[f"margins.{name}"] = np.array([row["margin"] for row in rep.margins])
 
     for name, model, bundles in (("cash", cmodel, cens), ("linear_test", lin, lens)):
@@ -192,6 +212,23 @@ def compare(a, b):
     return "moved", float(diff.max(initial=0.0)), float(rel.max(initial=0.0))
 
 
+def compare_files(old_path, new_path):
+    """Print one line per output of two dumps; 1 when any differs, else 0."""
+    with np.load(old_path) as f0, np.load(new_path) as f1:
+        old, new = dict(f0), dict(f1)
+    bad = 0
+    print(f"{'output':<36} {'status':<10} {'max abs':>10} {'max rel':>10}")
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old or key not in new:
+            status, dabs, drel = "missing", float("nan"), float("nan")
+        else:
+            status, dabs, drel = compare(old[key], new[key])
+        bad += status != "identical"
+        print(f"{key:<36} {status:<10} {dabs:>10.3g} {drel:>10.3g}")
+    print(f"{len(old.keys() | new.keys()) - bad} identical, {bad} differ")
+    return 1 if bad else 0
+
+
 def main(argv):
     if len(argv) == 3 and argv[0] == "--dump":
         src = Path(argv[1]).resolve()
@@ -207,19 +244,7 @@ def main(argv):
         files = [os.path.join(tmp, f"tree{i}.npz") for i in (0, 1)]
         for tree, path in zip(argv, files):
             run_tree(tree, path)
-        with np.load(files[0]) as f0, np.load(files[1]) as f1:
-            old, new = dict(f0), dict(f1)
-    bad = 0
-    print(f"{'output':<36} {'status':<10} {'max abs':>10} {'max rel':>10}")
-    for key in sorted(old.keys() | new.keys()):
-        if key not in old or key not in new:
-            status, dabs, drel = "missing", float("nan"), float("nan")
-        else:
-            status, dabs, drel = compare(old[key], new[key])
-        bad += status != "identical"
-        print(f"{key:<36} {status:<10} {dabs:>10.3g} {drel:>10.3g}")
-    print(f"{len(old.keys() | new.keys()) - bad} identical, {bad} differ")
-    return 1 if bad else 0
+        return compare_files(*files)
 
 
 if __name__ == "__main__":
