@@ -13,23 +13,23 @@ passage, jump events): make_ensemble draws each path's named substreams
 straight into them, and Ensemble(bundles) packs a list into the same
 arrays.  An integer index rebuilds one PathBundle as views, whose inverse
 clock is computed only when read; no ensemble solver reads one.  The
-Ensemble gathers the padded arrays of any rows into the one layout every
-solver reads (a _Batch, width Kmax, cells past a row's horizon held or
-zero); the LSMC inner ensembles are drawn straight into the same layout.
-Ensemble-wide solves sort the rows by K and cut that order into batches,
-so a batch pads only to paths of similar horizon, and scatter per-row
-results back to ensemble order; solved ensembles stay padded
-(EnsembleSolution) up to the certificate.  A path reads the control row
-of its label: its position in the ensemble an entry point is given, or
-the seeds["path"] of a bundle solved alone.
+Ensemble gathers the padded arrays of any rows, in K order, into the one
+layout every solver reads (a _Batch, width Kmax, cells past a row's
+horizon held or zero); the LSMC inner ensembles are drawn straight into
+the same layout.  Ensemble-wide solves sort the rows by K (the cost cuts
+that order into batches, so each pads only to paths of similar horizon)
+and scatter per-row results back to ensemble order before any mean;
+solved ensembles stay padded (EnsembleSolution) up to the certificate.
+A path reads the control row of its label: its position in the ensemble
+an entry point is given, or the seeds["path"] of a bundle solved alone.
 
 Every forward system (the state here, the first adjoint and the
 variational state in smp) runs through one explicit Euler kernel, _euler:
 z_{i+1} = z_i + a du + s dB_i + (the step's event jumps) - lam du int c,
-stepped on the rows live at step i only (a suffix of a K-sorted batch),
-so no padded cell is computed and no control is read past a horizon;
-each row holds its value past its horizon, and a non-finite value raises
-naming the system, the step and the path.
+stepped on the rows live at step i only (a suffix of the K-sorted
+batch), so no padded cell is computed and no control is read past a
+horizon; each row holds its value past its horizon, and a non-finite
+value raises naming the system, the step and the path.
 
 Every backward solve goes through one dispatcher, _backward_batch, which
 resolves the regime (backward_method) and runs that regime's batched
@@ -261,6 +261,8 @@ class ModelSpec:
         return self.affine and self.linear_terminal
 
     def _validate(self):
+        if not np.isfinite(self.x0):
+            raise ValueError(f"initial state x0 must be finite, got {self.x0}")
         v0 = self.control_set.interior_point()
         probes = [
             self.f(0.0, 0.0, 0.0, v0), self.sigma(0.0, 0.0, 0.0, v0),
@@ -438,8 +440,9 @@ class Ensemble:
         return flat[self.start[idx, None] + np.minimum(np.arange(K.max() + 1), K[:, None])]
 
     def rows(self, idx=None, labels=None) -> "_Batch":
-        """The padded layout of rows ``idx`` (all, in order, by default),
-        labelled by ``labels`` (their ensemble positions by default)."""
+        """The padded layout of rows ``idx`` (all, in ensemble order, by
+        default), labelled by ``labels`` (their ensemble positions by
+        default).  The rows must come in K order, else ValueError."""
         idx = np.arange(len(self)) if idx is None else np.asarray(idx, dtype=int)
         B = self.padded(self.brownian, idx)
         n_ev = self.ev_n[idx]
@@ -468,16 +471,17 @@ def make_ensemble(sub_spec: SubordinatorSpec, jump_spec: LevyJumpSpec,
     values and jump events, on the subordinator's grid up to first
     passage, from the "brownian" and "jumps" substreams of index
     pairing[i] (i by default); all three are drawn straight into the
-    Ensemble's flat arrays.  ``pairing`` (a permutation) re-pairs
-    subordinator draws with other indices' noise, which must leave every
-    ensemble statistic's law unchanged; the cost-independence test relies
-    on that.
+    Ensemble's flat arrays.  ``pairing`` (a permutation of
+    range(n_paths), else ValueError) re-pairs subordinator draws with
+    other indices' noise, which must leave every ensemble statistic's law
+    unchanged; the cost-independence test relies on that.
     """
     if n_paths < 1:
         raise ValueError("ensemble must contain at least one path")
-    if pairing is None:
-        pairing = np.arange(n_paths)
-    pairing = np.asarray(pairing, dtype=int)
+    pairing = np.arange(n_paths) if pairing is None else np.asarray(pairing)
+    if not np.array_equal(np.sort(pairing), np.arange(n_paths)):
+        raise ValueError(f"pairing must be a permutation of range({n_paths})")
+    pairing = pairing.astype(int)
     guess = max(step, 1.2 * calendar_horizon**sub_spec.alpha)
     grid = OperationalGrid(step, step * max(4, math.ceil(guess / step)))
     times, k = sample_subordinators(
@@ -497,7 +501,7 @@ def make_ensemble(sub_spec: SubordinatorSpec, jump_spec: LevyJumpSpec,
         brownian=brownian, ev_time=np.concatenate(ev_time), ev_mark=np.concatenate(ev_mark),
         ev_len=np.array([t.size for t in ev_time], dtype=int),
         seeds=np.column_stack([np.full(n_paths, int(master_seed)), np.arange(n_paths)]),
-        noise=pairing[:n_paths].copy())
+        noise=pairing)
 
 
 # ----------------------------------------------------------------- solutions
@@ -574,7 +578,10 @@ class _Batch:
     ev_start[i] on.  ``labels`` are the control rows the paths read, so
     sorting and chunking never change them; ``seeds`` holds each row's
     (master, path) seed pair, which names its LSMC inner substreams (None
-    for inner rows).  ``live(i)`` gives the rows with K > i.
+    for inner rows).  The rows come in K order, else ValueError, so
+    ``live(i)``, the rows with K > i, is a suffix.  The kernels pair a
+    batch with loose padded arrays (X, Y, A, r, v) by row number, which
+    callers gather in the same order.
     """
 
     def __init__(self, t, dB, K, ev_p, ev_s, ev_z, labels, spec: LevyJumpSpec, du: float,
@@ -586,16 +593,13 @@ class _Batch:
         order = np.argsort(ev_s, kind="stable")
         self.ev_p, self.ev_s, self.ev_z = ev_p[order], ev_s[order], ev_z[order]
         self.ev_start = np.searchsorted(self.ev_s, np.arange(self.Kmax + 1))
-        # in a K-sorted batch the rows live at step i are the suffix from
-        # lo[i]; any other batch finds them by a scan
-        self._lo = (np.searchsorted(K, np.arange(self.Kmax), side="right")
-                    if np.all(K[1:] >= K[:-1]) else None)
+        if np.any(K[1:] < K[:-1]):
+            raise ValueError("batch rows must be sorted by solver steps K")
+        # the rows live at step i are the suffix from lo[i]
+        self._lo = np.searchsorted(K, np.arange(self.Kmax), side="right")
 
-    def live(self, i: int):
-        """The rows with K > i: a slice (its rows read as views) of a
-        K-sorted batch, else an index array, in row order either way."""
-        if self._lo is None:
-            return np.flatnonzero(self.K > i)
+    def live(self, i: int) -> slice:
+        """The rows with K > i: a suffix slice, whose rows read as views."""
         return slice(int(self._lo[i]), None)
 
 
@@ -642,7 +646,7 @@ def _euler(batch: _Batch, z0, coeffs, jumps, system: str) -> np.ndarray:
     """The explicit Euler recursion of a scalar forward system, padded.
 
     z_{i+1} = z_i + a du + s dB_i + (the step's event jumps) - lam du int c,
-    stepped on the rows live at step i (``batch.live(i)``) only.
+    stepped on the rows live at step i (``batch.live(i)``, a suffix) only.
     ``coeffs(i, rows, z)`` gives the drift a, the Brownian loading s and the
     nodewise compensator integrand c of step i on ``rows``, whose values
     are ``z``; ``jumps(i, z, sl, p)`` gives the jump of each event in
@@ -810,8 +814,8 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
     The coefficients ``co`` may take any shape that broadcasts against
     the (N, Kmax) layout, (N, Kmax, nodes) for ``bx`` and ``b0``, whose
     mark integrals are taken over the shape they come in.  P and c start
-    at the terminal pair in every cell and step i updates the rows live
-    at it (``batch.live(i)``) only, so each row holds the terminal pair
+    at the terminal pair in every cell and step i updates its live rows
+    (the suffix ``batch.live(i)``) only, so each row holds the terminal pair
     from its horizon on and no padded coefficient cell is read by the
     recursion.  A and r do not feed it: A is built after it in one pass
     from P_{i+1} and zeroed past each horizon, and r is kept as P with
@@ -969,8 +973,7 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256):
     Y[:] = np.broadcast_to(np.asarray(model.phi(XT), dtype=float), (N,))[:, None]
     A = np.zeros((N, Kmax))
     r = np.zeros((N, Kmax, w.size))
-    order = np.argsort(batch.K, kind="stable")
-    order = order[batch.K[order] > 0]
+    order = np.flatnonzero(batch.K)
     size = max(1, _LSMC_ROWS // n_inner)
     ridge_eye = _LSMC_RIDGE * np.eye(_LSMC_DEGREE + 1)
     for lo in range(0, order.size, size):
@@ -1227,9 +1230,9 @@ def _step_sum(batch: _Batch, cell) -> np.ndarray:
     """Each row's sum over its steps i < K of lam du int cell(i, rows),
     taken in step order: the running cost and the Gateaux integral.
     ``cell`` gives the nodewise integrand of step i on ``rows``, the rows
-    live at it (``batch.live(i)``), so no padded cell is evaluated; the
-    running cost reads r there as _NodeCells, which builds that step's
-    cells of those rows only."""
+    live at it (the suffix ``batch.live(i)``), so no padded cell is
+    evaluated; the running cost reads r there as _NodeCells, which builds
+    that step's cells of those rows only."""
     lam_du = batch.spec.intensity * batch.du
     run = np.zeros(batch.N)
     for i in range(batch.Kmax):

@@ -56,6 +56,7 @@ from .fbsde import (
     _probe_affine,
     _single,
     _solver_grid,
+    _sorted_batches,
     _step_args,
     _step_sum,
     as_control,
@@ -340,16 +341,18 @@ def solve_adjoint(model: ModelSpec, bundle: PathBundle, solution: FBSDESolution,
 def solve_adjoint_ensemble(model: ModelSpec, bundles, solutions: EnsembleSolution,
                            method=None) -> EnsembleAdjoint:
     """Vectorized adjoint solve over an ensemble of solved trajectories,
-    whose rates solutions.v are the control.
+    whose rates solutions.v are the control, on one K-sorted batch whose
+    rows return to ensemble order.
 
     Regime selection: by default the affine closure, which needs a model
     that is affine with a linear terminal (affine_solvable) and a
     state-free first adjoint, and a loud refusal otherwise; an explicit
     method="ode" solves adjoints that carry no noise.
     """
-    batch = as_ensemble(bundles).rows()
-    _matching(batch.K, solutions)
-    X, Y, v, A, r = solutions.X, solutions.Y, solutions.v, solutions.A, solutions.r
+    ens = as_ensemble(bundles)
+    _matching(ens.K, solutions)
+    (idx, batch), = _sorted_batches(ens, len(ens))
+    X, Y, A, r, v = (getattr(solutions, name)[idx] for name in "XYArv")
     p = _p_forward_batch(model, batch, X, Y, A, r, v)
     method = "affine" if method is None else method
     if method == "affine":
@@ -371,7 +374,8 @@ def solve_adjoint_ensemble(model: ModelSpec, bundles, solutions: EnsembleSolutio
            + np.asarray(model_derivative(model, "h_x")(xT), dtype=float))
     if np.any(np.abs(q[rows, batch.K] - tgt) > 1e-8 * (1.0 + np.abs(tgt))):
         raise AssertionError("adjoint terminal condition violated")
-    return EnsembleAdjoint(K=batch.K, du=batch.du, t=batch.t, p=p, q=q, k=k, R=R)
+    back = np.argsort(idx)
+    return EnsembleAdjoint(ens.K, ens.du, *(a[back] for a in (batch.t, p, q, k, R)))
 
 
 # ------------------------------------------------------------- variational
@@ -477,12 +481,15 @@ def expansion_check(model: ModelSpec, control, direction, rhos, bundles) -> tupl
       norms), all mean-square over the ensemble; common noise makes their
       decay deterministic.
 
-    Every solve takes backward_method's automatic regime.  Returns
-    (gateaux_rows, remainder_rows).
+    Every solve takes backward_method's automatic regime, on one K-sorted
+    batch whose per-path results return to ensemble order before every
+    mean.  Returns (gateaux_rows, remainder_rows).
     """
     control = as_control(control)
     direction = as_control(direction)
-    batch = as_ensemble(bundles).rows()
+    ens = as_ensemble(bundles)
+    (idx, batch), = _sorted_batches(ens, len(ens))
+    back = np.argsort(idx)
     vals_u, X, Y, v, A, r = _batch_cost(model, control, batch)
     r = r.table()
     X1, Y1, A1, r1, vd = _variational_batch(model, control, direction, batch,
@@ -503,12 +510,13 @@ def expansion_check(model: ModelSpec, control, direction, rhos, bundles) -> tupl
     X1T = X1[np.arange(N), batch.K]
     rhs_p += np.asarray(d_hx(XT), dtype=float) * X1T
     rhs_p += np.asarray(d_gam(Y[:, 0]), dtype=float) * Y1[:, 0]
+    rhs_p = rhs_p[back]
     rhs = float(rhs_p.mean())
     gateaux, remainder = [], []
     for rho in rhos:
         pert = PerturbedControl(control, direction, float(rho))
         vals_r, Xr, Yr, _, Ar, rr = _batch_cost(model, pert, batch)
-        lhs_p = (vals_r - vals_u) / rho
+        lhs_p = ((vals_r - vals_u) / rho)[back]
         gap = lhs_p - rhs_p
         gateaux.append(dict(
             rho=float(rho),
@@ -517,10 +525,10 @@ def expansion_check(model: ModelSpec, control, direction, rhos, bundles) -> tupl
             diff=abs(float(gap.mean())),
             se=float(gap.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0,
         ))
-        Xt = (Xr - X) / rho - X1
-        Yt = (Yr - Y) / rho - Y1
-        At = (Ar - A) / rho - A1
-        rt = (rr.table() - r) / rho - r1
+        Xt = ((Xr - X) / rho - X1)[back]
+        Yt = ((Yr - Y) / rho - Y1)[back]
+        At = ((Ar - A) / rho - A1)[back]
+        rt = ((rr.table() - r) / rho - r1)[back]
         remainder.append(dict(
             rho=float(rho),
             x2=float(np.max(np.mean(Xt ** 2, axis=0))),

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import cash_q_candidate
 from support import RAGGED_STEPS, lq_model, manual_bundle, mk_model, ragged_bundles
+from tcfbsde import fbsde, smp
 from tcfbsde.cash import CashSpec, build_cash_model
 from tcfbsde.fbsde import (
     Box,
@@ -25,6 +26,7 @@ from tcfbsde.fbsde import (
     evaluate_cost,
     make_ensemble,
     solve_backward_dual,
+    solve_calendar_direct,
     solve_forward_dual,
 )
 from tcfbsde.noise import LevyJumpSpec
@@ -248,6 +250,95 @@ def test_adjoint_rejects_unflagged_nonlinear_model():
         solve_adjoint(model, bnd, sol, method="spectral")
 
 
+def _closure_case(**maps):
+    """The zero model of mk_model with ``maps``, declared affine with a
+    linear terminal, solved on four paths under a constant control."""
+    model = mk_model(M_T=0.0, affine=True, **maps)
+    assert model.affine_solvable
+    _, jspec, sspec, _ = build_model("linear_test")
+    bundles = make_ensemble(sspec, jspec, 0.5, DU, 4, master_seed=60)
+    return model, bundles, _solved_ensemble(model, ConstantControl(0.5), bundles)
+
+
+@pytest.mark.parametrize("l", [
+    lambda t1, t2, x, y, a, r, v: x * y,               # l_y = x moves with the state
+    lambda t1, t2, x, y, a, r, v: 0.1 * a + 0.0 * x,   # l_a = 0.1 loads p with noise
+], ids=["state-dependent", "noise-loaded"])
+def test_adjoint_closure_needs_a_state_free_first_adjoint(l):
+    """An affine_solvable model whose first adjoint is not a functional of
+    the clock alone is refused by the automatic regime: one model per way
+    _p_state_free says no."""
+    model, bundles, sols = _closure_case(l=l)
+    with pytest.raises(NotImplementedError, match="state-free first adjoint"):
+        solve_adjoint_ensemble(model, bundles, sols)
+
+
+def test_adjoint_closure_needs_a_cost_gradient_affine_in_the_state():
+    """l = x^3 leaves the first adjoint state-free, but l_x = 3 x^2 is not
+    affine in x, so the closure q = cq + Pq X does not hold."""
+    model, bundles, sols = _closure_case(l=lambda t1, t2, x, y, a, r, v: x**3)
+    with pytest.raises(NotImplementedError, match="cost gradients affine in the state"):
+        solve_adjoint_ensemble(model, bundles, sols)
+
+
+def test_adjoint_closure_needs_a_cost_gradient_free_of_y_a_r():
+    """l = x y gives l_x = y.  Through solve_adjoint_ensemble _p_state_free
+    refuses first (l_y = x moves with the state), so the second adjoint's
+    own check is called directly on the solved path."""
+    model, bundles, _ = _closure_case(l=lambda t1, t2, x, y, a, r, v: x * y)
+    bnd = bundles[0]
+    sol = solve_backward_dual(model, 0.5, bnd, solve_forward_dual(model, 0.5, bnd))
+    row = smp._one_row(bnd, sol)
+    batch = fbsde._single(bnd)
+    args = (row.X, row.Y, row.A, row.r, row.v)
+    p = smp._p_forward_batch(model, batch, *args)
+    with pytest.raises(NotImplementedError, match=r"cost gradients free of \(y, a, r\)"):
+        smp._q_affine_batch(model, batch, *args, p)
+
+
+def test_adjoint_and_variational_checks_fire(monkeypatch):
+    """The adjoint's initial and terminal conditions and the variational
+    terminal condition are checked on the kernels' output: each check
+    passes on the clean output and fires when one cell of it is off."""
+    model, jspec, sspec = lq_model()
+    bundles = make_ensemble(sspec, jspec, 1.0, DU, 4, master_seed=61)
+    u = ConstantControl(0.5)
+    sols = _solved_ensemble(model, u, bundles)
+    solve_adjoint_ensemble(model, bundles, sols)
+    bnd = bundles[0]
+    sol = solve_backward_dual(model, u, bnd, solve_forward_dual(model, u, bnd))
+    solve_variational(model, u, ConstantControl(1.0), bnd, sol)
+
+    p_solve, q_solve, var_solve = (smp._p_forward_batch, smp._q_affine_batch,
+                                   smp._variational_batch)
+
+    def p_off(model, batch, *args):
+        p = p_solve(model, batch, *args)
+        p[0, 0] += 1e-6
+        return p
+
+    def q_off(model, batch, *args):
+        q, k, R = q_solve(model, batch, *args)
+        q[-1, batch.K[-1]] += 1e-6
+        return q, k, R
+
+    def y1_off(model, control, direction, batch, *args):
+        X1, Y1, A1, r1, vd = var_solve(model, control, direction, batch, *args)
+        Y1[0, batch.K[0]] += 1e-6
+        return X1, Y1, A1, r1, vd
+
+    monkeypatch.setattr(smp, "_p_forward_batch", p_off)
+    with pytest.raises(AssertionError, match="^adjoint initial condition violated$"):
+        solve_adjoint_ensemble(model, bundles, sols)
+    monkeypatch.undo()
+    monkeypatch.setattr(smp, "_q_affine_batch", q_off)
+    with pytest.raises(AssertionError, match="^adjoint terminal condition violated$"):
+        solve_adjoint_ensemble(model, bundles, sols)
+    monkeypatch.setattr(smp, "_variational_batch", y1_off)
+    with pytest.raises(AssertionError, match="^variational terminal condition violated$"):
+        solve_variational(model, u, ConstantControl(1.0), bnd, sol)
+
+
 def test_adjoint_margin_equals_cost_derivative():
     """The duality identity tying (p, q, k, R) to the cost gradient.
 
@@ -322,6 +413,28 @@ def test_variational_needs_open_loop():
         solve_variational(model, fb, ConstantControl(1.0), bnd, sol)
 
 
+def test_variational_needs_a_state_affine_model():
+    """The linearized pair runs on the affine kernels, so a model that is
+    not affine_solvable is refused even under open-loop controls."""
+    model = mk_model(conditionally_deterministic=True)
+    _, jspec, sspec, _ = build_model("linear_test")
+    (bnd,) = make_ensemble(sspec, jspec, 0.5, DU, 1, master_seed=53)
+    sol = solve_backward_dual(model, 0.2, bnd, solve_forward_dual(model, 0.2, bnd))
+    with pytest.raises(NotImplementedError, match="state-affine models only"):
+        solve_variational(model, ConstantControl(0.2), ConstantControl(1.0), bnd, sol)
+
+
+def test_calendar_direct_solves_no_backward_part_of_a_model_that_is_not_affine():
+    """solve_calendar_direct runs its backward recursion on affine_solvable
+    models only; any other gets the forward state and Y = None."""
+    model = mk_model(f=lambda t1, t2, x, v: -x**3 + 0.0 * v)
+    _, jspec, sspec, _ = build_model("linear_test")
+    (bnd,) = make_ensemble(sspec, jspec, 0.5, DU, 1, master_seed=54)
+    X, Y, tgrid = solve_calendar_direct(model, 0.2, bnd)
+    assert Y is None
+    assert X.shape == tgrid.shape and np.all(np.isfinite(X))
+
+
 @pytest.mark.parametrize("system", ["state", "adjoint", "variational"])
 def test_forward_blow_up_names_the_system_and_the_path(system):
     """The state, the first adjoint and the variational state share one
@@ -365,9 +478,12 @@ def test_adjoint_and_variational_rows_match_single_paths(method):
     def solve(bnds):
         sols = _solved_ensemble(model, u, bnds)
         adj = solve_adjoint_ensemble(model, bnds, sols, method=method)
-        var = _variational_batch(model, u, d, Ensemble(bnds).rows(), sols.X, sols.Y,
-                                 sols.A, sols.r, sols.v)
-        return adj, var
+        # a batch holds its rows in K order: gather the solved rows in that
+        # order and put the variational rows back in ensemble order
+        order = np.argsort(sols.K, kind="stable")
+        var = _variational_batch(model, u, d, Ensemble(bnds).rows(order),
+                                 *(getattr(sols, f)[order] for f in "XYArv"))
+        return adj, [a[np.argsort(order)] for a in var]
 
     adj, var = solve(bundles)
     for n, (k, bnd) in enumerate(zip(RAGGED_STEPS, bundles)):

@@ -4,14 +4,14 @@
 
 Each tree's ``src/`` is imported in a subprocess of its own, which dumps a
 fixed set of outputs (certificates, costs under each backward regime,
-solved ensembles, adjoints, margins, variational pairs and forward
-ingredients, all at fixed seeds) to an ``.npz`` file, and the sampled
-ensembles themselves (their padded layout and the bundles of a few paths).
-The costs include linear_test twins whose running cost reads r, so the
-backward solve's jump cells reach a compared output; one of them has a
-jump coefficient with both an x-slope and a constant, which pins the
-operation order of those cells.  The script
-then prints one line per output: ``identical`` when dtype, shape and bytes
+solved ensembles, adjoints, margins, variational pairs, expansion tables
+and forward ingredients, all at fixed seeds) to an ``.npz`` file, and the
+sampled ensembles themselves (their padded layout, rows in K order, and
+the bundles of a few paths).  The costs include linear_test twins whose
+running cost reads r, so the backward solve's jump cells reach a compared
+output; one of them has a jump coefficient with both an x-slope and a
+constant, which pins the operation order of those cells.  The script then
+prints one line per output: ``identical`` when dtype, shape and bytes
 agree, else ``moved`` with the largest absolute and relative difference.
 It exits 1 when any output differs or is missing from one tree.
 
@@ -130,11 +130,21 @@ def dump(out_path):
             adj = smp.solve_adjoint_ensemble(model, bundles, sols, method=method)
             for field in ("p", "q", "k", "R"):
                 out[f"adjoint.{name}.{method or 'auto'}.{field}"] = getattr(adj, field)
+        # a batch holds its rows in K order: gather the solved rows in that
+        # order and put the variational rows back in ensemble order
+        order = np.argsort(sols.K, kind="stable")
         var = smp._variational_batch(model, ctl, fbsde.ConstantControl(1.0),
-                                     fbsde.as_ensemble(bundles).rows(),
-                                     sols.X, sols.Y, sols.A, sols.r, sols.v)
+                                     fbsde.as_ensemble(bundles).rows(order),
+                                     *(getattr(sols, f)[order] for f in "XYArv"))
         for field, val in zip(("X1", "Y1", "A1", "r1", "vd"), var):
-            out[f"variational.{name}.{field}"] = val
+            out[f"variational.{name}.{field}"] = val[np.argsort(order)]
+
+    # both expansion tables on 64 ragged linear_test paths, whose
+    # derivatives are central differences: pins the reorder of the
+    # per-path quotients and remainders before every ensemble mean
+    tables = smp.expansion_check(lin, fbsde.ConstantControl(0.5), fbsde.ConstantControl(1.0),
+                                 [0.1, 0.05], ens[:64])
+    out["expansion.linear_test"] = np.array(json.dumps(tables, sort_keys=True))
 
     # the calendar clock: the first 20 linear_test rows composed through
     # their bundles' inverses, which pins what A and r read at the horizon
@@ -172,7 +182,7 @@ def dump(out_path):
     paired = fbsde.make_ensemble(sub, jump, p["horizon"], p["step"], 512, 0,
                                  pairing=np.random.default_rng(5).permutation(512))
     for name, sample in (("linear_test", ens), ("cash", cert), ("paired", paired)):
-        batch = sample.rows()
+        batch = sample.rows(np.argsort(sample.K, kind="stable"))
         for field in ("t", "dB", "ev_p", "ev_s", "ev_z", "ev_start"):
             out[f"sample.{name}.rows.{field}"] = getattr(batch, field)
         K = np.array([b.solver_steps for b in sample])
