@@ -36,8 +36,8 @@ from .fbsde import (
     PerturbedControl,
     StepwiseControl,
     TableControl,
+    _ensemble_cost,
     _hold,
-    _solved_ensemble,
     as_control,
     as_ensemble,
     evaluate_cost,
@@ -203,6 +203,15 @@ def cash_adjoints(spec: CashSpec, bundles):
     return adj[0] if single else adj
 
 
+def _leading(adj: EnsembleAdjoint, n: int) -> EnsembleAdjoint:
+    """The adjoints of an ensemble's first n paths at their own width (the
+    largest K among them): each row is computed on its own, so these are
+    the rows cash_adjoints gives those paths alone."""
+    k = int(adj.K[:n].max())
+    return EnsembleAdjoint(K=adj.K[:n], du=adj.du, t=adj.t[:n, : k + 1], p=adj.p[:n, : k + 1],
+                           q=adj.q[:n, : k + 1], k=adj.k[:n, :k], R=adj.R[:n, :k])
+
+
 def cash_optimal_control(spec: CashSpec, adjoints) -> StepwiseControl:
     """The rate that zeroes dH/dv along each supplied adjoint path.
 
@@ -259,37 +268,43 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
     J(candidate) - J(u*) carry paired standard errors.  The margin search
     then reruns the directional-derivative check at the computed optimum,
     against 64 candidates, on a leading slice of at most ``margin_paths``
-    paths.  Passing ``expansion_rhos`` also fills the difference-quotient
-    and remainder tables (direction: unit rate increase) on
-    ``expansion_paths`` paths.
+    paths: the rows u*'s cost solve kept and the matching rows of the
+    ensemble's adjoints, so no u* row is solved twice.  Passing
+    ``expansion_rhos`` also fills the difference-quotient and remainder
+    tables (direction: unit rate increase) on ``expansion_paths`` paths.
+    ``ensemble_size``, ``margin_paths`` and ``expansion_paths`` must be at
+    least 2, so that every reported mean has a standard error; anything
+    smaller raises ValueError.
 
     The certificate holds when every gap clears -3 standard errors and so
     does the worst margin; that verdict lands in meta["certified"] rather
     than an exception, because a failed certification is a result.
     """
+    for name, n in (("ensemble_size", ensemble_size), ("margin_paths", margin_paths),
+                    ("expansion_paths", expansion_paths)):
+        if n < 2:
+            raise ValueError(f"{name} must be at least 2 for a standard error, got {n}")
     model = build_cash_model(spec)
     bundles = make_ensemble(spec.subordinator, spec.jump, spec.horizon,
                             step, ensemble_size, seed)
     adjs = cash_adjoints(spec, bundles)
     ustar = cash_optimal_control(spec, adjs)
-    base = evaluate_cost(model, ustar, bundles)
+    head = min(len(bundles), int(margin_paths))
+    base, sols = _ensemble_cost(model, ustar, bundles, keep=head)
     gap_rows = []
     for idx, cand in enumerate(candidates):
         cand = as_control(cand)
         est = evaluate_cost(model, cand, bundles)
         diff = est.per_path - base.per_path
-        se = (float(diff.std(ddof=1) / np.sqrt(diff.size))
-              if diff.size > 1 else 0.0)
+        se = float(diff.std(ddof=1) / np.sqrt(diff.size))
         gap_rows.append(dict(index=idx, label=_describe(cand),
                              gap=float(diff.mean()), se=se,
                              cost=est.mean, cost_se=est.std_error))
-    head = min(len(bundles), max(int(margin_paths), 2))
-    lead = bundles[:head]
-    margins = check_necessary_condition(model, lead, _solved_ensemble(model, ustar, lead),
-                                        cash_adjoints(spec, lead), count=64, seed=seed)
+    margins = check_necessary_condition(model, bundles[:head], sols, _leading(adjs, head),
+                                        count=64, seed=seed)
     conv_rows, rem_rows = [], []
     if expansion_rhos:
-        sub = bundles[: min(len(bundles), max(int(expansion_paths), 2))]
+        sub = bundles[: min(len(bundles), int(expansion_paths))]
         conv_rows, rem_rows = expansion_check(model, ustar, ConstantControl(1.0),
                                               list(expansion_rhos), sub)
     certified = (margins.min_margin >= -3.0 * margins.std_error - 1e-12

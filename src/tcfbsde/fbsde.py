@@ -20,6 +20,9 @@ the same layout.  Ensemble-wide solves sort the rows by K (the cost cuts
 that order into batches, so each pads only to paths of similar horizon)
 and scatter per-row results back to ensemble order before any mean;
 solved ensembles stay padded (EnsembleSolution) up to the certificate.
+One pass over those batches (_ensemble_cost) gives the cost and, on
+request, the solved rows of the ensemble's first paths, so a certificate
+solves each of its rows once.
 A path reads the control row of its label: its position in the ensemble
 an entry point is given, or the seeds["path"] of a bundle solved alone.
 
@@ -39,9 +42,12 @@ its terminal value and step only the rows live at step i, so a row holds
 that value past its horizon; the step sums of the running cost and the
 Gateaux integral (_step_sum) likewise evaluate live rows only.  Every
 regime hands r over as _NodeCells: the cost reads it one live step at a
-time, and no (N, Kmax, nodes) r table is built on the cost path; the
-solved ensemble, the adjoints, the variational pair and the one-path
-solve build the padded table from the same expression.  The regimes are:
+time, and no (N, Kmax, nodes) r table is built on the cost path.  Its
+cells are built only for a running cost that can read r, which ModelSpec
+decides from l's code whenever l is set; any other l gets zero cells in
+their place (none of the built-in models' l reads r).  The rows the cost
+pass keeps, the adjoints, the variational pair and the one-path solve
+build the padded table from the same expression.  The regimes are:
 
 * "ode"     the driver and terminal data are deterministic given the
             subordinator path, so Y is a backward ODE and A = r = 0,
@@ -70,7 +76,10 @@ reductions run in path order, so results are reproducible bit for bit.
 """
 
 import copy
+import dis
+import inspect
 import math
+import types
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -208,6 +217,34 @@ def as_control(value) -> "ConstantControl":
 
 # ------------------------------------------------------------------- model
 
+# names through which a function can read its own frame's locals
+_FRAME_READS = frozenset(("locals", "vars", "eval", "exec", "_getframe", "currentframe"))
+
+
+def _may_read_r(l) -> bool:
+    """False only when the running cost ``l`` provably never reads its r
+    argument (the 6th): a plain Python function without *args or
+    **kwargs, no instruction of which refers to that parameter's name (a
+    fused load carries a tuple of names, so tuples are searched too),
+    which does not close over it and names none of _FRAME_READS.  Any
+    other l (a callable object, a wrapper taking *args, a builtin) may
+    read it.  Probing with values is not sound: np.where(r > 0, ...)
+    swallows a NaN sentinel, and two probes can miss a branch."""
+    if not isinstance(l, types.FunctionType):
+        return True
+    code = l.__code__
+    if code.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS) or code.co_argcount < 6:
+        return True
+    name = code.co_varnames[5]
+    if name in code.co_cellvars or _FRAME_READS & set(code.co_names):
+        return True
+    for ins in dis.get_instructions(code):
+        val = ins.argval
+        if (isinstance(val, str) and val == name) or (isinstance(val, tuple) and name in val):
+            return True
+    return False
+
+
 class ModelSpec:
     """Coefficient maps, costs, and structure flags of one control system.
 
@@ -233,6 +270,10 @@ class ModelSpec:
     ``<map>_<argument>`` (e.g. "f_x", "l_v"); every partial it lacks,
     dH/dv's included, is a central difference of the map.
     Only scalar systems are implemented (n = m = d = k = 1).
+
+    Whenever ``l`` is set, the spec decides whether it can read its r
+    argument (_may_read_r); the cost builds r's cells only for an l
+    that can, and hands any other l zero cells in their place.
     """
 
     def __init__(self, *, f, sigma, b, g, phi, l, h, gamma, control_set: Box,
@@ -251,6 +292,14 @@ class ModelSpec:
         self.derivatives = dict(derivatives or {})
         self.name = name
         self._validate()
+
+    @property
+    def l(self):
+        return self._l
+
+    @l.setter
+    def l(self, fn):
+        self._l, self._l_reads_r = fn, _may_read_r(fn)
 
     @property
     def linear_terminal(self) -> bool:
@@ -755,11 +804,12 @@ def _probe_affine(model: ModelSpec, batch: _Batch, v: np.ndarray):
                 Gy=lam * gy, Gx=lam * gx, Ga=lam * ga, G0=lam * g00, gr=lam * gr)
 
 
-def _jump_cells(bx, b0, x, Pn):
+def _jump_cells(bx, b0, x, Pn, out=None):
     """(bx x + b0) P_{i+1}: the affine r at left states ``x``, nodes on the
-    last axis.  One step's cells and the padded table take the same
-    operations in the same order, so a cell has the same bits either way."""
-    r = np.multiply(bx, x[..., None])
+    last axis, written to ``out`` when given (it may be ``bx`` itself).
+    One step's cells and the padded table take the same operations in the
+    same order, so a cell has the same bits either way."""
+    r = np.multiply(bx, x[..., None], out=out)
     r += b0
     r *= Pn[..., None]
     return r
@@ -771,9 +821,11 @@ class _NodeCells:
 
     ``r[rows, i]`` gives step i's cells on ``rows``, which must be live at
     it (``batch.live(i)``), so step arguments read it as they read a
-    table; ``table()`` builds the padded (N, Kmax, nodes) table, zero past
-    each horizon.  Affine cells come from _jump_cells either way; the ode
-    regime's r is zero, and lsmc hands over the table it fills.
+    table; ``table(rows)`` builds the padded (rows, Kmax, nodes) table of
+    ``rows`` (all by default), zero past each horizon.  Affine cells come
+    from _jump_cells either way; the ode regime's r is zero, and so are
+    the cells the cost hands a running cost that cannot read r; lsmc
+    hands over the table it fills.
     """
 
     def __init__(self, K, nodes: int, table=None, affine=None):
@@ -789,15 +841,18 @@ class _NodeCells:
         bx, b0, X, P = self._affine
         return _jump_cells(bx[rows, i], b0[rows, i], X[rows, i], P[rows, i + 1])
 
-    def table(self) -> np.ndarray:
+    def table(self, rows=slice(None)) -> np.ndarray:
         if self._table is not None:
-            return self._table
-        Kmax = int(self.K.max())
+            return self._table[rows]
+        # an index array, so bx[rows] is a copy the cells can be built in
+        rows = np.arange(self.K.size)[rows]
+        K, Kmax = self.K[rows], int(self.K.max())
         if self._affine is None:
-            return np.zeros((self.K.size, Kmax, self.nodes))
+            return np.zeros((K.size, Kmax, self.nodes))
         bx, b0, X, P = self._affine
-        r = _jump_cells(bx, b0, X[:, :-1], P[:, 1:])
-        np.copyto(r, 0.0, where=(np.arange(Kmax) >= self.K[:, None])[..., None])
+        r = bx[rows]
+        _jump_cells(r, b0[rows], X[rows, :-1], P[rows, 1:], out=r)
+        np.copyto(r, 0.0, where=(np.arange(Kmax) >= K[:, None])[..., None])
         return r
 
 
@@ -1231,8 +1286,9 @@ def _step_sum(batch: _Batch, cell) -> np.ndarray:
     taken in step order: the running cost and the Gateaux integral.
     ``cell`` gives the nodewise integrand of step i on ``rows``, the rows
     live at it (the suffix ``batch.live(i)``), so no padded cell is
-    evaluated; the running cost reads r there as _NodeCells, which builds
-    that step's cells of those rows only."""
+    evaluated.  The running cost reads r there as _NodeCells, which
+    builds that step's cells of those rows only, and only for a running
+    cost that can read r; any other gets zero cells."""
     lam_du = batch.spec.intensity * batch.du
     run = np.zeros(batch.N)
     for i in range(batch.Kmax):
@@ -1246,12 +1302,51 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
     X, v = _forward_batch(model, control, batch)
     Y, A, r = _backward_batch(model, control, batch, X, v, method)
     N = batch.N
+    cells = r if model._l_reads_r else _NodeCells(batch.K, batch.w.size)
     run = _step_sum(batch,
-                    lambda i, rows: model.l(*_step_args(batch, i, X, Y, A, r, v, rows)))
+                    lambda i, rows: model.l(*_step_args(batch, i, X, Y, A, cells, v, rows)))
     XT = X[np.arange(N), batch.K]
     hterm = np.broadcast_to(np.asarray(model.h(XT), dtype=float), (N,))
     gterm = np.broadcast_to(np.asarray(model.gamma(Y[:, 0]), dtype=float), (N,))
     return run + hterm + gterm, X, Y, v, A, r
+
+
+def _ensemble_cost(model: ModelSpec, control, bundles, method=None, chunk: int = 512,
+                   keep: int = 0):
+    """evaluate_cost's estimate and the solved rows of the ensemble's first
+    ``keep`` paths, from one pass over its K-sorted batches.
+
+    The EnsembleSolution (None when ``keep`` is 0) holds positions
+    0..keep-1 in ensemble order at their own width, the largest K among
+    them, each row held past its batch's width as past its horizon; only
+    those rows' r table is built.  Every kernel is row-local, so the rows
+    are those a solve of those paths alone gives, for every ``chunk``.
+    """
+    control = as_control(control)
+    ens = as_ensemble(bundles)
+    per_path = np.empty(len(ens))
+    if keep:
+        Kk = ens.K[:keep]
+        width = int(Kk.max())
+        t, X, Y = (np.empty((Kk.size, width + 1)) for _ in range(3))
+        A, v = np.zeros((Kk.size, width)), np.zeros((Kk.size, width))
+        r = np.zeros((Kk.size, width, ens.spec.n_quad))
+    for idx, batch in _sorted_batches(ens, chunk):
+        per_path[idx], Xb, Yb, vb, Ab, rb = _batch_cost(model, control, batch, method=method)
+        sel = np.flatnonzero(idx < keep)
+        if sel.size:
+            pos, k = idx[sel], min(batch.Kmax, width)
+            for full, part in ((t, batch.t), (X, Xb), (Y, Yb)):
+                full[pos, : k + 1] = part[sel, : k + 1]
+                full[pos, k + 1:] = part[sel, k, None]
+            A[pos, :k], v[pos, :k], r[pos, :k] = Ab[sel, :k], vb[sel, :k], rb.table(sel)[:, :k]
+        # free this batch's solution before the next batch is solved
+        del Xb, Yb, vb, Ab, rb
+    mean = float(per_path.mean())
+    se = float(per_path.std(ddof=1) / np.sqrt(per_path.size)) if per_path.size > 1 else 0.0
+    sols = (EnsembleSolution(K=Kk, du=ens.du, t=t, X=X, Y=Y, A=A, r=r,
+                             v=_hold(v, Kk, 0.0, width)) if keep else None)
+    return CostEstimate(mean=mean, std_error=se, per_path=per_path), sols
 
 
 def evaluate_cost(model: ModelSpec, control, bundles, method=None,
@@ -1259,46 +1354,14 @@ def evaluate_cost(model: ModelSpec, control, bundles, method=None,
     """Monte Carlo cost over an ensemble: running + terminal + initial parts.
 
     Paths are solved in batches of at most ``chunk`` paths with similar
-    solver-step counts, so padding stays small and memory stays flat in
-    the ensemble size.  Every path's value depends on its own row only
-    and lands at its ensemble position, so ``per_path`` (returned for
-    paired, common-random-number comparisons), the mean and the standard
-    error are bit-identical for every ``chunk``.
+    solver-step counts (_ensemble_cost, keeping no solved rows), so
+    padding stays small and memory stays flat in the ensemble size.
+    Every path's value depends on its own row only and lands at its
+    ensemble position, so ``per_path`` (returned for paired,
+    common-random-number comparisons), the mean and the standard error
+    are bit-identical for every ``chunk``.
     """
-    control = as_control(control)
-    ens = as_ensemble(bundles)
-    per_path = np.empty(len(ens))
-    for idx, batch in _sorted_batches(ens, chunk):
-        vals, _, _, _, _, _ = _batch_cost(model, control, batch, method=method)
-        per_path[idx] = vals
-    mean = float(per_path.mean())
-    se = float(per_path.std(ddof=1) / np.sqrt(per_path.size)) if per_path.size > 1 else 0.0
-    return CostEstimate(mean=mean, std_error=se, per_path=per_path)
-
-
-def _solved_ensemble(model: ModelSpec, control, bundles, chunk: int = 512) -> EnsembleSolution:
-    """Forward and backward components of every path, in ensemble order.
-
-    The solves run in K-sorted batches of at most ``chunk`` paths; each
-    batch's rows land at their ensemble positions, held past the batch's
-    width as past their horizon, so the result does not depend on
-    ``chunk``.
-    """
-    control = as_control(control)
-    ens = as_ensemble(bundles)
-    N, Kmax = len(ens), int(ens.K.max())
-    t, X, Y = (np.empty((N, Kmax + 1)) for _ in range(3))
-    A, v = np.zeros((N, Kmax)), np.zeros((N, Kmax))
-    r = np.zeros((N, Kmax, ens.spec.n_quad))
-    for idx, batch in _sorted_batches(ens, chunk):
-        _, Xb, Yb, vb, Ab, rb = _batch_cost(model, control, batch)
-        k = batch.Kmax
-        for full, part in ((t, batch.t), (X, Xb), (Y, Yb)):
-            full[idx, : k + 1] = part
-            full[idx, k + 1:] = part[:, -1:]
-        A[idx, :k], r[idx, :k], v[idx, :k] = Ab, rb.table(), vb
-    return EnsembleSolution(K=ens.K, du=ens.du, t=t, X=X, Y=Y, A=A, r=r,
-                            v=_hold(v, ens.K, 0.0, Kmax))
+    return _ensemble_cost(model, control, bundles, method, chunk)[0]
 
 
 # ------------------------------------------------------------ builtin models

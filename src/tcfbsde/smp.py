@@ -483,8 +483,12 @@ def expansion_check(model: ModelSpec, control, direction, rhos, bundles) -> tupl
 
     Every solve takes backward_method's automatic regime, on one K-sorted
     batch whose per-path results return to ensemble order before every
-    mean.  Returns (gateaux_rows, remainder_rows).
+    mean.  Every rho must be finite and nonzero, else ValueError.
+    Returns (gateaux_rows, remainder_rows).
     """
+    for rho in rhos:
+        if not (np.isfinite(rho) and rho != 0.0):
+            raise ValueError(f"expansion step rho must be finite and nonzero, got {rho}")
     control = as_control(control)
     direction = as_control(direction)
     ens = as_ensemble(bundles)

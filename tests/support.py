@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from tcfbsde.fbsde import Box, ModelSpec, PathBundle
+from tcfbsde.fbsde import Box, ModelSpec, PathBundle, _ensemble_cost
 from tcfbsde.noise import BrownianPath, JumpStream, LevyJumpSpec, sample_brownian, sample_jumps
 from tcfbsde.seeding import stream
 from tcfbsde.time_change import (
@@ -34,6 +34,12 @@ def mk_model(**overrides):
     )
     base.update(overrides)
     return ModelSpec(**base)
+
+
+def solved_ensemble(model, control, bundles, chunk=512):
+    """Every path's forward and backward rows, in ensemble order, as the
+    cost pass keeps them."""
+    return _ensemble_cost(model, control, bundles, chunk=chunk, keep=len(bundles))[1]
 
 
 def manual_bundle(values, du, horizon, jump_spec=None, seed=0, flat_noise=False):

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import cash_cost_given_steps, cash_q_candidate, k_law
-from support import RAGGED_STEPS, manual_bundle, ragged_bundles
+from support import RAGGED_STEPS, manual_bundle, ragged_bundles, solved_ensemble
+from tcfbsde import fbsde, smp
 from tcfbsde.cash import (
     CashSpec,
     build_cash_model,
     cash_adjoints,
     cash_optimal_control,
     certify_optimality,
-    _solved_ensemble,
 )
 from tcfbsde.fbsde import (
     ConstantControl,
@@ -246,7 +246,7 @@ def test_adjoints_agree_with_general_solver():
     model = build_cash_model(spec)
     bundles = make_ensemble(spec.subordinator, spec.jump, spec.horizon,
                             DU, 100, 21)
-    sols = _solved_ensemble(model, ConstantControl(1.0), bundles)
+    sols = solved_ensemble(model, ConstantControl(1.0), bundles)
     gen = solve_adjoint_ensemble(model, bundles, sols)
     mine = [cash_adjoints(spec, b) for b in bundles]
     for a, g in zip(mine, gen):
@@ -261,9 +261,9 @@ def test_solved_ensemble_returns_ensemble_order():
     bundles = ragged_bundles(RAGGED_STEPS, jump_spec=spec.jump)
     n, kmax = len(bundles), max(RAGGED_STEPS)
     ctl = StepwiseControl(0.1 + 0.05 * np.arange(n)[:, None] + 0.01 * np.arange(kmax))
-    ref = _solved_ensemble(model, ctl, bundles, chunk=1)
+    ref = solved_ensemble(model, ctl, bundles, chunk=1)
     for chunk in (3, 512):
-        sols = _solved_ensemble(model, ctl, bundles, chunk=chunk)
+        sols = solved_ensemble(model, ctl, bundles, chunk=chunk)
         for i, (k, bnd, sol, one) in enumerate(zip(RAGGED_STEPS, bundles, sols, ref)):
             assert sol.X.size == k + 1
             assert np.array_equal(sol.calendar_times, bnd.calendar_times())
@@ -280,7 +280,7 @@ def test_general_adjoints_ignore_the_control():
     bundles = make_ensemble(spec.subordinator, spec.jump, spec.horizon, DU, 5, 2)
     out = []
     for c in (ConstantControl(1.0), ConstantControl(2.5)):
-        sols = _solved_ensemble(model, c, bundles)
+        sols = solved_ensemble(model, c, bundles)
         out.append(solve_adjoint_ensemble(model, bundles, sols))
     for a, b in zip(*out):
         assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
@@ -421,7 +421,7 @@ def test_first_order_condition_holds_to_rounding():
     spec = CashSpec()
     model = build_cash_model(spec)
     ustar, bundles, adjs = rebuilt_optimum(spec, DU, 20, 7)
-    sols = _solved_ensemble(model, ustar, bundles)
+    sols = solved_ensemble(model, ustar, bundles)
     worst = 0.0
     for b, s, a in zip(bundles, sols, adjs):
         K = b.solver_steps
@@ -438,13 +438,13 @@ def test_margins_nonnegative_at_rate_and_violated_off_it():
     spec = CashSpec()
     model = build_cash_model(spec)
     ustar, bundles, adjs = rebuilt_optimum(spec, DU, 64, 5)
-    sols = _solved_ensemble(model, ustar, bundles)
+    sols = solved_ensemble(model, ustar, bundles)
     rep = check_necessary_condition(model, bundles, sols, adjs, count=64, seed=1)
     assert rep.min_margin >= -3.0 * rep.std_error - 1e-12
     # push the rate off its optimum; adjoints stay the same by the
     # control-independence above, and a clear violation must surface
     off = PerturbedControl(ustar, ConstantControl(1.0), 0.5)
-    sols_off = _solved_ensemble(model, off, bundles)
+    sols_off = solved_ensemble(model, off, bundles)
     rep_off = check_necessary_condition(model, bundles, sols_off, adjs, count=64, seed=1)
     assert rep_off.min_margin < -3.0 * rep_off.std_error
     assert rep_off.min_margin < -0.1
@@ -512,7 +512,7 @@ def test_certificate_on_zero_step_ensemble():
     assert all(b.solver_steps == 0 for b in bundles)
     model = build_cash_model(spec)
     margins = check_necessary_condition(model, bundles,
-                                        _solved_ensemble(model, ustar, bundles), adjs).margins
+                                        solved_ensemble(model, ustar, bundles), adjs).margins
     assert len(margins) == 64 and all(row["margin"] == 0.0 for row in margins)
     assert rep.gap_table[0]["gap"] == 0.0 and rep.gap_table[0]["se"] == 0.0
     (conv,), (rem,) = rep.convergence_table, rep.remainder_table
@@ -530,6 +530,41 @@ def test_certificate_is_byte_deterministic():
     c = certify_optimality(CashSpec(), [ConstantControl(1.0)],
                            ensemble_size=48, seed=14)
     assert a.to_json() != c.to_json()
+
+
+def test_certificate_refuses_samples_without_a_standard_error():
+    """Every mean the certificate reports needs a standard error: a sample
+    size below 2 raises instead of certifying on cost_se 0, and
+    margin_paths=1 is no longer read as 2."""
+    for name in ("ensemble_size", "margin_paths", "expansion_paths"):
+        with pytest.raises(ValueError, match=name):
+            certify_optimality(CashSpec(), [0.5], **{"ensemble_size": 8, name: 1})
+
+
+def test_certificate_refuses_a_zero_or_non_finite_expansion_step():
+    """rho = 0 divides by zero in the difference quotients; it raises
+    instead of leaving NaN rows under a certified verdict."""
+    for rho in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rho"):
+            certify_optimality(CashSpec(), ensemble_size=8, expansion_rhos=[0.1, rho])
+
+
+def test_certificate_solves_each_ustar_row_once(monkeypatch):
+    """u*'s rows reach _batch_cost once for the cost, whose pass keeps the
+    margin lead's rows, and once for the expansion base: 64 + 16 rows, not
+    64 + 40 + 16."""
+    batch_cost, rows = fbsde._batch_cost, []
+
+    def counting(model, control, batch, method=None):
+        if isinstance(control, StepwiseControl):
+            rows.append(batch.N)
+        return batch_cost(model, control, batch, method)
+
+    for module in (fbsde, smp):
+        monkeypatch.setattr(module, "_batch_cost", counting)
+    certify_optimality(CashSpec(), [0.5], ensemble_size=64, margin_paths=40,
+                       expansion_rhos=[0.1], expansion_paths=16)
+    assert sum(rows) == 64 + 16
 
 
 def _reshaped_twin(model, reshape):
@@ -572,7 +607,7 @@ def test_results_do_not_depend_on_map_shapes():
     direction, rhos = ConstantControl(1.0), [0.1, 0.05]
     outputs = []
     for model in (base, _reshaped_twin(base, _materialised), _reshaped_twin(base, _squeezed)):
-        sols = _solved_ensemble(model, ustar, bundles)
+        sols = solved_ensemble(model, ustar, bundles)
         gen = solve_adjoint_ensemble(model, bundles, sols)
         outputs.append(dict(
             cost=evaluate_cost(model, ustar, bundles).per_path,
@@ -594,7 +629,7 @@ def test_sufficiency_hypotheses_hold():
     spec = CashSpec()
     model = build_cash_model(spec)
     bundles = make_ensemble(spec.subordinator, spec.jump, spec.horizon, DU, 1, 6)
-    sol = _solved_ensemble(model, ConstantControl(1.0), bundles)[0]
+    sol = solved_ensemble(model, ConstantControl(1.0), bundles)[0]
     rep = check_sufficient_condition_hypotheses(model, spec.jump, solution=sol)
     assert rep.hamiltonian_convex and rep.h_convex and rep.gamma_convex
     assert rep.terminal_gap == 0.0

@@ -17,6 +17,7 @@ from support import (
     mk_model,
     ragged_bundles,
     reference_bundle,
+    solved_ensemble,
 )
 from tcfbsde import fbsde, smp, time_change
 from tcfbsde.cash import (
@@ -668,7 +669,7 @@ def test_cost_rejects_a_chunk_below_one(chunk):
     with pytest.raises(ValueError, match="chunk"):
         evaluate_cost(model, 0.5, ens, chunk=chunk)
     with pytest.raises(ValueError, match="chunk"):
-        fbsde._solved_ensemble(model, 0.5, ens, chunk=chunk)
+        solved_ensemble(model, 0.5, ens, chunk=chunk)
 
 
 def test_cost_builds_no_full_r_table(monkeypatch):
@@ -677,7 +678,7 @@ def test_cost_builds_no_full_r_table(monkeypatch):
     (at u* and at a constant rate) and on a linear_test twin whose running
     cost reads r.  The solved ensemble keeps the table, so it does call
     the builder."""
-    def refuse(self):
+    def refuse(self, rows=None):
         raise AssertionError("full r table built")
 
     monkeypatch.setattr(fbsde._NodeCells, "table", refuse)
@@ -694,7 +695,91 @@ def test_cost_builds_no_full_r_table(monkeypatch):
     for ctl in (ustar, 0.5):
         evaluate_cost(build_cash_model(spec), ctl, cens)
     with pytest.raises(AssertionError, match="full r table built"):
-        fbsde._solved_ensemble(model, 0.5, ens)
+        solved_ensemble(model, 0.5, ens)
+
+
+def test_cost_builds_no_r_cells_for_running_costs_that_cannot_read_r(monkeypatch):
+    """None of the built-in running costs reads r, so evaluate_cost runs on
+    linear_test, quadratic_drift and the cash model (at u*) with r's cell
+    builder raising."""
+    def refuse(*args):
+        raise AssertionError("r cells built")
+
+    monkeypatch.setattr(fbsde, "_jump_cells", refuse)
+    for name in ("linear_test", "quadratic_drift"):
+        model, jump, sub, p = build_model(name)
+        assert not model._l_reads_r
+        evaluate_cost(model, 0.5, make_ensemble(sub, jump, p["horizon"], p["step"], 64, 0))
+    spec = CashSpec()
+    cens = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 64, master_seed=0)
+    evaluate_cost(build_cash_model(spec), cash_optimal_control(spec, cash_adjoints(spec, cens)),
+                  cens)
+
+
+def _cost_from_r_table(model, control, ens):
+    """Per-path costs whose running part reads every step's r off the
+    padded table of the solved rows, not off cells built per step."""
+    sols = solved_ensemble(model, control, ens)
+    order = np.argsort(ens.K, kind="stable")
+    batch = ens.rows(order)
+    X, Y, A, r, v = (getattr(sols, name)[order] for name in "XYArv")
+    run = fbsde._step_sum(
+        batch, lambda i, rows: model.l(*fbsde._step_args(batch, i, X, Y, A, r, v, rows)))
+    out = np.empty(len(ens))
+    out[order] = run + model.h(X[np.arange(len(ens)), batch.K]) + model.gamma(Y[:, 0])
+    return out
+
+
+@pytest.mark.parametrize("form", ["comparison", "star_args", "callable_object"])
+def test_cost_builds_r_cells_for_running_costs_that_may_read_r(monkeypatch, form):
+    """A running cost that may read r gets its cells, and its cost is the
+    one the padded r table gives: an l that reads r only through a
+    comparison (np.where would swallow a NaN sentinel), a *args wrapper
+    and a callable object."""
+    model, jump, sub, p = build_model("linear_test")
+    ens = make_ensemble(sub, jump, p["horizon"], p["step"], 64, master_seed=0)
+    plain = evaluate_cost(model, 0.5, ens).per_path
+    base_l = model.l
+
+    def compares(t1, t2, x, y, a, r, v):
+        return base_l(t1, t2, x, y, a, r, v) + np.where(r > 0, 0.1, 0.0)
+
+    class Cost:
+        def __call__(self, *args):
+            return compares(*args)
+
+    model.l = {"comparison": compares, "star_args": lambda *args: compares(*args),
+               "callable_object": Cost()}[form]
+    assert model._l_reads_r
+    jump_cells, calls = fbsde._jump_cells, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return jump_cells(*args, **kwargs)
+
+    monkeypatch.setattr(fbsde, "_jump_cells", counting)
+    cost = evaluate_cost(model, 0.5, ens).per_path
+    assert calls
+    assert np.array_equal(cost, _cost_from_r_table(model, ConstantControl(0.5), ens))
+    assert not np.array_equal(cost, plain)
+
+
+def test_r_read_test_clears_only_functions_that_provably_ignore_r():
+    """_may_read_r is conservative: frame access, a closure over r,
+    **kwargs, a builtin or a rebinding of r all count as reading it."""
+    def rebinds(t1, t2, x, y, a, r, v):
+        r = 0.0
+        return x + r
+
+    clear = [lambda t1, t2, x, y, a, r, v: 0.5 * x**2, build_model("quadratic_drift")[0].l]
+    unclear = [lambda t1, t2, x, y, a, r, v: locals()["r"],
+               lambda t1, t2, x, y, a, r, v: vars()["r"],
+               lambda t1, t2, x, y, a, r, v: eval("r"),
+               lambda t1, t2, x, y, a, r, v: (lambda: r)(),
+               lambda t1, t2, x, y, a, r, v, **kw: 0.0,
+               np.add, rebinds]
+    assert not any(fbsde._may_read_r(fn) for fn in clear)
+    assert all(fbsde._may_read_r(fn) for fn in unclear)
 
 
 def test_ensemble_rows_match_a_fresh_pack():

@@ -9,13 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import cash_q_candidate
-from support import RAGGED_STEPS, lq_model, manual_bundle, mk_model, ragged_bundles
+from support import (
+    RAGGED_STEPS,
+    lq_model,
+    manual_bundle,
+    mk_model,
+    ragged_bundles,
+    solved_ensemble,
+)
 from tcfbsde import fbsde, smp
 from tcfbsde.cash import CashSpec, build_cash_model
 from tcfbsde.fbsde import (
     Box,
     Ensemble,
-    _solved_ensemble,
     ConstantControl,
     FeedbackControl,
     ModelSpec,
@@ -46,12 +52,6 @@ from tcfbsde.smp import (
 )
 
 DU = 0.01
-
-
-def solved_ensemble(model, control, bundles):
-    # batched solve in the padded layout the ensemble checks read; every
-    # path of a whole make_ensemble draw sits at its seeds["path"] position
-    return _solved_ensemble(model, control, bundles)
 
 
 # --------------------------------------------------------------- derivatives
@@ -257,7 +257,7 @@ def _closure_case(**maps):
     assert model.affine_solvable
     _, jspec, sspec, _ = build_model("linear_test")
     bundles = make_ensemble(sspec, jspec, 0.5, DU, 4, master_seed=60)
-    return model, bundles, _solved_ensemble(model, ConstantControl(0.5), bundles)
+    return model, bundles, solved_ensemble(model, ConstantControl(0.5), bundles)
 
 
 @pytest.mark.parametrize("l", [
@@ -303,7 +303,7 @@ def test_adjoint_and_variational_checks_fire(monkeypatch):
     model, jspec, sspec = lq_model()
     bundles = make_ensemble(sspec, jspec, 1.0, DU, 4, master_seed=61)
     u = ConstantControl(0.5)
-    sols = _solved_ensemble(model, u, bundles)
+    sols = solved_ensemble(model, u, bundles)
     solve_adjoint_ensemble(model, bundles, sols)
     bnd = bundles[0]
     sol = solve_backward_dual(model, u, bnd, solve_forward_dual(model, u, bnd))
@@ -456,7 +456,7 @@ def test_forward_blow_up_names_the_system_and_the_path(system):
                 model = mk_model(l=lambda t1, t2, x, y, a, r, v: y * v * v,
                                  control_set=Box(), conditionally_deterministic=True,
                                  derivatives={"l_y": lambda t1, t2, x, y, a, r, v: v * v})
-                sols = _solved_ensemble(model, huge, bundles)
+                sols = solved_ensemble(model, huge, bundles)
                 solve_adjoint_ensemble(model, bundles, sols, method="ode")
             else:
                 # f_v = 1e200 loads the direction into X1; the base stays put
@@ -476,7 +476,7 @@ def test_adjoint_and_variational_rows_match_single_paths(method):
     u, d = ConstantControl(0.7), ConstantControl(1.0)
 
     def solve(bnds):
-        sols = _solved_ensemble(model, u, bnds)
+        sols = solved_ensemble(model, u, bnds)
         adj = solve_adjoint_ensemble(model, bnds, sols, method=method)
         # a batch holds its rows in K order: gather the solved rows in that
         # order and put the variational rows back in ensemble order
@@ -527,7 +527,7 @@ def test_edge_ensembles_through_adjoints_margins_and_composition(paths, seed):
         bnd.seeds["path"] = n
         bundles.append(bnd)
     ens, u = Ensemble(bundles), ConstantControl(0.5)
-    sols = _solved_ensemble(model, u, ens)
+    sols = solved_ensemble(model, u, ens)
     adj = solve_adjoint_ensemble(model, ens, sols)
     K, rows = ens.K, np.arange(len(ens))
     # X_0 = x0, Y_K = phi(X_K) = X_K, p_0 = -gamma_y(Y_0) = 1 and
@@ -637,7 +637,7 @@ def test_margin_range_spans_the_live_rates_only():
     bundles = ragged_bundles(RAGGED_STEPS, jump_spec=jspec)
     K, Kmax = np.array(RAGGED_STEPS), max(RAGGED_STEPS)
     u = StepwiseControl(1.5 + 0.1 * np.arange(K.size)[:, None] + 0.02 * np.arange(Kmax))
-    sols = _solved_ensemble(model, u, bundles)
+    sols = solved_ensemble(model, u, bundles)
     live = sols.v[np.arange(Kmax) < K[:, None]]
     assert live.min() > 1.0 and np.any(sols.v[K == 0] == 0.0)
     rep = check_necessary_condition(model, bundles, sols,

@@ -15,9 +15,11 @@ prints one line per output: ``identical`` when dtype, shape and bytes
 agree, else ``moved`` with the largest absolute and relative difference.
 It exits 1 when any output differs or is missing from one tree.
 
-The outputs reach a few private solver entry points
-(``_solved_ensemble``, ``_variational_batch``), and the cash margins repeat
-how ``certify_optimality`` sets up its margin search; a tree that renames
+The outputs reach a few private entry points (``fbsde._ensemble_cost``,
+the cost pass that keeps the solved rows of an ensemble's first paths,
+``cash._leading``, the adjoint slice of those paths, and
+``smp._variational_batch``), and the cash margins repeat how
+``certify_optimality`` sets up its margin search; a tree that renames
 those entry points or changes that set-up needs this script updated in the
 same change.
 
@@ -67,6 +69,13 @@ def dump(out_path):
                                       seed=seed, expansion_rhos=[0.1, 0.05],
                                       expansion_paths=128)
         out[f"certify.seed{seed}.to_json"] = np.array(rep.to_json())
+    # a margin lead (200 paths) whose Kmax is below the ensemble's, and an
+    # expansion set larger than it: pins the width of the kept rows and of
+    # the adjoint slice the margin search reads
+    rep = cash.certify_optimality(spec, candidates=[0.5, 1.5], ensemble_size=512, seed=0,
+                                  margin_paths=200, expansion_rhos=[0.1, 0.05],
+                                  expansion_paths=300)
+    out["certify.n512.to_json"] = np.array(rep.to_json())
 
     lin, jump, sub, p = fbsde.build_model("linear_test")
     ens = fbsde.make_ensemble(sub, jump, p["horizon"], p["step"], 8192, 0)
@@ -83,10 +92,9 @@ def dump(out_path):
     both = fbsde.build_model("linear_test")[0]
     both.b = lambda t1, t2, x, v, z: z * (0.05 * x + 0.1)
     both.l = twin.l
-    out["cost.linear_test_bx_b0.per_path"] = fbsde.evaluate_cost(
-        both, fbsde.ConstantControl(0.5), ens).per_path
-    out["solved.linear_test_bx_b0.r"] = fbsde._solved_ensemble(
-        both, fbsde.ConstantControl(0.5), ens[:256]).r
+    est, sols = fbsde._ensemble_cost(both, fbsde.ConstantControl(0.5), ens, keep=256)
+    out["cost.linear_test_bx_b0.per_path"] = est.per_path
+    out["solved.linear_test_bx_b0.r"] = sols.r
 
     # two 16-path lsmc operations, outer paths spread over the K-sorted order
     quad, qjump, qsub, qp = fbsde.build_model("quadratic_drift")
@@ -123,7 +131,7 @@ def dump(out_path):
              ("linear_test", lin, fbsde.ConstantControl(0.5), lens, (None,))]
     solved = {}
     for name, model, ctl, bundles, methods in cases:
-        sols = solved[name] = fbsde._solved_ensemble(model, ctl, bundles)
+        sols = solved[name] = fbsde._ensemble_cost(model, ctl, bundles, keep=len(bundles))[1]
         for field in ("Y", "A", "r"):
             out[f"solved.{name}.{field}"] = getattr(sols, field)
         for method in methods:
@@ -155,16 +163,16 @@ def dump(out_path):
     # the margin search's 64 margins: the cash certificate's (u* on the
     # seed-0 1,024-path lead) and linear_test's under its general adjoints
     cert = fbsde.make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 2048, 0)
-    lead = cert[:1024]
-    ustar_cert = cash.cash_optimal_control(spec, cash.cash_adjoints(spec, cert))
-    for name, ctl in (("ustar", ustar_cert), ("0.5", fbsde.ConstantControl(0.5)),
-                      ("1.5", fbsde.ConstantControl(1.5))):
+    cert_adjs = cash.cash_adjoints(spec, cert)
+    ustar_cert = cash.cash_optimal_control(spec, cert_adjs)
+    est, lead_sols = fbsde._ensemble_cost(cmodel, ustar_cert, cert, keep=1024)
+    out["cost.cash.ustar.per_path"] = est.per_path
+    for name, ctl in (("0.5", fbsde.ConstantControl(0.5)), ("1.5", fbsde.ConstantControl(1.5))):
         out[f"cost.cash.{name}.per_path"] = fbsde.evaluate_cost(cmodel, ctl, cert).per_path
     lin_ens, lin_ctl = ens[:256], fbsde.ConstantControl(0.5)
-    lin_sols = fbsde._solved_ensemble(lin, lin_ctl, lin_ens)
+    lin_sols = fbsde._ensemble_cost(lin, lin_ctl, lin_ens, keep=256)[1]
     for name, model, ctl, bundles, sols, adj in (
-            ("cash", cmodel, ustar_cert, lead, fbsde._solved_ensemble(cmodel, ustar_cert, lead),
-             cash.cash_adjoints(spec, lead)),
+            ("cash", cmodel, ustar_cert, cert[:1024], lead_sols, cash._leading(cert_adjs, 1024)),
             ("linear_test", lin, lin_ctl, lin_ens, lin_sols,
              smp.solve_adjoint_ensemble(lin, lin_ens, lin_sols))):
         rep = smp.check_necessary_condition(model, bundles, sols, adj, count=64, seed=0)
