@@ -150,10 +150,6 @@ class JumpStream:
             raise ValueError("event times must be strictly increasing in (0, horizon]")
 
     @property
-    def events(self):
-        return list(zip(self.times.tolist(), self.marks.tolist()))
-
-    @property
     def size(self) -> int:
         return self.times.size
 

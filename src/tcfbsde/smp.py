@@ -12,15 +12,12 @@ interfaces.  Conventions, once and for all:
   q(T) = -phi_x(X_T) p(T) + h_x(X_T).
 * The first adjoint p and the variational state X1 are forward systems
   and run through the state's Euler kernel (fbsde._euler).
-* The second adjoint (q, k, R) solves a linear backward equation, and both
-  of its regimes run through the backward state's affine kernel
-  (fbsde._affine_backward).  The automatic regime is the exact
-  conditional closure q = cq + Pq * X with remapped coefficients, for
-  affine systems with a linear terminal whose first adjoint is
-  deterministic given the time change; any other model is rejected
-  loudly instead of being approximated silently.  On request
-  (method="ode") the same kernel runs with zero slope (q alone,
-  k = R = 0), for adjoints that carry no noise.
+* The second adjoint (q, k, R) solves a linear backward equation by one
+  regime: the exact conditional closure q = cq + Pq * X, run through the
+  backward state's affine kernel (fbsde._affine_backward) with remapped
+  coefficients.  It covers affine systems with a linear terminal whose
+  first adjoint is deterministic given the time change; any other model
+  is rejected loudly instead of being approximated silently.
 * The adjoints and the margins are taken along the solved trajectory, so
   they read the control from the solved rates (solutions.v) alone.
 * Candidate controls in the necessary-condition search are step functions
@@ -293,25 +290,6 @@ def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
     return q, k, R.table()
 
 
-def _q_ode_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
-    """q for adjoints that carry no noise: _affine_backward with zero
-    slope, the drift slope f_x in the driver's y-slot, the lam-integrated
-    source int (l_x - g_x p) as its constant and no other coefficient.
-    A zero slope adds exact zeros only, and k and R come out zero."""
-    N, Kmax = batch.N, batch.Kmax
-    d_fx, d_gx, d_lx, d_hx, d_px = (model_derivative(model, name) for name in (
-        "f_x", "g_x", "l_x", "h_x", "phi_x"))
-    args = _step_args(batch, None, X, Y, A, r, v)
-    XT, pT = X[np.arange(N), batch.K], p[np.arange(N), batch.K]
-    qT = -np.asarray(d_px(XT), dtype=float) * pT + np.asarray(d_hx(XT), dtype=float)
-    co = dict.fromkeys(("fx", "f0", "sx", "s0", "bx", "b0", "Gx", "Ga", "gr"), 0.0)
-    co["Gy"] = d_fx(batch.t[:, :-1], np.arange(Kmax) * batch.du, X[:, :-1], v)
-    co["G0"] = batch.spec.intensity * batch.spec.integrate(
-        d_lx(*args) - d_gx(*args) * p[:, :-1, None], (N, Kmax))
-    q, k, R = _affine_backward(batch, X, co, 0.0, qT)
-    return q, k, R.table()
-
-
 def _p_state_free(model: ModelSpec, batch: _Batch, X, Y, A, r, v) -> bool:
     """True when the first adjoint's coefficients ignore the state and
     carry no Brownian or jump loading, so p is a functional of the
@@ -331,40 +309,33 @@ def _p_state_free(model: ModelSpec, batch: _Batch, X, Y, A, r, v) -> bool:
     return True
 
 
-def solve_adjoint(model: ModelSpec, bundle: PathBundle, solution: FBSDESolution,
-                  method=None) -> AdjointSolution:
+def solve_adjoint(model: ModelSpec, bundle: PathBundle,
+                  solution: FBSDESolution) -> AdjointSolution:
     """Adjoint pair along one solved trajectory."""
-    return solve_adjoint_ensemble(model, [bundle], _one_row(bundle, solution),
-                                  method=method)[0]
+    return solve_adjoint_ensemble(model, [bundle], _one_row(bundle, solution))[0]
 
 
-def solve_adjoint_ensemble(model: ModelSpec, bundles, solutions: EnsembleSolution,
-                           method=None) -> EnsembleAdjoint:
+def solve_adjoint_ensemble(model: ModelSpec, bundles,
+                           solutions: EnsembleSolution) -> EnsembleAdjoint:
     """Vectorized adjoint solve over an ensemble of solved trajectories,
     whose rates solutions.v are the control, on one K-sorted batch whose
     rows return to ensemble order.
 
-    Regime selection: by default the affine closure, which needs a model
-    that is affine with a linear terminal (affine_solvable) and a
-    state-free first adjoint, and a loud refusal otherwise; an explicit
-    method="ode" solves adjoints that carry no noise.
+    The first adjoint p runs through the forward Euler kernel; the second
+    (q, k, R) by the affine closure, which needs a model that is affine
+    with a linear terminal (affine_solvable) and a state-free first
+    adjoint.  Any other model raises NotImplementedError.
     """
     ens = as_ensemble(bundles)
     _matching(ens.K, solutions)
     (idx, batch), = _sorted_batches(ens, len(ens))
     X, Y, A, r, v = (getattr(solutions, name)[idx] for name in "XYArv")
     p = _p_forward_batch(model, batch, X, Y, A, r, v)
-    method = "affine" if method is None else method
-    if method == "affine":
-        if not (model.affine_solvable and _p_state_free(model, batch, X, Y, A, r, v)):
-            raise NotImplementedError(
-                "the affine adjoint closure (the automatic regime) needs an affine model "
-                "with a linear terminal and a state-free first adjoint")
-        q, k, R = _q_affine_batch(model, batch, X, Y, A, r, v, p)
-    elif method == "ode":
-        q, k, R = _q_ode_batch(model, batch, X, Y, A, r, v, p)
-    else:
-        raise KeyError(f"unknown adjoint method {method!r}")
+    if not (model.affine_solvable and _p_state_free(model, batch, X, Y, A, r, v)):
+        raise NotImplementedError(
+            "the affine adjoint closure needs an affine model "
+            "with a linear terminal and a state-free first adjoint")
+    q, k, R = _q_affine_batch(model, batch, X, Y, A, r, v, p)
     g0 = np.asarray(model_derivative(model, "gamma_y")(Y[:, 0]), dtype=float)
     if np.any(np.abs(p[:, 0] + g0) > 1e-9 * (1.0 + np.abs(g0))):
         raise AssertionError("adjoint initial condition violated")

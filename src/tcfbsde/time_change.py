@@ -75,7 +75,7 @@ class SubordinatorPath:
 
     values[i] = D(i*step), values[0] = 0, nondecreasing; the stored path ends
     at the first grid point past the calendar horizon, so its grid's horizon
-    is the discrete first-passage time, read as ``passage_time``.
+    is the discrete first-passage time.
     """
 
     grid: OperationalGrid
@@ -90,10 +90,6 @@ class SubordinatorPath:
         if (v[1:] < v[:-1]).any():
             raise ValueError("subordinator paths are nondecreasing")
         self.values = v
-
-    @property
-    def passage_time(self) -> float:
-        return self.grid.horizon
 
 
 @dataclass

@@ -146,6 +146,27 @@ def cash_q_candidate(tau, mu1: float, mu2: float, horizon: float):
     return float(out) if out.ndim == 0 else out
 
 
+def adjoint_q_recursion(p, du: float, fx: float, gx: float, lx: float, terminal: float):
+    """Second adjoint q_0..q_K on one path, given its first adjoint p_0..p_K,
+    when the second adjoint carries no Brownian or jump integrand.
+
+    With the drift slope f_x and the lam-integrated cost gradients
+    gx = lam int g_x and lx = lam int l_x constant, q solves
+    -dq = (fx q + lx - gx p) du backward from q(U) = terminal; its implicit
+    Euler scheme, one scalar step at a time, is
+
+        q_K = terminal,    q_i = (q_{i+1} + du s_i) / (1 - du fx),
+        s_i = lx - gx p_i.
+
+    test_oracles.py checks a hand-computed case and O(du) convergence to
+    cash_q_candidate before any module test relies on this.
+    """
+    q = [float(terminal)]
+    for p_i in reversed([float(x) for x in p[:-1]]):
+        q.append((q[-1] + du * (lx - gx * p_i)) / (1.0 - du * fx))
+    return np.array(q[::-1])
+
+
 def central_difference(fn, x, h):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 

@@ -245,7 +245,6 @@ def test_ensemble_bundles_match_the_one_call_samplers():
             assert got.jump_spec == want.jump_spec
             assert got.calendar_horizon == want.calendar_horizon
             assert got.subordinator.grid == want.subordinator.grid
-            assert got.subordinator.passage_time == want.subordinator.passage_time
             assert got.brownian.grid == want.brownian.grid
             assert got.jumps.horizon == want.jumps.horizon
             for a, b in ((got.subordinator.values, want.subordinator.values),
@@ -1114,8 +1113,8 @@ def test_live_row_kernel_is_row_local(steps):
 
 def _backward_rows(model, ctl, direction, batch):
     """Every backward kernel's output on one batch: the state's Y/A/r in
-    the affine and the ode regime, the second adjoint's q/k/R in both of
-    its regimes and the variational Y1/A1/r1."""
+    the affine and the ode regime, the second adjoint's q/k/R and the
+    variational Y1/A1/r1."""
     X, v = fbsde._forward_batch(model, ctl, batch)
     out = {}
     for method in ("affine", "ode"):
@@ -1123,8 +1122,7 @@ def _backward_rows(model, ctl, direction, batch):
         out.update(zip((f"{name}.{method}" for name in "YAr"), (Y, A, r.table())))
     base = (X, out["Y.affine"], out["A.affine"], out["r.affine"], v)
     p = smp._p_forward_batch(model, batch, *base)
-    for method, solve in (("affine", smp._q_affine_batch), ("ode", smp._q_ode_batch)):
-        out.update(zip((f"{name}.{method}" for name in "qkR"), solve(model, batch, *base, p)))
+    out.update(zip("qkR", smp._q_affine_batch(model, batch, *base, p)))
     out.update(zip(("Y1", "A1", "r1"),
                    smp._variational_batch(model, ctl, direction, batch, *base)[1:4]))
     return out
@@ -1135,7 +1133,7 @@ def _backward_rows(model, ctl, direction, batch):
 def test_backward_kernels_are_row_local(steps):
     """The backward kernels step only live rows, a suffix slice of the
     K-sorted batch: every row of that batch carries the bytes of the path
-    solved alone, for the state, both adjoint regimes and the variational
+    solved alone, for the state, the second adjoint and the variational
     pair.  The control and the direction are NaN past each horizon.
     Ragged steps with zeros, duplicates, in any order."""
     spec = CashSpec()
@@ -1149,7 +1147,7 @@ def test_backward_kernels_are_row_local(steps):
     order = np.argsort(ens.K, kind="stable")
     ksorted = _backward_rows(model, ctl, direction, ens.rows(order))
     at_s = np.argsort(order)
-    assert len(ksorted) == 15
+    assert len(ksorted) == 12
     for j in range(n):
         for name, val in _backward_rows(model, ctl, direction, ens.rows([j])).items():
             assert val[0].tobytes() == ksorted[name][at_s[j], : val.shape[1]].tobytes(), name

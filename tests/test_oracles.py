@@ -1,12 +1,16 @@
 """The oracles get checked before anything trusts them."""
 
+import ast
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
 
+import oracles
 from oracles import (
+    adjoint_q_recursion,
     cash_cost_given_steps,
     cash_q_candidate,
     central_difference,
@@ -112,6 +116,52 @@ def test_cash_q_candidate_satisfies_its_equation():
     # collapse case mu2 = 2 mu1: q = -exp(-mu1 tau)
     q2 = cash_q_candidate(np.array([0.0, 0.4, 1.3]), 1.0, 2.0, horizon)
     assert np.allclose(q2, -np.exp(-np.array([0.0, 0.4, 1.3])))
+
+
+def test_adjoint_q_recursion_two_steps_by_hand():
+    # du = 1/2, fx = -1, gx = 2, lx = 1, p = (1, 1/2, 1/4), q_2 = -1/4:
+    # s = (1 - 2, 1 - 1) = (-1, 0), q_1 = (-1/4 + 0) / (3/2) = -1/6,
+    # q_0 = (-1/6 - 1/2) / (3/2) = -4/9
+    q = adjoint_q_recursion([1.0, 0.5, 0.25], 0.5, -1.0, 2.0, 1.0, -0.25)
+    assert np.max(np.abs(q - [-4.0 / 9.0, -1.0 / 6.0, -0.25])) < 1e-15
+    # no solver steps: q is its terminal value alone
+    assert np.array_equal(adjoint_q_recursion([0.7], 0.01, -1.0, 2.0, 1.0, -0.7), [-0.7])
+
+
+def test_adjoint_q_recursion_converges_to_cash_q_candidate():
+    # on the cash system (fx = -mu1, gx = mu2, lx = 0, p = exp(-mu1 u),
+    # q_K = -p_K) the scheme approaches the closed form at first order in du
+    horizon = 1.3
+    for mu1, mu2 in ((1.0, 0.5), (2.0, 0.3)):
+        errs = []
+        for k in (130, 260, 520):
+            du = horizon / k
+            tau = du * np.arange(k + 1)
+            p = np.exp(-mu1 * tau)
+            q = adjoint_q_recursion(p, du, -mu1, mu2, 0.0, -p[-1])
+            errs.append(np.max(np.abs(q - cash_q_candidate(tau, mu1, mu2, horizon))))
+        assert errs[0] < 2e-3
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 1.9 < coarse / fine < 2.1
+
+
+def _package_imports(source):
+    """The modules of the package under test that ``source`` imports,
+    at any depth of its syntax tree."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append(node.module or "")
+    return [name for name in found if name.split(".")[0] == "tcfbsde"]
+
+
+def test_oracles_import_nothing_from_the_package_under_test():
+    # the walker sees top-level and nested imports in both forms
+    probe = "import numpy, tcfbsde.fbsde\ndef f():\n    from tcfbsde import smp\n"
+    assert _package_imports(probe) == ["tcfbsde.fbsde", "tcfbsde"]
+    assert _package_imports(Path(oracles.__file__).read_text()) == []
 
 
 def _continuous_cash_cost(s, horizon):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cash_q_candidate
+from oracles import adjoint_q_recursion, cash_q_candidate
 from support import (
     RAGGED_STEPS,
     lq_model,
@@ -18,7 +18,7 @@ from support import (
     solved_ensemble,
 )
 from tcfbsde import fbsde, smp
-from tcfbsde.cash import CashSpec, build_cash_model
+from tcfbsde.cash import CashSpec, build_cash_model, cash_adjoints, cash_optimal_control
 from tcfbsde.fbsde import (
     Box,
     Ensemble,
@@ -225,19 +225,41 @@ def test_adjoint_matches_exponential_closed_forms():
     assert abs(adj.q[-1] + 1.0 * adj.p[-1]) < 1e-9
 
 
-def test_adjoint_ode_and_affine_regimes_agree():
-    model, jspec, sspec = lq_model()
-    (bnd,) = make_ensemble(sspec, jspec, 1.0, DU, 1, master_seed=42)
-    ctrl = ConstantControl(0.4)
-    sol = solve_backward_dual(model, ctrl, bnd,
-                              solve_forward_dual(model, ctrl, bnd))
-    a1 = solve_adjoint(model, bnd, sol, method="affine")
-    a2 = solve_adjoint(model, bnd, sol, method="ode")
-    assert np.max(np.abs(a1.q - a2.q)) < 1e-10
-    assert np.max(np.abs(a1.p - a2.p)) == 0.0
+def _q_oracle_case(case):
+    """(model, bundles, control, fx, gx) of a model whose second adjoint
+    carries no noise, with its drift slope fx and its lam-integrated
+    g_x; both have l_x = 0 and the terminal q_K = -p_K."""
+    if case == "lq":
+        model, jspec, sspec = lq_model()
+        bundles = make_ensemble(sspec, jspec, 1.0, DU, 256, master_seed=42)
+        return model, bundles, ConstantControl(0.4), -1.0, 0.5
+    spec = CashSpec()
+    if case == "cash-ragged":
+        bundles = ragged_bundles(RAGGED_STEPS, jump_spec=spec.jump)
+        control = ConstantControl(0.7)
+    else:
+        bundles = make_ensemble(spec.subordinator, spec.jump, spec.horizon, DU, 256,
+                                master_seed=42)
+        control = cash_optimal_control(spec, cash_adjoints(spec, bundles))
+    return build_cash_model(spec), bundles, control, -spec.mu1, spec.mu2
 
 
-def test_adjoint_rejects_unflagged_nonlinear_model():
+@pytest.mark.parametrize("case", ["cash-ragged", "cash-ustar", "lq"])
+def test_adjoint_q_matches_the_scalar_recursion_oracle(case):
+    """The closure's q on every row equals the oracle's implicit Euler
+    recursion run on that row's own p, and holds q_K past the horizon:
+    ragged cash rows (zero-step rows included), cash rows under u* and
+    lq_model rows."""
+    model, bundles, control, fx, gx = _q_oracle_case(case)
+    adj = solve_adjoint_ensemble(model, bundles, solved_ensemble(model, control, bundles))
+    for n, k in enumerate(adj.K):
+        p = adj.p[n, : k + 1]
+        q = adjoint_q_recursion(p, adj.du, fx, gx, 0.0, -p[-1])
+        want = np.concatenate([q, np.full(adj.q.shape[1] - k - 1, q[-1])])
+        assert np.max(np.abs(adj.q[n] - want)) <= 1e-13, n
+
+
+def test_adjoint_rejects_a_nonlinear_model():
     model = mk_model(f=lambda t1, t2, x, v: -x ** 3 + 0.0 * v,
                      phi=lambda x: 1.0 * x)
     _, jspec, sspec, _ = build_model("linear_test")
@@ -246,8 +268,6 @@ def test_adjoint_rejects_unflagged_nonlinear_model():
                               solve_forward_dual(model, 0.0, bnd), method="ode")
     with pytest.raises(NotImplementedError):
         solve_adjoint(model, bnd, sol)
-    with pytest.raises(KeyError):
-        solve_adjoint(model, bnd, sol, method="spectral")
 
 
 def _closure_case(**maps):
@@ -457,7 +477,7 @@ def test_forward_blow_up_names_the_system_and_the_path(system):
                                  control_set=Box(), conditionally_deterministic=True,
                                  derivatives={"l_y": lambda t1, t2, x, y, a, r, v: v * v})
                 sols = solved_ensemble(model, huge, bundles)
-                solve_adjoint_ensemble(model, bundles, sols, method="ode")
+                solve_adjoint_ensemble(model, bundles, sols)
             else:
                 # f_v = 1e200 loads the direction into X1; the base stays put
                 model = mk_model(f=lambda t1, t2, x, v: 1e200 * v + 0.0 * x, M_T=0.0,
@@ -465,8 +485,7 @@ def test_forward_blow_up_names_the_system_and_the_path(system):
                 expansion_check(model, 0.0, huge, [0.1], bundles)
 
 
-@pytest.mark.parametrize("method", ["affine", "ode"])
-def test_adjoint_and_variational_rows_match_single_paths(method):
+def test_adjoint_and_variational_rows_match_single_paths():
     """Every row of an ensemble's adjoint and variational solve carries the
     bytes of that path solved alone, whatever its horizon (zero-step paths
     included), so the padded kernels hold and freeze each row on its own."""
@@ -477,7 +496,7 @@ def test_adjoint_and_variational_rows_match_single_paths(method):
 
     def solve(bnds):
         sols = solved_ensemble(model, u, bnds)
-        adj = solve_adjoint_ensemble(model, bnds, sols, method=method)
+        adj = solve_adjoint_ensemble(model, bnds, sols)
         # a batch holds its rows in K order: gather the solved rows in that
         # order and put the variational rows back in ensemble order
         order = np.argsort(sols.K, kind="stable")

@@ -95,7 +95,8 @@ def test_sample_subordinator_passes_horizon():
     assert np.all(np.diff(path.values) >= 0.0)
     assert path.values[-1] > 1.0
     assert path.values[-2] <= 1.0
-    assert path.passage_time == path.grid.horizon
+    # the grid ends at the first passage past the level
+    assert path.grid.horizon == path.grid.step * (path.values.size - 1)
 
 
 def test_sample_subordinator_grows_small_grids():
@@ -167,7 +168,7 @@ def test_sample_subordinator_deterministic():
     a = sample_subordinator(spec, 1.5, grid, seed=99)
     b = sample_subordinator(spec, 1.5, grid, seed=99)
     assert np.array_equal(a.values, b.values)
-    assert a.passage_time == b.passage_time
+    assert a.grid.horizon == b.grid.horizon
 
 
 @settings(max_examples=20, deadline=None)

@@ -127,17 +127,18 @@ def dump(out_path):
     ustar = cash.cash_optimal_control(spec, cash.cash_adjoints(spec, cens))
     out["cash.ustar"] = ustar.values
     lens = ens[:100]
-    cases = [("cash", cmodel, ustar, cens, ("affine", "ode")),
-             ("linear_test", lin, fbsde.ConstantControl(0.5), lens, (None,))]
+    # the adjoint keys keep the labels of earlier trees, which had an
+    # adjoint method argument, so that dumps of those trees still compare
+    cases = [("cash", cmodel, ustar, cens, "affine"),
+             ("linear_test", lin, fbsde.ConstantControl(0.5), lens, "auto")]
     solved = {}
-    for name, model, ctl, bundles, methods in cases:
+    for name, model, ctl, bundles, label in cases:
         sols = solved[name] = fbsde._ensemble_cost(model, ctl, bundles, keep=len(bundles))[1]
         for field in ("Y", "A", "r"):
             out[f"solved.{name}.{field}"] = getattr(sols, field)
-        for method in methods:
-            adj = smp.solve_adjoint_ensemble(model, bundles, sols, method=method)
-            for field in ("p", "q", "k", "R"):
-                out[f"adjoint.{name}.{method or 'auto'}.{field}"] = getattr(adj, field)
+        adj = smp.solve_adjoint_ensemble(model, bundles, sols)
+        for field in ("p", "q", "k", "R"):
+            out[f"adjoint.{name}.{label}.{field}"] = getattr(adj, field)
         # a batch holds its rows in K order: gather the solved rows in that
         # order and put the variational rows back in ensemble order
         order = np.argsort(sols.K, kind="stable")
