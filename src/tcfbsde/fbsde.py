@@ -221,18 +221,18 @@ def as_control(value) -> "ConstantControl":
 _FRAME_READS = frozenset(("locals", "vars", "eval", "exec", "_getframe", "currentframe"))
 
 
-def _may_read_r(l) -> bool:
-    """False only when the running cost ``l`` provably never reads its r
-    argument (the 6th): a plain Python function without *args or
-    **kwargs, no instruction of which refers to that parameter's name (a
-    fused load carries a tuple of names, so tuples are searched too),
+def _may_read_r(fn) -> bool:
+    """False only when the driver or running cost ``fn`` provably never
+    reads its r argument (the 6th): a plain Python function without *args
+    or **kwargs, no instruction of which refers to that parameter's name
+    (a fused load carries a tuple of names, so tuples are searched too),
     which does not close over it and names none of _FRAME_READS.  Any
-    other l (a callable object, a wrapper taking *args, a builtin) may
+    other map (a callable object, a wrapper taking *args, a builtin) may
     read it.  Probing with values is not sound: np.where(r > 0, ...)
     swallows a NaN sentinel, and two probes can miss a branch."""
-    if not isinstance(l, types.FunctionType):
+    if not isinstance(fn, types.FunctionType):
         return True
-    code = l.__code__
+    code = fn.__code__
     if code.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS) or code.co_argcount < 6:
         return True
     name = code.co_varnames[5]
@@ -271,9 +271,11 @@ class ModelSpec:
     dH/dv's included, is a central difference of the map.
     Only scalar systems are implemented (n = m = d = k = 1).
 
-    Whenever ``l`` is set, the spec decides whether it can read its r
-    argument (_may_read_r); the cost builds r's cells only for an l
-    that can, and hands any other l zero cells in their place.
+    Whenever ``g`` or ``l`` is set, the spec decides whether that map can
+    read its r argument (_may_read_r, kept as ``_g_reads_r`` and
+    ``_l_reads_r``).  The cost builds r's cells only for an l that can,
+    and the LSMC sweep reads the jump fit off its inner states only for a
+    g that can; any other map gets zero cells in their place.
     """
 
     def __init__(self, *, f, sigma, b, g, phi, l, h, gamma, control_set: Box,
@@ -293,13 +295,10 @@ class ModelSpec:
         self.name = name
         self._validate()
 
-    @property
-    def l(self):
-        return self._l
-
-    @l.setter
-    def l(self, fn):
-        self._l, self._l_reads_r = fn, _may_read_r(fn)
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name in ("g", "l"):
+            super().__setattr__(f"_{name}_reads_r", _may_read_r(value))
 
     @property
     def linear_terminal(self) -> bool:
@@ -1014,8 +1013,14 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256):
     carries the ridge _LSMC_RIDGE (1e-8).  The fits are then read off the
     inner states (with _LSMC_PICARD (3) Picard sweeps for the driver,
     which give the next step's targets) and off the outer paths (the same
-    sweeps over the active rows).  Every path's result depends on its own
-    rows only, so it does not depend on the batch.
+    sweeps over the active rows).  The inner read-off evaluates the jump
+    fit at every quadrature node (b and two Horner passes over
+    (paths, n_inner, nodes)) only for a driver that may read r
+    (``model._g_reads_r``); any other driver gets zero cells, which it
+    ignores, so its Y is the same to the bit.  The jump fit itself, its
+    Gram check and the outer paths' r table are built for every driver.
+    Every path's result depends on its own rows only, so it does not
+    depend on the batch.
 
     Returns Y (N, Kmax + 1), each row frozen at phi(X_K) from its
     horizon on, and A (N, Kmax) and r (its (N, Kmax, nodes) table as
@@ -1070,11 +1075,14 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256):
             fit = Phi @ beta
             Ey, Ai = fit[..., 0].ravel(), fit[..., 1].ravel()
             ti, xi, vin = inner.t[sl, i], x.ravel(), vi[sl, i]
-            bi = np.broadcast_to(np.asarray(
-                model.b(ti[:, None], u, xi[:, None], vin[:, None], z), dtype=float),
-                (xi.size, z.size))
-            ri = (_poly_eval(beta_v, mu1, sd1, x[..., None] + bi.reshape(P, n_inner, -1))
-                  - _poly_eval(beta_v, mu1, sd1, x)[..., None]).reshape(xi.size, -1)
+            if model._g_reads_r:
+                bi = np.broadcast_to(np.asarray(
+                    model.b(ti[:, None], u, xi[:, None], vin[:, None], z), dtype=float),
+                    (xi.size, z.size))
+                ri = (_poly_eval(beta_v, mu1, sd1, x[..., None] + bi.reshape(P, n_inner, -1))
+                      - _poly_eval(beta_v, mu1, sd1, x)[..., None]).reshape(xi.size, -1)
+            else:
+                ri = np.zeros((xi.size, z.size))
             Yn[sl] = _picard(model, spec, ti, u, xi, Ey, Ai, ri, vin, du, _LSMC_PICARD)
 
             # outer paths: the same fits read at their own states

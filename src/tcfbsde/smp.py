@@ -324,17 +324,18 @@ def solve_adjoint_ensemble(model: ModelSpec, bundles,
     The first adjoint p runs through the forward Euler kernel; the second
     (q, k, R) by the affine closure, which needs a model that is affine
     with a linear terminal (affine_solvable) and a state-free first
-    adjoint.  Any other model raises NotImplementedError.
+    adjoint.  Any other model raises NotImplementedError, before p is
+    solved: the refusal reads only the solved rows.
     """
     ens = as_ensemble(bundles)
     _matching(ens.K, solutions)
     (idx, batch), = _sorted_batches(ens, len(ens))
     X, Y, A, r, v = (getattr(solutions, name)[idx] for name in "XYArv")
-    p = _p_forward_batch(model, batch, X, Y, A, r, v)
     if not (model.affine_solvable and _p_state_free(model, batch, X, Y, A, r, v)):
         raise NotImplementedError(
             "the affine adjoint closure needs an affine model "
             "with a linear terminal and a state-free first adjoint")
+    p = _p_forward_batch(model, batch, X, Y, A, r, v)
     q, k, R = _q_affine_batch(model, batch, X, Y, A, r, v, p)
     g0 = np.asarray(model_derivative(model, "gamma_y")(Y[:, 0]), dtype=float)
     if np.any(np.abs(p[:, 0] + g0) > 1e-9 * (1.0 + np.abs(g0))):

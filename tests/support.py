@@ -36,10 +36,10 @@ def mk_model(**overrides):
     return ModelSpec(**base)
 
 
-def solved_ensemble(model, control, bundles, chunk=512):
+def solved_ensemble(model, control, bundles, chunk=512, method=None):
     """Every path's forward and backward rows, in ensemble order, as the
     cost pass keeps them."""
-    return _ensemble_cost(model, control, bundles, chunk=chunk, keep=len(bundles))[1]
+    return _ensemble_cost(model, control, bundles, method, chunk, keep=len(bundles))[1]
 
 
 def manual_bundle(values, du, horizon, jump_spec=None, seed=0, flat_noise=False):

@@ -763,9 +763,77 @@ def test_cost_builds_r_cells_for_running_costs_that_may_read_r(monkeypatch, form
     assert not np.array_equal(cost, plain)
 
 
+def _nodewise_read_offs(monkeypatch, refuse=False):
+    """Count (or, with ``refuse``, forbid) the LSMC sweep's nodewise read-off
+    of the jump fit on inner states, its only _poly_eval call on a
+    (paths, inner, nodes) array."""
+    poly_eval, calls = fbsde._poly_eval, []
+
+    def watched(beta, mu, sd, x):
+        if x.ndim == 3:
+            if refuse:
+                raise AssertionError("inner jump read-off built")
+            calls.append(1)
+        return poly_eval(beta, mu, sd, x)
+
+    monkeypatch.setattr(fbsde, "_poly_eval", watched)
+    return calls
+
+
+def test_lsmc_read_off_skip_keeps_every_bit(monkeypatch):
+    """quadratic_drift's g cannot read r, so the LSMC sweep hands it zero
+    cells in place of the inner jump read-off.  A *args wrapper of the same
+    g may read r and gets the read-off.  Both give the same bytes: per-path
+    costs and the kept Y, A and r rows (the outer r table is built for
+    every driver)."""
+    model, jump, sub, p = build_model("quadratic_drift")
+    ens = make_ensemble(sub, jump, p["horizon"], p["step"], 8, master_seed=0)
+    wrapped = build_model("quadratic_drift")[0]
+    wrapped.g = lambda *args: model.g(*args)
+    assert not model._g_reads_r and wrapped._g_reads_r
+    calls = _nodewise_read_offs(monkeypatch)
+    ctl = ConstantControl(0.5)
+    skip = evaluate_cost(model, ctl, ens, method="lsmc").per_path
+    skip_rows = solved_ensemble(model, ctl, ens, method="lsmc")
+    assert not calls
+    read = evaluate_cost(wrapped, ctl, ens, method="lsmc").per_path
+    read_rows = solved_ensemble(wrapped, ctl, ens, method="lsmc")
+    assert calls
+    assert np.array_equal(skip, read)
+    for name in "YAr":
+        assert np.array_equal(getattr(skip_rows, name), getattr(read_rows, name))
+    assert np.any(skip_rows.r != 0.0)
+
+
+def test_lsmc_runs_without_the_inner_read_off_for_built_in_drivers(monkeypatch):
+    """With the nodewise inner read-off raising, the LSMC cost of
+    quadratic_drift still runs: its g never asks for the cells."""
+    model, jump, sub, p = build_model("quadratic_drift")
+    _nodewise_read_offs(monkeypatch, refuse=True)
+    evaluate_cost(model, 0.5, make_ensemble(sub, jump, p["horizon"], p["step"], 8, 0),
+                  method="lsmc")
+
+
+def test_lsmc_reads_the_jump_fit_off_inner_states_for_a_driver_that_reads_r(monkeypatch):
+    """A g that reads r gets the nodewise inner read-off, and r moves its
+    cost."""
+    model, jump, sub, p = build_model("quadratic_drift")
+    ens = make_ensemble(sub, jump, p["horizon"], p["step"], 8, master_seed=0)
+    plain = evaluate_cost(model, 0.5, ens, method="lsmc").per_path
+    twin = build_model("quadratic_drift")[0]
+    twin.g = lambda t1, t2, x, y, a, r, v: model.g(t1, t2, x, y, a, r, v) + 0.05 * r
+    assert twin._g_reads_r
+    calls = _nodewise_read_offs(monkeypatch)
+    cost = evaluate_cost(twin, 0.5, ens, method="lsmc").per_path
+    assert calls
+    assert not np.array_equal(cost, plain)
+
+
 def test_r_read_test_clears_only_functions_that_provably_ignore_r():
     """_may_read_r is conservative: frame access, a closure over r,
-    **kwargs, a builtin or a rebinding of r all count as reading it."""
+    **kwargs, a builtin or a rebinding of r all count as reading it.  The
+    model decides for g as for l whenever either is set: no built-in g
+    reads r, mk_model's zero g does, and assigning g decides again."""
     def rebinds(t1, t2, x, y, a, r, v):
         r = 0.0
         return x + r
@@ -779,6 +847,14 @@ def test_r_read_test_clears_only_functions_that_provably_ignore_r():
                np.add, rebinds]
     assert not any(fbsde._may_read_r(fn) for fn in clear)
     assert all(fbsde._may_read_r(fn) for fn in unclear)
+    built_in = [build_model(name)[0] for name in ("linear_test", "quadratic_drift")]
+    assert not any(m._g_reads_r for m in built_in + [build_cash_model(CashSpec())])
+    model = mk_model()
+    assert model._g_reads_r
+    model.g = lambda t1, t2, x, y, a, r, v: 0.0 * (x + y)
+    assert not (model._g_reads_r or model._l_reads_r)
+    model.g = lambda *args: 0.0
+    assert model._g_reads_r
 
 
 def test_ensemble_rows_match_a_fresh_pack():

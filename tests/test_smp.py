@@ -270,6 +270,22 @@ def test_adjoint_rejects_a_nonlinear_model():
         solve_adjoint(model, bnd, sol)
 
 
+def test_adjoint_refuses_a_model_outside_the_closure_before_solving_p(monkeypatch):
+    """The refusal reads the solved rows only: a model that is not affine is
+    refused with NotImplementedError before the first adjoint's Euler
+    pass runs."""
+    def refuse(*args):
+        raise AssertionError("first adjoint solved")
+
+    model = mk_model(f=lambda t1, t2, x, v: -x ** 3 + 0.0 * v, phi=lambda x: 1.0 * x)
+    _, jspec, sspec, _ = build_model("linear_test")
+    bundles = make_ensemble(sspec, jspec, 0.5, DU, 4, master_seed=60)
+    sols = solved_ensemble(model, ConstantControl(0.5), bundles)
+    monkeypatch.setattr(smp, "_p_forward_batch", refuse)
+    with pytest.raises(NotImplementedError, match="affine adjoint closure"):
+        solve_adjoint_ensemble(model, bundles, sols)
+
+
 def _closure_case(**maps):
     """The zero model of mk_model with ``maps``, declared affine with a
     linear terminal, solved on four paths under a constant control."""
@@ -472,9 +488,11 @@ def test_forward_blow_up_names_the_system_and_the_path(system):
                 model = mk_model(f=lambda t1, t2, x, v: v * v + 0.0 * x, control_set=Box())
                 evaluate_cost(model, huge, bundles)
             elif system == "adjoint":
-                # l_y = v^2 drives p; the state and Y stay at x0 and 0
+                # l_y = v^2 drives p; the state and Y stay at x0 and 0.  The
+                # model is in the closure, so p is solved, not refused
                 model = mk_model(l=lambda t1, t2, x, y, a, r, v: y * v * v,
                                  control_set=Box(), conditionally_deterministic=True,
+                                 affine=True, M_T=0.0,
                                  derivatives={"l_y": lambda t1, t2, x, y, a, r, v: v * v})
                 sols = solved_ensemble(model, huge, bundles)
                 solve_adjoint_ensemble(model, bundles, sols)

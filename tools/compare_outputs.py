@@ -10,7 +10,9 @@ sampled ensembles themselves (their padded layout, rows in K order, and
 the bundles of a few paths).  The costs include linear_test twins whose
 running cost reads r, so the backward solve's jump cells reach a compared
 output; one of them has a jump coefficient with both an x-slope and a
-constant, which pins the operation order of those cells.  The script then
+constant, which pins the operation order of those cells.  Likewise a
+quadratic_drift twin whose driver reads r sends the LSMC sweep's jump
+read-off on inner states into a compared cost.  The script then
 prints one line per output: ``identical`` when dtype, shape and bytes
 agree, else ``moved`` with the largest absolute and relative difference.
 It exits 1 when any output differs or is missing from one tree.
@@ -107,6 +109,18 @@ def dump(out_path):
         out[f"lsmc.op{j}.per_path"] = fbsde.evaluate_cost(
             quad, fbsde.ConstantControl(0.5), [qens[int(k)] for k in rows[:, j]],
             method="lsmc").per_path
+    # quadratic_drift's g cannot read r, so its sweep skips the jump fit's
+    # read-off on inner states: a twin whose g adds 0.05 r sends that
+    # read-off into a cost, and the kept rows pin the outer r table
+    op0 = [qens[int(k)] for k in rows[:, 0]]
+    gr = fbsde.build_model("quadratic_drift")[0]
+    gr.g = lambda t1, t2, x, y, a, r, v: quad.g(t1, t2, x, y, a, r, v) + 0.05 * r
+    out["lsmc.quadratic_drift_gr.op0.per_path"] = fbsde.evaluate_cost(
+        gr, fbsde.ConstantControl(0.5), op0, method="lsmc").per_path
+    sols = fbsde._ensemble_cost(quad, fbsde.ConstantControl(0.5), op0, method="lsmc",
+                                keep=16)[1]
+    for field in ("Y", "A", "r"):
+        out[f"solved.lsmc.{field}"] = getattr(sols, field)
 
     # the ode regime: quadratic_drift's drift and driver (plus a y^2 term)
     # without noise loadings, on the first 1,024 paths of that ensemble
