@@ -27,25 +27,36 @@ A path reads the control row of its label: its position in the ensemble
 an entry point is given, or the seeds["path"] of a bundle solved alone.
 
 Every forward system (the state here, the first adjoint and the
-variational state in smp) runs through one explicit Euler kernel, _euler:
+variational state in smp) runs through one forward loop, _euler, stepped
+on the rows live at step i only (a suffix of the K-sorted batch), so no
+padded cell is computed and no control is read past a horizon; each row
+holds its value past its horizon, and a non-finite value raises naming
+the system, the step and the path.  The loop's per-step hook is one of
+two steps.  The explicit Euler step of the maps (_map_step),
 z_{i+1} = z_i + a du + s dB_i + (the step's event jumps) - lam du int c,
-stepped on the rows live at step i only (a suffix of the K-sorted
-batch), so no padded cell is computed and no control is read past a
-horizon; each row holds its value past its horizon, and a non-finite
-value raises naming the system, the step and the path.
+serves solve_forward_dual, the ode and lsmc regimes (the LSMC inner
+passes included), closed-loop controls, models that are not affine, and
+smp's systems.  The cost's affine regime reads its open-loop control
+first, probes the model once (_probe_affine) and steps the state as
+X_{i+1} = alpha_i X_i + beta_i on per-cell slope and intercept tables
+built from that probe (_affine_step); its backward reads the same probe.
+The probe reads each slope as a map's value at 1 less its value at 0,
+so the two steps agree to rounding, not to the bit.
 
 Every backward solve goes through one dispatcher, _backward_batch, which
 resolves the regime (backward_method) and runs that regime's batched
 kernel on the padded batch; the single-path solvers are batch-of-one
-calls of the batch code.  The ode and affine kernels start every row at
-its terminal value and step only the rows live at step i, so a row holds
-that value past its horizon; the step sums of the running cost and the
-Gateaux integral (_step_sum) likewise evaluate live rows only.  Every
-regime hands r over as _NodeCells: the cost reads it one live step at a
-time, and no (N, Kmax, nodes) r table is built on the cost path.  Its
-cells are built only for a running cost that can read r, which ModelSpec
-decides from l's code whenever l is set; any other l gets zero cells in
-their place (none of the built-in models' l reads r).  The rows the cost
+calls of the batch code, whose state takes the map step: a path's X from
+solve_forward_dual matches the cost's affine-regime X to rounding.  The
+ode and affine kernels start every row at its terminal value and step
+only the rows live at step i, so a row holds that value past its
+horizon; the step sums of the running cost and the Gateaux integral
+(_step_sum) likewise evaluate live rows only.  Every regime hands r
+over as _NodeCells: the cost reads it one live step at a time, and no
+(N, Kmax, nodes) r table is built on the cost path.  Its cells are built
+only for a running cost that can read r, which ModelSpec decides from
+l's code whenever l is set; any other l gets zero cells in their place
+(none of the built-in models' l reads r).  The rows the cost
 pass keeps, the adjoints, the variational pair and the one-path solve
 build the padded table from the same expression.  The regimes are:
 
@@ -57,7 +68,9 @@ build the padded table from the same expression.  The regimes are:
             an exact conditional solution Y_i = c_i + P_i X_i; A is read
             off P_{i+1} in one pass after the recursion, and r's cells
             (bx X_i + b0) P_{i+1} are built where they are read (this is
-            the workhorse for the built-in models);
+            the workhorse for the built-in models).  The cost probes the
+            coefficients once, before its forward pass, and the state
+            and this kernel read the same probe;
 * "lsmc"    least-squares Monte Carlo regression over an inner ensemble
             that shares the subordinator path, monomial basis in X up
             to degree 3 with a small ridge term.  The outer paths of a
@@ -328,7 +341,8 @@ class ModelSpec:
             p0 = float(self.phi(0.0))
             for x in (-1.0, 0.3, 1.0):
                 if abs(float(self.phi(x)) - p0 - self.M_T * x) > 1e-10 * (1 + abs(x)):
-                    raise ValueError("linear_terminal is set but phi is not M_T * x")
+                    raise ValueError("linear_terminal is set but phi(x) is not "
+                                     "phi(0) + M_T * x")
 
 
 # ------------------------------------------------------------------- bundles
@@ -690,35 +704,25 @@ def _hold(a, K, park, width: int):
     return a
 
 
-def _euler(batch: _Batch, z0, coeffs, jumps, system: str) -> np.ndarray:
-    """The explicit Euler recursion of a scalar forward system, padded.
+def _euler(batch: _Batch, z0, step, system: str) -> np.ndarray:
+    """The forward recursion of a scalar system, padded.
 
-    z_{i+1} = z_i + a du + s dB_i + (the step's event jumps) - lam du int c,
-    stepped on the rows live at step i (``batch.live(i)``, a suffix) only.
-    ``coeffs(i, rows, z)`` gives the drift a, the Brownian loading s and the
-    nodewise compensator integrand c of step i on ``rows``, whose values
-    are ``z``; ``jumps(i, z, sl, p)`` gives the jump of each event in
-    ``sl``, which acts on batch row p[e] of the step's column ``z``.  No
-    padded cell is computed: each row is frozen at its horizon value once,
-    at the end.  A non-finite value inside a horizon raises, naming the
-    system, the step and the path's label.
+    ``step(i, rows, z)`` gives z_{i+1} on ``rows``, the rows live at step i
+    (``batch.live(i)``, a suffix), from the step's column ``z`` of every
+    row: the explicit Euler step of the maps (_map_step) or the affine
+    state's slope/intercept step (_affine_step).  Only live rows are
+    stepped, so no padded cell is computed: each row is frozen at its
+    horizon value once, at the end.  A non-finite value inside a horizon
+    raises, naming the system, the step and the path's label.
     """
-    N, Kmax, du = batch.N, batch.Kmax, batch.du
-    lam_du = batch.spec.intensity * du
-    Z = np.zeros((N, Kmax + 1))
+    Kmax = batch.Kmax
+    Z = np.zeros((batch.N, Kmax + 1))
     Z[:, 0] = z0
     for i in range(Kmax):
         rows = batch.live(i)
-        z = Z[rows, i]
-        a, s, c = coeffs(i, rows, z)
-        jump = np.zeros(N)
-        sl = slice(batch.ev_start[i], batch.ev_start[i + 1])
-        if sl.stop > sl.start:
-            np.add.at(jump, batch.ev_p[sl], jumps(i, Z[:, i], sl, batch.ev_p[sl]))
-        zn = (z + a * du + s * batch.dB[rows, i] + jump[rows]
-              - lam_du * batch.spec.integrate(c, z.shape))
+        zn = step(i, rows, Z[:, i])
         bad = ~np.isfinite(zn)
-        if np.any(bad):
+        if bad.any():
             raise FloatingPointError(f"{system} blow-up at step {i} "
                                      f"(path {int(batch.labels[rows][np.argmax(bad)])})")
         Z[rows, i + 1] = zn
@@ -726,11 +730,84 @@ def _euler(batch: _Batch, z0, coeffs, jumps, system: str) -> np.ndarray:
     return _hold(Z, batch.K + 1, 0.0, Kmax + 1)
 
 
-def _forward_batch(model: ModelSpec, control, batch: _Batch):
-    """The state by the Euler kernel and the realized v, read on live cells
-    only: past its horizon a row of v holds its last value (0 on a
-    zero-step row).  Returns (X, v); solve_forward_dual evaluates the Ito
-    ingredients from them afterwards."""
+def _map_step(batch: _Batch, coeffs, jumps):
+    """_euler's step for a system given by its maps:
+    z_{i+1} = z_i + a du + s dB_i + (the step's event jumps) - lam du int c.
+    ``coeffs(i, rows, z)`` gives the drift a, the Brownian loading s and the
+    nodewise compensator integrand c of step i on ``rows``, whose values
+    are ``z``; ``jumps(i, z, sl, p)`` gives the jump of each event in
+    ``sl``, which acts on batch row p[e] of the step's column ``z``."""
+    N, du = batch.N, batch.du
+    lam_du = batch.spec.intensity * du
+
+    def step(i, rows, col):
+        z = col[rows]
+        a, s, c = coeffs(i, rows, z)
+        jump = np.zeros(N)
+        sl = slice(batch.ev_start[i], batch.ev_start[i + 1])
+        if sl.stop > sl.start:
+            np.add.at(jump, batch.ev_p[sl], jumps(i, col, sl, batch.ev_p[sl]))
+        return (z + a * du + s * batch.dB[rows, i] + jump[rows]
+                - lam_du * batch.spec.integrate(c, z.shape))
+
+    return step
+
+
+def _open_loop(model: ModelSpec, control, batch: _Batch) -> np.ndarray:
+    """An open-loop control's v, read on live cells only, before any state
+    exists: the state argument is NaN, which a state-free control does not
+    read.  The live cells are admitted together, once, and past its
+    horizon a row holds its last value, 0 on a zero-step row, as
+    _forward_batch's v does."""
+    v, nan = np.zeros((batch.N, batch.Kmax)), np.full(batch.N, np.nan)
+    for i in range(batch.Kmax):
+        rows = batch.live(i)
+        v[rows, i] = control.values_at(i, batch.t[rows, i], i * batch.du, nan[rows],
+                                       batch.labels[rows])
+    live = np.arange(batch.Kmax) < batch.K[:, None]
+    v[live] = model.control_set.admit(v[live])
+    return _hold(v, batch.K, 0.0, batch.Kmax)
+
+
+def _affine_step(model: ModelSpec, batch: _Batch, v, co: dict):
+    """_euler's step for an affine model's state, X_{i+1} = alpha_i X_i +
+    beta_i, with the per-cell slope and intercept built once from the
+    probe ``co`` at ``v`` and its mark integrals:
+
+        alpha = 1 + fx du + sx dB + J1 - lam du int bx,
+        beta  = f0 du + s0 dB + J0 - lam du int b0.
+
+    J1 and J0 are the sums of bx and b0 at the cell's event marks, from
+    two b calls over all the batch's events, summed in its event order.
+    It is the map step's Euler step to rounding: the probe reads each
+    map's slope as its value at 1 less its value at 0."""
+    N, Kmax, du = batch.N, batch.Kmax, batch.du
+    lam_du = batch.spec.intensity * du
+    p, s = batch.ev_p, batch.ev_s
+    t, u, ve = batch.t[p, s], s * du, v[p, s]
+    e0 = np.broadcast_to(np.asarray(model.b(t, u, 0.0, ve, batch.ev_z), dtype=float), p.shape)
+    e1 = np.asarray(model.b(t, u, 1.0, ve, batch.ev_z), dtype=float) - e0
+    J0, J1 = np.zeros((N, Kmax)), np.zeros((N, Kmax))
+    np.add.at(J0, (p, s), e0)
+    np.add.at(J1, (p, s), e1)
+    alpha = 1.0 + co["fx"] * du + co["sx"] * batch.dB + J1 - lam_du * co["ibx"]
+    beta = co["f0"] * du + co["s0"] * batch.dB + J0 - lam_du * co["ib0"]
+    return lambda i, rows, x: alpha[rows, i] * x[rows] + beta[rows, i]
+
+
+def _forward_batch(model: ModelSpec, control, batch: _Batch, v=None, co=None):
+    """The state by the forward kernel and the realized v.  Returns (X, v).
+
+    By default each step reads the control on its live rows at their
+    states and calls f, sigma and the nodewise b there (_map_step); past
+    its horizon a row of v holds its last value (0 on a zero-step row).
+    Given ``v``, an open-loop control's table (_open_loop), and ``co``, an
+    affine model's probe at it (_probe_affine), the state steps by the
+    probe's slope/intercept tables instead (_affine_step) and calls no
+    map in its loop; the two steps agree to rounding.
+    solve_forward_dual evaluates the Ito ingredients from (X, v)."""
+    if co is not None:
+        return _euler(batch, model.x0, _affine_step(model, batch, v, co), "state"), v
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     v = np.zeros((N, Kmax))
 
@@ -746,7 +823,7 @@ def _forward_batch(model: ModelSpec, control, batch: _Batch):
     def jumps(i, x, sl, p):
         return model.b(batch.t[p, i], i * du, x[p], v[p, i], batch.ev_z[sl])
 
-    X = _euler(batch, model.x0, coeffs, jumps, "state")
+    X = _euler(batch, model.x0, _map_step(batch, coeffs, jumps), "state")
     return X, _hold(v, batch.K, 0.0, Kmax)
 
 
@@ -776,14 +853,24 @@ def solve_forward_dual(model: ModelSpec, control, bundle: PathBundle) -> FBSDESo
 
 # ------------------------------------------------------- affine backward core
 
+def _mark_integrals(spec: LevyJumpSpec, co: dict) -> dict:
+    """``co`` with the mark integrals of its nodewise bx and b0 added as
+    ibx and ib0, each taken once over the shape it comes in."""
+    return dict(co, **{f"i{key}": spec.integrate(co[key], np.shape(co[key])[:-1])
+                       for key in ("bx", "b0")})
+
+
 def _probe_affine(model: ModelSpec, batch: _Batch, v: np.ndarray):
     """Exact affine coefficients by evaluation at states 0 and 1.
 
     Valid when the model is affine (ModelSpec.affine); the returned
     driver pieces are already integrated against the jump measure
-    (G = lam * int g, with the r term kept nodewise as gr * w * lam).
-    The pieces keep the shapes the model returns; _affine_backward
-    broadcasts them to the batch layout.
+    (G = lam * int g, with the r term kept nodewise as gr * w * lam), and
+    the mark integrals of bx and b0 are taken once (ibx, ib0).  The
+    pieces keep the shapes the model returns; the readers broadcast them
+    to the batch layout.  The cost's affine regime probes once, before
+    the forward pass, at the open-loop v: the state steps by these
+    tables (_affine_step) and _affine_backward reads the same dict.
     """
     t, u = batch.t[:, :-1], np.arange(batch.Kmax) * batch.du
     z = batch.znodes
@@ -799,8 +886,9 @@ def _probe_affine(model: ModelSpec, batch: _Batch, v: np.ndarray):
     # unit probes in x, y, a and r in turn
     gx, gy, ga, gr = (np.asarray(model.g(t, u, *e, v), dtype=float) - g00
                       for e in np.eye(4).tolist())
-    return dict(fx=fx, f0=f0, sx=sx, s0=s0, bx=bx, b0=b0,
-                Gy=lam * gy, Gx=lam * gx, Ga=lam * ga, G0=lam * g00, gr=lam * gr)
+    return _mark_integrals(batch.spec, dict(fx=fx, f0=f0, sx=sx, s0=s0, bx=bx, b0=b0,
+                                            Gy=lam * gy, Gx=lam * gx, Ga=lam * ga,
+                                            G0=lam * g00, gr=lam * gr))
 
 
 def _jump_cells(bx, b0, x, Pn, out=None):
@@ -867,11 +955,11 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
 
     The coefficients ``co`` may take any shape that broadcasts against
     the (N, Kmax) layout, (N, Kmax, nodes) for ``bx`` and ``b0``, whose
-    mark integrals are taken over the shape they come in.  P and c start
-    at the terminal pair in every cell and step i updates its live rows
-    (the suffix ``batch.live(i)``) only, so each row holds the terminal pair
-    from its horizon on and no padded coefficient cell is read by the
-    recursion.  A and r do not feed it: A is built after it in one pass
+    mark integrals ``ibx`` and ``ib0`` (_mark_integrals) come with them.
+    P and c start at the terminal pair in every cell and step i updates
+    its live rows (the suffix ``batch.live(i)``) only, so each row holds
+    the terminal pair from its horizon on and no padded coefficient cell
+    is read by the recursion.  A and r do not feed it: A is built after it in one pass
     from P_{i+1} and zeroed past each horizon, and r is kept as P with
     ``bx`` and ``b0`` (_NodeCells), whose cells are built only where they
     are read.  Returns (Y, A, r), Y = c + P X on every cell: ``X`` must
@@ -880,8 +968,7 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
     """
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     Q = batch.w.size
-    wr_b, wr_b0 = (np.broadcast_to(batch.spec.integrate(co[key], np.shape(co[key])[:-1]),
-                                   (N, Kmax)) for key in ("bx", "b0"))
+    wr_b, wr_b0 = (np.broadcast_to(co[key], (N, Kmax)) for key in ("ibx", "ib0"))
     co = {key: np.broadcast_to(val, (N, Kmax, Q) if key in ("bx", "b0") else (N, Kmax))
           for key, val in co.items()}
     P = np.empty((N, Kmax + 1))
@@ -1140,19 +1227,20 @@ def backward_method(model: ModelSpec, control, method=None) -> str:
 
 
 def _backward_batch(model: ModelSpec, control, batch: _Batch, X, v, method=None,
-                    n_inner=256):
+                    n_inner=256, co=None):
     """(Y, A, r) of a batch from its forward rows by the resolved regime;
     past its horizon a row keeps its terminal value, with A and r zero.
     Every regime gives r as _NodeCells: the cost reads ``r[rows, i]`` on
     each step's live rows, and only callers that keep the padded table
-    build it (``r.table()``)."""
+    build it (``r.table()``).  The affine regime reads ``co``, the probe
+    at ``v`` a caller already holds, else probes here."""
     method = backward_method(model, control, method)
     if method == "ode":
         return _ode_backward(model, batch, X, v)
     if method == "affine":
         return _affine_backward(
-            batch, X, _probe_affine(model, batch, v), np.full(batch.N, model.M_T),
-            np.full(batch.N, float(model.phi(0.0))))
+            batch, X, _probe_affine(model, batch, v) if co is None else co,
+            np.full(batch.N, model.M_T), np.full(batch.N, float(model.phi(0.0))))
     return _lsmc_backward(model, control, batch, X, v, n_inner=n_inner)
 
 
@@ -1307,8 +1395,23 @@ def _step_sum(batch: _Batch, cell) -> np.ndarray:
 
 
 def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
-    X, v = _forward_batch(model, control, batch)
-    Y, A, r = _backward_batch(model, control, batch, X, v, method)
+    """Each row's cost and the batch's solved rows (X, Y, v, A, r).
+
+    In the affine regime (an affine_solvable model under a state-free
+    control) v is read first on live cells (_open_loop) and the model is
+    probed once at it, before the forward pass: the state steps by the
+    probe's slope/intercept tables and _affine_backward reads the same
+    probe.  Every other regime, and every other caller of the forward
+    kernel, steps the state by the maps."""
+    method = backward_method(model, control, method)
+    v = co = None
+    if method == "affine":
+        v = _open_loop(model, control, batch)
+        co = _probe_affine(model, batch, v)
+    X, v = _forward_batch(model, control, batch, v, co)
+    Y, A, r = _backward_batch(model, control, batch, X, v, method, co=co)
+    # r keeps the probe's bx and b0; free the rest before the running cost
+    del co
     N = batch.N
     cells = r if model._l_reads_r else _NodeCells(batch.K, batch.w.size)
     run = _step_sum(batch,

@@ -11,7 +11,8 @@ interfaces.  Conventions, once and for all:
 * Adjoint boundary conditions: p(0) = -gamma_y(Y_0) and
   q(T) = -phi_x(X_T) p(T) + h_x(X_T).
 * The first adjoint p and the variational state X1 are forward systems
-  and run through the state's Euler kernel (fbsde._euler).
+  and run through the state's forward loop (fbsde._euler) with the
+  explicit Euler step of their maps (fbsde._map_step).
 * The second adjoint (q, k, R) solves a linear backward equation by one
   regime: the exact conditional closure q = cq + Pq * X, run through the
   backward state's affine kernel (fbsde._affine_backward) with remapped
@@ -50,6 +51,8 @@ from .fbsde import (
     _batch_cost,
     _euler,
     _hold,
+    _map_step,
+    _mark_integrals,
     _probe_affine,
     _single,
     _solver_grid,
@@ -229,7 +232,8 @@ def _p_forward_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v):
         return (np.asarray(d_gr(*ev), dtype=float) * p[pe]
                 - np.asarray(d_lr(*ev), dtype=float))
 
-    return _euler(batch, -np.asarray(d_gam(Y[:, 0]), dtype=float), coeffs, jumps, "adjoint")
+    return _euler(batch, -np.asarray(d_gam(Y[:, 0]), dtype=float),
+                  _map_step(batch, coeffs, jumps), "adjoint")
 
 
 def _absmax(a) -> float:
@@ -406,13 +410,14 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
         return (np.asarray(d_bx(*ev), dtype=float) * x1[pe]
                 + np.asarray(d_bv(*ev), dtype=float) * vd[pe, i])
 
-    X1 = _euler(batch, 0.0, coeffs, jumps, "variational")
+    X1 = _euler(batch, 0.0, _map_step(batch, coeffs, jumps), "variational")
     vd = _hold(vd, batch.K, 0.0, Kmax)
     d_px = model_derivative(model, "phi_x")
     XT = X[np.arange(N), batch.K]
     P_term = np.broadcast_to(np.asarray(d_px(XT), dtype=float), (N,)).astype(float)
-    co = dict(fx=fx, f0=fv * vd, sx=sx, s0=sv * vd, bx=bx, b0=bv * vd[..., None],
-              Gy=gy, Gx=gx, Ga=ga, G0=gv * vd, gr=gr)
+    co = _mark_integrals(batch.spec, dict(fx=fx, f0=fv * vd, sx=sx, s0=sv * vd, bx=bx,
+                                          b0=bv * vd[..., None], Gy=gy, Gx=gx, Ga=ga,
+                                          G0=gv * vd, gr=gr))
     Y1, A1, r1 = _affine_backward(batch, X1, co, P_term, np.zeros(N))
     return X1, Y1, A1, r1.table(), vd
 
@@ -619,8 +624,8 @@ def check_sufficient_condition_hypotheses(model: ModelSpec, spec, *,
     the adjoint frame held fixed; a positive midpoint gap beyond rounding
     is a violation.  Samples are N(0, 1.5^2), and an infinite box side is
     cut at 2.5.  When the model declares a linear terminal and a solved
-    trajectory is supplied, the structural identity between Y_T and
-    M_T X_T is measured on it.
+    trajectory is supplied, the structural identity Y_T = phi(0) + M_T X_T
+    (phi's intercept included) is measured on it.
     """
     z, _ = spec.quadrature()
     rng = np.random.default_rng(seed)
@@ -663,7 +668,8 @@ def check_sufficient_condition_hypotheses(model: ModelSpec, spec, *,
     tol = 1e-9 * scale
     terminal_gap = None
     if solution is not None and model.linear_terminal and solution.Y is not None:
-        terminal_gap = float(abs(solution.Y[-1] - model.M_T * solution.X[-1]))
+        terminal_gap = float(abs(solution.Y[-1]
+                                 - (float(model.phi(0.0)) + model.M_T * solution.X[-1])))
     return SufficiencyReport(
         hamiltonian_convex=bool(worst_H <= tol),
         h_convex=bool(worst_h <= tol),

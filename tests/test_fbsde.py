@@ -990,6 +990,45 @@ def test_cost_blow_up_names_the_ensemble_path():
             evaluate_cost(model, StepwiseControl(rows), bundles)
 
 
+def test_affine_cost_reads_the_control_on_live_cells_only():
+    """The affine regime tabulates v before the state and admits its live
+    cells only: a box that excludes 0 takes the zero-step rows, whose v
+    parks at 0, and those rows cost gamma(Y_0) = -x0 alone."""
+    model = build_model("linear_test")[0]
+    model.control_set = Box(1.0, 2.0)
+    bundles = ragged_bundles(RAGGED_STEPS)
+    est, sols = fbsde._ensemble_cost(model, ConstantControl(1.5), bundles,
+                                     keep=len(bundles))
+    zero = np.array(RAGGED_STEPS) == 0
+    assert np.all(est.per_path[zero] == -model.x0)
+    assert not sols.v[zero].any()
+    assert np.all(sols.v[~zero][np.arange(sols.v.shape[1]) < sols.K[~zero, None]] == 1.5)
+
+
+def test_affine_cost_state_matches_the_map_step():
+    """The cost's affine regime steps X by the probe's slope/intercept
+    tables; solve_forward_dual steps it by the maps.  On linear_test, a
+    twin whose b = z (0.05 x + 0.1) has both an x-slope and a constant,
+    and the cash model under u*, the kept rows agree with the one-path
+    solve to 1e-12, and carry the same bytes for every chunk."""
+    lin, jump, sub, p = build_model("linear_test")
+    both = build_model("linear_test")[0]
+    both.b = lambda t1, t2, x, v, z: z * (0.05 * x + 0.1)
+    ens = make_ensemble(sub, jump, p["horizon"], p["step"], 24, master_seed=61)
+    spec = CashSpec()
+    cens = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 24, 61)
+    ustar = cash_optimal_control(spec, cash_adjoints(spec, cens))
+    for model, ctl, bundles in ((lin, ConstantControl(0.5), ens),
+                                (both, ConstantControl(0.5), ens),
+                                (build_cash_model(spec), ustar, cens)):
+        assert fbsde.backward_method(model, ctl) == "affine"
+        one, three, whole = (solved_ensemble(model, ctl, bundles, chunk=c) for c in (1, 3, 512))
+        assert one.X.tobytes() == three.X.tobytes() == whole.X.tobytes()
+        for n, bnd in enumerate(bundles):
+            X = solve_forward_dual(model, ctl, bnd).X
+            assert np.max(np.abs(whole.X[n, : X.size] - X)) <= 1e-12
+
+
 @pytest.mark.parametrize("method", ["ode", "affine", "lsmc"])
 def test_lsmc_cost_matches_single_path_solvers_bitwise(method):
     """The cost reads each path off the batch forward and backward solves;

@@ -471,21 +471,27 @@ def test_calendar_direct_solves_no_backward_part_of_a_model_that_is_not_affine()
     assert X.shape == tgrid.shape and np.all(np.isfinite(X))
 
 
-@pytest.mark.parametrize("system", ["state", "adjoint", "variational"])
+@pytest.mark.parametrize("system", ["state", "adjoint", "variational", "affine"])
 def test_forward_blow_up_names_the_system_and_the_path(system):
     """The state, the first adjoint and the variational state share one
     forward kernel: a non-finite value raises in each, naming the system,
     the step and the ensemble path, not the batch row (the cost's K-sorted
-    batch holds path 2 at row 8)."""
+    batch holds path 2 at row 8).  "affine" is the state of the cost's
+    affine regime, which steps by the probe's slope/intercept tables
+    through the same kernel; "state" takes the step that calls the maps."""
     bundles = ragged_bundles(RAGGED_STEPS)
     rows = np.zeros((len(bundles), max(RAGGED_STEPS)))
     rows[2] = 1e200
     huge = StepwiseControl(rows)
+    name = "state" if system == "affine" else system
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError,
-                           match=rf"^{system} blow-up at step 0 \(path 2\)$"):
-            if system == "state":
-                model = mk_model(f=lambda t1, t2, x, v: v * v + 0.0 * x, control_set=Box())
+                           match=rf"^{name} blow-up at step 0 \(path 2\)$"):
+            if system in ("state", "affine"):
+                affine = dict(affine=True, M_T=0.0) if system == "affine" else {}
+                model = mk_model(f=lambda t1, t2, x, v: v * v + 0.0 * x, control_set=Box(),
+                                 **affine)
+                assert (fbsde.backward_method(model, huge) == "affine") == (system == "affine")
                 evaluate_cost(model, huge, bundles)
             elif system == "adjoint":
                 # l_y = v^2 drives p; the state and Y stay at x0 and 0.  The
@@ -704,6 +710,27 @@ def test_sufficiency_report_on_a_convex_model():
     assert rep.hamiltonian_convex and rep.h_convex and rep.gamma_convex
     assert rep.terminal_gap == 0.0
     json.dumps(rep.to_dict())
+
+
+def test_sufficiency_terminal_gap_reads_the_terminal_intercept():
+    """The terminal link is Y_T = phi(0) + M_T X_T: linear_test with
+    phi = 2 + x solves exactly, so Y_T - phi(X_T) and the gap read 0,
+    not the intercept.  A terminal map that is not affine is refused
+    with a message that names the check."""
+    lin, jspec, sspec, _ = build_model("linear_test")
+    maps = dict(f=lin.f, sigma=lin.sigma, b=lin.b, g=lin.g, l=lin.l, h=lin.h,
+                gamma=lin.gamma, control_set=lin.control_set, x0=lin.x0, M_T=1.0,
+                affine=True)
+    model = ModelSpec(phi=lambda x: 2.0 + x, **maps)
+    (bnd,) = make_ensemble(sspec, jspec, 0.8, DU, 1, master_seed=58)
+    u = ConstantControl(0.6)
+    sol = solve_backward_dual(model, u, bnd, solve_forward_dual(model, u, bnd))
+    assert sol.Y[-1] - model.phi(sol.X[-1]) == 0.0
+    rep = check_sufficient_condition_hypotheses(model, jspec, solution=sol,
+                                                n_samples=50, seed=2)
+    assert rep.terminal_gap == 0.0
+    with pytest.raises(ValueError, match=r"phi\(x\) is not phi\(0\) \+ M_T \* x"):
+        ModelSpec(phi=lambda x: 2.0 + x * x, **maps)
 
 
 def test_sufficiency_report_catches_concave_terminal_cost():

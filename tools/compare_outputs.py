@@ -10,7 +10,9 @@ sampled ensembles themselves (their padded layout, rows in K order, and
 the bundles of a few paths).  The costs include linear_test twins whose
 running cost reads r, so the backward solve's jump cells reach a compared
 output; one of them has a jump coefficient with both an x-slope and a
-constant, which pins the operation order of those cells.  Likewise a
+constant, which pins the operation order of those cells; the kept rows'
+X and v of that twin, of linear_test and of the cash model under u* pin
+the state recursion of the cost's affine regime.  Likewise a
 quadratic_drift twin whose driver reads r sends the LSMC sweep's jump
 read-off on inner states into a compared cost.  The script then
 prints one line per output: ``identical`` when dtype, shape and bytes
@@ -96,7 +98,8 @@ def dump(out_path):
     both.l = twin.l
     est, sols = fbsde._ensemble_cost(both, fbsde.ConstantControl(0.5), ens, keep=256)
     out["cost.linear_test_bx_b0.per_path"] = est.per_path
-    out["solved.linear_test_bx_b0.r"] = sols.r
+    for field in ("X", "v", "r"):
+        out[f"solved.linear_test_bx_b0.{field}"] = getattr(sols, field)
 
     # two 16-path lsmc operations, outer paths spread over the K-sorted order
     quad, qjump, qsub, qp = fbsde.build_model("quadratic_drift")
@@ -148,7 +151,7 @@ def dump(out_path):
     solved = {}
     for name, model, ctl, bundles, label in cases:
         sols = solved[name] = fbsde._ensemble_cost(model, ctl, bundles, keep=len(bundles))[1]
-        for field in ("Y", "A", "r"):
+        for field in ("X", "v", "Y", "A", "r"):
             out[f"solved.{name}.{field}"] = getattr(sols, field)
         adj = smp.solve_adjoint_ensemble(model, bundles, sols)
         for field in ("p", "q", "k", "R"):
