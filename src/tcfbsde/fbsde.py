@@ -32,16 +32,18 @@ on the rows live at step i only (a suffix of the K-sorted batch), so no
 padded cell is computed and no control is read past a horizon; each row
 holds its value past its horizon, and a non-finite value raises naming
 the system, the step and the path.  The loop's per-step hook is one of
-two steps.  The explicit Euler step of the maps (_map_step),
-z_{i+1} = z_i + a du + s dB_i + (the step's event jumps) - lam du int c,
-serves solve_forward_dual, the ode and lsmc regimes (the LSMC inner
-passes included), closed-loop controls, models that are not affine, and
-smp's systems.  The cost's affine regime reads its open-loop control
-first, probes the model once (_probe_affine) and steps the state as
-X_{i+1} = alpha_i X_i + beta_i on per-cell slope and intercept tables
-built from that probe (_affine_step); its backward reads the same probe.
-The probe reads each slope as a map's value at 1 less its value at 0,
-so the two steps agree to rounding, not to the bit.
+two steps.  The state's map step (in _forward_batch), the explicit Euler
+step x_{i+1} = x_i + f du + sigma dB_i + (the step's event jumps b)
+- lam du int b, serves solve_forward_dual, the ode and lsmc regimes (the
+LSMC inner passes included), closed-loop controls and models that are
+not affine.  Every linear system takes the slope/intercept step
+z_{i+1} = alpha_i z_i + beta_i (_affine_step), built once per batch from
+a coefficient record with the keys _affine_backward reads and the
+jump's slope and intercept at each event: the state of the cost's
+affine regime, which reads its open-loop control first and probes the
+model once (_probe_affine), and smp's first adjoint and variational
+state.  The probe reads each slope as a map's value at 1 less its value
+at 0, so the state's two steps agree to rounding, not to the bit.
 
 Every backward solve goes through one dispatcher, _backward_batch, which
 resolves the regime (backward_method) and runs that regime's batched
@@ -138,9 +140,13 @@ class Box:
         return np.clip(v, self.lo, self.hi)
 
     def interior_point(self) -> float:
-        lo = self.lo if np.isfinite(self.lo) else -1.0
-        hi = self.hi if np.isfinite(self.hi) else 1.0
-        return 0.5 * (lo + hi)
+        """The midpoint of a bounded box, 1 inside the finite side of a
+        one-sided box, and 0 on the whole line."""
+        if np.isfinite(self.lo) and np.isfinite(self.hi):
+            return 0.5 * (self.lo + self.hi)
+        if np.isfinite(self.lo):
+            return self.lo + 1.0
+        return self.hi - 1.0 if np.isfinite(self.hi) else 0.0
 
 
 class ConstantControl:
@@ -709,11 +715,12 @@ def _euler(batch: _Batch, z0, step, system: str) -> np.ndarray:
 
     ``step(i, rows, z)`` gives z_{i+1} on ``rows``, the rows live at step i
     (``batch.live(i)``, a suffix), from the step's column ``z`` of every
-    row: the explicit Euler step of the maps (_map_step) or the affine
-    state's slope/intercept step (_affine_step).  Only live rows are
-    stepped, so no padded cell is computed: each row is frozen at its
-    horizon value once, at the end.  A non-finite value inside a horizon
-    raises, naming the system, the step and the path's label.
+    row.  It is made by one of two step makers: _forward_batch's map step
+    of the state, or _affine_step, the slope/intercept step of every
+    system affine in its own state.  Only live rows are stepped, so no
+    padded cell is computed: each row is frozen at its horizon value once,
+    at the end.  A non-finite value inside a horizon raises, naming the
+    system, the step and the path's label.
     """
     Kmax = batch.Kmax
     Z = np.zeros((batch.N, Kmax + 1))
@@ -730,66 +737,40 @@ def _euler(batch: _Batch, z0, step, system: str) -> np.ndarray:
     return _hold(Z, batch.K + 1, 0.0, Kmax + 1)
 
 
-def _map_step(batch: _Batch, coeffs, jumps):
-    """_euler's step for a system given by its maps:
-    z_{i+1} = z_i + a du + s dB_i + (the step's event jumps) - lam du int c.
-    ``coeffs(i, rows, z)`` gives the drift a, the Brownian loading s and the
-    nodewise compensator integrand c of step i on ``rows``, whose values
-    are ``z``; ``jumps(i, z, sl, p)`` gives the jump of each event in
-    ``sl``, which acts on batch row p[e] of the step's column ``z``."""
-    N, du = batch.N, batch.du
-    lam_du = batch.spec.intensity * du
-
-    def step(i, rows, col):
-        z = col[rows]
-        a, s, c = coeffs(i, rows, z)
-        jump = np.zeros(N)
-        sl = slice(batch.ev_start[i], batch.ev_start[i + 1])
-        if sl.stop > sl.start:
-            np.add.at(jump, batch.ev_p[sl], jumps(i, col, sl, batch.ev_p[sl]))
-        return (z + a * du + s * batch.dB[rows, i] + jump[rows]
-                - lam_du * batch.spec.integrate(c, z.shape))
-
-    return step
-
-
-def _open_loop(model: ModelSpec, control, batch: _Batch) -> np.ndarray:
-    """An open-loop control's v, read on live cells only, before any state
-    exists: the state argument is NaN, which a state-free control does not
-    read.  The live cells are admitted together, once, and past its
-    horizon a row holds its last value, 0 on a zero-step row, as
-    _forward_batch's v does."""
+def _open_loop(control, batch: _Batch, box: Box | None = None) -> np.ndarray:
+    """An open-loop control's values, read on live cells only, before any
+    state exists: the state argument is NaN, which a state-free control
+    does not read.  Given ``box``, the live cells are admitted to it
+    together, once.  Past its horizon a row holds its last value, 0 on a
+    zero-step row, as _forward_batch's v does."""
     v, nan = np.zeros((batch.N, batch.Kmax)), np.full(batch.N, np.nan)
     for i in range(batch.Kmax):
         rows = batch.live(i)
         v[rows, i] = control.values_at(i, batch.t[rows, i], i * batch.du, nan[rows],
                                        batch.labels[rows])
-    live = np.arange(batch.Kmax) < batch.K[:, None]
-    v[live] = model.control_set.admit(v[live])
+    if box is not None:
+        live = np.arange(batch.Kmax) < batch.K[:, None]
+        v[live] = box.admit(v[live])
     return _hold(v, batch.K, 0.0, batch.Kmax)
 
 
-def _affine_step(model: ModelSpec, batch: _Batch, v, co: dict):
-    """_euler's step for an affine model's state, X_{i+1} = alpha_i X_i +
-    beta_i, with the per-cell slope and intercept built once from the
-    probe ``co`` at ``v`` and its mark integrals:
+def _affine_step(batch: _Batch, co: dict, e0, e1):
+    """_euler's step for a system affine in its own state z,
+    z_{i+1} = alpha_i z_i + beta_i, with the per-cell slope and intercept
+    built once from the coefficient record ``co`` (the keys
+    _affine_backward reads, mark integrals included):
 
-        alpha = 1 + fx du + sx dB + J1 - lam du int bx,
-        beta  = f0 du + s0 dB + J0 - lam du int b0.
+        alpha = 1 + fx du + sx dB + J1 - lam du ibx,
+        beta  = f0 du + s0 dB + J0 - lam du ib0.
 
-    J1 and J0 are the sums of bx and b0 at the cell's event marks, from
-    two b calls over all the batch's events, summed in its event order.
-    It is the map step's Euler step to rounding: the probe reads each
-    map's slope as its value at 1 less its value at 0."""
+    J1 and J0 are the sums over the cell's events of ``e1`` and ``e0``,
+    the jump's slope and intercept at each of the batch's events (in its
+    event order; a scalar stands for every event)."""
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     lam_du = batch.spec.intensity * du
-    p, s = batch.ev_p, batch.ev_s
-    t, u, ve = batch.t[p, s], s * du, v[p, s]
-    e0 = np.broadcast_to(np.asarray(model.b(t, u, 0.0, ve, batch.ev_z), dtype=float), p.shape)
-    e1 = np.asarray(model.b(t, u, 1.0, ve, batch.ev_z), dtype=float) - e0
     J0, J1 = np.zeros((N, Kmax)), np.zeros((N, Kmax))
-    np.add.at(J0, (p, s), e0)
-    np.add.at(J1, (p, s), e1)
+    np.add.at(J0, (batch.ev_p, batch.ev_s), e0)
+    np.add.at(J1, (batch.ev_p, batch.ev_s), e1)
     alpha = 1.0 + co["fx"] * du + co["sx"] * batch.dB + J1 - lam_du * co["ibx"]
     beta = co["f0"] * du + co["s0"] * batch.dB + J0 - lam_du * co["ib0"]
     return lambda i, rows, x: alpha[rows, i] * x[rows] + beta[rows, i]
@@ -799,31 +780,44 @@ def _forward_batch(model: ModelSpec, control, batch: _Batch, v=None, co=None):
     """The state by the forward kernel and the realized v.  Returns (X, v).
 
     By default each step reads the control on its live rows at their
-    states and calls f, sigma and the nodewise b there (_map_step); past
-    its horizon a row of v holds its last value (0 on a zero-step row).
+    states and takes the explicit Euler step of the maps,
+    x_{i+1} = x_i + f du + sigma dB_i + (the step's event jumps b)
+    - lam du int b, calling f, sigma and the nodewise b there; past its
+    horizon a row of v holds its last value (0 on a zero-step row).
     Given ``v``, an open-loop control's table (_open_loop), and ``co``, an
-    affine model's probe at it (_probe_affine), the state steps by the
-    probe's slope/intercept tables instead (_affine_step) and calls no
-    map in its loop; the two steps agree to rounding.
+    affine model's probe at it (_probe_affine), the state steps by
+    _affine_step on the probe and the jump's slope and intercept at the
+    events (two b calls over all of them) instead, and calls no map in its
+    loop; the two steps agree to rounding, as the probe reads each slope
+    as a map's value at 1 less its value at 0.
     solve_forward_dual evaluates the Ito ingredients from (X, v)."""
-    if co is not None:
-        return _euler(batch, model.x0, _affine_step(model, batch, v, co), "state"), v
     N, Kmax, du = batch.N, batch.Kmax, batch.du
+    if co is not None:
+        p, s = batch.ev_p, batch.ev_s
+        t, u, ve = batch.t[p, s], s * du, v[p, s]
+        e0 = np.broadcast_to(np.asarray(model.b(t, u, 0.0, ve, batch.ev_z), dtype=float),
+                             p.shape)
+        e1 = np.asarray(model.b(t, u, 1.0, ve, batch.ev_z), dtype=float) - e0
+        return _euler(batch, model.x0, _affine_step(batch, co, e0, e1), "state"), v
+    lam_du = batch.spec.intensity * du
     v = np.zeros((N, Kmax))
 
-    def coeffs(i, rows, x):
-        t1, u_i = batch.t[rows, i], i * du
+    def step(i, rows, col):
+        x, t1, u_i = col[rows], batch.t[rows, i], i * du
         v[rows, i] = model.control_set.admit(
             control.values_at(i, t1, u_i, x, batch.labels[rows]))
         vi = v[rows, i]
-        return (np.asarray(model.f(t1, u_i, x, vi), dtype=float),
-                np.asarray(model.sigma(t1, u_i, x, vi), dtype=float),
-                model.b(t1[:, None], u_i, x[:, None], vi[:, None], batch.znodes))
+        jump = np.zeros(N)
+        sl = slice(batch.ev_start[i], batch.ev_start[i + 1])
+        if sl.stop > sl.start:
+            p = batch.ev_p[sl]
+            np.add.at(jump, p, model.b(batch.t[p, i], u_i, col[p], v[p, i], batch.ev_z[sl]))
+        c = model.b(t1[:, None], u_i, x[:, None], vi[:, None], batch.znodes)
+        return (x + np.asarray(model.f(t1, u_i, x, vi), dtype=float) * du
+                + np.asarray(model.sigma(t1, u_i, x, vi), dtype=float) * batch.dB[rows, i]
+                + jump[rows] - lam_du * batch.spec.integrate(c, x.shape))
 
-    def jumps(i, x, sl, p):
-        return model.b(batch.t[p, i], i * du, x[p], v[p, i], batch.ev_z[sl])
-
-    X = _euler(batch, model.x0, _map_step(batch, coeffs, jumps), "state")
+    X = _euler(batch, model.x0, step, "state")
     return X, _hold(v, batch.K, 0.0, Kmax)
 
 
@@ -1406,7 +1400,7 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
     method = backward_method(model, control, method)
     v = co = None
     if method == "affine":
-        v = _open_loop(model, control, batch)
+        v = _open_loop(control, batch, model.control_set)
         co = _probe_affine(model, batch, v)
     X, v = _forward_batch(model, control, batch, v, co)
     Y, A, r = _backward_batch(model, control, batch, X, v, method, co=co)

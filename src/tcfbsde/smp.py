@@ -10,9 +10,12 @@ interfaces.  Conventions, once and for all:
   margin <H_v, w - u> must be nonnegative for every feasible w.
 * Adjoint boundary conditions: p(0) = -gamma_y(Y_0) and
   q(T) = -phi_x(X_T) p(T) + h_x(X_T).
-* The first adjoint p and the variational state X1 are forward systems
-  and run through the state's forward loop (fbsde._euler) with the
-  explicit Euler step of their maps (fbsde._map_step).
+* The first adjoint p and the variational state X1 are forward systems,
+  linear in their own state, and run through the state's forward loop
+  (fbsde._euler) with its slope/intercept step (fbsde._affine_step), built
+  once from a coefficient record: p's from lam int g_y and lam int l_y,
+  X1's from the maps' partials along the base rows, which its backward
+  half (Y1, A1, r1) reads too.
 * The second adjoint (q, k, R) solves a linear backward equation by one
   regime: the exact conditional closure q = cq + Pq * X, run through the
   backward state's affine kernel (fbsde._affine_backward) with remapped
@@ -47,12 +50,12 @@ from .fbsde import (
     PathBundle,
     PerturbedControl,
     _affine_backward,
+    _affine_step,
     _Batch,
     _batch_cost,
     _euler,
-    _hold,
-    _map_step,
     _mark_integrals,
+    _open_loop,
     _probe_affine,
     _single,
     _solver_grid,
@@ -205,35 +208,20 @@ def _matching(K: np.ndarray, *padded):
         raise ValueError("grid mismatch: results and bundles disagree on the step counts")
 
 
-def _nodes_interp(z_nodes: np.ndarray, rows: np.ndarray, zq: np.ndarray):
-    """Row-wise linear interpolation of nodewise tables at query marks."""
-    idx = np.clip(np.searchsorted(z_nodes, zq) - 1, 0, z_nodes.size - 2)
-    z0, z1 = z_nodes[idx], z_nodes[idx + 1]
-    frac = np.clip((zq - z0) / (z1 - z0), 0.0, 1.0)
-    rr = np.arange(rows.shape[0])
-    return rows[rr, idx] * (1.0 - frac) + rows[rr, idx + 1] * frac
-
-
 def _p_forward_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v):
-    """The first adjoint by the forward Euler kernel on the live rows."""
-    z, spec, lam = batch.znodes, batch.spec, batch.spec.intensity
-    d_gy, d_ly, d_ga, d_la, d_gr, d_lr, d_gam = (model_derivative(model, name) for name in (
-        "g_y", "l_y", "g_a", "l_a", "g_r", "l_r", "gamma_y"))
-
-    def coeffs(i, rows, p):
-        args = _step_args(batch, i, X, Y, A, r, v, rows)
-        return (lam * spec.integrate(d_gy(*args) * p[:, None] - d_ly(*args), p.shape),
-                lam * spec.integrate(d_ga(*args) * p[:, None] - d_la(*args), p.shape),
-                d_gr(*args) * p[:, None] - d_lr(*args))
-
-    def jumps(i, p, sl, pe):
-        ev = (batch.t[pe, i], i * batch.du, X[pe, i], Y[pe, i], A[pe, i],
-              _nodes_interp(z, r[pe, i], batch.ev_z[sl]), v[pe, i])
-        return (np.asarray(d_gr(*ev), dtype=float) * p[pe]
-                - np.asarray(d_lr(*ev), dtype=float))
-
-    return _euler(batch, -np.asarray(d_gam(Y[:, 0]), dtype=float),
-                  _map_step(batch, coeffs, jumps), "adjoint")
+    """The first adjoint by the affine forward step on the live rows,
+    p_{i+1} = p_i + du (lam int g_y p_i - lam int l_y) from
+    p_0 = -gamma_y(Y_0): its record is fx = lam int g_y and
+    f0 = -lam int l_y along the solved rows, with no Brownian or jump
+    loading.  That is the closure's first adjoint: _p_state_free, checked
+    before p is solved, bounds g_a, l_a, g_r and l_r by 1e-12."""
+    full = (batch.N, batch.Kmax)
+    args = _step_args(batch, None, X, Y, A, r, v)
+    gy, ly = (batch.spec.intensity * batch.spec.integrate(
+        model_derivative(model, name)(*args), full) for name in ("g_y", "l_y"))
+    co = dict(fx=gy, f0=-ly, sx=0.0, s0=0.0, ibx=0.0, ib0=0.0)
+    p0 = -np.asarray(model_derivative(model, "gamma_y")(Y[:, 0]), dtype=float)
+    return _euler(batch, p0, _affine_step(batch, co, 0.0, 0.0), "adjoint")
 
 
 def _absmax(a) -> float:
@@ -325,7 +313,7 @@ def solve_adjoint_ensemble(model: ModelSpec, bundles,
     whose rates solutions.v are the control, on one K-sorted batch whose
     rows return to ensemble order.
 
-    The first adjoint p runs through the forward Euler kernel; the second
+    The first adjoint p runs through the forward affine step; the second
     (q, k, R) by the affine closure, which needs a model that is affine
     with a linear terminal (affine_solvable) and a state-free first
     adjoint.  Any other model raises NotImplementedError, before p is
@@ -370,10 +358,16 @@ class VariationalSolution:
 
 def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
                        X, Y, A, r, v):
-    """Linearized forward/backward pair along the base trajectory: X1 by
-    the forward Euler kernel, (Y1, A1, r1) by the affine backward kernel.
-    The direction vd is read on live cells only and held past a horizon,
-    as the base control v is."""
+    """Linearized forward/backward pair along the base trajectory.
+
+    The direction vd is read first, on live cells only, and held past a
+    horizon, as the base control v is.  One coefficient record (the
+    partials of f, sigma and b in x and v along the base rows, with vd
+    folded into the intercepts, and g's lam-integrated partials) serves
+    both halves: X1 steps by _affine_step on it, jumping by
+    b_x X1 + b_v vd at each event (b's partials at the event's mark and
+    the base left state), and (Y1, A1, r1) come from _affine_backward on
+    the same record."""
     if not (getattr(control, "state_free", False)
             and getattr(direction, "state_free", False)):
         raise NotImplementedError(
@@ -381,43 +375,31 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
     if not model.affine_solvable:
         raise NotImplementedError(
             "variational solver covers state-affine models only")
-    N, Kmax, du = batch.N, batch.Kmax, batch.du
-    z, lam = batch.znodes, batch.spec.intensity
-    t, u = batch.t[:, :-1], np.arange(Kmax) * du
-    Xl = X[:, :-1]
-    full = (N, Kmax)
-    fx, fv, sx, sv = (np.broadcast_to(np.asarray(
-        model_derivative(model, name)(t, u, Xl, v), dtype=float), full)
-        for name in ("f_x", "f_v", "sigma_x", "sigma_v"))
+    N, du, lam = batch.N, batch.du, batch.spec.intensity
+    t, u, Xl = batch.t[:, :-1], np.arange(batch.Kmax) * du, X[:, :-1]
+    full = (N, batch.Kmax)
+    # the readers broadcast the record to the batch layout
+    fx, fv, sx, sv = (np.asarray(model_derivative(model, name)(t, u, Xl, v), dtype=float)
+                      for name in ("f_x", "f_v", "sigma_x", "sigma_v"))
     d_bx, d_bv = model_derivative(model, "b_x"), model_derivative(model, "b_v")
-    node_args = (t[..., None], u[:, None], Xl[..., None], v[..., None], z)
-    bx, bv = (np.broadcast_to(np.asarray(d(*node_args), dtype=float), full + (z.size,))
-              for d in (d_bx, d_bv))
+    bx, bv = (np.asarray(d(t[..., None], u[:, None], Xl[..., None], v[..., None],
+                           batch.znodes), dtype=float) for d in (d_bx, d_bv))
     args = _step_args(batch, None, X, Y, A, r, v)
     gy, gx, ga, gv, gr = (lam * batch.spec.integrate(model_derivative(model, name)(*args), full)
                           for name in ("g_y", "g_x", "g_a", "g_v", "g_r"))
-    vd = np.empty(full)
-
-    def coeffs(i, rows, x1):
-        vd[rows, i] = direction.values_at(i, batch.t[rows, i], i * du, X[rows, i],
-                                          batch.labels[rows])
-        d = vd[rows, i]
-        return (fx[rows, i] * x1 + fv[rows, i] * d, sx[rows, i] * x1 + sv[rows, i] * d,
-                bx[rows, i] * x1[:, None] + bv[rows, i] * d[:, None])
-
-    def jumps(i, x1, sl, pe):
-        ev = (batch.t[pe, i], i * du, X[pe, i], v[pe, i], batch.ev_z[sl])
-        return (np.asarray(d_bx(*ev), dtype=float) * x1[pe]
-                + np.asarray(d_bv(*ev), dtype=float) * vd[pe, i])
-
-    X1 = _euler(batch, 0.0, _map_step(batch, coeffs, jumps), "variational")
-    vd = _hold(vd, batch.K, 0.0, Kmax)
-    d_px = model_derivative(model, "phi_x")
-    XT = X[np.arange(N), batch.K]
-    P_term = np.broadcast_to(np.asarray(d_px(XT), dtype=float), (N,)).astype(float)
+    vd = _open_loop(direction, batch)
     co = _mark_integrals(batch.spec, dict(fx=fx, f0=fv * vd, sx=sx, s0=sv * vd, bx=bx,
                                           b0=bv * vd[..., None], Gy=gy, Gx=gx, Ga=ga,
                                           G0=gv * vd, gr=gr))
+    # the jump of X1 at an event: b_x X1 + b_v vd at the base left state
+    pe, s = batch.ev_p, batch.ev_s
+    ev = (batch.t[pe, s], s * du, X[pe, s], v[pe, s], batch.ev_z)
+    X1 = _euler(batch, 0.0, _affine_step(batch, co,
+                                         np.asarray(d_bv(*ev), dtype=float) * vd[pe, s],
+                                         np.asarray(d_bx(*ev), dtype=float)), "variational")
+    d_px = model_derivative(model, "phi_x")
+    XT = X[np.arange(N), batch.K]
+    P_term = np.broadcast_to(np.asarray(d_px(XT), dtype=float), (N,)).astype(float)
     Y1, A1, r1 = _affine_backward(batch, X1, co, P_term, np.zeros(N))
     return X1, Y1, A1, r1.table(), vd
 

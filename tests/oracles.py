@@ -146,6 +146,25 @@ def cash_q_candidate(tau, mu1: float, mu2: float, horizon: float):
     return float(out) if out.ndim == 0 else out
 
 
+def adjoint_p_recursion(p0: float, du: float, gy: float, ly: float, k: int):
+    """First adjoint p_0..p_k on one path with k solver steps, when it
+    carries no Brownian or jump integrand.
+
+    With the lam-integrated cost gradients gy = lam int g_y and
+    ly = lam int l_y constant, p solves dp = (gy p - ly) du forward from
+    p(0) = p0; its explicit Euler scheme, one scalar step at a time, is
+
+        p_{i+1} = p_i + du (gy p_i - ly).
+
+    test_oracles.py checks a hand-computed case and O(du) convergence to
+    the closed form before any module test relies on this.
+    """
+    p = [float(p0)]
+    for _ in range(k):
+        p.append(p[-1] + du * (gy * p[-1] - ly))
+    return np.array(p)
+
+
 def adjoint_q_recursion(p, du: float, fx: float, gx: float, lx: float, terminal: float):
     """Second adjoint q_0..q_K on one path, given its first adjoint p_0..p_K,
     when the second adjoint carries no Brownian or jump integrand.

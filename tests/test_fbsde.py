@@ -76,6 +76,19 @@ def test_box_empty_raises():
         Box(2.0, 2.0)
 
 
+def test_box_interior_point_lies_inside_a_one_sided_box():
+    """One inside the finite side of a one-sided box; the midpoint of a
+    bounded box and 0 on the whole line, as before.  A model whose maps
+    are defined on its one-sided box only is accepted: its validation
+    probe reads the maps at that point."""
+    assert Box(10.0).interior_point() == 11.0
+    assert Box(hi=-10.0).interior_point() == -11.0
+    assert Box(-2.0, 3.0).interior_point() == 0.5
+    assert Box().interior_point() == 0.0
+    model = mk_model(f=lambda t1, t2, x, v: -x + np.sqrt(v - 10.0), control_set=Box(10.0))
+    assert model.control_set.contains(model.control_set.interior_point())
+
+
 @given(st.floats(-0.999, 0.999))
 def test_box_admit_is_identity_inside(v):
     assert Box(-1.0, 1.0).admit(v) == v

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 import oracles
 from oracles import (
+    adjoint_p_recursion,
     adjoint_q_recursion,
     cash_cost_given_steps,
     cash_q_candidate,
@@ -116,6 +117,33 @@ def test_cash_q_candidate_satisfies_its_equation():
     # collapse case mu2 = 2 mu1: q = -exp(-mu1 tau)
     q2 = cash_q_candidate(np.array([0.0, 0.4, 1.3]), 1.0, 2.0, horizon)
     assert np.allclose(q2, -np.exp(-np.array([0.0, 0.4, 1.3])))
+
+
+def test_adjoint_p_recursion_two_steps_by_hand():
+    # du = 1/2, gy = -1, ly = 1, p_0 = 1: p_1 = 1 + (-1 - 1) / 2 = 0,
+    # p_2 = 0 + (0 - 1) / 2 = -1/2
+    p = adjoint_p_recursion(1.0, 0.5, -1.0, 1.0, 2)
+    assert np.array_equal(p, [1.0, 0.0, -0.5])
+    # no solver steps: p is its initial value alone
+    assert np.array_equal(adjoint_p_recursion(0.7, 0.01, -1.0, 1.0, 0), [0.7])
+
+
+def test_adjoint_p_recursion_converges_to_the_closed_form():
+    # dp = (gy p - ly) du from p0 has p = ly / gy + (p0 - ly / gy) exp(gy u);
+    # the scheme approaches it at first order in du
+    horizon, p0 = 1.3, 1.0
+    for gy, ly in ((-1.0, 0.0), (-2.0, 0.3)):
+        errs = []
+        for k in (130, 260, 520):
+            du = horizon / k
+            tau = du * np.arange(k + 1)
+            exact = ly / gy + (p0 - ly / gy) * np.exp(gy * tau)
+            errs.append(np.max(np.abs(adjoint_p_recursion(p0, du, gy, ly, k) - exact)))
+        # the leading error term, du gy^2 (p0 - ly / gy) max(u exp(gy u)) / 2,
+        # is 4.2e-3 at gy = -2 and k = 130
+        assert errs[0] < 5e-3
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 1.9 < coarse / fine < 2.1
 
 
 def test_adjoint_q_recursion_two_steps_by_hand():

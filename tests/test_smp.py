@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import adjoint_q_recursion, cash_q_candidate
+from oracles import adjoint_p_recursion, adjoint_q_recursion, cash_q_candidate
 from support import (
     RAGGED_STEPS,
     lq_model,
@@ -226,13 +226,16 @@ def test_adjoint_matches_exponential_closed_forms():
 
 
 def _q_oracle_case(case):
-    """(model, bundles, control, fx, gx) of a model whose second adjoint
-    carries no noise, with its drift slope fx and its lam-integrated
-    g_x; both have l_x = 0 and the terminal q_K = -p_K."""
+    """(model, bundles, control, fx, gx, gy, p_tol) of a model whose
+    adjoints carry no noise, with its drift slope fx, its lam-integrated
+    g_x and g_y, and the bound on p's distance from its oracle; all three
+    have l_x = l_y = 0, p_0 = 1 and the terminal q_K = -p_K.  lq_model's
+    g_y is a central difference, off -1/lam by rounding, so its p gets a
+    bound of its own; the cash model's partials are closed forms."""
     if case == "lq":
         model, jspec, sspec = lq_model()
         bundles = make_ensemble(sspec, jspec, 1.0, DU, 256, master_seed=42)
-        return model, bundles, ConstantControl(0.4), -1.0, 0.5
+        return model, bundles, ConstantControl(0.4), -1.0, 0.5, -1.0, 1e-11
     spec = CashSpec()
     if case == "cash-ragged":
         bundles = ragged_bundles(RAGGED_STEPS, jump_spec=spec.jump)
@@ -241,21 +244,25 @@ def _q_oracle_case(case):
         bundles = make_ensemble(spec.subordinator, spec.jump, spec.horizon, DU, 256,
                                 master_seed=42)
         control = cash_optimal_control(spec, cash_adjoints(spec, bundles))
-    return build_cash_model(spec), bundles, control, -spec.mu1, spec.mu2
+    return build_cash_model(spec), bundles, control, -spec.mu1, spec.mu2, -spec.mu1, 1e-15
 
 
 @pytest.mark.parametrize("case", ["cash-ragged", "cash-ustar", "lq"])
 def test_adjoint_q_matches_the_scalar_recursion_oracle(case):
-    """The closure's q on every row equals the oracle's implicit Euler
-    recursion run on that row's own p, and holds q_K past the horizon:
-    ragged cash rows (zero-step rows included), cash rows under u* and
-    lq_model rows."""
-    model, bundles, control, fx, gx = _q_oracle_case(case)
+    """The first adjoint on every row equals the oracle's explicit Euler
+    recursion from p_0 = 1, and the closure's q equals the oracle's
+    implicit Euler recursion run on that row's own p; both hold their
+    horizon value past it.  Ragged cash rows (zero-step rows included),
+    cash rows under u* and lq_model rows."""
+    model, bundles, control, fx, gx, gy, p_tol = _q_oracle_case(case)
     adj = solve_adjoint_ensemble(model, bundles, solved_ensemble(model, control, bundles))
     for n, k in enumerate(adj.K):
+        pad = adj.q.shape[1] - k - 1
+        p_want = adjoint_p_recursion(1.0, adj.du, gy, 0.0, k)
+        assert np.max(np.abs(adj.p[n] - np.append(p_want, np.full(pad, p_want[-1])))) <= p_tol, n
         p = adj.p[n, : k + 1]
         q = adjoint_q_recursion(p, adj.du, fx, gx, 0.0, -p[-1])
-        want = np.concatenate([q, np.full(adj.q.shape[1] - k - 1, q[-1])])
+        want = np.concatenate([q, np.full(pad, q[-1])])
         assert np.max(np.abs(adj.q[n] - want)) <= 1e-13, n
 
 
@@ -419,24 +426,35 @@ def test_variational_zero_direction_is_zero():
     assert np.max(np.abs(var.r1)) == 0.0
 
 
-def test_variational_is_exact_difference_on_linear_system():
+def lq_bx_twin():
+    """lq_model with b = 0.1 z v + 0.05 z x: still linear, but its jump
+    coefficient has an x-slope, so X1 takes a jump at each event."""
     model, jspec, sspec = lq_model()
-    bundles = make_ensemble(sspec, jspec, 1.0, DU, 3, master_seed=51)
+    model.b = lambda t1, t2, x, v, z: 0.1 * z * v + 0.05 * z * x
+    return model, jspec, sspec
+
+
+def test_variational_is_exact_difference_on_linear_system():
+    """X1 and (Y1, A1, r1) equal the difference of two solves exactly, on
+    lq_model and on its twin whose jumps load the state (b_x != 0)."""
     u = ConstantControl(0.3)
     d = ConstantControl(0.8)
     pert = PerturbedControl(u, d, 1.0)
-    for bnd in bundles:
-        su = solve_backward_dual(model, u, bnd, solve_forward_dual(model, u, bnd))
-        sp = solve_backward_dual(model, pert, bnd,
-                                 solve_forward_dual(model, pert, bnd))
-        var = solve_variational(model, u, d, bnd, su)
-        assert var.X1[0] == 0.0
-        assert np.max(np.abs(var.X1 - (sp.X - su.X))) < 1e-11
-        assert np.max(np.abs(var.Y1 - (sp.Y - su.Y))) < 1e-11
-        assert np.max(np.abs(var.A1 - (sp.A - su.A))) < 1e-11
-        assert np.max(np.abs(var.r1 - (sp.r - su.r))) < 1e-11
-        K = bnd.solver_steps
-        assert abs(var.Y1[K] - 1.0 * var.X1[K]) < 1e-10
+    for model, jspec, sspec in (lq_model(), lq_bx_twin()):
+        bundles = make_ensemble(sspec, jspec, 1.0, DU, 3, master_seed=51)
+        assert sum(b.jumps.times.size for b in bundles) > 0
+        for bnd in bundles:
+            su = solve_backward_dual(model, u, bnd, solve_forward_dual(model, u, bnd))
+            sp = solve_backward_dual(model, pert, bnd,
+                                     solve_forward_dual(model, pert, bnd))
+            var = solve_variational(model, u, d, bnd, su)
+            assert var.X1[0] == 0.0
+            assert np.max(np.abs(var.X1 - (sp.X - su.X))) < 1e-11
+            assert np.max(np.abs(var.Y1 - (sp.Y - su.Y))) < 1e-11
+            assert np.max(np.abs(var.A1 - (sp.A - su.A))) < 1e-11
+            assert np.max(np.abs(var.r1 - (sp.r - su.r))) < 1e-11
+            K = bnd.solver_steps
+            assert abs(var.Y1[K] - 1.0 * var.X1[K]) < 1e-10
 
 
 def test_variational_needs_open_loop():
@@ -689,6 +707,20 @@ def test_margin_range_spans_the_live_rates_only():
     levels += [x for row in rep.margins if row["kind"] == "switch" for x in row["levels"]]
     assert len(levels) == 7 + 2 * 8
     assert all(live.min() - 1.0 <= x <= live.max() + 1.0 for x in levels)
+
+
+def test_margin_range_of_a_zero_step_ensemble_stays_in_a_one_sided_box():
+    """With no live rate the range is centred on the box's interior point:
+    on Box(10, inf) every candidate level lies in [10, 12], inside the box."""
+    model, jspec, _ = lq_model(box=(10.0, np.inf))
+    bundles = ragged_bundles((0, 0, 0), jump_spec=jspec)
+    sols = solved_ensemble(model, ConstantControl(10.5), bundles)
+    rep = check_necessary_condition(model, bundles, sols,
+                                    solve_adjoint_ensemble(model, bundles, sols), count=8)
+    levels = [row["value"] for row in rep.margins if row["kind"] == "constant"]
+    levels += [x for row in rep.margins if row["kind"] == "switch" for x in row["levels"]]
+    assert len(levels) == 3 + 2 * 4
+    assert all(10.0 <= x <= 12.0 for x in levels)
 
 
 def test_necessary_condition_rejects_empty_candidates():

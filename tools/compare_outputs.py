@@ -14,7 +14,10 @@ constant, which pins the operation order of those cells; the kept rows'
 X and v of that twin, of linear_test and of the cash model under u* pin
 the state recursion of the cost's affine regime.  Likewise a
 quadratic_drift twin whose driver reads r sends the LSMC sweep's jump
-read-off on inner states into a compared cost.  The script then
+read-off on inner states into a compared cost, and the solved rows,
+adjoints and variational pair of a linear-quadratic system whose jump
+coefficient reads both the control and the state pin the variational
+state's jump at each event.  The script then
 prints one line per output: ``identical`` when dtype, shape and bytes
 agree, else ``moved`` with the largest absolute and relative difference.
 It exits 1 when any output differs or is missing from one tree.
@@ -144,10 +147,24 @@ def dump(out_path):
     ustar = cash.cash_optimal_control(spec, cash.cash_adjoints(spec, cens))
     out["cash.ustar"] = ustar.values
     lens = ens[:100]
+    # linear_test's f, sigma and b do not read v, so its X1 is 0, and the
+    # cash model has b_x = 0: only a system whose jumps read both v and x
+    # sends X1's event slope b_x X1 into a compared output.  This one has
+    # the control in every coefficient and b = 0.1 z v + 0.05 z x
+    lam = jump.intensity
+    lq_bx = fbsde.ModelSpec(
+        f=lambda t1, t2, x, v: -1.0 * x + 1.0 * v,
+        sigma=lambda t1, t2, x, v: 0.2 * v + 0.0 * x,
+        b=lambda t1, t2, x, v, z: 0.1 * z * v + 0.05 * z * x,
+        g=lambda t1, t2, x, y, a, r, v: (-1.0 * y + 0.5 * x + 0.5 * v) / lam,
+        l=lambda t1, t2, x, y, a, r, v: 0.5 * (v - 1.0) ** 2 / lam,
+        phi=lambda x: 1.0 * x, h=lambda x: 0.0 * x, gamma=lambda y: -y,
+        control_set=fbsde.Box(-10.0, 10.0), x0=1.0, M_T=1.0, affine=True)
     # the adjoint keys keep the labels of earlier trees, which had an
     # adjoint method argument, so that dumps of those trees still compare
     cases = [("cash", cmodel, ustar, cens, "affine"),
-             ("linear_test", lin, fbsde.ConstantControl(0.5), lens, "auto")]
+             ("linear_test", lin, fbsde.ConstantControl(0.5), lens, "auto"),
+             ("lq_bx", lq_bx, fbsde.ConstantControl(0.3), lens, "auto")]
     solved = {}
     for name, model, ctl, bundles, label in cases:
         sols = solved[name] = fbsde._ensemble_cost(model, ctl, bundles, keep=len(bundles))[1]
