@@ -42,8 +42,10 @@ a coefficient record with the keys _affine_backward reads and the
 jump's slope and intercept at each event: the state of the cost's
 affine regime, which reads its open-loop control first and probes the
 model once (_probe_affine), and smp's first adjoint and variational
-state.  The probe reads each slope as a map's value at 1 less its value
-at 0, so the state's two steps agree to rounding, not to the bit.
+state.  The probe reads each slope in x, y, a and r as the model's
+registered partial at the probe's x = 0 arguments, in the shape it
+returns, else as a map's value at 1 less its value at 0; either way the
+state's two steps agree to rounding, not to the bit.
 
 Every backward solve goes through one dispatcher, _backward_batch, which
 resolves the regime (backward_method) and runs that regime's batched
@@ -67,8 +69,10 @@ build the padded table from the same expression.  The regimes are:
             solved by Picard sweeps over the live rows of each step;
 * "affine"  coefficients affine in the state, driver affine in
             (x, y, a, r), linear terminal map: the implicit scheme has
-            an exact conditional solution Y_i = c_i + P_i X_i; A is read
-            off P_{i+1} in one pass after the recursion, and r's cells
+            an exact conditional solution Y_i = c_i + P_i X_i, P and then
+            c swept backward by one slope/intercept kernel (_sweep,
+            z_i = a_i z_{i+1} + b_i) on coefficients built once per
+            batch; A is read off P_{i+1} in one pass after it, and r's cells
             (bx X_i + b0) P_{i+1} are built where they are read (this is
             the workhorse for the built-in models).  The cost probes the
             coefficients once, before its forward pass, and the state
@@ -264,6 +268,32 @@ def _may_read_r(fn) -> bool:
     return False
 
 
+# argument slot of each state variable an affine probe takes a slope in
+_SLOT = {"x": 2, "y": 3, "a": 4, "r": 5}
+
+
+def _difference(fn, args, slot: str, at0) -> np.ndarray:
+    """``fn`` at 1 in ``slot`` less ``at0``, its value at ``args``: the
+    exact slope of a map affine in that argument."""
+    probe = list(args)
+    probe[_SLOT[slot]] = 1.0
+    return np.asarray(fn(*probe), dtype=float) - at0
+
+
+def _slopes(model, name: str, args, slots: str) -> list:
+    """Map ``name``'s value at ``args`` and its slope in each of ``slots``:
+    the registered partial ``<name>_<slot>`` read at ``args``, in the shape
+    it returns, else the map's 0/1 difference (_difference)."""
+    fn = getattr(model, name)
+    at0 = np.asarray(fn(*args), dtype=float)
+    out = [at0]
+    for slot in slots:
+        d = model.derivatives.get(f"{name}_{slot}")
+        out.append(_difference(fn, args, slot, at0) if d is None
+                   else np.asarray(d(*args), dtype=float))
+    return out
+
+
 class ModelSpec:
     """Coefficient maps, costs, and structure flags of one control system.
 
@@ -283,11 +313,16 @@ class ModelSpec:
 
     ``affine`` declares f, sigma and b affine in x and g affine in
     (x, y, a, r); with a linear terminal map (``M_T``) it makes the model
-    affine_solvable, and the solvers probe its coefficients by evaluation
-    at 0 and 1, which is exact.
+    affine_solvable, and the solvers probe its coefficients at state 0:
+    each slope is its registered partial (f_x, sigma_x, b_x, g_x, g_y,
+    g_a, g_r) read there, else the map at 1 less the map at 0, which is
+    exact.  On an affine model each registered slope must match that
+    difference at the validation point to 1e-10 (1 + |difference|), else
+    ValueError.
     ``derivatives`` is the one place for closed-form partials, keyed
     ``<map>_<argument>`` (e.g. "f_x", "l_v"); every partial it lacks,
-    dH/dv's included, is a central difference of the map.
+    dH/dv's included, is a central difference of the map (the probe's
+    slopes excepted, as above).
     Only scalar systems are implemented (n = m = d = k = 1).
 
     Whenever ``g`` or ``l`` is set, the spec decides whether that map can
@@ -331,10 +366,9 @@ class ModelSpec:
         if not np.isfinite(self.x0):
             raise ValueError(f"initial state x0 must be finite, got {self.x0}")
         v0 = self.control_set.interior_point()
-        probes = [
-            self.f(0.0, 0.0, 0.0, v0), self.sigma(0.0, 0.0, 0.0, v0),
-            self.b(0.0, 0.0, 0.0, v0, 0.1),
-            self.g(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, v0),
+        args = dict(f=(0.0, 0.0, 0.0, v0), sigma=(0.0, 0.0, 0.0, v0),
+                    b=(0.0, 0.0, 0.0, v0, 0.1), g=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, v0))
+        probes = [getattr(self, name)(*a) for name, a in args.items()] + [
             self.l(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, v0),
             self.phi(0.0), self.h(0.0), self.gamma(0.0),
         ]
@@ -343,6 +377,21 @@ class ModelSpec:
             if val.size != 1 or not np.all(np.isfinite(val)):
                 raise ValueError("model map probe returned a non-finite or "
                                  "non-scalar value at the origin")
+        if self.affine:
+            # the affine probe trusts a registered slope in place of the
+            # 0/1 difference, so the two must agree
+            for name, slots in (("f", "x"), ("sigma", "x"), ("b", "x"), ("g", "xyar")):
+                fn, a = getattr(self, name), args[name]
+                at0 = np.asarray(fn(*a), dtype=float)
+                for slot in slots:
+                    d = self.derivatives.get(f"{name}_{slot}")
+                    if d is None:
+                        continue
+                    got = np.asarray(d(*a), dtype=float)
+                    want = _difference(fn, a, slot, at0).item()
+                    if not (got.size == 1 and abs(got.item() - want) <= 1e-10 * (1.0 + abs(want))):
+                        raise ValueError(f"registered {name}_{slot} does not match {name} at "
+                                         f"{slot} = 1 less {name} at {slot} = 0")
         if self.linear_terminal:
             p0 = float(self.phi(0.0))
             for x in (-1.0, 0.3, 1.0):
@@ -787,18 +836,16 @@ def _forward_batch(model: ModelSpec, control, batch: _Batch, v=None, co=None):
     Given ``v``, an open-loop control's table (_open_loop), and ``co``, an
     affine model's probe at it (_probe_affine), the state steps by
     _affine_step on the probe and the jump's slope and intercept at the
-    events (two b calls over all of them) instead, and calls no map in its
-    loop; the two steps agree to rounding, as the probe reads each slope
-    as a map's value at 1 less its value at 0.
+    events (read over all of them as the probe reads b's) instead, and
+    calls no map in its loop; the two steps agree to rounding, as the
+    probe's slopes are registered partials or 0/1 differences.
     solve_forward_dual evaluates the Ito ingredients from (X, v)."""
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     if co is not None:
         p, s = batch.ev_p, batch.ev_s
-        t, u, ve = batch.t[p, s], s * du, v[p, s]
-        e0 = np.broadcast_to(np.asarray(model.b(t, u, 0.0, ve, batch.ev_z), dtype=float),
-                             p.shape)
-        e1 = np.asarray(model.b(t, u, 1.0, ve, batch.ev_z), dtype=float) - e0
-        return _euler(batch, model.x0, _affine_step(batch, co, e0, e1), "state"), v
+        e0, e1 = _slopes(model, "b", (batch.t[p, s], s * du, 0.0, v[p, s], batch.ev_z), "x")
+        return _euler(batch, model.x0,
+                      _affine_step(batch, co, np.broadcast_to(e0, p.shape), e1), "state"), v
     lam_du = batch.spec.intensity * du
     v = np.zeros((N, Kmax))
 
@@ -855,31 +902,30 @@ def _mark_integrals(spec: LevyJumpSpec, co: dict) -> dict:
 
 
 def _probe_affine(model: ModelSpec, batch: _Batch, v: np.ndarray):
-    """Exact affine coefficients by evaluation at states 0 and 1.
+    """Exact affine coefficients from the maps at state 0.
 
-    Valid when the model is affine (ModelSpec.affine); the returned
-    driver pieces are already integrated against the jump measure
+    Valid when the model is affine (ModelSpec.affine).  Each map is
+    evaluated once at x = 0 (g at x = y = a = r = 0) for its intercept,
+    and each slope (f_x, sigma_x, b_x, g_x, g_y, g_a, g_r) is the model's
+    registered partial read at those same arguments, else the map at 1
+    less the map at 0 in that argument (_slopes).  The returned driver
+    pieces are already integrated against the jump measure
     (G = lam * int g, with the r term kept nodewise as gr * w * lam), and
     the mark integrals of bx and b0 are taken once (ibx, ib0).  The
-    pieces keep the shapes the model returns; the readers broadcast them
-    to the batch layout.  The cost's affine regime probes once, before
-    the forward pass, at the open-loop v: the state steps by these
-    tables (_affine_step) and _affine_backward reads the same dict.
+    pieces keep the shapes the model returns, so a constant registered
+    slope stays a scalar (the cash model's b is then evaluated nodewise
+    once and its ibx costs nothing); the readers broadcast them to the
+    batch layout.  The cost's affine regime probes once, before the
+    forward pass, at the open-loop v: the state steps by these tables
+    (_affine_step) and _affine_backward reads the same dict.
     """
     t, u = batch.t[:, :-1], np.arange(batch.Kmax) * batch.du
-    z = batch.znodes
     lam = batch.spec.intensity
-    f0 = np.asarray(model.f(t, u, 0.0, v), dtype=float)
-    fx = np.asarray(model.f(t, u, 1.0, v), dtype=float) - f0
-    s0 = np.asarray(model.sigma(t, u, 0.0, v), dtype=float)
-    sx = np.asarray(model.sigma(t, u, 1.0, v), dtype=float) - s0
-    b0 = np.asarray(model.b(t[..., None], u[:, None], 0.0, v[..., None], z), dtype=float)
-    bx = np.asarray(model.b(t[..., None], u[:, None], 1.0, v[..., None], z),
-                    dtype=float) - b0
-    g00 = np.asarray(model.g(t, u, 0.0, 0.0, 0.0, 0.0, v), dtype=float)
-    # unit probes in x, y, a and r in turn
-    gx, gy, ga, gr = (np.asarray(model.g(t, u, *e, v), dtype=float) - g00
-                      for e in np.eye(4).tolist())
+    f0, fx = _slopes(model, "f", (t, u, 0.0, v), "x")
+    s0, sx = _slopes(model, "sigma", (t, u, 0.0, v), "x")
+    b0, bx = _slopes(model, "b", (t[..., None], u[:, None], 0.0, v[..., None], batch.znodes),
+                     "x")
+    g00, gx, gy, ga, gr = _slopes(model, "g", (t, u, 0.0, 0.0, 0.0, 0.0, v), "xyar")
     return _mark_integrals(batch.spec, dict(fx=fx, f0=f0, sx=sx, s0=s0, bx=bx, b0=b0,
                                             Gy=lam * gy, Gx=lam * gx, Ga=lam * ga,
                                             G0=lam * g00, gr=lam * gr))
@@ -950,6 +996,15 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
     The coefficients ``co`` may take any shape that broadcasts against
     the (N, Kmax) layout, (N, Kmax, nodes) for ``bx`` and ``b0``, whose
     mark integrals ``ibx`` and ``ib0`` (_mark_integrals) come with them.
+    The scheme is solved as two slope/intercept sweeps (_sweep), on
+    coefficients built once from whole tables, each keeping the shape
+    its inputs broadcast to (scalars stay scalar):
+
+        P_i = aP_i P_{i+1} + bP_i,  c_i = ac_i c_{i+1} + gc_i,
+        den = 1 - du Gy,  aP = (1 + du fx + du (Ga sx + gr ibx)) / den,
+        bP = du Gx / den,  ac = 1 / den,
+        gc = du (P_{i+1} (f0 + Ga s0 + gr ib0) + G0) / den.
+
     P and c start at the terminal pair in every cell and step i updates
     its live rows (the suffix ``batch.live(i)``) only, so each row holds
     the terminal pair from its horizon on and no padded coefficient cell
@@ -962,28 +1017,42 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
     """
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     Q = batch.w.size
-    wr_b, wr_b0 = (np.broadcast_to(co[key], (N, Kmax)) for key in ("ibx", "ib0"))
-    co = {key: np.broadcast_to(val, (N, Kmax, Q) if key in ("bx", "b0") else (N, Kmax))
-          for key, val in co.items()}
-    P = np.empty((N, Kmax + 1))
-    c = np.empty((N, Kmax + 1))
-    P[:] = np.asarray(P_term, dtype=float)[..., None]
-    c[:] = np.asarray(c_term, dtype=float)[..., None]
-    for i in range(Kmax - 1, -1, -1):
-        rows = batch.live(i)
-        Pn, cn = P[rows, i + 1], c[rows, i + 1]
-        den = 1.0 - du * co["Gy"][rows, i]
-        P[rows, i] = (Pn * (1.0 + du * co["fx"][rows, i])
-                      + du * (co["Gx"][rows, i] + co["Ga"][rows, i] * Pn * co["sx"][rows, i]
-                              + co["gr"][rows, i] * Pn * wr_b[rows, i])) / den
-        c[rows, i] = (cn + du * (Pn * co["f0"][rows, i] + co["G0"][rows, i]
-                                 + co["Ga"][rows, i] * Pn * co["s0"][rows, i]
-                                 + co["gr"][rows, i] * Pn * wr_b0[rows, i])) / den
+    den = np.asarray(1.0 - du * co["Gy"])
+    P = _sweep(batch, (1.0 + du * co["fx"] + du * (co["Ga"] * co["sx"] + co["gr"] * co["ibx"]))
+               / den, du * co["Gx"] / den, P_term)
+    gc = P[:, 1:] * (co["f0"] + co["Ga"] * co["s0"] + co["gr"] * co["ib0"])
+    gc += co["G0"]
+    gc *= du
+    gc /= den
+    # c's slope 1 / den overwrites den, and both tables are freed before A
+    # and Y are built: every (N, Kmax) table held at once here can raise
+    # the cost pass's peak memory above that of its probe
+    c = _sweep(batch, np.divide(1.0, den, out=den), gc, c_term)
+    del den, gc
     A = co["sx"] * X[:, :-1]
     A += co["s0"]
     A *= P[:, 1:]
     np.copyto(A, 0.0, where=np.arange(Kmax) >= batch.K[:, None])
-    return c + P * X, A, _NodeCells(batch.K, Q, affine=(co["bx"], co["b0"], X, P))
+    bx, b0 = (np.broadcast_to(co[key], (N, Kmax, Q)) for key in ("bx", "b0"))
+    return c + P * X, A, _NodeCells(batch.K, Q, affine=(bx, b0, X, P))
+
+
+def _sweep(batch: _Batch, a, b, z_end) -> np.ndarray:
+    """z_i = a_i z_{i+1} + b_i backward from z_K = ``z_end`` (one value per
+    row), padded (N, Kmax + 1): step i updates its live rows (the suffix
+    ``batch.live(i)``) in place with two ufunc calls, so each row holds
+    ``z_end`` from its horizon on and no padded cell of ``a`` or ``b``
+    (any shape that broadcasts to (N, Kmax)) is read."""
+    N, Kmax = batch.N, batch.Kmax
+    a, b = (np.broadcast_to(val, (N, Kmax)) for val in (a, b))
+    Z = np.empty((N, Kmax + 1))
+    Z[:] = np.asarray(z_end, dtype=float)[..., None]
+    for i in range(Kmax - 1, -1, -1):
+        rows = batch.live(i)
+        zi = Z[rows, i]
+        np.multiply(a[rows, i], Z[rows, i + 1], out=zi)
+        zi += b[rows, i]
+    return Z
 
 
 # -------------------------------------------------------------- lsmc backward

@@ -127,8 +127,13 @@ def _hamiltonian_form(maps, spec, t1, t2, x, y, a, r_nodes, v, p, q, k, R_nodes)
     bv = np.asarray(b(t1[e], t2[e], x[e], v[e], z), dtype=float)
     gv = np.asarray(g(t1[e], t2[e], x[e], y[e], a[e], r_nodes, v[e]), dtype=float)
     lv = np.asarray(l(t1[e], t2[e], x[e], y[e], a[e], r_nodes, v[e]), dtype=float)
-    return q * fv + k * sv - spec.intensity * spec.integrate(p[e] * gv - lv - R_nodes * bv,
-                                                             t1.shape)
+    # p g - l - R b in one nodewise buffer: R b is built in it and p g - l
+    # subtracted into it in place, so no second full-size temporary is made
+    head = p[e] * gv - lv
+    rb = np.multiply(R_nodes, bv, out=np.empty(np.broadcast_shapes(
+        head.shape, R_nodes.shape, bv.shape)))
+    np.subtract(head, rb, out=rb)
+    return q * fv + k * sv - spec.intensity * spec.integrate(rb, t1.shape)
 
 
 def hamiltonian(model: ModelSpec, spec, t1, t2, x, y, a, r_nodes, v,
@@ -274,9 +279,10 @@ def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
     hc, hs = _affine_in_x(d_hx, (np.asarray(0.0),), pos=0)
     pT = p[np.arange(N), batch.K]
     fx, sx, bx = co["fx"], co["sx"], co["bx"]
+    bb, bb0 = bx ** 2, bx * co["b0"]
     qco = dict(co,
-               fx=fx + sx ** 2 + lam * spec.integrate(bx ** 2, v.shape),
-               f0=co["f0"] + sx * co["s0"] + lam * spec.integrate(bx * co["b0"], v.shape),
+               fx=fx + sx ** 2 + lam * spec.integrate(bb, bb.shape[:-1]),
+               f0=co["f0"] + sx * co["s0"] + lam * spec.integrate(bb0, bb0.shape[:-1]),
                Gy=fx, Gx=Lxx, G0=Lx0 - co["Gx"] * p[:, :-1], Ga=0.0, gr=0.0)
     q, k, R = _affine_backward(batch, X, qco, np.full(N, float(hs)), -model.M_T * pT + float(hc))
     return q, k, R.table()
@@ -285,15 +291,18 @@ def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
 def _p_state_free(model: ModelSpec, batch: _Batch, X, Y, A, r, v) -> bool:
     """True when the first adjoint's coefficients ignore the state and
     carry no Brownian or jump loading, so p is a functional of the
-    subordinator path alone."""
+    subordinator path alone.  Each derivative is compared at the shape it
+    comes in (a broadcast holds no value its source lacks), after a check
+    that it broadcasts to the nodewise (N, Kmax, nodes) layout."""
     z = batch.znodes
     shape = v.shape + (z.size,)
     base = _step_args(batch, None, X, Y, A, r, v)
     zero = base[:2] + (np.asarray(0.0), 0.0, 0.0, z * 0.0, base[6])
     for name in ("g_y", "l_y", "g_a", "l_a", "g_r", "l_r"):
         d = model_derivative(model, name)
-        vb = np.broadcast_to(np.asarray(d(*base), dtype=float), shape)
-        vz = np.broadcast_to(np.asarray(d(*zero), dtype=float), shape)
+        vb, vz = (np.asarray(d(*args), dtype=float) for args in (base, zero))
+        for val in (vb, vz):
+            np.broadcast_to(val, shape)
         if _absmax(vb - vz) > 1e-10 * (1.0 + _absmax(vb)):
             return False
         if name in ("g_a", "l_a", "g_r", "l_r") and _absmax(vb) > 1e-12:

@@ -186,6 +186,44 @@ def adjoint_q_recursion(p, du: float, fx: float, gx: float, lx: float, terminal:
     return np.array(q[::-1])
 
 
+def affine_y_recursion(x, du: float, co: dict, P_T: float, c_T: float) -> list:
+    """Y_0..Y_K on one path of the implicit backward scheme whose driver is
+    affine in (x, y, a, int r), given the path's states x_0..x_K.
+
+    ``co[key][i]`` is the coefficient of step i < K (a number stands for
+    every step): the drift and volatility slopes and intercepts fx, f0,
+    sx, s0, the mark integrals ibx and ib0 of the jump's slope and
+    intercept, and the lam-integrated driver's slopes Gx, Gy, Ga in x, y
+    and a, its intercept G0 and its slope gr in int r.  The scheme
+    Y_i = E_i[Y_{i+1}] + du (Gx x_i + Gy Y_i + Ga A_i + gr int r_i + G0)
+    has the solution Y_i = c_i + P_i x_i: with E_i[x_{i+1}] =
+    x_i + du (fx x_i + f0), A_i = P_{i+1} (sx x_i + s0) and
+    int r_i = P_{i+1} (ibx x_i + ib0), one scalar step at a time,
+
+        P_K = P_T,  c_K = c_T,  den = 1 - du Gy,
+        P_i = (P_{i+1} (1 + du fx) + du (Gx + Ga P_{i+1} sx + gr P_{i+1} ibx)) / den,
+        c_i = (c_{i+1} + du (P_{i+1} f0 + G0 + Ga P_{i+1} s0 + gr P_{i+1} ib0)) / den.
+
+    Plain floats throughout; test_oracles.py checks a hand-computed case.
+    """
+    def at(key, i):
+        val = co[key]
+        return float(val[i] if hasattr(val, "__getitem__") else val)
+
+    k = len(x) - 1
+    P, c = float(P_T), float(c_T)
+    Y = [c + P * float(x[k])]
+    for i in range(k - 1, -1, -1):
+        fx, f0, sx, s0, ibx, ib0, Gx, Gy, Ga, G0, gr = (
+            at(key, i) for key in ("fx", "f0", "sx", "s0", "ibx", "ib0",
+                                   "Gx", "Gy", "Ga", "G0", "gr"))
+        den = 1.0 - du * Gy
+        P, c = ((P * (1.0 + du * fx) + du * (Gx + Ga * P * sx + gr * P * ibx)) / den,
+                (c + du * (P * f0 + G0 + Ga * P * s0 + gr * P * ib0)) / den)
+        Y.append(c + P * float(x[i]))
+    return Y[::-1]
+
+
 def central_difference(fn, x, h):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 

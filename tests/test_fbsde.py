@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare, ks_2samp, kstest
 
-from oracles import k_law, linear_fbsde_ode_oracle, mittag_leffler
+from oracles import affine_y_recursion, k_law, linear_fbsde_ode_oracle, mittag_leffler
 from support import (
     RAGGED_STEPS,
     coupled_bundles,
@@ -123,6 +123,23 @@ def test_perturbed_control_combines():
 def test_model_probe_rejects_non_finite_map():
     with pytest.raises(ValueError, match="probe"):
         mk_model(f=lambda t1, t2, x, v: np.nan + 0.0 * x)
+
+
+def test_model_refuses_a_registered_slope_that_misses_the_difference():
+    """The affine probe reads a registered slope in place of the map's
+    0/1 difference, so on an affine model each one must match it at the
+    validation point: a wrong b_x (or g_y) is refused, the right one
+    accepted, and a model not declared affine is not checked."""
+    maps = dict(b=lambda t1, t2, x, v, z: 0.05 * z * x + 0.1 * v + 0.0 * z,
+                g=lambda t1, t2, x, y, a, r, v: -0.5 * y + 0.5 * x + 0.0 * (a + r + v))
+    right = {"b_x": lambda t1, t2, x, v, z: 0.05 * z + 0.0 * (x + v),
+             "g_y": lambda t1, t2, x, y, a, r, v: -0.5 + 0.0 * y}
+    mk_model(**maps, affine=True, derivatives=right)
+    for name, wrong in (("b_x", lambda t1, t2, x, v, z: 0.05 * z + 1e-6),
+                        ("g_y", lambda t1, t2, x, y, a, r, v: 0.5 + 0.0 * y)):
+        with pytest.raises(ValueError, match=f"registered {name} does not match"):
+            mk_model(**maps, affine=True, derivatives=dict(right, **{name: wrong}))
+        mk_model(**maps, derivatives=dict(right, **{name: wrong}))
 
 
 @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
@@ -1308,6 +1325,69 @@ def test_affine_backward_ignores_padded_coefficients(steps):
             assert all(np.all(np.isfinite(a)) for a in got)
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
+
+
+def test_probe_reads_the_nodewise_b_once_when_b_x_is_registered():
+    """With b_x registered the probe evaluates b nodewise once, at x = 0,
+    and keeps the partial's shape, so the cash model's bx and ibx are
+    scalars; without it b is evaluated at x = 0 and at x = 1 and bx is a
+    nodewise table."""
+    ens = fbsde.Ensemble(ragged_bundles(RAGGED_STEPS))
+    batch = ens.rows(np.argsort(ens.K, kind="stable"))
+    v = fbsde._open_loop(ConstantControl(0.5), batch)
+    for registered, calls in ((True, 1), (False, 2)):
+        model = build_cash_model(CashSpec())
+        if not registered:
+            del model.derivatives["b_x"]
+        b, seen = model.b, []
+        model.b = lambda *args: seen.append(np.shape(args[4])) or b(*args)
+        co = fbsde._probe_affine(model, batch, v)
+        assert seen == [batch.znodes.shape] * calls
+        if registered:
+            assert np.ndim(co["bx"]) == 0 and np.ndim(co["ibx"]) == 0
+        else:
+            assert co["bx"].shape == (batch.N, batch.Kmax, batch.w.size)
+
+
+def test_affine_backward_matches_the_scalar_y_oracle():
+    """_affine_backward's Y on a K-sorted ragged batch equals the scalar
+    loop tests/oracles.py::affine_y_recursion row by row, then holds its
+    horizon value: on an affine twin whose driver reads a and r and whose
+    jump has a slope and an intercept with nonzero mark integrals (the
+    symmetric mark law integrates z to 0), so every term of the scheme is
+    nonzero, and on a time-dependent cash model, whose registered slopes
+    are scalars, under a control that varies by path and step."""
+    lam = 2.0
+    twin = ModelSpec(
+        f=lambda t1, t2, x, v: -x + 0.3 * v,
+        sigma=lambda t1, t2, x, v: 0.1 * x + 0.2 * v,
+        b=lambda t1, t2, x, v, z: (0.5 + z) * (0.05 * x + 0.1 * v),
+        g=lambda t1, t2, x, y, a, r, v: (-0.5 * y + 0.5 * x + 0.5 * v + 0.2 * a + 0.3 * r) / lam,
+        l=lambda t1, t2, x, y, a, r, v: 0.0 * x, phi=lambda x: 1.0 * x + 0.3,
+        h=lambda x: 0.0 * x, gamma=lambda y: -y, control_set=Box(-2.0, 2.0), x0=1.0,
+        M_T=1.0, affine=True)
+    cash = build_cash_model(CashSpec(sigma_t=lambda t: 0.2 + 0.1 * t,
+                                     eta_t=lambda t, z: (0.1 + 0.05 * t) * z))
+    ens = fbsde.Ensemble(ragged_bundles(RAGGED_STEPS, jump_spec=LevyJumpSpec(c=1.0,
+                                                                             intensity=lam)))
+    batch = ens.rows(np.argsort(ens.K, kind="stable"))
+    width = max(RAGGED_STEPS)
+    ctl = StepwiseControl(0.3 + 0.1 * np.arange(len(ens))[:, None] + 0.02 * np.arange(width))
+    keys = ("fx", "f0", "sx", "s0", "ibx", "ib0", "Gx", "Gy", "Ga", "G0", "gr")
+    for model in (twin, cash):
+        v = fbsde._open_loop(ctl, batch, model.control_set)
+        co = fbsde._probe_affine(model, batch, v)
+        X = fbsde._forward_batch(model, ctl, batch, v, co)[0]
+        P_T, c_T = model.M_T, float(model.phi(0.0))
+        Y = fbsde._affine_backward(batch, X, co, np.full(batch.N, P_T),
+                                   np.full(batch.N, c_T))[0]
+        full = {key: np.broadcast_to(co[key], (batch.N, batch.Kmax)) for key in keys}
+        for n, k in enumerate(batch.K):
+            want = affine_y_recursion(X[n, : k + 1].tolist(), batch.du,
+                                      {key: full[key][n, :k].tolist() for key in keys},
+                                      P_T, c_T)
+            assert np.max(np.abs(Y[n, : k + 1] - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+            assert np.all(Y[n, k:] == Y[n, k])
 
 
 def _live_cell(batch):

@@ -1,6 +1,7 @@
 """The oracles get checked before anything trusts them."""
 
 import ast
+import inspect
 import math
 import types
 from pathlib import Path
@@ -12,6 +13,7 @@ import oracles
 from oracles import (
     adjoint_p_recursion,
     adjoint_q_recursion,
+    affine_y_recursion,
     cash_cost_given_steps,
     cash_q_candidate,
     central_difference,
@@ -156,6 +158,25 @@ def test_adjoint_q_recursion_two_steps_by_hand():
     assert np.array_equal(adjoint_q_recursion([0.7], 0.01, -1.0, 2.0, 1.0, -0.7), [-0.7])
 
 
+def test_affine_y_recursion_two_steps_by_hand():
+    # du = 1/2, x = (1, -1, 2), P_T = 1, c_T = 0, every slope and intercept
+    # nonzero: fx = 2, f0 = 1, sx = 2, s0 = 1, ibx = 2, ib0 = 1, Gx = 1,
+    # Gy = -2 (den = 2), Ga = 1, G0 = 2, gr = 1.
+    # P_1 = (1 * 2 + (1 + 2 + 2) / 2) / 2 = 9/4,  c_1 = (0 + (1 + 2 + 1 + 1) / 2) / 2 = 5/4,
+    # P_0 = (9/4 * 2 + (1 + 9/2 + 9/2) / 2) / 2 = 19/4,
+    # c_0 = (5/4 + (9/4 + 2 + 9/4 + 9/4) / 2) / 2 = 45/16,
+    # Y = (45/16 + 19/4, 5/4 - 9/4, 2) = (121/16, -1, 2)
+    co = dict(fx=2.0, f0=1.0, sx=2.0, s0=1.0, ibx=2.0, ib0=1.0, Gx=1.0, Gy=-2.0, Ga=1.0,
+              G0=2.0, gr=1.0)
+    assert affine_y_recursion([1.0, -1.0, 2.0], 0.5, co, 1.0, 0.0) == [121.0 / 16.0, -1.0, 2.0]
+    # per-step coefficients: G0 = (2, 4) gives c_1 = 7/4, c_0 = 49/16,
+    # Y = (49/16 + 19/4, 7/4 - 9/4, 2) = (125/16, -1/2, 2)
+    co["G0"] = [2.0, 4.0]
+    assert affine_y_recursion([1.0, -1.0, 2.0], 0.5, co, 1.0, 0.0) == [125.0 / 16.0, -0.5, 2.0]
+    # no solver steps: Y is its terminal value alone
+    assert affine_y_recursion([3.0], 0.01, co, 2.0, 0.5) == [6.5]
+
+
 def test_adjoint_q_recursion_converges_to_cash_q_candidate():
     # on the cash system (fx = -mu1, gx = mu2, lx = 0, p = exp(-mu1 u),
     # q_K = -p_K) the scheme approaches the closed form at first order in du
@@ -190,6 +211,14 @@ def test_oracles_import_nothing_from_the_package_under_test():
     probe = "import numpy, tcfbsde.fbsde\ndef f():\n    from tcfbsde import smp\n"
     assert _package_imports(probe) == ["tcfbsde.fbsde", "tcfbsde"]
     assert _package_imports(Path(oracles.__file__).read_text()) == []
+    # the scalar recursions the solvers are checked against are functions
+    # of that file whose bodies import nothing at all
+    for fn in (adjoint_p_recursion, adjoint_q_recursion, affine_y_recursion):
+        assert fn.__module__ == oracles.__name__, fn.__name__
+        tree = ast.parse(inspect.getsource(fn))
+        assert not any(isinstance(node, (ast.Import, ast.ImportFrom))
+                       or (isinstance(node, ast.Name) and node.id in ("__import__", "importlib"))
+                       for node in ast.walk(tree)), fn.__name__
 
 
 def _continuous_cash_cost(s, horizon):

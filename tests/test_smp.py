@@ -316,6 +316,16 @@ def test_adjoint_closure_needs_a_state_free_first_adjoint(l):
         solve_adjoint_ensemble(model, bundles, sols)
 
 
+def test_state_free_check_refuses_a_derivative_that_does_not_broadcast():
+    """_p_state_free compares each derivative at the shape it returns, but
+    a return that does not broadcast to the nodewise (N, Kmax, nodes)
+    layout is still refused, not compared."""
+    model, bundles, sols = _closure_case()
+    model.derivatives["l_y"] = lambda t1, t2, x, y, a, r, v: np.zeros(5)
+    with pytest.raises(ValueError, match="broadcast"):
+        solve_adjoint_ensemble(model, bundles, sols)
+
+
 def test_adjoint_closure_needs_a_cost_gradient_affine_in_the_state():
     """l = x^3 leaves the first adjoint state-free, but l_x = 3 x^2 is not
     affine in x, so the closure q = cq + Pq X does not hold."""

@@ -12,7 +12,10 @@ running cost reads r, so the backward solve's jump cells reach a compared
 output; one of them has a jump coefficient with both an x-slope and a
 constant, which pins the operation order of those cells; the kept rows'
 X and v of that twin, of linear_test and of the cash model under u* pin
-the state recursion of the cost's affine regime.  Likewise a
+the state recursion of the cost's affine regime.  Another linear_test
+twin registers closed-form x-slopes (f_x, sigma_x, b_x, g_x, g_y) that
+vary with t1, so the probe's registered partials reach a cost and solved
+rows (X, Y, A, r) as tables, not only as the cash model's constants.  Likewise a
 quadratic_drift twin whose driver reads r sends the LSMC sweep's jump
 read-off on inner states into a compared cost, and the solved rows,
 adjoints and variational pair of a linear-quadratic system whose jump
@@ -103,6 +106,28 @@ def dump(out_path):
     out["cost.linear_test_bx_b0.per_path"] = est.per_path
     for field in ("X", "v", "r"):
         out[f"solved.linear_test_bx_b0.{field}"] = getattr(sols, field)
+    # the affine probe reads a registered slope in place of the 0/1
+    # difference, in the shape the partial returns: a linear_test twin
+    # whose x-slopes vary with t1, registered in closed form, sends such
+    # (N, Kmax) and (N, Kmax, nodes) tables into a cost and solved rows
+    lam = jump.intensity
+    tx = fbsde.ModelSpec(
+        f=lambda t1, t2, x, v: -(1.0 + 0.5 * t1) * x + 0.2 * v,
+        sigma=lambda t1, t2, x, v: (0.1 + 0.1 * t1) * x + 0.2,
+        b=lambda t1, t2, x, v, z: 0.05 * z * (1.0 + t1) * x,
+        g=lambda t1, t2, x, y, a, r, v: (-(0.5 + 0.2 * t1) * y + (0.5 - 0.3 * t1) * x
+                                         + 0.5 * v) / lam,
+        l=lin.l, phi=lin.phi, h=lin.h, gamma=lin.gamma, control_set=lin.control_set,
+        x0=lin.x0, M_T=lin.M_T, affine=True,
+        derivatives={"f_x": lambda t1, t2, x, v: -(1.0 + 0.5 * t1),
+                     "sigma_x": lambda t1, t2, x, v: 0.1 + 0.1 * t1,
+                     "b_x": lambda t1, t2, x, v, z: 0.05 * z * (1.0 + t1),
+                     "g_x": lambda t1, t2, x, y, a, r, v: (0.5 - 0.3 * t1) / lam,
+                     "g_y": lambda t1, t2, x, y, a, r, v: -(0.5 + 0.2 * t1) / lam})
+    est, sols = fbsde._ensemble_cost(tx, fbsde.ConstantControl(0.5), ens, keep=256)
+    out["cost.linear_test_tx.per_path"] = est.per_path
+    for field in ("X", "Y", "A", "r"):
+        out[f"solved.linear_test_tx.{field}"] = getattr(sols, field)
 
     # two 16-path lsmc operations, outer paths spread over the K-sorted order
     quad, qjump, qsub, qp = fbsde.build_model("quadratic_drift")
@@ -151,7 +176,6 @@ def dump(out_path):
     # cash model has b_x = 0: only a system whose jumps read both v and x
     # sends X1's event slope b_x X1 into a compared output.  This one has
     # the control in every coefficient and b = 0.1 z v + 0.05 z x
-    lam = jump.intensity
     lq_bx = fbsde.ModelSpec(
         f=lambda t1, t2, x, v: -1.0 * x + 1.0 * v,
         sigma=lambda t1, t2, x, v: 0.2 * v + 0.0 * x,
