@@ -11,8 +11,12 @@ in its step count K.  An Ensemble holds the paths only as flat arrays
 with per-path offsets (subordinator and Brownian values up to first
 passage, jump events): make_ensemble draws each path's named substreams
 straight into them, and Ensemble(bundles) packs a list into the same
-arrays.  An integer index rebuilds one PathBundle as views, whose inverse
-clock is computed only when read; no ensemble solver reads one.  The
+arrays.  Every path's generator state for a purpose is derived in one
+vectorised pass (seeding.Substreams) and drawn through one reused
+generator, the streams of seeding.stream bit for bit, so sampling builds
+three generators per ensemble, not three per path.  An integer index
+rebuilds one PathBundle as views, whose inverse clock is computed only
+when read; no ensemble solver reads one.  The
 Ensemble gathers the padded arrays of any rows, in K order, into the one
 layout every solver reads (a _Batch, width Kmax, cells past a row's
 horizon held or zero); the LSMC inner ensembles are drawn straight into
@@ -99,6 +103,7 @@ import dis
 import inspect
 import math
 import types
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -106,7 +111,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from .noise import BrownianPath, JumpStream, LevyJumpSpec
-from .seeding import stream
+from .seeding import Substreams, stream
 from .time_change import (
     InversePath,
     OperationalGrid,
@@ -294,6 +299,38 @@ def _slopes(model, name: str, args, slots: str) -> list:
     return out
 
 
+# the slopes the affine probe reads as registered partials
+_PROBE_SLOPES = frozenset(("f_x", "sigma_x", "b_x", "g_x", "g_y", "g_a", "g_r"))
+
+
+class _Partials(MutableMapping):
+    """A model's registered partials, a dict in use, which checks every
+    write of a probe slope (ModelSpec._check_slope) before it stores it."""
+
+    def __init__(self, model, items):
+        self._model, self._fns = model, {}
+        self.update(items)
+
+    def __getitem__(self, key):
+        return self._fns[key]
+
+    def __setitem__(self, key, fn):
+        self._model._check_slope(key, fn)
+        self._fns[key] = fn
+
+    def __delitem__(self, key):
+        del self._fns[key]
+
+    def __iter__(self):
+        return iter(self._fns)
+
+    def __len__(self):
+        return len(self._fns)
+
+    def __repr__(self):
+        return repr(self._fns)
+
+
 class ModelSpec:
     """Coefficient maps, costs, and structure flags of one control system.
 
@@ -318,7 +355,9 @@ class ModelSpec:
     g_a, g_r) read there, else the map at 1 less the map at 0, which is
     exact.  On an affine model each registered slope must match that
     difference at the validation point to 1e-10 (1 + |difference|), else
-    ValueError.
+    ValueError, whenever it is written: at construction, as an item of
+    ``derivatives`` or in a dict that replaces it (deleting one is
+    allowed, and so is any other key).
     ``derivatives`` is the one place for closed-form partials, keyed
     ``<map>_<argument>`` (e.g. "f_x", "l_v"); every partial it lacks,
     dH/dv's included, is a central difference of the map (the probe's
@@ -345,11 +384,13 @@ class ModelSpec:
         self.M_T = None if M_T is None else float(M_T)
         self.affine = bool(affine)
         self.conditionally_deterministic = bool(conditionally_deterministic)
-        self.derivatives = dict(derivatives or {})
         self.name = name
         self._validate()
+        self.derivatives = derivatives or {}
 
     def __setattr__(self, name, value):
+        if name == "derivatives":
+            value = _Partials(self, value)
         super().__setattr__(name, value)
         if name in ("g", "l"):
             super().__setattr__(f"_{name}_reads_r", _may_read_r(value))
@@ -362,12 +403,32 @@ class ModelSpec:
     def affine_solvable(self) -> bool:
         return self.affine and self.linear_terminal
 
+    def _probe_args(self) -> dict:
+        """The validation point of f, sigma, b and g."""
+        v0 = self.control_set.interior_point()
+        return dict(f=(0.0, 0.0, 0.0, v0), sigma=(0.0, 0.0, 0.0, v0),
+                    b=(0.0, 0.0, 0.0, v0, 0.1), g=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, v0))
+
+    def _check_slope(self, key: str, d):
+        """On an affine model, ValueError unless ``d``, registered as the
+        probe slope ``key`` (one of _PROBE_SLOPES), matches its map at 1
+        less its map at 0 at the validation point: the affine probe trusts
+        it in place of that difference."""
+        if not self.affine or key not in _PROBE_SLOPES:
+            return
+        name, slot = key.rsplit("_", 1)
+        fn, a = getattr(self, name), self._probe_args()[name]
+        got = np.asarray(d(*a), dtype=float)
+        want = _difference(fn, a, slot, np.asarray(fn(*a), dtype=float)).item()
+        if not (got.size == 1 and abs(got.item() - want) <= 1e-10 * (1.0 + abs(want))):
+            raise ValueError(f"registered {key} does not match {name} at "
+                             f"{slot} = 1 less {name} at {slot} = 0")
+
     def _validate(self):
         if not np.isfinite(self.x0):
             raise ValueError(f"initial state x0 must be finite, got {self.x0}")
         v0 = self.control_set.interior_point()
-        args = dict(f=(0.0, 0.0, 0.0, v0), sigma=(0.0, 0.0, 0.0, v0),
-                    b=(0.0, 0.0, 0.0, v0, 0.1), g=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, v0))
+        args = self._probe_args()
         probes = [getattr(self, name)(*a) for name, a in args.items()] + [
             self.l(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, v0),
             self.phi(0.0), self.h(0.0), self.gamma(0.0),
@@ -377,21 +438,6 @@ class ModelSpec:
             if val.size != 1 or not np.all(np.isfinite(val)):
                 raise ValueError("model map probe returned a non-finite or "
                                  "non-scalar value at the origin")
-        if self.affine:
-            # the affine probe trusts a registered slope in place of the
-            # 0/1 difference, so the two must agree
-            for name, slots in (("f", "x"), ("sigma", "x"), ("b", "x"), ("g", "xyar")):
-                fn, a = getattr(self, name), args[name]
-                at0 = np.asarray(fn(*a), dtype=float)
-                for slot in slots:
-                    d = self.derivatives.get(f"{name}_{slot}")
-                    if d is None:
-                        continue
-                    got = np.asarray(d(*a), dtype=float)
-                    want = _difference(fn, a, slot, at0).item()
-                    if not (got.size == 1 and abs(got.item() - want) <= 1e-10 * (1.0 + abs(want))):
-                        raise ValueError(f"registered {name}_{slot} does not match {name} at "
-                                         f"{slot} = 1 less {name} at {slot} = 0")
         if self.linear_terminal:
             p0 = float(self.phi(0.0))
             for x in (-1.0, 0.3, 1.0):
@@ -588,10 +634,15 @@ def make_ensemble(sub_spec: SubordinatorSpec, jump_spec: LevyJumpSpec,
     values and jump events, on the subordinator's grid up to first
     passage, from the "brownian" and "jumps" substreams of index
     pairing[i] (i by default); all three are drawn straight into the
-    Ensemble's flat arrays.  ``pairing`` (a permutation of
+    Ensemble's flat arrays.  Each purpose's substreams are one
+    seeding.Substreams: every path's generator state is derived in one
+    pass and drawn through one reused generator, so no SeedSequence or
+    Generator is built per path, and the draws are those of
+    seeding.stream bit for bit.  ``pairing`` (a permutation of
     range(n_paths), else ValueError) re-pairs subordinator draws with
     other indices' noise, which must leave every ensemble statistic's law
-    unchanged; the cost-independence test relies on that.
+    unchanged; the cost-independence test relies on that.  A master seed
+    that is negative or not integral raises ValueError.
     """
     if n_paths < 1:
         raise ValueError("ensemble must contain at least one path")
@@ -603,14 +654,14 @@ def make_ensemble(sub_spec: SubordinatorSpec, jump_spec: LevyJumpSpec,
     grid = OperationalGrid(step, step * max(4, math.ceil(guess / step)))
     times, k = sample_subordinators(
         sub_spec, calendar_horizon, grid,
-        [stream(master_seed, "subordinator", i) for i in range(n_paths)])
+        Substreams(master_seed, "subordinator", np.arange(n_paths)))
     du = grid.step
     brownian = np.empty_like(times)
     ev_time, ev_mark = [], []
+    rng_b, rng_j = (Substreams(master_seed, name, pairing) for name in ("brownian", "jumps"))
     for i, (s, ki) in enumerate(zip((np.cumsum(k + 1) - (k + 1)).tolist(), k.tolist())):
-        j = int(pairing[i])
-        noise_mod.draw_brownian(brownian[s: s + ki + 1], du, stream(master_seed, "brownian", j))
-        t, z = noise_mod.draw_jumps(jump_spec, du * ki, stream(master_seed, "jumps", j))
+        noise_mod.draw_brownian(brownian[s: s + ki + 1], du, rng_b[i])
+        t, z = noise_mod.draw_jumps(jump_spec, du * ki, rng_j[i])
         ev_time.append(t)
         ev_mark.append(z)
     return Ensemble._from_arrays(

@@ -179,14 +179,18 @@ def sample_subordinators(spec: SubordinatorSpec, calendar_horizon: float,
     """Simulate one path of D per generator in ``rngs`` until it first
     exceeds calendar_horizon.
 
-    Increments over each step du are exact in law (stable scaling:
-    (scale*du)**(1/alpha) times a standard draw).  Every path starts on
-    ``grid`` and, while it is below the level, doubles its grid, up to
-    MAX_STEPS steps (beyond that it raises, naming the spec, the level and
-    the step).  Each round draws the new increments of every path still
-    below the level from its own generator, and runs the Kanter transform
-    and the running sums once over all of them, so a path's values depend
-    on its generator alone.
+    ``rngs`` is a sequence of generators, one per path: a list of
+    Generators, or a seeding.Substreams, which loads the start of each
+    path's stream into one reused generator.  Increments over each step du
+    are exact in law (stable scaling: (scale*du)**(1/alpha) times a
+    standard draw).  Every path starts on ``grid`` and, while it is below
+    the level, doubles its grid, up to MAX_STEPS steps (beyond that it
+    raises, naming the spec, the level and the step).  Each round takes
+    the generator of every path still below the level, in path order,
+    restores the state that path's draws reached in the round before,
+    draws its new increments and keeps the state reached; it then runs
+    the Kanter transform and the running sums once over all of them, so a
+    path's values depend on its generator alone.
 
     Returns (values, k): the paths concatenated in order, path p truncated
     at its first grid point k[p] with D > calendar_horizon, so that it is
@@ -201,6 +205,7 @@ def sample_subordinators(spec: SubordinatorSpec, calendar_horizon: float,
     base = np.zeros(n)
     live = np.arange(n)
     rounds = []                     # (rows, steps before the round, D values)
+    held = {}                       # the generator state each live row reached
     size, total = grid.n_steps, 0
     while live.size:
         if total and 2 * total > MAX_STEPS:
@@ -210,9 +215,13 @@ def sample_subordinators(spec: SubordinatorSpec, calendar_horizon: float,
                 f"within {total} steps of {du}; the grid may not grow "
                 f"past {MAX_STEPS} steps")
         theta, w = np.empty((live.size, size)), np.empty((live.size, size))
-        for row, p in enumerate(live):
-            theta[row] = rngs[p].uniform(0.0, np.pi, size=size)
-            w[row] = rngs[p].standard_exponential(size=size)
+        for row, p in enumerate(live.tolist()):
+            rng = rngs[p]
+            if p in held:
+                rng.bit_generator.state = held[p]
+            theta[row] = rng.uniform(0.0, np.pi, size=size)
+            w[row] = rng.standard_exponential(size=size)
+            held[p] = rng.bit_generator.state
         d = base[live, None] + np.cumsum(step_scale * _kanter(spec.alpha, theta, w), axis=1)
         if not np.isfinite(d[:, -1]).all():
             raise RuntimeError("horizon unreachable: subordinator failed to pass the level")
@@ -222,6 +231,7 @@ def sample_subordinators(spec: SubordinatorSpec, calendar_horizon: float,
         k[live[done]] = 1 + total + np.count_nonzero(d[done] <= calendar_horizon, axis=1)
         base[live] = d[:, -1]
         live = live[~done]
+        held = {p: held[p] for p in live.tolist()}
         total += size
         size = total
     start = np.cumsum(k + 1) - (k + 1)

@@ -3,12 +3,12 @@ grid-coupled ensembles for self-convergence experiments, and the
 samplers' one-path-at-a-time references."""
 
 import math
+import zlib
 
 import numpy as np
 
 from tcfbsde.fbsde import Box, ModelSpec, PathBundle, _ensemble_cost
 from tcfbsde.noise import BrownianPath, JumpStream, LevyJumpSpec, sample_brownian, sample_jumps
-from tcfbsde.seeding import stream
 from tcfbsde.time_change import (
     OperationalGrid,
     SubordinatorPath,
@@ -145,17 +145,26 @@ def reference_subordinator_values(spec, level, grid, rng):
     return values[: np.searchsorted(values, level, side="right") + 1]
 
 
+def numpy_stream(master_seed, purpose, index=None):
+    """The generator the package names (master_seed, purpose[, index]),
+    built by numpy's own SeedSequence: the oracle of tcfbsde.seeding."""
+    key = (zlib.crc32(purpose.encode("utf-8")),) + (() if index is None else (index,))
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
+
+
 def reference_bundle(sub_spec, jump_spec, horizon, step, master_seed, i, j):
     """Path i of make_ensemble (noise index j) built one sampler call at a
     time: make_ensemble's starting grid, then sample_subordinator,
-    sample_brownian and sample_jumps on the path's named substreams."""
+    sample_brownian and sample_jumps on the path's named substreams, each
+    built by numpy's SeedSequence (numpy_stream)."""
     guess = max(step, 1.2 * horizon**sub_spec.alpha)
     grid = OperationalGrid(step, step * max(4, math.ceil(guess / step)))
-    sub = sample_subordinator(sub_spec, horizon, grid, stream(master_seed, "subordinator", i))
+    sub = sample_subordinator(sub_spec, horizon, grid,
+                              numpy_stream(master_seed, "subordinator", i))
     return PathBundle(
         subordinator=sub,
-        brownian=sample_brownian(sub.grid, stream(master_seed, "brownian", j)),
-        jumps=sample_jumps(jump_spec, sub.grid.horizon, stream(master_seed, "jumps", j)),
+        brownian=sample_brownian(sub.grid, numpy_stream(master_seed, "brownian", j)),
+        jumps=sample_jumps(jump_spec, sub.grid.horizon, numpy_stream(master_seed, "jumps", j)),
         jump_spec=jump_spec, calendar_horizon=horizon,
         seeds={"master": master_seed, "path": i, "noise_index": j})
 

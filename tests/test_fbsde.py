@@ -142,6 +142,39 @@ def test_model_refuses_a_registered_slope_that_misses_the_difference():
         mk_model(**maps, derivatives=dict(right, **{name: wrong}))
 
 
+def test_model_refuses_a_wrong_slope_written_after_construction():
+    """The same check runs on every later write of a probe slope: an item
+    write and a dict that replaces ``derivatives`` are both refused, and
+    the model keeps its slopes and its costs; deleting a slope, a key the
+    probe does not read and any write on a model not declared affine are
+    allowed."""
+    spec = CashSpec()
+    model = build_cash_model(spec)
+    ens = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 64, 0)
+    before = evaluate_cost(model, ConstantControl(0.5), ens).per_path
+    f_x, g_y = model.derivatives["f_x"], model.derivatives["g_y"]
+    del model.derivatives["g_a"]
+    wrong = lambda *args: 5.0
+    with pytest.raises(ValueError, match="registered f_x does not match"):
+        model.derivatives["f_x"] = wrong
+    with pytest.raises(ValueError, match="registered f_x does not match"):
+        model.derivatives = dict(model.derivatives, f_x=wrong)
+    with pytest.raises(ValueError, match="registered g_y does not match"):
+        model.derivatives.update(g_y=wrong)
+    with pytest.raises(ValueError, match="registered g_a does not match"):
+        model.derivatives.setdefault("g_a", wrong)
+    assert model.derivatives["f_x"] is f_x and model.derivatives["g_y"] is g_y
+    assert "g_a" not in model.derivatives
+    after = evaluate_cost(model, ConstantControl(0.5), ens).per_path
+    assert after.tobytes() == before.tobytes()
+    del model.derivatives["f_x"]
+    model.derivatives["f_v"] = lambda t1, t2, x, v: 123.0 + 0.0 * v
+    model.derivatives["f_x"] = f_x
+    loose = mk_model()
+    loose.derivatives["f_x"] = wrong
+    loose.derivatives = {"g_y": wrong}
+
+
 @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
 def test_model_rejects_a_non_finite_initial_state(x0):
     """A non-finite x0 would reach every per-path cost (NaN even on

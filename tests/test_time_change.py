@@ -19,8 +19,10 @@ from tcfbsde.time_change import (
     stable_increments,
 )
 
+from tcfbsde.seeding import Substreams
+
 from oracles import levy_half_stable_cdf, mittag_leffler_moment
-from support import reference_subordinator_values
+from support import numpy_stream, reference_subordinator_values
 
 
 def test_laplace_exponent_values():
@@ -143,6 +145,27 @@ def test_batched_sampler_matches_the_one_path_loop():
             assert values[start[s]: start[s] + k[s] + 1].tobytes() == want.tobytes()
             assert sample_subordinator(spec, 1.0, grid, s).values.tobytes() == want.tobytes()
     # some paths passed in the first round, some doubled twice or more
+    passed = np.concatenate(passed)
+    assert (passed <= grid.n_steps).any() and (passed > 2 * grid.n_steps).any()
+
+
+def test_batched_sampler_resumes_each_substream():
+    """The same through one Substreams, whose items are numpy's streams of
+    permuted indices: a row that doubles again resumes its own state after
+    the other rows' draws, so it carries the bytes of its stream drawn
+    alone by the one-path doubling loop."""
+    grid = OperationalGrid(0.01, 0.64)
+    perm = np.random.default_rng(4).permutation(20)
+    passed = []
+    for alpha in (0.3, 0.6, 0.9):
+        spec = SubordinatorSpec(alpha, scale=0.5)
+        values, k = sample_subordinators(spec, 1.0, grid, Substreams(11, "subordinator", perm))
+        passed.append(k)
+        start = np.cumsum(k + 1) - (k + 1)
+        for s in range(20):
+            want = reference_subordinator_values(
+                spec, 1.0, grid, numpy_stream(11, "subordinator", int(perm[s])))
+            assert values[start[s]: start[s] + k[s] + 1].tobytes() == want.tobytes()
     passed = np.concatenate(passed)
     assert (passed <= grid.n_steps).any() and (passed > 2 * grid.n_steps).any()
 

@@ -7,7 +7,11 @@ fixed set of outputs (certificates, costs under each backward regime,
 solved ensembles, adjoints, margins, variational pairs, expansion tables
 and forward ingredients, all at fixed seeds) to an ``.npz`` file, and the
 sampled ensembles themselves (their padded layout, rows in K order, and
-the bundles of a few paths).  The costs include linear_test twins whose
+the bundles of a few paths).  Two more ensembles dump their flat arrays: one
+at a master seed of two 32-bit words, and one whose paths double their
+starting grid twice or more, so a change to the substream derivation's
+multi-word entropy or to how a doubling row resumes its stream reaches a
+compared output.  The costs include linear_test twins whose
 running cost reads r, so the backward solve's jump cells reach a compared
 output; one of them has a jump coefficient with both an x-slope and a
 constant, which pins the operation order of those cells; the kept rows'
@@ -70,7 +74,7 @@ def _json_numbers(node):
 
 def dump(out_path):
     """Write every output of the tree on sys.path to ``out_path``."""
-    from tcfbsde import cash, fbsde, smp
+    from tcfbsde import cash, fbsde, noise, smp, time_change
 
     out = {}
     spec = cash.CashSpec()
@@ -260,6 +264,16 @@ def dump(out_path):
             part, attr = field.split(".")
             out[f"sample.{name}.bundles.{field}"] = np.concatenate(
                 [getattr(getattr(b, part), attr) for b in bnds])
+    # the substream derivation's multi-word and resume paths: an ensemble
+    # at a master seed of two 32-bit words, and one on a slow clock over a
+    # one-step horizon, where most paths double their starting grid twice
+    # or more and so resume their subordinator streams
+    wide = fbsde.make_ensemble(sub, jump, p["horizon"], p["step"], 256, 2**32 + 7)
+    slow = fbsde.make_ensemble(time_change.SubordinatorSpec(0.5, scale=0.3),
+                               noise.LevyJumpSpec(c=1.0, intensity=30.0), 0.05, 0.05, 96, 3)
+    for name, sample in (("seed_2p32", wide), ("doubling", slow)):
+        for field in ("K", "times", "brownian", "ev_time", "ev_mark", "ev_len"):
+            out[f"sample.{name}.{field}"] = getattr(sample, field)
     np.savez(out_path, **out)
 
 
