@@ -48,6 +48,7 @@ from .smp import (
     AdjointSolution,
     EnsembleAdjoint,
     OptimalityReport,
+    _structural_zero,
     check_necessary_condition,
     expansion_check,
 )
@@ -181,7 +182,10 @@ def cash_adjoints(spec: CashSpec, bundles):
     p steps exactly, multiplying by exp(-mu1 du) per solver step; q comes
     from implicit Euler on dq = (mu1 q + mu2 p) dE ending at q(T) = -p(T).
     The adjoint pair is deterministic given the clock, so the Brownian
-    and jump integrands are identically zero.  One bundle gives its
+    and jump integrands are identically zero: k and R are returned as
+    read-only broadcast zeros, which slice like arrays, allocate nothing
+    and tell their readers (cash_optimal_control, the margin search's
+    dH/dv) that they are zero without a scan.  One bundle gives its
     AdjointSolution; an ensemble gives an EnsembleAdjoint in ensemble
     order.
     """
@@ -199,7 +203,8 @@ def cash_adjoints(spec: CashSpec, bundles):
         live = K > i
         q[live, i] = (q[live, i + 1] - du * spec.mu2 * p[live, i]) * shrink
     adj = EnsembleAdjoint(K=K, du=du, t=ens.padded(ens.times, np.arange(N)), p=p, q=q,
-                          k=np.zeros((N, Kmax)), R=np.zeros((N, Kmax, spec.jump.n_quad)))
+                          k=np.broadcast_to(0.0, (N, Kmax)),
+                          R=np.broadcast_to(0.0, (N, Kmax, spec.jump.n_quad)))
     return adj[0] if single else adj
 
 
@@ -237,8 +242,9 @@ def cash_optimal_control(spec: CashSpec, adjoints) -> StepwiseControl:
     t = adjoints.t[:, :-1]
     slope = (spec.beta1 * adjoints.q[:, :-1] + sig(t) * adjoints.k
              - spec.beta2 * adjoints.p[:, :-1])
-    if adjoints.R.any():
-        # cash_adjoints gives R = 0: skip the (N, Kmax, nodes) product then
+    if not _structural_zero(adjoints.R):
+        # cash_adjoints gives R as a structural zero: skip the
+        # (N, Kmax, nodes) product then
         slope = slope + spec.jump.intensity * spec.jump.integrate(
             adjoints.R * eta(t[..., None], z), t.shape)
     return StepwiseControl(_hold(kap(t) - slope, adjoints.K, kap(adjoints.t[:, 0]),

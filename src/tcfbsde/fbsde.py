@@ -48,8 +48,10 @@ affine regime, which reads its open-loop control first and probes the
 model once (_probe_affine), and smp's first adjoint and variational
 state.  The probe reads each slope in x, y, a and r as the model's
 registered partial at the probe's x = 0 arguments, in the shape it
-returns, else as a map's value at 1 less its value at 0; either way the
-state's two steps agree to rounding, not to the bit.
+returns, else as a scalar 0.0 in an argument the map provably never
+reads (ModelSpec decides that from the map's code when it is set), else
+as a map's value at 1 less its value at 0; either way the state's two
+steps agree to rounding, not to the bit.
 
 Every backward solve goes through one dispatcher, _backward_batch, which
 resolves the regime (backward_method) and runs that regime's batched
@@ -59,12 +61,13 @@ solve_forward_dual matches the cost's affine-regime X to rounding.  The
 ode and affine kernels start every row at its terminal value and step
 only the rows live at step i, so a row holds that value past its
 horizon; the step sums of the running cost and the Gateaux integral
-(_step_sum) likewise evaluate live rows only.  Every regime hands r
-over as _NodeCells: the cost reads it one live step at a time, and no
+(_step_sum) likewise evaluate live cells only, with one map call per
+run of steps whose live rows are the same.  Every regime hands r over
+as _NodeCells: the cost reads it one such run at a time, and no
 (N, Kmax, nodes) r table is built on the cost path.  Its cells are built
 only for a running cost that can read r, which ModelSpec decides from
-l's code whenever l is set; any other l gets zero cells in their place
-(none of the built-in models' l reads r).  The rows the cost
+l's code whenever l is set; any other l gets a broadcast zero in their
+place (none of the built-in models' l reads r).  The rows the cost
 pass keeps, the adjoints, the variational pair and the one-path solve
 build the padded table from the same expression.  The regimes are:
 
@@ -92,7 +95,12 @@ build the padded table from the same expression.  The regimes are:
             in one batched call.  At most _LSMC_ROWS inner rows share
             a sweep.
 
-Stochastic integrals keep the left-endpoint convention of the noise
+Every integral against the jump measure (the drivers' and running
+costs', the jump coefficient's compensator) goes through
+LevyJumpSpec.integrate, which takes a value that does not vary over
+the marks, such as a driver that returns one column, as that value
+times the rule's mass, exactly and without materialising a nodewise
+copy.  Stochastic integrals keep the left-endpoint convention of the noise
 module; jump events inside a step act on the step's left state.  All
 randomness is derived from a master seed through named substreams, and
 reductions run in path order, so results are reproducible bit for bit.
@@ -249,21 +257,23 @@ def as_control(value) -> "ConstantControl":
 _FRAME_READS = frozenset(("locals", "vars", "eval", "exec", "_getframe", "currentframe"))
 
 
-def _may_read_r(fn) -> bool:
-    """False only when the driver or running cost ``fn`` provably never
-    reads its r argument (the 6th): a plain Python function without *args
-    or **kwargs, no instruction of which refers to that parameter's name
-    (a fused load carries a tuple of names, so tuples are searched too),
-    which does not close over it and names none of _FRAME_READS.  Any
-    other map (a callable object, a wrapper taking *args, a builtin) may
-    read it.  Probing with values is not sound: np.where(r > 0, ...)
-    swallows a NaN sentinel, and two probes can miss a branch."""
+def _may_read(fn, position: int) -> bool:
+    """False only when the map ``fn`` provably never reads its argument at
+    ``position`` (r is a driver's or running cost's 6th): a plain Python
+    function without *args or **kwargs, no instruction of which refers to
+    that parameter's name (a fused load carries a tuple of names, so
+    tuples are searched too), which does not close over it and names none
+    of _FRAME_READS.  Any other map (a callable object, a wrapper taking
+    *args, a builtin) may read it.  Probing with values is not sound:
+    np.where(r > 0, ...) swallows a NaN sentinel, and two probes can miss
+    a branch."""
     if not isinstance(fn, types.FunctionType):
         return True
     code = fn.__code__
-    if code.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS) or code.co_argcount < 6:
+    if (code.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS)
+            or code.co_argcount <= position):
         return True
-    name = code.co_varnames[5]
+    name = code.co_varnames[position]
     if name in code.co_cellvars or _FRAME_READS & set(code.co_names):
         return True
     for ins in dis.get_instructions(code):
@@ -288,19 +298,28 @@ def _difference(fn, args, slot: str, at0) -> np.ndarray:
 def _slopes(model, name: str, args, slots: str) -> list:
     """Map ``name``'s value at ``args`` and its slope in each of ``slots``:
     the registered partial ``<name>_<slot>`` read at ``args``, in the shape
-    it returns, else the map's 0/1 difference (_difference)."""
+    it returns; else a scalar 0.0 when the map provably never reads that
+    argument (_may_read, decided when the map is set); else the map's 0/1
+    difference (_difference), which is then exactly zero too."""
     fn = getattr(model, name)
     at0 = np.asarray(fn(*args), dtype=float)
+    unread = getattr(model, f"_{name}_unread")
     out = [at0]
     for slot in slots:
         d = model.derivatives.get(f"{name}_{slot}")
-        out.append(_difference(fn, args, slot, at0) if d is None
-                   else np.asarray(d(*args), dtype=float))
+        if d is not None:
+            out.append(np.asarray(d(*args), dtype=float))
+        elif slot in unread:
+            out.append(np.asarray(0.0))
+        else:
+            out.append(_difference(fn, args, slot, at0))
     return out
 
 
-# the slopes the affine probe reads as registered partials
-_PROBE_SLOPES = frozenset(("f_x", "sigma_x", "b_x", "g_x", "g_y", "g_a", "g_r"))
+# the state slots in which the affine probe takes each map's slope, and
+# the slopes it reads as registered partials
+_PROBED = {"f": "x", "sigma": "x", "b": "x", "g": "xyar"}
+_PROBE_SLOPES = frozenset(f"{name}_{slot}" for name, slots in _PROBED.items() for slot in slots)
 
 
 class _Partials(MutableMapping):
@@ -355,20 +374,26 @@ class ModelSpec:
     g_a, g_r) read there, else the map at 1 less the map at 0, which is
     exact.  On an affine model each registered slope must match that
     difference at the validation point to 1e-10 (1 + |difference|), else
-    ValueError, whenever it is written: at construction, as an item of
-    ``derivatives`` or in a dict that replaces it (deleting one is
-    allowed, and so is any other key).
+    ValueError, whenever it or its map is written: at construction, as
+    an item of ``derivatives``, in a dict that replaces it, when f,
+    sigma, b or g is replaced while it stays registered (the model then
+    keeps its old map), or when ``affine`` is set (it then stays False).
+    Deleting a slope is allowed, and so is any other key.
     ``derivatives`` is the one place for closed-form partials, keyed
     ``<map>_<argument>`` (e.g. "f_x", "l_v"); every partial it lacks,
     dH/dv's included, is a central difference of the map (the probe's
     slopes excepted, as above).
     Only scalar systems are implemented (n = m = d = k = 1).
 
-    Whenever ``g`` or ``l`` is set, the spec decides whether that map can
-    read its r argument (_may_read_r, kept as ``_g_reads_r`` and
-    ``_l_reads_r``).  The cost builds r's cells only for an l that can,
-    and the LSMC sweep reads the jump fit off its inner states only for a
-    g that can; any other map gets zero cells in their place.
+    Whenever a map is set, the spec decides from its code which arguments
+    it provably never reads (_may_read).  For ``g`` and ``l`` it keeps
+    whether r may be read, as ``_g_reads_r`` and ``_l_reads_r``: the cost
+    builds r's cells only for an l that can, and the LSMC sweep reads the
+    jump fit off its inner states only for a g that can; any other map
+    gets zero cells in their place.  For f, sigma, b and g it keeps the
+    probe slots (x; x, y, a and r for g) the map never reads, as
+    ``_<map>_unread``: the affine probe takes an unregistered slope there
+    as a scalar 0.0 instead of evaluating the map twice.
     """
 
     def __init__(self, *, f, sigma, b, g, phi, l, h, gamma, control_set: Box,
@@ -391,9 +416,26 @@ class ModelSpec:
     def __setattr__(self, name, value):
         if name == "derivatives":
             value = _Partials(self, value)
+        elif name in _PROBED and "derivatives" in self.__dict__:
+            # a replaced map must still match its registered probe slopes
+            for slot in _PROBED[name]:
+                d = self.derivatives.get(f"{name}_{slot}")
+                if d is not None:
+                    self._check_slope(f"{name}_{slot}", d, value)
         super().__setattr__(name, value)
+        if name == "affine" and value and "derivatives" in self.__dict__:
+            # declaring the model affine makes the probe trust its slopes
+            try:
+                for key, d in self.derivatives.items():
+                    self._check_slope(key, d)
+            except ValueError:
+                super().__setattr__(name, False)
+                raise
         if name in ("g", "l"):
-            super().__setattr__(f"_{name}_reads_r", _may_read_r(value))
+            super().__setattr__(f"_{name}_reads_r", _may_read(value, _SLOT["r"]))
+        if name in _PROBED:
+            super().__setattr__(f"_{name}_unread", frozenset(
+                slot for slot in _PROBED[name] if not _may_read(value, _SLOT[slot])))
 
     @property
     def linear_terminal(self) -> bool:
@@ -409,15 +451,17 @@ class ModelSpec:
         return dict(f=(0.0, 0.0, 0.0, v0), sigma=(0.0, 0.0, 0.0, v0),
                     b=(0.0, 0.0, 0.0, v0, 0.1), g=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, v0))
 
-    def _check_slope(self, key: str, d):
+    def _check_slope(self, key: str, d, fn=None):
         """On an affine model, ValueError unless ``d``, registered as the
-        probe slope ``key`` (one of _PROBE_SLOPES), matches its map at 1
-        less its map at 0 at the validation point: the affine probe trusts
-        it in place of that difference."""
+        probe slope ``key`` (one of _PROBE_SLOPES), matches its map (``fn``,
+        by default the model's own) at 1 less its map at 0 at the
+        validation point: the affine probe trusts it in place of that
+        difference."""
         if not self.affine or key not in _PROBE_SLOPES:
             return
         name, slot = key.rsplit("_", 1)
-        fn, a = getattr(self, name), self._probe_args()[name]
+        fn = getattr(self, name) if fn is None else fn
+        a = self._probe_args()[name]
         got = np.asarray(d(*a), dtype=float)
         want = _difference(fn, a, slot, np.asarray(fn(*a), dtype=float)).item()
         if not (got.size == 1 and abs(got.item() - want) <= 1e-10 * (1.0 + abs(want))):
@@ -997,27 +1041,31 @@ class _NodeCells:
     """A solved batch's r, nodewise on the jump quadrature, built where it
     is read.
 
-    ``r[rows, i]`` gives step i's cells on ``rows``, which must be live at
-    it (``batch.live(i)``), so step arguments read it as they read a
-    table; ``table(rows)`` builds the padded (rows, Kmax, nodes) table of
-    ``rows`` (all by default), zero past each horizon.  Affine cells come
-    from _jump_cells either way; the ode regime's r is zero, and so are
-    the cells the cost hands a running cost that cannot read r; lsmc
-    hands over the table it fills.
+    ``r[rows, i]`` gives the cells of step i, or of the steps of a slice
+    i (with a steps axis after the rows), on ``rows``, which must be live
+    at every one of those steps (``batch.live``), so step arguments read
+    it as they read a table; ``table(rows)`` builds the padded
+    (rows, Kmax, nodes) table of ``rows`` (all by default), zero past
+    each horizon.  Affine cells come from _jump_cells either way; lsmc
+    hands over the table it fills.  The ode regime's r is zero, and so
+    are the cells the cost hands a running cost that cannot read r: a
+    read-only broadcast zero, which allocates nothing.
     """
 
     def __init__(self, K, nodes: int, table=None, affine=None):
         self.K, self.nodes = K, nodes
         self._table, self._affine = table, affine
+        self._steps = np.arange(int(K.max()))
 
     def __getitem__(self, key):
         rows, i = key
         if self._table is not None:
             return self._table[rows, i]
+        steps = self._steps[i]
         if self._affine is None:
-            return np.zeros((self.K[rows].size, self.nodes))
+            return np.broadcast_to(0.0, self.K[rows].shape + steps.shape + (self.nodes,))
         bx, b0, X, P = self._affine
-        return _jump_cells(bx[rows, i], b0[rows, i], X[rows, i], P[rows, i + 1])
+        return _jump_cells(bx[rows, i], b0[rows, i], X[rows, i], P[rows, steps + 1])
 
     def table(self, rows=slice(None)) -> np.ndarray:
         if self._table is not None:
@@ -1481,10 +1529,13 @@ def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
 def _step_args(batch: _Batch, i, X, Y, A, r, v, rows=slice(None)):
     """The (t1, t2, x, y, a, r, v) arguments of a driver or cost map at step
     i on ``rows`` (all by default), shaped to broadcast against the
-    quadrature nodes; i = None gives every step at once, with (N, Kmax)
-    leading."""
+    quadrature nodes.  A slice i gives its steps at once, with
+    (rows, steps) leading, and i = None every step; a step reads the same
+    bits either way."""
     if i is None:
-        i, u = slice(0, batch.Kmax), (np.arange(batch.Kmax) * batch.du)[:, None]
+        i = slice(0, batch.Kmax)
+    if isinstance(i, slice):
+        u = (np.arange(batch.Kmax)[i] * batch.du)[:, None]
     else:
         u = i * batch.du
     return (batch.t[rows, i, None], u, X[rows, i, None], Y[rows, i, None], A[rows, i, None],
@@ -1492,19 +1543,29 @@ def _step_args(batch: _Batch, i, X, Y, A, r, v, rows=slice(None)):
 
 
 def _step_sum(batch: _Batch, cell) -> np.ndarray:
-    """Each row's sum over its steps i < K of lam du int cell(i, rows),
-    taken in step order: the running cost and the Gateaux integral.
-    ``cell`` gives the nodewise integrand of step i on ``rows``, the rows
-    live at it (the suffix ``batch.live(i)``), so no padded cell is
-    evaluated.  The running cost reads r there as _NodeCells, which
-    builds that step's cells of those rows only, and only for a running
-    cost that can read r; any other gets zero cells."""
+    """Each row's sum over its steps i < K of lam du int cell, taken in step
+    order: the running cost and the Gateaux integral.
+
+    The steps 0..Kmax are cut into ranges [a, b) wherever the live suffix
+    changes, and ``cell(steps, rows)`` gives the nodewise integrand of the
+    steps of one range's slice, (rows, steps) leading, on ``rows``, the
+    rows live at every one of them (``batch.live(a)``): no padded cell is
+    evaluated, and the map is called once per range, not once per step.
+    Each row's running total is added into the range's first term and the
+    terms are summed by np.add.accumulate along the steps, which adds in
+    the order of a step-by-step loop, so every row has the bits such a
+    loop gives it.  The running cost reads r there as _NodeCells, which
+    builds those cells of those rows only, and only for a running cost
+    that can read r; any other gets a broadcast zero."""
     lam_du = batch.spec.intensity * batch.du
     run = np.zeros(batch.N)
-    for i in range(batch.Kmax):
-        rows = batch.live(i)
+    bounds = [0, *(np.flatnonzero(np.diff(batch._lo)) + 1).tolist(), batch.Kmax]
+    for a, b in zip(bounds[:-1], bounds[1:]) if batch.Kmax else ():
+        rows = batch.live(a)
         part = run[rows]
-        run[rows] = part + lam_du * batch.spec.integrate(cell(i, rows), part.shape)
+        terms = lam_du * batch.spec.integrate(cell(slice(a, b), rows), (part.size, b - a))
+        terms[:, 0] += part
+        run[rows] = np.add.accumulate(terms, axis=1)[:, -1]
     return run
 
 

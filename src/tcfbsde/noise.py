@@ -96,18 +96,47 @@ class LevyJumpSpec:
         w.setflags(write=False)
         return z, w
 
+    @cached_property
+    def _mass(self) -> float:
+        """The rule's total weight, w.sum(): 1.0 for both mark laws at the
+        default 16 nodes."""
+        return float(self._rule[1].sum())
+
     def integrate(self, values, lead=()):
         """sum_q w_q values[..., q], the mark-law integral of nodewise values.
 
-        ``values`` is broadcast to ``lead + (n_quad,)`` and materialised
-        before the sum, so a constant, a column and a full table of the
-        same numbers give the same bits, and each row's sum does not depend
-        on the rows around it.  A BLAS product (it blocks rows) and einsum
-        on a broadcast view (it varies with the memory offset) ensure
+        ``values`` is broadcast to ``lead + (n_quad,)``.  A row whose value
+        is the same at every node integrates to that value times the
+        rule's mass (w.sum(), taken once), which is exact: the mark law is
+        a probability measure, and both mark laws' rules have
+        w.sum() == 1.0 at the default 16 nodes.
+        A node axis of stride 0 (a constant or a column) is such a row
+        everywhere and is never materialised; in a full table the constant
+        rows are found by comparing node 1 with node 0 across the lead,
+        then the later nodes while any candidate row is left, without
+        copying the table.  Only when some row varies is the table
+        materialised and summed by einsum, and only its varying rows keep
+        that sum.  So a constant, a column and a full table of the same
+        numbers give the same bits, and each row's sum does not depend on
+        the rows around it.  A BLAS product (it blocks rows) and einsum on
+        a broadcast view (it varies with the memory offset) ensure
         neither; einsum on a contiguous array does.
         """
         vals = np.broadcast_to(np.asarray(values, dtype=float), tuple(lead) + (self.n_quad,))
-        return np.einsum("...q,q->...", np.ascontiguousarray(vals), self._rule[1])
+        first = vals[..., 0]
+        if vals.strides[-1] == 0:
+            return first * self._mass
+        const = vals[..., 1] == first
+        for q in range(2, self.n_quad):
+            if not const.any():
+                break
+            const &= vals[..., q] == first
+        if const.all():
+            return first * self._mass
+        out = np.einsum("...q,q->...", np.ascontiguousarray(vals), self._rule[1])
+        if const.any():
+            np.copyto(out, first * self._mass, where=const)
+        return out
 
     def sample_marks(self, size, rng: np.random.Generator):
         if self.mark_law == "uniform":

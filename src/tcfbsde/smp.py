@@ -106,10 +106,19 @@ def model_derivative(model: ModelSpec, name: str):
 
 # ---------------------------------------------------------------- Hamiltonian
 
+def _structural_zero(a) -> bool:
+    """True for an array that is zero by construction: every stride 0 and
+    its one value 0, as np.broadcast_to(0.0, shape) makes it.  Reading
+    this costs O(1); a real array of zeros does not count."""
+    return not any(a.strides) and (a.size == 0 or a.flat[0] == 0.0)
+
+
 def _hamiltonian_form(maps, spec, t1, t2, x, y, a, r_nodes, v, p, q, k, R_nodes):
     """<q, f> + <k, sigma> - lam int [p g - l - R b] over the five maps
     ``maps`` returns by name ("f", "sigma", "b", "g", "l"); H is linear in
-    them, so the same form over their v-partials is dH/dv."""
+    them, so the same form over their v-partials is dH/dv.  When R is a
+    structural zero (_structural_zero, as cash_adjoints gives it) b is not
+    evaluated and p g - l is integrated alone, at the shape it comes in."""
     z, _ = spec.quadrature()
     r_nodes = np.asarray(r_nodes, dtype=float)
     R_nodes = np.asarray(R_nodes, dtype=float)
@@ -124,16 +133,18 @@ def _hamiltonian_form(maps, spec, t1, t2, x, y, a, r_nodes, v, p, q, k, R_nodes)
     f, sigma, b, g, l = (maps(name) for name in ("f", "sigma", "b", "g", "l"))
     fv = np.asarray(f(t1, t2, x, v), dtype=float)
     sv = np.asarray(sigma(t1, t2, x, v), dtype=float)
-    bv = np.asarray(b(t1[e], t2[e], x[e], v[e], z), dtype=float)
     gv = np.asarray(g(t1[e], t2[e], x[e], y[e], a[e], r_nodes, v[e]), dtype=float)
     lv = np.asarray(l(t1[e], t2[e], x[e], y[e], a[e], r_nodes, v[e]), dtype=float)
-    # p g - l - R b in one nodewise buffer: R b is built in it and p g - l
-    # subtracted into it in place, so no second full-size temporary is made
     head = p[e] * gv - lv
-    rb = np.multiply(R_nodes, bv, out=np.empty(np.broadcast_shapes(
-        head.shape, R_nodes.shape, bv.shape)))
-    np.subtract(head, rb, out=rb)
-    return q * fv + k * sv - spec.intensity * spec.integrate(rb, t1.shape)
+    if not _structural_zero(R_nodes):
+        # p g - l - R b in one nodewise buffer: R b is built in it and
+        # p g - l subtracted into it in place, so no second full-size
+        # temporary is made
+        bv = np.asarray(b(t1[e], t2[e], x[e], v[e], z), dtype=float)
+        rb = np.multiply(R_nodes, bv, out=np.empty(np.broadcast_shapes(
+            head.shape, R_nodes.shape, bv.shape)))
+        head = np.subtract(head, rb, out=rb)
+    return q * fv + k * sv - spec.intensity * spec.integrate(head, t1.shape)
 
 
 def hamiltonian(model: ModelSpec, spec, t1, t2, x, y, a, r_nodes, v,

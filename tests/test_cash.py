@@ -467,6 +467,28 @@ def test_margins_nonnegative_at_rate_and_violated_off_it():
     assert rep_off.min_margin < -0.1
 
 
+def test_structurally_zero_adjoints_give_the_margins_of_real_zeros():
+    """cash_adjoints returns k and R as read-only broadcast zeros, which
+    dH/dv and the optimal rate read as zero without a scan or a product.
+    Real zero arrays in their place give the same rate and the same
+    margins, at u* and off it, bit for bit."""
+    spec = CashSpec(eta_t=lambda t, z: (0.1 + 0.05 * t) * z)
+    model = build_cash_model(spec)
+    ustar, bundles, adjs = rebuilt_optimum(spec, DU, 48, 3)
+    for a in (adjs.k, adjs.R):
+        assert not a.flags.writeable and not any(a.strides) and smp._structural_zero(a)
+    real = dataclasses.replace(adjs, k=np.zeros(adjs.k.shape), R=np.zeros(adjs.R.shape))
+    assert not smp._structural_zero(real.R)
+    assert (cash_optimal_control(spec, real).values.tobytes()
+            == ustar.values.tobytes())
+    for ctl in (ustar, ConstantControl(0.5)):
+        sols = solved_ensemble(model, ctl, bundles)
+        got, want = (json.dumps(check_necessary_condition(model, bundles, sols, a, count=32,
+                                                          seed=2).margins)
+                     for a in (adjs, real))
+        assert got == want
+
+
 # ------------------------------------------------------------- certificate
 
 

@@ -175,6 +175,79 @@ def test_model_refuses_a_wrong_slope_written_after_construction():
     loose.derivatives = {"g_y": wrong}
 
 
+def test_model_refuses_a_map_replaced_under_a_stale_slope():
+    """Replacing f, sigma, b or g of an affine model checks the slopes
+    registered for it against the new map: f - 2x under the registered
+    f_x is refused, and the model keeps its f and its costs.  A
+    replacement that keeps the slopes, and any replacement once the slope
+    is deleted, are allowed.  Declaring a model affine checks
+    every slope registered while it was not."""
+    spec = CashSpec()
+    model = build_cash_model(spec)
+    ens = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 64, 0)
+    before = evaluate_cost(model, ConstantControl(0.5), ens).per_path
+    f, g = model.f, model.g
+    with pytest.raises(ValueError, match="registered f_x does not match"):
+        model.f = lambda t1, t2, x, v: f(t1, t2, x, v) - 2.0 * x
+    with pytest.raises(ValueError, match="registered g_y does not match"):
+        model.g = lambda t1, t2, x, y, a, r, v: g(t1, t2, x, y, a, r, v) + y
+    assert model.f is f and model.g is g
+    assert evaluate_cost(model, ConstantControl(0.5), ens).per_path.tobytes() == before.tobytes()
+    model.f = lambda t1, t2, x, v: f(t1, t2, x, v) + 0.0
+    del model.derivatives["f_x"]
+    model.f = lambda t1, t2, x, v: f(t1, t2, x, v) - 2.0 * x
+    moved = evaluate_cost(model, ConstantControl(0.5), ens).per_path
+    assert not np.allclose(moved, before)
+    # a slope written while the model was not affine is checked when it
+    # is declared affine, and the model stays as it was
+    lin = build_model("linear_test")[0]
+    lin.affine = False
+    lin.derivatives["f_x"] = lambda t1, t2, x, v: 5.0
+    with pytest.raises(ValueError, match="registered f_x does not match"):
+        lin.affine = True
+    assert lin.affine is False
+    del lin.derivatives["f_x"]
+    lin.affine = True
+
+
+def test_probe_takes_an_unread_argument_as_an_exact_zero_slope():
+    """An unregistered slope in an argument the map provably never reads is
+    a scalar 0.0: quadratic_drift's b never reads x, so the probe calls it
+    once where a *args wrapper of the same b, which may read x, is called
+    twice and gives a nodewise table of zeros.  Both give the same costs,
+    bit for bit, with the unread x-slope of sigma and the unread a and r
+    slopes of g scalar zeros too."""
+    model, jump, sub, p = build_model("quadratic_drift")
+    ens = make_ensemble(sub, jump, p["horizon"], p["step"], 64, master_seed=0)
+    batch = ens.rows(np.argsort(ens.K, kind="stable"))
+    v = fbsde._open_loop(ConstantControl(0.5), batch)
+    assert model._b_unread == model._sigma_unread == {"x"} and model._g_unread == {"a", "r"}
+    assert not model._f_unread
+    base, seen = model.b, []
+
+    def counted(t1, t2, x, v, z):
+        # b's own value, without naming x: base does not read it either
+        seen.append(1)
+        return base(t1, t2, 0.0, v, z)
+
+    wrapped = build_model("quadratic_drift")[0]
+    wrapped.b = lambda *args: counted(*args)
+    wrapped.g = lambda *args: model.g(*args)
+    assert not wrapped._b_unread and not wrapped._g_unread
+    model.b = counted
+    co = fbsde._probe_affine(model, batch, v)
+    assert len(seen) == 1
+    for key in ("bx", "ibx", "sx", "Ga", "gr"):
+        assert np.ndim(co[key]) == 0 and co[key] == 0.0
+    seen.clear()
+    twin = fbsde._probe_affine(wrapped, batch, v)
+    assert len(seen) == 2
+    assert twin["bx"].shape == (batch.N, batch.Kmax, batch.w.size) and not twin["bx"].any()
+    ctl = ConstantControl(0.5)
+    assert (evaluate_cost(model, ctl, ens).per_path.tobytes()
+            == evaluate_cost(wrapped, ctl, ens).per_path.tobytes())
+
+
 @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
 def test_model_rejects_a_non_finite_initial_state(x0):
     """A non-finite x0 would reach every per-path cost (NaN even on
@@ -893,7 +966,7 @@ def test_lsmc_reads_the_jump_fit_off_inner_states_for_a_driver_that_reads_r(monk
 
 
 def test_r_read_test_clears_only_functions_that_provably_ignore_r():
-    """_may_read_r is conservative: frame access, a closure over r,
+    """_may_read is conservative: frame access, a closure over r,
     **kwargs, a builtin or a rebinding of r all count as reading it.  The
     model decides for g as for l whenever either is set: no built-in g
     reads r, mk_model's zero g does, and assigning g decides again."""
@@ -908,8 +981,8 @@ def test_r_read_test_clears_only_functions_that_provably_ignore_r():
                lambda t1, t2, x, y, a, r, v: (lambda: r)(),
                lambda t1, t2, x, y, a, r, v, **kw: 0.0,
                np.add, rebinds]
-    assert not any(fbsde._may_read_r(fn) for fn in clear)
-    assert all(fbsde._may_read_r(fn) for fn in unclear)
+    assert not any(fbsde._may_read(fn, 5) for fn in clear)
+    assert all(fbsde._may_read(fn, 5) for fn in unclear)
     built_in = [build_model(name)[0] for name in ("linear_test", "quadratic_drift")]
     assert not any(m._g_reads_r for m in built_in + [build_cash_model(CashSpec())])
     model = mk_model()
@@ -1374,6 +1447,8 @@ def test_probe_reads_the_nodewise_b_once_when_b_x_is_registered():
             del model.derivatives["b_x"]
         b, seen = model.b, []
         model.b = lambda *args: seen.append(np.shape(args[4])) or b(*args)
+        # replacing b checks the registered b_x against it: count the probe only
+        seen.clear()
         co = fbsde._probe_affine(model, batch, v)
         assert seen == [batch.znodes.shape] * calls
         if registered:
@@ -1423,28 +1498,49 @@ def test_affine_backward_matches_the_scalar_y_oracle():
             assert np.all(Y[n, k:] == Y[n, k])
 
 
-def _live_cell(batch):
-    """A nodewise integrand of step i that fails unless it is handed
-    exactly the rows with K > i, in row order."""
-    def cell(i, rows):
-        assert np.array_equal(np.arange(batch.N)[rows], np.flatnonzero(batch.K > i))
-        return batch.t[rows, i, None] * batch.znodes + i
+def _live_cell(batch, calls):
+    """A nodewise integrand of the steps of a slice that fails unless it is
+    handed exactly the rows live at every one of those steps, in row
+    order, and appends (first step, stop, rows) of each call to ``calls``.
+    Its cells vary over the nodes, except on every third step."""
+    def cell(steps, rows):
+        live = np.arange(batch.N)[rows]
+        for i in range(steps.start, steps.stop):
+            assert np.array_equal(live, np.flatnonzero(batch.K > i))
+        calls.append((steps.start, steps.stop, live.size))
+        i = np.arange(steps.start, steps.stop)[:, None]
+        return batch.t[rows, steps, None] * np.where(i % 3, batch.znodes, 0.5) + i
     return cell
 
 
 @settings(max_examples=25, deadline=None)
 @given(steps=RAGGED)
 def test_step_sum_reads_live_rows_only(steps):
-    """_step_sum hands ``cell`` exactly the rows with K > i at step i, in
-    row order, and each row's sum in the K-sorted batch is the one it has
-    alone."""
+    """_step_sum calls ``cell`` once per range of steps: each call gets
+    exactly the rows live at every step of its range, in row order; the
+    ranges tile 0..Kmax in order and end only where the live rows change.
+    Each row's sum equals, bit for bit, a step-by-step loop over the same
+    cells and the sum the row has alone."""
     ens = fbsde.Ensemble(ragged_bundles(steps))
     idx = np.argsort(ens.K, kind="stable")
     batch = ens.rows(idx)
-    run = fbsde._step_sum(batch, _live_cell(batch))
+    calls = []
+    run = fbsde._step_sum(batch, _live_cell(batch, calls))
+    ends = [0] + [c[1] for c in calls]
+    assert [c[0] for c in calls] == ends[:-1] and ends[-1] == batch.Kmax
+    assert all(a < b for a, b, _ in calls)
+    assert all(n0 != n1 for (_, _, n0), (_, _, n1) in zip(calls, calls[1:]))
+    loop, cell = np.zeros(batch.N), _live_cell(batch, [])
+    lam_du = batch.spec.intensity * batch.du
+    for i in range(batch.Kmax):
+        rows = batch.live(i)
+        part = loop[rows]
+        loop[rows] = part + lam_du * batch.spec.integrate(cell(slice(i, i + 1), rows)[:, 0],
+                                                          part.shape)
+    assert run.tobytes() == loop.tobytes()
     for n, label in enumerate(idx):
         alone = ens.rows([label])
-        assert run[n] == fbsde._step_sum(alone, _live_cell(alone))[0]
+        assert run[n] == fbsde._step_sum(alone, _live_cell(alone, []))[0]
 
 
 @settings(max_examples=25, deadline=None)

@@ -75,6 +75,77 @@ def test_quadrature_is_built_once_and_read_only(law):
     assert w.tobytes() == ref_w.tobytes()
 
 
+# the triangular 6-node rule's weights sum to 1 - 1 ulp, so it tells the
+# mass apart from 1
+RULES = [("uniform", 16), ("triangular", 16), ("triangular", 6)]
+
+
+@pytest.mark.parametrize("law,n", RULES)
+def test_node_constant_values_integrate_to_value_times_mass(law, n):
+    """A scalar, a column and a contiguous table of the same numbers
+    integrate to value * w.sum(), with the same bits, signed zeros and
+    infinities included."""
+    spec = LevyJumpSpec(c=0.7, intensity=2.0, mark_law=law, n_quad=n)
+    mass = spec.quadrature()[1].sum()
+    vals = np.array([[0.3, -1.7, 0.0, -0.0], [1e300, np.inf, 2.0 / 3.0, -5e-324]])
+    want = vals * mass
+    col = vals[..., None]
+    table = np.repeat(col, n, axis=-1)
+    for given in (col, table, np.asfortranarray(table)):
+        assert spec.integrate(given, vals.shape).tobytes() == want.tobytes()
+    for value in vals.ravel():
+        assert spec.integrate(value, (3, 2)).tobytes() == np.full((3, 2), value * mass).tobytes()
+
+
+@pytest.mark.parametrize("law,n", RULES)
+def test_varying_rows_integrate_by_einsum_on_the_contiguous_table(law, n):
+    """Rows that vary over the nodes carry the bits of np.einsum on the
+    contiguous table, whatever the layout they come in."""
+    spec = LevyJumpSpec(c=0.7, intensity=2.0, mark_law=law, n_quad=n)
+    w = spec.quadrature()[1]
+    table = np.random.default_rng(3).normal(size=(7, 5, n))
+    want = np.einsum("...q,q->...", table, w)
+    assert spec.integrate(table, (7, 5)).tobytes() == want.tobytes()
+    flipped = np.ascontiguousarray(table.transpose(1, 0, 2)).transpose(1, 0, 2)
+    assert spec.integrate(flipped, (7, 5)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("law,n", RULES)
+def test_mixed_table_integrates_row_by_row(law, n):
+    """In a table mixing constant, zero and varying rows, among them rows
+    equal at every node but the last, each row's integral is the one it
+    has alone, in any order and next to any rows: value * mass for a
+    constant row, einsum for a varying one."""
+    spec = LevyJumpSpec(c=0.7, intensity=2.0, mark_law=law, n_quad=n)
+    w = spec.quadrature()[1]
+    rng = np.random.default_rng(5)
+    rows = [np.full(n, 0.25), np.zeros(n), rng.normal(size=n), np.full(n, -3.5),
+            np.r_[np.full(n - 1, 1.5), 1.25], np.r_[2.0, np.full(n - 1, 0.0)],
+            rng.normal(size=n), np.zeros(n)]
+    table = np.array(rows)
+    alone = np.array([spec.integrate(row) for row in rows])
+    for row, got in zip(rows, alone):
+        want = row[0] * w.sum() if np.all(row == row[0]) else np.einsum("q,q->", row, w)
+        assert got.tobytes() == want.tobytes()
+    assert spec.integrate(table, (len(rows),)).tobytes() == alone.tobytes()
+    order = rng.permutation(len(rows))
+    assert spec.integrate(table[order], (len(rows),)).tobytes() == alone[order].tobytes()
+    for lo in range(len(rows)):
+        assert spec.integrate(table[lo:], (len(rows) - lo,)).tobytes() == alone[lo:].tobytes()
+
+
+def test_integral_over_an_empty_lead_is_a_scalar():
+    """No lead gives a scalar, for a constant and a varying node vector; a
+    lead of no rows gives no rows."""
+    spec = LevyJumpSpec(c=1.0, intensity=2.0)
+    w = spec.quadrature()[1]
+    const, varying = spec.integrate(np.full(16, 3.0)), spec.integrate(np.arange(16.0))
+    assert np.ndim(const) == 0 and np.ndim(varying) == 0
+    assert const == 3.0 and varying == np.einsum("q,q->", np.arange(16.0), w)
+    assert spec.integrate(4.0) == 4.0
+    assert spec.integrate(np.empty((0, 16)), (0,)).shape == (0,)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     c=st.floats(0.1, 3.0),

@@ -11,7 +11,9 @@ the bundles of a few paths).  Two more ensembles dump their flat arrays: one
 at a master seed of two 32-bit words, and one whose paths double their
 starting grid twice or more, so a change to the substream derivation's
 multi-word entropy or to how a doubling row resumes its stream reaches a
-compared output.  The costs include linear_test twins whose
+compared output.  The mark-law integral of a fixed table that mixes
+node-constant, zero and varying rows is dumped under both mark laws, so
+its constant-row rule reaches a compared output on its own.  The costs include linear_test twins whose
 running cost reads r, so the backward solve's jump cells reach a compared
 output; one of them has a jump coefficient with both an x-slope and a
 constant, which pins the operation order of those cells; the kept rows'
@@ -274,6 +276,18 @@ def dump(out_path):
     for name, sample in (("seed_2p32", wide), ("doubling", slow)):
         for field in ("K", "times", "brownian", "ev_time", "ev_mark", "ev_len"):
             out[f"sample.{name}.{field}"] = getattr(sample, field)
+
+    # the mark-law integral of a fixed table mixing node-constant, zero and
+    # varying rows (some equal at every node but the last), under both
+    # mark laws: constant rows integrate to value * mass, the others by
+    # einsum, so a change to either rule reaches a compared output
+    mixed = np.random.default_rng(0).normal(size=(64, 16))
+    mixed[0::4] = mixed[0::4, :1]
+    mixed[1::4] = 0.0
+    mixed[2::4, :-1] = mixed[2::4, :1]
+    for law in ("uniform", "triangular"):
+        rule = noise.LevyJumpSpec(c=0.7, intensity=2.0, mark_law=law)
+        out[f"integrate.mixed.{law}"] = rule.integrate(mixed, (64,))
     np.savez(out_path, **out)
 
 
