@@ -49,7 +49,7 @@ model once (_probe_affine), and smp's first adjoint and variational
 state.  The probe reads each slope in x, y, a and r as the model's
 registered partial at the probe's x = 0 arguments, in the shape it
 returns, else as a scalar 0.0 in an argument the map provably never
-reads (ModelSpec decides that from the map's code when it is set), else
+reads (ModelSpec decides that from the map's code when it is built), else
 as a map's value at 1 less its value at 0; either way the state's two
 steps agree to rounding, not to the bit.
 
@@ -66,7 +66,7 @@ run of steps whose live rows are the same.  Every regime hands r over
 as _NodeCells: the cost reads it one such run at a time, and no
 (N, Kmax, nodes) r table is built on the cost path.  Its cells are built
 only for a running cost that can read r, which ModelSpec decides from
-l's code whenever l is set; any other l gets a broadcast zero in their
+l's code when it is built; any other l gets a broadcast zero in their
 place (none of the built-in models' l reads r).  The rows the cost
 pass keeps, the adjoints, the variational pair and the one-path solve
 build the padded table from the same expression.  The regimes are:
@@ -111,7 +111,7 @@ import dis
 import inspect
 import math
 import types
-from collections.abc import MutableMapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -149,8 +149,11 @@ class Box:
         return np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol)
 
     def admit(self, v):
-        """Project values violating the box by at most 1e-9; error beyond."""
+        """Project values violating the box by at most 1e-9; error beyond,
+        and on any non-finite value, which no side of a box admits."""
         v = np.asarray(v, dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("control infeasible: non-finite value")
         if not self.contains(v, 1e-9):
             raise ValueError("control infeasible: value outside the control set "
                              f"[{self.lo}, {self.hi}]")
@@ -283,15 +286,29 @@ def _may_read(fn, position: int) -> bool:
     return False
 
 
-# argument slot of each state variable an affine probe takes a slope in
-_SLOT = {"x": 2, "y": 3, "a": 4, "r": 5}
+# argument slot of each differentiable variable, by model map: the one
+# table of the maps' signatures
+_ARG_POS = {
+    "f": {"x": 2, "v": 3},
+    "sigma": {"x": 2, "v": 3},
+    "b": {"x": 2, "v": 3},
+    "g": {"x": 2, "y": 3, "a": 4, "r": 5, "v": 6},
+    "l": {"x": 2, "y": 3, "a": 4, "r": 5, "v": 6},
+    "phi": {"x": 0},
+    "h": {"x": 0},
+    "gamma": {"y": 0},
+}
+# the state slots in which the affine probe takes each map's slope, and
+# the slopes it reads as registered partials
+_PROBED = {name: "".join(_ARG_POS[name]).replace("v", "") for name in ("f", "sigma", "b", "g")}
+_PROBE_SLOPES = frozenset(f"{name}_{slot}" for name, slots in _PROBED.items() for slot in slots)
 
 
-def _difference(fn, args, slot: str, at0) -> np.ndarray:
-    """``fn`` at 1 in ``slot`` less ``at0``, its value at ``args``: the
-    exact slope of a map affine in that argument."""
+def _difference(fn, args, pos: int, at0) -> np.ndarray:
+    """``fn`` at 1 in argument ``pos`` less ``at0``, its value at ``args``:
+    the exact slope of a map affine in that argument."""
     probe = list(args)
-    probe[_SLOT[slot]] = 1.0
+    probe[pos] = 1.0
     return np.asarray(fn(*probe), dtype=float) - at0
 
 
@@ -299,57 +316,23 @@ def _slopes(model, name: str, args, slots: str) -> list:
     """Map ``name``'s value at ``args`` and its slope in each of ``slots``:
     the registered partial ``<name>_<slot>`` read at ``args``, in the shape
     it returns; else a scalar 0.0 when the map provably never reads that
-    argument (_may_read, decided when the map is set); else the map's 0/1
-    difference (_difference), which is then exactly zero too."""
+    argument (``model._unread``); else the map's 0/1 difference
+    (_difference), which is then exactly zero too."""
     fn = getattr(model, name)
     at0 = np.asarray(fn(*args), dtype=float)
-    unread = getattr(model, f"_{name}_unread")
     out = [at0]
     for slot in slots:
         d = model.derivatives.get(f"{name}_{slot}")
         if d is not None:
             out.append(np.asarray(d(*args), dtype=float))
-        elif slot in unread:
+        elif slot in model._unread[name]:
             out.append(np.asarray(0.0))
         else:
-            out.append(_difference(fn, args, slot, at0))
+            out.append(_difference(fn, args, _ARG_POS[name][slot], at0))
     return out
 
 
-# the state slots in which the affine probe takes each map's slope, and
-# the slopes it reads as registered partials
-_PROBED = {"f": "x", "sigma": "x", "b": "x", "g": "xyar"}
-_PROBE_SLOPES = frozenset(f"{name}_{slot}" for name, slots in _PROBED.items() for slot in slots)
-
-
-class _Partials(MutableMapping):
-    """A model's registered partials, a dict in use, which checks every
-    write of a probe slope (ModelSpec._check_slope) before it stores it."""
-
-    def __init__(self, model, items):
-        self._model, self._fns = model, {}
-        self.update(items)
-
-    def __getitem__(self, key):
-        return self._fns[key]
-
-    def __setitem__(self, key, fn):
-        self._model._check_slope(key, fn)
-        self._fns[key] = fn
-
-    def __delitem__(self, key):
-        del self._fns[key]
-
-    def __iter__(self):
-        return iter(self._fns)
-
-    def __len__(self):
-        return len(self._fns)
-
-    def __repr__(self):
-        return repr(self._fns)
-
-
+@dataclass(frozen=True, kw_only=True, eq=False)
 class ModelSpec:
     """Coefficient maps, costs, and structure flags of one control system.
 
@@ -367,112 +350,76 @@ class ModelSpec:
       in the same jump-measure integral as g
     * phi, h:    (x) terminal maps; gamma: (y) initial cost
 
+    A spec is immutable and checked once, when it is built: every map is
+    probed at the origin, a linear terminal map (``M_T``) is checked
+    against phi, and on an affine model every registered probe slope is
+    checked (below).  ``dataclasses.replace(model, ...)`` gives a changed
+    model and runs every check again; attribute writes raise
+    FrozenInstanceError, and ``derivatives`` is a read-only copy of the
+    mapping given.
+
     ``affine`` declares f, sigma and b affine in x and g affine in
-    (x, y, a, r); with a linear terminal map (``M_T``) it makes the model
+    (x, y, a, r); with a linear terminal map it makes the model
     affine_solvable, and the solvers probe its coefficients at state 0:
     each slope is its registered partial (f_x, sigma_x, b_x, g_x, g_y,
     g_a, g_r) read there, else the map at 1 less the map at 0, which is
     exact.  On an affine model each registered slope must match that
     difference at the validation point to 1e-10 (1 + |difference|), else
-    ValueError, whenever it or its map is written: at construction, as
-    an item of ``derivatives``, in a dict that replaces it, when f,
-    sigma, b or g is replaced while it stays registered (the model then
-    keeps its old map), or when ``affine`` is set (it then stays False).
-    Deleting a slope is allowed, and so is any other key.
-    ``derivatives`` is the one place for closed-form partials, keyed
-    ``<map>_<argument>`` (e.g. "f_x", "l_v"); every partial it lacks,
-    dH/dv's included, is a central difference of the map (the probe's
-    slopes excepted, as above).
+    ValueError.  ``derivatives`` is the one place for closed-form
+    partials, keyed ``<map>_<argument>`` (e.g. "f_x", "l_v"); every
+    partial it lacks, dH/dv's included, is a central difference of the
+    map (the probe's slopes excepted, as above).
     Only scalar systems are implemented (n = m = d = k = 1).
 
-    Whenever a map is set, the spec decides from its code which arguments
-    it provably never reads (_may_read).  For ``g`` and ``l`` it keeps
-    whether r may be read, as ``_g_reads_r`` and ``_l_reads_r``: the cost
-    builds r's cells only for an l that can, and the LSMC sweep reads the
-    jump fit off its inner states only for a g that can; any other map
-    gets zero cells in their place.  For f, sigma, b and g it keeps the
-    probe slots (x; x, y, a and r for g) the map never reads, as
-    ``_<map>_unread``: the affine probe takes an unregistered slope there
-    as a scalar 0.0 instead of evaluating the map twice.
+    When it is built, the spec also decides from each map's code which
+    arguments it provably never reads (_may_read), and keeps them as
+    ``_unread[name]``: the probe slots (x; x, y, a and r for g) of f,
+    sigma, b and g, and r for l.  The affine probe takes an unregistered
+    slope in an unread slot as a scalar 0.0 instead of evaluating the map
+    twice; the cost builds r's cells only for an l that may read r, and
+    the LSMC sweep reads the jump fit off its inner states only for a g
+    that may; any other map gets zero cells in their place.
     """
 
-    def __init__(self, *, f, sigma, b, g, phi, l, h, gamma, control_set: Box,
-                 x0: float, n=1, m=1, d=1, k=1, M_T=None, affine=False,
-                 conditionally_deterministic=False, derivatives=None, name=""):
-        if (n, m, d, k) != (1, 1, 1, 1):
+    f: Callable
+    sigma: Callable
+    b: Callable
+    g: Callable
+    phi: Callable
+    l: Callable
+    h: Callable
+    gamma: Callable
+    control_set: Box
+    x0: float
+    n: int = 1
+    m: int = 1
+    d: int = 1
+    k: int = 1
+    M_T: float | None = None
+    affine: bool = False
+    conditionally_deterministic: bool = False
+    derivatives: Mapping = field(default_factory=dict)
+    name: str = ""
+    _unread: Mapping = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if (self.n, self.m, self.d, self.k) != (1, 1, 1, 1):
             raise NotImplementedError("only scalar models are supported")
-        self.n, self.m, self.d, self.k = n, m, d, k
-        self.f, self.sigma, self.b, self.g = f, sigma, b, g
-        self.phi, self.l, self.h, self.gamma = phi, l, h, gamma
-        self.control_set = control_set
-        self.x0 = float(x0)
-        self.M_T = None if M_T is None else float(M_T)
-        self.affine = bool(affine)
-        self.conditionally_deterministic = bool(conditionally_deterministic)
-        self.name = name
-        self._validate()
-        self.derivatives = derivatives or {}
-
-    def __setattr__(self, name, value):
-        if name == "derivatives":
-            value = _Partials(self, value)
-        elif name in _PROBED and "derivatives" in self.__dict__:
-            # a replaced map must still match its registered probe slopes
-            for slot in _PROBED[name]:
-                d = self.derivatives.get(f"{name}_{slot}")
-                if d is not None:
-                    self._check_slope(f"{name}_{slot}", d, value)
-        super().__setattr__(name, value)
-        if name == "affine" and value and "derivatives" in self.__dict__:
-            # declaring the model affine makes the probe trust its slopes
-            try:
-                for key, d in self.derivatives.items():
-                    self._check_slope(key, d)
-            except ValueError:
-                super().__setattr__(name, False)
-                raise
-        if name in ("g", "l"):
-            super().__setattr__(f"_{name}_reads_r", _may_read(value, _SLOT["r"]))
-        if name in _PROBED:
-            super().__setattr__(f"_{name}_unread", frozenset(
-                slot for slot in _PROBED[name] if not _may_read(value, _SLOT[slot])))
-
-    @property
-    def linear_terminal(self) -> bool:
-        return self.M_T is not None
-
-    @property
-    def affine_solvable(self) -> bool:
-        return self.affine and self.linear_terminal
-
-    def _probe_args(self) -> dict:
-        """The validation point of f, sigma, b and g."""
-        v0 = self.control_set.interior_point()
-        return dict(f=(0.0, 0.0, 0.0, v0), sigma=(0.0, 0.0, 0.0, v0),
-                    b=(0.0, 0.0, 0.0, v0, 0.1), g=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, v0))
-
-    def _check_slope(self, key: str, d, fn=None):
-        """On an affine model, ValueError unless ``d``, registered as the
-        probe slope ``key`` (one of _PROBE_SLOPES), matches its map (``fn``,
-        by default the model's own) at 1 less its map at 0 at the
-        validation point: the affine probe trusts it in place of that
-        difference."""
-        if not self.affine or key not in _PROBE_SLOPES:
-            return
-        name, slot = key.rsplit("_", 1)
-        fn = getattr(self, name) if fn is None else fn
-        a = self._probe_args()[name]
-        got = np.asarray(d(*a), dtype=float)
-        want = _difference(fn, a, slot, np.asarray(fn(*a), dtype=float)).item()
-        if not (got.size == 1 and abs(got.item() - want) <= 1e-10 * (1.0 + abs(want))):
-            raise ValueError(f"registered {key} does not match {name} at "
-                             f"{slot} = 1 less {name} at {slot} = 0")
-
-    def _validate(self):
+        for key, cast in (("x0", float), ("affine", bool), ("conditionally_deterministic", bool)):
+            object.__setattr__(self, key, cast(getattr(self, key)))
+        object.__setattr__(self, "M_T", None if self.M_T is None else float(self.M_T))
+        object.__setattr__(self, "derivatives",
+                           types.MappingProxyType(dict(self.derivatives or {})))
+        object.__setattr__(self, "_unread", types.MappingProxyType({
+            name: frozenset(s for s in slots
+                            if not _may_read(getattr(self, name), _ARG_POS[name][s]))
+            for name, slots in dict(_PROBED, l="r").items()}))
         if not np.isfinite(self.x0):
             raise ValueError(f"initial state x0 must be finite, got {self.x0}")
+        # the validation point of f, sigma, b and g
         v0 = self.control_set.interior_point()
-        args = self._probe_args()
+        args = dict(f=(0.0, 0.0, 0.0, v0), sigma=(0.0, 0.0, 0.0, v0),
+                    b=(0.0, 0.0, 0.0, v0, 0.1), g=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, v0))
         probes = [getattr(self, name)(*a) for name, a in args.items()] + [
             self.l(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, v0),
             self.phi(0.0), self.h(0.0), self.gamma(0.0),
@@ -488,6 +435,27 @@ class ModelSpec:
                 if abs(float(self.phi(x)) - p0 - self.M_T * x) > 1e-10 * (1 + abs(x)):
                     raise ValueError("linear_terminal is set but phi(x) is not "
                                      "phi(0) + M_T * x")
+        # the affine probe trusts a registered slope in place of its map's
+        # 0/1 difference, so it must match that difference
+        for key, d in self.derivatives.items():
+            if not self.affine or key not in _PROBE_SLOPES:
+                continue
+            name, slot = key.rsplit("_", 1)
+            fn, a = getattr(self, name), args[name]
+            got = np.asarray(d(*a), dtype=float)
+            want = _difference(fn, a, _ARG_POS[name][slot],
+                               np.asarray(fn(*a), dtype=float)).item()
+            if not (got.size == 1 and abs(got.item() - want) <= 1e-10 * (1.0 + abs(want))):
+                raise ValueError(f"registered {key} does not match {name} at "
+                                 f"{slot} = 1 less {name} at {slot} = 0")
+
+    @property
+    def linear_terminal(self) -> bool:
+        return self.M_T is not None
+
+    @property
+    def affine_solvable(self) -> bool:
+        return self.affine and self.linear_terminal
 
 
 # ------------------------------------------------------------------- bundles
@@ -1264,8 +1232,8 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256):
     which give the next step's targets) and off the outer paths (the same
     sweeps over the active rows).  The inner read-off evaluates the jump
     fit at every quadrature node (b and two Horner passes over
-    (paths, n_inner, nodes)) only for a driver that may read r
-    (``model._g_reads_r``); any other driver gets zero cells, which it
+    (paths, n_inner, nodes)) only for a driver that may read r (r not in
+    ``model._unread["g"]``); any other driver gets zero cells, which it
     ignores, so its Y is the same to the bit.  The jump fit itself, its
     Gram check and the outer paths' r table are built for every driver.
     Every path's result depends on its own rows only, so it does not
@@ -1275,6 +1243,8 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256):
     horizon on, and A (N, Kmax) and r (its (N, Kmax, nodes) table as
     _NodeCells), zero there.
     """
+    if not (isinstance(n_inner, (int, np.integer)) and n_inner >= 1):
+        raise ValueError(f"n_inner must be an integer >= 1, got {n_inner!r}")
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     spec, w, z = batch.spec, batch.w, batch.znodes
     XT = X[np.arange(N), batch.K]
@@ -1324,7 +1294,7 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256):
             fit = Phi @ beta
             Ey, Ai = fit[..., 0].ravel(), fit[..., 1].ravel()
             ti, xi, vin = inner.t[sl, i], x.ravel(), vi[sl, i]
-            if model._g_reads_r:
+            if "r" not in model._unread["g"]:
                 bi = np.broadcast_to(np.asarray(
                     model.b(ti[:, None], u, xi[:, None], vin[:, None], z), dtype=float),
                     (xi.size, z.size))
@@ -1588,7 +1558,7 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
     # r keeps the probe's bx and b0; free the rest before the running cost
     del co
     N = batch.N
-    cells = r if model._l_reads_r else _NodeCells(batch.K, batch.w.size)
+    cells = r if "r" not in model._unread["l"] else _NodeCells(batch.K, batch.w.size)
     run = _step_sum(batch,
                     lambda i, rows: model.l(*_step_args(batch, i, X, Y, A, cells, v, rows)))
     XT = X[np.arange(N), batch.K]

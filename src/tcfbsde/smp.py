@@ -49,6 +49,7 @@ from .fbsde import (
     ModelSpec,
     PathBundle,
     PerturbedControl,
+    _ARG_POS,
     _affine_backward,
     _affine_step,
     _Batch,
@@ -67,18 +68,6 @@ from .fbsde import (
 )
 from .noise import central_difference
 from .time_change import OperationalGrid
-
-# argument slot of each differentiable state variable, by coefficient map
-_ARG_POS = {
-    "f": {"x": 2, "v": 3},
-    "sigma": {"x": 2, "v": 3},
-    "b": {"x": 2, "v": 3},
-    "g": {"x": 2, "y": 3, "a": 4, "r": 5, "v": 6},
-    "l": {"x": 2, "y": 3, "a": 4, "r": 5, "v": 6},
-    "phi": {"x": 0},
-    "h": {"x": 0},
-    "gamma": {"y": 0},
-}
 
 
 def model_derivative(model: ModelSpec, name: str):

@@ -1,6 +1,7 @@
 """Solver-level tests: forward scheme, the three backward regimes, duality
 composition, and the cost functional."""
 
+import dataclasses
 import math
 import re
 
@@ -69,6 +70,28 @@ def test_box_admit_projects_and_rejects():
     assert box.admit(np.array([-0.5, 0.5]))[0] == -0.5
     with pytest.raises(ValueError, match="control infeasible"):
         box.admit(1.1)
+
+
+def test_box_admit_refuses_non_finite_controls():
+    """An infinite or NaN control is refused as non-finite before any
+    projection, by a bounded box and by the whole line, and so is such a
+    control of the cash model (whose box is the whole line) under
+    evaluate_cost, as a constant or as a feedback: the whole line used to
+    admit +-inf and blame the state's blow-up, and a NaN was reported as
+    outside [-inf, inf].  Finite values keep their bits."""
+    for box in (Box(-1.0, 1.0), Box()):
+        for bad in (np.inf, -np.inf, np.nan, np.array([0.5, np.inf]), np.array([np.nan, 0.5])):
+            with pytest.raises(ValueError, match="non-finite"):
+                box.admit(bad)
+    finite = np.array([-0.5, 0.25, 1.0 + 1e-12, -1.0 - 1e-12])
+    assert Box(-1.0, 1.0).admit(finite).tobytes() == np.clip(finite, -1.0, 1.0).tobytes()
+    assert Box().admit(finite).tobytes() == finite.tobytes()
+    spec = CashSpec()
+    ens = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 8, master_seed=0)
+    for ctl in (ConstantControl(np.inf), ConstantControl(np.nan),
+                FeedbackControl(lambda t1, t2, x: np.inf + 0.0 * x)):
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate_cost(build_cash_model(spec), ctl, ens)
 
 
 def test_box_empty_raises():
@@ -142,72 +165,62 @@ def test_model_refuses_a_registered_slope_that_misses_the_difference():
         mk_model(**maps, derivatives=dict(right, **{name: wrong}))
 
 
-def test_model_refuses_a_wrong_slope_written_after_construction():
-    """The same check runs on every later write of a probe slope: an item
-    write and a dict that replaces ``derivatives`` are both refused, and
-    the model keeps its slopes and its costs; deleting a slope, a key the
-    probe does not read and any write on a model not declared affine are
-    allowed."""
+def test_model_is_frozen_and_replace_runs_every_check():
+    """A model is checked once, when it is built, and is never written
+    after: an attribute write raises FrozenInstanceError and a write to
+    ``derivatives``, a read-only copy of the mapping given, TypeError.
+    dataclasses.replace builds a changed model and runs every check again:
+    a wrong probe slope, f - 2x under the registered f_x, g + y under the
+    registered g_y, a model declared affine over a wrong slope and a NaN
+    x0 are refused, and the model keeps its maps, its slopes and its
+    costs.  A replacement that keeps the slopes, a key the probe does not
+    read, any map once its slope is dropped and a wrong slope on a model
+    not declared affine are allowed."""
     spec = CashSpec()
     model = build_cash_model(spec)
     ens = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 64, 0)
     before = evaluate_cost(model, ConstantControl(0.5), ens).per_path
-    f_x, g_y = model.derivatives["f_x"], model.derivatives["g_y"]
-    del model.derivatives["g_a"]
+    f, g, derivs = model.f, model.g, dict(model.derivatives)
     wrong = lambda *args: 5.0
-    with pytest.raises(ValueError, match="registered f_x does not match"):
-        model.derivatives["f_x"] = wrong
-    with pytest.raises(ValueError, match="registered f_x does not match"):
-        model.derivatives = dict(model.derivatives, f_x=wrong)
-    with pytest.raises(ValueError, match="registered g_y does not match"):
-        model.derivatives.update(g_y=wrong)
-    with pytest.raises(ValueError, match="registered g_a does not match"):
-        model.derivatives.setdefault("g_a", wrong)
-    assert model.derivatives["f_x"] is f_x and model.derivatives["g_y"] is g_y
-    assert "g_a" not in model.derivatives
-    after = evaluate_cost(model, ConstantControl(0.5), ens).per_path
-    assert after.tobytes() == before.tobytes()
-    del model.derivatives["f_x"]
-    model.derivatives["f_v"] = lambda t1, t2, x, v: 123.0 + 0.0 * v
-    model.derivatives["f_x"] = f_x
-    loose = mk_model()
-    loose.derivatives["f_x"] = wrong
-    loose.derivatives = {"g_y": wrong}
-
-
-def test_model_refuses_a_map_replaced_under_a_stale_slope():
-    """Replacing f, sigma, b or g of an affine model checks the slopes
-    registered for it against the new map: f - 2x under the registered
-    f_x is refused, and the model keeps its f and its costs.  A
-    replacement that keeps the slopes, and any replacement once the slope
-    is deleted, are allowed.  Declaring a model affine checks
-    every slope registered while it was not."""
-    spec = CashSpec()
-    model = build_cash_model(spec)
-    ens = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 64, 0)
-    before = evaluate_cost(model, ConstantControl(0.5), ens).per_path
-    f, g = model.f, model.g
-    with pytest.raises(ValueError, match="registered f_x does not match"):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         model.f = lambda t1, t2, x, v: f(t1, t2, x, v) - 2.0 * x
-    with pytest.raises(ValueError, match="registered g_y does not match"):
-        model.g = lambda t1, t2, x, y, a, r, v: g(t1, t2, x, y, a, r, v) + y
-    assert model.f is f and model.g is g
-    assert evaluate_cost(model, ConstantControl(0.5), ens).per_path.tobytes() == before.tobytes()
-    model.f = lambda t1, t2, x, v: f(t1, t2, x, v) + 0.0
-    del model.derivatives["f_x"]
-    model.f = lambda t1, t2, x, v: f(t1, t2, x, v) - 2.0 * x
-    moved = evaluate_cost(model, ConstantControl(0.5), ens).per_path
-    assert not np.allclose(moved, before)
-    # a slope written while the model was not affine is checked when it
-    # is declared affine, and the model stays as it was
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.affine = False
+    with pytest.raises(TypeError):
+        model.derivatives["f_x"] = wrong
+    with pytest.raises(TypeError):
+        del model.derivatives["g_a"]
+    for key, change in (
+            ("f_x", dict(derivatives=dict(derivs, f_x=wrong))),
+            ("g_y", dict(derivatives=dict(derivs, g_y=wrong))),
+            ("f_x", dict(f=lambda t1, t2, x, v: f(t1, t2, x, v) - 2.0 * x)),
+            ("g_y", dict(g=lambda t1, t2, x, y, a, r, v: g(t1, t2, x, y, a, r, v) + y))):
+        with pytest.raises(ValueError, match=f"registered {key} does not match"):
+            dataclasses.replace(model, **change)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        dataclasses.replace(model, x0=np.nan)
+    assert model.f is f and model.g is g and dict(model.derivatives) == derivs
+    for same in (model, dataclasses.replace(model)):
+        after = evaluate_cost(same, ConstantControl(0.5), ens).per_path
+        assert after.tobytes() == before.tobytes()
+    dataclasses.replace(model, f=lambda t1, t2, x, v: f(t1, t2, x, v) + 0.0,
+                        derivatives=dict(derivs, f_v=lambda t1, t2, x, v: 123.0 + 0.0 * v))
+    bare = {key: d for key, d in derivs.items() if key != "f_x"}
+    moved = dataclasses.replace(model, f=lambda t1, t2, x, v: f(t1, t2, x, v) - 2.0 * x,
+                                derivatives=bare)
+    assert not np.allclose(evaluate_cost(moved, ConstantControl(0.5), ens).per_path, before)
+    # a slope registered on a model not declared affine is checked when it
+    # is declared affine
     lin = build_model("linear_test")[0]
-    lin.affine = False
-    lin.derivatives["f_x"] = lambda t1, t2, x, v: 5.0
+    loose = dataclasses.replace(lin, affine=False,
+                                derivatives={"f_x": lambda t1, t2, x, v: 5.0})
     with pytest.raises(ValueError, match="registered f_x does not match"):
-        lin.affine = True
-    assert lin.affine is False
-    del lin.derivatives["f_x"]
-    lin.affine = True
+        dataclasses.replace(loose, affine=True)
+    assert dataclasses.replace(loose, affine=True, derivatives={}).affine
+    given = {"g_y": wrong}
+    unchecked = mk_model(derivatives=given)
+    given["f_x"] = wrong
+    assert dict(unchecked.derivatives) == {"g_y": wrong}
 
 
 def test_probe_takes_an_unread_argument_as_an_exact_zero_slope():
@@ -221,20 +234,22 @@ def test_probe_takes_an_unread_argument_as_an_exact_zero_slope():
     ens = make_ensemble(sub, jump, p["horizon"], p["step"], 64, master_seed=0)
     batch = ens.rows(np.argsort(ens.K, kind="stable"))
     v = fbsde._open_loop(ConstantControl(0.5), batch)
-    assert model._b_unread == model._sigma_unread == {"x"} and model._g_unread == {"a", "r"}
-    assert not model._f_unread
-    base, seen = model.b, []
+    assert model._unread["b"] == model._unread["sigma"] == {"x"}
+    assert model._unread["g"] == {"a", "r"} and not model._unread["f"]
+    base, g, seen = model.b, model.g, []
 
     def counted(t1, t2, x, v, z):
         # b's own value, without naming x: base does not read it either
         seen.append(1)
         return base(t1, t2, 0.0, v, z)
 
-    wrapped = build_model("quadratic_drift")[0]
-    wrapped.b = lambda *args: counted(*args)
-    wrapped.g = lambda *args: model.g(*args)
-    assert not wrapped._b_unread and not wrapped._g_unread
-    model.b = counted
+    wrapped = dataclasses.replace(model, b=lambda *args: counted(*args),
+                                  g=lambda *args: g(*args))
+    assert not wrapped._unread["b"] and not wrapped._unread["g"]
+    model = dataclasses.replace(model, b=counted)
+    # each construction probes b once, at the origin
+    assert len(seen) == 2
+    seen.clear()
     co = fbsde._probe_affine(model, batch, v)
     assert len(seen) == 1
     for key in ("bx", "ibx", "sx", "Ga", "gr"):
@@ -529,6 +544,20 @@ def test_backward_zero_data_gives_zero_solution(method):
     assert np.all(sol.r == 0.0)
 
 
+def test_lsmc_refuses_an_inner_count_below_one():
+    """n_inner = 0 used to raise ZeroDivisionError and -1 a numpy shape
+    error; both are refused naming n_inner.  One inner path per outer
+    path is accepted."""
+    model, jump, sub, p = build_model("quadratic_drift")
+    bundle = make_ensemble(sub, jump, p["horizon"], p["step"], 1, master_seed=0)[0]
+    fwd = solve_forward_dual(model, 0.5, bundle)
+    for n_inner in (0, -1):
+        with pytest.raises(ValueError, match="n_inner"):
+            solve_backward_dual(model, 0.5, bundle, fwd, method="lsmc", n_inner=n_inner)
+    sol = solve_backward_dual(model, 0.5, bundle, fwd, method="lsmc", n_inner=1)
+    assert np.all(np.isfinite(sol.Y))
+
+
 def test_backward_terminal_check_fires(monkeypatch):
     """solve_backward_dual's terminal consistency check fires when one
     cell, Y at the horizon, is off phi(X_T)."""
@@ -820,8 +849,8 @@ def test_cost_builds_no_full_r_table(monkeypatch):
     model, jump, sub, p = build_model("linear_test")
     ens = make_ensemble(sub, jump, p["horizon"], p["step"], 64, master_seed=0)
     evaluate_cost(model, 0.5, ens)
-    twin = build_model("linear_test")[0]
-    twin.l = lambda t1, t2, x, y, a, r, v: model.l(t1, t2, x, y, a, r, v) + r**2
+    twin = dataclasses.replace(
+        model, l=lambda t1, t2, x, y, a, r, v: model.l(t1, t2, x, y, a, r, v) + r**2)
     assert not np.array_equal(evaluate_cost(twin, 0.5, ens).per_path,
                               evaluate_cost(model, 0.5, ens).per_path)
     spec = CashSpec()
@@ -843,7 +872,7 @@ def test_cost_builds_no_r_cells_for_running_costs_that_cannot_read_r(monkeypatch
     monkeypatch.setattr(fbsde, "_jump_cells", refuse)
     for name in ("linear_test", "quadratic_drift"):
         model, jump, sub, p = build_model(name)
-        assert not model._l_reads_r
+        assert "r" in model._unread["l"]
         evaluate_cost(model, 0.5, make_ensemble(sub, jump, p["horizon"], p["step"], 64, 0))
     spec = CashSpec()
     cens = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 64, master_seed=0)
@@ -883,9 +912,10 @@ def test_cost_builds_r_cells_for_running_costs_that_may_read_r(monkeypatch, form
         def __call__(self, *args):
             return compares(*args)
 
-    model.l = {"comparison": compares, "star_args": lambda *args: compares(*args),
-               "callable_object": Cost()}[form]
-    assert model._l_reads_r
+    model = dataclasses.replace(
+        model, l={"comparison": compares, "star_args": lambda *args: compares(*args),
+                  "callable_object": Cost()}[form])
+    assert "r" not in model._unread["l"]
     jump_cells, calls = fbsde._jump_cells, []
 
     def counting(*args, **kwargs):
@@ -924,9 +954,8 @@ def test_lsmc_read_off_skip_keeps_every_bit(monkeypatch):
     every driver)."""
     model, jump, sub, p = build_model("quadratic_drift")
     ens = make_ensemble(sub, jump, p["horizon"], p["step"], 8, master_seed=0)
-    wrapped = build_model("quadratic_drift")[0]
-    wrapped.g = lambda *args: model.g(*args)
-    assert not model._g_reads_r and wrapped._g_reads_r
+    wrapped = dataclasses.replace(model, g=lambda *args: model.g(*args))
+    assert "r" in model._unread["g"] and "r" not in wrapped._unread["g"]
     calls = _nodewise_read_offs(monkeypatch)
     ctl = ConstantControl(0.5)
     skip = evaluate_cost(model, ctl, ens, method="lsmc").per_path
@@ -956,9 +985,9 @@ def test_lsmc_reads_the_jump_fit_off_inner_states_for_a_driver_that_reads_r(monk
     model, jump, sub, p = build_model("quadratic_drift")
     ens = make_ensemble(sub, jump, p["horizon"], p["step"], 8, master_seed=0)
     plain = evaluate_cost(model, 0.5, ens, method="lsmc").per_path
-    twin = build_model("quadratic_drift")[0]
-    twin.g = lambda t1, t2, x, y, a, r, v: model.g(t1, t2, x, y, a, r, v) + 0.05 * r
-    assert twin._g_reads_r
+    twin = dataclasses.replace(
+        model, g=lambda t1, t2, x, y, a, r, v: model.g(t1, t2, x, y, a, r, v) + 0.05 * r)
+    assert "r" not in twin._unread["g"]
     calls = _nodewise_read_offs(monkeypatch)
     cost = evaluate_cost(twin, 0.5, ens, method="lsmc").per_path
     assert calls
@@ -968,8 +997,9 @@ def test_lsmc_reads_the_jump_fit_off_inner_states_for_a_driver_that_reads_r(monk
 def test_r_read_test_clears_only_functions_that_provably_ignore_r():
     """_may_read is conservative: frame access, a closure over r,
     **kwargs, a builtin or a rebinding of r all count as reading it.  The
-    model decides for g as for l whenever either is set: no built-in g
-    reads r, mk_model's zero g does, and assigning g decides again."""
+    model decides for g as for l when it is built: no built-in g reads r,
+    mk_model's zero g does, and a model built with another g decides
+    again."""
     def rebinds(t1, t2, x, y, a, r, v):
         r = 0.0
         return x + r
@@ -984,13 +1014,13 @@ def test_r_read_test_clears_only_functions_that_provably_ignore_r():
     assert not any(fbsde._may_read(fn, 5) for fn in clear)
     assert all(fbsde._may_read(fn, 5) for fn in unclear)
     built_in = [build_model(name)[0] for name in ("linear_test", "quadratic_drift")]
-    assert not any(m._g_reads_r for m in built_in + [build_cash_model(CashSpec())])
+    assert all("r" in m._unread["g"] for m in built_in + [build_cash_model(CashSpec())])
     model = mk_model()
-    assert model._g_reads_r
-    model.g = lambda t1, t2, x, y, a, r, v: 0.0 * (x + y)
-    assert not (model._g_reads_r or model._l_reads_r)
-    model.g = lambda *args: 0.0
-    assert model._g_reads_r
+    assert "r" not in model._unread["g"]
+    model = dataclasses.replace(model, g=lambda t1, t2, x, y, a, r, v: 0.0 * (x + y))
+    assert "r" in model._unread["g"] and "r" in model._unread["l"]
+    model = dataclasses.replace(model, g=lambda *args: 0.0)
+    assert "r" not in model._unread["g"]
 
 
 def test_ensemble_rows_match_a_fresh_pack():
@@ -1069,7 +1099,8 @@ def test_cost_is_bitwise_chunk_invariant_on_ragged_ensemble(name, method, make_c
     model, jump, sub, p = build_model(name)
     if node_cost:
         base_l = model.l
-        model.l = lambda t1, t2, x, y, a, r, v: base_l(t1, t2, x, y, a, r, v) + r**2
+        model = dataclasses.replace(
+            model, l=lambda t1, t2, x, y, a, r, v: base_l(t1, t2, x, y, a, r, v) + r**2)
         bundles = make_ensemble(sub, jump, p["horizon"], p["step"], 64, master_seed=0)
     else:
         bundles = ragged_bundles(RAGGED_STEPS, jump_spec=jump)
@@ -1130,8 +1161,7 @@ def test_affine_cost_reads_the_control_on_live_cells_only():
     """The affine regime tabulates v before the state and admits its live
     cells only: a box that excludes 0 takes the zero-step rows, whose v
     parks at 0, and those rows cost gamma(Y_0) = -x0 alone."""
-    model = build_model("linear_test")[0]
-    model.control_set = Box(1.0, 2.0)
+    model = dataclasses.replace(build_model("linear_test")[0], control_set=Box(1.0, 2.0))
     bundles = ragged_bundles(RAGGED_STEPS)
     est, sols = fbsde._ensemble_cost(model, ConstantControl(1.5), bundles,
                                      keep=len(bundles))
@@ -1148,8 +1178,7 @@ def test_affine_cost_state_matches_the_map_step():
     and the cash model under u*, the kept rows agree with the one-path
     solve to 1e-12, and carry the same bytes for every chunk."""
     lin, jump, sub, p = build_model("linear_test")
-    both = build_model("linear_test")[0]
-    both.b = lambda t1, t2, x, v, z: z * (0.05 * x + 0.1)
+    both = dataclasses.replace(lin, b=lambda t1, t2, x, v, z: z * (0.05 * x + 0.1))
     ens = make_ensemble(sub, jump, p["horizon"], p["step"], 24, master_seed=61)
     spec = CashSpec()
     cens = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 24, 61)
@@ -1443,14 +1472,15 @@ def test_probe_reads_the_nodewise_b_once_when_b_x_is_registered():
     v = fbsde._open_loop(ConstantControl(0.5), batch)
     for registered, calls in ((True, 1), (False, 2)):
         model = build_cash_model(CashSpec())
-        if not registered:
-            del model.derivatives["b_x"]
+        derivs = {key: d for key, d in model.derivatives.items() if registered or key != "b_x"}
         b, seen = model.b, []
-        model.b = lambda *args: seen.append(np.shape(args[4])) or b(*args)
-        # replacing b checks the registered b_x against it: count the probe only
-        seen.clear()
+        model = dataclasses.replace(
+            model, b=lambda *args: seen.append(np.shape(args[4])) or b(*args),
+            derivatives=derivs)
         co = fbsde._probe_affine(model, batch, v)
-        assert seen == [batch.znodes.shape] * calls
+        # construction evaluates b at the scalar mark 0.1, once for its
+        # probe at the origin and twice more to check a registered b_x
+        assert seen == [()] * (3 if registered else 1) + [batch.znodes.shape] * calls
         if registered:
             assert np.ndim(co["bx"]) == 0 and np.ndim(co["ibx"]) == 0
         else:

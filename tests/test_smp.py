@@ -2,6 +2,7 @@
 closed forms, variational exactness on linear systems, and the optimality
 certificates."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -66,8 +67,8 @@ def test_model_derivative_fd_is_exact_for_polynomials():
 
 
 def test_model_derivative_prefers_registered_closed_form():
-    model, _, _ = lq_model()
-    model.derivatives["f_v"] = lambda t1, t2, x, v: 123.0 + 0.0 * v
+    model = dataclasses.replace(lq_model()[0],
+                                derivatives={"f_v": lambda t1, t2, x, v: 123.0 + 0.0 * v})
     assert float(model_derivative(model, "f_v")(0, 0, 0, 0)) == 123.0
     assert abs(float(model_derivative(model, "f_x")(0, 0, 0, 0)) + 1.0) < 1e-10
 
@@ -321,7 +322,8 @@ def test_state_free_check_refuses_a_derivative_that_does_not_broadcast():
     a return that does not broadcast to the nodewise (N, Kmax, nodes)
     layout is still refused, not compared."""
     model, bundles, sols = _closure_case()
-    model.derivatives["l_y"] = lambda t1, t2, x, y, a, r, v: np.zeros(5)
+    model = dataclasses.replace(
+        model, derivatives={"l_y": lambda t1, t2, x, y, a, r, v: np.zeros(5)})
     with pytest.raises(ValueError, match="broadcast"):
         solve_adjoint_ensemble(model, bundles, sols)
 
@@ -440,8 +442,8 @@ def lq_bx_twin():
     """lq_model with b = 0.1 z v + 0.05 z x: still linear, but its jump
     coefficient has an x-slope, so X1 takes a jump at each event."""
     model, jspec, sspec = lq_model()
-    model.b = lambda t1, t2, x, v, z: 0.1 * z * v + 0.05 * z * x
-    return model, jspec, sspec
+    return (dataclasses.replace(model, b=lambda t1, t2, x, v, z: 0.1 * z * v + 0.05 * z * x),
+            jspec, sspec)
 
 
 def test_variational_is_exact_difference_on_linear_system():

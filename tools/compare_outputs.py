@@ -53,6 +53,7 @@ Run that way, the dump does not pin the BLAS thread count; export
 OMP_NUM_THREADS=1 (as ``run_tree`` does) for byte-stable outputs.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -99,15 +100,13 @@ def dump(out_path):
         lin, fbsde.ConstantControl(0.5), ens).per_path
     # neither built-in running cost reads r: a linear_test twin whose l adds
     # r**2 sends the backward solve's jump cells into the cost
-    twin = fbsde.build_model("linear_test")[0]
-    twin.l = lambda t1, t2, x, y, a, r, v: lin.l(t1, t2, x, y, a, r, v) + r**2
+    twin = dataclasses.replace(
+        lin, l=lambda t1, t2, x, y, a, r, v: lin.l(t1, t2, x, y, a, r, v) + r**2)
     out["cost.linear_test_r2.per_path"] = fbsde.evaluate_cost(
         twin, fbsde.ConstantControl(0.5), ens).per_path
     # every built-in model has bx = 0 or b0 = 0 in b = bx x + b0, so only a
     # twin with both nonzero pins the operation order of r's cells
-    both = fbsde.build_model("linear_test")[0]
-    both.b = lambda t1, t2, x, v, z: z * (0.05 * x + 0.1)
-    both.l = twin.l
+    both = dataclasses.replace(twin, b=lambda t1, t2, x, v, z: z * (0.05 * x + 0.1))
     est, sols = fbsde._ensemble_cost(both, fbsde.ConstantControl(0.5), ens, keep=256)
     out["cost.linear_test_bx_b0.per_path"] = est.per_path
     for field in ("X", "v", "r"):
@@ -150,8 +149,8 @@ def dump(out_path):
     # read-off on inner states: a twin whose g adds 0.05 r sends that
     # read-off into a cost, and the kept rows pin the outer r table
     op0 = [qens[int(k)] for k in rows[:, 0]]
-    gr = fbsde.build_model("quadratic_drift")[0]
-    gr.g = lambda t1, t2, x, y, a, r, v: quad.g(t1, t2, x, y, a, r, v) + 0.05 * r
+    gr = dataclasses.replace(
+        quad, g=lambda t1, t2, x, y, a, r, v: quad.g(t1, t2, x, y, a, r, v) + 0.05 * r)
     out["lsmc.quadratic_drift_gr.op0.per_path"] = fbsde.evaluate_cost(
         gr, fbsde.ConstantControl(0.5), op0, method="lsmc").per_path
     sols = fbsde._ensemble_cost(quad, fbsde.ConstantControl(0.5), op0, method="lsmc",
