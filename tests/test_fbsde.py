@@ -165,22 +165,20 @@ def test_model_refuses_a_registered_slope_that_misses_the_difference():
         mk_model(**maps, derivatives=dict(right, **{name: wrong}))
 
 
-def test_model_is_frozen_and_replace_runs_every_check():
+def test_model_refuses_a_wrong_slope_written_after_construction():
     """A model is checked once, when it is built, and is never written
     after: an attribute write raises FrozenInstanceError and a write to
     ``derivatives``, a read-only copy of the mapping given, TypeError.
     dataclasses.replace builds a changed model and runs every check again:
-    a wrong probe slope, f - 2x under the registered f_x, g + y under the
-    registered g_y, a model declared affine over a wrong slope and a NaN
-    x0 are refused, and the model keeps its maps, its slopes and its
-    costs.  A replacement that keeps the slopes, a key the probe does not
-    read, any map once its slope is dropped and a wrong slope on a model
-    not declared affine are allowed."""
+    a wrong f_x or g_y probe slope and a NaN x0 are refused, and the model
+    keeps its slopes and its costs.  A replacement that keeps the slopes,
+    a key the probe does not read and a wrong slope on a model not
+    declared affine are allowed."""
     spec = CashSpec()
     model = build_cash_model(spec)
     ens = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 64, 0)
     before = evaluate_cost(model, ConstantControl(0.5), ens).per_path
-    f, g, derivs = model.f, model.g, dict(model.derivatives)
+    f, derivs = model.f, dict(model.derivatives)
     wrong = lambda *args: 5.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.f = lambda t1, t2, x, v: f(t1, t2, x, v) - 2.0 * x
@@ -190,21 +188,43 @@ def test_model_is_frozen_and_replace_runs_every_check():
         model.derivatives["f_x"] = wrong
     with pytest.raises(TypeError):
         del model.derivatives["g_a"]
-    for key, change in (
-            ("f_x", dict(derivatives=dict(derivs, f_x=wrong))),
-            ("g_y", dict(derivatives=dict(derivs, g_y=wrong))),
-            ("f_x", dict(f=lambda t1, t2, x, v: f(t1, t2, x, v) - 2.0 * x)),
-            ("g_y", dict(g=lambda t1, t2, x, y, a, r, v: g(t1, t2, x, y, a, r, v) + y))):
+    for key in ("f_x", "g_y"):
         with pytest.raises(ValueError, match=f"registered {key} does not match"):
-            dataclasses.replace(model, **change)
+            dataclasses.replace(model, derivatives=dict(derivs, **{key: wrong}))
     with pytest.raises(ValueError, match="x0 must be finite"):
         dataclasses.replace(model, x0=np.nan)
-    assert model.f is f and model.g is g and dict(model.derivatives) == derivs
+    assert model.f is f and dict(model.derivatives) == derivs
     for same in (model, dataclasses.replace(model)):
         after = evaluate_cost(same, ConstantControl(0.5), ens).per_path
         assert after.tobytes() == before.tobytes()
     dataclasses.replace(model, f=lambda t1, t2, x, v: f(t1, t2, x, v) + 0.0,
                         derivatives=dict(derivs, f_v=lambda t1, t2, x, v: 123.0 + 0.0 * v))
+    given = {"g_y": wrong}
+    unchecked = mk_model(derivatives=given)
+    given["f_x"] = wrong
+    assert dict(unchecked.derivatives) == {"g_y": wrong}
+
+
+def test_model_refuses_a_map_replaced_under_a_stale_slope():
+    """dataclasses.replace checks the slopes registered for a replaced f,
+    sigma, b or g against the new map: f - 2x under the registered f_x and
+    g + y under the registered g_y are refused, and the model keeps its
+    maps and its costs.  Any map is allowed once its slope is dropped.
+    Declaring a model affine checks every slope registered while it was
+    not."""
+    spec = CashSpec()
+    model = build_cash_model(spec)
+    ens = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 64, 0)
+    before = evaluate_cost(model, ConstantControl(0.5), ens).per_path
+    f, g, derivs = model.f, model.g, dict(model.derivatives)
+    for key, change in (
+            ("f_x", dict(f=lambda t1, t2, x, v: f(t1, t2, x, v) - 2.0 * x)),
+            ("g_y", dict(g=lambda t1, t2, x, y, a, r, v: g(t1, t2, x, y, a, r, v) + y))):
+        with pytest.raises(ValueError, match=f"registered {key} does not match"):
+            dataclasses.replace(model, **change)
+    assert model.f is f and model.g is g and dict(model.derivatives) == derivs
+    after = evaluate_cost(model, ConstantControl(0.5), ens).per_path
+    assert after.tobytes() == before.tobytes()
     bare = {key: d for key, d in derivs.items() if key != "f_x"}
     moved = dataclasses.replace(model, f=lambda t1, t2, x, v: f(t1, t2, x, v) - 2.0 * x,
                                 derivatives=bare)
@@ -217,10 +237,6 @@ def test_model_is_frozen_and_replace_runs_every_check():
     with pytest.raises(ValueError, match="registered f_x does not match"):
         dataclasses.replace(loose, affine=True)
     assert dataclasses.replace(loose, affine=True, derivatives={}).affine
-    given = {"g_y": wrong}
-    unchecked = mk_model(derivatives=given)
-    given["f_x"] = wrong
-    assert dict(unchecked.derivatives) == {"g_y": wrong}
 
 
 def test_probe_takes_an_unread_argument_as_an_exact_zero_slope():
