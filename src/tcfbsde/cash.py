@@ -24,6 +24,7 @@ the adjoints and the rate per path, and certify optimality by paired
 Monte Carlo comparison against caller-supplied challenger controls.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,9 +279,9 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
     ensemble's adjoints, so no u* row is solved twice.  Passing
     ``expansion_rhos`` also fills the difference-quotient and remainder
     tables (direction: unit rate increase) on ``expansion_paths`` paths.
-    ``ensemble_size``, ``margin_paths`` and ``expansion_paths`` must be at
-    least 2, so that every reported mean has a standard error; anything
-    smaller raises ValueError.
+    ``ensemble_size``, ``margin_paths`` and ``expansion_paths`` must be
+    integers of at least 2, so that every reported mean has a standard
+    error; anything else raises ValueError.
 
     The certificate holds when every gap clears -3 standard errors and so
     does the worst margin; that verdict lands in meta["certified"] rather
@@ -288,8 +289,9 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
     """
     for name, n in (("ensemble_size", ensemble_size), ("margin_paths", margin_paths),
                     ("expansion_paths", expansion_paths)):
-        if n < 2:
-            raise ValueError(f"{name} must be at least 2 for a standard error, got {n}")
+        if not isinstance(n, numbers.Integral) or n < 2:
+            raise ValueError(f"{name} must be an integer of at least 2 for a standard "
+                             f"error, got {n!r}")
     model = build_cash_model(spec)
     bundles = make_ensemble(spec.subordinator, spec.jump, spec.horizon,
                             step, ensemble_size, seed)

@@ -46,12 +46,13 @@ a coefficient record with the keys _affine_backward reads and the
 jump's slope and intercept at each event: the state of the cost's
 affine regime, which reads its open-loop control first and probes the
 model once (_probe_affine), and smp's first adjoint and variational
-state.  The probe reads each slope in x, y, a and r as the model's
-registered partial at the probe's x = 0 arguments, in the shape it
-returns, else as a scalar 0.0 in an argument the map provably never
-reads (ModelSpec decides that from the map's code when it is built), else
-as a map's value at 1 less its value at 0; either way the state's two
-steps agree to rounding, not to the bit.
+state, which read one probe per solve.  The probe reads each slope in
+x, y, a and r by the one rule for every partial of a model map
+(_partial): the model's registered partial at the probe's x = 0
+arguments, in the shape it returns, else a scalar 0.0 in an argument
+the map provably never reads (ModelSpec decides that from the map's code
+when it is built), else the map's value at 1 less its value at 0;
+either way the state's two steps agree to rounding, not to the bit.
 
 Every backward solve goes through one dispatcher, _backward_batch, which
 resolves the regime (backward_method) and runs that regime's batched
@@ -298,38 +299,56 @@ _ARG_POS = {
     "h": {"x": 0},
     "gamma": {"y": 0},
 }
-# the state slots in which the affine probe takes each map's slope, and
-# the slopes it reads as registered partials
+# the state slots an affine model declares each map affine in, where the
+# probe takes its slopes, and the slopes it reads as registered partials
 _PROBED = {name: "".join(_ARG_POS[name]).replace("v", "") for name in ("f", "sigma", "b", "g")}
 _PROBE_SLOPES = frozenset(f"{name}_{slot}" for name, slots in _PROBED.items() for slot in slots)
 
 
 def _difference(fn, args, pos: int, at0) -> np.ndarray:
-    """``fn`` at 1 in argument ``pos`` less ``at0``, its value at ``args``:
+    """``fn`` at 1 in argument ``pos`` less ``at0``, its value there at 0:
     the exact slope of a map affine in that argument."""
-    probe = list(args)
-    probe[pos] = 1.0
-    return np.asarray(fn(*probe), dtype=float) - at0
+    return np.asarray(fn(*args[:pos], 1.0, *args[pos + 1:]), dtype=float) - at0
+
+
+def _partial(model, name: str, slot: str, args, at0=None) -> np.ndarray:
+    """The partial of map ``name`` in ``slot`` at ``args``, by the one rule
+    for every partial of a model map: the registered ``<name>_<slot>``,
+    in the shape it returns; else a scalar 0.0 in a slot the map provably
+    never reads (``model._unread``); else, in a slot an affine model
+    declares affine (_PROBED), the map at 1 less the map at 0 there
+    (_difference; ``at0`` is the latter when the caller holds it); else a
+    central difference (noise.central_difference), which must be finite."""
+    d = model.derivatives.get(f"{name}_{slot}")
+    if d is not None:
+        return np.asarray(d(*args), dtype=float)
+    if slot in model._unread[name]:
+        return np.asarray(0.0)
+    fn, pos = getattr(model, name), _ARG_POS[name][slot]
+    if model.affine and slot in _PROBED.get(name, ""):
+        if at0 is None:
+            at0 = np.asarray(fn(*args[:pos], 0.0, *args[pos + 1:]), dtype=float)
+        return _difference(fn, args, pos, at0)
+    out = noise_mod.central_difference(fn, args, pos)
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError(f"non-finite derivative probe for {name}_{slot}")
+    return out
+
+
+def model_derivative(model, name: str):
+    """The partial map ``<coefficient>_<argument>``, e.g. ``"f_x"``, read
+    by _partial's rule at the arguments it is called with."""
+    target, _, slot = name.rpartition("_")
+    if slot not in _ARG_POS.get(target, ()):
+        raise KeyError(f"unknown derivative name {name!r}")
+    return lambda *args: _partial(model, target, slot, args)
 
 
 def _slopes(model, name: str, args, slots: str) -> list:
-    """Map ``name``'s value at ``args`` and its slope in each of ``slots``:
-    the registered partial ``<name>_<slot>`` read at ``args``, in the shape
-    it returns; else a scalar 0.0 when the map provably never reads that
-    argument (``model._unread``); else the map's 0/1 difference
-    (_difference), which is then exactly zero too."""
-    fn = getattr(model, name)
-    at0 = np.asarray(fn(*args), dtype=float)
-    out = [at0]
-    for slot in slots:
-        d = model.derivatives.get(f"{name}_{slot}")
-        if d is not None:
-            out.append(np.asarray(d(*args), dtype=float))
-        elif slot in model._unread[name]:
-            out.append(np.asarray(0.0))
-        else:
-            out.append(_difference(fn, args, _ARG_POS[name][slot], at0))
-    return out
+    """Map ``name``'s value at ``args``, whose ``slots`` are all 0, and its
+    slope in each of them by _partial, which reuses that value."""
+    at0 = np.asarray(getattr(model, name)(*args), dtype=float)
+    return [at0] + [_partial(model, name, slot, args, at0) for slot in slots]
 
 
 @dataclass(frozen=True, kw_only=True, eq=False)
@@ -360,25 +379,24 @@ class ModelSpec:
 
     ``affine`` declares f, sigma and b affine in x and g affine in
     (x, y, a, r); with a linear terminal map it makes the model
-    affine_solvable, and the solvers probe its coefficients at state 0:
-    each slope is its registered partial (f_x, sigma_x, b_x, g_x, g_y,
-    g_a, g_r) read there, else the map at 1 less the map at 0, which is
-    exact.  On an affine model each registered slope must match that
-    difference at the validation point to 1e-10 (1 + |difference|), else
-    ValueError.  ``derivatives`` is the one place for closed-form
-    partials, keyed ``<map>_<argument>`` (e.g. "f_x", "l_v"); every
-    partial it lacks, dH/dv's included, is a central difference of the
-    map (the probe's slopes excepted, as above).
+    affine_solvable, and the solvers probe its coefficients at state 0.
+    Every partial of a map, keyed ``<map>_<argument>`` (e.g. "f_x",
+    "l_v"), the probe's slopes and dH/dv's included, is read by one rule
+    (_partial): the closed form registered in ``derivatives``, else a
+    scalar 0.0 in an argument the map provably never reads, else, in a
+    slot an affine model declares affine, the map at 1 less the map at 0
+    there, which is exact, else a central difference of the map.  On an
+    affine model each registered probe slope (f_x, sigma_x, b_x, g_x,
+    g_y, g_a, g_r) must match that difference at the validation point to
+    1e-10 (1 + |difference|), else ValueError.
     Only scalar systems are implemented (n = m = d = k = 1).
 
     When it is built, the spec also decides from each map's code which
     arguments it provably never reads (_may_read), and keeps them as
-    ``_unread[name]``: the probe slots (x; x, y, a and r for g) of f,
-    sigma, b and g, and r for l.  The affine probe takes an unregistered
-    slope in an unread slot as a scalar 0.0 instead of evaluating the map
-    twice; the cost builds r's cells only for an l that may read r, and
-    the LSMC sweep reads the jump fit off its inner states only for a g
-    that may; any other map gets zero cells in their place.
+    ``_unread[name]`` for every slot of _ARG_POS.  Besides the partials,
+    the cost builds r's cells only for an l that may read r, and the LSMC
+    sweep reads the jump fit off its inner states only for a g that may;
+    any other map gets zero cells in their place.
     """
 
     f: Callable
@@ -413,7 +431,7 @@ class ModelSpec:
         object.__setattr__(self, "_unread", types.MappingProxyType({
             name: frozenset(s for s in slots
                             if not _may_read(getattr(self, name), _ARG_POS[name][s]))
-            for name, slots in dict(_PROBED, l="r").items()}))
+            for name, slots in _ARG_POS.items()}))
         if not np.isfinite(self.x0):
             raise ValueError(f"initial state x0 must be finite, got {self.x0}")
         # the validation point of f, sigma, b and g

@@ -16,6 +16,7 @@ sum; ``change_of_variable_check`` verifies that at floating-point
 accuracy rather than assuming it.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -53,8 +54,8 @@ class LevyJumpSpec:
             raise ValueError(f"intensity must be positive and finite, got {self.intensity}")
         if self.mark_law not in ("uniform", "triangular"):
             raise ValueError(f"unknown mark_law {self.mark_law!r}")
-        if self.n_quad < 2:
-            raise ValueError("need at least 2 quadrature nodes")
+        if not isinstance(self.n_quad, numbers.Integral) or self.n_quad < 2:
+            raise ValueError(f"n_quad must be an integer of at least 2, got {self.n_quad!r}")
         if self.mark_law == "triangular" and self.n_quad % 2:
             raise ValueError("the triangular rule splits its nodes over two "
                              f"halves, so n_quad must be even, got {self.n_quad}")

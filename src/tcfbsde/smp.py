@@ -28,17 +28,21 @@ interfaces.  Conventions, once and for all:
   of operational time (constants on a lattice plus randomized two-level
   switches), which keeps them adapted and feasible by construction.
 
-Derivative coefficients come from ``model.derivatives`` closed forms when
-present and otherwise from noise.central_difference, with step
-1e-5 * (1 + |argument|), which is exact for the polynomial coefficient maps
-used throughout.  dH/dv goes the same way: H is linear in its maps, so
-hamiltonian_grad_v is H's form over their v-partials.  expansion_check
-measures the first-order (Gateaux) expansion of the cost in a control
-direction, its difference quotients and its remainders, from one base,
-one variational and one perturbed solve per step size.
+Every partial of a model map comes from fbsde.model_derivative, by the
+one rule of ModelSpec: a registered closed form, else 0.0 in an argument
+the map never reads, else the exact 0/1 difference in a slot an affine
+model declares affine, else a central difference.  The state slopes of
+p, q and X1 are the affine probe's (fbsde._probe_affine), taken once per
+solve; X1 replaces only its intercepts.  dH/dv goes the same way: H is
+linear in its maps, so hamiltonian_grad_v is H's form over their
+v-partials.  expansion_check measures the first-order (Gateaux)
+expansion of the cost in a control direction, its difference quotients
+and its remainders, from one base, one variational and one perturbed
+solve per step size.
 """
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -49,13 +53,11 @@ from .fbsde import (
     ModelSpec,
     PathBundle,
     PerturbedControl,
-    _ARG_POS,
     _affine_backward,
     _affine_step,
     _Batch,
     _batch_cost,
     _euler,
-    _mark_integrals,
     _open_loop,
     _probe_affine,
     _single,
@@ -65,32 +67,9 @@ from .fbsde import (
     _step_sum,
     as_control,
     as_ensemble,
+    model_derivative,
 )
-from .noise import central_difference
 from .time_change import OperationalGrid
-
-
-def model_derivative(model: ModelSpec, name: str):
-    """Partial derivative map ``<coefficient>_<argument>``, e.g. ``"f_x"``.
-
-    Closed forms registered in ``model.derivatives`` win; the fallback is a
-    central difference in the named slot.
-    """
-    if name in model.derivatives:
-        return model.derivatives[name]
-    target, _, arg = name.rpartition("_")
-    if target not in _ARG_POS or arg not in _ARG_POS[target]:
-        raise KeyError(f"unknown derivative name {name!r}")
-    base = getattr(model, target)
-    pos = _ARG_POS[target][arg]
-
-    def fd(*args):
-        out = central_difference(base, args, pos)
-        if not np.all(np.isfinite(out)):
-            raise FloatingPointError(f"non-finite derivative probe for {name}")
-        return out
-
-    return fd
 
 
 # ---------------------------------------------------------------- Hamiltonian
@@ -150,7 +129,7 @@ def hamiltonian(model: ModelSpec, spec, t1, t2, x, y, a, r_nodes, v,
 def hamiltonian_grad_v(model: ModelSpec, spec, t1, t2, x, y, a, r_nodes, v,
                        p, q, k, R_nodes):
     """dH/dv: H's form taken over the v-partials of its maps, as
-    model_derivative gives them (closed forms, else central differences)."""
+    model_derivative gives them."""
     return _hamiltonian_form(lambda name: model_derivative(model, name + "_v"), spec,
                              t1, t2, x, y, a, r_nodes, v, p, q, k, R_nodes)
 
@@ -213,20 +192,21 @@ def _matching(K: np.ndarray, *padded):
         raise ValueError("grid mismatch: results and bundles disagree on the step counts")
 
 
-def _p_forward_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v):
+def _p_forward_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, co):
     """The first adjoint by the affine forward step on the live rows,
     p_{i+1} = p_i + du (lam int g_y p_i - lam int l_y) from
-    p_0 = -gamma_y(Y_0): its record is fx = lam int g_y and
+    p_0 = -gamma_y(Y_0): its record is fx = lam int g_y, the slope Gy of
+    the affine probe ``co`` (_probe_affine at the solved v), and
     f0 = -lam int l_y along the solved rows, with no Brownian or jump
     loading.  That is the closure's first adjoint: _p_state_free, checked
-    before p is solved, bounds g_a, l_a, g_r and l_r by 1e-12."""
-    full = (batch.N, batch.Kmax)
-    args = _step_args(batch, None, X, Y, A, r, v)
-    gy, ly = (batch.spec.intensity * batch.spec.integrate(
-        model_derivative(model, name)(*args), full) for name in ("g_y", "l_y"))
-    co = dict(fx=gy, f0=-ly, sx=0.0, s0=0.0, ibx=0.0, ib0=0.0)
-    p0 = -np.asarray(model_derivative(model, "gamma_y")(Y[:, 0]), dtype=float)
-    return _euler(batch, p0, _affine_step(batch, co, 0.0, 0.0), "adjoint")
+    before the probe is taken, holds g_y and l_y free of the state and
+    bounds g_a, l_a, g_r and l_r by 1e-12."""
+    ly = batch.spec.intensity * batch.spec.integrate(
+        model_derivative(model, "l_y")(*_step_args(batch, None, X, Y, A, r, v)),
+        (batch.N, batch.Kmax))
+    pco = dict(fx=co["Gy"], f0=-ly, sx=0.0, s0=0.0, ibx=0.0, ib0=0.0)
+    p0 = -model_derivative(model, "gamma_y")(Y[:, 0])
+    return _euler(batch, p0, _affine_step(batch, pco, 0.0, 0.0), "adjoint")
 
 
 def _absmax(a) -> float:
@@ -241,7 +221,7 @@ def _affine_in_x(dfun, args, pos=2):
     for xval in (0.0, 1.0, -1.0):
         probe = list(base)
         probe[pos] = np.asarray(xval)
-        vals.append(np.asarray(dfun(*probe), dtype=float))
+        vals.append(dfun(*probe))
     c, s = vals[0], vals[1] - vals[0]
     if _absmax(vals[2] - (c - s)) > 1e-8 * (1.0 + _absmax(c)):
         raise NotImplementedError(
@@ -249,19 +229,19 @@ def _affine_in_x(dfun, args, pos=2):
     return c, s
 
 
-def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
+def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p, co):
     """Exact conditional closure q = cq + Pq X for affine systems.
 
     The second adjoint is a linear BSDE of the same implicit form as the
-    backward state, so after probing the coefficients and the terminal
-    pair this runs _affine_backward with remapped coefficients: the
+    backward state, so from the affine probe ``co`` that p read too
+    (_probe_affine at the solved v) and the probed terminal pair this runs
+    _affine_backward with remapped coefficients: the
     quadratic terms sigma_x^2 and int b_x^2 join the x-slope, the drift
     slope f_x takes the place of the driver's y-slope, the cost gradient
     and the -G_x p source form the driver, and there is no a- or r-term.
     Matching the Brownian and jump parts of q_{i+1} gives k and R.
     """
     N, z, spec, lam = batch.N, batch.znodes, batch.spec, batch.spec.intensity
-    co = _probe_affine(model, batch, v)
     d_lx = model_derivative(model, "l_x")
     d_hx = model_derivative(model, "h_x")
     # lam-integrated cost gradient, split into constant and x-slope parts;
@@ -269,8 +249,7 @@ def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p):
     base = _step_args(batch, None, X, Y, A, r, v)
     lx_args = base[:2] + (np.asarray(0.0), 0.0, 0.0, z * 0.0, base[6])
     probe_one = base[:2] + (np.asarray(0.0), 1.0, 1.0, z * 0.0 + 1.0, base[6])
-    if _absmax(np.asarray(d_lx(*probe_one), dtype=float)
-               - np.asarray(d_lx(*lx_args), dtype=float)) > 1e-8:
+    if _absmax(d_lx(*probe_one) - d_lx(*lx_args)) > 1e-8:
         raise NotImplementedError(
             "adjoint closure needs cost gradients free of (y, a, r)")
     lc, ls = _affine_in_x(d_lx, lx_args)
@@ -300,7 +279,7 @@ def _p_state_free(model: ModelSpec, batch: _Batch, X, Y, A, r, v) -> bool:
     zero = base[:2] + (np.asarray(0.0), 0.0, 0.0, z * 0.0, base[6])
     for name in ("g_y", "l_y", "g_a", "l_a", "g_r", "l_r"):
         d = model_derivative(model, name)
-        vb, vz = (np.asarray(d(*args), dtype=float) for args in (base, zero))
+        vb, vz = (d(*args) for args in (base, zero))
         for val in (vb, vz):
             np.broadcast_to(val, shape)
         if _absmax(vb - vz) > 1e-10 * (1.0 + _absmax(vb)):
@@ -325,8 +304,10 @@ def solve_adjoint_ensemble(model: ModelSpec, bundles,
     The first adjoint p runs through the forward affine step; the second
     (q, k, R) by the affine closure, which needs a model that is affine
     with a linear terminal (affine_solvable) and a state-free first
-    adjoint.  Any other model raises NotImplementedError, before p is
-    solved: the refusal reads only the solved rows.
+    adjoint.  Any other model raises NotImplementedError, before the
+    model is probed or p is solved: the refusal reads only the solved
+    rows.  An accepted model is probed once at the solved v
+    (_probe_affine), and p and q read that one record.
     """
     ens = as_ensemble(bundles)
     _matching(ens.K, solutions)
@@ -336,15 +317,16 @@ def solve_adjoint_ensemble(model: ModelSpec, bundles,
         raise NotImplementedError(
             "the affine adjoint closure needs an affine model "
             "with a linear terminal and a state-free first adjoint")
-    p = _p_forward_batch(model, batch, X, Y, A, r, v)
-    q, k, R = _q_affine_batch(model, batch, X, Y, A, r, v, p)
-    g0 = np.asarray(model_derivative(model, "gamma_y")(Y[:, 0]), dtype=float)
+    co = _probe_affine(model, batch, v)
+    p = _p_forward_batch(model, batch, X, Y, A, r, v, co)
+    q, k, R = _q_affine_batch(model, batch, X, Y, A, r, v, p, co)
+    g0 = model_derivative(model, "gamma_y")(Y[:, 0])
     if np.any(np.abs(p[:, 0] + g0) > 1e-9 * (1.0 + np.abs(g0))):
         raise AssertionError("adjoint initial condition violated")
     rows = np.arange(batch.N)
     xT = X[rows, batch.K]
-    tgt = (-np.asarray(model_derivative(model, "phi_x")(xT), dtype=float) * p[rows, batch.K]
-           + np.asarray(model_derivative(model, "h_x")(xT), dtype=float))
+    tgt = (-model_derivative(model, "phi_x")(xT) * p[rows, batch.K]
+           + model_derivative(model, "h_x")(xT))
     if np.any(np.abs(q[rows, batch.K] - tgt) > 1e-8 * (1.0 + np.abs(tgt))):
         raise AssertionError("adjoint terminal condition violated")
     back = np.argsort(idx)
@@ -370,13 +352,14 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
     """Linearized forward/backward pair along the base trajectory.
 
     The direction vd is read first, on live cells only, and held past a
-    horizon, as the base control v is.  One coefficient record (the
-    partials of f, sigma and b in x and v along the base rows, with vd
-    folded into the intercepts, and g's lam-integrated partials) serves
-    both halves: X1 steps by _affine_step on it, jumping by
-    b_x X1 + b_v vd at each event (b's partials at the event's mark and
-    the base left state), and (Y1, A1, r1) come from _affine_backward on
-    the same record."""
+    horizon, as the base control v is.  One coefficient record serves
+    both halves: the affine probe at the base v (_probe_affine), whose
+    slopes in the state are the system's, with its intercepts replaced by
+    the direction terms f_v vd, sigma_v vd, b_v vd and lam int g_v vd
+    (the v-partials along the base rows).  X1 steps by _affine_step on it,
+    jumping by b_x X1 + b_v vd at each event (b's partials at the event's
+    mark and the base left state), and (Y1, A1, r1) come from
+    _affine_backward on the same record."""
     if not (getattr(control, "state_free", False)
             and getattr(direction, "state_free", False)):
         raise NotImplementedError(
@@ -384,31 +367,23 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
     if not model.affine_solvable:
         raise NotImplementedError(
             "variational solver covers state-affine models only")
-    N, du, lam = batch.N, batch.du, batch.spec.intensity
+    N, du, spec = batch.N, batch.du, batch.spec
     t, u, Xl = batch.t[:, :-1], np.arange(batch.Kmax) * du, X[:, :-1]
-    full = (N, batch.Kmax)
-    # the readers broadcast the record to the batch layout
-    fx, fv, sx, sv = (np.asarray(model_derivative(model, name)(t, u, Xl, v), dtype=float)
-                      for name in ("f_x", "f_v", "sigma_x", "sigma_v"))
-    d_bx, d_bv = model_derivative(model, "b_x"), model_derivative(model, "b_v")
-    bx, bv = (np.asarray(d(t[..., None], u[:, None], Xl[..., None], v[..., None],
-                           batch.znodes), dtype=float) for d in (d_bx, d_bv))
-    args = _step_args(batch, None, X, Y, A, r, v)
-    gy, gx, ga, gv, gr = (lam * batch.spec.integrate(model_derivative(model, name)(*args), full)
-                          for name in ("g_y", "g_x", "g_a", "g_v", "g_r"))
     vd = _open_loop(direction, batch)
-    co = _mark_integrals(batch.spec, dict(fx=fx, f0=fv * vd, sx=sx, s0=sv * vd, bx=bx,
-                                          b0=bv * vd[..., None], Gy=gy, Gx=gx, Ga=ga,
-                                          G0=gv * vd, gr=gr))
+    fv, sv = (model_derivative(model, name)(t, u, Xl, v) for name in ("f_v", "sigma_v"))
+    d_bx, d_bv = model_derivative(model, "b_x"), model_derivative(model, "b_v")
+    b0 = d_bv(t[..., None], u[:, None], Xl[..., None], v[..., None], batch.znodes) * vd[..., None]
+    gv = spec.intensity * spec.integrate(
+        model_derivative(model, "g_v")(*_step_args(batch, None, X, Y, A, r, v)), (N, batch.Kmax))
+    co = dict(_probe_affine(model, batch, v), f0=fv * vd, s0=sv * vd, b0=b0,
+              ib0=spec.integrate(b0, b0.shape[:-1]), G0=gv * vd)
     # the jump of X1 at an event: b_x X1 + b_v vd at the base left state
     pe, s = batch.ev_p, batch.ev_s
     ev = (batch.t[pe, s], s * du, X[pe, s], v[pe, s], batch.ev_z)
-    X1 = _euler(batch, 0.0, _affine_step(batch, co,
-                                         np.asarray(d_bv(*ev), dtype=float) * vd[pe, s],
-                                         np.asarray(d_bx(*ev), dtype=float)), "variational")
-    d_px = model_derivative(model, "phi_x")
+    X1 = _euler(batch, 0.0, _affine_step(batch, co, d_bv(*ev) * vd[pe, s], d_bx(*ev)),
+                "variational")
     XT = X[np.arange(N), batch.K]
-    P_term = np.broadcast_to(np.asarray(d_px(XT), dtype=float), (N,)).astype(float)
+    P_term = np.broadcast_to(model_derivative(model, "phi_x")(XT), (N,)).astype(float)
     Y1, A1, r1 = _affine_backward(batch, X1, co, P_term, np.zeros(N))
     return X1, Y1, A1, r1.table(), vd
 
@@ -425,7 +400,7 @@ def solve_variational(model: ModelSpec, control, direction,
                                            sol.X, sol.Y, sol.A, sol.r, sol.v)
     k = batch.K[0]
     d_px = model_derivative(model, "phi_x")
-    gap = abs(Y1[0, k] - float(np.asarray(d_px(sol.X[0, k]), dtype=float)) * X1[0, k])
+    gap = abs(Y1[0, k] - float(d_px(sol.X[0, k])) * X1[0, k])
     if gap > 1e-9 * (1.0 + abs(Y1[0, k])):
         raise AssertionError("variational terminal condition violated")
     return VariationalSolution(grid=bundle.solver_grid, calendar_times=batch.t[0, : k + 1],
@@ -480,8 +455,8 @@ def expansion_check(model: ModelSpec, control, direction, rhos, bundles) -> tupl
     d_gam = model_derivative(model, "gamma_y")
     XT = X[np.arange(N), batch.K]
     X1T = X1[np.arange(N), batch.K]
-    rhs_p += np.asarray(d_hx(XT), dtype=float) * X1T
-    rhs_p += np.asarray(d_gam(Y[:, 0]), dtype=float) * Y1[:, 0]
+    rhs_p += d_hx(XT) * X1T
+    rhs_p += d_gam(Y[:, 0]) * Y1[:, 0]
     rhs_p = rhs_p[back]
     rhs = float(rhs_p.mean())
     gateaux, remainder = [], []
@@ -616,8 +591,11 @@ def check_sufficient_condition_hypotheses(model: ModelSpec, spec, *,
     is a violation.  Samples are N(0, 1.5^2), and an infinite box side is
     cut at 2.5.  When the model declares a linear terminal and a solved
     trajectory is supplied, the structural identity Y_T = phi(0) + M_T X_T
-    (phi's intercept included) is measured on it.
+    (phi's intercept included) is measured on it.  ``n_samples`` must be
+    an integer of at least 1, else ValueError.
     """
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+        raise ValueError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
     z, _ = spec.quadrature()
     rng = np.random.default_rng(seed)
     spread = 1.5

@@ -575,10 +575,13 @@ def test_certificate_is_byte_deterministic():
 def test_certificate_refuses_samples_without_a_standard_error():
     """Every mean the certificate reports needs a standard error: a sample
     size below 2 raises instead of certifying on cost_se 0, and
-    margin_paths=1 is no longer read as 2."""
+    margin_paths=1 is no longer read as 2.  A size that is not an integer
+    raises too: 2.5 paths were read as 2, and 2.5 ensemble paths died
+    inside seeding."""
     for name in ("ensemble_size", "margin_paths", "expansion_paths"):
-        with pytest.raises(ValueError, match=name):
-            certify_optimality(CashSpec(), [0.5], **{"ensemble_size": 8, name: 1})
+        for n in (1, 2.5):
+            with pytest.raises(ValueError, match=name):
+                certify_optimality(CashSpec(), [0.5], **{"ensemble_size": 8, name: n})
 
 
 def test_certificate_refuses_a_zero_or_non_finite_expansion_step():

@@ -1417,8 +1417,9 @@ def _backward_rows(model, ctl, direction, batch):
         Y, A, r = fbsde._backward_batch(model, ctl, batch, X, v, method)
         out.update(zip((f"{name}.{method}" for name in "YAr"), (Y, A, r.table())))
     base = (X, out["Y.affine"], out["A.affine"], out["r.affine"], v)
-    p = smp._p_forward_batch(model, batch, *base)
-    out.update(zip("qkR", smp._q_affine_batch(model, batch, *base, p)))
+    co = fbsde._probe_affine(model, batch, v)
+    p = smp._p_forward_batch(model, batch, *base, co)
+    out.update(zip("qkR", smp._q_affine_batch(model, batch, *base, p, co)))
     out.update(zip(("Y1", "A1", "r1"),
                    smp._variational_batch(model, ctl, direction, batch, *base)[1:4]))
     return out

@@ -38,6 +38,9 @@ def test_jump_spec_validation():
     # the triangular rule splits its nodes over two halves
     with pytest.raises(ValueError, match="even"):
         LevyJumpSpec(c=1.0, intensity=1.0, mark_law="triangular", n_quad=3)
+    # a non-integer node count is refused when built, not at first use
+    with pytest.raises(ValueError, match="n_quad"):
+        LevyJumpSpec(c=1.0, intensity=1.0, n_quad=3.0)
 
 
 @pytest.mark.parametrize("law", ["uniform", "triangular"])

@@ -36,7 +36,7 @@ from tcfbsde.fbsde import (
     solve_calendar_direct,
     solve_forward_dual,
 )
-from tcfbsde.noise import LevyJumpSpec
+from tcfbsde.noise import LevyJumpSpec, central_difference
 from tcfbsde.time_change import invert_subordinator
 from tcfbsde.smp import (
     OptimalityReport,
@@ -71,6 +71,39 @@ def test_model_derivative_prefers_registered_closed_form():
                                 derivatives={"f_v": lambda t1, t2, x, v: 123.0 + 0.0 * v})
     assert float(model_derivative(model, "f_v")(0, 0, 0, 0)) == 123.0
     assert abs(float(model_derivative(model, "f_x")(0, 0, 0, 0)) + 1.0) < 1e-10
+
+
+def test_model_derivative_reads_one_rule():
+    """On an affine model with no registered partials, f_x is f at x = 1
+    less f at x = 0, to the bit, read at a non-zero state from those two
+    calls alone; g's a, which g never reads, is 0.0 without a call of g.
+    A v-partial, and f_x of a model not declared affine, stay central
+    differences."""
+    calls = []
+
+    def f(t1, t2, x, v):
+        calls.append(("f", float(x)))
+        return 0.3 * x + 0.1 * t1 + 0.7 * v
+
+    def g(t1, t2, x, y, a, r, v):
+        calls.append(("g", None))
+        return -y + 0.5 * x + r + 0.0 * v
+
+    model = mk_model(f=f, g=g, phi=lambda x: 1.0 * x, M_T=1.0, affine=True)
+    at = (0.2, 0.1, 2.0, 0.4)
+    calls.clear()
+    got = model_derivative(model, "f_x")(*at)
+    assert sorted(calls) == [("f", 0.0), ("f", 1.0)]
+    want = np.asarray(f(0.2, 0.1, 1.0, 0.4)) - np.asarray(f(0.2, 0.1, 0.0, 0.4))
+    assert got.tobytes() == want.tobytes()
+    calls.clear()
+    assert model_derivative(model, "g_a")(0.2, 0.1, 2.0, 0.5, 0.7, 0.3, 0.4) == 0.0
+    assert calls == []
+    fd_v = central_difference(f, at, 3)
+    assert model_derivative(model, "f_v")(*at).tobytes() == fd_v.tobytes()
+    plain = dataclasses.replace(model, affine=False)
+    fd_x = central_difference(f, at, 2)
+    assert model_derivative(plain, "f_x")(*at).tobytes() == fd_x.tobytes()
 
 
 def test_model_derivative_unknown_name():
@@ -346,9 +379,10 @@ def test_adjoint_closure_needs_a_cost_gradient_free_of_y_a_r():
     row = smp._one_row(bnd, sol)
     batch = fbsde._single(bnd)
     args = (row.X, row.Y, row.A, row.r, row.v)
-    p = smp._p_forward_batch(model, batch, *args)
+    co = fbsde._probe_affine(model, batch, row.v)
+    p = smp._p_forward_batch(model, batch, *args, co)
     with pytest.raises(NotImplementedError, match=r"cost gradients free of \(y, a, r\)"):
-        smp._q_affine_batch(model, batch, *args, p)
+        smp._q_affine_batch(model, batch, *args, p, co)
 
 
 def test_adjoint_and_variational_checks_fire(monkeypatch):
@@ -790,6 +824,16 @@ def test_sufficiency_report_catches_concave_terminal_cost():
     assert rep.worst_h_gap > 1e-3
     assert rep.hamiltonian_convex
     assert rep.terminal_gap is None
+
+
+def test_sufficiency_check_refuses_a_sample_size_that_is_not_a_count():
+    """n_samples = 2.7 was drawn as 2 and reported as 2, and 0 died in
+    np.max on an empty array: each is refused, naming n_samples."""
+    model, jspec, _ = lq_model()
+    for n in (2.7, 0, -3, 2.0):
+        with pytest.raises(ValueError, match="n_samples"):
+            check_sufficient_condition_hypotheses(model, jspec, n_samples=n)
+    assert check_sufficient_condition_hypotheses(model, jspec, n_samples=1).n_samples == 1
 
 
 def test_optimality_report_serialization_is_stable():

@@ -211,8 +211,8 @@ def dump(out_path):
         for field, val in zip(("X1", "Y1", "A1", "r1", "vd"), var):
             out[f"variational.{name}.{field}"] = val[np.argsort(order)]
 
-    # both expansion tables on 64 ragged linear_test paths, whose
-    # derivatives are central differences: pins the reorder of the
+    # both expansion tables on 64 ragged linear_test paths, whose cost
+    # and v-partials are central differences: pins the reorder of the
     # per-path quotients and remainders before every ensemble mean
     tables = smp.expansion_check(lin, fbsde.ConstantControl(0.5), fbsde.ConstantControl(1.0),
                                  [0.1, 0.05], ens[:64])
