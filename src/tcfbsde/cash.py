@@ -25,7 +25,7 @@ Monte Carlo comparison against caller-supplied challenger controls.
 """
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -209,13 +209,15 @@ def cash_adjoints(spec: CashSpec, bundles):
     return adj[0] if single else adj
 
 
-def _leading(adj: EnsembleAdjoint, n: int) -> EnsembleAdjoint:
-    """The adjoints of an ensemble's first n paths at their own width (the
-    largest K among them): each row is computed on its own, so these are
-    the rows cash_adjoints gives those paths alone."""
-    k = int(adj.K[:n].max())
-    return EnsembleAdjoint(K=adj.K[:n], du=adj.du, t=adj.t[:n, : k + 1], p=adj.p[:n, : k + 1],
-                           q=adj.q[:n, : k + 1], k=adj.k[:n, :k], R=adj.R[:n, :k])
+def _leading(rows, n: int):
+    """An EnsembleSolution's or EnsembleAdjoint's first n rows at their own
+    width, the largest K among them: a field on the grid points, like t,
+    keeps k + 1 columns and one on the steps k.  Each row is computed on
+    its own, so these are the rows a solve of those paths alone gives."""
+    k, width = int(rows.K[:n].max()), rows.t.shape[1]
+    cut = {name: a[:n, : k + (a.shape[1] == width)]
+           for name, a in vars(rows).items() if name not in ("K", "du")}
+    return replace(rows, K=rows.K[:n], **cut)
 
 
 def cash_optimal_control(spec: CashSpec, adjoints) -> StepwiseControl:
@@ -274,11 +276,12 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
     challenger in ``candidates`` are costed on it, so the reported gaps
     J(candidate) - J(u*) carry paired standard errors.  The margin search
     then reruns the directional-derivative check at the computed optimum,
-    against 64 candidates, on a leading slice of at most ``margin_paths``
-    paths: the rows u*'s cost solve kept and the matching rows of the
-    ensemble's adjoints, so no u* row is solved twice.  Passing
-    ``expansion_rhos`` also fills the difference-quotient and remainder
-    tables (direction: unit rate increase) on ``expansion_paths`` paths.
+    against 64 candidates, on at most ``margin_paths`` leading paths, and
+    passing ``expansion_rhos`` fills the difference-quotient and remainder
+    tables (direction: unit rate increase) on ``expansion_paths``.  u*'s
+    cost solve keeps max(margin_paths, expansion_paths) rows (margin_paths
+    without expansion_rhos); each stage reads its leading rows of them, so
+    no u* row is solved twice.
     ``ensemble_size``, ``margin_paths`` and ``expansion_paths`` must be
     integers of at least 2, so that every reported mean has a standard
     error; anything else raises ValueError.
@@ -298,7 +301,8 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
     adjs = cash_adjoints(spec, bundles)
     ustar = cash_optimal_control(spec, adjs)
     head = min(len(bundles), int(margin_paths))
-    base, sols = _ensemble_cost(model, ustar, bundles, keep=head)
+    tail = min(len(bundles), int(expansion_paths)) if expansion_rhos else 0
+    base, sols = _ensemble_cost(model, ustar, bundles, keep=max(head, tail))
     gap_rows = []
     for idx, cand in enumerate(candidates):
         cand = as_control(cand)
@@ -308,13 +312,12 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
         gap_rows.append(dict(index=idx, label=_describe(cand),
                              gap=float(diff.mean()), se=se,
                              cost=est.mean, cost_se=est.std_error))
-    margins = check_necessary_condition(model, bundles[:head], sols, _leading(adjs, head),
-                                        count=64, seed=seed)
+    margins = check_necessary_condition(model, bundles[:head], _leading(sols, head),
+                                        _leading(adjs, head), count=64, seed=seed)
     conv_rows, rem_rows = [], []
     if expansion_rhos:
-        sub = bundles[: min(len(bundles), int(expansion_paths))]
-        conv_rows, rem_rows = expansion_check(model, ustar, ConstantControl(1.0),
-                                              list(expansion_rhos), sub)
+        conv_rows, rem_rows = expansion_check(model, bundles[:tail], _leading(sols, tail),
+                                              ConstantControl(1.0), list(expansion_rhos))
     certified = (margins.min_margin >= -3.0 * margins.std_error - 1e-12
                  and all(row["gap"] >= -3.0 * row["se"] for row in gap_rows))
     meta = dict(model="cash", ensemble=int(len(bundles)), seed=int(seed),

@@ -111,6 +111,7 @@ import copy
 import dis
 import inspect
 import math
+import numbers
 import types
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
@@ -204,8 +205,8 @@ class TableControl:
         self.values = np.asarray(values, dtype=float)
         if self.times.ndim != 1 or self.times.shape != self.values.shape:
             raise ValueError("times and values must be matching 1-d arrays")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("table times must be strictly increasing")
+        if not np.all(np.isfinite(self.times)) or np.any(np.diff(self.times) <= 0.0):
+            raise ValueError("table times must be finite and strictly increasing")
 
     def values_at(self, i, t1, t2, x, paths):
         idx = np.searchsorted(self.times, np.asarray(t1, dtype=float), side="right") - 1
@@ -672,10 +673,15 @@ def make_ensemble(sub_spec: SubordinatorSpec, jump_spec: LevyJumpSpec,
     range(n_paths), else ValueError) re-pairs subordinator draws with
     other indices' noise, which must leave every ensemble statistic's law
     unchanged; the cost-independence test relies on that.  A master seed
-    that is negative or not integral raises ValueError.
+    that is negative or not integral, an n_paths below 1 or not integral,
+    and a step or calendar_horizon not finite and positive raise
+    ValueError.
     """
-    if n_paths < 1:
-        raise ValueError("ensemble must contain at least one path")
+    if not isinstance(n_paths, numbers.Integral) or n_paths < 1:
+        raise ValueError(f"n_paths must be an integer of at least 1, got {n_paths!r}")
+    for name, val in (("step", step), ("calendar_horizon", calendar_horizon)):
+        if not (np.isfinite(val) and val > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {val}")
     pairing = np.arange(n_paths) if pairing is None else np.asarray(pairing)
     if not np.array_equal(np.sort(pairing), np.arange(n_paths)):
         raise ValueError(f"pairing must be a permutation of range({n_paths})")
@@ -815,8 +821,8 @@ def _sorted_batches(ens: Ensemble, chunk: int):
     batch rows, which are also the batch labels; callers scatter per-row
     results back with it, so everything downstream sees ensemble order.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1 row, got {chunk}")
+    if not isinstance(chunk, numbers.Integral) or chunk < 1:
+        raise ValueError(f"chunk must be an integer of at least 1 row, got {chunk!r}")
     order = np.argsort(ens.K, kind="stable")
     for lo in range(0, order.size, chunk):
         idx = order[lo: lo + chunk]
@@ -1575,6 +1581,11 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
     Y, A, r = _backward_batch(model, control, batch, X, v, method, co=co)
     # r keeps the probe's bx and b0; free the rest before the running cost
     del co
+    return _row_cost(model, batch, X, Y, A, r, v), X, Y, v, A, r
+
+
+def _row_cost(model: ModelSpec, batch: _Batch, X, Y, A, r, v) -> np.ndarray:
+    """Each row's running cost plus h(X_T) and gamma(Y_0), off its solved rows."""
     N = batch.N
     cells = r if "r" not in model._unread["l"] else _NodeCells(batch.K, batch.w.size)
     run = _step_sum(batch,
@@ -1582,7 +1593,7 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
     XT = X[np.arange(N), batch.K]
     hterm = np.broadcast_to(np.asarray(model.h(XT), dtype=float), (N,))
     gterm = np.broadcast_to(np.asarray(model.gamma(Y[:, 0]), dtype=float), (N,))
-    return run + hterm + gterm, X, Y, v, A, r
+    return run + hterm + gterm
 
 
 def _ensemble_cost(model: ModelSpec, control, bundles, method=None, chunk: int = 512,

@@ -22,8 +22,8 @@ interfaces.  Conventions, once and for all:
   coefficients.  It covers affine systems with a linear terminal whose
   first adjoint is deterministic given the time change; any other model
   is rejected loudly instead of being approximated silently.
-* The adjoints and the margins are taken along the solved trajectory, so
-  they read the control from the solved rates (solutions.v) alone.
+* The adjoints, the margins and the expansion check read the solved
+  rows, and the control from their rates (solutions.v) alone.
 * Candidate controls in the necessary-condition search are step functions
   of operational time (constants on a lattice plus randomized two-level
   switches), which keeps them adapted and feasible by construction.
@@ -37,8 +37,8 @@ solve; X1 replaces only its intercepts.  dH/dv goes the same way: H is
 linear in its maps, so hamiltonian_grad_v is H's form over their
 v-partials.  expansion_check measures the first-order (Gateaux)
 expansion of the cost in a control direction, its difference quotients
-and its remainders, from one base, one variational and one perturbed
-solve per step size.
+and its remainders, from the solved rows, one variational and one
+perturbed solve per step size.
 """
 
 import json
@@ -53,6 +53,7 @@ from .fbsde import (
     ModelSpec,
     PathBundle,
     PerturbedControl,
+    StepwiseControl,
     _affine_backward,
     _affine_step,
     _Batch,
@@ -60,6 +61,7 @@ from .fbsde import (
     _euler,
     _open_loop,
     _probe_affine,
+    _row_cost,
     _single,
     _solver_grid,
     _sorted_batches,
@@ -198,7 +200,7 @@ def _p_forward_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, co):
     p_0 = -gamma_y(Y_0): its record is fx = lam int g_y, the slope Gy of
     the affine probe ``co`` (_probe_affine at the solved v), and
     f0 = -lam int l_y along the solved rows, with no Brownian or jump
-    loading.  That is the closure's first adjoint: _p_state_free, checked
+    loading.  That is the closure's first adjoint: _closure_check, run
     before the probe is taken, holds g_y and l_y free of the state and
     bounds g_a, l_a, g_r and l_r by 1e-12."""
     ly = batch.spec.intensity * batch.spec.integrate(
@@ -229,7 +231,7 @@ def _affine_in_x(dfun, args, pos=2):
     return c, s
 
 
-def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p, co):
+def _q_affine_batch(model: ModelSpec, batch: _Batch, X, p, co, Lx0, Lxx, hc, hs):
     """Exact conditional closure q = cq + Pq X for affine systems.
 
     The second adjoint is a linear BSDE of the same implicit form as the
@@ -239,23 +241,10 @@ def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p, co):
     quadratic terms sigma_x^2 and int b_x^2 join the x-slope, the drift
     slope f_x takes the place of the driver's y-slope, the cost gradient
     and the -G_x p source form the driver, and there is no a- or r-term.
+    Lx0, Lxx, hc and hs are the cost gradients _closure_check returns.
     Matching the Brownian and jump parts of q_{i+1} gives k and R.
     """
-    N, z, spec, lam = batch.N, batch.znodes, batch.spec, batch.spec.intensity
-    d_lx = model_derivative(model, "l_x")
-    d_hx = model_derivative(model, "h_x")
-    # lam-integrated cost gradient, split into constant and x-slope parts;
-    # the closure also needs that gradient free of (y, a, r)
-    base = _step_args(batch, None, X, Y, A, r, v)
-    lx_args = base[:2] + (np.asarray(0.0), 0.0, 0.0, z * 0.0, base[6])
-    probe_one = base[:2] + (np.asarray(0.0), 1.0, 1.0, z * 0.0 + 1.0, base[6])
-    if _absmax(d_lx(*probe_one) - d_lx(*lx_args)) > 1e-8:
-        raise NotImplementedError(
-            "adjoint closure needs cost gradients free of (y, a, r)")
-    lc, ls = _affine_in_x(d_lx, lx_args)
-    Lx0 = lam * spec.integrate(lc, v.shape)
-    Lxx = lam * spec.integrate(ls, v.shape)
-    hc, hs = _affine_in_x(d_hx, (np.asarray(0.0),), pos=0)
+    N, spec, lam = batch.N, batch.spec, batch.spec.intensity
     pT = p[np.arange(N), batch.K]
     fx, sx, bx = co["fx"], co["sx"], co["bx"]
     bb, bb0 = bx ** 2, bx * co["b0"]
@@ -267,26 +256,41 @@ def _q_affine_batch(model: ModelSpec, batch: _Batch, X, Y, A, r, v, p, co):
     return q, k, R.table()
 
 
-def _p_state_free(model: ModelSpec, batch: _Batch, X, Y, A, r, v) -> bool:
-    """True when the first adjoint's coefficients ignore the state and
-    carry no Brownian or jump loading, so p is a functional of the
-    subordinator path alone.  Each derivative is compared at the shape it
-    comes in (a broadcast holds no value its source lacks), after a check
-    that it broadcasts to the nodewise (N, Kmax, nodes) layout."""
-    z = batch.znodes
-    shape = v.shape + (z.size,)
+def _closure_check(model: ModelSpec, batch: _Batch, X, Y, A, r, v):
+    """Refuse, from the solved rows alone, a model outside the affine
+    adjoint closure; return lam int l_x's constant and x-slope and h_x's.
+
+    The closure needs an affine_solvable model whose first adjoint is a
+    functional of the clock alone (g_y and l_y free of the state, g_a,
+    l_a, g_r and l_r within 1e-12 of 0; each compared at the shape it
+    comes in, after a check that it broadcasts to (N, Kmax, nodes)), an
+    l_x free of (y, a, r) and affine in x, and an h_x affine in x.
+    Anything else raises NotImplementedError."""
+    z, spec = batch.znodes, batch.spec
     base = _step_args(batch, None, X, Y, A, r, v)
     zero = base[:2] + (np.asarray(0.0), 0.0, 0.0, z * 0.0, base[6])
-    for name in ("g_y", "l_y", "g_a", "l_a", "g_r", "l_r"):
+
+    def loads_p(name):
         d = model_derivative(model, name)
         vb, vz = (d(*args) for args in (base, zero))
         for val in (vb, vz):
-            np.broadcast_to(val, shape)
-        if _absmax(vb - vz) > 1e-10 * (1.0 + _absmax(vb)):
-            return False
-        if name in ("g_a", "l_a", "g_r", "l_r") and _absmax(vb) > 1e-12:
-            return False
-    return True
+            np.broadcast_to(val, v.shape + (z.size,))
+        return (_absmax(vb - vz) > 1e-10 * (1.0 + _absmax(vb))
+                or name in ("g_a", "l_a", "g_r", "l_r") and _absmax(vb) > 1e-12)
+
+    if not model.affine_solvable or any(
+            loads_p(name) for name in ("g_y", "l_y", "g_a", "l_a", "g_r", "l_r")):
+        raise NotImplementedError(
+            "the affine adjoint closure needs an affine model "
+            "with a linear terminal and a state-free first adjoint")
+    d_lx = model_derivative(model, "l_x")
+    probe_one = base[:2] + (np.asarray(0.0), 1.0, 1.0, z * 0.0 + 1.0, base[6])
+    if _absmax(d_lx(*probe_one) - d_lx(*zero)) > 1e-8:
+        raise NotImplementedError(
+            "adjoint closure needs cost gradients free of (y, a, r)")
+    lc, ls = _affine_in_x(d_lx, zero)
+    hc, hs = _affine_in_x(model_derivative(model, "h_x"), (np.asarray(0.0),), pos=0)
+    return (*(spec.intensity * spec.integrate(c, v.shape) for c in (lc, ls)), hc, hs)
 
 
 def solve_adjoint(model: ModelSpec, bundle: PathBundle,
@@ -303,23 +307,21 @@ def solve_adjoint_ensemble(model: ModelSpec, bundles,
 
     The first adjoint p runs through the forward affine step; the second
     (q, k, R) by the affine closure, which needs a model that is affine
-    with a linear terminal (affine_solvable) and a state-free first
-    adjoint.  Any other model raises NotImplementedError, before the
-    model is probed or p is solved: the refusal reads only the solved
-    rows.  An accepted model is probed once at the solved v
-    (_probe_affine), and p and q read that one record.
+    with a linear terminal (affine_solvable), a state-free first adjoint
+    and cost gradients affine in the state (_closure_check).  Any other
+    model raises NotImplementedError, before the model is probed or p is
+    solved: every refusal reads only the solved rows.  An accepted model
+    is probed once at the solved v (_probe_affine), and p and q read that
+    one record.
     """
     ens = as_ensemble(bundles)
     _matching(ens.K, solutions)
     (idx, batch), = _sorted_batches(ens, len(ens))
     X, Y, A, r, v = (getattr(solutions, name)[idx] for name in "XYArv")
-    if not (model.affine_solvable and _p_state_free(model, batch, X, Y, A, r, v)):
-        raise NotImplementedError(
-            "the affine adjoint closure needs an affine model "
-            "with a linear terminal and a state-free first adjoint")
+    terms = _closure_check(model, batch, X, Y, A, r, v)
     co = _probe_affine(model, batch, v)
     p = _p_forward_batch(model, batch, X, Y, A, r, v, co)
-    q, k, R = _q_affine_batch(model, batch, X, Y, A, r, v, p, co)
+    q, k, R = _q_affine_batch(model, batch, X, p, co, *terms)
     g0 = model_derivative(model, "gamma_y")(Y[:, 0])
     if np.any(np.abs(p[:, 0] + g0) > 1e-9 * (1.0 + np.abs(g0))):
         raise AssertionError("adjoint initial condition violated")
@@ -409,11 +411,13 @@ def solve_variational(model: ModelSpec, control, direction,
 
 # ------------------------------------------------- expansion and gap checks
 
-def expansion_check(model: ModelSpec, control, direction, rhos, bundles) -> tuple:
+def expansion_check(model: ModelSpec, bundles, solutions, direction, rhos) -> tuple:
     """First-order expansion of the cost and the state pair in a direction.
 
-    One base solve, one variational solve and one perturbed solve per rho
-    on common noise feed two tables, each with one row per rho:
+    The base is the solved rows, whose rates solutions.v are its control
+    and whose cost is read off them (_row_cost).  One variational solve
+    and one perturbed solve per rho on common noise feed two tables, each
+    with one row per rho:
 
     * Gateaux rows: the difference quotient of the cost (lhs) against the
       variational formula (rhs), which integrates the cost gradients
@@ -424,21 +428,22 @@ def expansion_check(model: ModelSpec, control, direction, rhos, bundles) -> tupl
       norms), all mean-square over the ensemble; common noise makes their
       decay deterministic.
 
-    Every solve takes backward_method's automatic regime, on one K-sorted
-    batch whose per-path results return to ensemble order before every
-    mean.  Every rho must be finite and nonzero, else ValueError.
+    Every perturbed solve takes backward_method's automatic regime, on one
+    K-sorted batch whose per-path results return to ensemble order before
+    every mean.  Every rho must be finite and nonzero, else ValueError.
     Returns (gateaux_rows, remainder_rows).
     """
     for rho in rhos:
         if not (np.isfinite(rho) and rho != 0.0):
             raise ValueError(f"expansion step rho must be finite and nonzero, got {rho}")
-    control = as_control(control)
     direction = as_control(direction)
     ens = as_ensemble(bundles)
+    _matching(ens.K, solutions)
     (idx, batch), = _sorted_batches(ens, len(ens))
     back = np.argsort(idx)
-    vals_u, X, Y, v, A, r = _batch_cost(model, control, batch)
-    r = r.table()
+    control = StepwiseControl(solutions.v)
+    X, Y, A, r, v = (getattr(solutions, name)[idx] for name in "XYArv")
+    vals_u = _row_cost(model, batch, X, Y, A, r, v)
     X1, Y1, A1, r1, vd = _variational_batch(model, control, direction, batch,
                                             X, Y, A, r, v)
     N, du, lam = batch.N, batch.du, batch.spec.intensity
@@ -511,10 +516,11 @@ def check_necessary_condition(model: ModelSpec, bundles, solutions, adjoints, *,
     Carlo error, and the candidate w = u sits at exactly zero.  An
     unbounded side of the control box is cut 1 beyond the extreme live
     rate (cells with K > i; the box's interior point when no path has a
-    step), so the padding never sets the candidates' range.
+    step), so the padding never sets the candidates' range.  ``count``
+    must be an integer of at least 1, else ValueError.
     """
-    if count < 1:
-        raise ValueError("candidate set is empty")
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"candidate set is empty or not a count: count={count!r}")
     ens = as_ensemble(bundles)
     K, du = ens.K, ens.du
     N, Kmax = K.size, int(K.max())

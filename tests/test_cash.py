@@ -593,9 +593,9 @@ def test_certificate_refuses_a_zero_or_non_finite_expansion_step():
 
 
 def test_certificate_solves_each_ustar_row_once(monkeypatch):
-    """u*'s rows reach _batch_cost once for the cost, whose pass keeps the
-    margin lead's rows, and once for the expansion base: 64 + 16 rows, not
-    64 + 40 + 16."""
+    """u*'s rows reach _batch_cost once, for the cost, whose pass keeps the
+    rows of the margin lead and of the expansion base, which read them:
+    64 rows, not 64 + 16."""
     batch_cost, rows = fbsde._batch_cost, []
 
     def counting(model, control, batch, method=None):
@@ -607,7 +607,7 @@ def test_certificate_solves_each_ustar_row_once(monkeypatch):
         monkeypatch.setattr(module, "_batch_cost", counting)
     certify_optimality(CashSpec(), [0.5], ensemble_size=64, margin_paths=40,
                        expansion_rhos=[0.1], expansion_paths=16)
-    assert sum(rows) == 64 + 16
+    assert sum(rows) == 64
 
 
 def _reshaped_twin(model, reshape):
@@ -657,7 +657,7 @@ def test_results_do_not_depend_on_map_shapes():
             adjoints=[np.concatenate([a.p, a.q, a.k, a.R.ravel()]) for a in gen],
             margins=json.dumps(check_necessary_condition(
                 model, bundles, sols, adjs, count=16).margins),
-            expansion=json.dumps(expansion_check(model, ustar, direction, rhos, bundles)),
+            expansion=json.dumps(expansion_check(model, bundles, sols, direction, rhos)),
         ))
     ref = outputs[0]
     for out in outputs[1:]:

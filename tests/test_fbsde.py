@@ -124,6 +124,11 @@ def test_table_control_is_left_constant():
                           [5.0, 5.0, 5.0, 6.0, 6.0, 7.0])
     with pytest.raises(ValueError, match="strictly increasing"):
         TableControl([0.0, 0.0], [1.0, 2.0])
+    # np.diff against NaN compares False: this table was accepted, and read
+    # 1.0 at t = 0.6 where it says 3.0
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TableControl([0.0, bad, 0.5], [1.0, 2.0, 3.0])
 
 
 def test_stepwise_control_reads_its_row():
@@ -350,6 +355,28 @@ def test_pairing_must_be_a_permutation(pairing):
     model, jump, sub, p = build_model("linear_test")
     with pytest.raises(ValueError, match=r"pairing must be a permutation of range\(4\)"):
         make_ensemble(sub, jump, 0.5, 0.01, 4, master_seed=7, pairing=pairing)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("step", 0.0),                   # ZeroDivisionError
+    ("step", np.nan),                # "cannot convert float NaN to integer"
+    ("calendar_horizon", np.inf),    # OverflowError
+    ("calendar_horizon", -1.0),      # a complex power's TypeError
+    ("n_paths", 2.5),                # a numpy TypeError
+    ("n_paths", 0),
+])
+def test_make_ensemble_refuses_bad_sizes_by_name(name, value):
+    """make_ensemble checks its step, horizon and path count before using
+    them, and a bad one raises ValueError naming it; certify_optimality
+    passes its step through."""
+    model, jump, sub, p = build_model("linear_test")
+    args = dict(calendar_horizon=0.5, step=0.01, n_paths=4)
+    args[name] = value
+    with pytest.raises(ValueError, match=name):
+        make_ensemble(sub, jump, master_seed=7, **args)
+    if name == "step":
+        with pytest.raises(ValueError, match="step"):
+            certify_optimality(CashSpec(), step=value, ensemble_size=4)
 
 
 # a slow clock on a horizon of one step: 4 of its 96 paths have no solver
@@ -835,15 +862,16 @@ def test_cost_chunking_and_row_labels():
     direction, rho = ConstantControl(1.0), 0.1
     quotient = (evaluate_cost(cash, PerturbedControl(ctl, direction, rho), part).per_path
                 - evaluate_cost(cash, ctl, part).per_path) / rho
-    (row,), _ = expansion_check(cash, ctl, direction, [rho], part)
+    (row,), _ = expansion_check(cash, part, solved_ensemble(cash, ctl, part), direction,
+                                [rho])
     assert row["lhs"] == float(quotient.mean())
 
 
-@pytest.mark.parametrize("chunk", [0, -1])
+@pytest.mark.parametrize("chunk", [0, -1, 2.5])
 def test_cost_rejects_a_chunk_below_one(chunk):
-    """A chunk below one row raises naming it, in the cost and in the
-    solved ensemble: -1 used to return uninitialised per-path values, and
-    0 an opaque range() error."""
+    """A chunk below one row, or not an integer, raises naming it, in the
+    cost and in the solved ensemble: -1 used to return uninitialised
+    per-path values, and 0 and 2.5 an opaque range() error."""
     model, jump, sub, p = build_model("linear_test")
     ens = make_ensemble(sub, jump, p["horizon"], p["step"], 8, master_seed=0)
     with pytest.raises(ValueError, match="chunk"):
@@ -1301,8 +1329,9 @@ def test_stepwise_padding_is_never_read(method):
     assert got.tobytes() == want.tobytes()
     if method is None:
         ones, nan_ones = (StepwiseControl(np.where(live, 1.0, fill)) for fill in (1.0, np.nan))
-        assert (expansion_check(model, full, nan_ones, [0.1], ens)
-                == expansion_check(model, full, ones, [0.1], ens))
+        sols = solved_ensemble(model, full, ens)
+        assert (expansion_check(model, ens, sols, nan_ones, [0.1])
+                == expansion_check(model, ens, sols, ones, [0.1]))
         for bnd in ens:
             (Xw, Yw, _), (Xg, Yg, _) = (solve_calendar_direct(model, ctl, bnd)
                                         for ctl in (full, padded))
@@ -1419,7 +1448,8 @@ def _backward_rows(model, ctl, direction, batch):
     base = (X, out["Y.affine"], out["A.affine"], out["r.affine"], v)
     co = fbsde._probe_affine(model, batch, v)
     p = smp._p_forward_batch(model, batch, *base, co)
-    out.update(zip("qkR", smp._q_affine_batch(model, batch, *base, p, co)))
+    terms = smp._closure_check(model, batch, *base)
+    out.update(zip("qkR", smp._q_affine_batch(model, batch, X, p, co, *terms)))
     out.update(zip(("Y1", "A1", "r1"),
                    smp._variational_batch(model, ctl, direction, batch, *base)[1:4]))
     return out

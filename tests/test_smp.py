@@ -344,14 +344,14 @@ def _closure_case(**maps):
 def test_adjoint_closure_needs_a_state_free_first_adjoint(l):
     """An affine_solvable model whose first adjoint is not a functional of
     the clock alone is refused by the automatic regime: one model per way
-    _p_state_free says no."""
+    _closure_check finds the first adjoint loaded."""
     model, bundles, sols = _closure_case(l=l)
     with pytest.raises(NotImplementedError, match="state-free first adjoint"):
         solve_adjoint_ensemble(model, bundles, sols)
 
 
 def test_state_free_check_refuses_a_derivative_that_does_not_broadcast():
-    """_p_state_free compares each derivative at the shape it returns, but
+    """_closure_check compares each derivative at the shape it returns, but
     a return that does not broadcast to the nodewise (N, Kmax, nodes)
     layout is still refused, not compared."""
     model, bundles, sols = _closure_case()
@@ -369,20 +369,30 @@ def test_adjoint_closure_needs_a_cost_gradient_affine_in_the_state():
         solve_adjoint_ensemble(model, bundles, sols)
 
 
-def test_adjoint_closure_needs_a_cost_gradient_free_of_y_a_r():
-    """l = x y gives l_x = y.  Through solve_adjoint_ensemble _p_state_free
-    refuses first (l_y = x moves with the state), so the second adjoint's
-    own check is called directly on the solved path."""
-    model, bundles, _ = _closure_case(l=lambda t1, t2, x, y, a, r, v: x * y)
-    bnd = bundles[0]
-    sol = solve_backward_dual(model, 0.5, bnd, solve_forward_dual(model, 0.5, bnd))
-    row = smp._one_row(bnd, sol)
-    batch = fbsde._single(bnd)
-    args = (row.X, row.Y, row.A, row.r, row.v)
-    co = fbsde._probe_affine(model, batch, row.v)
-    p = smp._p_forward_batch(model, batch, *args, co)
+def test_adjoint_refuses_a_cost_gradient_before_probing(monkeypatch):
+    """The cost-gradient refusals read the solved rows only: l = x^3 is
+    refused with the probe raising, so neither the probe nor p runs first."""
+    def refuse(*args):
+        raise AssertionError("model probed")
+
+    model, bundles, sols = _closure_case(l=lambda t1, t2, x, y, a, r, v: x**3)
+    monkeypatch.setattr(smp, "_probe_affine", refuse)
+    with pytest.raises(NotImplementedError, match="cost gradients affine in the state"):
+        solve_adjoint_ensemble(model, bundles, sols)
+
+
+def test_adjoint_closure_needs_a_cost_gradient_free_of_y_a_r(monkeypatch):
+    """A registered l_x = y reads the backward state, while l itself reads
+    no y, so the first adjoint stays state-free: solve_adjoint_ensemble
+    refuses the cost gradient, before the model is probed."""
+    def refuse(*args):
+        raise AssertionError("model probed")
+
+    model, bundles, sols = _closure_case(
+        derivatives={"l_x": lambda t1, t2, x, y, a, r, v: y})
+    monkeypatch.setattr(smp, "_probe_affine", refuse)
     with pytest.raises(NotImplementedError, match=r"cost gradients free of \(y, a, r\)"):
-        smp._q_affine_batch(model, batch, *args, p, co)
+        solve_adjoint_ensemble(model, bundles, sols)
 
 
 def test_adjoint_and_variational_checks_fire(monkeypatch):
@@ -453,7 +463,7 @@ def test_adjoint_margin_equals_cost_derivative():
                                 s.control_values, a.p[:K], a.q[:K], a.k, a.R)
         margins.append(np.sum(du * hv * (wv - s.control_values)))
     margin = float(np.mean(margins))
-    rows, _ = expansion_check(model, u, ConstantControl(wv - 0.3), [0.1, 0.05], bundles)
+    rows, _ = expansion_check(model, bundles, sols, ConstantControl(wv - 0.3), [0.1, 0.05])
     exact = 2.0 * rows[1]["lhs"] - rows[0]["lhs"]
     assert abs(margin - exact) < 2e-3
 
@@ -570,7 +580,8 @@ def test_forward_blow_up_names_the_system_and_the_path(system):
                 # f_v = 1e200 loads the direction into X1; the base stays put
                 model = mk_model(f=lambda t1, t2, x, v: 1e200 * v + 0.0 * x, M_T=0.0,
                                  control_set=Box(), affine=True)
-                expansion_check(model, 0.0, huge, [0.1], bundles)
+                expansion_check(model, bundles, solved_ensemble(model, 0.0, bundles), huge,
+                                [0.1])
 
 
 def test_adjoint_and_variational_rows_match_single_paths():
@@ -663,8 +674,9 @@ def test_edge_ensembles_through_adjoints_margins_and_composition(paths, seed):
 def test_remainders_sit_on_the_floor_for_linear_models():
     model, jspec, sspec = lq_model()
     bundles = make_ensemble(sspec, jspec, 1.0, DU, 24, master_seed=53)
-    _, rows = expansion_check(model, ConstantControl(0.3), ConstantControl(1.0),
-                              [0.2, 0.1], bundles)
+    _, rows = expansion_check(model, bundles,
+                              solved_ensemble(model, ConstantControl(0.3), bundles),
+                              ConstantControl(1.0), [0.2, 0.1])
     for row in rows:
         for key in ("x2", "y2", "a2", "r2"):
             assert row[key] < 1e-16
@@ -673,8 +685,9 @@ def test_remainders_sit_on_the_floor_for_linear_models():
 def test_remainders_decay_quadratically_for_quadratic_coefficients():
     model, jspec, sspec, _ = build_model("quadratic_drift")
     bundles = make_ensemble(sspec, jspec, 1.0, DU, 48, master_seed=54)
-    _, rows = expansion_check(model, ConstantControl(0.5), ConstantControl(1.0),
-                              [0.2, 0.1, 0.05], bundles)
+    _, rows = expansion_check(model, bundles,
+                              solved_ensemble(model, ConstantControl(0.5), bundles),
+                              ConstantControl(1.0), [0.2, 0.1, 0.05])
     for key in ("x2", "y2", "a2", "r2"):
         assert rows[0][key] > 0.0
         for j in range(len(rows) - 1):
@@ -685,8 +698,9 @@ def test_remainders_decay_quadratically_for_quadratic_coefficients():
 def test_gateaux_quotients_close_linearly():
     model, jspec, sspec = lq_model()
     bundles = make_ensemble(sspec, jspec, 1.0, DU, 48, master_seed=55)
-    rows, _ = expansion_check(model, ConstantControl(0.4), ConstantControl(1.0),
-                              [0.2, 0.1, 0.05], bundles)
+    rows, _ = expansion_check(model, bundles,
+                              solved_ensemble(model, ConstantControl(0.4), bundles),
+                              ConstantControl(1.0), [0.2, 0.1, 0.05])
     # quadratic cost: the quotient misses the derivative by exactly rho/2
     # times a fixed curvature, so consecutive differences halve
     for j in range(len(rows) - 1):
@@ -774,8 +788,9 @@ def test_necessary_condition_rejects_empty_candidates():
     bundles = make_ensemble(sspec, jspec, 0.5, DU, 2, master_seed=57)
     sols = solved_ensemble(model, ConstantControl(0.5), bundles)
     adjs = solve_adjoint_ensemble(model, bundles, sols)
-    with pytest.raises(ValueError, match="empty"):
-        check_necessary_condition(model, bundles, sols, adjs, count=0)
+    for count in (0, 2.5):
+        with pytest.raises(ValueError, match="empty"):
+            check_necessary_condition(model, bundles, sols, adjs, count=count)
 
 
 def test_sufficiency_report_on_a_convex_model():

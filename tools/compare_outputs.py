@@ -33,7 +33,7 @@ It exits 1 when any output differs or is missing from one tree.
 
 The outputs reach a few private entry points (``fbsde._ensemble_cost``,
 the cost pass that keeps the solved rows of an ensemble's first paths,
-``cash._leading``, the adjoint slice of those paths, and
+``cash._leading``, the slice of those paths' solved rows or adjoints, and
 ``smp._variational_batch``), and the cash margins repeat how
 ``certify_optimality`` sets up its margin search; a tree that renames
 those entry points or changes that set-up needs this script updated in the
@@ -212,10 +212,13 @@ def dump(out_path):
             out[f"variational.{name}.{field}"] = val[np.argsort(order)]
 
     # both expansion tables on 64 ragged linear_test paths, whose cost
-    # and v-partials are central differences: pins the reorder of the
-    # per-path quotients and remainders before every ensemble mean
-    tables = smp.expansion_check(lin, fbsde.ConstantControl(0.5), fbsde.ConstantControl(1.0),
-                                 [0.1, 0.05], ens[:64])
+    # and v-partials are central differences, from the rows the cost pass
+    # keeps: pins the reorder of the per-path quotients and remainders
+    # before every ensemble mean
+    exp_ens = ens[:64]
+    exp_sols = fbsde._ensemble_cost(lin, fbsde.ConstantControl(0.5), exp_ens, keep=64)[1]
+    tables = smp.expansion_check(lin, exp_ens, exp_sols, fbsde.ConstantControl(1.0),
+                                 [0.1, 0.05])
     out["expansion.linear_test"] = np.array(json.dumps(tables, sort_keys=True))
 
     # the calendar clock: the first 20 linear_test rows composed through
