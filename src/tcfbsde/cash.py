@@ -182,28 +182,32 @@ def cash_adjoints(spec: CashSpec, bundles):
 
     p steps exactly, multiplying by exp(-mu1 du) per solver step; q comes
     from implicit Euler on dq = (mu1 q + mu2 p) dE ending at q(T) = -p(T).
-    The adjoint pair is deterministic given the clock, so the Brownian
-    and jump integrands are identically zero: k and R are returned as
-    read-only broadcast zeros, which slice like arrays, allocate nothing
-    and tell their readers (cash_optimal_control, the margin search's
-    dH/dv) that they are zero without a scan.  One bundle gives its
-    AdjointSolution; an ensemble gives an EnsembleAdjoint in ensemble
-    order.
+    Both depend on the path's step count K alone: one row is solved per
+    distinct K, in K order, so the rows q steps at step i (K > i) are a
+    suffix, and every path's row is gathered from them once.  The adjoint
+    pair is deterministic given the clock, so the Brownian and jump
+    integrands are identically zero: k and R are returned as read-only
+    broadcast zeros, which slice like arrays, allocate nothing and tell
+    their readers (cash_optimal_control, the margin search's dH/dv) that
+    they are zero without a scan.  One bundle gives its AdjointSolution;
+    an ensemble gives an EnsembleAdjoint in ensemble order.
     """
     single = isinstance(bundles, PathBundle)
     ens = as_ensemble([bundles] if single else bundles)
     K, du = ens.K, ens.du
     N, Kmax = K.size, int(K.max())
-    p = np.exp(-spec.mu1 * du * np.minimum(np.arange(Kmax + 1), K[:, None]))
+    Ku, row = np.unique(K, return_inverse=True)
+    p = np.exp(-spec.mu1 * du * np.minimum(np.arange(Kmax + 1), Ku[:, None]))
     # every row starts at its held terminal value -p_K; step i updates
     # the rows with K > i only
-    q = np.empty((N, Kmax + 1))
+    q = np.empty_like(p)
     q[:] = -p[:, Kmax, None]
+    lo = np.searchsorted(Ku, np.arange(Kmax), side="right")
     shrink = 1.0 / (1.0 + du * spec.mu1)
     for i in range(Kmax - 1, -1, -1):
-        live = K > i
+        live = slice(lo[i], None)
         q[live, i] = (q[live, i + 1] - du * spec.mu2 * p[live, i]) * shrink
-    adj = EnsembleAdjoint(K=K, du=du, t=ens.padded(ens.times, np.arange(N)), p=p, q=q,
+    adj = EnsembleAdjoint(K=K, du=du, t=ens.padded(ens.times, np.arange(N)), p=p[row], q=q[row],
                           k=np.broadcast_to(0.0, (N, Kmax)),
                           R=np.broadcast_to(0.0, (N, Kmax, spec.jump.n_quad)))
     return adj[0] if single else adj

@@ -26,7 +26,11 @@ and scatter per-row results back to ensemble order before any mean;
 solved ensembles stay padded (EnsembleSolution) up to the certificate.
 One pass over those batches (_ensemble_cost) gives the cost and, on
 request, the solved rows of the ensemble's first paths, so a certificate
-solves each of its rows once.
+solves each of its rows once.  A batch none of whose rows is kept solves
+only what its cost reads: in the affine regime, with a running cost that
+reads none of x, y, a, r and an h that does not read x (the cash
+model's), that is the P and c sweeps, Y_0 = c_0 + P_0 x0 and l on
+(t1, t2, v), with no forward state, Y table, A or r (_batch_cost).
 A path reads the control row of its label: its position in the ensemble
 an entry point is given, or the seeds["path"] of a bundle solved alone.
 
@@ -304,6 +308,9 @@ _ARG_POS = {
 # probe takes its slopes, and the slopes it reads as registered partials
 _PROBED = {name: "".join(_ARG_POS[name]).replace("v", "") for name in ("f", "sigma", "b", "g")}
 _PROBE_SLOPES = frozenset(f"{name}_{slot}" for name, slots in _PROBED.items() for slot in slots)
+# the state slots of a running cost: one that reads none of them, with an
+# h that does not read x, reads a solved row only through Y_0 (_batch_cost)
+_STATE = frozenset("xyar")
 
 
 def _difference(fn, args, pos: int, at0) -> np.ndarray:
@@ -345,10 +352,16 @@ def model_derivative(model, name: str):
     return lambda *args: _partial(model, target, slot, args)
 
 
-def _slopes(model, name: str, args, slots: str) -> list:
+def _slopes(model, name: str, args, slots: str, intercept: bool = True) -> list:
     """Map ``name``'s value at ``args``, whose ``slots`` are all 0, and its
-    slope in each of them by _partial, which reuses that value."""
-    at0 = np.asarray(getattr(model, name)(*args), dtype=float)
+    slope in each of them by _partial, which reuses that value.  Without
+    ``intercept`` the map is called only for a slope that is its 0/1
+    difference (no registered partial, in a slot the map may read), and
+    the value is None when none is."""
+    at0 = None
+    if intercept or any(f"{name}_{slot}" not in model.derivatives
+                        and slot not in model._unread[name] for slot in slots):
+        at0 = np.asarray(getattr(model, name)(*args), dtype=float)
     return [at0] + [_partial(model, name, slot, args, at0) for slot in slots]
 
 
@@ -981,14 +994,7 @@ def solve_forward_dual(model: ModelSpec, control, bundle: PathBundle) -> FBSDESo
 
 # ------------------------------------------------------- affine backward core
 
-def _mark_integrals(spec: LevyJumpSpec, co: dict) -> dict:
-    """``co`` with the mark integrals of its nodewise bx and b0 added as
-    ibx and ib0, each taken once over the shape it comes in."""
-    return dict(co, **{f"i{key}": spec.integrate(co[key], np.shape(co[key])[:-1])
-                       for key in ("bx", "b0")})
-
-
-def _probe_affine(model: ModelSpec, batch: _Batch, v: np.ndarray):
+def _probe_affine(model: ModelSpec, batch: _Batch, v: np.ndarray, reads: str = "all"):
     """Exact affine coefficients from the maps at state 0.
 
     Valid when the model is affine (ModelSpec.affine).  Each map is
@@ -1000,22 +1006,39 @@ def _probe_affine(model: ModelSpec, batch: _Batch, v: np.ndarray):
     (G = lam * int g, with the r term kept nodewise as gr * w * lam), and
     the mark integrals of bx and b0 are taken once (ibx, ib0).  The
     pieces keep the shapes the model returns, so a constant registered
-    slope stays a scalar (the cash model's b is then evaluated nodewise
-    once and its ibx costs nothing); the readers broadcast them to the
-    batch layout.  The cost's affine regime probes once, before the
-    forward pass, at the open-loop v: the state steps by these tables
-    (_affine_step) and _affine_backward reads the same dict.
+    slope stays a scalar (the cash model's ibx then costs nothing); the
+    readers broadcast them to the batch layout.  The cost's affine regime
+    probes once, before the forward pass, at the open-loop v: the state
+    steps by these tables (_affine_step) and _affine_backward reads the
+    same dict.
+
+    ``reads`` names what the caller reads: "all" of it; "sweeps", what
+    the P and c sweeps of _affine_backward read, for a cost pass that
+    keeps no rows: no nodewise b0, and b's intercept only as ib0 where gr
+    multiplies it (ib0 is a scalar 0.0 when gr is a scalar zero); or
+    "slopes" alone, for a caller that supplies its own intercepts
+    (_variational_batch).  A map is evaluated at state 0 only for a piece
+    that is read or a slope that is its 0/1 difference, so with b_x
+    registered the nodewise b is not evaluated for "slopes", nor for
+    "sweeps" under a scalar-zero gr.
     """
     t, u = batch.t[:, :-1], np.arange(batch.Kmax) * batch.du
-    lam = batch.spec.intensity
-    f0, fx = _slopes(model, "f", (t, u, 0.0, v), "x")
-    s0, sx = _slopes(model, "sigma", (t, u, 0.0, v), "x")
+    spec, lam = batch.spec, batch.spec.intensity
+    icpt = reads != "slopes"
+    f0, fx = _slopes(model, "f", (t, u, 0.0, v), "x", icpt)
+    s0, sx = _slopes(model, "sigma", (t, u, 0.0, v), "x", icpt)
+    g00, gx, gy, ga, gr = _slopes(model, "g", (t, u, 0.0, 0.0, 0.0, 0.0, v), "xyar", icpt)
+    gr = lam * gr
     b0, bx = _slopes(model, "b", (t[..., None], u[:, None], 0.0, v[..., None], batch.znodes),
-                     "x")
-    g00, gx, gy, ga, gr = _slopes(model, "g", (t, u, 0.0, 0.0, 0.0, 0.0, v), "xyar")
-    return _mark_integrals(batch.spec, dict(fx=fx, f0=f0, sx=sx, s0=s0, bx=bx, b0=b0,
-                                            Gy=lam * gy, Gx=lam * gx, Ga=lam * ga,
-                                            G0=lam * g00, gr=lam * gr))
+                     "x", reads == "all" or icpt and not (gr.ndim == 0 and gr == 0.0))
+    co = dict(fx=fx, sx=sx, bx=bx, ibx=spec.integrate(bx, bx.shape[:-1]),
+              Gy=lam * gy, Gx=lam * gx, Ga=lam * ga, gr=gr)
+    if icpt:
+        co.update(f0=f0, s0=s0, G0=lam * g00,
+                  ib0=0.0 if b0 is None else spec.integrate(b0, b0.shape[:-1]))
+    if reads == "all":
+        co["b0"] = b0
+    return co
 
 
 def _jump_cells(bx, b0, x, Pn, out=None):
@@ -1086,10 +1109,31 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
 
     The coefficients ``co`` may take any shape that broadcasts against
     the (N, Kmax) layout, (N, Kmax, nodes) for ``bx`` and ``b0``, whose
-    mark integrals ``ibx`` and ``ib0`` (_mark_integrals) come with them.
-    The scheme is solved as two slope/intercept sweeps (_sweep), on
-    coefficients built once from whole tables, each keeping the shape
-    its inputs broadcast to (scalars stay scalar):
+    mark integrals ``ibx`` and ``ib0`` come with them (_probe_affine).
+    P and c come from _affine_sweeps.  A and r do not feed them: A is
+    built after them in one pass from P_{i+1} and zeroed past each
+    horizon, and r is kept as P with ``bx`` and ``b0`` (_NodeCells), whose
+    cells are built only where they are read.  Returns (Y, A, r),
+    Y = c + P X on every cell: ``X`` must hold each row's X_K past its
+    horizon, as _euler returns it and every caller passes it, so that Y
+    holds c_T + P_T X_K there.
+    """
+    N, Kmax = batch.N, batch.Kmax
+    Q = batch.w.size
+    P, c = _affine_sweeps(batch, co, P_term, c_term)
+    A = co["sx"] * X[:, :-1]
+    A += co["s0"]
+    A *= P[:, 1:]
+    np.copyto(A, 0.0, where=np.arange(Kmax) >= batch.K[:, None])
+    bx, b0 = (np.broadcast_to(co[key], (N, Kmax, Q)) for key in ("bx", "b0"))
+    return c + P * X, A, _NodeCells(batch.K, Q, affine=(bx, b0, X, P))
+
+
+def _affine_sweeps(batch: _Batch, co: dict, P_term, c_term):
+    """(P, c) of Y_i = c_i + P_i X_i, padded (N, Kmax + 1): two
+    slope/intercept sweeps (_sweep) from the terminal pair, on
+    coefficients built once from whole tables, each keeping the shape its
+    inputs broadcast to (scalars stay scalar):
 
         P_i = aP_i P_{i+1} + bP_i,  c_i = ac_i c_{i+1} + gc_i,
         den = 1 - du Gy,  aP = (1 + du fx + du (Ga sx + gr ibx)) / den,
@@ -1099,15 +1143,8 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
     P and c start at the terminal pair in every cell and step i updates
     its live rows (the suffix ``batch.live(i)``) only, so each row holds
     the terminal pair from its horizon on and no padded coefficient cell
-    is read by the recursion.  A and r do not feed it: A is built after it in one pass
-    from P_{i+1} and zeroed past each horizon, and r is kept as P with
-    ``bx`` and ``b0`` (_NodeCells), whose cells are built only where they
-    are read.  Returns (Y, A, r), Y = c + P X on every cell: ``X`` must
-    hold each row's X_K past its horizon, as _euler returns it and every
-    caller passes it, so that Y holds c_T + P_T X_K there.
-    """
-    N, Kmax, du = batch.N, batch.Kmax, batch.du
-    Q = batch.w.size
+    is read by the recursion.  Only these keys of ``co`` are read."""
+    du = batch.du
     den = np.asarray(1.0 - du * co["Gy"])
     P = _sweep(batch, (1.0 + du * co["fx"] + du * (co["Ga"] * co["sx"] + co["gr"] * co["ibx"]))
                / den, du * co["Gx"] / den, P_term)
@@ -1115,17 +1152,10 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
     gc += co["G0"]
     gc *= du
     gc /= den
-    # c's slope 1 / den overwrites den, and both tables are freed before A
-    # and Y are built: every (N, Kmax) table held at once here can raise
-    # the cost pass's peak memory above that of its probe
-    c = _sweep(batch, np.divide(1.0, den, out=den), gc, c_term)
-    del den, gc
-    A = co["sx"] * X[:, :-1]
-    A += co["s0"]
-    A *= P[:, 1:]
-    np.copyto(A, 0.0, where=np.arange(Kmax) >= batch.K[:, None])
-    bx, b0 = (np.broadcast_to(co[key], (N, Kmax, Q)) for key in ("bx", "b0"))
-    return c + P * X, A, _NodeCells(batch.K, Q, affine=(bx, b0, X, P))
+    # c's slope 1 / den overwrites den; both tables are freed on return,
+    # before a caller builds A and Y: every (N, Kmax) table held at once
+    # here can raise the cost pass's peak memory above that of its probe
+    return P, _sweep(batch, np.divide(1.0, den, out=den), gc, c_term)
 
 
 def _sweep(batch: _Batch, a, b, z_end) -> np.ndarray:
@@ -1417,7 +1447,7 @@ def solve_backward_dual(model: ModelSpec, control, bundle: PathBundle,
     K = bundle.solver_steps
     gap = abs(Y[K] - float(model.phi(forward.X[K])))
     tol = 1e-10 if method in ("ode", "affine") else 1e-6
-    if gap > tol:
+    if not gap <= tol:
         raise AssertionError(f"terminal consistency violated: |Y_T - phi(X_T)| = {gap}")
     return replace(forward, Y=Y, A=A, r=r)
 
@@ -1563,25 +1593,50 @@ def _step_sum(batch: _Batch, cell) -> np.ndarray:
     return run
 
 
-def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None):
-    """Each row's cost and the batch's solved rows (X, Y, v, A, r).
+def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None, keep: bool = True):
+    """Each row's cost and the batch's solved rows (X, Y, v, A, r); the
+    cost alone when the caller keeps no rows (``keep`` False).
 
     In the affine regime (an affine_solvable model under a state-free
     control) v is read first on live cells (_open_loop) and the model is
     probed once at it, before the forward pass: the state steps by the
     probe's slope/intercept tables and _affine_backward reads the same
     probe.  Every other regime, and every other caller of the forward
-    kernel, steps the state by the maps."""
+    kernel, steps the state by the maps.
+
+    A batch whose rows nobody keeps, in the affine regime, with an l that
+    reads none of x, y, a, r and an h that does not read x (decided from
+    their code, ModelSpec._unread), has a cost that reads the state only
+    through Y_0 = c_0 + P_0 x0: there the probe takes only what the P and
+    c sweeps read (reads="sweeps"), the two sweeps run, and the running
+    cost, h and gamma read broadcast placeholders (NaN for x and a, Y_0
+    for y, zero r cells).  No X, Y table, A or r is built, so there is no
+    state blow-up check; a non-finite cost raises FloatingPointError
+    naming the path instead.  Every cost has the bytes of the full pass."""
     method = backward_method(model, control, method)
     v = co = None
     if method == "affine":
         v = _open_loop(control, batch, model.control_set)
+        if not keep and model._unread["l"] >= _STATE and "x" in model._unread["h"]:
+            P, c = _affine_sweeps(batch, _probe_affine(model, batch, v, "sweeps"),
+                                  np.full(batch.N, model.M_T),
+                                  np.full(batch.N, float(model.phi(0.0))))
+            X = np.broadcast_to(np.nan, P.shape)
+            Y = np.broadcast_to((c[:, 0] + P[:, 0] * model.x0)[:, None], P.shape)
+            del P, c
+            cost = _row_cost(model, batch, X, Y, X[:, 1:], None, v)
+            bad = ~np.isfinite(cost)
+            if bad.any():
+                raise FloatingPointError(
+                    f"cost blow-up (path {int(batch.labels[np.argmax(bad)])})")
+            return cost
         co = _probe_affine(model, batch, v)
     X, v = _forward_batch(model, control, batch, v, co)
     Y, A, r = _backward_batch(model, control, batch, X, v, method, co=co)
     # r keeps the probe's bx and b0; free the rest before the running cost
     del co
-    return _row_cost(model, batch, X, Y, A, r, v), X, Y, v, A, r
+    cost = _row_cost(model, batch, X, Y, A, r, v)
+    return (cost, X, Y, v, A, r) if keep else cost
 
 
 def _row_cost(model: ModelSpec, batch: _Batch, X, Y, A, r, v) -> np.ndarray:
@@ -1606,6 +1661,9 @@ def _ensemble_cost(model: ModelSpec, control, bundles, method=None, chunk: int =
     them, each row held past its batch's width as past its horizon; only
     those rows' r table is built.  Every kernel is row-local, so the rows
     are those a solve of those paths alone gives, for every ``chunk``.
+    A batch holding a kept row is solved whole; any other is costed with
+    ``keep=False``, which for a cost free of the state solves no state
+    (_batch_cost), with the same bytes.
     """
     control = as_control(control)
     ens = as_ensemble(bundles)
@@ -1617,14 +1675,16 @@ def _ensemble_cost(model: ModelSpec, control, bundles, method=None, chunk: int =
         A, v = np.zeros((Kk.size, width)), np.zeros((Kk.size, width))
         r = np.zeros((Kk.size, width, ens.spec.n_quad))
     for idx, batch in _sorted_batches(ens, chunk):
-        per_path[idx], Xb, Yb, vb, Ab, rb = _batch_cost(model, control, batch, method=method)
         sel = np.flatnonzero(idx < keep)
-        if sel.size:
-            pos, k = idx[sel], min(batch.Kmax, width)
-            for full, part in ((t, batch.t), (X, Xb), (Y, Yb)):
-                full[pos, : k + 1] = part[sel, : k + 1]
-                full[pos, k + 1:] = part[sel, k, None]
-            A[pos, :k], v[pos, :k], r[pos, :k] = Ab[sel, :k], vb[sel, :k], rb.table(sel)[:, :k]
+        if not sel.size:
+            per_path[idx] = _batch_cost(model, control, batch, method, keep=False)
+            continue
+        per_path[idx], Xb, Yb, vb, Ab, rb = _batch_cost(model, control, batch, method=method)
+        pos, k = idx[sel], min(batch.Kmax, width)
+        for full, part in ((t, batch.t), (X, Xb), (Y, Yb)):
+            full[pos, : k + 1] = part[sel, : k + 1]
+            full[pos, k + 1:] = part[sel, k, None]
+        A[pos, :k], v[pos, :k], r[pos, :k] = Ab[sel, :k], vb[sel, :k], rb.table(sel)[:, :k]
         # free this batch's solution before the next batch is solved
         del Xb, Yb, vb, Ab, rb
     mean = float(per_path.mean())
@@ -1640,7 +1700,11 @@ def evaluate_cost(model: ModelSpec, control, bundles, method=None,
 
     Paths are solved in batches of at most ``chunk`` paths with similar
     solver-step counts (_ensemble_cost, keeping no solved rows), so
-    padding stays small and memory stays flat in the ensemble size.
+    padding stays small and memory stays flat in the ensemble size.  In
+    the affine regime a running cost free of the state and an h free of
+    x (the cash model's) need no forward state: only Y_0 = c_0 + P_0 x0
+    is solved, and a non-finite cost raises FloatingPointError naming
+    its path, as no state blow-up check runs (_batch_cost).
     Every path's value depends on its own row only and lands at its
     ensemble position, so ``per_path`` (returned for paired,
     common-random-number comparisons), the mean and the standard error

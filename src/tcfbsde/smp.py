@@ -33,12 +33,12 @@ one rule of ModelSpec: a registered closed form, else 0.0 in an argument
 the map never reads, else the exact 0/1 difference in a slot an affine
 model declares affine, else a central difference.  The state slopes of
 p, q and X1 are the affine probe's (fbsde._probe_affine), taken once per
-solve; X1 replaces only its intercepts.  dH/dv goes the same way: H is
-linear in its maps, so hamiltonian_grad_v is H's form over their
-v-partials.  expansion_check measures the first-order (Gateaux)
-expansion of the cost in a control direction, its difference quotients
-and its remainders, from the solved rows, one variational and one
-perturbed solve per step size.
+solve; X1's probe takes the slopes alone, as it supplies its own
+intercepts.  dH/dv goes the same way: H is linear in its maps, so
+hamiltonian_grad_v is H's form over their v-partials.  expansion_check
+measures the first-order (Gateaux) expansion of the cost in a control
+direction, its difference quotients and its remainders, from the solved
+rows, one variational and one perturbed solve per step size.
 """
 
 import json
@@ -323,13 +323,13 @@ def solve_adjoint_ensemble(model: ModelSpec, bundles,
     p = _p_forward_batch(model, batch, X, Y, A, r, v, co)
     q, k, R = _q_affine_batch(model, batch, X, p, co, *terms)
     g0 = model_derivative(model, "gamma_y")(Y[:, 0])
-    if np.any(np.abs(p[:, 0] + g0) > 1e-9 * (1.0 + np.abs(g0))):
+    if not np.all(np.abs(p[:, 0] + g0) <= 1e-9 * (1.0 + np.abs(g0))):
         raise AssertionError("adjoint initial condition violated")
     rows = np.arange(batch.N)
     xT = X[rows, batch.K]
     tgt = (-model_derivative(model, "phi_x")(xT) * p[rows, batch.K]
            + model_derivative(model, "h_x")(xT))
-    if np.any(np.abs(q[rows, batch.K] - tgt) > 1e-8 * (1.0 + np.abs(tgt))):
+    if not np.all(np.abs(q[rows, batch.K] - tgt) <= 1e-8 * (1.0 + np.abs(tgt))):
         raise AssertionError("adjoint terminal condition violated")
     back = np.argsort(idx)
     return EnsembleAdjoint(ens.K, ens.du, *(a[back] for a in (batch.t, p, q, k, R)))
@@ -355,13 +355,14 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
 
     The direction vd is read first, on live cells only, and held past a
     horizon, as the base control v is.  One coefficient record serves
-    both halves: the affine probe at the base v (_probe_affine), whose
-    slopes in the state are the system's, with its intercepts replaced by
-    the direction terms f_v vd, sigma_v vd, b_v vd and lam int g_v vd
-    (the v-partials along the base rows).  X1 steps by _affine_step on it,
-    jumping by b_x X1 + b_v vd at each event (b's partials at the event's
-    mark and the base left state), and (Y1, A1, r1) come from
-    _affine_backward on the same record."""
+    both halves: the affine probe's slopes at the base v (_probe_affine
+    with reads="slopes", which evaluates no intercept and, with b_x
+    registered, no nodewise b), which are the system's slopes in the
+    state, with the direction terms f_v vd, sigma_v vd, b_v vd and
+    lam int g_v vd (the v-partials along the base rows) as intercepts.
+    X1 steps by _affine_step on it, jumping by b_x X1 + b_v vd at each
+    event (b's partials at the event's mark and the base left state), and
+    (Y1, A1, r1) come from _affine_backward on the same record."""
     if not (getattr(control, "state_free", False)
             and getattr(direction, "state_free", False)):
         raise NotImplementedError(
@@ -377,7 +378,7 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
     b0 = d_bv(t[..., None], u[:, None], Xl[..., None], v[..., None], batch.znodes) * vd[..., None]
     gv = spec.intensity * spec.integrate(
         model_derivative(model, "g_v")(*_step_args(batch, None, X, Y, A, r, v)), (N, batch.Kmax))
-    co = dict(_probe_affine(model, batch, v), f0=fv * vd, s0=sv * vd, b0=b0,
+    co = dict(_probe_affine(model, batch, v, "slopes"), f0=fv * vd, s0=sv * vd, b0=b0,
               ib0=spec.integrate(b0, b0.shape[:-1]), G0=gv * vd)
     # the jump of X1 at an event: b_x X1 + b_v vd at the base left state
     pe, s = batch.ev_p, batch.ev_s
@@ -403,7 +404,7 @@ def solve_variational(model: ModelSpec, control, direction,
     k = batch.K[0]
     d_px = model_derivative(model, "phi_x")
     gap = abs(Y1[0, k] - float(d_px(sol.X[0, k])) * X1[0, k])
-    if gap > 1e-9 * (1.0 + abs(Y1[0, k])):
+    if not gap <= 1e-9 * (1.0 + abs(Y1[0, k])):
         raise AssertionError("variational terminal condition violated")
     return VariationalSolution(grid=bundle.solver_grid, calendar_times=batch.t[0, : k + 1],
                                X1=X1[0, : k + 1], Y1=Y1[0, : k + 1], A1=A1[0, :k], r1=r1[0, :k])

@@ -598,10 +598,10 @@ def test_certificate_solves_each_ustar_row_once(monkeypatch):
     64 rows, not 64 + 16."""
     batch_cost, rows = fbsde._batch_cost, []
 
-    def counting(model, control, batch, method=None):
+    def counting(model, control, batch, method=None, keep=True):
         if isinstance(control, StepwiseControl):
             rows.append(batch.N)
-        return batch_cost(model, control, batch, method)
+        return batch_cost(model, control, batch, method, keep)
 
     for module in (fbsde, smp):
         monkeypatch.setattr(module, "_batch_cost", counting)

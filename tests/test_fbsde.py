@@ -2,6 +2,7 @@
 composition, and the cost functional."""
 
 import dataclasses
+import itertools
 import math
 import re
 
@@ -1198,6 +1199,99 @@ def test_cost_blow_up_names_the_ensemble_path():
     rows[2] = 1e200
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match=r"blow-up at step 0 \(path 2\)"):
+            evaluate_cost(model, StepwiseControl(rows), bundles)
+
+
+def _time_varying_cash():
+    """A cash system whose sigma, eta and kappa vary with calendar time; eta
+    is not odd in the mark, so its mark integral is not zero, and x0 is
+    not 1."""
+    return CashSpec(sigma_t=lambda t: 0.2 + 0.1 * t,
+                    eta_t=lambda t, z: (0.1 + 0.05 * t) * (z + 0.5),
+                    kappa=lambda t: 1.0 + 0.5 * t, x0=1.5)
+
+
+def test_cost_pass_keeping_no_rows_has_the_bytes_of_the_full_pass():
+    """A cost pass that keeps no rows of the cash model solves no state: its
+    cost reads Y_0 = c_0 + P_0 x0 and l on (t1, v) alone.  Its per-path
+    costs carry the bytes of the pass that keeps every row, on ragged
+    paths with zero-step ones among them and on a sampled ensemble, for a
+    constant, u* and a stepwise table, with flat and time-varying maps,
+    for every chunk.  A twin whose driver reads r (g_r = 0.05 / lam, as
+    a 0/1 difference) sends b's intercept into c through gr ib0."""
+    rng = np.random.default_rng(7)
+    for spec in (CashSpec(), _time_varying_cash()):
+        cash = build_cash_model(spec)
+        reads_r = dataclasses.replace(
+            cash, g=lambda t1, t2, x, y, a, r, v: cash.g(t1, t2, x, y, a, r, v) + 0.05 * r,
+            derivatives={k: d for k, d in cash.derivatives.items() if k != "g_r"})
+        sampled = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 48, 5)
+        for model, bundles in itertools.product((cash, reads_r),
+                                                (ragged_bundles(RAGGED_STEPS), sampled)):
+            ustar = cash_optimal_control(spec, cash_adjoints(spec, bundles))
+            width = max(b.solver_steps for b in bundles)
+            rows = StepwiseControl(rng.uniform(-1.0, 2.0, (len(bundles), width)))
+            for ctl in (ConstantControl(0.5), ustar, rows):
+                full = fbsde._ensemble_cost(model, ctl, bundles, keep=len(bundles))[0]
+                for chunk in (3, 512):
+                    got = evaluate_cost(model, ctl, bundles, chunk=chunk).per_path
+                    assert got.tobytes() == full.per_path.tobytes()
+
+
+def _counted_solve(monkeypatch, model, control, bundles, keep=0):
+    """(forward passes, b calls) of one cost pass keeping ``keep`` rows; b's
+    calls are counted from after the model's construction checks."""
+    calls = {"forward": 0, "b": 0}
+    forward = fbsde._forward_batch
+
+    def counting_forward(*args, **kwargs):
+        calls["forward"] += 1
+        return forward(*args, **kwargs)
+
+    def counting_b(t1, t2, x, v, z):
+        calls["b"] += 1
+        return model.b(t1, t2, x, v, z)
+
+    counted = dataclasses.replace(model, b=counting_b)
+    calls["b"] = 0
+    monkeypatch.setattr(fbsde, "_forward_batch", counting_forward)
+    fbsde._ensemble_cost(counted, control, bundles, keep=keep)
+    monkeypatch.setattr(fbsde, "_forward_batch", forward)
+    return calls["forward"], calls["b"]
+
+
+def test_cost_pass_keeping_no_rows_solves_no_state(monkeypatch):
+    """On the cash model (b_x registered, g_r a scalar zero) a pass that
+    keeps no rows calls neither the forward kernel nor b; one that keeps
+    rows, linear_test (whose l reads x) and a cash twin whose l reads x
+    take the full solve."""
+    spec = CashSpec()
+    cash = build_cash_model(spec)
+    bundles = ragged_bundles(RAGGED_STEPS)
+    ctl = ConstantControl(0.5)
+    assert _counted_solve(monkeypatch, cash, ctl, bundles) == (0, 0)
+    forward, b = _counted_solve(monkeypatch, cash, ctl, bundles, keep=len(bundles))
+    assert forward > 0 and b > 0
+    lin = build_model("linear_test")[0]
+    reads_x = dataclasses.replace(
+        cash, l=lambda t1, t2, x, y, a, r, v: cash.l(t1, t2, x, y, a, r, v) + 0.0 * x)
+    for model in (lin, reads_x):
+        forward, b = _counted_solve(monkeypatch, model, ctl, bundles)
+        assert forward > 0 and b > 0
+
+
+def test_cost_pass_keeping_no_rows_names_a_non_finite_cost():
+    """That pass computes no state, so no state blow-up check names a path:
+    a non-finite cost does instead, and is never returned.  Path 2, whose
+    control is 1e200 in a cash-like model with f = -x + v^2, sits at row 8
+    of the sorted batch."""
+    cash = build_cash_model(CashSpec())
+    model = dataclasses.replace(cash, f=lambda t1, t2, x, v: -x + v * v)
+    bundles = ragged_bundles(RAGGED_STEPS)
+    rows = np.zeros((len(bundles), max(RAGGED_STEPS)))
+    rows[2] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=r"^cost blow-up \(path 2\)$"):
             evaluate_cost(model, StepwiseControl(rows), bundles)
 
 

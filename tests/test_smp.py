@@ -584,6 +584,41 @@ def test_forward_blow_up_names_the_system_and_the_path(system):
                                 [0.1])
 
 
+@pytest.mark.parametrize("check", ["backward", "variational", "adjoint_initial",
+                                   "adjoint_terminal"])
+def test_consistency_checks_refuse_a_nan_gap(check):
+    """Each terminal or initial consistency check refuses a gap that is NaN,
+    where both sides overflow to inf, instead of letting it pass as a
+    comparison with NaN does."""
+    one = ragged_bundles((5,))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(AssertionError, match="condition violated|consistency violated"):
+            if check == "backward":
+                # Y_T and phi(X_T) are both 1e10 * 1e300
+                model = mk_model(phi=lambda x: 1e10 * x, M_T=1e10, x0=1e300, affine=True)
+                solve_backward_dual(model, 0.5, one, solve_forward_dual(model, 0.5, one),
+                                    method="affine")
+            elif check == "variational":
+                # X1_T is about 5e298, so Y1_T and phi_x X1_T are inf
+                model = mk_model(f=lambda t1, t2, x, v: v + 0.0 * x, phi=lambda x: 1e10 * x,
+                                 M_T=1e10, affine=True, derivatives={"phi_x": lambda x: 1e10})
+                base = solve_backward_dual(model, 0.0, one, solve_forward_dual(model, 0.0, one))
+                solve_variational(model, 0.0, ConstantControl(1e300), one, base)
+            else:
+                if check == "adjoint_initial":
+                    # on zero-step paths p_0 = -gamma_y(Y_0) = 1e10 * 1e300
+                    bundles = ragged_bundles((0, 0))
+                    maps = dict(gamma=lambda y: -0.5e10 * y * y,
+                                derivatives={"gamma_y": lambda y: -1e10 * y})
+                else:
+                    # q_T and its target both read h_x(X_T) = 1e10 * 1e300
+                    bundles = ragged_bundles(RAGGED_STEPS)
+                    maps = dict(h=lambda x: 0.5e10 * x * x,
+                                derivatives={"h_x": lambda x: 1e10 * x})
+                model = mk_model(phi=lambda x: 1.0 * x, M_T=1.0, x0=1e300, affine=True, **maps)
+                solve_adjoint_ensemble(model, bundles, solved_ensemble(model, 0.5, bundles))
+
+
 def test_adjoint_and_variational_rows_match_single_paths():
     """Every row of an ensemble's adjoint and variational solve carries the
     bytes of that path solved alone, whatever its horizon (zero-step paths

@@ -26,7 +26,10 @@ quadratic_drift twin whose driver reads r sends the LSMC sweep's jump
 read-off on inner states into a compared cost, and the solved rows,
 adjoints and variational pair of a linear-quadratic system whose jump
 coefficient reads both the control and the state pin the variational
-state's jump at each event.  The script then
+state's jump at each event.  The costs of a cash system whose sigma, eta
+and kappa vary with calendar time, under a constant rate and under its
+u*, send a cost pass that keeps no rows (which solves no state for the
+cash model) through maps that vary with t1.  The script then
 prints one line per output: ``identical`` when dtype, shape and bytes
 agree, else ``moved`` with the largest absolute and relative difference.
 It exits 1 when any output differs or is missing from one tree.
@@ -236,6 +239,17 @@ def dump(out_path):
     out["cost.cash.ustar.per_path"] = est.per_path
     for name, ctl in (("0.5", fbsde.ConstantControl(0.5)), ("1.5", fbsde.ConstantControl(1.5))):
         out[f"cost.cash.{name}.per_path"] = fbsde.evaluate_cost(cmodel, ctl, cert).per_path
+    # a cash system whose sigma, eta and kappa vary with calendar time, so
+    # a cost pass that keeps no rows reads t1-varying maps: 512 paths under
+    # a constant rate and under its u*
+    tspec = cash.CashSpec(sigma_t=lambda t: 0.2 + 0.1 * t,
+                          eta_t=lambda t, z: (0.1 + 0.05 * t) * z,
+                          kappa=lambda t: 1.0 + 0.5 * t)
+    tmodel = cash.build_cash_model(tspec)
+    tens = fbsde.make_ensemble(tspec.subordinator, tspec.jump, tspec.horizon, 0.01, 512, 0)
+    tstar = cash.cash_optimal_control(tspec, cash.cash_adjoints(tspec, tens))
+    for name, ctl in (("0.5", fbsde.ConstantControl(0.5)), ("ustar", tstar)):
+        out[f"cost.cash_t.{name}.per_path"] = fbsde.evaluate_cost(tmodel, ctl, tens).per_path
     lin_ens, lin_ctl = ens[:256], fbsde.ConstantControl(0.5)
     lin_sols = fbsde._ensemble_cost(lin, lin_ctl, lin_ens, keep=256)[1]
     for name, model, ctl, bundles, sols, adj in (
