@@ -37,6 +37,7 @@ from .fbsde import (
     PerturbedControl,
     StepwiseControl,
     TableControl,
+    _clock_rows,
     _ensemble_cost,
     _hold,
     as_control,
@@ -49,6 +50,7 @@ from .smp import (
     AdjointSolution,
     EnsembleAdjoint,
     OptimalityReport,
+    _grad_v_reads_state,
     _structural_zero,
     check_necessary_condition,
     expansion_check,
@@ -282,10 +284,15 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
     then reruns the directional-derivative check at the computed optimum,
     against 64 candidates, on at most ``margin_paths`` leading paths, and
     passing ``expansion_rhos`` fills the difference-quotient and remainder
-    tables (direction: unit rate increase) on ``expansion_paths``.  u*'s
-    cost solve keeps max(margin_paths, expansion_paths) rows (margin_paths
-    without expansion_rhos); each stage reads its leading rows of them, so
-    no u* row is solved twice.
+    tables (direction: unit rate increase) on ``expansion_paths``.  The
+    margin search reads the rows only through dH/dv, and the cash model's
+    v-partials provably read none of x, y, a, r (smp._grad_v_reads_state):
+    its rows hold the clock t and u*'s rates v alone, with placeholders
+    for the state (fbsde._clock_rows), so u*'s cost solve keeps only the
+    expansion_paths rows (none without expansion_rhos) and draws the
+    noise of those alone.  A model whose dH/dv may read the state keeps
+    max(margin_paths, expansion_paths) rows, and each stage reads its
+    leading rows of them; either way no u* row is solved twice.
     ``ensemble_size``, ``margin_paths`` and ``expansion_paths`` must be
     integers of at least 2, so that every reported mean has a standard
     error; anything else raises ValueError.
@@ -306,7 +313,9 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
     ustar = cash_optimal_control(spec, adjs)
     head = min(len(bundles), int(margin_paths))
     tail = min(len(bundles), int(expansion_paths)) if expansion_rhos else 0
-    base, sols = _ensemble_cost(model, ustar, bundles, keep=max(head, tail))
+    clock_only = not _grad_v_reads_state(model)
+    base, sols = _ensemble_cost(model, ustar, bundles,
+                                keep=tail if clock_only else max(head, tail))
     gap_rows = []
     for idx, cand in enumerate(candidates):
         cand = as_control(cand)
@@ -316,8 +325,9 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
         gap_rows.append(dict(index=idx, label=_describe(cand),
                              gap=float(diff.mean()), se=se,
                              cost=est.mean, cost_se=est.std_error))
-    margins = check_necessary_condition(model, bundles[:head], _leading(sols, head),
-                                        _leading(adjs, head), count=64, seed=seed)
+    rows = _clock_rows(model, ustar, bundles, head) if clock_only else _leading(sols, head)
+    margins = check_necessary_condition(model, bundles[:head], rows, _leading(adjs, head),
+                                        count=64, seed=seed)
     conv_rows, rem_rows = [], []
     if expansion_rhos:
         conv_rows, rem_rows = expansion_check(model, bundles[:tail], _leading(sols, tail),

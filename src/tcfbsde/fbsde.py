@@ -9,35 +9,44 @@ inverse staircase.
 Ensembles are ragged: every path has its own random horizon, heavy-tailed
 in its step count K.  An Ensemble holds the paths only as flat arrays
 with per-path offsets (subordinator and Brownian values up to first
-passage, jump events): make_ensemble draws each path's named substreams
-straight into them, and Ensemble(bundles) packs a list into the same
-arrays.  Every path's generator state for a purpose is derived in one
-vectorised pass (seeding.Substreams) and drawn through one reused
-generator, the streams of seeding.stream bit for bit, so sampling builds
-three generators per ensemble, not three per path.  An integer index
-rebuilds one PathBundle as views, whose inverse clock is computed only
-when read; no ensemble solver reads one.  The
-Ensemble gathers the padded arrays of any rows, in K order, into the one
-layout every solver reads (a _Batch, width Kmax, cells past a row's
-horizon held or zero); the LSMC inner ensembles are drawn straight into
-the same layout.  Ensemble-wide solves sort the rows by K (the cost cuts
-that order into batches, so each pads only to paths of similar horizon)
-and scatter per-row results back to ensemble order before any mean;
-solved ensembles stay padded (EnsembleSolution) up to the certificate.
-One pass over those batches (_ensemble_cost) gives the cost and, on
-request, the solved rows of the ensemble's first paths, so a certificate
-solves each of its rows once.  A batch none of whose rows is kept solves
-only what its cost reads: in the affine regime, with a running cost that
-reads none of x, y, a, r and an h that does not read x (the cash
-model's), that is the P and c sweeps, Y_0 = c_0 + P_0 x0 and l on
-(t1, t2, v), with no forward state, Y table, A or r (_batch_cost).
+passage, jump events): make_ensemble draws each path's subordinator
+straight into them and keeps its Brownian and jump substreams, from
+which a path's noise is drawn the first time a batch, a bundle view or
+a flat accessor reads it, once per path and shared by every
+sub-ensemble; Ensemble(bundles) packs a list into the same arrays.
+Every path's generator state for a purpose is derived in one vectorised
+pass (seeding.Substreams) and drawn through one reused generator, the
+streams of seeding.stream bit for bit, so sampling builds three
+generators per ensemble, not three per path, and a late draw has the
+bytes of an early one.  An integer index rebuilds one PathBundle as
+views, whose inverse clock is computed only when read; no ensemble
+solver reads one.  The Ensemble gathers the padded arrays of any rows,
+in K order, into the one layout every solver reads (a _Batch, width
+Kmax, cells past a row's horizon held or zero, its noise fields
+gathered when first read); the LSMC inner ensembles are drawn straight
+into the same layout.  Ensemble-wide solves sort the rows by K (the cost
+cuts that order into batches, so each pads only to paths of similar
+horizon) and scatter per-row results back to ensemble order before any
+mean; solved ensembles stay padded (EnsembleSolution) up to the
+certificate.  One pass over those batches (_ensemble_cost) gives the
+cost and, on request, the solved rows of the ensemble's first paths, in
+batches of their own, so a certificate solves each of its rows once.
+A batch of rows nobody keeps solves only what its cost reads: in the
+affine regime, with a running cost that reads none of x, y, a, r and an
+h that does not read x (the cash model's), that is the P and c sweeps,
+Y_0 = c_0 + P_0 x0 and l on (t1, t2, v), with no forward state, Y
+table, A or r, and no noise drawn (_batch_cost).  A reader that needs
+only the clock and an open-loop control's rates, such as a margin
+search whose dH/dv reads no state, takes them without any solve
+(_clock_rows).
 A path reads the control row of its label: its position in the ensemble
 an entry point is given, or the seeds["path"] of a bundle solved alone.
 
 Every forward system (the state here, the first adjoint and the
 variational state in smp) runs through one forward loop, _euler, stepped
 on the rows live at step i only (a suffix of the K-sorted batch), so no
-padded cell is computed and no control is read past a horizon; each row
+padded cell is computed and no control is called past a horizon (an
+open-loop table read whole drops its cells there, _open_loop); each row
 holds its value past its horizon, and a non-finite value raises naming
 the system, the step and the path.  The loop's per-step hook is one of
 two steps.  The state's map step (in _forward_batch), the explicit Euler
@@ -186,6 +195,10 @@ class ConstantControl:
     def values_at(self, i, t1, t2, x, paths):
         return np.full(np.shape(t1), self.value)
 
+    def table(self, paths, width: int) -> np.ndarray:
+        """values_at of rows ``paths`` at steps 0..width-1, at once."""
+        return np.full((len(paths), width), self.value)
+
 
 class FeedbackControl:
     """v = fn(t1, t2, x); fn must broadcast over numpy arrays."""
@@ -235,6 +248,11 @@ class StepwiseControl:
     def values_at(self, i, t1, t2, x, paths):
         col = min(i, self.values.shape[1] - 1)
         return self.values[np.asarray(paths), col]
+
+    def table(self, paths, width: int) -> np.ndarray:
+        """values_at of rows ``paths`` at steps 0..width-1, at once."""
+        cols = np.minimum(np.arange(width), self.values.shape[1] - 1)
+        return self.values[np.asarray(paths)[:, None], cols]
 
 
 class PerturbedControl:
@@ -534,6 +552,84 @@ class PathBundle:
         return self.subordinator.values[: self.solver_steps + 1]
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
+class _NoiseStore:
+    """The Brownian values and jump events of an ensemble's paths, each
+    path's drawn from its own substreams the first time it is read.
+
+    Path p's Brownian values B(i du), i = 0..K_p + 1, sit in ``brownian``
+    from ``start[p]`` on (the layout of the ensemble's times); its
+    ``ev_len[p]`` events in (0, (K_p + 1) du], sorted, sit in ``time`` and
+    ``mark`` from ``ev_lo[p]`` on, and the first ``ev_n[p]`` of them lie
+    inside the solver horizon K_p du.  These are read-only views of the
+    buffers the store writes.  ``draw(paths)`` draws the paths not drawn
+    yet, in path order, from ``streams`` (the Brownian and jump
+    seeding.Substreams, item p being path p's); the substreams are keyed
+    by path, so a path drawn late has the bytes of one drawn first.  The
+    events sit in the order their paths were drawn until ``flat()``, which
+    draws every path and puts them in path order.  A store built without
+    streams is packed: every path's noise is given to it (``add``).
+    """
+
+    def __init__(self, K, start, du: float, spec: LevyJumpSpec, brownian, streams=None):
+        self.K, self.start, self.du, self.spec = K, start, du, spec
+        self._brownian, self.brownian, self._streams = brownian, _readonly(brownian), streams
+        self.drawn = np.zeros(K.size, dtype=bool)
+        self.ev_len, self.ev_lo, self.ev_n = (np.zeros(K.size, dtype=int) for _ in range(3))
+        # the event buffers, with room to grow; time and mark view their filled part
+        self._buffers = (np.empty(0), np.empty(0))
+        self.time, self.mark = (_readonly(b) for b in self._buffers)
+
+    def add(self, paths, times, marks, counts):
+        """Record the events of ``paths``, ``counts[j]`` of path j in turn."""
+        used = self.time.size
+        end = used + times.size
+        if end > self._buffers[0].size:
+            size = max(end, 2 * self._buffers[0].size)
+            self._buffers = tuple(np.empty(size) for _ in range(2))
+            self._buffers[0][:used], self._buffers[1][:used] = self.time, self.mark
+        self._buffers[0][used:end], self._buffers[1][used:end] = times, marks
+        self.time, self.mark = (_readonly(b[:end]) for b in self._buffers)
+        owner = np.repeat(np.arange(paths.size), counts)
+        inside = times <= self.K[paths][owner] * self.du + 1e-12 * self.du
+        self.ev_len[paths], self.ev_lo[paths] = counts, used + np.cumsum(counts) - counts
+        self.ev_n[paths] = np.bincount(owner[inside], minlength=paths.size)
+        self.drawn[paths] = True
+
+    def draw(self, paths):
+        """Draw the noise of every path in ``paths`` not drawn yet."""
+        new = paths[~self.drawn[paths]]
+        if not new.size:
+            return
+        new = np.unique(new)
+        rng_b, rng_j = self._streams
+        times, marks = [], []
+        for p, s, k in zip(new.tolist(), self.start[new].tolist(), (self.K[new] + 1).tolist()):
+            noise_mod.draw_brownian(self._brownian[s: s + k + 1], self.du, rng_b[p])
+            t, z = noise_mod.draw_jumps(self.spec, self.du * k, rng_j[p])
+            times.append(t)
+            marks.append(z)
+        self.add(new, np.concatenate(times), np.concatenate(marks),
+                 np.array([t.size for t in times], dtype=int))
+
+    def flat(self) -> "_NoiseStore":
+        """The store with every path drawn and its events in path order."""
+        self.draw(np.arange(self.K.size))
+        lo = np.cumsum(self.ev_len) - self.ev_len
+        if not np.array_equal(lo, self.ev_lo):
+            at = np.repeat(self.ev_lo - lo, self.ev_len) + np.arange(self.time.size)
+            self._buffers = (self.time[at], self.mark[at])
+            self.time, self.mark = (_readonly(b) for b in self._buffers)
+            self.ev_lo = lo
+        return self
+
+
 class Ensemble:
     """Paths held in flat, read-only arrays; no PathBundle is kept.
 
@@ -545,12 +641,19 @@ class Ensemble:
     ``ev_n[p]`` of them lie inside the solver horizon K_p du.  ``rows``
     gathers the padded layout of any rows from these arrays.
 
+    The noise (the Brownian values and the events) is held by a
+    _NoiseStore, which make_ensemble leaves undrawn: a path's noise is
+    drawn the first time a batch's noise fields (``rows``), a bundle view
+    or a flat accessor (``brownian``, ``ev_*``, which draw every path)
+    reads it, once per path, with the bytes of an early draw.
+
     ``Ensemble(bundles)`` packs a list of bundles, which must share the
     step, the jump spec and the calendar horizon; make_ensemble draws
     straight into the same arrays.  An integer index builds path p's
     PathBundle, whose arrays are views into the flat ones (so an
-    Ensemble iterates over its bundles); a slice or an index array
-    returns the ensemble of those rows, which shares the flat arrays.
+    Ensemble iterates over its bundles, drawing every path's noise
+    first); a slice or an index array returns the ensemble of those rows,
+    which shares the flat arrays and the noise store.
     """
 
     def __init__(self, bundles):
@@ -579,13 +682,14 @@ class Ensemble:
             du=du, spec=first.jump_spec, horizon=first.calendar_horizon, K=K,
             times=np.concatenate([b.subordinator.values for b in bundles]),
             brownian=np.concatenate([b.brownian.values[: k + 2] for b, k in zip(bundles, K)]),
-            ev_time=np.concatenate([b.jumps.times[:n] for b, n in zip(bundles, n_ev)]),
-            ev_mark=np.concatenate([b.jumps.marks[:n] for b, n in zip(bundles, n_ev)]),
-            ev_len=np.array(n_ev, dtype=int),
             seeds=np.array([(b.seeds.get("master", 0), b.seeds.get("path", 0))
                             for b in bundles], dtype=np.int64),
             noise=np.array([b.seeds.get("noise_index", b.seeds.get("path", 0))
                             for b in bundles], dtype=int))
+        self._store.add(np.arange(K.size),
+                        np.concatenate([b.jumps.times[:n] for b, n in zip(bundles, n_ev)]),
+                        np.concatenate([b.jumps.marks[:n] for b, n in zip(bundles, n_ev)]),
+                        np.array(n_ev, dtype=int))
 
     @classmethod
     def _from_arrays(cls, **arrays) -> "Ensemble":
@@ -594,21 +698,24 @@ class Ensemble:
         ens._pack(**arrays)
         return ens
 
-    def _pack(self, du, spec, horizon, K, times, brownian, ev_time, ev_mark, ev_len,
-              seeds, noise):
+    def _pack(self, du, spec, horizon, K, times, brownian, seeds, noise, streams=None):
         self.du, self.spec, self.horizon, self.K = du, spec, horizon, K
         self.start = np.cumsum(K + 2) - (K + 2)
-        self.times, self.brownian, self.ev_time, self.ev_mark = times, brownian, ev_time, ev_mark
-        for a in (times, brownian, ev_time, ev_mark):
-            a.setflags(write=False)
-        self.ev_len = ev_len
-        self.ev_lo = np.cumsum(ev_len) - ev_len
-        owner = np.repeat(np.arange(K.size), ev_len)
-        inside = ev_time <= K[owner] * du + 1e-12 * du
-        self.ev_n = np.bincount(owner[inside], minlength=K.size)
+        self.times = times
+        times.setflags(write=False)
         # (master, path) name a row's LSMC inner substreams; noise[p] is the
         # index of the Brownian and jump substreams path p was paired with
         self.seeds, self.noise = seeds, noise
+        # each row's path in the noise store, which sub-ensembles share
+        self._paths = np.arange(K.size)
+        self._store = _NoiseStore(K, self.start, du, spec, brownian, streams)
+
+    brownian = property(lambda self: self._store.flat().brownian)
+    ev_time = property(lambda self: self._store.flat().time)
+    ev_mark = property(lambda self: self._store.flat().mark)
+    ev_len = property(lambda self: self._store.flat().ev_len[self._paths])
+    ev_lo = property(lambda self: self._store.flat().ev_lo[self._paths])
+    ev_n = property(lambda self: self._store.flat().ev_n[self._paths])
 
     def __len__(self):
         return self.K.size
@@ -622,20 +729,27 @@ class Ensemble:
         if idx.size == 0:
             raise ValueError("ensemble is empty")
         sub = copy.copy(self)
-        for name in ("K", "start", "ev_len", "ev_lo", "ev_n", "seeds", "noise"):
+        for name in ("K", "start", "seeds", "noise", "_paths"):
             setattr(sub, name, getattr(self, name)[idx])
         return sub
 
+    def __iter__(self):
+        # iteration reads every path: draw their noise together
+        self._store.draw(self._paths)
+        return (self._bundle(p) for p in range(len(self)))
+
     def _bundle(self, p: int) -> PathBundle:
         """Path p as a PathBundle of views into the flat arrays."""
-        k, s = int(self.K[p]) + 1, self.start[p]
-        lo, hi = self.ev_lo[p], self.ev_lo[p] + self.ev_len[p]
+        k, s, q, store = int(self.K[p]) + 1, self.start[p], self._paths[p], self._store
+        if not store.drawn[q]:
+            store.draw(self._paths[p: p + 1])
+        lo, hi = store.ev_lo[q], store.ev_lo[q] + store.ev_len[q]
         grid = OperationalGrid(step=self.du, horizon=self.du * k)
         master, path = (int(x) for x in self.seeds[p])
         return PathBundle(
             subordinator=SubordinatorPath(grid=grid, values=self.times[s: s + k + 1]),
-            brownian=BrownianPath(grid=grid, values=self.brownian[s: s + k + 1]),
-            jumps=JumpStream(times=self.ev_time[lo:hi], marks=self.ev_mark[lo:hi],
+            brownian=BrownianPath(grid=grid, values=store.brownian[s: s + k + 1]),
+            jumps=JumpStream(times=store.time[lo:hi], marks=store.mark[lo:hi],
                              horizon=grid.horizon),
             jump_spec=self.spec, calendar_horizon=self.horizon,
             seeds={"master": master, "path": path, "noise_index": int(self.noise[p])})
@@ -649,18 +763,26 @@ class Ensemble:
     def rows(self, idx=None, labels=None) -> "_Batch":
         """The padded layout of rows ``idx`` (all, in ensemble order, by
         default), labelled by ``labels`` (their ensemble positions by
-        default).  The rows must come in K order, else ValueError."""
+        default).  The rows must come in K order, else ValueError.  Their
+        noise is drawn, and dB and the events gathered, when the batch
+        first reads them."""
         idx = np.arange(len(self)) if idx is None else np.asarray(idx, dtype=int)
-        B = self.padded(self.brownian, idx)
-        n_ev = self.ev_n[idx]
-        ev_p = np.repeat(np.arange(idx.size), n_ev)
-        at = np.arange(ev_p.size) + np.repeat(self.ev_lo[idx] - (np.cumsum(n_ev) - n_ev), n_ev)
-        # an event at time t falls in step ceil(t / du) - 1
-        ev_s = np.maximum(np.ceil(self.ev_time[at] / self.du - 1e-12).astype(int) - 1, 0)
-        return _Batch(self.padded(self.times, idx), B[:, 1:] - B[:, :-1], self.K[idx],
-                      ev_p, ev_s, self.ev_mark[at],
+        store, paths = self._store, self._paths[idx]
+
+        def noise():
+            store.draw(paths)
+            B = self.padded(store.brownian, idx)
+            n_ev = store.ev_n[paths]
+            ev_p = np.repeat(np.arange(idx.size), n_ev)
+            at = np.arange(ev_p.size) + np.repeat(store.ev_lo[paths] - (np.cumsum(n_ev) - n_ev),
+                                                  n_ev)
+            # an event at time t falls in step ceil(t / du) - 1
+            ev_s = np.maximum(np.ceil(store.time[at] / self.du - 1e-12).astype(int) - 1, 0)
+            return B[:, 1:] - B[:, :-1], ev_p, ev_s, store.mark[at]
+
+        return _Batch(self.padded(self.times, idx), self.K[idx],
                       idx if labels is None else np.asarray(labels, dtype=int),
-                      self.spec, self.du, seeds=self.seeds[idx])
+                      self.spec, self.du, noise, seeds=self.seeds[idx])
 
 
 def as_ensemble(bundles) -> Ensemble:
@@ -677,12 +799,15 @@ def make_ensemble(sub_spec: SubordinatorSpec, jump_spec: LevyJumpSpec,
     paths drawn together by sample_subordinators), and its Brownian
     values and jump events, on the subordinator's grid up to first
     passage, from the "brownian" and "jumps" substreams of index
-    pairing[i] (i by default); all three are drawn straight into the
-    Ensemble's flat arrays.  Each purpose's substreams are one
-    seeding.Substreams: every path's generator state is derived in one
-    pass and drawn through one reused generator, so no SeedSequence or
-    Generator is built per path, and the draws are those of
-    seeding.stream bit for bit.  ``pairing`` (a permutation of
+    pairing[i] (i by default), straight into the Ensemble's flat arrays.
+    The subordinators are drawn here; the Ensemble keeps the other two
+    substreams and draws a path's noise the first time it is read (see
+    Ensemble), so a caller that reads only the clock draws none, and a
+    late draw has the bytes of an early one.  Each purpose's substreams
+    are one seeding.Substreams: every path's generator state is derived
+    in one pass and drawn through one reused generator, so no
+    SeedSequence or Generator is built per path, and the draws are those
+    of seeding.stream bit for bit.  ``pairing`` (a permutation of
     range(n_paths), else ValueError) re-pairs subordinator draws with
     other indices' noise, which must leave every ensemble statistic's law
     unchanged; the cost-independence test relies on that.  A master seed
@@ -704,21 +829,12 @@ def make_ensemble(sub_spec: SubordinatorSpec, jump_spec: LevyJumpSpec,
     times, k = sample_subordinators(
         sub_spec, calendar_horizon, grid,
         Substreams(master_seed, "subordinator", np.arange(n_paths)))
-    du = grid.step
-    brownian = np.empty_like(times)
-    ev_time, ev_mark = [], []
-    rng_b, rng_j = (Substreams(master_seed, name, pairing) for name in ("brownian", "jumps"))
-    for i, (s, ki) in enumerate(zip((np.cumsum(k + 1) - (k + 1)).tolist(), k.tolist())):
-        noise_mod.draw_brownian(brownian[s: s + ki + 1], du, rng_b[i])
-        t, z = noise_mod.draw_jumps(jump_spec, du * ki, rng_j[i])
-        ev_time.append(t)
-        ev_mark.append(z)
     return Ensemble._from_arrays(
-        du=du, spec=jump_spec, horizon=calendar_horizon, K=k - 1, times=times,
-        brownian=brownian, ev_time=np.concatenate(ev_time), ev_mark=np.concatenate(ev_mark),
-        ev_len=np.array([t.size for t in ev_time], dtype=int),
+        du=grid.step, spec=jump_spec, horizon=calendar_horizon, K=k - 1, times=times,
+        brownian=np.empty_like(times),
         seeds=np.column_stack([np.full(n_paths, int(master_seed)), np.arange(n_paths)]),
-        noise=pairing)
+        noise=pairing,
+        streams=tuple(Substreams(master_seed, name, pairing) for name in ("brownian", "jumps")))
 
 
 # ----------------------------------------------------------------- solutions
@@ -792,28 +908,41 @@ class _Batch:
     Kmax + 1, held at t_K past its horizon) and Brownian increments dB
     (zero past it); event e falls in step ev_s[e] of row ev_p[e] with mark
     ev_z[e], and the events are sorted here by step, step i's from
-    ev_start[i] on.  ``labels`` are the control rows the paths read, so
-    sorting and chunking never change them; ``seeds`` holds each row's
-    (master, path) seed pair, which names its LSMC inner substreams (None
-    for inner rows).  The rows come in K order, else ValueError, so
-    ``live(i)``, the rows with K > i, is a suffix.  The kernels pair a
-    batch with loose padded arrays (X, Y, A, r, v) by row number, which
-    callers gather in the same order.
+    ev_start[i] on.  ``noise`` gives (dB, ev_p, ev_s, ev_z) and is called
+    when one of those fields is first read, so a solver that reads only
+    the clock (a cost pass that solves no state) draws no noise.
+    ``labels`` are the control rows the paths read, so sorting and
+    chunking never change them; ``seeds`` holds each row's (master, path)
+    seed pair, which names its LSMC inner substreams (None for inner
+    rows).  The rows come in K order, else ValueError, so ``live(i)``, the
+    rows with K > i, is a suffix.  The kernels pair a batch with loose
+    padded arrays (X, Y, A, r, v) by row number, which callers gather in
+    the same order.
     """
 
-    def __init__(self, t, dB, K, ev_p, ev_s, ev_z, labels, spec: LevyJumpSpec, du: float,
-                 seeds=None):
-        self.t, self.dB, self.K, self.labels = t, dB, K, labels
+    _NOISE = frozenset(("dB", "ev_p", "ev_s", "ev_z", "ev_start"))
+
+    def __init__(self, t, K, labels, spec: LevyJumpSpec, du: float, noise, seeds=None):
+        self.t, self.K, self.labels = t, K, labels
         self.spec, self.du, self.seeds = spec, du, seeds
         self.N, self.Kmax = K.size, int(K.max())
         self.znodes, self.w = spec.quadrature()
-        order = np.argsort(ev_s, kind="stable")
-        self.ev_p, self.ev_s, self.ev_z = ev_p[order], ev_s[order], ev_z[order]
-        self.ev_start = np.searchsorted(self.ev_s, np.arange(self.Kmax + 1))
         if np.any(K[1:] < K[:-1]):
             raise ValueError("batch rows must be sorted by solver steps K")
         # the rows live at step i are the suffix from lo[i]
         self._lo = np.searchsorted(K, np.arange(self.Kmax), side="right")
+        self._noise = noise
+
+    def __getattr__(self, name):
+        # called only for a field not set yet: the noise fields, on first read
+        if name not in _Batch._NOISE or "_noise" not in self.__dict__:
+            raise AttributeError(name)
+        dB, ev_p, ev_s, ev_z = self._noise()
+        del self._noise
+        order = np.argsort(ev_s, kind="stable")
+        self.dB, self.ev_p, self.ev_s, self.ev_z = dB, ev_p[order], ev_s[order], ev_z[order]
+        self.ev_start = np.searchsorted(self.ev_s, np.arange(self.Kmax + 1))
+        return getattr(self, name)
 
     def live(self, i: int) -> slice:
         """The rows with K > i: a suffix slice, whose rows read as views."""
@@ -825,18 +954,20 @@ def _single(bundle: PathBundle) -> _Batch:
     return Ensemble([bundle]).rows([0], labels=[bundle.seeds.get("path", 0)])
 
 
-def _sorted_batches(ens: Ensemble, chunk: int):
-    """Yield (idx, batch) over an ensemble cut into K-sorted batches.
+def _sorted_batches(ens: Ensemble, chunk: int, rows=None):
+    """Yield (idx, batch) over an ensemble's rows cut into K-sorted batches.
 
-    The rows are stable-sorted by solver steps and the order is cut into
-    batches of at most ``chunk`` rows, so each batch pads only to paths
-    of similar horizon.  ``idx`` holds the ensemble positions of the
-    batch rows, which are also the batch labels; callers scatter per-row
-    results back with it, so everything downstream sees ensemble order.
+    The rows (positions ``rows``, all by default) are stable-sorted by
+    solver steps and the order is cut into batches of at most ``chunk``
+    rows, so each batch pads only to paths of similar horizon.  ``idx``
+    holds the ensemble positions of the batch rows, which are also the
+    batch labels; callers scatter per-row results back with it, so
+    everything downstream sees ensemble order.
     """
     if not isinstance(chunk, numbers.Integral) or chunk < 1:
         raise ValueError(f"chunk must be an integer of at least 1 row, got {chunk!r}")
-    order = np.argsort(ens.K, kind="stable")
+    rows = np.arange(len(ens)) if rows is None else rows
+    order = rows[np.argsort(ens.K[rows], kind="stable")]
     for lo in range(0, order.size, chunk):
         idx = order[lo: lo + chunk]
         yield idx, ens.rows(idx)
@@ -887,16 +1018,24 @@ def _euler(batch: _Batch, z0, step, system: str) -> np.ndarray:
 
 
 def _open_loop(control, batch: _Batch, box: Box | None = None) -> np.ndarray:
-    """An open-loop control's values, read on live cells only, before any
-    state exists: the state argument is NaN, which a state-free control
-    does not read.  Given ``box``, the live cells are admitted to it
+    """An open-loop control's values, read before any state exists: the
+    state argument is NaN, which a state-free control does not read.  A
+    control with a ``table`` (ConstantControl, StepwiseControl) gives the
+    rows with a step all at once; any other is read one step at a time on
+    live cells only.  Given ``box``, the live cells are admitted to it
     together, once.  Past its horizon a row holds its last value, 0 on a
-    zero-step row, as _forward_batch's v does."""
-    v, nan = np.zeros((batch.N, batch.Kmax)), np.full(batch.N, np.nan)
-    for i in range(batch.Kmax):
-        rows = batch.live(i)
-        v[rows, i] = control.values_at(i, batch.t[rows, i], i * batch.du, nan[rows],
-                                       batch.labels[rows])
+    zero-step row, as _forward_batch's v does, so a table cell read there
+    is never used."""
+    v = np.zeros((batch.N, batch.Kmax))
+    if hasattr(control, "table"):
+        rows = batch.live(0) if batch.Kmax else slice(0)
+        v[rows] = control.table(batch.labels[rows], batch.Kmax)
+    else:
+        nan = np.full(batch.N, np.nan)
+        for i in range(batch.Kmax):
+            rows = batch.live(i)
+            v[rows, i] = control.values_at(i, batch.t[rows, i], i * batch.du, nan[rows],
+                                           batch.labels[rows])
     if box is not None:
         live = np.arange(batch.Kmax) < batch.K[:, None]
         v[live] = box.admit(v[live])
@@ -1257,10 +1396,10 @@ def _inner_batch(batch: _Batch, rows, n_inner: int) -> _Batch:
         counts.append(rng.poisson(spec.intensity * k * du, n_inner))
         steps.append(rng.integers(0, k, counts[-1].sum()))
         marks.append(spec.sample_marks(counts[-1].sum(), rng))
-    return _Batch(np.repeat(batch.t[rows, : width + 1], n_inner, axis=0), dB,
-                  np.repeat(K, n_inner), np.repeat(np.arange(M), np.concatenate(counts)),
-                  np.concatenate(steps), np.concatenate(marks),
-                  np.repeat(batch.labels[rows], n_inner), spec, du)
+    noise = (dB, np.repeat(np.arange(M), np.concatenate(counts)), np.concatenate(steps),
+             np.concatenate(marks))
+    return _Batch(np.repeat(batch.t[rows, : width + 1], n_inner, axis=0), np.repeat(K, n_inner),
+                  np.repeat(batch.labels[rows], n_inner), spec, du, lambda: noise)
 
 
 def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256):
@@ -1656,42 +1795,59 @@ def _ensemble_cost(model: ModelSpec, control, bundles, method=None, chunk: int =
     """evaluate_cost's estimate and the solved rows of the ensemble's first
     ``keep`` paths, from one pass over its K-sorted batches.
 
-    The EnsembleSolution (None when ``keep`` is 0) holds positions
-    0..keep-1 in ensemble order at their own width, the largest K among
-    them, each row held past its batch's width as past its horizon; only
-    those rows' r table is built.  Every kernel is row-local, so the rows
-    are those a solve of those paths alone gives, for every ``chunk``.
-    A batch holding a kept row is solved whole; any other is costed with
-    ``keep=False``, which for a cost free of the state solves no state
-    (_batch_cost), with the same bytes.
+    The kept rows are cut into K-sorted batches of their own and solved
+    whole; every other row is costed in batches with ``keep=False``,
+    which for a cost free of the state solves no state and draws no noise
+    (_batch_cost), with the same bytes.  The EnsembleSolution (None when
+    ``keep`` is 0) holds positions 0..keep-1 in ensemble order at their
+    own width, the largest K among them, each row held past its batch's
+    width as past its horizon; only those rows' r table is built.  Every
+    kernel is row-local, so the rows are those a solve of those paths
+    alone gives, and every cost is the same, for every ``chunk``.
     """
     control = as_control(control)
     ens = as_ensemble(bundles)
     per_path = np.empty(len(ens))
+    kept = np.arange(len(ens)) < keep
     if keep:
         Kk = ens.K[:keep]
         width = int(Kk.max())
         t, X, Y = (np.empty((Kk.size, width + 1)) for _ in range(3))
         A, v = np.zeros((Kk.size, width)), np.zeros((Kk.size, width))
         r = np.zeros((Kk.size, width, ens.spec.n_quad))
-    for idx, batch in _sorted_batches(ens, chunk):
-        sel = np.flatnonzero(idx < keep)
-        if not sel.size:
-            per_path[idx] = _batch_cost(model, control, batch, method, keep=False)
-            continue
+    for idx, batch in _sorted_batches(ens, chunk, np.flatnonzero(kept)):
         per_path[idx], Xb, Yb, vb, Ab, rb = _batch_cost(model, control, batch, method=method)
-        pos, k = idx[sel], min(batch.Kmax, width)
+        k = batch.Kmax
         for full, part in ((t, batch.t), (X, Xb), (Y, Yb)):
-            full[pos, : k + 1] = part[sel, : k + 1]
-            full[pos, k + 1:] = part[sel, k, None]
-        A[pos, :k], v[pos, :k], r[pos, :k] = Ab[sel, :k], vb[sel, :k], rb.table(sel)[:, :k]
+            full[idx, : k + 1] = part
+            full[idx, k + 1:] = part[:, k, None]
+        A[idx, :k], v[idx, :k], r[idx, :k] = Ab, vb, rb.table()
         # free this batch's solution before the next batch is solved
         del Xb, Yb, vb, Ab, rb
+    for idx, batch in _sorted_batches(ens, chunk, np.flatnonzero(~kept)):
+        per_path[idx] = _batch_cost(model, control, batch, method, keep=False)
     mean = float(per_path.mean())
     se = float(per_path.std(ddof=1) / np.sqrt(per_path.size)) if per_path.size > 1 else 0.0
     sols = (EnsembleSolution(K=Kk, du=ens.du, t=t, X=X, Y=Y, A=A, r=r,
                              v=_hold(v, Kk, 0.0, width)) if keep else None)
     return CostEstimate(mean=mean, std_error=se, per_path=per_path), sols
+
+
+def _clock_rows(model: ModelSpec, control, bundles, n: int) -> EnsembleSolution:
+    """The first ``n`` paths' clock t and open-loop rates v, in ensemble
+    order, as _ensemble_cost(keep=n) keeps them under a state-free
+    control in the affine regime (_open_loop, admitted to the control
+    set); X, Y, A and r are read-only broadcast NaN placeholders, for a
+    reader that provably reads none of them.  No noise is drawn and no
+    state is solved."""
+    ens = as_ensemble(bundles)[:n]
+    order = np.argsort(ens.K, kind="stable")
+    batch, back = ens.rows(order), np.argsort(order)
+    N, Kmax, Q = batch.N, batch.Kmax, batch.w.size
+    X = np.broadcast_to(np.nan, (N, Kmax + 1))
+    return EnsembleSolution(K=ens.K, du=ens.du, t=batch.t[back], X=X, Y=X, A=X[:, 1:],
+                            r=np.broadcast_to(np.nan, (N, Kmax, Q)),
+                            v=_open_loop(control, batch, model.control_set)[back])
 
 
 def evaluate_cost(model: ModelSpec, control, bundles, method=None,

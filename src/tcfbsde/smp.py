@@ -54,11 +54,13 @@ from .fbsde import (
     PathBundle,
     PerturbedControl,
     StepwiseControl,
+    _ARG_POS,
     _affine_backward,
     _affine_step,
     _Batch,
     _batch_cost,
     _euler,
+    _may_read,
     _open_loop,
     _probe_affine,
     _row_cost,
@@ -134,6 +136,25 @@ def hamiltonian_grad_v(model: ModelSpec, spec, t1, t2, x, y, a, r_nodes, v,
     model_derivative gives them."""
     return _hamiltonian_form(lambda name: model_derivative(model, name + "_v"), spec,
                              t1, t2, x, y, a, r_nodes, v, p, q, k, R_nodes)
+
+
+def _grad_v_reads_state(model: ModelSpec) -> bool:
+    """Whether dH/dv may read x, y, a or r.  False only when every
+    v-partial of f, sigma, b, g and l provably reads none of them, by
+    model_derivative's rule: a registered partial by its code (_may_read);
+    else a map that never reads v gives a constant 0.0, which reads
+    nothing; else the partial is a difference of the map, which reads
+    what the map may read (ModelSpec._unread)."""
+    for name in ("f", "sigma", "b", "g", "l"):
+        pos = _ARG_POS[name]
+        state = {slot for slot in pos if slot in "xyar"}
+        d = model.derivatives.get(f"{name}_v")
+        if d is not None:
+            if any(_may_read(d, pos[slot]) for slot in state):
+                return True
+        elif "v" not in model._unread[name] and not state <= model._unread[name]:
+            return True
+    return False
 
 
 # ------------------------------------------------------------------ adjoints

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import cash_cost_given_steps, cash_q_candidate, k_law
 from support import RAGGED_STEPS, manual_bundle, ragged_bundles, solved_ensemble
-from tcfbsde import fbsde, smp
+from tcfbsde import cash as cash_mod, fbsde, smp
 from tcfbsde.cash import (
     CashSpec,
     build_cash_model,
@@ -608,6 +608,91 @@ def test_certificate_solves_each_ustar_row_once(monkeypatch):
     certify_optimality(CashSpec(), [0.5], ensemble_size=64, margin_paths=40,
                        expansion_rhos=[0.1], expansion_paths=16)
     assert sum(rows) == 64
+
+
+def _time_varying_spec():
+    return CashSpec(sigma_t=lambda t: 0.2 + 0.1 * t, eta_t=lambda t, z: (0.1 + 0.05 * t) * z,
+                    kappa=lambda t: 1.0 + 0.5 * t)
+
+
+def test_margins_from_clock_rows_equal_the_full_state_margins():
+    """The cash model's dH/dv reads none of x, y, a, r, so the margin
+    search reads the lead's clock and u*'s rates with NaN placeholders for
+    the state (fbsde._clock_rows): its 64 margins, standard errors and
+    witness carry the bytes of those from the solved rows, for a flat and
+    a time-varying CashSpec, on a lead whose Kmax is below the
+    ensemble's."""
+    for spec in (CashSpec(), _time_varying_spec()):
+        model = build_cash_model(spec)
+        assert not smp._grad_v_reads_state(model)
+        ens = make_ensemble(spec.subordinator, spec.jump, spec.horizon, DU, 96, 4)
+        adjs = cash_adjoints(spec, ens)
+        ustar = cash_optimal_control(spec, adjs)
+        lead = 24
+        assert ens.K[:lead].max() < ens.K.max()
+        solved = fbsde._ensemble_cost(model, ustar, ens, keep=len(ens))[1]
+        clock = fbsde._clock_rows(model, ustar, ens, lead)
+        assert np.isnan(clock.X).all() and not clock.X.flags.writeable
+        for field in ("t", "v"):
+            assert (getattr(clock, field).tobytes()
+                    == getattr(cash_mod._leading(solved, lead), field).tobytes())
+        reps = [check_necessary_condition(model, ens[:lead], rows,
+                                          cash_mod._leading(adjs, lead), count=64, seed=3)
+                for rows in (cash_mod._leading(solved, lead), clock)]
+        assert json.dumps(reps[0].margins) == json.dumps(reps[1].margins)
+        assert reps[0].witness == reps[1].witness
+
+
+def test_certificate_draws_the_noise_of_the_expansion_rows_alone(monkeypatch):
+    """Only the expansion check reads a path's noise in a certificate: the
+    u* pass keeps the expansion rows alone, and every other pass and the
+    margin search read the clock, so the ensemble draws the noise of
+    expansion_paths paths, and of none without expansion_rhos."""
+    draws, draw = [], fbsde.noise_mod.draw_brownian
+
+    def counting(out, step, rng):
+        draws.append(1)
+        return draw(out, step, rng)
+
+    monkeypatch.setattr(fbsde.noise_mod, "draw_brownian", counting)
+    certify_optimality(CashSpec(), [0.5], ensemble_size=64, margin_paths=40,
+                       expansion_rhos=[0.1], expansion_paths=16)
+    assert len(draws) == 16
+    certify_optimality(CashSpec(), [0.5], ensemble_size=64, margin_paths=40)
+    assert len(draws) == 16
+
+
+def test_margin_search_solves_the_state_when_grad_v_may_read_it(monkeypatch):
+    """A cash twin whose registered l_v reads x (adding 0 x) may read the
+    state in dH/dv: its certificate keeps max(margin_paths,
+    expansion_paths) solved rows, as before the clock-only margin search,
+    and the margin search reads their finite states; its margins equal
+    the cash model's."""
+    base = build_cash_model(CashSpec())
+    l_v = base.derivatives["l_v"]
+    twin = dataclasses.replace(base, derivatives={
+        **base.derivatives, "l_v": lambda t1, t2, x, y, a, r, v: l_v(t1, t2, x, y, a, r, v)
+        + 0.0 * x})
+    assert smp._grad_v_reads_state(twin)
+    keeps, states = [], []
+    ensemble_cost, necessary = cash_mod._ensemble_cost, cash_mod.check_necessary_condition
+
+    def spy_cost(*args, keep=0, **kwargs):
+        keeps.append(keep)
+        return ensemble_cost(*args, keep=keep, **kwargs)
+
+    def spy_margins(model, bundles, solutions, *args, **kwargs):
+        states.append(np.isfinite(solutions.X).all())
+        return necessary(model, bundles, solutions, *args, **kwargs)
+
+    monkeypatch.setattr(cash_mod, "_ensemble_cost", spy_cost)
+    monkeypatch.setattr(cash_mod, "check_necessary_condition", spy_margins)
+    args = dict(ensemble_size=64, margin_paths=40, expansion_rhos=[0.1], expansion_paths=16)
+    plain = certify_optimality(CashSpec(), [0.5], **args)
+    monkeypatch.setattr(cash_mod, "build_cash_model", lambda spec: twin)
+    solved = certify_optimality(CashSpec(), [0.5], **args)
+    assert keeps == [16, 40] and states == [False, True]
+    assert solved.min_margin == plain.min_margin and solved.witness == plain.witness
 
 
 def _reshaped_twin(model, reshape):

@@ -451,6 +451,72 @@ def test_ensemble_bundles_match_the_one_call_samplers():
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+FLAT_NAMES = ("K", "start", "times", "brownian", "ev_time", "ev_mark", "ev_len", "ev_lo",
+              "ev_n", "seeds", "noise")
+
+
+def _counted_draws(monkeypatch):
+    """A list that collects the substream of every path whose Brownian
+    values make_ensemble's store draws from then on."""
+    drawn, draw = [], fbsde.noise_mod.draw_brownian
+
+    def counting(out, step, rng):
+        drawn.append(rng.bit_generator.state["state"]["state"])
+        return draw(out, step, rng)
+
+    monkeypatch.setattr(fbsde.noise_mod, "draw_brownian", counting)
+    return drawn
+
+
+def test_noise_drawn_late_in_any_order_has_the_bytes_of_an_eager_draw(monkeypatch):
+    """make_ensemble draws a path's noise when it is first read.  Read in
+    a scrambled order (one bundle, then the rows of a slice, then the
+    events of scattered rows, then the flat arrays), with and without
+    re-paired noise, the ensemble draws only the paths read so far, each
+    once, and ends with the flat arrays, byte for byte, of an ensemble
+    packed from the one-call samplers' bundles, and with the padded
+    layout of that ensemble."""
+    sub, jump, T, du, n, seed = PACK_CASE
+    drawn = _counted_draws(monkeypatch)
+    for ens, pairing in pack_cases():
+        eager = fbsde.Ensemble([reference_bundle(sub, jump, T, du, seed, i, int(pairing[i]))
+                                for i in range(n)])
+        del drawn[:]
+        ens[17]
+        assert len(drawn) == 1
+        part = ens[40:60]
+        part.rows(np.argsort(part.K, kind="stable")).dB
+        assert len(drawn) == 21
+        scattered = np.arange(3, n, 5)
+        ens.rows(scattered[np.argsort(ens.K[scattered], kind="stable")]).ev_z
+        read = {17, *range(40, 60), *scattered.tolist()}
+        assert len(drawn) == len(read) == len(set(drawn))
+        # a sub-ensemble shares the draws: reading its rows again draws nothing
+        part[3]
+        assert len(drawn) == len(read)
+        for name in FLAT_NAMES:
+            a, b = getattr(ens, name), getattr(eager, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert len(drawn) == n
+        order = np.argsort(ens.K, kind="stable")
+        got, want = ens.rows(order), eager.rows(order)
+        for name in ("t", "dB", "ev_p", "ev_s", "ev_z", "ev_start"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_ensemble_views_of_late_noise_are_read_only():
+    """The bundle views and flat arrays of noise drawn on first read are
+    read-only, as the ensemble's other arrays are, so no caller can
+    change the noise a later batch reads."""
+    ens = make_ensemble(*PACK_CASE[:5], master_seed=1)
+    bnd = ens[2]
+    arrays = (bnd.brownian.values, bnd.jumps.times, bnd.jumps.marks, ens.brownian,
+              ens.ev_time, ens.ev_mark, ens.times)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[:1] = 0.0
+
+
 def test_ensemble_solvers_compute_no_inverse(monkeypatch):
     """No ensemble entry point reads a path's inverse clock: make_ensemble,
     evaluate_cost and certify_optimality run with invert_subordinator
@@ -879,6 +945,8 @@ def test_cost_rejects_a_chunk_below_one(chunk):
         evaluate_cost(model, 0.5, ens, chunk=chunk)
     with pytest.raises(ValueError, match="chunk"):
         solved_ensemble(model, 0.5, ens, chunk=chunk)
+    with pytest.raises(ValueError, match="chunk"):
+        fbsde._ensemble_cost(model, 0.5, ens, chunk=chunk, keep=3)
 
 
 def test_cost_builds_no_full_r_table(monkeypatch):
@@ -1293,6 +1361,89 @@ def test_cost_pass_keeping_no_rows_names_a_non_finite_cost():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match=r"^cost blow-up \(path 2\)$"):
             evaluate_cost(model, StepwiseControl(rows), bundles)
+
+
+def test_state_free_cost_pass_draws_no_noise(monkeypatch):
+    """A cost pass that solves no state (the cash model, keeping no rows)
+    reads only the clock, so over a fresh ensemble it draws no path's
+    noise; a pass that keeps n rows draws exactly those n paths, once
+    each.  linear_test, whose running cost reads x, draws every path."""
+    spec = CashSpec()
+    cash = build_cash_model(spec)
+    drawn = _counted_draws(monkeypatch)
+
+    def fresh():
+        return make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 64, 3)
+
+    for ctl in (ConstantControl(0.5), cash_optimal_control(spec, cash_adjoints(spec, fresh()))):
+        evaluate_cost(cash, ctl, fresh(), chunk=7)
+        assert drawn == []
+        for keep in (1, 5, 64):
+            ens = fresh()
+            fbsde._ensemble_cost(cash, ctl, ens, chunk=7, keep=keep)
+            want = [fbsde.Substreams(3, "brownian", [p])._state[0] for p in range(keep)]
+            assert sorted(drawn) == sorted(want)
+            del drawn[:]
+    model, jump, sub, p = build_model("linear_test")
+    evaluate_cost(model, 0.5, make_ensemble(sub, jump, p["horizon"], p["step"], 16, 3))
+    assert len(drawn) == 16
+
+
+def test_cost_pass_is_byte_equal_for_every_keep_and_chunk():
+    """_ensemble_cost solves its kept rows in batches of their own and
+    costs the rest without state where it can: every per-path cost has
+    the same bytes for keep in {0, 5, all} and chunk in {1, 7, 512}, and
+    the kept rows are the same for every chunk; on the cash model (whose
+    other rows take the state-free path) and on linear_test (whose do
+    not), on a sampled ensemble and on ragged paths with zero-step ones."""
+    spec = CashSpec()
+    lin, jump, sub, p = build_model("linear_test")
+    cases = [(build_cash_model(spec),
+              make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 40, 2)),
+             (build_cash_model(spec), fbsde.Ensemble(ragged_bundles(RAGGED_STEPS))),
+             (lin, make_ensemble(sub, jump, p["horizon"], p["step"], 40, 2))]
+    for model, ens in cases:
+        want, rows = None, {}
+        for keep, chunk in itertools.product((0, 5, len(ens)), (1, 7, 512)):
+            est, sols = fbsde._ensemble_cost(model, ConstantControl(0.5), ens, chunk=chunk,
+                                             keep=keep)
+            want = est.per_path.tobytes() if want is None else want
+            assert est.per_path.tobytes() == want
+            if keep:
+                got = [getattr(sols, f).tobytes() for f in ("t", "X", "Y", "A", "r", "v")]
+                assert rows.setdefault(keep, got) == got
+
+
+def test_open_loop_reads_a_whole_table_with_the_bytes_of_a_step_loop():
+    """_open_loop reads a ConstantControl's or StepwiseControl's whole
+    table at once: the same bytes as the step-by-step read of its live
+    cells, the same hold past each horizon (0 on a zero-step row, a table
+    narrower than the batch holding its last column), the same box
+    admission of live cells only (NaN padding past a horizon is never
+    admitted), and a live cell outside the box still raises."""
+    class StepLoop:
+        """``control`` read through values_at alone."""
+
+        state_free = True
+
+        def __init__(self, control):
+            self.values_at = control.values_at
+
+    ens = fbsde.Ensemble(ragged_bundles(RAGGED_STEPS))
+    order = np.argsort(ens.K, kind="stable")
+    batch = ens.rows(order)
+    live = np.arange(batch.Kmax) < ens.K[:, None]
+    rng = np.random.default_rng(3)
+    tables = [StepwiseControl(np.where(live, rng.uniform(-1.0, 1.0, live.shape), np.nan)),
+              StepwiseControl(rng.uniform(-1.0, 1.0, (len(ens), 3))),
+              ConstantControl(0.25)]
+    for ctl in tables:
+        for box in (None, Box(-1.0, 1.0)):
+            got = fbsde._open_loop(ctl, batch, box)
+            want = fbsde._open_loop(StepLoop(ctl), batch, box)
+            assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="outside the control set"):
+        fbsde._open_loop(ConstantControl(0.25), batch, Box(0.5, 1.0))
 
 
 def test_affine_cost_reads_the_control_on_live_cells_only():

@@ -11,9 +11,12 @@ the bundles of a few paths).  Two more ensembles dump their flat arrays: one
 at a master seed of two 32-bit words, and one whose paths double their
 starting grid twice or more, so a change to the substream derivation's
 multi-word entropy or to how a doubling row resumes its stream reaches a
-compared output.  The mark-law integral of a fixed table that mixes
-node-constant, zero and varying rows is dumped under both mark laws, so
-its constant-row rule reaches a compared output on its own.  The costs include linear_test twins whose
+compared output; a third, with re-paired noise, is read in a scrambled
+order (a bundle, a slice's rows, a batch's events) before its flat arrays
+are dumped, so the order in which an ensemble draws its noise (on first
+read) reaches a compared output.  The mark-law integral of a fixed table
+that mixes node-constant, zero and varying rows is dumped under both mark
+laws, so its constant-row rule reaches a compared output on its own.  The costs include linear_test twins whose
 running cost reads r, so the backward solve's jump cells reach a compared
 output; one of them has a jump coefficient with both an x-slope and a
 constant, which pins the operation order of those cells; the kept rows'
@@ -38,7 +41,11 @@ The outputs reach a few private entry points (``fbsde._ensemble_cost``,
 the cost pass that keeps the solved rows of an ensemble's first paths,
 ``cash._leading``, the slice of those paths' solved rows or adjoints, and
 ``smp._variational_batch``), and the cash margins repeat how
-``certify_optimality`` sets up its margin search; a tree that renames
+``certify_optimality`` sets up its margin search (u*'s cost pass keeps
+the 128 expansion rows, and the margins read ``fbsde._clock_rows``, the
+lead's clock and rates with placeholders for the state; trees before
+that set-up read the cost pass's first 1,024 kept rows through
+``cash._leading``, which gives the same margins); a tree that renames
 those entry points or changes that set-up needs this script updated in the
 same change.
 
@@ -231,11 +238,15 @@ def dump(out_path):
         out[f"compose.linear_test.{field}"] = np.concatenate([getattr(c, field) for c in cal])
 
     # the margin search's 64 margins: the cash certificate's (u* on the
-    # seed-0 1,024-path lead) and linear_test's under its general adjoints
+    # seed-0 1,024-path lead, set up as certify_optimality sets it up: u*'s
+    # cost pass keeps the 128 expansion rows, and the margins read the
+    # lead's clock and rates with placeholders for the state) and
+    # linear_test's under its general adjoints
     cert = fbsde.make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 2048, 0)
     cert_adjs = cash.cash_adjoints(spec, cert)
     ustar_cert = cash.cash_optimal_control(spec, cert_adjs)
-    est, lead_sols = fbsde._ensemble_cost(cmodel, ustar_cert, cert, keep=1024)
+    est = fbsde._ensemble_cost(cmodel, ustar_cert, cert, keep=128)[0]
+    lead_sols = fbsde._clock_rows(cmodel, ustar_cert, cert, 1024)
     out["cost.cash.ustar.per_path"] = est.per_path
     for name, ctl in (("0.5", fbsde.ConstantControl(0.5)), ("1.5", fbsde.ConstantControl(1.5))):
         out[f"cost.cash.{name}.per_path"] = fbsde.evaluate_cost(cmodel, ctl, cert).per_path
@@ -292,6 +303,18 @@ def dump(out_path):
     for name, sample in (("seed_2p32", wide), ("doubling", slow)):
         for field in ("K", "times", "brownian", "ev_time", "ev_mark", "ev_len"):
             out[f"sample.{name}.{field}"] = getattr(sample, field)
+    # an ensemble with re-paired noise read in a scrambled order (one
+    # bundle, then a slice's rows, then a batch's noise fields, then the
+    # flat arrays): an ensemble that draws its noise when first read must
+    # give the flat arrays of one drawn in path order
+    late = fbsde.make_ensemble(sub, jump, p["horizon"], p["step"], 512, 0,
+                               pairing=np.random.default_rng(6).permutation(512))
+    late[300]
+    part = late[40:90]
+    part.rows(np.argsort(part.K, kind="stable")).dB
+    late.rows(np.argsort(late.K, kind="stable")[::7]).ev_z
+    for field in ("K", "times", "brownian", "ev_time", "ev_mark", "ev_len", "ev_lo", "ev_n"):
+        out[f"sample.scrambled.{field}"] = getattr(late, field)
 
     # the mark-law integral of a fixed table mixing node-constant, zero and
     # varying rows (some equal at every node but the last), under both
