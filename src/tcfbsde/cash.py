@@ -285,14 +285,13 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
     against 64 candidates, on at most ``margin_paths`` leading paths, and
     passing ``expansion_rhos`` fills the difference-quotient and remainder
     tables (direction: unit rate increase) on ``expansion_paths``.  The
-    margin search reads the rows only through dH/dv, and the cash model's
-    v-partials provably read none of x, y, a, r (smp._grad_v_reads_state):
-    its rows hold the clock t and u*'s rates v alone, with placeholders
-    for the state (fbsde._clock_rows), so u*'s cost solve keeps only the
-    expansion_paths rows (none without expansion_rhos) and draws the
-    noise of those alone.  A model whose dH/dv may read the state keeps
-    max(margin_paths, expansion_paths) rows, and each stage reads its
-    leading rows of them; either way no u* row is solved twice.
+    margin search reads the rows only through dH/dv, whose v-partials
+    (registered by build_cash_model) provably read none of x, y, a, r
+    (smp._grad_v_reads_state; a model whose dH/dv may read them raises
+    ValueError before anything is sampled): its rows hold the clock t and u*'s rates v
+    alone, with placeholders for the state (fbsde._clock_rows), so u*'s
+    cost solve keeps only the expansion_paths rows (none without
+    expansion_rhos) and draws the noise of those alone.
     ``ensemble_size``, ``margin_paths`` and ``expansion_paths`` must be
     integers of at least 2, so that every reported mean has a standard
     error; anything else raises ValueError.
@@ -307,15 +306,16 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
             raise ValueError(f"{name} must be an integer of at least 2 for a standard "
                              f"error, got {n!r}")
     model = build_cash_model(spec)
+    if _grad_v_reads_state(model):
+        raise ValueError("the margin search reads dH/dv on the clock and rates alone, "
+                         "but this model's dH/dv may read the state")
     bundles = make_ensemble(spec.subordinator, spec.jump, spec.horizon,
                             step, ensemble_size, seed)
     adjs = cash_adjoints(spec, bundles)
     ustar = cash_optimal_control(spec, adjs)
     head = min(len(bundles), int(margin_paths))
     tail = min(len(bundles), int(expansion_paths)) if expansion_rhos else 0
-    clock_only = not _grad_v_reads_state(model)
-    base, sols = _ensemble_cost(model, ustar, bundles,
-                                keep=tail if clock_only else max(head, tail))
+    base, sols = _ensemble_cost(model, ustar, bundles, keep=tail)
     gap_rows = []
     for idx, cand in enumerate(candidates):
         cand = as_control(cand)
@@ -325,9 +325,9 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
         gap_rows.append(dict(index=idx, label=_describe(cand),
                              gap=float(diff.mean()), se=se,
                              cost=est.mean, cost_se=est.std_error))
-    rows = _clock_rows(model, ustar, bundles, head) if clock_only else _leading(sols, head)
-    margins = check_necessary_condition(model, bundles[:head], rows, _leading(adjs, head),
-                                        count=64, seed=seed)
+    margins = check_necessary_condition(model, bundles[:head],
+                                        _clock_rows(model, ustar, bundles, head),
+                                        _leading(adjs, head), count=64, seed=seed)
     conv_rows, rem_rows = [], []
     if expansion_rhos:
         conv_rows, rem_rows = expansion_check(model, bundles[:tail], _leading(sols, tail),

@@ -572,9 +572,10 @@ class _NoiseStore:
     yet, in path order, from ``streams`` (the Brownian and jump
     seeding.Substreams, item p being path p's); the substreams are keyed
     by path, so a path drawn late has the bytes of one drawn first.  The
-    events sit in the order their paths were drawn until ``flat()``, which
-    draws every path and puts them in path order.  A store built without
-    streams is packed: every path's noise is given to it (``add``).
+    events sit in the order their paths were drawn, in buffers that double
+    when full; ``flat()`` gathers them in path order.  A store built
+    without streams is packed: every path's noise is given to it
+    (``add``).
     """
 
     def __init__(self, K, start, du: float, spec: LevyJumpSpec, brownian, streams=None):
@@ -618,16 +619,17 @@ class _NoiseStore:
         self.add(new, np.concatenate(times), np.concatenate(marks),
                  np.array([t.size for t in times], dtype=int))
 
-    def flat(self) -> "_NoiseStore":
-        """The store with every path drawn and its events in path order."""
+    def flat(self) -> dict:
+        """Every path drawn, the flat arrays of the noise by name, the
+        events in path order: ``brownian``, ``ev_time``, ``ev_mark``,
+        ``ev_len``, ``ev_lo`` (path p's first event in ev_time) and
+        ``ev_n``.  The store keeps its draw order."""
         self.draw(np.arange(self.K.size))
         lo = np.cumsum(self.ev_len) - self.ev_len
-        if not np.array_equal(lo, self.ev_lo):
-            at = np.repeat(self.ev_lo - lo, self.ev_len) + np.arange(self.time.size)
-            self._buffers = (self.time[at], self.mark[at])
-            self.time, self.mark = (_readonly(b) for b in self._buffers)
-            self.ev_lo = lo
-        return self
+        at = np.repeat(self.ev_lo - lo, self.ev_len) + np.arange(self.time.size)
+        return dict(brownian=self.brownian, ev_time=_readonly(self.time[at]),
+                    ev_mark=_readonly(self.mark[at]), ev_len=self.ev_len, ev_lo=lo,
+                    ev_n=self.ev_n)
 
 
 class Ensemble:
@@ -710,12 +712,10 @@ class Ensemble:
         self._paths = np.arange(K.size)
         self._store = _NoiseStore(K, self.start, du, spec, brownian, streams)
 
-    brownian = property(lambda self: self._store.flat().brownian)
-    ev_time = property(lambda self: self._store.flat().time)
-    ev_mark = property(lambda self: self._store.flat().mark)
-    ev_len = property(lambda self: self._store.flat().ev_len[self._paths])
-    ev_lo = property(lambda self: self._store.flat().ev_lo[self._paths])
-    ev_n = property(lambda self: self._store.flat().ev_n[self._paths])
+    brownian, ev_time, ev_mark = (property(lambda self, name=name: self._store.flat()[name])
+                                  for name in ("brownian", "ev_time", "ev_mark"))
+    ev_len, ev_lo, ev_n = (property(lambda self, name=name: self._store.flat()[name][self._paths])
+                           for name in ("ev_len", "ev_lo", "ev_n"))
 
     def __len__(self):
         return self.K.size

@@ -85,10 +85,14 @@ def _structural_zero(a) -> bool:
     return not any(a.strides) and (a.size == 0 or a.flat[0] == 0.0)
 
 
+# the maps H is formed over, by name
+_H_MAPS = ("f", "sigma", "b", "g", "l")
+
+
 def _hamiltonian_form(maps, spec, t1, t2, x, y, a, r_nodes, v, p, q, k, R_nodes):
     """<q, f> + <k, sigma> - lam int [p g - l - R b] over the five maps
-    ``maps`` returns by name ("f", "sigma", "b", "g", "l"); H is linear in
-    them, so the same form over their v-partials is dH/dv.  When R is a
+    ``maps`` returns by name (_H_MAPS); H is linear in them, so the same
+    form over their v-partials is dH/dv.  When R is a
     structural zero (_structural_zero, as cash_adjoints gives it) b is not
     evaluated and p g - l is integrated alone, at the shape it comes in."""
     z, _ = spec.quadrature()
@@ -102,7 +106,7 @@ def _hamiltonian_form(maps, spec, t1, t2, x, y, a, r_nodes, v, p, q, k, R_nodes)
         *(np.asarray(u, dtype=float)
           for u in (t1, t2, x, y, a, v, p, q, k)))
     e = (Ellipsis, None)
-    f, sigma, b, g, l = (maps(name) for name in ("f", "sigma", "b", "g", "l"))
+    f, sigma, b, g, l = (maps(name) for name in _H_MAPS)
     fv = np.asarray(f(t1, t2, x, v), dtype=float)
     sv = np.asarray(sigma(t1, t2, x, v), dtype=float)
     gv = np.asarray(g(t1[e], t2[e], x[e], y[e], a[e], r_nodes, v[e]), dtype=float)
@@ -139,20 +143,14 @@ def hamiltonian_grad_v(model: ModelSpec, spec, t1, t2, x, y, a, r_nodes, v,
 
 
 def _grad_v_reads_state(model: ModelSpec) -> bool:
-    """Whether dH/dv may read x, y, a or r.  False only when every
-    v-partial of f, sigma, b, g and l provably reads none of them, by
-    model_derivative's rule: a registered partial by its code (_may_read);
-    else a map that never reads v gives a constant 0.0, which reads
-    nothing; else the partial is a difference of the map, which reads
-    what the map may read (ModelSpec._unread)."""
-    for name in ("f", "sigma", "b", "g", "l"):
-        pos = _ARG_POS[name]
-        state = {slot for slot in pos if slot in "xyar"}
+    """Whether dH/dv may read x, y, a or r.  False only when every map of H
+    registers its v-partial and that partial's code provably reads none of
+    them (_may_read); the partial of a map that registers none may read
+    them."""
+    for name in _H_MAPS:
         d = model.derivatives.get(f"{name}_v")
-        if d is not None:
-            if any(_may_read(d, pos[slot]) for slot in state):
-                return True
-        elif "v" not in model._unread[name] and not state <= model._unread[name]:
+        if d is None or any(_may_read(d, pos) for slot, pos in _ARG_POS[name].items()
+                            if slot != "v"):
             return True
     return False
 

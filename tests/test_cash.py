@@ -662,37 +662,27 @@ def test_certificate_draws_the_noise_of_the_expansion_rows_alone(monkeypatch):
     assert len(draws) == 16
 
 
-def test_margin_search_solves_the_state_when_grad_v_may_read_it(monkeypatch):
-    """A cash twin whose registered l_v reads x (adding 0 x) may read the
-    state in dH/dv: its certificate keeps max(margin_paths,
-    expansion_paths) solved rows, as before the clock-only margin search,
-    and the margin search reads their finite states; its margins equal
-    the cash model's."""
+def test_certificate_refuses_a_model_whose_grad_v_may_read_the_state(monkeypatch):
+    """The margin search reads dH/dv on the clock and u*'s rates alone, so
+    a certificate refuses, before it samples anything, a cash twin whose
+    dH/dv may read the state: one whose registered l_v reads x (adding
+    0 x), and one that registers no l_v."""
     base = build_cash_model(CashSpec())
     l_v = base.derivatives["l_v"]
-    twin = dataclasses.replace(base, derivatives={
-        **base.derivatives, "l_v": lambda t1, t2, x, y, a, r, v: l_v(t1, t2, x, y, a, r, v)
-        + 0.0 * x})
-    assert smp._grad_v_reads_state(twin)
-    keeps, states = [], []
-    ensemble_cost, necessary = cash_mod._ensemble_cost, cash_mod.check_necessary_condition
+    reads_x = {**base.derivatives, "l_v": lambda t1, t2, x, y, a, r, v:
+               l_v(t1, t2, x, y, a, r, v) + 0.0 * x}
+    unregistered = {k: d for k, d in base.derivatives.items() if k != "l_v"}
 
-    def spy_cost(*args, keep=0, **kwargs):
-        keeps.append(keep)
-        return ensemble_cost(*args, keep=keep, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_ensemble called")
 
-    def spy_margins(model, bundles, solutions, *args, **kwargs):
-        states.append(np.isfinite(solutions.X).all())
-        return necessary(model, bundles, solutions, *args, **kwargs)
-
-    monkeypatch.setattr(cash_mod, "_ensemble_cost", spy_cost)
-    monkeypatch.setattr(cash_mod, "check_necessary_condition", spy_margins)
-    args = dict(ensemble_size=64, margin_paths=40, expansion_rhos=[0.1], expansion_paths=16)
-    plain = certify_optimality(CashSpec(), [0.5], **args)
-    monkeypatch.setattr(cash_mod, "build_cash_model", lambda spec: twin)
-    solved = certify_optimality(CashSpec(), [0.5], **args)
-    assert keeps == [16, 40] and states == [False, True]
-    assert solved.min_margin == plain.min_margin and solved.witness == plain.witness
+    monkeypatch.setattr(cash_mod, "make_ensemble", refuse)
+    for derivatives in (reads_x, unregistered):
+        twin = dataclasses.replace(base, derivatives=derivatives)
+        assert smp._grad_v_reads_state(twin)
+        monkeypatch.setattr(cash_mod, "build_cash_model", lambda spec: twin)
+        with pytest.raises(ValueError, match="dH/dv may read the state"):
+            certify_optimality(CashSpec(), [0.5], ensemble_size=64, margin_paths=40)
 
 
 def _reshaped_twin(model, reshape):
