@@ -920,8 +920,6 @@ class _Batch:
     the same order.
     """
 
-    _NOISE = frozenset(("dB", "ev_p", "ev_s", "ev_z", "ev_start"))
-
     def __init__(self, t, K, labels, spec: LevyJumpSpec, du: float, noise, seeds=None):
         self.t, self.K, self.labels = t, K, labels
         self.spec, self.du, self.seeds = spec, du, seeds
@@ -933,16 +931,19 @@ class _Batch:
         self._lo = np.searchsorted(K, np.arange(self.Kmax), side="right")
         self._noise = noise
 
-    def __getattr__(self, name):
-        # called only for a field not set yet: the noise fields, on first read
-        if name not in _Batch._NOISE or "_noise" not in self.__dict__:
-            raise AttributeError(name)
+    @cached_property
+    def _fields(self):
+        """The noise fields, gathered on first read, the events sorted by step."""
         dB, ev_p, ev_s, ev_z = self._noise()
         del self._noise
         order = np.argsort(ev_s, kind="stable")
-        self.dB, self.ev_p, self.ev_s, self.ev_z = dB, ev_p[order], ev_s[order], ev_z[order]
-        self.ev_start = np.searchsorted(self.ev_s, np.arange(self.Kmax + 1))
-        return getattr(self, name)
+        ev_s = ev_s[order]
+        return dB, ev_p[order], ev_s, ev_z[order], np.searchsorted(ev_s, np.arange(self.Kmax + 1))
+
+    # each a plain attribute once read (a class with __getattr__ would slow
+    # every attribute read of the kernels' loops)
+    dB, ev_p, ev_s, ev_z, ev_start = (cached_property(lambda self, j=j: self._fields[j])
+                                      for j in range(5))
 
     def live(self, i: int) -> slice:
         """The rows with K > i: a suffix slice, whose rows read as views."""
