@@ -26,7 +26,9 @@ interfaces.  Conventions, once and for all:
   rows, and the control from their rates (solutions.v) alone.
 * Candidate controls in the necessary-condition search are step functions
   of operational time (constants on a lattice plus randomized two-level
-  switches), which keeps them adapted and feasible by construction.
+  switches), which keeps them adapted and feasible by construction; so
+  every margin is a read of each row's prefix sums of du H_v, taken once,
+  not a product over the rows per candidate.
 
 Every partial of a model map comes from fbsde.model_derivative, by the
 one rule of ModelSpec: a registered closed form, else 0.0 in an argument
@@ -73,6 +75,7 @@ from .fbsde import (
     as_ensemble,
     model_derivative,
 )
+from .seeding import _integer
 from .time_change import OperationalGrid
 
 
@@ -536,21 +539,34 @@ def check_necessary_condition(model: ModelSpec, bundles, solutions, adjoints, *,
     Carlo error, and the candidate w = u sits at exactly zero.  An
     unbounded side of the control box is cut 1 beyond the extreme live
     rate (cells with K > i; the box's interior point when no path has a
-    step), so the padding never sets the candidates' range.  ``count``
-    must be an integer of at least 1, else ValueError.
+    step), so the padding never sets the candidates' range.
+
+    Every other candidate is a level a before step s and b from s on (a
+    constant is s = 0), so each row's reductions are taken once: the
+    prefix sums S of du H_v along the steps, with a leading zero (the
+    padded cells weigh 0), their total T and U = sum du H_v u.  Path n's
+    integral is then a S_s + b (T - S_s) - U, an O(N) read per candidate:
+    O(N Kmax + count N) in all, against an (N, Kmax) product per candidate
+    summed as sum du H_v (w - u).  The two agree up to rounding, on the
+    order of eps sum |du H_v| (|w| + |u|) per path, S being a running sum;
+    u's margin and standard error are exactly 0.  ``count`` must be an
+    integer of at least 1 and ``seed`` a non-negative integer (an
+    integral float or a numpy integer means its integer), else ValueError.
     """
     if not isinstance(count, numbers.Integral) or count < 1:
         raise ValueError(f"candidate set is empty or not a count: count={count!r}")
+    seed = _integer(seed, "seed")
     ens = as_ensemble(bundles)
     K, du = ens.K, ens.du
     N, Kmax = K.size, int(K.max())
     _matching(K, solutions, adjoints)
     X, Y, v = solutions.X, solutions.Y, solutions.v
-    Hv = hamiltonian_grad_v(model, ens.spec, solutions.t[:, :-1], np.arange(Kmax) * du,
-                            X[:, :-1], Y[:, :-1], solutions.A, solutions.r, v,
-                            adjoints.p[:, :-1], adjoints.q[:, :-1], adjoints.k, adjoints.R)
     act = np.arange(Kmax)[None, :] < K[:, None]
-    weight = np.where(act, du, 0.0)
+    # du H_v, 0 on the padding, in dH/dv's own buffer
+    wHv = hamiltonian_grad_v(model, ens.spec, solutions.t[:, :-1], np.arange(Kmax) * du,
+                             X[:, :-1], Y[:, :-1], solutions.A, solutions.r, v,
+                             adjoints.p[:, :-1], adjoints.q[:, :-1], adjoints.k,
+                             adjoints.R) * np.where(act, du, 0.0)
     lo, hi = model.control_set.lo, model.control_set.hi
     # a zero-step ensemble has no live rates: centre the range on the box instead
     live, mid = v[act], model.control_set.interior_point()
@@ -559,29 +575,25 @@ def check_necessary_condition(model: ModelSpec, bundles, solutions, adjoints, *,
     if not np.isfinite(hi):
         hi = (float(live.max()) if live.size else mid) + 1.0
     rng = np.random.default_rng(seed)
-    candidates = [("current", {}, v)]
-    n_const = max((count - 1) // 2, 0)
-    for c in np.linspace(lo, hi, n_const) if n_const else []:
-        candidates.append(("constant", {"value": float(c)},
-                           np.full((1, Kmax), float(c))))
-    while len(candidates) < count:
-        s = int(rng.integers(0, max(Kmax, 1)))
-        levels = rng.uniform(lo, hi, size=2)
-        vals = np.where(np.arange(Kmax) < s, levels[0], levels[1])
-        candidates.append(("switch",
-                           {"switch_step": s, "levels": levels.tolist()},
-                           vals[None, :]))
-    wHv = weight * Hv
-    rows = []
-    for idx, (kind, desc, vals) in enumerate(candidates[:count]):
-        per_path = np.sum(wHv * (vals - v), axis=1)
-        se = float(per_path.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
-        rows.append(dict(index=idx, kind=kind, margin=float(per_path.mean()),
-                         se=se, **desc))
+    consts = np.linspace(lo, hi, (count - 1) // 2).tolist()
+    switches = [(int(rng.integers(0, max(Kmax, 1))), rng.uniform(lo, hi, size=2).tolist())
+                for _ in range(count - 1 - len(consts))]
+    candidates = ([("current", {})] + [("constant", {"value": c}) for c in consts]
+                  + [("switch", {"switch_step": s, "levels": ab}) for s, ab in switches])
+    # (s, a, b): level a before step s and b from it on; a constant c is (0, c, c)
+    sab = np.reshape([(0, c, c) for c in consts] + [(s, *ab) for s, ab in switches], (-1, 3))
+    S = np.zeros((N, Kmax + 1))
+    np.cumsum(wHv, axis=1, out=S[:, 1:])
+    Ss, T, U = S.T[sab[:, 0].astype(int)], S[:, -1], np.sum(wHv * v, axis=1)
+    per_path = np.zeros((count, N))
+    per_path[1:] = sab[:, 1:2] * Ss + sab[:, 2:3] * (T - Ss) - U
+    margin = per_path.mean(axis=1)
+    se = per_path.std(axis=1, ddof=1) / np.sqrt(N) if N > 1 else np.zeros(count)
+    rows = [dict(index=idx, kind=kind, margin=float(margin[idx]), se=float(se[idx]), **desc)
+            for idx, (kind, desc) in enumerate(candidates)]
     best = min(rows, key=lambda row: row["margin"])
-    return NecessaryReport(
-        min_margin=best["margin"], std_error=best["se"], witness=dict(best),
-        margins=rows, count=count, seed=seed)
+    return NecessaryReport(min_margin=best["margin"], std_error=best["se"], witness=dict(best),
+                           margins=rows, count=count, seed=seed)
 
 
 @dataclass
@@ -618,10 +630,12 @@ def check_sufficient_condition_hypotheses(model: ModelSpec, spec, *,
     cut at 2.5.  When the model declares a linear terminal and a solved
     trajectory is supplied, the structural identity Y_T = phi(0) + M_T X_T
     (phi's intercept included) is measured on it.  ``n_samples`` must be
-    an integer of at least 1, else ValueError.
+    an integer of at least 1 and ``seed`` a non-negative integer (an
+    integral float or a numpy integer means its integer), else ValueError.
     """
     if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
         raise ValueError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
+    seed = _integer(seed, "seed")
     z, _ = spec.quadrature()
     rng = np.random.default_rng(seed)
     spread = 1.5

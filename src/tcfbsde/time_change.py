@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .seeding import _integer
+
 __all__ = [
     "SubordinatorSpec",
     "OperationalGrid",
@@ -253,9 +255,12 @@ def sample_subordinator(
     """Simulate D until it first exceeds calendar_horizon: the one-path call
     of sample_subordinators, truncated at the first grid point where
     D > calendar_horizon.  Deterministic in (spec, grid, seed); seed may be
-    an integer or an already-derived numpy Generator.
+    a non-negative integer (an integral float or a numpy integer means its
+    integer; any other value raises ValueError) or an already-derived numpy
+    Generator.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(int(seed))
+    rng = (seed if isinstance(seed, np.random.Generator)
+           else np.random.default_rng(_integer(seed, "seed")))
     values, (k,) = sample_subordinators(spec, calendar_horizon, grid, [rng])
     return SubordinatorPath(grid=OperationalGrid(step=grid.step, horizon=grid.step * int(k)),
                             values=values)

@@ -572,6 +572,19 @@ def test_certificate_is_byte_deterministic():
     assert a.to_json() != c.to_json()
 
 
+def test_certificate_keeps_its_witness_and_verdict():
+    """The bench's certificate scaled down (256 paths, a 128-path margin
+    lead, 16 expansion paths) at seeds 0 and 1: margins read off the rows'
+    prefix sums of du H_v keep the witness the per-candidate products
+    found (switch 52 and constant 31) and the certified verdict."""
+    for seed, index, kind in ((0, 52, "switch"), (1, 31, "constant")):
+        rep = certify_optimality(CashSpec(), candidates=[0.5, 1.5], ensemble_size=256,
+                                 seed=seed, margin_paths=128, expansion_rhos=[0.1, 0.05],
+                                 expansion_paths=16)
+        assert (rep.witness["index"], rep.witness["kind"]) == (index, kind)
+        assert rep.meta["certified"] is True
+
+
 def test_certificate_refuses_samples_without_a_standard_error():
     """Every mean the certificate reports needs a standard error: a sample
     size below 2 raises instead of certifying on cost_se 0, and

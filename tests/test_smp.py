@@ -828,6 +828,113 @@ def test_necessary_condition_rejects_empty_candidates():
             check_necessary_condition(model, bundles, sols, adjs, count=count)
 
 
+def reference_margins(model, bundles, sols, adjs, count, seed):
+    """The margin search as one (N, Kmax) product per candidate, summed
+    along each row: its rows, and per candidate the rounding scale
+    mean_n sum_i |du H_v| (|w_i| + |u_i|) of that sum."""
+    ens = fbsde.as_ensemble(bundles)
+    K, du, v = ens.K, ens.du, sols.v
+    N, Kmax = K.size, int(K.max())
+    Hv = hamiltonian_grad_v(model, ens.spec, sols.t[:, :-1], np.arange(Kmax) * du,
+                            sols.X[:, :-1], sols.Y[:, :-1], sols.A, sols.r, v,
+                            adjs.p[:, :-1], adjs.q[:, :-1], adjs.k, adjs.R)
+    act = np.arange(Kmax)[None, :] < K[:, None]
+    lo, hi = model.control_set.lo, model.control_set.hi
+    live, mid = v[act], model.control_set.interior_point()
+    if not np.isfinite(lo):
+        lo = (float(live.min()) if live.size else mid) - 1.0
+    if not np.isfinite(hi):
+        hi = (float(live.max()) if live.size else mid) + 1.0
+    rng = np.random.default_rng(seed)
+    candidates = [("current", {}, v)]
+    for c in np.linspace(lo, hi, (count - 1) // 2):
+        candidates.append(("constant", {"value": float(c)}, np.full((1, Kmax), float(c))))
+    while len(candidates) < count:
+        s = int(rng.integers(0, max(Kmax, 1)))
+        levels = rng.uniform(lo, hi, size=2)
+        candidates.append(("switch", {"switch_step": s, "levels": levels.tolist()},
+                           np.where(np.arange(Kmax) < s, levels[0], levels[1])[None, :]))
+    wHv = np.where(act, du, 0.0) * Hv
+    rows, scales = [], []
+    for idx, (kind, desc, vals) in enumerate(candidates):
+        per_path = np.sum(wHv * (vals - v), axis=1)
+        se = float(per_path.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
+        rows.append(dict(index=idx, kind=kind, margin=float(per_path.mean()), se=se, **desc))
+        scales.append(float(np.mean(np.sum(np.abs(wHv) * (np.abs(vals) + np.abs(v)), axis=1))))
+    return rows, scales
+
+
+def margin_cases():
+    """(name, model, bundles, solved rows, adjoints): linear_test off its
+    optimum, the cash model at u* for a flat and a time-varying CashSpec,
+    a zero-step ensemble and a Kmax = 1 ensemble."""
+    lin, jspec, sspec, p = build_model("linear_test")
+    bundles = make_ensemble(sspec, jspec, p["horizon"], p["step"], 96, 61)
+    sols = solved_ensemble(lin, ConstantControl(1.5), bundles)
+    yield "linear_test", lin, bundles, sols, solve_adjoint_ensemble(lin, bundles, sols)
+    timed = CashSpec(sigma_t=lambda t: 0.2 + 0.1 * t, eta_t=lambda t, z: (0.1 + 0.05 * t) * z,
+                     kappa=lambda t: 1.0 + 0.5 * t)
+    for name, spec in (("cash", CashSpec()), ("cash_t", timed)):
+        model = build_cash_model(spec)
+        bundles = make_ensemble(spec.subordinator, spec.jump, spec.horizon, DU, 96, 62)
+        adjs = cash_adjoints(spec, bundles)
+        sols = solved_ensemble(model, cash_optimal_control(spec, adjs), bundles)
+        yield name, model, bundles, sols, adjs
+    model, jspec, _ = lq_model(box=(-np.inf, np.inf))
+    for name, steps in (("zero_step", (0, 0, 0)), ("kmax_1", (1, 0, 1, 1, 0))):
+        bundles = ragged_bundles(steps, jump_spec=jspec)
+        sols = solved_ensemble(model, ConstantControl(0.7), bundles)
+        yield name, model, bundles, sols, solve_adjoint_ensemble(model, bundles, sols)
+
+
+def test_prefix_sum_margins_match_the_per_candidate_products():
+    """The margins read off the rows' prefix sums of du H_v agree with one
+    (N, Kmax) product per candidate to 64 eps of that sum's rounding
+    scale, margin and standard error alike; u's margin and standard error
+    are exactly 0.0, and the candidates' descriptors keep their bytes."""
+    eps = np.finfo(float).eps
+    for name, model, bundles, sols, adjs in margin_cases():
+        rep = check_necessary_condition(model, bundles, sols, adjs, count=64, seed=9)
+        ref, scales = reference_margins(model, bundles, sols, adjs, 64, 9)
+        strip = [[{k: x for k, x in row.items() if k not in ("margin", "se")} for row in rows]
+                 for rows in (rep.margins, ref)]
+        assert json.dumps(strip[0]) == json.dumps(strip[1]), name
+        assert rep.margins[0]["margin"] == 0.0 and rep.margins[0]["se"] == 0.0, name
+        for got, want, scale in zip(rep.margins[1:], ref[1:], scales[1:]):
+            for key in ("margin", "se"):
+                assert abs(got[key] - want[key]) <= 64 * eps * scale, (name, got, want)
+        if name == "linear_test":
+            assert 0.05 < max(abs(row["margin"]) for row in ref) < 10.0
+
+
+def test_margin_search_refuses_a_seed_that_is_not_an_integer():
+    """seed = 2.5 leaked numpy's TypeError: it raises ValueError naming
+    seed, and an integral float or a numpy integer means its integer."""
+    model, jspec, sspec = lq_model()
+    bundles = make_ensemble(sspec, jspec, 0.5, DU, 4, master_seed=57)
+    sols = solved_ensemble(model, ConstantControl(0.5), bundles)
+    adjs = solve_adjoint_ensemble(model, bundles, sols)
+    for seed in (2.5, -1, "2"):
+        with pytest.raises(ValueError, match="seed"):
+            check_necessary_condition(model, bundles, sols, adjs, count=8, seed=seed)
+    want = check_necessary_condition(model, bundles, sols, adjs, count=8, seed=2)
+    for seed in (2.0, np.int64(2)):
+        got = check_necessary_condition(model, bundles, sols, adjs, count=8, seed=seed)
+        assert got.seed == 2 and json.dumps(got.margins) == json.dumps(want.margins)
+
+
+def test_sufficiency_check_refuses_a_seed_that_is_not_an_integer():
+    """The convexity cloud's seed = 2.5 raises ValueError naming seed, and
+    2.0 draws seed 2's cloud."""
+    model, jspec, _ = lq_model()
+    for seed in (2.5, -1):
+        with pytest.raises(ValueError, match="seed"):
+            check_sufficient_condition_hypotheses(model, jspec, n_samples=5, seed=seed)
+    got, want = (check_sufficient_condition_hypotheses(model, jspec, n_samples=5, seed=seed)
+                 for seed in (2.0, 2))
+    assert got.to_dict() == want.to_dict() and got.seed == 2
+
+
 def test_sufficiency_report_on_a_convex_model():
     model, jspec, sspec = lq_model()
     (bnd,) = make_ensemble(sspec, jspec, 0.8, DU, 1, master_seed=58)

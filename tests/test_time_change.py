@@ -129,6 +129,19 @@ def test_unreachable_horizon_raises_fast_and_small():
     assert peak < 64 * MAX_STEPS  # a few arrays of MAX_STEPS float64s
 
 
+def test_one_path_sampler_refuses_a_seed_that_is_not_an_integer():
+    """seed = 1.7 was read through int() and sampled seed 1's path: it
+    raises ValueError naming seed, while an integral float, a numpy integer
+    and a Generator still draw seed 1's bytes."""
+    spec, grid = SubordinatorSpec(0.6), OperationalGrid(0.01, 0.5)
+    for seed in (1.7, -1, "1"):
+        with pytest.raises(ValueError, match="seed"):
+            sample_subordinator(spec, 1.0, grid, seed)
+    want = sample_subordinator(spec, 1.0, grid, 1).values.tobytes()
+    for seed in (1.0, np.int64(1), np.random.default_rng(1)):
+        assert sample_subordinator(spec, 1.0, grid, seed).values.tobytes() == want
+
+
 def test_batched_sampler_matches_the_one_path_loop():
     """Paths drawn together, doubling their grids in shared rounds, carry
     the bytes of each path drawn alone by the one-path doubling loop."""

@@ -37,6 +37,10 @@ prints one line per output: ``identical`` when dtype, shape and bytes
 agree, else ``moved`` with the largest absolute and relative difference.
 It exits 1 when any output differs or is missing from one tree.
 
+The margin search dumps each model's 64 margins, their standard errors
+and the index of its witness (the least margin), so a move in any of them,
+not only in a margin, reaches a compared output.
+
 The outputs reach a few private entry points (``fbsde._ensemble_cost``,
 the cost pass that keeps the solved rows of an ensemble's first paths,
 ``cash._leading``, the slice of those paths' solved rows or adjoints, and
@@ -237,11 +241,12 @@ def dump(out_path):
     for field in ("X", "Y", "A", "r"):
         out[f"compose.linear_test.{field}"] = np.concatenate([getattr(c, field) for c in cal])
 
-    # the margin search's 64 margins: the cash certificate's (u* on the
-    # seed-0 1,024-path lead, set up as certify_optimality sets it up: u*'s
-    # cost pass keeps the 128 expansion rows, and the margins read the
-    # lead's clock and rates with placeholders for the state) and
-    # linear_test's under its general adjoints
+    # the margin search's 64 margins, their standard errors and the
+    # witness's index: the cash certificate's (u* on the seed-0 1,024-path
+    # lead, set up as certify_optimality sets it up: u*'s cost pass keeps
+    # the 128 expansion rows, and the margins read the lead's clock and
+    # rates with placeholders for the state) and linear_test's under its
+    # general adjoints
     cert = fbsde.make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 2048, 0)
     cert_adjs = cash.cash_adjoints(spec, cert)
     ustar_cert = cash.cash_optimal_control(spec, cert_adjs)
@@ -269,6 +274,8 @@ def dump(out_path):
              smp.solve_adjoint_ensemble(lin, lin_ens, lin_sols))):
         rep = smp.check_necessary_condition(model, bundles, sols, adj, count=64, seed=0)
         out[f"margins.{name}"] = np.array([row["margin"] for row in rep.margins])
+        out[f"margins.{name}.se"] = np.array([row["se"] for row in rep.margins])
+        out[f"margins.{name}.witness"] = np.array(rep.witness["index"])
 
     for name, model, bundles in (("cash", cmodel, cens), ("linear_test", lin, lens)):
         bnd = max((bundles[i] for i in range(50)), key=lambda b: b.jumps.times.size)
