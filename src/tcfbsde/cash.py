@@ -330,7 +330,7 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
                                         _leading(adjs, head), count=64, seed=seed)
     conv_rows, rem_rows = [], []
     if expansion_rhos:
-        conv_rows, rem_rows = expansion_check(model, bundles[:tail], _leading(sols, tail),
+        conv_rows, rem_rows = expansion_check(model, bundles[:tail], sols,
                                               ConstantControl(1.0), list(expansion_rhos))
     certified = (margins.min_margin >= -3.0 * margins.std_error - 1e-12
                  and all(row["gap"] >= -3.0 * row["se"] for row in gap_rows))

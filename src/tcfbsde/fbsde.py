@@ -41,6 +41,15 @@ search whose dH/dv reads no state, takes them without any solve
 (_clock_rows).
 A path reads the control row of its label: its position in the ensemble
 an entry point is given, or the seeds["path"] of a bundle solved alone.
+Every control gives values_at(i, t1, t2, x, paths), its values at one
+step, which the map step and solve_calendar_direct read.  A control is
+open-loop exactly when it also gives table(t, labels), its values on
+rows ``labels`` at every step of ``t``, their (rows, width) calendar
+times, with the bytes of values_at (ConstantControl, TableControl,
+StepwiseControl, and a PerturbedControl of two such; a FeedbackControl
+reads the state and has none).  Only an open-loop control selects the
+affine regime, and its table is read once per batch, before any state
+exists (_open_loop).
 
 Every forward system (the state here, the first adjoint and the
 variational state in smp) runs through one forward loop, _euler, stepped
@@ -93,11 +102,12 @@ build the padded table from the same expression.  The regimes are:
             an exact conditional solution Y_i = c_i + P_i X_i, P and then
             c swept backward by one slope/intercept kernel (_sweep,
             z_i = a_i z_{i+1} + b_i) on coefficients built once per
-            batch; A is read off P_{i+1} in one pass after it, and r's cells
-            (bx X_i + b0) P_{i+1} are built where they are read (this is
-            the workhorse for the built-in models).  The cost probes the
-            coefficients once, before its forward pass, and the state
-            and this kernel read the same probe;
+            batch (a non-finite P, as at a singular step, raises naming
+            its step and path); A is read off P_{i+1} in one pass after
+            it, and r's cells (bx X_i + b0) P_{i+1} are built where they
+            are read (this is the workhorse for the built-in models).
+            The cost probes the coefficients once, before its forward
+            pass, and the state and this kernel read the same probe;
 * "lsmc"    least-squares Monte Carlo regression over an inner ensemble
             that shares the subordinator path, monomial basis in X up
             to degree 3 with a small ridge term.  The outer paths of a
@@ -185,9 +195,7 @@ class Box:
 
 
 class ConstantControl:
-    """v(t) = value everywhere."""
-
-    state_free = True
+    """v(t) = value everywhere; open-loop (it has ``table``)."""
 
     def __init__(self, value: float):
         self.value = float(value)
@@ -195,15 +203,15 @@ class ConstantControl:
     def values_at(self, i, t1, t2, x, paths):
         return np.full(np.shape(t1), self.value)
 
-    def table(self, paths, width: int) -> np.ndarray:
-        """values_at of rows ``paths`` at steps 0..width-1, at once."""
-        return np.full((len(paths), width), self.value)
+    def table(self, t, labels) -> np.ndarray:
+        """values_at of rows ``labels`` at the steps of ``t``, their
+        (rows, width) calendar times, at once."""
+        return np.full(np.shape(t), self.value)
 
 
 class FeedbackControl:
-    """v = fn(t1, t2, x); fn must broadcast over numpy arrays."""
-
-    state_free = False
+    """v = fn(t1, t2, x); fn must broadcast over numpy arrays.  It reads
+    the state, so it has no ``table`` and is not open-loop."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -215,8 +223,6 @@ class FeedbackControl:
 class TableControl:
     """Open-loop table on calendar time, left-constant interpolation."""
 
-    state_free = True
-
     def __init__(self, times, values):
         self.times = np.asarray(times, dtype=float)
         self.values = np.asarray(values, dtype=float)
@@ -226,7 +232,11 @@ class TableControl:
             raise ValueError("table times must be finite and strictly increasing")
 
     def values_at(self, i, t1, t2, x, paths):
-        idx = np.searchsorted(self.times, np.asarray(t1, dtype=float), side="right") - 1
+        return self.table(t1, paths)
+
+    def table(self, t, labels) -> np.ndarray:
+        """The value in force at each calendar time of ``t``, any shape."""
+        idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="right") - 1
         return self.values[np.clip(idx, 0, self.times.size - 1)]
 
 
@@ -240,8 +250,6 @@ class StepwiseControl:
     calendar-time value at t is the row entry at step E(t)/du.
     """
 
-    state_free = True
-
     def __init__(self, values):
         self.values = np.atleast_2d(np.asarray(values, dtype=float))
 
@@ -249,23 +257,24 @@ class StepwiseControl:
         col = min(i, self.values.shape[1] - 1)
         return self.values[np.asarray(paths), col]
 
-    def table(self, paths, width: int) -> np.ndarray:
-        """values_at of rows ``paths`` at steps 0..width-1, at once."""
-        cols = np.minimum(np.arange(width), self.values.shape[1] - 1)
-        return self.values[np.asarray(paths)[:, None], cols]
+    def table(self, t, labels) -> np.ndarray:
+        """values_at of rows ``labels`` at the steps of ``t``, their
+        (rows, width) calendar times, at once."""
+        cols = np.minimum(np.arange(np.shape(t)[1]), self.values.shape[1] - 1)
+        return self.values[np.asarray(labels)[:, None], cols]
 
 
 class PerturbedControl:
-    """base + rho * direction, for variational and gap experiments."""
+    """base + rho * direction, for variational and gap experiments.  It
+    is open-loop, with a ``table``, exactly when both parts are."""
 
     def __init__(self, base, direction, rho: float):
         self.base = base
         self.direction = direction
         self.rho = float(rho)
-
-    @property
-    def state_free(self):
-        return self.base.state_free and self.direction.state_free
+        if hasattr(base, "table") and hasattr(direction, "table"):
+            self.table = lambda t, labels: (base.table(t, labels)
+                                            + self.rho * direction.table(t, labels))
 
     def values_at(self, i, t1, t2, x, paths):
         return (self.base.values_at(i, t1, t2, x, paths)
@@ -1019,24 +1028,15 @@ def _euler(batch: _Batch, z0, step, system: str) -> np.ndarray:
 
 
 def _open_loop(control, batch: _Batch, box: Box | None = None) -> np.ndarray:
-    """An open-loop control's values, read before any state exists: the
-    state argument is NaN, which a state-free control does not read.  A
-    control with a ``table`` (ConstantControl, StepwiseControl) gives the
-    rows with a step all at once; any other is read one step at a time on
-    live cells only.  Given ``box``, the live cells are admitted to it
-    together, once.  Past its horizon a row holds its last value, 0 on a
-    zero-step row, as _forward_batch's v does, so a table cell read there
-    is never used."""
+    """An open-loop control's values, read before any state exists: its
+    ``table`` of the rows with a step, at their calendar times, all at
+    once.  Given ``box``, the live cells are admitted to it together,
+    once.  Past its horizon a row holds its last value, 0 on a zero-step
+    row, as _forward_batch's v does, so a table cell read there is never
+    used."""
     v = np.zeros((batch.N, batch.Kmax))
-    if hasattr(control, "table"):
-        rows = batch.live(0) if batch.Kmax else slice(0)
-        v[rows] = control.table(batch.labels[rows], batch.Kmax)
-    else:
-        nan = np.full(batch.N, np.nan)
-        for i in range(batch.Kmax):
-            rows = batch.live(i)
-            v[rows, i] = control.values_at(i, batch.t[rows, i], i * batch.du, nan[rows],
-                                           batch.labels[rows])
+    rows = batch.live(0) if batch.Kmax else slice(0)
+    v[rows] = control.table(batch.t[rows, :-1], batch.labels[rows])
     if box is not None:
         live = np.arange(batch.Kmax) < batch.K[:, None]
         v[live] = box.admit(v[live])
@@ -1283,11 +1283,21 @@ def _affine_sweeps(batch: _Batch, co: dict, P_term, c_term):
     P and c start at the terminal pair in every cell and step i updates
     its live rows (the suffix ``batch.live(i)``) only, so each row holds
     the terminal pair from its horizon on and no padded coefficient cell
-    is read by the recursion.  Only these keys of ``co`` are read."""
+    is read by the recursion.  Only these keys of ``co`` are read.  A
+    non-finite P (from a singular step, du Gy = 1, say) raises
+    FloatingPointError naming the row that went non-finite first in sweep
+    order (the first in the batch among ties) and that step."""
     du = batch.du
     den = np.asarray(1.0 - du * co["Gy"])
     P = _sweep(batch, (1.0 + du * co["fx"] + du * (co["Ga"] * co["sx"] + co["gr"] * co["ibx"]))
                / den, du * co["Gx"] / den, P_term)
+    bad = ~np.isfinite(P)
+    if bad.any():
+        # a row that goes non-finite stays so down to step 0
+        step = np.where(bad.any(axis=1), batch.Kmax - np.argmax(bad[:, ::-1], axis=1), -1)
+        p = int(np.argmax(step))
+        raise FloatingPointError(f"backward blow-up at step {step[p]} "
+                                 f"(path {int(batch.labels[p])})")
     gc = P[:, 1:] * (co["f0"] + co["Ga"] * co["s0"] + co["gr"] * co["ib0"])
     gc += co["G0"]
     gc *= du
@@ -1535,11 +1545,12 @@ def _ode_backward(model: ModelSpec, batch: _Batch, X, v):
 def backward_method(model: ModelSpec, control, method=None) -> str:
     """Resolve the backward regime or fail loudly: by default "ode" for
     conditionally deterministic models, "affine" for fully affine models
-    under open-loop controls, else "lsmc"; an explicit "affine" needs both."""
+    under open-loop controls (those with a ``table``), else "lsmc"; an
+    explicit "affine" needs both."""
     if method is None:
         if model.conditionally_deterministic:
             return "ode"
-        if model.affine_solvable and getattr(control, "state_free", False):
+        if model.affine_solvable and hasattr(control, "table"):
             return "affine"
         return "lsmc"
     if method not in ("ode", "affine", "lsmc"):
@@ -1547,7 +1558,7 @@ def backward_method(model: ModelSpec, control, method=None) -> str:
     if method == "affine" and not model.affine_solvable:
         raise ValueError("affine backward requested for a model without "
                          "the linearity flags (affine and M_T)")
-    if method == "affine" and not getattr(control, "state_free", False):
+    if method == "affine" and not hasattr(control, "table"):
         raise ValueError("affine backward needs an open-loop control")
     return method
 
@@ -1691,17 +1702,13 @@ def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
 # ------------------------------------------------------------------- cost
 
 def _step_args(batch: _Batch, i, X, Y, A, r, v, rows=slice(None)):
-    """The (t1, t2, x, y, a, r, v) arguments of a driver or cost map at step
-    i on ``rows`` (all by default), shaped to broadcast against the
-    quadrature nodes.  A slice i gives its steps at once, with
-    (rows, steps) leading, and i = None every step; a step reads the same
-    bits either way."""
+    """The (t1, t2, x, y, a, r, v) arguments of a driver or cost map at the
+    steps of the slice i (every step for i = None) on ``rows`` (all by
+    default), (rows, steps) leading, shaped to broadcast against the
+    quadrature nodes."""
     if i is None:
         i = slice(0, batch.Kmax)
-    if isinstance(i, slice):
-        u = (np.arange(batch.Kmax)[i] * batch.du)[:, None]
-    else:
-        u = i * batch.du
+    u = (np.arange(batch.Kmax)[i] * batch.du)[:, None]
     return (batch.t[rows, i, None], u, X[rows, i, None], Y[rows, i, None], A[rows, i, None],
             r[rows, i], v[rows, i, None])
 
@@ -1737,12 +1744,13 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None, keep: boo
     """Each row's cost and the batch's solved rows (X, Y, v, A, r); the
     cost alone when the caller keeps no rows (``keep`` False).
 
-    In the affine regime (an affine_solvable model under a state-free
-    control) v is read first on live cells (_open_loop) and the model is
-    probed once at it, before the forward pass: the state steps by the
-    probe's slope/intercept tables and _affine_backward reads the same
-    probe.  Every other regime, and every other caller of the forward
-    kernel, steps the state by the maps.
+    In the affine regime (an affine_solvable model under an open-loop
+    control, one with a ``table``) v is read first, admitted on live
+    cells (_open_loop), and the model is probed once at it, before the
+    forward pass: the state steps by the probe's slope/intercept tables
+    and _affine_backward reads the same probe.  Every other regime, and
+    every other caller of the forward kernel, steps the state by the
+    maps.
 
     A batch whose rows nobody keeps, in the affine regime, with an l that
     reads none of x, y, a, r and an h that does not read x (decided from
@@ -1751,8 +1759,9 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None, keep: boo
     c sweeps read (reads="sweeps"), the two sweeps run, and the running
     cost, h and gamma read broadcast placeholders (NaN for x and a, Y_0
     for y, zero r cells).  No X, Y table, A or r is built, so there is no
-    state blow-up check; a non-finite cost raises FloatingPointError
-    naming the path instead.  Every cost has the bytes of the full pass."""
+    state blow-up check; a non-finite P still raises (_affine_sweeps), and
+    a non-finite cost raises FloatingPointError naming the path.  Every
+    cost has the bytes of the full pass."""
     method = backward_method(model, control, method)
     v = co = None
     if method == "affine":
@@ -1836,7 +1845,7 @@ def _ensemble_cost(model: ModelSpec, control, bundles, method=None, chunk: int =
 
 def _clock_rows(model: ModelSpec, control, bundles, n: int) -> EnsembleSolution:
     """The first ``n`` paths' clock t and open-loop rates v, in ensemble
-    order, as _ensemble_cost(keep=n) keeps them under a state-free
+    order, as _ensemble_cost(keep=n) keeps them under an open-loop
     control in the affine regime (_open_loop, admitted to the control
     set); X, Y, A and r are read-only broadcast NaN placeholders, for a
     reader that provably reads none of them.  No noise is drawn and no

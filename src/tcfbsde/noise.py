@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .seeding import _integer
 from .time_change import InversePath, OperationalGrid
 
 
@@ -201,9 +202,11 @@ class CalendarPath:
 
 
 def _as_rng(seed) -> np.random.Generator:
+    """A Generator as it is, else a fresh one from ``seed``, which must be
+    a non-negative integer (ValueError naming ``seed`` otherwise)."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_integer(seed, "seed"))
 
 
 def draw_brownian(out: np.ndarray, step: float, rng: np.random.Generator) -> np.ndarray:
@@ -231,9 +234,10 @@ def sample_jumps(spec: LevyJumpSpec, horizon: float, seed) -> JumpStream:
     """Homogeneous Poisson arrivals at rate ``intensity`` with i.i.d. marks."""
     if horizon < 0.0 or not np.isfinite(horizon):
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
+    rng = _as_rng(seed)
     if horizon == 0.0:
         return JumpStream(times=np.empty(0), marks=np.empty(0), horizon=0.0)
-    times, marks = draw_jumps(spec, horizon, _as_rng(seed))
+    times, marks = draw_jumps(spec, horizon, rng)
     return JumpStream(times=times, marks=marks, horizon=horizon)
 
 

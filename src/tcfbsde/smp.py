@@ -375,18 +375,18 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
                        X, Y, A, r, v):
     """Linearized forward/backward pair along the base trajectory.
 
-    The direction vd is read first, on live cells only, and held past a
-    horizon, as the base control v is.  One coefficient record serves
-    both halves: the affine probe's slopes at the base v (_probe_affine
-    with reads="slopes", which evaluates no intercept and, with b_x
-    registered, no nodewise b), which are the system's slopes in the
-    state, with the direction terms f_v vd, sigma_v vd, b_v vd and
+    Both the control and the direction must be open-loop (have a
+    ``table``).  The direction's table vd is read first (_open_loop) and
+    held past a horizon, as the base control v is.  One coefficient
+    record serves both halves: the affine probe's slopes at the base v
+    (_probe_affine with reads="slopes", which evaluates no intercept and,
+    with b_x registered, no nodewise b), which are the system's slopes in
+    the state, with the direction terms f_v vd, sigma_v vd, b_v vd and
     lam int g_v vd (the v-partials along the base rows) as intercepts.
     X1 steps by _affine_step on it, jumping by b_x X1 + b_v vd at each
     event (b's partials at the event's mark and the base left state), and
     (Y1, A1, r1) come from _affine_backward on the same record."""
-    if not (getattr(control, "state_free", False)
-            and getattr(direction, "state_free", False)):
+    if not (hasattr(control, "table") and hasattr(direction, "table")):
         raise NotImplementedError(
             "variational solver needs open-loop base and direction")
     if not model.affine_solvable:

@@ -142,9 +142,19 @@ def test_stepwise_control_reads_its_row():
 
 
 def test_perturbed_control_combines():
+    """A perturbation is open-loop (has a ``table``) exactly when both of
+    its parts are; one with a feedback part is not, and so is costed by
+    regression."""
     ctl = PerturbedControl(ConstantControl(1.0), ConstantControl(2.0), rho=0.25)
-    assert ctl.state_free
+    assert hasattr(ctl, "table")
     assert float(ctl.values_at(0, 0.0, 0.0, 0.0, None)) == 1.5
+    lin = build_model("linear_test")[0]
+    fb = FeedbackControl(lambda t1, t2, x: 0.1 * x)
+    for pert in (PerturbedControl(ConstantControl(1.0), fb, 0.25),
+                 PerturbedControl(fb, ConstantControl(1.0), 0.25)):
+        assert not hasattr(pert, "table")
+        assert fbsde.backward_method(lin, pert) == "lsmc"
+    assert fbsde.backward_method(lin, ctl) == "affine"
 
 
 # ------------------------------------------------------------------ models
@@ -1363,6 +1373,32 @@ def test_cost_pass_keeping_no_rows_names_a_non_finite_cost():
             evaluate_cost(model, StepwiseControl(rows), bundles)
 
 
+def test_singular_backward_step_raises_naming_step_and_path():
+    """linear_test with g = (100 y + 0.5 x) / lam has 1 - du lam g_y = 0 at
+    du = 0.01: P is non-finite from each row's last step down, and the
+    cost pass raises naming the row that went non-finite first in sweep
+    order and that step (path 2, the first of the two paths with 12
+    steps, at step 11), whether or not rows are kept and whether or not l
+    reads the state.  Made singular at step 5 alone, the first row of the
+    sorted batch with more than 5 steps (path 0) is named there."""
+    lin = build_model("linear_test")[0]
+    lam = 2.0
+    sing = dataclasses.replace(lin, g=lambda t1, t2, x, y, a, r, v: (100.0 * y + 0.5 * x) / lam)
+    free = dataclasses.replace(sing, l=lambda t1, t2, x, y, a, r, v: 0.5 * v**2 / lam)
+    once = dataclasses.replace(lin, g=lambda t1, t2, x, y, a, r, v: (
+        np.where((t2 > 0.045) & (t2 < 0.055), 100.0, -0.5) * y + 0.5 * x) / lam)
+    bundles = ragged_bundles(RAGGED_STEPS)
+    ctl = ConstantControl(0.5)
+    for model, where in ((sing, "step 11 (path 2)"), (free, "step 11 (path 2)"),
+                         (once, "step 5 (path 0)")):
+        for run in (lambda: evaluate_cost(model, ctl, bundles),
+                    lambda: fbsde._ensemble_cost(model, ctl, bundles, keep=len(bundles))):
+            with np.errstate(all="ignore"):
+                with pytest.raises(FloatingPointError,
+                                   match=rf"^backward blow-up at {re.escape(where)}$"):
+                    run()
+
+
 def test_state_free_cost_pass_draws_no_noise(monkeypatch):
     """A cost pass that solves no state (the cash model, keeping no rows)
     reads only the clock, so over a fresh ensemble it draws no path's
@@ -1415,32 +1451,42 @@ def test_cost_pass_is_byte_equal_for_every_keep_and_chunk():
 
 
 def test_open_loop_reads_a_whole_table_with_the_bytes_of_a_step_loop():
-    """_open_loop reads a ConstantControl's or StepwiseControl's whole
-    table at once: the same bytes as the step-by-step read of its live
-    cells, the same hold past each horizon (0 on a zero-step row, a table
-    narrower than the batch holding its last column), the same box
-    admission of live cells only (NaN padding past a horizon is never
-    admitted), and a live cell outside the box still raises."""
-    class StepLoop:
-        """``control`` read through values_at alone."""
-
-        state_free = True
-
-        def __init__(self, control):
-            self.values_at = control.values_at
+    """_open_loop reads an open-loop control's whole table at once: the
+    same bytes as a step-by-step values_at read of its live cells (a
+    ConstantControl, StepwiseControls as wide as the batch and narrower,
+    a TableControl on calendar time and their perturbations), the same
+    hold past each horizon (0 on a zero-step row, a table narrower than
+    the batch holding its last column), the same box admission of live
+    cells only (NaN padding past a horizon is never admitted), and a live
+    cell outside the box still raises."""
+    def step_loop(ctl, batch, box):
+        """The control read one step at a time on the live rows."""
+        v = np.zeros((batch.N, batch.Kmax))
+        nan = np.full(batch.N, np.nan)
+        for i in range(batch.Kmax):
+            rows = batch.live(i)
+            v[rows, i] = ctl.values_at(i, batch.t[rows, i], i * batch.du, nan[rows],
+                                       batch.labels[rows])
+        if box is not None:
+            live = np.arange(batch.Kmax) < batch.K[:, None]
+            v[live] = box.admit(v[live])
+        return fbsde._hold(v, batch.K, 0.0, batch.Kmax)
 
     ens = fbsde.Ensemble(ragged_bundles(RAGGED_STEPS))
     order = np.argsort(ens.K, kind="stable")
     batch = ens.rows(order)
     live = np.arange(batch.Kmax) < ens.K[:, None]
     rng = np.random.default_rng(3)
-    tables = [StepwiseControl(np.where(live, rng.uniform(-1.0, 1.0, live.shape), np.nan)),
-              StepwiseControl(rng.uniform(-1.0, 1.0, (len(ens), 3))),
-              ConstantControl(0.25)]
+    wide = StepwiseControl(np.where(live, rng.uniform(-1.0, 1.0, live.shape), np.nan))
+    narrow = StepwiseControl(rng.uniform(-1.0, 1.0, (len(ens), 3)))
+    table = TableControl(np.sort(rng.uniform(0.0, 1.0, 6)), rng.uniform(-1.0, 1.0, 6))
+    tables = [wide, narrow, ConstantControl(0.25), table,
+              PerturbedControl(narrow, ConstantControl(1.0), 0.1),
+              PerturbedControl(ConstantControl(0.25), table, -0.5)]
     for ctl in tables:
         for box in (None, Box(-1.0, 1.0)):
             got = fbsde._open_loop(ctl, batch, box)
-            want = fbsde._open_loop(StepLoop(ctl), batch, box)
+            want = step_loop(ctl, batch, box)
             assert got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="outside the control set"):
         fbsde._open_loop(ConstantControl(0.25), batch, Box(0.5, 1.0))

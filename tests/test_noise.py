@@ -187,6 +187,20 @@ def test_brownian_basics():
     assert np.array_equal(path.values, again.values)
 
 
+def test_brownian_sampler_refuses_a_seed_that_is_not_an_integer():
+    """seed = 2.5 and -1 leaked numpy's TypeError and ValueError, and 2.0
+    was refused: a non-integral or negative seed raises ValueError naming
+    seed, while an integral float, a numpy integer and a Generator draw
+    seed 2's bytes."""
+    grid = OperationalGrid(0.01, 0.1)
+    for seed in (2.5, -1, "2"):
+        with pytest.raises(ValueError, match="seed"):
+            sample_brownian(grid, seed)
+    want = sample_brownian(grid, 2).values.tobytes()
+    for seed in (2.0, np.int64(2), np.random.default_rng(2)):
+        assert sample_brownian(grid, seed).values.tobytes() == want
+
+
 def test_brownian_variance_and_independence():
     grid = OperationalGrid(0.25, 1.0)
     ends = np.empty(10_000)
@@ -218,6 +232,23 @@ def test_sample_jumps_empty_horizon():
     spec = LevyJumpSpec(c=1.0, intensity=2.0)
     stream = sample_jumps(spec, 0.0, seed=3)
     assert stream.size == 0
+
+
+def test_jump_sampler_refuses_a_seed_that_is_not_an_integer():
+    """As for the Brownian sampler, on a positive and on a zero horizon: a
+    non-integral or negative seed raises ValueError naming seed, while an
+    integral float, a numpy integer and a Generator draw seed 2's events."""
+    spec = LevyJumpSpec(c=1.0, intensity=20.0)
+    for seed in (2.5, -1, "2"):
+        for horizon in (1.0, 0.0):
+            with pytest.raises(ValueError, match="seed"):
+                sample_jumps(spec, horizon, seed)
+    want = sample_jumps(spec, 1.0, 2)
+    assert want.size > 0
+    for seed in (2.0, np.int64(2), np.random.default_rng(2)):
+        got = sample_jumps(spec, 1.0, seed)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.marks.tobytes() == want.marks.tobytes()
 
 
 def test_sample_jumps_mean_count_and_support():

@@ -32,7 +32,11 @@ coefficient reads both the control and the state pin the variational
 state's jump at each event.  The costs of a cash system whose sigma, eta
 and kappa vary with calendar time, under a constant rate and under its
 u*, send a cost pass that keeps no rows (which solves no state for the
-cash model) through maps that vary with t1.  The script then
+cash model) through maps that vary with t1.  Two more costs read an
+open-loop control's whole table: linear_test under a TableControl on
+calendar time, and the cash model, keeping no rows, under u* perturbed by
+a constant rate (a PerturbedControl of a StepwiseControl and a
+ConstantControl).  The script then
 prints one line per output: ``identical`` when dtype, shape and bytes
 agree, else ``moved`` with the largest absolute and relative difference.
 It exits 1 when any output differs or is missing from one tree.
@@ -266,6 +270,13 @@ def dump(out_path):
     tstar = cash.cash_optimal_control(tspec, cash.cash_adjoints(tspec, tens))
     for name, ctl in (("0.5", fbsde.ConstantControl(0.5)), ("ustar", tstar)):
         out[f"cost.cash_t.{name}.per_path"] = fbsde.evaluate_cost(tmodel, ctl, tens).per_path
+    # open-loop controls read as whole tables: a TableControl on calendar
+    # time (linear_test) and u* perturbed by a constant rate (cash, a pass
+    # that keeps no rows)
+    tab = fbsde.TableControl(np.linspace(0.0, 0.9, 10), 0.5 + 0.3 * np.sin(np.arange(10.0)))
+    out["cost.linear_test.table.per_path"] = fbsde.evaluate_cost(lin, tab, ens[:1024]).per_path
+    pert = fbsde.PerturbedControl(ustar_cert, fbsde.ConstantControl(1.0), 0.1)
+    out["cost.cash.perturbed.per_path"] = fbsde.evaluate_cost(cmodel, pert, cert).per_path
     lin_ens, lin_ctl = ens[:256], fbsde.ConstantControl(0.5)
     lin_sols = fbsde._ensemble_cost(lin, lin_ctl, lin_ens, keep=256)[1]
     for name, model, ctl, bundles, sols, adj in (
