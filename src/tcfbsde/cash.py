@@ -39,6 +39,7 @@ from .fbsde import (
     TableControl,
     _clock_rows,
     _ensemble_cost,
+    _finite_cost,
     _hold,
     as_control,
     as_ensemble,
@@ -294,7 +295,11 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
     expansion_rhos) and draws the noise of those alone.
     ``ensemble_size``, ``margin_paths`` and ``expansion_paths`` must be
     integers of at least 2, so that every reported mean has a standard
-    error; anything else raises ValueError.
+    error; anything else raises ValueError.  u*'s cost estimate must be
+    finite (fbsde._finite_cost, as every candidate's is through
+    evaluate_cost): a non-finite per-path cost, mean or standard error
+    raises FloatingPointError before the candidates, margins or expansion
+    tables are computed, in place of a certificate that reports it.
 
     The certificate holds when every gap clears -3 standard errors and so
     does the worst margin; that verdict lands in meta["certified"] rather
@@ -316,6 +321,7 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
     head = min(len(bundles), int(margin_paths))
     tail = min(len(bundles), int(expansion_paths)) if expansion_rhos else 0
     base, sols = _ensemble_cost(model, ustar, bundles, keep=tail)
+    _finite_cost(base)
     gap_rows = []
     for idx, cand in enumerate(candidates):
         cand = as_control(cand)

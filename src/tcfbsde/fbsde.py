@@ -56,8 +56,7 @@ variational state in smp) runs through one forward loop, _euler, stepped
 on the rows live at step i only (a suffix of the K-sorted batch), so no
 padded cell is computed and no control is called past a horizon (an
 open-loop table read whole drops its cells there, _open_loop); each row
-holds its value past its horizon, and a non-finite value raises naming
-the system, the step and the path.  The loop's per-step hook is one of
+holds its value past its horizon.  The loop's per-step hook is one of
 two steps.  The state's map step (in _forward_batch), the explicit Euler
 step x_{i+1} = x_i + f du + sigma dB_i + (the step's event jumps b)
 - lam du int b, serves solve_forward_dual, the ode and lsmc regimes (the
@@ -102,10 +101,9 @@ build the padded table from the same expression.  The regimes are:
             an exact conditional solution Y_i = c_i + P_i X_i, P and then
             c swept backward by one slope/intercept kernel (_sweep,
             z_i = a_i z_{i+1} + b_i) on coefficients built once per
-            batch (a non-finite P, as at a singular step, raises naming
-            its step and path); A is read off P_{i+1} in one pass after
-            it, and r's cells (bx X_i + b0) P_{i+1} are built where they
-            are read (this is the workhorse for the built-in models).
+            batch; A is read off P_{i+1} in one pass after it, and r's
+            cells (bx X_i + b0) P_{i+1} are built where they are read
+            (this is the workhorse for the built-in models).
             The cost probes the coefficients once, before its forward
             pass, and the state and this kernel read the same probe;
 * "lsmc"    least-squares Monte Carlo regression over an inner ensemble
@@ -118,6 +116,27 @@ build the padded table from the same expression.  The regimes are:
             checked for conditioning (one batched eigvalsh) and solved
             in one batched call.  At most _LSMC_ROWS inner rows share
             a sweep.
+
+One rule covers non-finite values, and one helper, _finite, builds
+every error it raises: FloatingPointError("<what> blow-up at step s
+(path p)"), where s is the first step in the recursion's own order with
+a non-finite value (the last such column of a backward table) and p the
+lowest path label non-finite at s, so the message does not depend on
+the batch order or ``chunk``.  _euler checks each forward step inside
+its loop, before the next step hands the value to the maps and the
+control (a feedback rate read at x = inf is NaN, which Box.admit would
+refuse as infeasible); the affine kernel checks P once, after its sweep
+(a singular implicit step).  The kernels leave c, Y, A and r (smp's q,
+k, R and Y1 among them) and the costs unchecked, so each terminal or
+initial consistency check reads the values it is handed and refuses a
+NaN gap with its own AssertionError.
+Where a value is reported, it is checked: solve_backward_dual's Y after
+its terminal check, solve_calendar_direct's X at each step and its Y
+once, and every reported CostEstimate, in evaluate_cost and for the
+certificate's u* pass (_finite_cost): its per-path costs ("cost
+blow-up (path p)", the lowest ensemble position) and its mean and
+standard error ("cost mean blow-up").  So a pass's verdict is the same
+for every ``keep``, ``chunk`` and regime.
 
 Every integral against the jump measure (the drivers' and running
 costs', the jump coefficient's compensator) goes through
@@ -1000,6 +1019,27 @@ def _hold(a, K, park, width: int):
     return a
 
 
+def _finite(values, labels, what: str, step=None):
+    """``values`` when every one is finite, else FloatingPointError
+    "{what} blow-up[ at step s] (path p)", the one message of every
+    non-finite check (the module docstring gives the rule).  ``values``
+    holds one value per label, at forward step ``step`` when given, or is
+    a padded backward table, one row per label, whose step s is its last
+    non-finite column, the first its recursion reaches; p is the lowest
+    label non-finite at that step, so it does not depend on the batch's
+    order.  Without ``labels`` (a mean and its standard error) no path is
+    named."""
+    if np.isfinite(values).all():
+        return values
+    bad = ~np.isfinite(values)
+    if bad.ndim == 2:
+        step = int(np.flatnonzero(bad.any(axis=0))[-1])
+        bad = bad[:, step]
+    at = "" if step is None else f" at step {step}"
+    path = "" if labels is None else f" (path {int(labels[bad].min())})"
+    raise FloatingPointError(f"{what} blow-up{at}{path}")
+
+
 def _euler(batch: _Batch, z0, step, system: str) -> np.ndarray:
     """The forward recursion of a scalar system, padded.
 
@@ -1009,20 +1049,17 @@ def _euler(batch: _Batch, z0, step, system: str) -> np.ndarray:
     of the state, or _affine_step, the slope/intercept step of every
     system affine in its own state.  Only live rows are stepped, so no
     padded cell is computed: each row is frozen at its horizon value once,
-    at the end.  A non-finite value inside a horizon raises, naming the
-    system, the step and the path's label.
+    at the end.  Each step's values pass _finite, named ``system``, before
+    the next step hands them to a map or to Box.admit: checked after the
+    loop, a state blow-up under a FeedbackControl would read as an
+    infeasible control.
     """
     Kmax = batch.Kmax
     Z = np.zeros((batch.N, Kmax + 1))
     Z[:, 0] = z0
     for i in range(Kmax):
         rows = batch.live(i)
-        zn = step(i, rows, Z[:, i])
-        bad = ~np.isfinite(zn)
-        if bad.any():
-            raise FloatingPointError(f"{system} blow-up at step {i} "
-                                     f"(path {int(batch.labels[rows][np.argmax(bad)])})")
-        Z[rows, i + 1] = zn
+        Z[rows, i + 1] = _finite(step(i, rows, Z[:, i]), batch.labels[rows], system, i)
     # every row holds its horizon value, at column K, from there on
     return _hold(Z, batch.K + 1, 0.0, Kmax + 1)
 
@@ -1283,21 +1320,16 @@ def _affine_sweeps(batch: _Batch, co: dict, P_term, c_term):
     P and c start at the terminal pair in every cell and step i updates
     its live rows (the suffix ``batch.live(i)``) only, so each row holds
     the terminal pair from its horizon on and no padded coefficient cell
-    is read by the recursion.  Only these keys of ``co`` are read.  A
-    non-finite P (from a singular step, du Gy = 1, say) raises
-    FloatingPointError naming the row that went non-finite first in sweep
-    order (the first in the batch among ties) and that step."""
+    is read by the recursion.  Only these keys of ``co`` are read.  P
+    passes _finite once, after its sweep: a non-finite P (from a singular
+    step, du Gy = 1, say) raises "backward blow-up", naming the first step
+    the sweep reaches with a non-finite cell.  c is returned unchecked
+    (module docstring)."""
     du = batch.du
     den = np.asarray(1.0 - du * co["Gy"])
     P = _sweep(batch, (1.0 + du * co["fx"] + du * (co["Ga"] * co["sx"] + co["gr"] * co["ibx"]))
                / den, du * co["Gx"] / den, P_term)
-    bad = ~np.isfinite(P)
-    if bad.any():
-        # a row that goes non-finite stays so down to step 0
-        step = np.where(bad.any(axis=1), batch.Kmax - np.argmax(bad[:, ::-1], axis=1), -1)
-        p = int(np.argmax(step))
-        raise FloatingPointError(f"backward blow-up at step {step[p]} "
-                                 f"(path {int(batch.labels[p])})")
+    P = _finite(P, batch.labels, "backward")
     gc = P[:, 1:] * (co["f0"] + co["Ga"] * co["s0"] + co["gr"] * co["ib0"])
     gc += co["G0"]
     gc *= du
@@ -1465,8 +1497,6 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256):
         labels = batch.labels[rows]
         inner = _inner_batch(batch, rows, n_inner)
         Xi, vi = _forward_batch(model, control, inner)
-        if not np.all(np.isfinite(Xi)):
-            raise FloatingPointError("basis overflow: non-finite state values")
         Yn = np.broadcast_to(np.asarray(
             model.phi(Xi[np.arange(inner.N), inner.K]), dtype=float), (inner.N,)).copy()
         for i in range(inner.Kmax - 1, -1, -1):
@@ -1589,18 +1619,21 @@ def solve_backward_dual(model: ModelSpec, control, bundle: PathBundle,
 
     A batch-of-one call of the batch dispatcher; ``method`` overrides the
     automatic regime choice ("ode", "affine", "lsmc") of backward_method.
+    Y passes _finite after the terminal check, which sees a non-finite
+    Y_T first: no regime's kernel checks Y, so the ode regime's blow-up
+    raises here, naming the first step its backward sweep reaches with a
+    non-finite Y and the bundle's seeds["path"].
     """
     control = as_control(control)
     method = backward_method(model, control, method)
-    Y, A, r = _backward_batch(model, control, _single(bundle), forward.X[None, :],
+    batch = _single(bundle)
+    Y, A, r = _backward_batch(model, control, batch, forward.X[None, :],
                               forward.control_values[None, :], method, n_inner)
-    Y, A, r = Y[0], A[0], r.table()[0]
     K = bundle.solver_steps
-    gap = abs(Y[K] - float(model.phi(forward.X[K])))
-    tol = 1e-10 if method in ("ode", "affine") else 1e-6
-    if not gap <= tol:
+    gap = abs(Y[0, K] - float(model.phi(forward.X[K])))
+    if not gap <= (1e-10 if method in ("ode", "affine") else 1e-6):
         raise AssertionError(f"terminal consistency violated: |Y_T - phi(X_T)| = {gap}")
-    return replace(forward, Y=Y, A=A, r=r)
+    return replace(forward, Y=_finite(Y, batch.labels, "backward")[0], A=A[0], r=r.table()[0])
 
 
 # ------------------------------------------------------------- composition
@@ -1629,7 +1662,10 @@ def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
     reads composed drivers (dE, dB_E, calendar-bucketed events) step by
     step, so agreement with compose_duality is an actual check of the
     duality construction rather than a reindexing tautology.  Backward
-    part requires an affine-solvable model.
+    part requires an affine-solvable model.  As the dual solvers do, it
+    names a blow-up through _finite, by the bundle's seeds["path"]: X at
+    each calendar step, before the next step reads the control and the
+    maps there, and Y once, after its backward loop.
     """
     control = as_control(control)
     inv = bundle.inverse
@@ -1668,6 +1704,7 @@ def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
         X[j + 1] = (X[j] + float(model.f(tgrid[j], E[j], X[j], vj)) * dE[j]
                     + float(model.sigma(tgrid[j], E[j], X[j], vj)) * dBE[j]
                     + jump - comp)
+        _finite(X[j + 1: j + 2], label, "state", j)
 
     if not model.affine_solvable:
         return X, None, tgrid
@@ -1696,7 +1733,7 @@ def solve_calendar_direct(model: ModelSpec, control, bundle: PathBundle):
         c = (cn + h * (Pn * f0 + lam * (g00 + ga * Pn * s0
              + gr * Pn * float(spec.integrate(b0))))) / den
         Y[j] = c + P * X[j]
-    return X, Y, tgrid
+    return X, _finite(Y[None], label, "backward")[0], tgrid
 
 
 # ------------------------------------------------------------------- cost
@@ -1758,10 +1795,11 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None, keep: boo
     through Y_0 = c_0 + P_0 x0: there the probe takes only what the P and
     c sweeps read (reads="sweeps"), the two sweeps run, and the running
     cost, h and gamma read broadcast placeholders (NaN for x and a, Y_0
-    for y, zero r cells).  No X, Y table, A or r is built, so there is no
-    state blow-up check; a non-finite P still raises (_affine_sweeps), and
-    a non-finite cost raises FloatingPointError naming the path.  Every
-    cost has the bytes of the full pass."""
+    for y, zero r cells).  No X, Y table, A or r is built; a non-finite P
+    still raises (_affine_sweeps).  Every cost has the bytes of the full
+    pass.  No cost is checked here, non-finite ones included: the caller
+    that reports an estimate checks it (_finite_cost), so every pass gives
+    the same verdict."""
     method = backward_method(model, control, method)
     v = co = None
     if method == "affine":
@@ -1773,12 +1811,7 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None, keep: boo
             X = np.broadcast_to(np.nan, P.shape)
             Y = np.broadcast_to((c[:, 0] + P[:, 0] * model.x0)[:, None], P.shape)
             del P, c
-            cost = _row_cost(model, batch, X, Y, X[:, 1:], None, v)
-            bad = ~np.isfinite(cost)
-            if bad.any():
-                raise FloatingPointError(
-                    f"cost blow-up (path {int(batch.labels[np.argmax(bad)])})")
-            return cost
+            return _row_cost(model, batch, X, Y, X[:, 1:], None, v)
         co = _probe_affine(model, batch, v)
     X, v = _forward_batch(model, control, batch, v, co)
     Y, A, r = _backward_batch(model, control, batch, X, v, method, co=co)
@@ -1869,14 +1902,26 @@ def evaluate_cost(model: ModelSpec, control, bundles, method=None,
     padding stays small and memory stays flat in the ensemble size.  In
     the affine regime a running cost free of the state and an h free of
     x (the cash model's) need no forward state: only Y_0 = c_0 + P_0 x0
-    is solved, and a non-finite cost raises FloatingPointError naming
-    its path, as no state blow-up check runs (_batch_cost).
-    Every path's value depends on its own row only and lands at its
-    ensemble position, so ``per_path`` (returned for paired,
-    common-random-number comparisons), the mean and the standard error
-    are bit-identical for every ``chunk``.
+    is solved (_batch_cost).  A non-finite per-path cost, mean or
+    standard error raises FloatingPointError (_finite_cost), the same
+    for every regime and ``chunk``.  Every path's value depends on its
+    own row only and lands at its ensemble position, so ``per_path``
+    (returned for paired, common-random-number comparisons), the mean
+    and the standard error are bit-identical for every ``chunk``.
     """
-    return _ensemble_cost(model, control, bundles, method, chunk)[0]
+    return _finite_cost(_ensemble_cost(model, control, bundles, method, chunk)[0])
+
+
+def _finite_cost(est: CostEstimate) -> CostEstimate:
+    """``est`` when every number it reports is finite, by _finite: its
+    per-path costs ("cost blow-up", naming the lowest ensemble position),
+    then its mean and standard error ("cost mean blow-up").  The check of
+    every reported estimate, evaluate_cost's and the certificate's u*
+    pass, so its verdict does not depend on ``keep``, ``chunk`` or the
+    regime."""
+    _finite(est.per_path, np.arange(est.per_path.size), "cost")
+    _finite(np.array([est.mean, est.std_error]), None, "cost mean")
+    return est
 
 
 # ------------------------------------------------------------ builtin models

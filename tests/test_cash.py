@@ -605,6 +605,23 @@ def test_certificate_refuses_a_zero_or_non_finite_expansion_step():
             certify_optimality(CashSpec(), ensemble_size=8, expansion_rhos=[0.1, rho])
 
 
+@pytest.mark.parametrize("x0", [1e307, 1.7e308])
+def test_certificate_refuses_a_non_finite_mean(x0):
+    """At these x0 every per-path cost is finite, but the standard error
+    (inf at 1e307) or the mean too (-inf at 1.7e308) overflows.  The
+    certificate and evaluate_cost raise, naming the mean, in place of
+    reporting it under a certified verdict."""
+    spec = CashSpec(x0=x0)
+    model = build_cash_model(spec)
+    bundles = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 16, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(np.isfinite(fbsde._ensemble_cost(model, 0.5, bundles)[0].per_path))
+        for run in (lambda: certify_optimality(spec, ensemble_size=16, margin_paths=8),
+                    lambda: evaluate_cost(model, ConstantControl(0.5), bundles)):
+            with pytest.raises(FloatingPointError, match=r"^cost mean blow-up$"):
+                run()
+
+
 def test_certificate_solves_each_ustar_row_once(monkeypatch):
     """u*'s rows reach _batch_cost once, for the cost, whose pass keeps the
     rows of the margin lead and of the expansion base, which read them:

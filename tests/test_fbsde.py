@@ -614,6 +614,30 @@ def test_forward_blow_up_is_reported():
             solve_forward_dual(model, 0.0, bundle)
 
 
+def test_calendar_direct_names_a_blow_up_as_the_dual_solver_does():
+    """solve_calendar_direct, the independent reference of the duality
+    check, raises on a non-finite X at the step the dual solver names, by
+    the bundle's seeds["path"], before the next step reads the control and
+    the maps there (a feedback control would read x = inf as an infeasible
+    NaN rate); and on a non-finite Y once, after its backward loop, at the
+    first step that loop reaches (lam g = 2e308 overflows there)."""
+    _, jspec, sspec, _ = build_model("linear_test")
+    (bnd,) = make_ensemble(sspec, jspec, 0.5, 0.01, 1, master_seed=54)
+    bnd.seeds["path"] = 3
+    huge = mk_model(f=lambda t1, t2, x, v: 1e200 * (1.0 + x**2))
+    flood = mk_model(g=lambda t1, t2, x, y, a, r, v: 1e308 + 0.0 * (x + y + a + r + v),
+                     phi=lambda x: 1.0 * x, M_T=1.0, affine=True)
+    last = bnd.inverse.calendar_grid.size - 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for solve, ctl in itertools.product((solve_forward_dual, solve_calendar_direct),
+                                            (0.0, FeedbackControl(lambda t1, t2, x: 0.0 * x))):
+            with pytest.raises(FloatingPointError, match=r"^state blow-up at step 1 \(path 3\)$"):
+                solve(huge, ctl, bnd)
+        with pytest.raises(FloatingPointError,
+                           match=rf"^backward blow-up at step {last} \(path 3\)$"):
+            solve_calendar_direct(flood, 0.0, bnd)
+
+
 def test_forward_rejects_infeasible_control():
     model = mk_model(control_set=Box(-5.0, 5.0))
     with pytest.raises(ValueError, match="control infeasible"):
@@ -1397,6 +1421,68 @@ def test_singular_backward_step_raises_naming_step_and_path():
                 with pytest.raises(FloatingPointError,
                                    match=rf"^backward blow-up at {re.escape(where)}$"):
                     run()
+
+
+@pytest.mark.parametrize("method", ["affine", "lsmc"])
+def test_non_finite_cost_gets_one_verdict_for_every_keep_and_chunk(method):
+    """linear_test with path 2's control at 1e200 in Box(-1e300, 1e300):
+    v^2 is inf on path 2 alone, whether or not l reads x (under the affine
+    regime a state-free l takes the pass that solves no state when no rows
+    are kept).  The pass returns that cost with the same bytes for keep 0
+    and keep 10, and evaluate_cost refuses it, naming the path, for every
+    chunk."""
+    lin = build_model("linear_test")[0]
+    bundles = ragged_bundles(RAGGED_STEPS)
+    rows = np.zeros((len(bundles), max(RAGGED_STEPS)))
+    rows[2] = 1e200
+    huge = StepwiseControl(rows)
+    for l in (lambda t1, t2, x, y, a, r, v: x**2 / 4.0 + v**2,
+              lambda t1, t2, x, y, a, r, v: v**2):
+        model = dataclasses.replace(lin, l=l, control_set=Box(-1e300, 1e300))
+        with np.errstate(over="ignore", invalid="ignore"):
+            costs = [fbsde._ensemble_cost(model, huge, bundles, method, keep=keep)[0].per_path
+                     for keep in (0, len(bundles))]
+            assert costs[0].tobytes() == costs[1].tobytes()
+            assert np.flatnonzero(~np.isfinite(costs[0])).tolist() == [2]
+            for chunk in (1, 7, 512):
+                with pytest.raises(FloatingPointError, match=r"^cost blow-up \(path 2\)$"):
+                    evaluate_cost(model, huge, bundles, method, chunk)
+
+
+def test_ode_backward_blow_up_raises_where_it_is_reported():
+    """The ode kernel checks no Y, so y' = 1000 y^2 from Y_T = 1 raises where
+    Y is reported: solve_backward_dual after its terminal check, naming the
+    first step its sweep reaches with a non-finite Y, and evaluate_cost
+    through the NaN costs it gives (gamma(inf) = 0 inf), naming the lowest
+    ensemble position among them (path 0, of 7 steps)."""
+    model = mk_model(g=lambda t1, t2, x, y, a, r, v: 1e3 * y**2 + 0.0 * (x + a + r + v),
+                     phi=lambda x: 1.0 + 0.0 * x, conditionally_deterministic=True)
+    bundles = ragged_bundles(RAGGED_STEPS)
+    assert fbsde.backward_method(model, ConstantControl(0.0)) == "ode"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError,
+                           match=r"^backward blow-up at step 10 \(path 2\)$"):
+            solve_backward_dual(model, 0.0, bundles[2],
+                                solve_forward_dual(model, 0.0, bundles[2]))
+        with pytest.raises(FloatingPointError, match=r"^cost blow-up \(path 0\)$"):
+            evaluate_cost(model, 0.0, bundles)
+
+
+def test_lsmc_inner_blow_up_names_the_outer_path():
+    """On finite outer rows, the inner ensembles' state blows up in the
+    forward kernel they share with every system.  Each inner row carries
+    its outer path's label, and every outer path (2, 3, 7 and 12 steps)
+    blows up at step 1, so the lowest label, path 0, is named there,
+    though path 3, the shortest, leads the K-sorted batch."""
+    model = mk_model(f=lambda t1, t2, x, v: 1e200 * (1.0 + x**2))
+    ens = fbsde.Ensemble(ragged_bundles((7, 12, 3, 2)))
+    batch = ens.rows(np.argsort(ens.K, kind="stable"))
+    assert batch.labels[0] == 3
+    X = np.ones((batch.N, batch.Kmax + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=r"^state blow-up at step 1 \(path 0\)$"):
+            fbsde._lsmc_backward(model, ConstantControl(0.0), batch, X,
+                                 np.zeros((batch.N, batch.Kmax)), n_inner=4)
 
 
 def test_state_free_cost_pass_draws_no_noise(monkeypatch):
