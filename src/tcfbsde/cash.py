@@ -51,6 +51,7 @@ from .smp import (
     AdjointSolution,
     EnsembleAdjoint,
     OptimalityReport,
+    _expansion_steps,
     _grad_v_reads_state,
     _structural_zero,
     check_necessary_condition,
@@ -295,7 +296,9 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
     expansion_rhos) and draws the noise of those alone.
     ``ensemble_size``, ``margin_paths`` and ``expansion_paths`` must be
     integers of at least 2, so that every reported mean has a standard
-    error; anything else raises ValueError.  u*'s cost estimate must be
+    error, and ``expansion_rhos`` None or a sequence of finite, nonzero
+    numbers (smp._expansion_steps); anything else raises ValueError
+    before anything is sampled.  u*'s cost estimate must be
     finite (fbsde._finite_cost, as every candidate's is through
     evaluate_cost): a non-finite per-path cost, mean or standard error
     raises FloatingPointError before the candidates, margins or expansion
@@ -310,6 +313,8 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
         if not isinstance(n, numbers.Integral) or n < 2:
             raise ValueError(f"{name} must be an integer of at least 2 for a standard "
                              f"error, got {n!r}")
+    rhos = None if expansion_rhos is None else _expansion_steps(expansion_rhos,
+                                                                "expansion_rhos")
     model = build_cash_model(spec)
     if _grad_v_reads_state(model):
         raise ValueError("the margin search reads dH/dv on the clock and rates alone, "
@@ -319,7 +324,7 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
     adjs = cash_adjoints(spec, bundles)
     ustar = cash_optimal_control(spec, adjs)
     head = min(len(bundles), int(margin_paths))
-    tail = min(len(bundles), int(expansion_paths)) if expansion_rhos else 0
+    tail = min(len(bundles), int(expansion_paths)) if rhos else 0
     base, sols = _ensemble_cost(model, ustar, bundles, keep=tail)
     _finite_cost(base)
     gap_rows = []
@@ -335,9 +340,9 @@ def certify_optimality(spec: CashSpec, candidates=(), ensemble_size: int = 256,
                                         _clock_rows(model, ustar, bundles, head),
                                         _leading(adjs, head), count=64, seed=seed)
     conv_rows, rem_rows = [], []
-    if expansion_rhos:
+    if rhos:
         conv_rows, rem_rows = expansion_check(model, bundles[:tail], sols,
-                                              ConstantControl(1.0), list(expansion_rhos))
+                                              ConstantControl(1.0), rhos)
     certified = (margins.min_margin >= -3.0 * margins.std_error - 1e-12
                  and all(row["gap"] >= -3.0 * row["se"] for row in gap_rows))
     meta = dict(model="cash", ensemble=int(len(bundles)), seed=int(seed),

@@ -84,14 +84,16 @@ ode and affine kernels start every row at its terminal value and step
 only the rows live at step i, so a row holds that value past its
 horizon; the step sums of the running cost and the Gateaux integral
 (_step_sum) likewise evaluate live cells only, with one map call per
-run of steps whose live rows are the same.  Every regime hands r over
-as _NodeCells: the cost reads it one such run at a time, and no
-(N, Kmax, nodes) r table is built on the cost path.  Its cells are built
-only for a running cost that can read r, which ModelSpec decides from
-l's code when it is built; any other l gets a broadcast zero in their
-place (none of the built-in models' l reads r).  The rows the cost
-pass keeps, the adjoints, the variational pair and the one-path solve
-build the padded table from the same expression.  The regimes are:
+run of steps whose live rows are the same.  There is one r: every
+regime hands it over as a zero-argument builder of its padded
+(N, Kmax, nodes) table, zero past each horizon (affine: _jump_table
+from the probe and the solved X and P; lsmc: the table its sweep fills;
+ode: zeros), and every reader reads that plain table.  A cost pass runs
+the builder at most once, and only when it keeps its rows or its
+running cost can read r, which ModelSpec decides from l's code when it
+is built; any other l gets a broadcast zero in its place (none of the
+built-in models' l reads r).  The second adjoint's R and the
+variational r1 come from the same builder.  The regimes are:
 
 * "ode"     the driver and terminal data are deterministic given the
             subordinator path, so Y is a backward ODE and A = r = 0,
@@ -101,9 +103,9 @@ build the padded table from the same expression.  The regimes are:
             an exact conditional solution Y_i = c_i + P_i X_i, P and then
             c swept backward by one slope/intercept kernel (_sweep,
             z_i = a_i z_{i+1} + b_i) on coefficients built once per
-            batch; A is read off P_{i+1} in one pass after it, and r's
-            cells (bx X_i + b0) P_{i+1} are built where they are read
-            (this is the workhorse for the built-in models).
+            batch; A is read off P_{i+1} in one pass after it, and r,
+            (bx X_i + b0) P_{i+1}, is built as a table by a caller that
+            reads it (this is the workhorse for the built-in models).
             The cost probes the coefficients once, before its forward
             pass, and the state and this kernel read the same probe;
 * "lsmc"    least-squares Monte Carlo regression over an inner ensemble
@@ -454,9 +456,9 @@ class ModelSpec:
     When it is built, the spec also decides from each map's code which
     arguments it provably never reads (_may_read), and keeps them as
     ``_unread[name]`` for every slot of _ARG_POS.  Besides the partials,
-    the cost builds r's cells only for an l that may read r, and the LSMC
-    sweep reads the jump fit off its inner states only for a g that may;
-    any other map gets zero cells in their place.
+    a cost pass that keeps no rows builds r's table only for an l that may
+    read r, and the LSMC sweep reads the jump fit off its inner states
+    only for a g that may; any other map gets zeros in their place.
     """
 
     f: Callable
@@ -1218,60 +1220,16 @@ def _probe_affine(model: ModelSpec, batch: _Batch, v: np.ndarray, reads: str = "
     return co
 
 
-def _jump_cells(bx, b0, x, Pn, out=None):
-    """(bx x + b0) P_{i+1}: the affine r at left states ``x``, nodes on the
-    last axis, written to ``out`` when given (it may be ``bx`` itself).
-    One step's cells and the padded table take the same operations in the
-    same order, so a cell has the same bits either way."""
-    r = np.multiply(bx, x[..., None], out=out)
+def _jump_table(batch: _Batch, bx, b0, X, P) -> np.ndarray:
+    """The affine r, (bx X_i + b0) P_{i+1}, as the batch's padded
+    (N, Kmax, nodes) table, zero past each horizon; ``bx`` and ``b0`` in
+    any shape that broadcasts to it."""
+    Kmax = batch.Kmax
+    r = np.multiply(np.broadcast_to(bx, (batch.N, Kmax, batch.w.size)), X[:, :-1, None])
     r += b0
-    r *= Pn[..., None]
+    r *= P[:, 1:, None]
+    np.copyto(r, 0.0, where=(np.arange(Kmax) >= batch.K[:, None])[..., None])
     return r
-
-
-class _NodeCells:
-    """A solved batch's r, nodewise on the jump quadrature, built where it
-    is read.
-
-    ``r[rows, i]`` gives the cells of step i, or of the steps of a slice
-    i (with a steps axis after the rows), on ``rows``, which must be live
-    at every one of those steps (``batch.live``), so step arguments read
-    it as they read a table; ``table(rows)`` builds the padded
-    (rows, Kmax, nodes) table of ``rows`` (all by default), zero past
-    each horizon.  Affine cells come from _jump_cells either way; lsmc
-    hands over the table it fills.  The ode regime's r is zero, and so
-    are the cells the cost hands a running cost that cannot read r: a
-    read-only broadcast zero, which allocates nothing.
-    """
-
-    def __init__(self, K, nodes: int, table=None, affine=None):
-        self.K, self.nodes = K, nodes
-        self._table, self._affine = table, affine
-        self._steps = np.arange(int(K.max()))
-
-    def __getitem__(self, key):
-        rows, i = key
-        if self._table is not None:
-            return self._table[rows, i]
-        steps = self._steps[i]
-        if self._affine is None:
-            return np.broadcast_to(0.0, self.K[rows].shape + steps.shape + (self.nodes,))
-        bx, b0, X, P = self._affine
-        return _jump_cells(bx[rows, i], b0[rows, i], X[rows, i], P[rows, steps + 1])
-
-    def table(self, rows=slice(None)) -> np.ndarray:
-        if self._table is not None:
-            return self._table[rows]
-        # an index array, so bx[rows] is a copy the cells can be built in
-        rows = np.arange(self.K.size)[rows]
-        K, Kmax = self.K[rows], int(self.K.max())
-        if self._affine is None:
-            return np.zeros((K.size, Kmax, self.nodes))
-        bx, b0, X, P = self._affine
-        r = bx[rows]
-        _jump_cells(r, b0[rows], X[rows, :-1], P[rows, 1:], out=r)
-        np.copyto(r, 0.0, where=(np.arange(Kmax) >= K[:, None])[..., None])
-        return r
 
 
 def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
@@ -1289,21 +1247,20 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
     mark integrals ``ibx`` and ``ib0`` come with them (_probe_affine).
     P and c come from _affine_sweeps.  A and r do not feed them: A is
     built after them in one pass from P_{i+1} and zeroed past each
-    horizon, and r is kept as P with ``bx`` and ``b0`` (_NodeCells), whose
-    cells are built only where they are read.  Returns (Y, A, r),
-    Y = c + P X on every cell: ``X`` must hold each row's X_K past its
-    horizon, as _euler returns it and every caller passes it, so that Y
-    holds c_T + P_T X_K there.
+    horizon, and r is handed over as a builder of its table
+    (_jump_table from the probe's ``bx`` and ``b0``, X and P), run only
+    by a caller that reads it.  Returns (Y, A, r), Y = c + P X on every
+    cell: ``X`` must hold each row's X_K past its horizon, as _euler
+    returns it and every caller passes it, so that Y holds c_T + P_T X_K
+    there.
     """
-    N, Kmax = batch.N, batch.Kmax
-    Q = batch.w.size
     P, c = _affine_sweeps(batch, co, P_term, c_term)
     A = co["sx"] * X[:, :-1]
     A += co["s0"]
     A *= P[:, 1:]
-    np.copyto(A, 0.0, where=np.arange(Kmax) >= batch.K[:, None])
-    bx, b0 = (np.broadcast_to(co[key], (N, Kmax, Q)) for key in ("bx", "b0"))
-    return c + P * X, A, _NodeCells(batch.K, Q, affine=(bx, b0, X, P))
+    np.copyto(A, 0.0, where=np.arange(batch.Kmax) >= batch.K[:, None])
+    bx, b0 = co["bx"], co["b0"]
+    return c + P * X, A, lambda: _jump_table(batch, bx, b0, X, P)
 
 
 def _affine_sweeps(batch: _Batch, co: dict, P_term, c_term):
@@ -1476,8 +1433,8 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256):
     depend on the batch.
 
     Returns Y (N, Kmax + 1), each row frozen at phi(X_K) from its
-    horizon on, and A (N, Kmax) and r (its (N, Kmax, nodes) table as
-    _NodeCells), zero there.
+    horizon on, and A (N, Kmax) and r, zero there: r as a builder that
+    returns the (N, Kmax, nodes) table the sweep fills.
     """
     if not (isinstance(n_inner, (int, np.integer)) and n_inner >= 1):
         raise ValueError(f"n_inner must be an integer >= 1, got {n_inner!r}")
@@ -1549,15 +1506,16 @@ def _lsmc_backward(model: ModelSpec, control, batch: _Batch, X, v, n_inner=256):
                          - _poly_eval(beta_v, mu1, sd1, xo)[:, None])
             Y[out, i] = _picard(model, spec, to, u, xo, _poly_eval(beta_m, mu, sd, xo),
                                 A[out, i], r[out, i], vo, du, _LSMC_PICARD)
-    return Y, A, _NodeCells(batch.K, w.size, table=r)
+    return Y, A, lambda: r
 
 
 # ----------------------------------------------------------- backward driver
 
 def _ode_backward(model: ModelSpec, batch: _Batch, X, v):
-    """Regime "ode" (A = r = 0, r as _NodeCells): _ODE_PICARD (4) Picard
-    sweeps per step over the rows live at it (``batch.live(i)``); every row
-    starts at phi(X_K), so a row past its horizon holds it."""
+    """Regime "ode" (A = r = 0, r as a builder of a zero table):
+    _ODE_PICARD (4) Picard sweeps per step over the rows live at it
+    (``batch.live(i)``); every row starts at phi(X_K), so a row past its
+    horizon holds it."""
     N, Kmax, du = batch.N, batch.Kmax, batch.du
     spec, w = batch.spec, batch.w
     XT = X[np.arange(N), batch.K]
@@ -1569,7 +1527,7 @@ def _ode_backward(model: ModelSpec, batch: _Batch, X, v):
         Y[rows, i] = _picard(model, spec, batch.t[rows, i], i * du, x, Y[rows, i + 1],
                              np.zeros(x.size), np.zeros((x.size, w.size)), v[rows, i], du,
                              _ODE_PICARD)
-    return Y, np.zeros((N, Kmax)), _NodeCells(batch.K, w.size)
+    return Y, np.zeros((N, Kmax)), lambda: np.zeros((N, Kmax, w.size))
 
 
 def backward_method(model: ModelSpec, control, method=None) -> str:
@@ -1597,10 +1555,10 @@ def _backward_batch(model: ModelSpec, control, batch: _Batch, X, v, method=None,
                     n_inner=256, co=None):
     """(Y, A, r) of a batch from its forward rows by the resolved regime;
     past its horizon a row keeps its terminal value, with A and r zero.
-    Every regime gives r as _NodeCells: the cost reads ``r[rows, i]`` on
-    each step's live rows, and only callers that keep the padded table
-    build it (``r.table()``).  The affine regime reads ``co``, the probe
-    at ``v`` a caller already holds, else probes here."""
+    Every regime gives r as a zero-argument builder of its padded
+    (N, Kmax, nodes) table, run only by a caller that reads r (_batch_cost
+    runs it at most once).  The affine regime reads ``co``, the probe at
+    ``v`` a caller already holds, else probes here."""
     method = backward_method(model, control, method)
     if method == "ode":
         return _ode_backward(model, batch, X, v)
@@ -1618,10 +1576,11 @@ def solve_backward_dual(model: ModelSpec, control, bundle: PathBundle,
     terminal first; ``forward`` itself is left as it is.
 
     A batch-of-one call of the batch dispatcher; ``method`` overrides the
-    automatic regime choice ("ode", "affine", "lsmc") of backward_method.
-    Y passes _finite after the terminal check, which sees a non-finite
-    Y_T first: no regime's kernel checks Y, so the ode regime's blow-up
-    raises here, naming the first step its backward sweep reaches with a
+    automatic regime choice ("ode", "affine", "lsmc") of backward_method,
+    and r is the row of the table its regime's builder gives.  Y passes
+    _finite after the terminal check, which sees a non-finite Y_T first:
+    no regime's kernel checks Y, so the ode regime's blow-up raises here,
+    naming the first step its backward sweep reaches with a
     non-finite Y and the bundle's seeds["path"].
     """
     control = as_control(control)
@@ -1633,7 +1592,7 @@ def solve_backward_dual(model: ModelSpec, control, bundle: PathBundle,
     gap = abs(Y[0, K] - float(model.phi(forward.X[K])))
     if not gap <= (1e-10 if method in ("ode", "affine") else 1e-6):
         raise AssertionError(f"terminal consistency violated: |Y_T - phi(X_T)| = {gap}")
-    return replace(forward, Y=_finite(Y, batch.labels, "backward")[0], A=A[0], r=r.table()[0])
+    return replace(forward, Y=_finite(Y, batch.labels, "backward")[0], A=A[0], r=r()[0])
 
 
 # ------------------------------------------------------------- composition
@@ -1762,9 +1721,7 @@ def _step_sum(batch: _Batch, cell) -> np.ndarray:
     Each row's running total is added into the range's first term and the
     terms are summed by np.add.accumulate along the steps, which adds in
     the order of a step-by-step loop, so every row has the bits such a
-    loop gives it.  The running cost reads r there as _NodeCells, which
-    builds those cells of those rows only, and only for a running cost
-    that can read r; any other gets a broadcast zero."""
+    loop gives it."""
     lam_du = batch.spec.intensity * batch.du
     run = np.zeros(batch.N)
     bounds = [0, *(np.flatnonzero(np.diff(batch._lo)) + 1).tolist(), batch.Kmax]
@@ -1795,11 +1752,18 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None, keep: boo
     through Y_0 = c_0 + P_0 x0: there the probe takes only what the P and
     c sweeps read (reads="sweeps"), the two sweeps run, and the running
     cost, h and gamma read broadcast placeholders (NaN for x and a, Y_0
-    for y, zero r cells).  No X, Y table, A or r is built; a non-finite P
-    still raises (_affine_sweeps).  Every cost has the bytes of the full
-    pass.  No cost is checked here, non-finite ones included: the caller
-    that reports an estimate checks it (_finite_cost), so every pass gives
-    the same verdict."""
+    for y, zero r).  No X, Y table, A or r is built; a non-finite P still
+    raises (_affine_sweeps).  Every cost has the bytes of the full pass.
+
+    Every other pass runs the regime's r builder (_backward_batch) at
+    most once, and only when it keeps its rows or its l may read r (r not
+    in ``model._unread["l"]``, decided from l's code; none of the
+    built-in models' l reads r): the running cost then reads the batch's
+    padded r table, and any other l a broadcast zero (_row_cost).
+
+    No cost is checked here, non-finite ones included: the caller that
+    reports an estimate checks it (_finite_cost), so every pass gives the
+    same verdict."""
     method = backward_method(model, control, method)
     v = co = None
     if method == "affine":
@@ -1815,18 +1779,22 @@ def _batch_cost(model: ModelSpec, control, batch: _Batch, method=None, keep: boo
         co = _probe_affine(model, batch, v)
     X, v = _forward_batch(model, control, batch, v, co)
     Y, A, r = _backward_batch(model, control, batch, X, v, method, co=co)
-    # r keeps the probe's bx and b0; free the rest before the running cost
+    # r's builder keeps only the probe's bx and b0; free the rest
     del co
+    r = r() if keep or "r" not in model._unread["l"] else None
     cost = _row_cost(model, batch, X, Y, A, r, v)
     return (cost, X, Y, v, A, r) if keep else cost
 
 
 def _row_cost(model: ModelSpec, batch: _Batch, X, Y, A, r, v) -> np.ndarray:
-    """Each row's running cost plus h(X_T) and gamma(Y_0), off its solved rows."""
+    """Each row's running cost plus h(X_T) and gamma(Y_0), off its solved
+    rows; the running cost reads r's padded table, or a read-only
+    broadcast zero, which allocates nothing, when l cannot read r (``r``
+    may then be None)."""
     N = batch.N
-    cells = r if "r" not in model._unread["l"] else _NodeCells(batch.K, batch.w.size)
+    r = np.broadcast_to(0.0, (N, batch.Kmax, batch.w.size)) if "r" in model._unread["l"] else r
     run = _step_sum(batch,
-                    lambda i, rows: model.l(*_step_args(batch, i, X, Y, A, cells, v, rows)))
+                    lambda i, rows: model.l(*_step_args(batch, i, X, Y, A, r, v, rows)))
     XT = X[np.arange(N), batch.K]
     hterm = np.broadcast_to(np.asarray(model.h(XT), dtype=float), (N,))
     gterm = np.broadcast_to(np.asarray(model.gamma(Y[:, 0]), dtype=float), (N,))
@@ -1844,9 +1812,10 @@ def _ensemble_cost(model: ModelSpec, control, bundles, method=None, chunk: int =
     (_batch_cost), with the same bytes.  The EnsembleSolution (None when
     ``keep`` is 0) holds positions 0..keep-1 in ensemble order at their
     own width, the largest K among them, each row held past its batch's
-    width as past its horizon; only those rows' r table is built.  Every
-    kernel is row-local, so the rows are those a solve of those paths
-    alone gives, and every cost is the same, for every ``chunk``.
+    width as past its horizon; only those rows' r table is built, unless
+    l may read r (_batch_cost).  Every kernel is row-local, so the rows
+    are those a solve of those paths alone gives, and every cost is the
+    same, for every ``chunk``.
     """
     control = as_control(control)
     ens = as_ensemble(bundles)
@@ -1864,7 +1833,7 @@ def _ensemble_cost(model: ModelSpec, control, bundles, method=None, chunk: int =
         for full, part in ((t, batch.t), (X, Xb), (Y, Yb)):
             full[idx, : k + 1] = part
             full[idx, k + 1:] = part[:, k, None]
-        A[idx, :k], v[idx, :k], r[idx, :k] = Ab, vb, rb.table()
+        A[idx, :k], v[idx, :k], r[idx, :k] = Ab, vb, rb
         # free this batch's solution before the next batch is solved
         del Xb, Yb, vb, Ab, rb
     for idx, batch in _sorted_batches(ens, chunk, np.flatnonzero(~kept)):

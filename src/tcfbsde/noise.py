@@ -349,7 +349,7 @@ def ito_decomposition_check(F, solution, derivatives=None) -> np.ndarray:
 
     ``solution`` must expose the realized forward ingredients:
 
-    * ``grid``          solver grid on [0, E_T]
+    * ``grid``          solver grid on [0, E_T], None on a zero-step path
     * ``X``             forward values, shape (K+1,)
     * ``calendar_times``  t_i = D(u_i), shape (K+1,)
     * ``dB``            Brownian increments used by the solver, shape (K,)
@@ -379,9 +379,10 @@ def ito_decomposition_check(F, solution, derivatives=None) -> np.ndarray:
             raise ValueError(f"non-finite {which} derivative of F")
         return out
 
-    grid: OperationalGrid = solution.grid
-    K, du = grid.n_steps, grid.step
-    u = grid.points()
+    grid: OperationalGrid | None = solution.grid
+    # a zero-step path has no grid: its one point is u = 0
+    K, du, u = (0, 0.0, np.zeros(1)) if grid is None else (grid.n_steps, grid.step,
+                                                           grid.points())
     X = np.asarray(solution.X, dtype=float)
     t = np.asarray(solution.calendar_times, dtype=float)
 

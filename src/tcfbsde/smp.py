@@ -275,7 +275,7 @@ def _q_affine_batch(model: ModelSpec, batch: _Batch, X, p, co, Lx0, Lxx, hc, hs)
                f0=co["f0"] + sx * co["s0"] + lam * spec.integrate(bb0, bb0.shape[:-1]),
                Gy=fx, Gx=Lxx, G0=Lx0 - co["Gx"] * p[:, :-1], Ga=0.0, gr=0.0)
     q, k, R = _affine_backward(batch, X, qco, np.full(N, float(hs)), -model.M_T * pT + float(hc))
-    return q, k, R.table()
+    return q, k, R()
 
 
 def _closure_check(model: ModelSpec, batch: _Batch, X, Y, A, r, v):
@@ -410,7 +410,7 @@ def _variational_batch(model: ModelSpec, control, direction, batch: _Batch,
     XT = X[np.arange(N), batch.K]
     P_term = np.broadcast_to(model_derivative(model, "phi_x")(XT), (N,)).astype(float)
     Y1, A1, r1 = _affine_backward(batch, X1, co, P_term, np.zeros(N))
-    return X1, Y1, A1, r1.table(), vd
+    return X1, Y1, A1, r1(), vd
 
 
 def solve_variational(model: ModelSpec, control, direction,
@@ -434,6 +434,18 @@ def solve_variational(model: ModelSpec, control, direction,
 
 # ------------------------------------------------- expansion and gap checks
 
+def _expansion_steps(rhos, name: str = "rhos") -> list:
+    """The step sizes of an expansion check as floats: ``rhos`` must be a
+    list, tuple or 1-d array of finite, nonzero real numbers, else
+    ValueError naming ``name`` (a zero step divides by zero in the
+    difference quotients)."""
+    seq = isinstance(rhos, (list, tuple)) or isinstance(rhos, np.ndarray) and rhos.ndim == 1
+    if not (seq and all(isinstance(rho, numbers.Real) and np.isfinite(rho) and rho != 0.0
+                        for rho in rhos)):
+        raise ValueError(f"{name} must be a sequence of finite, nonzero numbers, got {rhos!r}")
+    return [float(rho) for rho in rhos]
+
+
 def expansion_check(model: ModelSpec, bundles, solutions, direction, rhos) -> tuple:
     """First-order expansion of the cost and the state pair in a direction.
 
@@ -453,12 +465,11 @@ def expansion_check(model: ModelSpec, bundles, solutions, direction, rhos) -> tu
 
     Every perturbed solve takes backward_method's automatic regime, on one
     K-sorted batch whose per-path results return to ensemble order before
-    every mean.  Every rho must be finite and nonzero, else ValueError.
+    every mean.  ``rhos`` must be a sequence of finite, nonzero numbers,
+    else ValueError before anything is solved (_expansion_steps).
     Returns (gateaux_rows, remainder_rows).
     """
-    for rho in rhos:
-        if not (np.isfinite(rho) and rho != 0.0):
-            raise ValueError(f"expansion step rho must be finite and nonzero, got {rho}")
+    rhos = _expansion_steps(rhos)
     direction = as_control(direction)
     ens = as_ensemble(bundles)
     _matching(ens.K, solutions)
@@ -503,7 +514,7 @@ def expansion_check(model: ModelSpec, bundles, solutions, direction, rhos) -> tu
         Xt = ((Xr - X) / rho - X1)[back]
         Yt = ((Yr - Y) / rho - Y1)[back]
         At = ((Ar - A) / rho - A1)[back]
-        rt = ((rr.table() - r) / rho - r1)[back]
+        rt = ((rr - r) / rho - r1)[back]
         remainder.append(dict(
             rho=float(rho),
             x2=float(np.max(np.mean(Xt ** 2, axis=0))),

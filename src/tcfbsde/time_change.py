@@ -57,6 +57,8 @@ class OperationalGrid:
     def __post_init__(self):
         if not (np.isfinite(self.step) and self.step > 0.0):
             raise ValueError(f"step must be positive, got {self.step}")
+        if not np.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon}")
         n = self.n_steps
         if n < 1 or abs(self.horizon - n * self.step) > 1e-9 * max(1.0, self.horizon):
             raise ValueError(
@@ -96,7 +98,7 @@ class SubordinatorPath:
 
 @dataclass
 class InversePath:
-    """E evaluated on a calendar grid; nondecreasing, E(0) = 0."""
+    """E evaluated on a calendar grid; finite, nondecreasing, E(0) = 0."""
 
     calendar_grid: np.ndarray
     values: np.ndarray
@@ -106,6 +108,9 @@ class InversePath:
         e = np.asarray(self.values, dtype=float)
         if t.shape != e.shape or t.ndim != 1:
             raise ValueError("calendar grid and values must be matching 1-d arrays")
+        for name, a in (("calendar_grid", t), ("values", e)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite")
         if t.size and np.any(np.diff(t) <= 0.0):
             raise ValueError("calendar grid must be strictly increasing")
         if np.any(np.diff(e) < 0.0):
@@ -271,7 +276,8 @@ def invert_subordinator(path: SubordinatorPath, calendar_grid) -> InversePath:
 
     E(t) = u_i with i the last stored index at which D(u_i) <= t (staircase
     convention, see module docstring). Requires the path to have passed
-    max(calendar_grid).
+    max(calendar_grid); a non-finite calendar time raises ValueError
+    (InversePath).
     """
     t = np.asarray(calendar_grid, dtype=float)
     if t.size == 0:
@@ -292,7 +298,9 @@ def matched_calendar_grid(path: SubordinatorPath, horizon: float) -> np.ndarray:
 
     On this grid each calendar step spans exactly one operational step (or
     none, across the final trapping interval), which makes time-change
-    identities exact rather than O(du).
+    identities exact rather than O(du).  ``horizon`` must be finite.
     """
+    if not np.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
     below = path.values[path.values < horizon]
     return np.append(below, horizon)

@@ -605,6 +605,30 @@ def test_certificate_refuses_a_zero_or_non_finite_expansion_step():
             certify_optimality(CashSpec(), ensemble_size=8, expansion_rhos=[0.1, rho])
 
 
+@pytest.mark.parametrize("rhos", [0.1, ["a"], [[0.1]], "0.1", np.array(0.1), [0.1, 0.0]],
+                         ids=["scalar", "string_item", "nested", "string", "0d_array", "zero"])
+def test_expansion_steps_are_refused_before_anything_is_sampled(monkeypatch, rhos):
+    """Expansion steps that are not a sequence of finite, nonzero numbers
+    raise ValueError naming the argument, in the certificate before the
+    ensemble is sampled, and in expansion_check before anything is solved.
+    A scalar 0.1 used to raise TypeError after every cost pass and the
+    margin search."""
+    spec = CashSpec()
+    model = build_cash_model(spec)
+    bundles = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 4, master_seed=0)
+    sols = solved_ensemble(model, 0.5, bundles)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(smp, "_variational_batch", refuse)
+    with pytest.raises(ValueError, match="rhos must be a sequence"):
+        expansion_check(model, bundles, sols, ConstantControl(1.0), rhos)
+    monkeypatch.setattr(cash_mod, "make_ensemble", refuse)
+    with pytest.raises(ValueError, match="expansion_rhos must be a sequence"):
+        certify_optimality(spec, [0.5], ensemble_size=8, expansion_rhos=rhos)
+
+
 @pytest.mark.parametrize("x0", [1e307, 1.7e308])
 def test_certificate_refuses_a_non_finite_mean(x0):
     """At these x0 every per-path cost is finite, but the standard error

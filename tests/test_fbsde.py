@@ -638,6 +638,24 @@ def test_calendar_direct_names_a_blow_up_as_the_dual_solver_does():
             solve_calendar_direct(flood, 0.0, bnd)
 
 
+def test_ito_check_reads_a_zero_step_path():
+    """A zero-step path's solution has no grid; its Ito residual is the one
+    point [0.0], and a K = 3 path beside it keeps its residual.  It used to
+    raise AttributeError on the missing grid."""
+    model, _, _, _ = build_model("linear_test")
+    zero, three = ragged_bundles([0, 3])
+
+    def square(t1, t2, x):
+        return x**2
+
+    res = ito_decomposition_check(square, solve_forward_dual(model, 0.5, zero))
+    assert res.tobytes() == np.array([0.0]).tobytes()
+    sol = solve_forward_dual(model, 0.5, three)
+    assert sol.grid.n_steps == 3
+    res = ito_decomposition_check(square, sol)
+    assert res.shape == (4,) and res[0] == 0.0 and np.all(np.isfinite(res))
+
+
 def test_forward_rejects_infeasible_control():
     model = mk_model(control_set=Box(-5.0, 5.0))
     with pytest.raises(ValueError, match="control infeasible"):
@@ -984,22 +1002,21 @@ def test_cost_rejects_a_chunk_below_one(chunk):
 
 
 def test_cost_builds_no_full_r_table(monkeypatch):
-    """evaluate_cost reads r on each step's live rows only: it runs with
-    the padded-table builder raising, on linear_test, on the cash model
-    (at u* and at a constant rate) and on a linear_test twin whose running
-    cost reads r.  The solved ensemble keeps the table, so it does call
-    the builder."""
-    def refuse(self, rows=None):
+    """evaluate_cost builds no r table for a running cost that cannot read
+    r: it runs with the table builder raising, on linear_test and on the
+    cash model (at u* and at a constant rate).  A linear_test twin whose
+    running cost reads r gets a different cost.  The solved ensemble
+    keeps the table, so it does call the builder."""
+    def refuse(*args):
         raise AssertionError("full r table built")
 
-    monkeypatch.setattr(fbsde._NodeCells, "table", refuse)
     model, jump, sub, p = build_model("linear_test")
     ens = make_ensemble(sub, jump, p["horizon"], p["step"], 64, master_seed=0)
-    evaluate_cost(model, 0.5, ens)
     twin = dataclasses.replace(
         model, l=lambda t1, t2, x, y, a, r, v: model.l(t1, t2, x, y, a, r, v) + r**2)
-    assert not np.array_equal(evaluate_cost(twin, 0.5, ens).per_path,
-                              evaluate_cost(model, 0.5, ens).per_path)
+    twin_cost = evaluate_cost(twin, 0.5, ens).per_path
+    monkeypatch.setattr(fbsde, "_jump_table", refuse)
+    assert not np.array_equal(twin_cost, evaluate_cost(model, 0.5, ens).per_path)
     spec = CashSpec()
     cens = make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.01, 64, master_seed=0)
     ustar = cash_optimal_control(spec, cash_adjoints(spec, cens))
@@ -1011,12 +1028,12 @@ def test_cost_builds_no_full_r_table(monkeypatch):
 
 def test_cost_builds_no_r_cells_for_running_costs_that_cannot_read_r(monkeypatch):
     """None of the built-in running costs reads r, so evaluate_cost runs on
-    linear_test, quadratic_drift and the cash model (at u*) with r's cell
+    linear_test, quadratic_drift and the cash model (at u*) with r's table
     builder raising."""
     def refuse(*args):
         raise AssertionError("r cells built")
 
-    monkeypatch.setattr(fbsde, "_jump_cells", refuse)
+    monkeypatch.setattr(fbsde, "_jump_table", refuse)
     for name in ("linear_test", "quadratic_drift"):
         model, jump, sub, p = build_model(name)
         assert "r" in model._unread["l"]
@@ -1027,10 +1044,10 @@ def test_cost_builds_no_r_cells_for_running_costs_that_cannot_read_r(monkeypatch
                   cens)
 
 
-def _cost_from_r_table(model, control, ens):
+def _cost_from_r_table(model, control, ens, method=None):
     """Per-path costs whose running part reads every step's r off the
-    padded table of the solved rows, not off cells built per step."""
-    sols = solved_ensemble(model, control, ens)
+    padded table of the rows the cost pass keeps under ``method``."""
+    sols = solved_ensemble(model, control, ens, method=method)
     order = np.argsort(ens.K, kind="stable")
     batch = ens.rows(order)
     X, Y, A, r, v = (getattr(sols, name)[order] for name in "XYArv")
@@ -1063,17 +1080,34 @@ def test_cost_builds_r_cells_for_running_costs_that_may_read_r(monkeypatch, form
         model, l={"comparison": compares, "star_args": lambda *args: compares(*args),
                   "callable_object": Cost()}[form])
     assert "r" not in model._unread["l"]
-    jump_cells, calls = fbsde._jump_cells, []
+    jump_table, calls = fbsde._jump_table, []
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return jump_cells(*args, **kwargs)
+        return jump_table(*args, **kwargs)
 
-    monkeypatch.setattr(fbsde, "_jump_cells", counting)
+    monkeypatch.setattr(fbsde, "_jump_table", counting)
     cost = evaluate_cost(model, 0.5, ens).per_path
     assert calls
     assert np.array_equal(cost, _cost_from_r_table(model, ConstantControl(0.5), ens))
     assert not np.array_equal(cost, plain)
+
+
+@pytest.mark.parametrize("method", ["ode", "affine", "lsmc"])
+def test_cost_reading_r_has_the_bytes_of_its_kept_r_table(method):
+    """In every backward regime, a running cost that reads r gets from
+    evaluate_cost the bytes that its own kept r table gives.  The ode
+    regime's r is zero, so there the cost is linear_test's own; in the
+    others r**2 moves it."""
+    model, jump, sub, p = build_model("linear_test")
+    ens = make_ensemble(sub, jump, p["horizon"], p["step"], 16, master_seed=0)
+    twin = dataclasses.replace(
+        model, l=lambda t1, t2, x, y, a, r, v: model.l(t1, t2, x, y, a, r, v) + r**2)
+    cost = evaluate_cost(twin, 0.5, ens, method=method).per_path
+    assert cost.tobytes() == _cost_from_r_table(twin, ConstantControl(0.5), ens,
+                                                method).tobytes()
+    plain = evaluate_cost(model, 0.5, ens, method=method).per_path
+    assert np.array_equal(cost, plain) == (method == "ode")
 
 
 def _nodewise_read_offs(monkeypatch, refuse=False):
@@ -1821,7 +1855,7 @@ def _backward_rows(model, ctl, direction, batch):
     out = {}
     for method in ("affine", "ode"):
         Y, A, r = fbsde._backward_batch(model, ctl, batch, X, v, method)
-        out.update(zip((f"{name}.{method}" for name in "YAr"), (Y, A, r.table())))
+        out.update(zip((f"{name}.{method}" for name in "YAr"), (Y, A, r())))
     base = (X, out["Y.affine"], out["A.affine"], out["r.affine"], v)
     co = fbsde._probe_affine(model, batch, v)
     p = smp._p_forward_batch(model, batch, *base, co)
@@ -1879,7 +1913,7 @@ def test_affine_backward_ignores_padded_coefficients(steps):
             nan_co[key] = full
         terms = np.full(N, model.M_T), np.full(N, float(model.phi(0.0)))
         for x in (X, np.zeros_like(X)):
-            want, got = ((Y, A, r.table()) for Y, A, r in (
+            want, got = ((Y, A, r()) for Y, A, r in (
                 fbsde._affine_backward(batch, x, c, *terms) for c in (co, nan_co)))
             assert all(np.all(np.isfinite(a)) for a in got)
             for a, b in zip(got, want):
@@ -2000,11 +2034,11 @@ def test_step_sum_reads_live_rows_only(steps):
 @settings(max_examples=25, deadline=None)
 @given(steps=RAGGED)
 def test_step_cells_match_the_full_r_table(steps):
-    """Every regime's r read at step i on the rows live at it carries the
-    bytes of those rows of its padded table, which is zero past each
-    horizon, in the K-sorted batch, for linear_test (r = bx X P) and the
-    cash model (r = b0 P).  Controls are NaN past each horizon; ragged
-    steps with duplicates, in any order, and at least one zero-step row."""
+    """Every regime's r builder gives the padded (N, Kmax, nodes) table of
+    the K-sorted batch, zero past each horizon, for linear_test
+    (r = bx X P) and the cash model (r = b0 P).  Controls are NaN past
+    each horizon; ragged steps with duplicates, in any order, and at least
+    one zero-step row."""
     steps = steps + [0]
     n, width = len(steps), max(max(steps), 1)
     for name in ("linear_test", "cash"):
@@ -2015,10 +2049,6 @@ def test_step_cells_match_the_full_r_table(steps):
         batch = ens.rows(np.argsort(ens.K, kind="stable"))
         X, v = fbsde._forward_batch(model, ctl, batch)
         for method in ("ode", "affine", "lsmc"):
-            r = fbsde._backward_batch(model, ctl, batch, X, v, method)[2]
-            table = r.table()
+            table = fbsde._backward_batch(model, ctl, batch, X, v, method)[2]()
             assert table.shape == (batch.N, batch.Kmax, batch.w.size)
             assert not table[np.arange(batch.Kmax) >= batch.K[:, None]].any()
-            for i in range(batch.Kmax):
-                live = batch.live(i)
-                assert r[live, i].tobytes() == table[live, i].tobytes(), (name, method, i)

@@ -289,6 +289,31 @@ def test_matched_calendar_grid_alignment():
     assert inv.values[-1] == inv.values[-2]
 
 
+def test_inverse_clock_refuses_non_finite_times():
+    """NaN in a calendar grid used to read the path's last grid point, past
+    first passage (E(nan) = 0.93 here): the inversion, an InversePath's
+    grid and values and the matched grid's horizon refuse it, naming the
+    argument."""
+    path = sample_subordinator(SubordinatorSpec(0.7), 1.0, OperationalGrid(0.01, 0.04), 3)
+    with pytest.raises(ValueError, match="calendar_grid must be finite"):
+        invert_subordinator(path, [0.0, 0.5, np.nan])
+    with pytest.raises(ValueError, match="calendar_grid must be finite"):
+        InversePath(calendar_grid=np.array([0.0, np.nan]), values=np.array([0.0, 0.1]))
+    with pytest.raises(ValueError, match="values must be finite"):
+        InversePath(calendar_grid=np.array([0.0, 0.5]), values=np.array([0.0, np.nan]))
+    for horizon in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            matched_calendar_grid(path, horizon)
+
+
+@pytest.mark.parametrize("horizon", [np.inf, np.nan])
+def test_grid_refuses_a_non_finite_horizon(horizon):
+    """An infinite horizon used to raise OverflowError and NaN numpy's
+    integer conversion error."""
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        OperationalGrid(0.01, horizon)
+
+
 def test_path_validation():
     grid = OperationalGrid(0.1, 0.3)
     with pytest.raises(ValueError):

@@ -17,9 +17,9 @@ are dumped, so the order in which an ensemble draws its noise (on first
 read) reaches a compared output.  The mark-law integral of a fixed table
 that mixes node-constant, zero and varying rows is dumped under both mark
 laws, so its constant-row rule reaches a compared output on its own.  The costs include linear_test twins whose
-running cost reads r, so the backward solve's jump cells reach a compared
+running cost reads r, so the backward solve's r table reaches a compared
 output; one of them has a jump coefficient with both an x-slope and a
-constant, which pins the operation order of those cells; the kept rows'
+constant, which pins the operation order of that table; the kept rows'
 X and v of that twin, of linear_test and of the cash model under u* pin
 the state recursion of the cost's affine regime.  Another linear_test
 twin registers closed-form x-slopes (f_x, sigma_x, b_x, g_x, g_y) that
@@ -117,13 +117,13 @@ def dump(out_path):
     out["cost.linear_test.per_path"] = fbsde.evaluate_cost(
         lin, fbsde.ConstantControl(0.5), ens).per_path
     # neither built-in running cost reads r: a linear_test twin whose l adds
-    # r**2 sends the backward solve's jump cells into the cost
+    # r**2 sends the backward solve's r table into the cost
     twin = dataclasses.replace(
         lin, l=lambda t1, t2, x, y, a, r, v: lin.l(t1, t2, x, y, a, r, v) + r**2)
     out["cost.linear_test_r2.per_path"] = fbsde.evaluate_cost(
         twin, fbsde.ConstantControl(0.5), ens).per_path
     # every built-in model has bx = 0 or b0 = 0 in b = bx x + b0, so only a
-    # twin with both nonzero pins the operation order of r's cells
+    # twin with both nonzero pins the operation order of r's table
     both = dataclasses.replace(twin, b=lambda t1, t2, x, v, z: z * (0.05 * x + 0.1))
     est, sols = fbsde._ensemble_cost(both, fbsde.ConstantControl(0.5), ens, keep=256)
     out["cost.linear_test_bx_b0.per_path"] = est.per_path
