@@ -84,7 +84,12 @@ ode and affine kernels start every row at its terminal value and step
 only the rows live at step i, so a row holds that value past its
 horizon; the step sums of the running cost and the Gateaux integral
 (_step_sum) likewise evaluate live cells only, with one map call per
-run of steps whose live rows are the same.  There is one r: every
+run of steps whose live rows are the same, except a running cost that
+reads none of x, y, a, r (ModelSpec decides that from l's code): it is
+called once per block of such runs, on the rows live at the block's
+first step, whose cells past a horizon hold t and v as the probe's do,
+and each row reads its sum at its last step, with the bits of the runs.
+There is one r: every
 regime hands it over as a zero-argument builder of its padded
 (N, Kmax, nodes) table, zero past each horizon (affine: _jump_table
 from the probe and the solved X and P; lsmc: the table its sweep fills;
@@ -101,9 +106,15 @@ variational r1 come from the same builder.  The regimes are:
 * "affine"  coefficients affine in the state, driver affine in
             (x, y, a, r), linear terminal map: the implicit scheme has
             an exact conditional solution Y_i = c_i + P_i X_i, P and then
-            c swept backward by one slope/intercept kernel (_sweep,
-            z_i = a_i z_{i+1} + b_i) on coefficients built once per
-            batch; A is read off P_{i+1} in one pass after it, and r,
+            c solved backward as slope/intercept recursions
+            z_i = a_i z_{i+1} + b_i on coefficients built once per batch
+            (_affine_sweeps).  A recursion whose coefficients hold one
+            value on every live cell and whose terminal value is one
+            value (the cash model's P always, its c under a constant
+            rate) runs once, on scalars, by steps to go, and each row
+            reads it back as z_i = s_{K-i}; any other steps its live
+            rows in a loop (_sweep), with the same bits.  A is read off
+            P_{i+1} in one pass after it, and r,
             (bx X_i + b0) P_{i+1}, is built as a table by a caller that
             reads it (this is the workhorse for the built-in models).
             The cost probes the coefficients once, before its forward
@@ -1265,29 +1276,49 @@ def _affine_backward(batch: _Batch, X: np.ndarray, co: dict, P_term, c_term):
 
 def _affine_sweeps(batch: _Batch, co: dict, P_term, c_term):
     """(P, c) of Y_i = c_i + P_i X_i, padded (N, Kmax + 1): two
-    slope/intercept sweeps (_sweep) from the terminal pair, on
-    coefficients built once from whole tables, each keeping the shape its
-    inputs broadcast to (scalars stay scalar):
+    slope/intercept recursions from the terminal pair, on coefficients
+    built once from whole tables, each keeping the shape its inputs
+    broadcast to (scalars stay scalar):
 
         P_i = aP_i P_{i+1} + bP_i,  c_i = ac_i c_{i+1} + gc_i,
         den = 1 - du Gy,  aP = (1 + du fx + du (Ga sx + gr ibx)) / den,
         bP = du Gx / den,  ac = 1 / den,
         gc = du (P_{i+1} (f0 + Ga s0 + gr ib0) + G0) / den.
 
-    P and c start at the terminal pair in every cell and step i updates
-    its live rows (the suffix ``batch.live(i)``) only, so each row holds
-    the terminal pair from its horizon on and no padded coefficient cell
-    is read by the recursion.  Only these keys of ``co`` are read.  P
-    passes _finite once, after its sweep: a non-finite P (from a singular
-    step, du Gy = 1, say) raises "backward blow-up", naming the first step
-    the sweep reaches with a non-finite cell.  c is returned unchecked
-    (module docstring)."""
-    du = batch.du
+    Each row starts at the terminal pair and holds it from its horizon
+    on; no padded coefficient cell is read.  When P's coefficients and
+    terminal value are each one value (_uniform), P is solved once by
+    steps to go, on numpy float64 scalars (_steps_to_go), and every row
+    reads it as P_i = s_{K - i} (_gather); c is solved the same way when
+    its coefficients (den, f0 + Ga s0 + gr ib0, G0) and terminal value are
+    one value too, its intercept built along the steps to go with the
+    operations and order of the table's.  Any other recursion runs the
+    step loop (_sweep).  Both give every cell the same bits.  Only these
+    keys of ``co`` are read.  P passes _finite once, on its whole table:
+    a non-finite P (from a singular step, du Gy = 1, say) raises
+    "backward blow-up", naming the first step the recursion reaches with
+    a non-finite cell.  c is returned unchecked (module docstring)."""
+    du, Kmax = batch.du, batch.Kmax
     den = np.asarray(1.0 - du * co["Gy"])
-    P = _sweep(batch, (1.0 + du * co["fx"] + du * (co["Ga"] * co["sx"] + co["gr"] * co["ibx"]))
-               / den, du * co["Gx"] / den, P_term)
+    aP = (1.0 + du * co["fx"] + du * (co["Ga"] * co["sx"] + co["gr"] * co["ibx"])) / den
+    bP = du * co["Gx"] / den
+    one = _uniform(batch, (aP, bP), P_term)
+    sP = None if one is None else _steps_to_go(*one, Kmax)
+    P = _sweep(batch, aP, bP, P_term) if sP is None else _gather(batch, sP)
+    del aP, bP
     P = _finite(P, batch.labels, "backward")
-    gc = P[:, 1:] * (co["f0"] + co["Ga"] * co["s0"] + co["gr"] * co["ib0"])
+    k0 = co["f0"] + co["Ga"] * co["s0"] + co["gr"] * co["ib0"]
+    one = None if sP is None else _uniform(batch, (k0, co["G0"], den), c_term)
+    if one is not None:
+        k0, G0, d, c_end = one
+        # gc at j steps to go reads P at j - 1
+        gc = sP[:-1] * k0
+        gc += G0
+        gc *= du
+        gc /= d
+        return P, _gather(batch, _steps_to_go(1.0 / d, gc, c_end, Kmax))
+    gc = P[:, 1:] * k0
+    del k0
     gc += co["G0"]
     gc *= du
     gc /= den
@@ -1297,12 +1328,61 @@ def _affine_sweeps(batch: _Batch, co: dict, P_term, c_term):
     return P, _sweep(batch, np.divide(1.0, den, out=den), gc, c_term)
 
 
+def _uniform(batch: _Batch, coefs, z_end):
+    """The one value of each coefficient in ``coefs`` and of ``z_end``, as
+    numpy float64 scalars, else None.  A coefficient (any shape that
+    broadcasts to (N, Kmax)) must hold the same bytes in every cell of the
+    rows live at step 0 (a zero-step row's cells are never read), and the
+    terminal value (one per row) the same bytes on every row.  Bytes are
+    compared as int64, so -0.0 and 0.0 differ, and so do NaNs of other
+    payloads."""
+    if not batch.Kmax:
+        return None
+    N, live = batch.N, batch.live(0)
+    cells = [np.broadcast_to(np.asarray(val, dtype=float), (N, batch.Kmax))[live]
+             for val in coefs]
+    cells.append(np.broadcast_to(np.asarray(z_end, dtype=float), (N,)))
+    one = []
+    for val in cells:
+        bits = val.view(np.int64)
+        if not (val.strides == (0,) * val.ndim or (bits == bits.flat[0]).all()):
+            return None
+        one.append(val.flat[0])
+    return one
+
+
+def _steps_to_go(a, b, z, n: int) -> np.ndarray:
+    """s_0 = z, s_j = a s_{j-1} + b_{j-1} for 0 < j <= n: the backward
+    recursion z_i = a z_{i+1} + b_i of a row with scalar coefficients,
+    indexed by steps to go.  ``a`` and ``z`` are numpy float64 scalars and
+    ``b`` one or n of them; each step takes _sweep's two operations in
+    its order, so the values have its bits (and its warnings)."""
+    s = np.empty(n + 1)
+    s[0] = z
+    b = np.broadcast_to(b, (n,))
+    for j in range(n):
+        z = a * z + b[j]
+        s[j + 1] = z
+    return s
+
+
+def _gather(batch: _Batch, s) -> np.ndarray:
+    """The padded (N, Kmax + 1) table of a recursion solved by steps to go:
+    row p reads s[max(K_p - i, 0)] at column i, so it holds s_0, the
+    terminal value, from its horizon on, as _sweep's rows do.  The rows
+    are copied from windows of one (2 Kmax + 1) vector."""
+    Kmax = batch.Kmax
+    ends = np.concatenate([s[::-1], np.full(Kmax, s[0])])
+    return np.lib.stride_tricks.sliding_window_view(ends, Kmax + 1)[Kmax - batch.K]
+
+
 def _sweep(batch: _Batch, a, b, z_end) -> np.ndarray:
     """z_i = a_i z_{i+1} + b_i backward from z_K = ``z_end`` (one value per
-    row), padded (N, Kmax + 1): step i updates its live rows (the suffix
-    ``batch.live(i)``) in place with two ufunc calls, so each row holds
-    ``z_end`` from its horizon on and no padded cell of ``a`` or ``b``
-    (any shape that broadcasts to (N, Kmax)) is read."""
+    row), padded (N, Kmax + 1), by the step loop: step i updates its live
+    rows (the suffix ``batch.live(i)``) in place with two ufunc calls, so
+    each row holds ``z_end`` from its horizon on and no padded cell of
+    ``a`` or ``b`` (any shape that broadcasts to (N, Kmax)) is read.  The
+    recursion of _affine_sweeps whose coefficients are not one value."""
     N, Kmax = batch.N, batch.Kmax
     a, b = (np.broadcast_to(val, (N, Kmax)) for val in (a, b))
     Z = np.empty((N, Kmax + 1))
@@ -1709,28 +1789,54 @@ def _step_args(batch: _Batch, i, X, Y, A, r, v, rows=slice(None)):
             r[rows, i], v[rows, i, None])
 
 
-def _step_sum(batch: _Batch, cell) -> np.ndarray:
+# cells of one call of a held step sum: each float64 temporary of the
+# call stays at 64 KiB, which malloc serves from its heap.  One call over
+# a whole (512, 300) cash batch made MB-sized temporaries, and a certify
+# operation took 1.7k to 19k minor page faults by heap layout, against
+# 1.5k to 2.3k in blocks (2-core x86-64, glibc malloc)
+_HELD_CELLS = 8192
+
+
+def _step_sum(batch: _Batch, cell, held: bool = False) -> np.ndarray:
     """Each row's sum over its steps i < K of lam du int cell, taken in step
     order: the running cost and the Gateaux integral.
 
-    The steps 0..Kmax are cut into ranges [a, b) wherever the live suffix
-    changes, and ``cell(steps, rows)`` gives the nodewise integrand of the
-    steps of one range's slice, (rows, steps) leading, on ``rows``, the
-    rows live at every one of them (``batch.live(a)``): no padded cell is
-    evaluated, and the map is called once per range, not once per step.
-    Each row's running total is added into the range's first term and the
-    terms are summed by np.add.accumulate along the steps, which adds in
-    the order of a step-by-step loop, so every row has the bits such a
-    loop gives it."""
+    The steps 0..Kmax are cut into ranges wherever the live suffix
+    changes, and the ranges into blocks [a, b): ``cell(steps, rows)``
+    gives the nodewise integrand of one block's steps, (rows, steps)
+    leading, on ``rows``, the rows live at its first step
+    (``batch.live(a)``).  Each row's running total is added into the
+    block's first term, the terms are summed by np.add.accumulate along
+    the steps, which adds in the order of a step-by-step loop, and each
+    row reads the sum at its last step in the block, so every row has the
+    bits such a loop gives it.
+
+    Each range is a block, so no padded cell is evaluated and the map is
+    called once per range, unless ``held``: then, for a cell that may be
+    evaluated past a horizon (a running cost that reads no state, whose
+    padded cells see the held t and v), consecutive ranges are merged
+    while a block holds at most _HELD_CELLS cells.  A first term of -0.0
+    reads 0.0 either way: the first block adds the zero running total
+    into it."""
     lam_du = batch.spec.intensity * batch.du
-    run = np.zeros(batch.N)
-    bounds = [0, *(np.flatnonzero(np.diff(batch._lo)) + 1).tolist(), batch.Kmax]
-    for a, b in zip(bounds[:-1], bounds[1:]) if batch.Kmax else ():
+    N, Kmax, lo = batch.N, batch.Kmax, batch._lo
+    run = np.zeros(N)
+    bounds = [0, *(np.flatnonzero(np.diff(lo)) + 1).tolist(), Kmax]
+    if held:
+        merged = [0]
+        for end, nxt in zip(bounds[1:-1], bounds[2:]):
+            if (nxt - merged[-1]) * (N - lo[merged[-1]]) > _HELD_CELLS:
+                merged.append(end)
+        bounds = merged + [Kmax]
+    for a, b in zip(bounds[:-1], bounds[1:]) if Kmax else ():
         rows = batch.live(a)
         part = run[rows]
         terms = lam_du * batch.spec.integrate(cell(slice(a, b), rows), (part.size, b - a))
         terms[:, 0] += part
-        run[rows] = np.add.accumulate(terms, axis=1)[:, -1]
+        sums = np.add.accumulate(terms, axis=1)
+        # a row that ends inside a merged block reads its last step's sum
+        run[rows] = (sums[:, -1] if lo[b - 1] == lo[a] else
+                     sums[np.arange(part.size), np.minimum(batch.K[rows], b) - 1 - a])
     return run
 
 
@@ -1790,11 +1896,17 @@ def _row_cost(model: ModelSpec, batch: _Batch, X, Y, A, r, v) -> np.ndarray:
     """Each row's running cost plus h(X_T) and gamma(Y_0), off its solved
     rows; the running cost reads r's padded table, or a read-only
     broadcast zero, which allocates nothing, when l cannot read r (``r``
-    may then be None)."""
+    may then be None).  An l that reads none of x, y, a, r
+    (``model._unread``) is called once per block of at most _HELD_CELLS
+    cells (_step_sum with ``held``; 59 calls in the seed-0 certificate,
+    where the runs take 1,245): its cells past a horizon read the held t
+    and v, as f, sigma, b and g do in the probe.  Any other l is called once per run of steps
+    with the same live rows."""
     N = batch.N
     r = np.broadcast_to(0.0, (N, batch.Kmax, batch.w.size)) if "r" in model._unread["l"] else r
     run = _step_sum(batch,
-                    lambda i, rows: model.l(*_step_args(batch, i, X, Y, A, r, v, rows)))
+                    lambda i, rows: model.l(*_step_args(batch, i, X, Y, A, r, v, rows)),
+                    held=model._unread["l"] >= _STATE)
     XT = X[np.arange(N), batch.K]
     hterm = np.broadcast_to(np.asarray(model.h(XT), dtype=float), (N,))
     gterm = np.broadcast_to(np.asarray(model.gamma(Y[:, 0]), dtype=float), (N,))

@@ -77,9 +77,10 @@ class OperationalGrid:
 class SubordinatorPath:
     """One realized staircase of D on its operational grid.
 
-    values[i] = D(i*step), values[0] = 0, nondecreasing; the stored path ends
-    at the first grid point past the calendar horizon, so its grid's horizon
-    is the discrete first-passage time.
+    values[i] = D(i*step), values[0] = 0, nondecreasing and never NaN (else
+    ValueError); the stored path ends at the first grid point past the
+    calendar horizon, so its grid's horizon is the discrete first-passage
+    time.
     """
 
     grid: OperationalGrid
@@ -91,7 +92,8 @@ class SubordinatorPath:
             raise ValueError("values length does not match the grid")
         if v[0] != 0.0:
             raise ValueError("subordinator paths start at 0")
-        if (v[1:] < v[:-1]).any():
+        # one comparison that NaN fails too
+        if not (v[1:] >= v[:-1]).all():
             raise ValueError("subordinator paths are nondecreasing")
         self.values = v
 

@@ -1,10 +1,12 @@
 """Solver-level tests: forward scheme, the three backward regimes, duality
 composition, and the cost functional."""
 
+import contextlib
 import dataclasses
 import itertools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1984,6 +1986,198 @@ def test_affine_backward_matches_the_scalar_y_oracle():
                                       P_T, c_T)
             assert np.max(np.abs(Y[n, : k + 1] - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
             assert np.all(Y[n, k:] == Y[n, k])
+
+
+# keys of the coefficient record _affine_sweeps reads
+SWEEP_KEYS = ("fx", "sx", "ibx", "Gx", "Gy", "Ga", "gr", "f0", "s0", "ib0", "G0")
+
+
+@contextlib.contextmanager
+def _step_loops(force=False):
+    """Count the step loops (_sweep) run inside the block; with ``force``,
+    every recursion is made to take one."""
+    sweep, calls = fbsde._sweep, []
+    with mock.patch.object(fbsde, "_sweep", lambda *a: calls.append(1) or sweep(*a)), \
+            mock.patch.object(fbsde, "_uniform", (lambda *a: None) if force else fbsde._uniform):
+        yield calls
+
+
+def _sweeps(batch, co, P_term, c_term, loop=False):
+    """_affine_sweeps' (P, c) and the number of step loops it ran; with
+    ``loop``, every recursion takes the step loop."""
+    with _step_loops(loop) as calls:
+        return fbsde._affine_sweeps(batch, co, P_term, c_term), len(calls)
+
+
+def _sorted_batch(steps, jump_spec=None):
+    """The K-sorted batch of ragged_bundles(steps)."""
+    ens = fbsde.Ensemble(ragged_bundles(steps, jump_spec=jump_spec))
+    return ens.rows(np.argsort(ens.K, kind="stable"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=RAGGED, seed=st.integers(0, 2**16))
+def test_sweeps_by_steps_to_go_have_the_bytes_of_the_step_loop(steps, seed):
+    """Scalar coefficients and a terminal pair that is one value: P and c
+    are solved once by steps to go, running no step loop, and have the
+    bytes the step loop gives, over ragged rows with a zero-step row."""
+    batch = _sorted_batch(steps + [0])
+    vals = np.random.default_rng(seed).uniform(-0.5, 0.5, len(SWEEP_KEYS))
+    co = dict(zip(SWEEP_KEYS, vals.tolist()))
+    terms = np.full(batch.N, 1.3), np.full(batch.N, -0.2)
+    (fast, n_fast), (slow, n_slow) = (_sweeps(batch, co, *terms, loop) for loop in (False, True))
+    # a batch of zero-step rows has no step to solve: it runs the empty loop
+    assert (n_fast, n_slow) == (0 if batch.Kmax else 2, 2)
+    for a, b in zip(fast, slow):
+        assert a.shape == (batch.N, batch.Kmax + 1) and a.tobytes() == b.tobytes()
+
+
+def test_sweeps_take_the_step_loop_unless_every_live_cell_is_one_value():
+    """A coefficient table takes the steps-to-go solve only when its cells
+    on the rows live at step 0 hold one value by their bytes: a single
+    -0.0 among 0.0 cells, or one other live cell, sends P's recursion (and
+    so c's) to the step loop, and the same in c's coefficients (G0 one
+    ulp off) sends c's alone; so does a terminal value that differs on
+    one row.  A different value in a zero-step row's cells is never read
+    and keeps the steps-to-go solve.  Every case has the step loop's
+    bytes."""
+    batch = _sorted_batch(RAGGED_STEPS)
+    N, Kmax = batch.N, batch.Kmax
+    co = dict(zip(SWEEP_KEYS, (0.3, 0.1, 0.2, 0.0, -0.4, 0.5, 0.05, 0.0, 0.2, 0.1, 0.7)))
+    live, dead = N - 1, 0  # the last sorted row has K = Kmax, the first K = 0
+    assert batch.K[live] == Kmax and batch.K[dead] == 0
+
+    def with_cell(key, row, value, base=None):
+        table = np.full((N, Kmax), co[key] if base is None else base)
+        table[row, 3] = value
+        return dict(co, **{key: table})
+
+    terms = np.full(N, 1.3), np.full(N, -0.2)
+    cases = [(with_cell("Gx", live, -0.0), terms, 2),
+             (with_cell("fx", live, 0.31), terms, 2),
+             (with_cell("G0", live, np.nextafter(0.7, 1.0)), terms, 1),
+             (with_cell("G0", live, -0.0, base=0.0), terms, 1),
+             (co, (np.where(np.arange(N) == 4, 1.4, 1.3), terms[1]), 2),
+             (co, (terms[0], np.where(np.arange(N) == 4, -0.1, -0.2)), 1),
+             (with_cell("Gx", dead, 9.0), terms, 0),
+             (with_cell("G0", dead, -0.0), terms, 0)]
+    for rec, pair, loops in cases:
+        (fast, n_fast), (slow, _) = (_sweeps(batch, rec, *pair, loop) for loop in (False, True))
+        assert n_fast == loops
+        for a, b in zip(fast, slow):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_sweeps_by_steps_to_go_run_for_constant_controls_only_where_slopes_are_one_value():
+    """Under a constant rate the cash model's P and c coefficients are
+    scalars and linear_test's come out as tables of one value, so a cost
+    pass runs no step loop.  A linear_test twin whose registered x-slopes
+    vary with calendar time t1 takes the step loop for P and c in every
+    batch, and the cash model under a rate that varies by step takes it
+    for c; the costs are those of a pass that runs the step loop
+    throughout."""
+    lin, jump, _, _ = build_model("linear_test")
+    lam = jump.intensity
+    tx = dataclasses.replace(
+        lin, f=lambda t1, t2, x, v: -(1.0 + 0.5 * t1) * x,
+        g=lambda t1, t2, x, y, a, r, v: (-(0.5 + 0.2 * t1) * y + 0.5 * x + 0.5 * v) / lam,
+        derivatives={"f_x": lambda t1, t2, x, v: -(1.0 + 0.5 * t1),
+                     "g_y": lambda t1, t2, x, y, a, r, v: -(0.5 + 0.2 * t1) / lam})
+    cash = build_cash_model(CashSpec())
+    bundles = ragged_bundles(RAGGED_STEPS, jump_spec=jump)
+    width = max(RAGGED_STEPS)
+    stepwise = StepwiseControl(0.3 + 0.02 * np.arange(width) + np.zeros((len(bundles), 1)))
+    for model, ctl, loops in ((lin, ConstantControl(0.5), 0), (cash, ConstantControl(0.5), 0),
+                              (tx, ConstantControl(0.5), 2), (cash, stepwise, 1)):
+        costs = []
+        for force in (False, True):
+            with _step_loops(force) as calls:
+                costs.append(fbsde._ensemble_cost(model, ctl, bundles, keep=len(bundles))[0])
+            assert len(calls) == (2 if force else loops)
+        assert costs[0].per_path.tobytes() == costs[1].per_path.tobytes()
+
+
+def test_singular_scalar_step_raises_the_step_loop_message():
+    """A singular step (du Gy = 1) in scalar coefficients, solved by steps
+    to go, raises the step loop's "backward blow-up at step s (path p)":
+    s is the last step of the longest rows, p the lowest label among
+    them."""
+    batch = _sorted_batch(RAGGED_STEPS)
+    co = dict(zip(SWEEP_KEYS, (0.3, 0.1, 0.2, 0.0, 1.0 / batch.du, 0.5, 0.05, 0.0, 0.2, 0.1, 0.7)))
+    assert 1.0 - batch.du * co["Gy"] == 0.0
+    top = batch.labels[batch.K == batch.Kmax].min()
+    want = rf"^backward blow-up at step {batch.Kmax - 1} \(path {top}\)$"
+    for loop in (False, True):
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=want):
+            _sweeps(batch, co, np.full(batch.N, 1.0), np.zeros(batch.N), loop)
+
+
+def _running_cost(model, batch, X, Y, A, r, v, held):
+    """A batch's running cost by _step_sum, held or by step ranges, and the
+    number of calls of l."""
+    calls = []
+
+    def cell(i, rows):
+        calls.append(i)
+        return model.l(*fbsde._step_args(batch, i, X, Y, A, r, v, rows))
+    return fbsde._step_sum(batch, cell, held), len(calls)
+
+
+def _row_cost_calls(model, batch, X, Y, A, r, v):
+    """_row_cost's per-row costs and the number of calls of l it made."""
+    step_sum, calls = fbsde._step_sum, []
+
+    def counting(b, cell, held=False):
+        return step_sum(b, lambda i, rows: calls.append(i) or cell(i, rows), held)
+    with mock.patch.object(fbsde, "_step_sum", counting):
+        return fbsde._row_cost(model, batch, X, Y, A, r, v), len(calls)
+
+
+@settings(max_examples=15, deadline=None)
+@given(steps=RAGGED)
+def test_state_free_running_cost_is_one_call_with_the_bits_of_the_step_ranges(steps):
+    """A running cost that reads no state (the cash model's, quadratic_drift's
+    scalar 0.0, and a cash-like l whose first term is -0.0) is evaluated
+    in blocks of at most _HELD_CELLS cells, once on a small batch, and
+    each row's sum has the bytes of the step ranges', a zero-step row's
+    positive 0.0 included, for every block size; _row_cost takes that
+    path.  linear_test's l reads x: _row_cost still calls it once per
+    step range."""
+    steps = steps + [0]
+    cash = build_cash_model(CashSpec())
+    neg = dataclasses.replace(cash, l=lambda t1, t2, x, y, a, r, v: np.where(
+        t2 == 0.0, -0.0, 0.5 * (v - 1.0) ** 2))
+    quad = build_model("quadratic_drift")[0]
+    lin = build_model("linear_test")[0]
+    ctl = StepwiseControl(0.3 + 0.1 * np.arange(len(steps))[:, None]
+                          + 0.02 * np.arange(max(max(steps), 1)))
+    batch = _sorted_batch(steps)
+    ranges = np.unique(batch.K[batch.K > 0]).size
+    zero = batch.K == 0
+    for model in (cash, neg, quad, lin):
+        assert (model._unread["l"] >= fbsde._STATE) == (model is not lin)
+        _, X, Y, v, A, r = fbsde._batch_cost(model, ctl, batch)
+        held, n_held = _running_cost(model, batch, X, Y, A, r, v, True)
+        plain, n_plain = _running_cost(model, batch, X, Y, A, r, v, False)
+        assert n_held == min(batch.Kmax, 1) and n_plain == ranges
+        assert held.tobytes() == plain.tobytes()
+        assert not held[zero].any() and not np.signbit(held[zero]).any()
+        # blocks of a few cells merge some ranges and end rows inside them;
+        # blocks of one cell are the ranges
+        for cells, calls in ((12, None), (1, ranges)):
+            with mock.patch.object(fbsde, "_HELD_CELLS", cells):
+                small, n_small = _running_cost(model, batch, X, Y, A, r, v, True)
+            assert small.tobytes() == plain.tobytes()
+            assert n_small <= ranges and calls in (None, n_small)
+        cost, calls = _row_cost_calls(model, batch, X, Y, A, r, v)
+        assert calls == (ranges if model is lin else min(batch.Kmax, 1))
+        want = plain + model.h(X[np.arange(batch.N), batch.K]) + model.gamma(Y[:, 0])
+        assert cost.tobytes() == np.broadcast_to(want, cost.shape).tobytes()
+    # the -0.0 first term: a one-step row's cost is +0.0, not -0.0
+    one = _sorted_batch([1, 0])
+    _, X, Y, v, A, r = fbsde._batch_cost(neg, ctl, one)
+    run = _running_cost(neg, one, X, Y, A, r, v, True)[0]
+    assert run.tobytes() == np.zeros(2).tobytes()
 
 
 def _live_cell(batch, calls):

@@ -326,6 +326,17 @@ def test_path_validation():
         InversePath(calendar_grid=np.array([0.0, 0.5]), values=np.array([0.1, 0.2]))
 
 
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_subordinator_path_refuses_nan(at):
+    """A NaN anywhere in a staircase is refused.  Its nondecreasing check
+    used to read False at a NaN point, so [0, nan, 0.2, 0.3] was built and
+    its inverse read E(0.25) = 0.2, stepping over the NaN."""
+    values = np.array([0.0, 0.1, 0.2, 0.3])
+    values[at] = np.nan
+    with pytest.raises(ValueError):
+        SubordinatorPath(grid=OperationalGrid(0.1, 0.3), values=values)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         OperationalGrid(step=-0.1, horizon=1.0)

@@ -36,7 +36,10 @@ cash model) through maps that vary with t1.  Two more costs read an
 open-loop control's whole table: linear_test under a TableControl on
 calendar time, and the cash model, keeping no rows, under u* perturbed by
 a constant rate (a PerturbedControl of a StepwiseControl and a
-ConstantControl).  The script then
+ConstantControl).  The cash model under a constant rate on a coarse-step
+ensemble with zero-step paths, kept and not, dumps its per-path costs and
+kept Y and A, so how a recursion solved by steps to go is read back on a
+zero-step row reaches a compared output.  The script then
 prints one line per output: ``identical`` when dtype, shape and bytes
 agree, else ``moved`` with the largest absolute and relative difference.
 It exits 1 when any output differs or is missing from one tree.
@@ -259,6 +262,16 @@ def dump(out_path):
     out["cost.cash.ustar.per_path"] = est.per_path
     for name, ctl in (("0.5", fbsde.ConstantControl(0.5)), ("1.5", fbsde.ConstantControl(1.5))):
         out[f"cost.cash.{name}.per_path"] = fbsde.evaluate_cost(cmodel, ctl, cert).per_path
+    # the cash model under a constant rate on a coarse-step ensemble with
+    # zero-step paths (positions 21, 70 and 75 among the 128 kept rows,
+    # 191 among the others): its P and c are solved by steps to go, so the
+    # read-off of a zero-step row reaches the kept Y and A and both passes'
+    # per-path costs
+    zens = fbsde.make_ensemble(spec.subordinator, spec.jump, spec.horizon, 0.05, 256, 0)
+    est, sols = fbsde._ensemble_cost(cmodel, fbsde.ConstantControl(0.5), zens, keep=128)
+    out["cost.cash.zero_step.per_path"] = est.per_path
+    for field in ("Y", "A"):
+        out[f"solved.cash.zero_step.{field}"] = getattr(sols, field)
     # a cash system whose sigma, eta and kappa vary with calendar time, so
     # a cost pass that keeps no rows reads t1-varying maps: 512 paths under
     # a constant rate and under its u*
